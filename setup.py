@@ -19,4 +19,7 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.9",
     install_requires=["numpy"],
+    # What the suite under tests/ and benchmarks/ imports beyond numpy
+    # (kept in step with requirements-ci.txt).
+    extras_require={"test": ["hypothesis", "pytest", "pytest-benchmark"]},
 )

@@ -1,9 +1,17 @@
 """Canonical Huffman coding with length-limited codes.
 
 Used as the entropy stage of the zstd-like codec.  Code lengths are computed
-with a standard Huffman tree, then adjusted to a 15-bit maximum using the
+with a standard Huffman tree, then adjusted to a 12-bit maximum using the
 same overflow-repair pass zlib applies, and finally assigned canonically so
 the decoder only needs the length table.
+
+The encode side works on whole symbol arrays: frequencies come from one
+``bincount``, codes and widths from lookup arrays, and :func:`pack_bits`
+lays every field of a stream into its bit positions at once.  None of
+that may change a bit of the output: the streams are MSB-first with a
+zero-padded last byte, the tree breaks frequency ties by symbol (leaves)
+and then by creation order (internal nodes), and
+``tests/compression/golden/codec_digests.json`` pins the result.
 """
 
 from __future__ import annotations
@@ -11,34 +19,43 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Sequence
 
+import numpy as np
+
 # 12-bit limit keeps the table-driven decoder's lookup table small (4096
 # entries) while costing well under 1% compression on typical pages.
 MAX_CODE_LENGTH = 12
 
 
 def code_lengths(frequencies: Sequence[int]) -> List[int]:
-    """Per-symbol code lengths (0 = symbol unused), max 15 bits."""
-    active = [(freq, sym) for sym, freq in enumerate(frequencies) if freq > 0]
-    lengths = [0] * len(frequencies)
-    if not active:
+    """Per-symbol code lengths (0 = symbol unused), max 12 bits."""
+    alphabet = len(frequencies)
+    lengths = [0] * alphabet
+    heap = [(freq, sym) for sym, freq in enumerate(frequencies) if freq > 0]
+    if not heap:
         return lengths
-    if len(active) == 1:
-        lengths[active[0][1]] = 1
+    if len(heap) == 1:
+        lengths[heap[0][1]] = 1
         return lengths
 
-    # Build the Huffman tree; each heap item is (weight, tiebreak, symbols).
-    heap = [(freq, sym, [sym]) for freq, sym in active]
+    # Build the Huffman tree; each heap item is (weight, node).  A leaf's
+    # node id is its symbol and internal nodes count up from the alphabet
+    # size, so the id is also the tie-break between equal weights.
+    leaves = [sym for _, sym in heap]
     heapq.heapify(heap)
-    tiebreak = len(frequencies)
+    parent = [0] * (2 * alphabet)
+    node = alphabet
     while len(heap) > 1:
-        w1, _, syms1 = heapq.heappop(heap)
-        w2, _, syms2 = heapq.heappop(heap)
-        for sym in syms1:
-            lengths[sym] += 1
-        for sym in syms2:
-            lengths[sym] += 1
-        heapq.heappush(heap, (w1 + w2, tiebreak, syms1 + syms2))
-        tiebreak += 1
+        w1, first = heapq.heappop(heap)
+        w2, second = heapq.heappop(heap)
+        parent[first] = parent[second] = node
+        heapq.heappush(heap, (w1 + w2, node))
+        node += 1
+    # Children are created before their parents: walk down from the root.
+    depth = [0] * node
+    for inner in range(node - 2, alphabet - 1, -1):
+        depth[inner] = depth[parent[inner]] + 1
+    for sym in leaves:
+        lengths[sym] = depth[parent[sym]] + 1
 
     return _limit_lengths(lengths, frequencies)
 
@@ -104,30 +121,30 @@ def canonical_codes(lengths: Sequence[int]) -> Dict[int, "tuple[int, int]"]:
     return codes
 
 
-class BitWriter:
-    """MSB-first bit accumulator."""
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-        self._bits = 0
-        self._nbits = 0
-
-    def write(self, code: int, length: int) -> None:
-        self._bits = (self._bits << length) | (code & ((1 << length) - 1))
-        self._nbits += length
-        while self._nbits >= 8:
-            self._nbits -= 8
-            self._buffer.append((self._bits >> self._nbits) & 0xFF)
-        self._bits &= (1 << self._nbits) - 1
-
-    def getvalue(self) -> bytes:
-        """Flush (zero-padding the final byte) and return the stream."""
-        if self._nbits:
-            pad = 8 - self._nbits
-            return bytes(self._buffer) + bytes(
-                [(self._bits << pad) & 0xFF]
-            )
-        return bytes(self._buffer)
+def pack_bits(values: np.ndarray, widths: np.ndarray) -> bytes:
+    """Concatenate ``values[i]`` as a ``widths[i]``-bit field, MSB first,
+    zero-padding the final byte.  Zero-width fields vanish; no field may
+    be wider than 16 bits."""
+    if len(widths) and widths.max() > 16:
+        raise ValueError("pack_bits: field wider than 16 bits")
+    ends = np.cumsum(widths, dtype=np.int64)
+    total = int(ends[-1]) if len(ends) else 0
+    size = (total + 7) >> 3
+    starts = ends - widths
+    # A field of up to 16 bits at any bit offset touches at most three
+    # bytes: left-align it in the 24-bit window that begins at its first
+    # byte, then add each window byte into its place.  Fields never
+    # overlap, so the sums are ORs (and exact in bincount's floats).
+    windows = (values & ((1 << widths) - 1)) << (24 - (starts & 7) - widths)
+    first = starts >> 3
+    # A trailing zero-width field starts at ``total``: room for its
+    # (empty) window too.
+    out = np.zeros(size + 3)
+    for offset, shift in enumerate((16, 8, 0)):
+        out += np.bincount(
+            first + offset, weights=(windows >> shift) & 0xFF, minlength=size + 3
+        )
+    return out[:size].astype(np.uint8).tobytes()
 
 
 class BitReader:
@@ -157,17 +174,19 @@ class HuffmanEncoder:
 
     def __init__(self, lengths: Sequence[int]) -> None:
         self.lengths = list(lengths)
-        self._codes = canonical_codes(lengths)
+        codes = [0] * len(self.lengths)
+        for sym, (code, _) in canonical_codes(lengths).items():
+            codes[sym] = code
+        self._codes = np.array(codes, dtype=np.int64)
+        self._widths = np.array(self.lengths, dtype=np.int64)
 
     @classmethod
     def from_frequencies(cls, frequencies: Sequence[int]) -> "HuffmanEncoder":
         return cls(code_lengths(frequencies))
 
-    def encode_into(self, writer: BitWriter, symbols: Sequence[int]) -> None:
-        codes = self._codes
-        for sym in symbols:
-            code, length = codes[sym]
-            writer.write(code, length)
+    def encode(self, symbols: np.ndarray) -> bytes:
+        """The bitstream of ``symbols`` (an integer array)."""
+        return pack_bits(self._codes[symbols], self._widths[symbols])
 
 
 class HuffmanDecoder:

@@ -26,6 +26,11 @@ _MFLIMIT = 12  # matches must end this many bytes before the block end
 _LAST_LITERALS = 5
 
 
+def _extended(remaining: int) -> bytes:
+    """The length bytes that follow a saturated 4-bit token field."""
+    return b"\xff" * (remaining // 255) + bytes((remaining % 255,))
+
+
 class LZ4Codec(Compressor):
     """LZ4 block compressor/decompressor."""
 
@@ -40,72 +45,68 @@ class LZ4Codec(Compressor):
         n = len(data)
         if n == 0:
             return b"\x00"  # single token: zero literals, end of block
-        out = bytearray()
         tokens = self._legalize(self._finder.tokenize(data), n)
-        for index, tok in enumerate(tokens):
-            is_last = index == len(tokens) - 1
-            self._emit_sequence(out, data, tok, is_last)
+        out = bytearray()
+        append = out.append
+        for lit_start, lit_len, match_len, distance in tokens:
+            match_code = match_len - MIN_MATCH if match_len else 0
+            append(
+                (lit_len if lit_len < 15 else 15) << 4
+                | (match_code if match_code < 15 else 15)
+            )
+            if lit_len >= 15:
+                out += _extended(lit_len - 15)
+            out += data[lit_start : lit_start + lit_len]
+            if match_len:
+                append(distance & 0xFF)
+                append(distance >> 8)
+                if match_code >= 15:
+                    out += _extended(match_code - 15)
         return bytes(out)
 
     @staticmethod
     def _legalize(tokens: "list[Token]", n: int) -> "list[Token]":
-        """Enforce end-of-block rules by demoting late matches to literals."""
-        legal: "list[Token]" = []
+        """Enforce end-of-block rules by demoting late matches to literals.
+
+        Only sequences whose match runs into the last ``_MFLIMIT`` bytes
+        can break a rule, and positions only grow, so everything before
+        the first such sequence passes through untouched.
+        """
+        tail = len(tokens) - 1  # the final token is literal-only
+        while tail > 0:
+            lit_start, lit_len, match_len, _ = tokens[tail - 1]
+            if lit_start + lit_len + match_len <= n - _MFLIMIT:
+                break
+            tail -= 1
+        legal = tokens[:tail]
         pending_lit_start = None
         pending_lit_len = 0
-        for tok in tokens:
-            lit_start, lit_len = tok.lit_start, tok.lit_len
+        for lit_start, lit_len, match_len, distance in tokens[tail:]:
             if pending_lit_len:
                 # Merge the demoted tail into this token's literal run.
                 lit_start = pending_lit_start
-                lit_len = pending_lit_len + tok.lit_len
+                lit_len += pending_lit_len
                 pending_lit_start, pending_lit_len = None, 0
-            if tok.match_len == 0:
-                legal.append(Token(lit_start, lit_len, 0, 0))
+            if match_len == 0:
+                legal.append((lit_start, lit_len, 0, 0))
                 continue
             match_start = lit_start + lit_len
             # Trim the match so it ends at least _LAST_LITERALS bytes before
             # the block end; demote it entirely if trimming leaves it below
             # the minimum length or it starts inside the _MFLIMIT window.
-            allowed = min(tok.match_len, (n - _LAST_LITERALS) - match_start)
+            allowed = min(match_len, (n - _LAST_LITERALS) - match_start)
             if match_start > n - _MFLIMIT or allowed < MIN_MATCH:
                 pending_lit_start = lit_start
-                pending_lit_len = lit_len + tok.match_len
+                pending_lit_len = lit_len + match_len
                 continue
-            legal.append(Token(lit_start, lit_len, allowed, tok.distance))
-            if allowed < tok.match_len:
+            legal.append((lit_start, lit_len, allowed, distance))
+            if allowed < match_len:
                 pending_lit_start = match_start + allowed
-                pending_lit_len = tok.match_len - allowed
-        if pending_lit_len or not legal or legal[-1].match_len != 0:
+                pending_lit_len = match_len - allowed
+        if pending_lit_len or not legal or legal[-1][2] != 0:
             start = pending_lit_start if pending_lit_len else n
-            legal.append(Token(start, pending_lit_len, 0, 0))
+            legal.append((start, pending_lit_len, 0, 0))
         return legal
-
-    @staticmethod
-    def _emit_sequence(
-        out: bytearray, data: bytes, tok: Token, is_last: bool
-    ) -> None:
-        lit_len = tok.lit_len
-        match_code = 0 if is_last else tok.match_len - MIN_MATCH
-        token_byte = (min(lit_len, 15) << 4) | min(match_code, 15)
-        out.append(token_byte)
-        if lit_len >= 15:
-            remaining = lit_len - 15
-            while remaining >= 255:
-                out.append(255)
-                remaining -= 255
-            out.append(remaining)
-        out += data[tok.lit_start : tok.lit_start + lit_len]
-        if is_last:
-            return
-        out.append(tok.distance & 0xFF)
-        out.append((tok.distance >> 8) & 0xFF)
-        if match_code >= 15:
-            remaining = match_code - 15
-            while remaining >= 255:
-                out.append(255)
-                remaining -= 255
-            out.append(remaining)
 
     # -- decompression ---------------------------------------------------
 

@@ -1,42 +1,81 @@
 """Hash-chain LZ77 match finder shared by the LZ4 and zstd-like codecs.
 
 The finder emits a token stream: runs of literals interleaved with
-back-references ``(length, distance)``.  Codecs differ in how they serialize
-the tokens (LZ4: raw byte layout, zstd: entropy-coded), and in the finder
-parameters they use (window size, chain depth, lazy matching).
+back-references ``(length, distance)``.  Codecs differ in how they
+serialize the tokens (LZ4: raw byte layout, zstd: entropy-coded) and in
+the finder parameters they use (chain depth, lazy matching).
+
+**The invariant the speed rests on.**  A hash-chain matcher links every
+position to the previous position whose next four bytes hash alike.
+This one indexes *every* position ``<= n - MIN_MATCH`` in increasing
+order, whatever the parse does — literals, matched bytes and the
+dictionary prefix alike — so when a match is sought at ``at`` the chain
+holds exactly the earlier positions with ``at``'s hash, nearest first.
+That makes the chains a function of the buffer alone, not of the parse:
+:func:`chain_index` builds them once in a vectorised pass, and the
+greedy depth-16 parse (lz4) and the lazy depth-64 parse (zstd) that
+Algorithm 1 runs on every first-written page walk the same array.
+
+**Byte-identity contract.**  The token streams are bit for bit those of
+the straightforward matcher (index as you go, compare byte by byte);
+``tests/compression/golden/codec_digests.json`` was frozen from that
+code, and ``test_golden_bytes.py`` also carries a naive tokenizer for a
+differential test.  A faster kernel must keep both green.
+
+**Threads.**  The pool's ``thread`` kind shares codec instances.  The
+one-slot index memo is a single tuple, read once into a local and
+replaced by one assignment; the ``prev`` list inside it is never written
+after it is built.  A race costs a rebuilt index, never a wrong one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
+
+import numpy as np
 
 MIN_MATCH = 4
 _HASH_MULT = 2654435761
 _HASH_BITS = 16
+#: First chunk of the galloping match extension; doubles per equal chunk.
+_FIRST_CHUNK = 16
+
+#: One LZ77 step ``(lit_start, lit_len, match_len, distance)``:
+#: ``lit_len`` literals starting at ``lit_start`` in the source, followed
+#: by a back-reference of ``match_len`` bytes at ``distance``
+#: (``match_len == 0`` marks the trailing literal-only token).
+Token = Tuple[int, int, int, int]
+
+#: The last buffer indexed and its chain array: lz4 then zstd compress
+#: the same page object during Algorithm 1's evaluation.
+_last_index: Tuple[bytes, List[int]] = (b"", [])
 
 
-@dataclass(frozen=True)
-class Token:
-    """One LZ77 step: ``lit_len`` literals starting at ``lit_start`` in the
-    source, followed by a back-reference of ``match_len`` bytes at
-    ``distance`` (``match_len == 0`` marks the trailing literal-only token).
-    """
-
-    lit_start: int
-    lit_len: int
-    match_len: int
-    distance: int
-
-
-def _hash4(data: bytes, pos: int) -> int:
-    value = (
-        data[pos]
-        | (data[pos + 1] << 8)
-        | (data[pos + 2] << 16)
-        | (data[pos + 3] << 24)
-    )
-    return ((value * _HASH_MULT) & 0xFFFFFFFF) >> (32 - _HASH_BITS)
+def chain_index(data: bytes) -> List[int]:
+    """``prev[p]``: the nearest position before ``p`` whose four bytes
+    hash like ``p``'s (-1 if none), for every ``p <= len(data) - 4``."""
+    global _last_index
+    cached, prev = _last_index
+    if type(data) is bytes and data is cached:
+        return prev
+    count = len(data) - MIN_MATCH + 1
+    if count <= 0:
+        return []
+    # Overlapping little-endian four-byte windows, one per position.
+    keys = np.ndarray((count,), dtype="<u4", buffer=data, strides=(1,))
+    # uint32 arithmetic wraps, which is the ``& 0xFFFFFFFF`` of the hash.
+    hashes = (keys * np.uint32(_HASH_MULT)) >> np.uint32(32 - _HASH_BITS)
+    # A stable sort groups equal hashes with positions still ascending,
+    # so each one's predecessor in its group is its chain link.
+    order = np.argsort(hashes.astype(np.uint16), kind="stable")
+    grouped = hashes[order]
+    linked = grouped[1:] == grouped[:-1]
+    links = np.full(count, -1, dtype=np.int64)
+    links[order[1:][linked]] = order[:-1][linked]
+    prev = links.tolist()
+    if type(data) is bytes:
+        _last_index = (data, prev)
+    return prev
 
 
 class MatchFinder:
@@ -74,87 +113,98 @@ class MatchFinder:
     def tokenize(self, data: bytes, start: int = 0) -> List[Token]:
         """Produce the token stream covering ``data[start:]``.
 
-        ``start > 0`` enables dictionary compression: the prefix
-        ``data[:start]`` is indexed into the hash chains (so matches may
-        reference it) but no tokens are emitted for it — the decoder
-        primes its output with the same prefix.
+        ``start > 0`` enables dictionary compression: matches may
+        reference the prefix ``data[:start]`` but no tokens are emitted
+        for it — the decoder primes its output with the same prefix.
         """
         n = len(data)
-        tokens: List[Token] = []
         if n - start < MIN_MATCH + 1:
-            tokens.append(Token(start, n - start, 0, 0))
-            return tokens
+            return [(start, n - start, 0, 0)]
 
-        head = [-1] * (1 << _HASH_BITS)
-        prev = [-1] * n
-
-        lit_start = start
-        pos = start
+        prev = chain_index(data)
+        window = self.window
+        depth = range(self.max_chain)
+        max_match = self.max_match
+        lazy = self.lazy
         # The last MIN_MATCH bytes can never start a match.
         limit = n - MIN_MATCH
 
-        def find(at: int) -> "tuple[int, int]":
-            """Best (length, distance) at position ``at`` (0 if none)."""
-            best_len = 0
+        def find(at: int, floor: int = 0) -> Tuple[int, int]:
+            """Best ``(length, distance)`` at ``at`` among matches longer
+            than ``floor`` (0 if none): the first chain candidate with the
+            strictly longest match wins."""
+            candidate = prev[at]
+            oldest = at - window if at > window else 0
+            cap = n - at
+            if cap > max_match:
+                cap = max_match
+            if candidate < oldest or floor >= cap:
+                return 0, 0
+            best_len = floor
             best_dist = 0
-            candidate = head[_hash4(data, at)]
-            chain = self.max_chain
-            min_pos = at - self.window
-            max_len_here = min(self.max_match, n - at)
-            while candidate >= min_pos and candidate >= 0 and chain > 0:
-                chain -= 1
-                # Quick reject: a longer match must agree at best_len.
-                probe = at + best_len
-                if probe < n and data[candidate + best_len] == data[probe]:
-                    length = 0
-                    while (
-                        length < max_len_here
-                        and data[candidate + length] == data[at + length]
-                    ):
-                        length += 1
-                    if length > best_len:
-                        best_len = length
-                        best_dist = at - candidate
-                        if length >= max_len_here:
+            # A longer match must repeat all of ``target`` and then agree
+            # on the byte after it, which is checked first.
+            target = data[at : at + floor]
+            probe = data[at + floor]
+            for _ in depth:
+                if (
+                    data[candidate + best_len] == probe
+                    and data[candidate : candidate + best_len] == target
+                ):
+                    # Gallop: compare doubling chunks, and locate the first
+                    # differing byte as the top set bit of their XOR.
+                    length = best_len + 1
+                    step = _FIRST_CHUNK
+                    while length < cap:
+                        if length + step > cap:
+                            step = cap - length
+                        diff = int.from_bytes(
+                            data[at + length : at + length + step], "big"
+                        ) ^ int.from_bytes(
+                            data[candidate + length : candidate + length + step],
+                            "big",
+                        )
+                        if diff:
+                            length += step - ((diff.bit_length() + 7) >> 3)
                             break
+                        length += step
+                        step += step
+                    best_len = length
+                    best_dist = at - candidate
+                    if length >= cap:
+                        break
+                    target = data[at : at + length]
+                    probe = data[at + length]
                 candidate = prev[candidate]
-            if best_len < MIN_MATCH:
+                if candidate < oldest:
+                    break
+            if best_len < MIN_MATCH or best_dist == 0:
                 return 0, 0
             return best_len, best_dist
 
-        def insert(at: int) -> None:
-            h = _hash4(data, at)
-            prev[at] = head[h]
-            head[h] = at
-
-        # Index the dictionary prefix so matches can reference it.
-        for p in range(0, min(start, limit + 1)):
-            insert(p)
-
+        tokens: List[Token] = []
+        lit_start = start
+        pos = start
         while pos <= limit:
-            length, dist = find(pos)
-            if length == 0:
-                insert(pos)
+            if prev[pos] < 0:  # nothing to find; skip the call
                 pos += 1
                 continue
-            first_uninserted = pos
-            if self.lazy and pos + 1 <= limit:
-                insert(pos)
-                first_uninserted = pos + 1
-                next_len, next_dist = find(pos + 1)
-                if next_len > length:
+            length, dist = find(pos)
+            if length == 0:
+                pos += 1
+                continue
+            if lazy and pos < limit:
+                # Only a strictly longer match one byte on is worth a literal.
+                next_len, next_dist = find(pos + 1, length)
+                if next_len:
                     # Emit this byte as a literal; take the later match.
                     pos += 1
                     length, dist = next_len, next_dist
-            tokens.append(Token(lit_start, pos - lit_start, length, dist))
-            # Index positions covered by the match (bounded for speed).
-            end = pos + length
-            for p in range(first_uninserted, min(end, limit + 1)):
-                insert(p)
-            pos = end
+            tokens.append((lit_start, pos - lit_start, length, dist))
+            pos += length
             lit_start = pos
 
-        tokens.append(Token(lit_start, n - lit_start, 0, 0))
+        tokens.append((lit_start, n - lit_start, 0, 0))
         return tokens
 
 
@@ -164,12 +214,12 @@ def reconstruct(tokens: List[Token], data: bytes, prefix: bytes = b"") -> bytes:
     ``prefix`` primes the output for dictionary-mode token streams.
     """
     out = bytearray(prefix)
-    for tok in tokens:
-        out += data[tok.lit_start : tok.lit_start + tok.lit_len]
-        if tok.match_len:
-            start = len(out) - tok.distance
+    for lit_start, lit_len, match_len, distance in tokens:
+        out += data[lit_start : lit_start + lit_len]
+        if match_len:
+            start = len(out) - distance
             if start < 0:
                 raise ValueError("distance reaches before stream start")
-            for i in range(tok.match_len):
+            for i in range(match_len):
                 out.append(out[start + i])
     return bytes(out[len(prefix):])

@@ -32,16 +32,18 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from repro.common.errors import CorruptionError
 from repro.compression.base import Compressor, register_codec
 from repro.compression.huffman import (
     BitReader,
-    BitWriter,
     HuffmanEncoder,
     TableDecoder,
     code_lengths,
+    pack_bits,
 )
-from repro.compression.lz77 import MatchFinder
+from repro.compression.lz77 import MatchFinder, Token
 
 _MAGIC = 0x5A
 _MODE_RAW = 0
@@ -52,6 +54,8 @@ _MODE_DICT = 2
 
 #: Log-bucket alphabet size for token fields (values up to 65535).
 _BUCKET_ALPHABET = 34
+#: The largest literal run, match length or distance a token may carry.
+_MAX_FIELD = 65535
 
 
 def _write_varint(out: bytearray, value: int) -> None:
@@ -81,13 +85,14 @@ def _read_varint(data: bytes, pos: int) -> Tuple[int, int]:
         shift += 7
 
 
-def _bucket(value: int) -> Tuple[int, int, int]:
-    """value -> (symbol, n_extra_bits, extra_value); two buckets/octave."""
-    if value < 8:
-        return value, 0, 0
-    n = value.bit_length() - 1
-    sym = 8 + (n - 3) * 2 + ((value >> (n - 1)) & 1)
-    return sym, n - 1, value & ((1 << (n - 1)) - 1)
+def _bucket(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """values -> (symbols, n_extra_bits, extra_values); two buckets/octave."""
+    small = values < 8
+    # frexp's exponent is the bit length; floats hold these ints exactly.
+    n = np.frexp(values)[1].astype(np.int64) - 1
+    nbits = np.where(small, 0, n - 1)
+    sym = np.where(small, values, 8 + (n - 3) * 2 + ((values >> nbits) & 1))
+    return sym, nbits, values & ((1 << nbits) - 1)
 
 
 def _unbucket(sym: int, extra: int) -> int:
@@ -128,18 +133,54 @@ def _read_table(data: bytes, pos: int, alphabet: int) -> Tuple[List[int], int]:
     return lengths, pos
 
 
-def _encode_symbols(body: bytearray, symbols: Sequence[int], alphabet: int) -> None:
+def _encode_symbols(body: bytearray, symbols: np.ndarray, alphabet: int) -> None:
     """Huffman-code ``symbols``: table + length-prefixed bitstream."""
-    frequencies = [0] * alphabet
-    for sym in symbols:
-        frequencies[sym] += 1
-    lengths = code_lengths(frequencies)
+    lengths = code_lengths(np.bincount(symbols, minlength=alphabet).tolist())
     _write_table(body, lengths)
-    writer = BitWriter()
-    HuffmanEncoder(lengths).encode_into(writer, symbols)
-    stream = writer.getvalue()
+    stream = HuffmanEncoder(lengths).encode(symbols)
     _write_varint(body, len(stream))
     body += stream
+
+
+def _split_long_literals(tokens: List[Token]) -> List[Token]:
+    """Cut literal runs the bucket alphabet cannot express into
+    ``_MAX_FIELD``-byte tokens with no match (the decoder skips those)."""
+    out: List[Token] = []
+    for lit_start, lit_len, match_len, distance in tokens:
+        while lit_len > _MAX_FIELD:
+            out.append((lit_start, _MAX_FIELD, 0, 0))
+            lit_start += _MAX_FIELD
+            lit_len -= _MAX_FIELD
+        out.append((lit_start, lit_len, match_len, distance))
+    return out
+
+
+def encode_tokens(buf: bytes, tokens: List[Token], start: int = 0) -> bytearray:
+    """The entropy stage: the container for ``tokens`` over ``buf[start:]``
+    (``start`` bytes of dictionary prefix select dictionary mode)."""
+    original_size = len(buf) - start
+    if original_size > _MAX_FIELD:
+        tokens = _split_long_literals(tokens)
+    literals = b"".join(
+        [buf[lit_start : lit_start + lit_len] for lit_start, lit_len, _, _ in tokens]
+    )
+    # One row per token: literal length, match length, distance.  Row
+    # order is also the order of the extra-bits stream, and a token
+    # without a match has distance 0, which takes no extra bits.
+    fields = np.array(tokens, dtype=np.int64)[:, 1:]
+    syms, nbits, extra = _bucket(fields)
+    of_syms = syms[:, 2][fields[:, 1] != 0]
+
+    body = bytearray([_MAGIC, _MODE_DICT if start else _MODE_COMPRESSED])
+    _write_varint(body, original_size)
+    _write_varint(body, len(tokens))
+    _write_varint(body, len(literals))
+    _encode_symbols(body, np.frombuffer(literals, dtype=np.uint8), 256)
+    _encode_symbols(body, syms[:, 0], _BUCKET_ALPHABET)
+    _encode_symbols(body, syms[:, 1], _BUCKET_ALPHABET)
+    _encode_symbols(body, of_syms, _BUCKET_ALPHABET)
+    body += pack_bits(extra.ravel(), nbits.ravel())
+    return body
 
 
 def _decode_symbols(
@@ -161,7 +202,9 @@ class ZstdCodec(Compressor):
     name = "zstd"
 
     def __init__(self, max_chain: int = 64, lazy: bool = True) -> None:
-        self._finder = MatchFinder(window=65535, max_chain=max_chain, lazy=lazy)
+        self._finder = MatchFinder(
+            window=_MAX_FIELD, max_chain=max_chain, lazy=lazy, max_match=_MAX_FIELD
+        )
 
     # -- compression -----------------------------------------------------
 
@@ -176,35 +219,7 @@ class ZstdCodec(Compressor):
 
         buf = dictionary + data if dictionary else data
         tokens = self._finder.tokenize(buf, start=len(dictionary))
-        literals = bytearray()
-        ll_syms: List[int] = []
-        ml_syms: List[int] = []
-        of_syms: List[int] = []
-        extras = BitWriter()
-        for tok in tokens:
-            literals += buf[tok.lit_start : tok.lit_start + tok.lit_len]
-            for value, out_syms in ((tok.lit_len, ll_syms), (tok.match_len, ml_syms)):
-                sym, nbits, extra = _bucket(value)
-                out_syms.append(sym)
-                if nbits:
-                    extras.write(extra, nbits)
-            if tok.match_len:
-                sym, nbits, extra = _bucket(tok.distance)
-                of_syms.append(sym)
-                if nbits:
-                    extras.write(extra, nbits)
-
-        mode = _MODE_DICT if dictionary else _MODE_COMPRESSED
-        body = bytearray([_MAGIC, mode])
-        _write_varint(body, len(data))
-        _write_varint(body, len(tokens))
-        _write_varint(body, len(literals))
-        _encode_symbols(body, bytes(literals), 256)
-        _encode_symbols(body, ll_syms, _BUCKET_ALPHABET)
-        _encode_symbols(body, ml_syms, _BUCKET_ALPHABET)
-        _encode_symbols(body, of_syms, _BUCKET_ALPHABET)
-        body += extras.getvalue()
-
+        body = encode_tokens(buf, tokens, len(dictionary))
         if len(body) >= len(data) + 2:
             return self._raw(data)
         return bytes(body)

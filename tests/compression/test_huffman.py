@@ -1,7 +1,9 @@
 """Canonical Huffman coder."""
 
+import heapq
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,28 +11,90 @@ from hypothesis import strategies as st
 from repro.compression.huffman import (
     MAX_CODE_LENGTH,
     BitReader,
-    BitWriter,
     HuffmanDecoder,
     HuffmanEncoder,
     TableDecoder,
+    _limit_lengths,
     canonical_codes,
     code_lengths,
+    pack_bits,
 )
 
 
-def test_bit_writer_reader_round_trip():
-    writer = BitWriter()
-    values = [(0b101, 3), (0b1, 1), (0xABC, 12), (0, 5)]
-    for code, length in values:
-        writer.write(code, length)
-    reader = BitReader(writer.getvalue())
+def _encode(lengths, symbols):
+    return HuffmanEncoder(lengths).encode(np.array(symbols, dtype=np.int64))
+
+
+def test_pack_bits_reader_round_trip():
+    values = [(0b101, 3), (0b1, 1), (0, 0), (0xABC, 12), (0, 5)]
+    stream = pack_bits(
+        np.array([code for code, _ in values]),
+        np.array([length for _, length in values]),
+    )
+    # 21 bits, MSB first, zero-padded to three bytes.
+    assert stream == bytes([0b10111010, 0b10111100, 0b00000000])
+    reader = BitReader(stream)
     for code, length in values:
         assert reader.read(length) == code
+
+
+@given(st.lists(st.tuples(st.integers(0, 16), st.integers(0, 0xFFFF)), max_size=200))
+@settings(max_examples=100, deadline=None)
+def test_pack_bits_any_widths_up_to_16(fields):
+    widths = np.array([width for width, _ in fields], dtype=np.int64)
+    values = np.array([value for _, value in fields], dtype=np.int64)
+    stream = pack_bits(values, widths)
+    assert len(stream) == (int(widths.sum()) + 7) // 8
+    reader = BitReader(stream)
+    for width, value in fields:
+        # Like the bit-at-a-time writer it replaces, a field keeps only
+        # its low ``width`` bits.
+        assert reader.read(width) == value & ((1 << width) - 1)
+
+
+def test_pack_bits_empty_stream():
+    empty = np.array([], dtype=np.int64)
+    assert pack_bits(empty, empty) == b""
+    assert pack_bits(np.array([5, 9]), np.array([0, 0])) == b""
+
+
+def test_pack_bits_rejects_fields_it_cannot_place():
+    with pytest.raises(ValueError):
+        pack_bits(np.array([1, 1]), np.array([3, 17]))
 
 
 def test_code_lengths_empty_and_single():
     assert code_lengths([0, 0, 0]) == [0, 0, 0]
     assert code_lengths([0, 5, 0]) == [0, 1, 0]
+
+
+def _reference_code_lengths(frequencies):
+    """The tree as first written: every merge deepens each symbol below
+    it.  Ties break on (weight, symbol), then on merge order."""
+    lengths = [0] * len(frequencies)
+    heap = [(freq, sym, [sym]) for sym, freq in enumerate(frequencies) if freq > 0]
+    if len(heap) < 2:
+        for _, sym, _ in heap:
+            lengths[sym] = 1
+        return lengths
+    heapq.heapify(heap)
+    tiebreak = len(frequencies)
+    while len(heap) > 1:
+        w1, _, syms1 = heapq.heappop(heap)
+        w2, _, syms2 = heapq.heappop(heap)
+        for sym in syms1 + syms2:
+            lengths[sym] += 1
+        heapq.heappush(heap, (w1 + w2, tiebreak, syms1 + syms2))
+        tiebreak += 1
+    return _limit_lengths(lengths, frequencies)
+
+
+@given(st.lists(st.one_of(st.integers(0, 4), st.integers(0, 10**6)), max_size=300))
+@settings(max_examples=200, deadline=None)
+def test_code_lengths_match_the_reference_tree(frequencies):
+    # Small counts make ties, which is where a different merge order
+    # would show; the stored tables are part of the payload bytes.
+    assert code_lengths(frequencies) == _reference_code_lengths(frequencies)
 
 
 def test_code_lengths_two_symbols():
@@ -77,9 +141,7 @@ def _round_trip(symbols, alphabet=256):
     for sym in symbols:
         freqs[sym] += 1
     lengths = code_lengths(freqs)
-    writer = BitWriter()
-    HuffmanEncoder(lengths).encode_into(writer, symbols)
-    stream = writer.getvalue()
+    stream = _encode(lengths, symbols)
 
     reader = BitReader(stream + b"\x00\x00")
     decoder = HuffmanDecoder(lengths)
@@ -111,9 +173,7 @@ def test_table_decoder_rejects_garbage():
     # and a valid decoder cannot decode more symbols than the stream holds
     # without hitting padding (which decodes deterministically) — verify the
     # real decoder at least decodes the right count.
-    writer = BitWriter()
-    HuffmanEncoder(lengths).encode_into(writer, [0, 1, 0])
-    out = TableDecoder(lengths).decode_all(writer.getvalue(), 3)
+    out = TableDecoder(lengths).decode_all(_encode(lengths, [0, 1, 0]), 3)
     assert out == [0, 1, 0]
 
 
@@ -124,6 +184,4 @@ def test_compression_beats_raw_for_skewed_data():
     for sym in symbols:
         freqs[sym] += 1
     lengths = code_lengths(freqs)
-    writer = BitWriter()
-    HuffmanEncoder(lengths).encode_into(writer, symbols)
-    assert len(writer.getvalue()) < len(symbols) / 2
+    assert len(_encode(lengths, symbols)) < len(symbols) / 2

@@ -82,6 +82,17 @@ def test_incompressible_falls_back_to_raw_mode():
     assert codec.decompress(compressed) == data
 
 
+def test_fields_past_the_bucket_alphabet_round_trip():
+    """The bucket alphabet ends at 65 535: a longer literal run is split
+    into match-less tokens and a longer match is capped by the finder
+    (both used to raise IndexError)."""
+    long_literals = random.Random(6).randbytes(70_000) + bytes(100_000)
+    for data in (long_literals, bytes(70 * 1024)):
+        compressed = codec.compress(data)
+        assert len(compressed) < len(data) // 2
+        assert codec.decompress(compressed) == data
+
+
 def test_decompress_rejects_bad_magic():
     with pytest.raises(CorruptionError):
         codec.decompress(b"\x00\x01\x02")

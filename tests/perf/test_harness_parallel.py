@@ -5,7 +5,7 @@ import pytest
 
 from repro.perf import harness as ph
 from repro.perf.harness import (
-    PARALLEL_SPEEDUP_FLOOR,
+    REGRESSION_TOLERANCE,
     ScenarioRun,
     check_regression,
     run_harness,
@@ -79,15 +79,19 @@ def test_parallel_divergence_is_always_a_violation():
     assert any("parallel-leg output DIVERGED" in f for f in failures)
 
 
-def test_parallel_speedup_gate_needs_two_cores():
-    slow = {"identical": True, "speedup": 1.01}
+def test_parallel_speedup_gate_is_baseline_relative_and_needs_two_cores():
+    baseline = _board(2, {"identical": True, "speedup": 1.6})
+    floor = 1.6 * (1.0 - REGRESSION_TOLERANCE)
+    slow = {"identical": True, "speedup": floor - 0.05}
     # 1-core host: honest ~1x speedup is not a regression.
-    assert not check_regression(_board(1, slow), {"scenarios": {}})
-    # 2-core host: the floor applies.
-    failures = check_regression(_board(2, slow), {"scenarios": {}})
+    assert not check_regression(_board(1, slow), baseline)
+    # 2-core host: held to the committed parallel speedup.
+    failures = check_regression(_board(2, slow), baseline)
     assert any("parallel speedup" in f for f in failures)
-    fast = {"identical": True, "speedup": PARALLEL_SPEEDUP_FLOOR + 0.1}
-    assert not check_regression(_board(2, fast), {"scenarios": {}})
+    kept = {"identical": True, "speedup": floor + 0.05}
+    assert not check_regression(_board(2, kept), baseline)
+    # A baseline without a parallel leg has nothing to hold it to.
+    assert not check_regression(_board(2, slow), {"scenarios": {}})
 
 
 def test_real_parallel_leg_is_byte_identical_quick():

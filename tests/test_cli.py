@@ -60,6 +60,27 @@ def test_no_command_shows_help(capsys):
     assert "usage" in capsys.readouterr().out
 
 
+def _help_text(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--help"])
+    assert exit_info.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_renders_for_every_subcommand(capsys):
+    import re
+
+    listed = re.search(r"\{([a-z,]+)\}", _help_text([], capsys)).group(1)
+    commands = listed.split(",")
+    assert {"info", "perf", "bench", "serve"} <= set(commands)
+    for command in commands:
+        out = _help_text([command], capsys)
+        assert "usage" in out
+        # A bare '%' in a help string makes argparse print the action's
+        # attribute dict in place of the text.
+        assert "{'option_strings'" not in out, command
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
