@@ -4,7 +4,7 @@ Unlike every other benchmark in this directory, the quantity measured
 here is **host wall-clock time**, not simulated microseconds: each
 pinned scenario (8-client sysbench + checkpoint + scrub, the chaos
 smoke schedule, a sharded-runtime ingest/migration) runs twice — once
-with the perf runtime deactivated and once with the codec memo/pool
+with the perf runtime deactivated and once with the codec-memo
 fast path — and the harness asserts the two runs produce identical
 output bytes and identical simulated timings before reporting the
 speedup.  The committed scoreboard at the repo root

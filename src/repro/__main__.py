@@ -37,7 +37,7 @@ Commands
     space / migration-traffic table + JSON artifact (Figures 10/11).
 ``perf``
     Wall-clock A/B harness: run pinned seeded scenarios serially and
-    again with the codec memo/pool fast path, assert the outputs and
+    again with the codec-memo fast path, assert the outputs and
     simulated timings are identical, and write the speedup scoreboard
     to ``BENCH_wallclock.json``.  ``--check BASELINE`` is the CI
     perf-smoke regression gate.
@@ -75,13 +75,14 @@ Commands
     half of the ``--out`` JSON artifact is byte-identical across runs
     of the same spec (the CI ``net-smoke`` gate).
 
-Every command honours ``REPRO_PERF`` (``1``/``on`` for the default
-fast path, or ``pool=N,memo=MiB,kind=process|thread|serial``); unset
-or ``0`` runs the original serial code everywhere.  ``REPRO_OBS=1``
-activates a flight recorder for any command (``capacity=N,
-sample=io:8`` tunes it).  ``REPRO_WORKERS=N`` is the default for every
-``--workers`` flag (``bench``, ``cluster``, ``perf``): N forked engine
-worker processes with byte-identical output.
+Every command honours ``REPRO_PERF`` (``1``/``on`` for the codec memo
+at its default size, or ``memo=MiB``); unset or ``0`` runs the original
+serial code everywhere.  ``REPRO_OBS=1`` activates a flight recorder
+for any command (``capacity=N, sample=io:8`` tunes it).
+``REPRO_WORKERS=N`` is the default for every ``--workers`` flag
+(``bench``, ``cluster``, ``perf``), which means one thing everywhere:
+independent programs fanned across N forked worker processes with
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -617,7 +618,7 @@ def main(argv=None) -> int:
     )
     bench_p.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="fan independent figure cells across N engine worker "
+        help="fan independent figure cells across N worker "
              "processes; byte-identical output (default: $REPRO_WORKERS, "
              "else 1)",
     )
@@ -641,13 +642,13 @@ def main(argv=None) -> int:
     )
     cluster_p.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="host each fleet's replica groups in N per-shard engine "
-             "worker processes (epoch-barrier synchronized; byte-"
-             "identical output; default: $REPRO_WORKERS, else 1)",
+        help="fan the two independent scheduler fleets across N "
+             "worker processes; byte-identical output (default: "
+             "$REPRO_WORKERS, else 1)",
     )
     sub.add_parser(
         "perf",
-        help="wall-clock A/B harness (serial vs codec memo/pool fast "
+        help="wall-clock A/B harness (serial vs codec-memo fast "
              "path); see 'perf --help' for its own options",
     )
     events_p = sub.add_parser(

@@ -5,8 +5,7 @@
 :class:`PolarStoreClient` riding on a :class:`Transport` (local
 execution or the ``repro.net`` wire protocol).  Everything else here is
 the typed configuration tree they consume and the config-driven
-constructors they delegate to.  Legacy constructor-plumbing entry
-points live on in :mod:`repro.api.legacy` as deprecation shims.
+constructors they delegate to.
 """
 
 from repro.api.client import PolarStore, PolarStoreClient

@@ -235,7 +235,7 @@ class PolarStore:
     ``PolarStore.connect(addr)`` over the wire.
 
     (Distinct from :class:`repro.storage.store.PolarStore`, the
-    storage-layer volume this facade fronts — see MIGRATION.md.)
+    storage-layer volume this facade fronts — ``client.store``.)
     """
 
     def __init__(self, *_args, **_kwargs) -> None:

@@ -132,49 +132,18 @@ class ClusterSection:
 
 @dataclass
 class PerfConfig:
-    """Wall-clock fast path (``repro.perf``): pool, memo, zero-copy.
+    """Wall-clock fast path (``repro.perf``): the codec memo.
 
-    All off by default: the fast path is opt-in, and with ``enabled``
-    False the hot paths run exactly the serial seed code.  Enabling it
-    changes no simulated timing and no output byte (golden-tested) —
-    only how fast the process gets there.
+    Off by default: the fast path is opt-in, and with ``enabled`` False
+    the hot paths run exactly the serial seed code.  Enabling it changes
+    no simulated timing and no output byte (golden-tested) — only how
+    fast the process gets there.
     """
 
     #: Master switch; False leaves the serial path untouched.
     enabled: bool = False
-    #: Codec pool workers; 0 = memo-only, -1 = auto-size from CPU count.
-    pool_workers: int = -1
-    #: ``process`` (true parallelism), ``thread`` (no-fork fallback),
-    #: or ``serial`` (inline compute, for A/B runs).
-    pool_kind: str = "process"
-    #: Codec memo capacity; 0 disables memoization.
+    #: Codec memo capacity; a zero-capacity memo admits nothing.
     memo_capacity_bytes: int = 64 * MiB
-    #: memoryview/bytearray plumbing through the page pipeline.
-    zero_copy: bool = True
-    #: Page-buffer arena free-list depth.
-    arena_slots: int = 8
-
-
-@dataclass
-class ParallelSection:
-    """Multi-core scale-out (``repro.engine.parallel``).
-
-    ``workers > 1`` makes cluster entry points host each replica group's
-    engine in a forked worker process behind the conservative
-    epoch-barrier synchronizer — proven byte-identical to serial by the
-    perf harness's third leg.  ``REPRO_WORKERS`` / ``--workers`` override
-    this section at the CLI.
-    """
-
-    #: Worker processes for parallel execution (1 = serial, in-process).
-    workers: int = 1
-    #: Conservative lookahead: a certified lower bound (simulated µs) on
-    #: the latency of any cross-shard storage write.  The coordinator
-    #: only dispatches events strictly below ``min(issue + lookahead)``
-    #: over outstanding remote calls; every completion is checked against
-    #: the bound, so an overstated floor fails loudly instead of
-    #: diverging.
-    lookahead_us: float = 8.0
 
 
 @dataclass
@@ -208,7 +177,6 @@ class ReproConfig:
     cluster: ClusterSection = field(default_factory=ClusterSection)
     perf: PerfConfig = field(default_factory=PerfConfig)
     net: NetSection = field(default_factory=NetSection)
-    parallel: ParallelSection = field(default_factory=ParallelSection)
     #: Evicted-redo organization (single-level/leveled/tiered) plus the
     #: background consolidation/scrub cadence and compaction throttle.
     consolidation: ConsolidationConfig = field(
@@ -247,20 +215,8 @@ class ReproConfig:
             raise ValueError("net.port must be in [1, 65535]")
         if self.net.max_frame_bytes < 0:
             raise ValueError("net.max_frame_bytes cannot be negative")
-        if self.parallel.workers < 1:
-            raise ValueError("parallel.workers must be at least 1")
-        if self.parallel.lookahead_us <= 0:
-            raise ValueError("parallel.lookahead_us must be positive")
-        if self.perf.pool_kind not in ("process", "thread", "serial"):
-            raise ValueError(
-                "perf.pool_kind must be 'process', 'thread', or 'serial'"
-            )
-        if self.perf.pool_workers < -1:
-            raise ValueError("perf.pool_workers must be >= -1 (-1 = auto)")
         if self.perf.memo_capacity_bytes < 0:
             raise ValueError("perf.memo_capacity_bytes cannot be negative")
-        if self.perf.arena_slots < 1:
-            raise ValueError("perf.arena_slots must be at least 1")
         resolve_spec(self.device.data_spec)
         resolve_spec(self.device.perf_spec)
         self.consolidation.validate()

@@ -1,9 +1,10 @@
 """Config-driven constructors: the one place the stack gets wired.
 
 Everything :meth:`repro.api.PolarStore.open` returns is built here from a
-:class:`~repro.api.config.ReproConfig`; the legacy constructor plumbing
-(``build_node``/``PolarStore(...)``/``PolarDB(...)`` with hand-threaded
-kwargs) remains available as thin shims for existing call sites.
+:class:`~repro.api.config.ReproConfig`.  The constructors it wraps
+(``repro.storage.store.build_node``/``PolarStore(...)``,
+``repro.db.database.PolarDB(...)`` with hand-threaded kwargs) stay
+importable from their own modules for call sites that wire by hand.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ def apply_perf(config: ReproConfig) -> None:
     # perf.enabled=False leaves any externally configured runtime alone:
     # the section's default must not tear down REPRO_PERF-driven setups.
     if config.perf.enabled:
-        configure(PerfRuntime.from_config(config.perf))
+        configure(PerfRuntime(config.perf.memo_capacity_bytes))
 
 
 def build_store(config: ReproConfig, seed_offset: int = 0):

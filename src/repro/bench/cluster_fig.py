@@ -67,7 +67,7 @@ def scenario_config(shards: int = 4, seed: int = 0) -> ReproConfig:
 
 
 def build_skewed_runtime(
-    shards: int = 4, chunks: int = 16, seed: int = 0, workers: int = 1
+    shards: int = 4, chunks: int = 16, seed: int = 0
 ) -> Tuple[ClusterRuntime, Dict[Tuple[str, int], bytes]]:
     """Ingest the correlated-tenant layout; returns (runtime, expected).
 
@@ -75,20 +75,8 @@ def build_skewed_runtime(
     runtime's least-logically-loaded placement assigns chunks round-robin
     in shard order, so the compressible half of the stream stacks onto
     the first half of the fleet.
-
-    ``workers > 1`` hosts the replica groups in per-shard engine worker
-    processes (:class:`~repro.cluster.parallel.ParallelClusterRuntime`)
-    — byte-identical to serial, so the artifact never depends on it.
     """
-    config = scenario_config(shards=shards, seed=seed)
-    if workers > 1:
-        from repro.cluster.parallel import ParallelClusterRuntime
-
-        runtime: ClusterRuntime = ParallelClusterRuntime(
-            config, workers=workers
-        )
-    else:
-        runtime = ClusterRuntime(config)
+    runtime = ClusterRuntime(scenario_config(shards=shards, seed=seed))
     rng = random.Random(seed + 1)
     runtime.create_table("tenants")
     expected: Dict[Tuple[str, int], bytes] = {}
@@ -112,7 +100,6 @@ def run_scheduler_leg(
     shards: int = 4,
     chunks: int = 16,
     seed: int = 0,
-    workers: int = 1,
 ) -> Dict:
     """One complete fleet: ingest, rebalance with ``name``'s scheduler,
     verify, measure.  Returns the leg's artifact contribution as plain
@@ -125,20 +112,17 @@ def run_scheduler_leg(
         else CompressionAwareScheduler()
     )
     runtime, expected = build_skewed_runtime(
-        shards=shards, chunks=chunks, seed=seed, workers=workers
+        shards=shards, chunks=chunks, seed=seed
     )
-    try:
-        before = runtime.wasted_fractions()
-        occupancies = {f"{name}/before": runtime.zone_occupancy()}
-        report = runtime.rebalance(scheduler)
-        runtime.verify_readable(expected)
-        after = runtime.wasted_fractions()
-        occupancies[f"{name}/after"] = runtime.zone_occupancy()
-        abstract, _ = runtime.snapshot()
-        aware = CompressionAwareScheduler()
-        coverage = band_coverage(abstract, *aware.band(abstract))
-    finally:
-        runtime.close()
+    before = runtime.wasted_fractions()
+    occupancies = {f"{name}/before": runtime.zone_occupancy()}
+    report = runtime.rebalance(scheduler)
+    runtime.verify_readable(expected)
+    after = runtime.wasted_fractions()
+    occupancies[f"{name}/after"] = runtime.zone_occupancy()
+    abstract, _ = runtime.snapshot()
+    aware = CompressionAwareScheduler()
+    coverage = band_coverage(abstract, *aware.band(abstract))
     return {
         "name": name,
         "before": before,
@@ -165,15 +149,13 @@ def run_fig10_11(
     seed: int = 0,
     quiet: bool = False,
     workers: int = 1,
-    leg_workers: int = 1,
 ) -> ExperimentResult:
     """Run both schedulers over the skewed fleet; persist the artifact.
 
-    Two parallelism axes, both byte-neutral to the artifact:
-    ``workers`` hosts each fleet's replica groups in per-shard engine
-    workers (fine-grained, epoch-barrier synchronized); ``leg_workers``
-    partitions the two independent fleets themselves across processes
-    (coarse-grained — what the perf harness's parallel leg measures).
+    The two fleets are independent engine universes, so ``workers``
+    fans them across worker processes
+    (:meth:`~repro.engine.parallel.ParallelEngineGroup.run_programs`);
+    the artifact is byte-identical at any worker count.
     """
     result = ExperimentResult(
         experiment="fig10_11_scheduling",
@@ -190,12 +172,11 @@ def run_fig10_11(
     legs = ParallelEngineGroup.run_programs(
         [
             lambda name=name: run_scheduler_leg(
-                name, shards=shards, chunks=chunks, seed=seed,
-                workers=workers,
+                name, shards=shards, chunks=chunks, seed=seed
             )
             for name in SCHEDULER_LEGS
         ],
-        workers=leg_workers,
+        workers=workers,
     )
     occupancies: Dict[str, Dict[str, int]] = {}
     for leg in legs:

@@ -82,9 +82,7 @@ def decode_row_page(image: bytes) -> Tuple[int, bytes]:
 
 def drop_page(store: PolarStore, page_no: int) -> None:
     """Free one page on every live replica of a volume (TRIM the space;
-    the WAL records the removal so recovery agrees).  Module-level so the
-    parallel runtime's worker processes apply exactly the same mutation
-    to their locally-hosted stores."""
+    the WAL records the removal so recovery agrees)."""
     for i, node in enumerate(store.nodes):
         if not store._alive[i]:
             store._missed[i].discard(page_no)
@@ -276,20 +274,13 @@ class ClusterRuntime:
         )
 
     # ------------------------------------------------------------------ #
-    # Shard hosting (overridden by the parallel runtime)                   #
+    # Shard hosting and storage calls                                     #
     # ------------------------------------------------------------------ #
 
     def _build_shards(
         self, cluster_cfg, store_cfg, physical_capacity: int
     ) -> List[ShardServer]:
-        """Build the replica groups this runtime hosts in-process.
-
-        ``repro.cluster.parallel`` overrides this (and the storage-call
-        seams below) to host the stores in worker processes behind
-        proxies; everything above the seams — routing, migration
-        daemons, scheduling — is shared verbatim, which is what makes
-        the byte-for-byte equivalence argument small.
-        """
+        """Build the replica groups this runtime hosts."""
         from repro.api.factory import build_store
 
         shards = [
@@ -314,15 +305,9 @@ class ClusterRuntime:
         return shards
 
     def _commit_write(self, shard: ShardServer, page_no: int, image: bytes):
-        """Write one page on a shard's volume and wait out its commit.
-
-        The serial path issues the (synchronous, analytic) store call and
-        sleeps until the returned commit instant.  The parallel runtime
-        overrides this to issue the write to the shard's worker process
-        and yield a ``RemoteCall`` whose wakeup reuses the sequence
-        number reserved here — both paths resume at exactly
-        ``(commit_us, seq-at-issue)``.
-        """
+        """Write one page on a shard's volume and wait out its commit:
+        the (synchronous, analytic) store call, then a sleep until the
+        returned commit instant."""
         engine = self.engine
         committed = shard.store.write_page(engine.now_us, page_no, image)
         if committed.commit_us > engine.now_us:
@@ -339,8 +324,7 @@ class ClusterRuntime:
 
     def _checkpoint_shards(self, start_us: float) -> float:
         """Checkpoint every shard at ``start_us``; returns the latest
-        completion.  Shard checkpoints touch disjoint state, so the
-        parallel runtime fans this out across workers."""
+        completion."""
         done = start_us
         for shard in self.shards:
             done = max(done, shard.store.checkpoint(start_us))
@@ -480,7 +464,7 @@ class ClusterRuntime:
             raise ReproError(f"delete of missing key {key}")
         page_no = chunk.rows.pop(key)
         shard = self.owner(chunk)
-        self._drop_page(shard.store, page_no)
+        drop_page(shard.store, page_no)
         if chunk.state is ChunkState.MIGRATING:
             chunk.dirty.add(key)
             chunk.deleted[key] = page_no
@@ -679,7 +663,7 @@ class ClusterRuntime:
             target.chunks[chunk.chunk_id] = chunk
             chunk.shard_id = target_id
             for page_no in sorted(chunk.rows.values()):
-                self._drop_page(source.store, page_no)
+                drop_page(source.store, page_no)
             chunk.deleted = {}
             chunk.state = ChunkState.SERVING
             gate, chunk.gate = chunk.gate, None
@@ -746,7 +730,7 @@ class ClusterRuntime:
                 # the delete survives the cutover.
                 stale = chunk.deleted.pop(key, None)
                 if stale is not None:
-                    self._drop_page(target.store, stale)
+                    drop_page(target.store, stale)
                 continue
             read = yield from self._read_page(source, page_no)
             committed = yield from self._commit_write(
@@ -760,12 +744,6 @@ class ClusterRuntime:
             self._mig_wire.add(len(committed.prepared.payload))
             self._mig_physical.add(committed.prepared.device_bytes)
         return copied
-
-    def _drop_page(self, store: PolarStore, page_no: int) -> None:
-        """Free one page on every live replica of a volume.  An instance
-        method so the parallel runtime can route the drop to the worker
-        process hosting the store."""
-        drop_page(store, page_no)
 
     # ------------------------------------------------------------------ #
     # Scheduling bridge                                                   #
@@ -885,19 +863,6 @@ class ClusterRuntime:
         if physical == 0:
             return 1.0
         return logical / physical
-
-    def store_metrics_states(self) -> Dict[int, List[Dict]]:
-        """Per-shard store-registry captures (``MetricsRegistry.state``),
-        keyed by shard id — the fleet-wide observability snapshot the
-        parallel golden tests compare against serial, shard by shard."""
-        return {
-            shard.shard_id: shard.store.metrics.state()
-            for shard in self.shards
-        }
-
-    def close(self) -> None:
-        """Release hosted resources.  The in-process runtime holds none;
-        the parallel runtime reaps its worker processes here."""
 
 
 __all__ = [

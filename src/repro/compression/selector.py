@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro import perf
 from repro.common.units import align_up, LBA_SIZE
-from repro.compression.base import CompressionResult, get_codec
+from repro.compression.base import CompressionResult
 from repro.compression.cost import codec_cost
 from repro.obs.metrics import MetricsRegistry
-from repro.perf.runtime import perf_active
 
 #: Threshold from §3.3.2: bytes saved per extra µs of decompression.
 DEFAULT_THRESHOLD_BYTES_PER_US = 300.0
@@ -40,7 +40,7 @@ class SelectionDecision:
     evaluated: bool
     benefit_bytes: float = 0.0
     overhead_us: float = 0.0
-    #: CRC-32 of ``result.payload`` when the fast path computed it
+    #: CRC-32 of ``result.payload`` when the codec memo recorded it
     #: alongside the compression (0 = caller computes it).
     payload_crc: int = 0
 
@@ -104,20 +104,10 @@ class AlgorithmSelector:
 
         self.evaluations += 1
         self._evaluations_ctr.inc()
-        runtime = perf_active()
-        if runtime is not None:
-            # The two compressions are independent: the fast path runs
-            # them on separate cores (or replays memoized results) and
-            # hands back byte-identical payloads in codec order.
-            pair = runtime.compress_pair(page)
-            lz4_payload, lz4_crc = pair["lz4"]
-            zstd_payload, zstd_crc = pair["zstd"]
-            lz4_result = CompressionResult("lz4", lz4_payload, len(page))
-            zstd_result = CompressionResult("zstd", zstd_payload, len(page))
-        else:
-            lz4_result = get_codec("lz4").compress_result(page)
-            zstd_result = get_codec("zstd").compress_result(page)
-            lz4_crc = zstd_crc = 0
+        lz4_payload, lz4_crc = perf.compress("lz4", page)
+        zstd_payload, zstd_crc = perf.compress("zstd", page)
+        lz4_result = CompressionResult("lz4", lz4_payload, len(page))
+        zstd_result = CompressionResult("zstd", zstd_payload, len(page))
         lz4_aligned = align_up(lz4_result.compressed_size, LBA_SIZE)
         zstd_aligned = align_up(zstd_result.compressed_size, LBA_SIZE)
 
@@ -141,10 +131,6 @@ class AlgorithmSelector:
 
     @staticmethod
     def _single(page: bytes, codec_name: str) -> SelectionDecision:
-        runtime = perf_active()
-        if runtime is not None:
-            payload, crc = runtime.compress(codec_name, page)
-            result = CompressionResult(codec_name, payload, len(page))
-            return SelectionDecision(codec_name, result, False, payload_crc=crc)
-        result = get_codec(codec_name).compress_result(page)
-        return SelectionDecision(codec_name, result, False)
+        payload, crc = perf.compress(codec_name, page)
+        result = CompressionResult(codec_name, payload, len(page))
+        return SelectionDecision(codec_name, result, False, payload_crc=crc)

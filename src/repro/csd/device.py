@@ -26,6 +26,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro import perf
 from repro.common.errors import DeviceError, OutOfSpaceError, ReproError
 from repro.common.latency import LatencyStats
 from repro.common.units import KiB, MiB, is_aligned
@@ -37,7 +38,6 @@ from repro.csd.specs import DeviceSpec
 from repro.engine import Engine, Resource
 from repro.obs.events import recorder_active
 from repro.obs.metrics import MetricsRegistry
-from repro.perf.runtime import perf_active
 
 LBA_SIZE = 4 * KiB
 
@@ -432,23 +432,13 @@ class PolarCSD(BlockDevice):
         # NAND programming covers only the compressed bytes.
         physical = 0
         relocated = 0
-        runtime = perf_active()
-        # Block content repeats heavily (filler-tiled row pages, zero
-        # padding), so the compressed length is memoized by content; the
-        # memoryview keeps per-block slicing copy-free.
-        view = (
-            memoryview(data)
-            if runtime is not None and runtime.zero_copy and n_blocks > 1
-            else data
-        )
         for i in range(n_blocks):
-            block = view[i * LBA_SIZE : (i + 1) * LBA_SIZE]
-            if runtime is not None:
-                compressed_len = min(
-                    runtime.hw_compressed_len(self.engine, block), LBA_SIZE
-                )
-            else:
-                compressed_len = min(len(self.engine.compress(block)), LBA_SIZE)
+            block = data[i * LBA_SIZE : (i + 1) * LBA_SIZE]
+            # Block content repeats heavily (filler-tiled row pages, zero
+            # padding), so an active memo sizes it by content.
+            compressed_len = min(
+                perf.hw_compressed_len(self.engine, block), LBA_SIZE
+            )
             relocated += self.ftl.write(lba + i, compressed_len)
             physical += self.ftl.stored_length(lba + i)
         self._last_relocated = relocated

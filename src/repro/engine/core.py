@@ -192,13 +192,9 @@ class Process:
         elif isinstance(cmd, Process):
             cmd._add_joiner(self)
         else:
-            enqueue = getattr(cmd, "_engine_enqueue", None)
-            if enqueue is None:
-                self._finish(error=EngineError(
-                    f"process {self.name!r} yielded unsupported {cmd!r}"
-                ))
-                return
-            enqueue(self)
+            self._finish(error=EngineError(
+                f"process {self.name!r} yielded unsupported {cmd!r}"
+            ))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.done else "running"

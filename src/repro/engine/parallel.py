@@ -1,67 +1,35 @@
-"""Multi-core deterministic scale-out: engine workers + epoch barriers.
+"""Multi-core fan-out of independent simulation programs.
 
-The simulator's determinism contract — same seed, same bytes — survived
-PR 5's wall-clock fast path because compression results are values: *what*
-a codec returns never depends on *when* the pool computes it.  This
-module extends the same contract across processes.  A
-:class:`ParallelEngineGroup` forks worker processes over anonymous pipes
-(fork, so workers inherit the parent's whole program state and nothing
-needs to be importable or picklable except requests and replies), and two
-layers build on it:
+The simulator's determinism contract — same seed, same bytes — extends
+across processes as long as the processes share no simulated state.
+:meth:`ParallelEngineGroup.run_programs` is the repo's one parallel
+mechanism: N independent programs — separate engine universes, like the
+Fig 10/11 scheduler legs, the Fig 12 cluster cells or the Fig 15
+variants — are assigned round-robin to forked workers, each worker runs
+its programs in index order on its own deterministic event heap, and
+results come back indexed, so assembly order never depends on wall-clock
+finish order.
 
-* **Program fan-out** (:meth:`ParallelEngineGroup.run_programs`): N
-  independent simulation programs — separate engine universes that share
-  no simulated state, like the Fig 10/11 scheduler legs or the Fig 12
-  cluster-config cells — are partitioned round-robin across workers, each
-  worker runs its programs on its own deterministic event heap, and
-  results come back indexed so assembly order never depends on wall-clock
-  finish order.
-
-* **Conservative epoch synchronization** (:class:`ParallelEngine` +
-  :class:`RemoteCall`): one coordinator engine drives the control-plane
-  heap while shard state lives in workers (``repro.cluster.parallel``).
-  A cross-shard operation issued at simulated time ``t`` with a certified
-  latency floor ``L`` (the *lookahead*) may only take effect at some
-  ``t' >= t + L``; until the reply lands, the coordinator dispatches only
-  events strictly before the barrier ``min(t_i + L_i)`` over outstanding
-  calls — the classic conservative-PDES lookahead window.  Replies are
-  re-heaped with the sequence number *reserved at issue time*, so the
-  merged execution order under the global ``(time_us, seq)`` key is the
-  one the serial engine would have produced.  The floor is not trusted:
-  :meth:`ParallelEngine.deliver` re-checks every reply against its
-  certificate and raises instead of silently diverging.
-
-Observability merges deterministically at barriers: metric snapshots fold
-order-independently (``MetricsRegistry.merge_state``, backed by the
-sorted-key/``math.fsum`` histogram merge), flight-recorder rings merge by
-``(t_us, worker_id, position)`` with the stable worker-id tiebreak, and
-SLO evaluator state concatenates the same way.
+Workers are forked over anonymous pipes *after* the program closures are
+built: they inherit the parent's whole program state, and nothing needs
+to be importable or picklable except the program index going out and the
+program's return value coming back.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 import os
 import pickle
 import select
 import struct
 import traceback
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
-
-from repro.engine.core import Engine, EngineError, Process
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 __all__ = [
     "ParallelError",
     "WorkerProcess",
     "ParallelEngineGroup",
-    "RemoteCall",
-    "ParallelEngine",
     "workers_from_env",
-    "available_cpus",
-    "merge_metrics_states",
-    "merge_event_streams",
-    "merge_slo_states",
 ]
 
 #: Wire framing for the pipe channels: payload length prefix.
@@ -74,14 +42,6 @@ WORKERS_ENV = "REPRO_WORKERS"
 
 class ParallelError(RuntimeError):
     """A worker process failed; carries the remote traceback text."""
-
-
-def available_cpus() -> int:
-    """Usable CPU count (cgroup/affinity aware where the OS exposes it)."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
 
 
 def workers_from_env(env=None) -> Optional[int]:
@@ -131,16 +91,13 @@ class WorkerProcess:
     """One forked request server: FIFO requests in, FIFO replies out.
 
     The child is built *after* the fork by ``service_factory(worker_id)``
-    — closures capture whatever parent state the worker needs (programs,
-    configs, stores) without any pickling.  Requests are
-    ``(op, payload)``; the service returns a picklable value.  Replies
-    preserve request order, which the synchronization layer relies on:
-    a blocking call only needs to drain its worker's pipe until its own
-    reply appears, resolving earlier asynchronous replies on the way.
+    — closures capture whatever parent state the worker needs without
+    any pickling.  A request is one picklable value; the service returns
+    a picklable value.  Replies preserve request order.
     """
 
     def __init__(self, worker_id: int,
-                 service_factory: Callable[[int], Callable[[str, Any], Any]]):
+                 service_factory: Callable[[int], Callable[[Any], Any]]):
         self.worker_id = worker_id
         req_r, req_w = os.pipe()
         rep_r, rep_w = os.pipe()
@@ -175,21 +132,16 @@ class WorkerProcess:
                 break
             if request is None:  # shutdown sentinel
                 break
-            op, payload = request
             try:
-                _write_frame(rep_fd, (True, service(op, payload)))
+                _write_frame(rep_fd, (True, service(request)))
             except BaseException:  # noqa: BLE001 - shipped to the parent
                 _write_frame(rep_fd, (False, traceback.format_exc()))
 
     # -- parent side -------------------------------------------------------
 
-    def request(self, op: str, payload: Any = None) -> None:
-        _write_frame(self._req_fd, (op, payload))
+    def request(self, payload: Any) -> None:
+        _write_frame(self._req_fd, payload)
         self.inflight += 1
-
-    def reply_ready(self) -> bool:
-        ready, _, _ = select.select([self._rep_fd], [], [], 0)
-        return bool(ready)
 
     def next_reply(self) -> Any:
         """Block for the next reply; raises :class:`ParallelError` on a
@@ -217,32 +169,21 @@ class WorkerProcess:
         os.close(self._rep_fd)
         os.waitpid(self.pid, 0)
 
-    def __enter__(self) -> "WorkerProcess":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 class ParallelEngineGroup:
     """A fixed fleet of :class:`WorkerProcess` request servers.
 
     Construction forks the workers; :meth:`close` (or the context
-    manager) reaps them.  :meth:`run_programs` is the coarse-grained
-    entry point; ``repro.cluster.parallel`` drives the same fleet at
-    per-operation granularity through :class:`ParallelEngine`.
+    manager) reaps them.  :meth:`run_programs` is the entry point.
     """
 
     def __init__(self, workers: int,
-                 service_factory: Callable[[int], Callable[[str, Any], Any]]):
+                 service_factory: Callable[[int], Callable[[Any], Any]]):
         if workers < 1:
             raise ValueError(f"workers must be >= 1: {workers}")
         self.workers: List[WorkerProcess] = [
             WorkerProcess(i, service_factory) for i in range(workers)
         ]
-
-    def __len__(self) -> int:
-        return len(self.workers)
 
     def close(self) -> None:
         for worker in self.workers:
@@ -253,20 +194,6 @@ class ParallelEngineGroup:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def broadcast(self, op: str, payload: Any = None) -> List[Any]:
-        """Send ``op`` to every worker, gather replies in worker order.
-
-        This is the group's barrier primitive: it returns only once every
-        worker has drained its request FIFO up to and including ``op``,
-        so after a broadcast the fleet is mutually quiescent — the merge
-        points (snapshot, teardown) ride on it.
-        """
-        for worker in self.workers:
-            worker.request(op, payload)
-        return [worker.next_reply() for worker in self.workers]
-
-    # -- program fan-out ---------------------------------------------------
 
     @staticmethod
     def run_programs(
@@ -295,13 +222,7 @@ class ParallelEngineGroup:
         def factory(worker_id: int):
             if setup is not None:
                 setup(worker_id)
-
-            def service(op: str, payload: Any) -> Any:
-                if op != "run":  # pragma: no cover - single-op protocol
-                    raise ValueError(f"unknown op {op!r}")
-                return programs[payload]()
-
-            return service
+            return lambda index: programs[index]()
 
         results: List[Any] = [None] * len(programs)
         with ParallelEngineGroup(workers, factory) as group:
@@ -310,7 +231,7 @@ class ParallelEngineGroup:
             }
             for index in range(len(programs)):
                 worker = group.workers[index % workers]
-                worker.request("run", index)
+                worker.request(index)
                 queues[worker.worker_id].append(index)
             # Replies are FIFO per worker; read whichever pipe is ready so
             # a slow program on one worker never blocks collecting others.
@@ -324,230 +245,3 @@ class ParallelEngineGroup:
                     if not worker.inflight:
                         del remaining[fd]
         return results
-
-
-# ---------------------------------------------------------------------------
-# Conservative epoch synchronization
-
-
-class RemoteCall:
-    """A yieldable for work executing in a worker process.
-
-    Created by :meth:`ParallelEngine.remote` at issue time, which
-    *reserves the event sequence number the serial engine would have
-    assigned* to the operation's completion.  When the worker's reply
-    arrives, :meth:`ParallelEngine.deliver` re-heaps the waiting process
-    at ``(time_of(reply), reserved_seq)`` — the global ordering key —
-    after checking the reply against the lookahead certificate.
-    """
-
-    __slots__ = ("engine", "issue_us", "lookahead_us", "time_of", "label",
-                 "seq", "_proc")
-
-    def __init__(self, engine: "ParallelEngine", lookahead_us: float,
-                 time_of: Callable[[Any], float], label: str = ""):
-        self.engine = engine
-        self.issue_us = engine.now_us
-        self.lookahead_us = float(lookahead_us)
-        self.time_of = time_of
-        self.label = label
-        self.seq: Optional[int] = None
-        self._proc: Optional[Process] = None
-
-    def _engine_enqueue(self, proc: Process) -> None:
-        self._proc = proc
-        self.engine._register_remote(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"RemoteCall({self.label!r}, issued={self.issue_us:.1f}, "
-            f"lookahead={self.lookahead_us:.1f})"
-        )
-
-
-class ParallelEngine(Engine):
-    """The coordinator engine: one control heap + a lookahead horizon.
-
-    Identical to :class:`Engine` until a process yields a
-    :class:`RemoteCall`.  From then on the run loops dispatch only events
-    strictly before ``horizon_us = min(issue + lookahead)`` over
-    outstanding calls; at the horizon they stall and pump worker replies
-    (``reply_pump``, attached by the owning runtime) until the blocking
-    call resolves.  Strictness matters: an event at exactly the horizon
-    could tie with a pending completion, and ties are broken by sequence
-    number — which the completion reserved first.
-    """
-
-    def __init__(self, start_us: float = 0.0):
-        super().__init__(start_us)
-        self._outstanding: List[RemoteCall] = []
-        #: Attached by the runtime: ``reply_pump(block)`` reads worker
-        #: pipes and routes completions into :meth:`deliver`.
-        self.reply_pump: Optional[Callable[[bool], None]] = None
-        #: Times the run loop hit the horizon and blocked on replies.
-        self.stalls = 0
-
-    # -- remote calls ------------------------------------------------------
-
-    def remote(self, lookahead_us: float,
-               time_of: Callable[[Any], float], label: str = "") -> RemoteCall:
-        if lookahead_us < 0:
-            raise EngineError(f"lookahead cannot be negative: {lookahead_us}")
-        return RemoteCall(self, lookahead_us, time_of, label)
-
-    def _register_remote(self, call: RemoteCall) -> None:
-        # Reserve the completion's sequence number *now*: this is the seq
-        # the serial engine would hand the sleep-until-commit wakeup it
-        # schedules at issue time.
-        self._seq += 1
-        call.seq = self._seq
-        self._outstanding.append(call)
-
-    @property
-    def outstanding(self) -> int:
-        return len(self._outstanding)
-
-    def horizon_us(self) -> float:
-        """The conservative dispatch bound (inf when nothing is remote)."""
-        if not self._outstanding:
-            return math.inf
-        return min(c.issue_us + c.lookahead_us for c in self._outstanding)
-
-    def deliver(self, call: RemoteCall, value: Any) -> None:
-        """A worker reply arrived: re-heap the waiting process.
-
-        Validates the lookahead certificate — a completion earlier than
-        ``issue + lookahead`` means the configured floor overstated the
-        minimum cross-shard latency, and events may already have been
-        dispatched that serial would have ordered after this one.  That
-        is a determinism violation, so it raises instead of proceeding.
-        """
-        try:
-            self._outstanding.remove(call)
-        except ValueError:
-            raise EngineError(f"{call!r} is not outstanding")
-        when_us = float(call.time_of(value))
-        if when_us < call.issue_us + call.lookahead_us - 1e-9:
-            raise EngineError(
-                f"lookahead certificate violated: {call.label or 'remote'} "
-                f"completed at {when_us:.3f}us but was issued at "
-                f"{call.issue_us:.3f}us with lookahead "
-                f"{call.lookahead_us:.3f}us; lower parallel.lookahead_us"
-            )
-        if when_us < self._now_us - 1e-9:  # pragma: no cover - guarded above
-            raise EngineError(
-                f"remote completion in the past: {when_us:.3f}us < "
-                f"now {self._now_us:.3f}us"
-            )
-        assert call._proc is not None and call.seq is not None
-        heapq.heappush(
-            self._heap, (max(when_us, self._now_us), call.seq,
-                         call._proc._step, (value,))
-        )
-
-    def _pump(self, block: bool) -> None:
-        if self.reply_pump is None:
-            raise EngineError(
-                "remote calls outstanding but no reply pump attached"
-            )
-        if block:
-            self.stalls += 1
-        self.reply_pump(block)
-
-    # -- run loops ---------------------------------------------------------
-
-    def run_until_idle(self, limit_us: Optional[float] = None) -> float:
-        while self._heap or self._outstanding:
-            if self._outstanding:
-                self._pump(False)
-            horizon = self.horizon_us()
-            head = self._heap[0][0] if self._heap else math.inf
-            if head < horizon and (limit_us is None or head <= limit_us):
-                self._dispatch_one()
-                self._raise_dead()
-            elif self._outstanding and (
-                limit_us is None or horizon <= limit_us
-            ):
-                self._pump(True)
-            else:
-                break
-        return self._now_us
-
-    def run_until_complete(self, procs: Sequence[Process]) -> float:
-        pending = list(procs)
-        while True:
-            pending = [p for p in pending if not p.done]
-            if not pending:
-                break
-            if self._outstanding:
-                self._pump(False)
-            horizon = self.horizon_us()
-            if self._heap and self._heap[0][0] < horizon:
-                self._dispatch_one()
-                self._raise_dead()
-            elif self._outstanding:
-                self._pump(True)
-            else:
-                break
-        for proc in procs:
-            if proc.error is not None and not proc._error_delivered:
-                proc._error_delivered = True
-                raise proc.error
-        return self._now_us
-
-
-# ---------------------------------------------------------------------------
-# Deterministic observability merges
-
-
-def merge_metrics_states(registry, states: Iterable[Iterable[Dict]]) -> None:
-    """Fold per-worker ``MetricsRegistry.state()`` captures into one
-    registry.  A single grouped pass (``MetricsRegistry.merge_states``):
-    every instrument's float sum reduces with one correctly-rounded
-    ``math.fsum`` over all workers, so the merge is bit-identical under
-    any permutation of the captures — worker order is a convention here,
-    not a correctness requirement."""
-    registry.merge_states(states)
-
-
-def merge_event_streams(streams: Sequence[Sequence]) -> List:
-    """Merge per-worker flight-recorder rings into one ordered stream.
-
-    ``streams[w]`` is worker ``w``'s retained ring, oldest first.  Events
-    merge by ``(t_us, worker_id, position)``: simulated time first, then
-    the stable worker-id tiebreak (a worker's events at one instant stay
-    contiguous and workers always interleave the same way), then ring
-    position (each worker's own order is already deterministic).
-    """
-    keyed = (
-        ((ev.t_us, worker_id, pos), ev)
-        for worker_id, stream in enumerate(streams)
-        for pos, ev in enumerate(stream)
-    )
-    return [ev for _key, ev in sorted(keyed, key=lambda item: item[0])]
-
-
-def merge_slo_states(evaluator, states: Sequence[Dict]) -> None:
-    """Fold per-worker SLO evaluator captures into ``evaluator``.
-
-    Each capture is ``{"history": {spec: [(t_us, value, ok), ...]},
-    "evaluations": n, "alerts": n}`` (see
-    ``repro.cluster.parallel._capture_slo``).  History points merge by
-    ``(t_us, worker_id, position)`` like event streams; the counters add.
-    """
-    merged: Dict[str, List] = {}
-    for worker_id, state in enumerate(states):
-        for name, points in state.get("history", {}).items():
-            bucket = merged.setdefault(name, [])
-            for pos, point in enumerate(points):
-                bucket.append(((float(point[0]), worker_id, pos), point))
-        evaluator.evaluations += int(state.get("evaluations", 0))
-        evaluator.alerts += int(state.get("alerts", 0))
-    from collections import deque
-
-    for name in sorted(merged):
-        target = evaluator.history.setdefault(
-            name, deque(maxlen=evaluator.history_limit)
-        )
-        for _key, point in sorted(merged[name], key=lambda item: item[0]):
-            target.append(tuple(point))

@@ -41,7 +41,7 @@ import struct
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 #: The event channels the stack emits on, one per subsystem concern.
 CHANNELS = (
@@ -143,28 +143,6 @@ class FlightRecorder:
             )
         self._ring.append(RecordedEvent(float(t_us), channel, kind, fields))
         self.emitted[channel] = self.emitted.get(channel, 0) + 1
-
-    def splice(self, events: Iterable[RecordedEvent]) -> int:
-        """Append already-recorded events to the ring, bypassing sampling.
-
-        The parallel engine merges per-worker rings into the
-        coordinator's recorder at barriers; each worker already applied
-        its (identical) sampling knobs, so spliced events only pay the
-        capacity bound here.  Callers are responsible for ordering the
-        stream (see ``repro.engine.parallel.merge_event_streams``).
-        """
-        spliced = 0
-        for ev in events:
-            self._seen[ev.channel] = self._seen.get(ev.channel, 0) + 1
-            if len(self._ring) == self.capacity:
-                evicted = self._ring[0]
-                self.dropped[evicted.channel] = (
-                    self.dropped.get(evicted.channel, 0) + 1
-                )
-            self._ring.append(ev)
-            self.emitted[ev.channel] = self.emitted.get(ev.channel, 0) + 1
-            spliced += 1
-        return spliced
 
     def clear(self) -> None:
         self._ring.clear()

@@ -547,11 +547,12 @@ class MetricsRegistry:
     def state(self) -> List[Dict]:
         """Every instrument as a picklable, callback-free record.
 
-        The parallel engine ships these over the worker pipes: callback
-        gauges are sampled at capture time (deterministic given the
-        worker's simulated state), histograms carry their sparse bucket
-        counts, and records are emitted in sorted instrument order so the
-        stream itself is deterministic.
+        This is what crosses a process boundary (the end-to-end
+        benchmark's serve child ships it to its parent): callback gauges
+        are sampled at capture time (deterministic given the simulated
+        state), histograms carry their sparse bucket counts, and records
+        are emitted in sorted instrument order so the stream itself is
+        deterministic.
         """
         out: List[Dict] = []
         for inst in self.instruments():

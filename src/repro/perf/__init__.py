@@ -6,7 +6,7 @@ event kernel.  This package is about the other axis the ROADMAP names —
 running "as fast as the hardware allows" in *wall-clock* terms — without
 perturbing a single simulated microsecond or output byte.
 
-Three mechanisms, all opt-in (see :class:`repro.api.config.PerfConfig`):
+One mechanism, opt-in (see :class:`repro.api.config.PerfConfig`):
 
 :mod:`repro.perf.memo`
     A content-addressed codec memo cache.  The codecs are pure functions,
@@ -14,39 +14,33 @@ Three mechanisms, all opt-in (see :class:`repro.api.config.PerfConfig`):
     re-reads, migration copies, filler-tiled cluster pages) can skip the
     pure-Python compressor entirely and replay the recorded output.
 
-:mod:`repro.perf.pool`
-    A ``concurrent.futures`` codec pool with an ordered-completion
-    facade: independent codec jobs (Algorithm 1's dual-codec evaluation,
-    batch prefetches) run across cores while results are consumed in
-    submission order, so the serial hot path sees byte-identical values.
-
-:mod:`repro.perf.arena`
-    A pooled page-buffer arena backing the zero-copy read/write plumbing
-    (``memoryview`` slicing instead of per-page ``bytes`` copies).
-
-:mod:`repro.perf.runtime` ties them together behind ``configure()`` /
-``perf_active()``; :mod:`repro.perf.harness` measures the result
-(``python -m repro perf``) and gates regressions in CI.
+:mod:`repro.perf.runtime` installs it behind ``configure()`` and owns the
+memo-or-inline decision: hot paths call :func:`compress`,
+:func:`decompress` and :func:`hw_compressed_len` here and never ask
+whether a runtime is active.  :mod:`repro.perf.harness` measures the
+result (``python -m repro perf``) and gates regressions in CI.
 """
 
-from repro.perf.arena import PageArena
 from repro.perf.memo import CodecMemoCache
-from repro.perf.pool import CodecPool
 from repro.perf.runtime import (
     PerfRuntime,
+    compress,
     configure,
     configure_from_env,
     deactivate,
+    decompress,
+    hw_compressed_len,
     perf_active,
 )
 
 __all__ = [
     "CodecMemoCache",
-    "CodecPool",
-    "PageArena",
     "PerfRuntime",
+    "compress",
     "configure",
     "configure_from_env",
     "deactivate",
+    "decompress",
+    "hw_compressed_len",
     "perf_active",
 ]

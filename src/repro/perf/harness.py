@@ -1,14 +1,15 @@
-"""Wall-clock perf harness: pinned scenarios, serial/fast/parallel A/B/C.
+"""Wall-clock perf harness: pinned scenarios, serial vs fast (vs fanned out).
 
 Everything the simulator *reports* is simulated time; this module is the
 one place that measures **wall-clock** time (``time.perf_counter``).
 Each scenario runs twice in-process — once with the perf runtime
-deactivated (serial reference) and once with it configured — and, with
-``--workers N``, a third time across forked engine workers
+deactivated (serial reference) and once with the codec memo configured —
+and, with ``--workers N``, a scenario made of independent programs runs
+once more with those programs fanned across forked workers
 (``repro.engine.parallel``).  The harness asserts all runs are
 *equivalent*: identical output bytes, identical simulated timings,
-identical metric streams.  The fast path and the worker fleet are only
-allowed to change how long the host takes to compute the same answer.
+identical metric streams.  The memo and the fan-out are only allowed to
+change how long the host takes to compute the same answer.
 
 Equivalence is checked with a scenario *fingerprint*: a SHA-256 over the
 scenario's own outputs (transaction counts, simulated latencies, chaos
@@ -39,11 +40,15 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.engine.parallel import ParallelEngineGroup, workers_from_env
+from repro.engine.parallel import workers_from_env
 from repro.obs import events as obs_events
 from repro.obs.slo import InvariantSLO, SLOEvaluator, ThresholdSLO
-from repro.perf.pool import default_workers
-from repro.perf.runtime import PerfRuntime, configure, deactivate
+from repro.perf.runtime import (
+    DEFAULT_MEMO_BYTES,
+    PerfRuntime,
+    configure,
+    deactivate,
+)
 
 #: Committed baseline / default output artifact, at the repo root.
 DEFAULT_REPORT = "BENCH_wallclock.json"
@@ -52,15 +57,16 @@ DEFAULT_REPORT = "BENCH_wallclock.json"
 #: ``baseline * (1 - REGRESSION_TOLERANCE)``.
 REGRESSION_TOLERANCE = 0.30
 
-#: Scenarios whose parallel leg contains genuinely partitionable work
-#: (independent engine universes), so its wall-clock speedup is gated,
-#: not just byte-identity — like the fast path's, against the committed
-#: baseline with :data:`REGRESSION_TOLERANCE`: the leg's fork and barrier
-#: overhead is fixed, so an absolute floor would really be a statement
-#: about how slow the serial leg is.  Applied only when the fresh run had
-#: ``workers >= 2`` *and* the host actually has 2+ cores — on a 1-core
-#: runner the gate would only test the scheduler, not the code.
-PARALLEL_GATED_SCENARIOS = ("cluster_ingest",)
+#: Scenarios made of independent programs (separate engine universes)
+#: that ``workers`` can fan out; only these get a parallel leg.  Its
+#: byte-identity is an invariant and its wall-clock speedup is gated like
+#: the fast path's, against the committed baseline with
+#: :data:`REGRESSION_TOLERANCE`: the leg's fork overhead is fixed, so an
+#: absolute floor would really be a statement about how slow the serial
+#: leg is.  The speedup gate applies only when the host actually has 2+
+#: cores — on a 1-core runner it would only test the scheduler, not the
+#: code.
+FANOUT_SCENARIOS = ("cluster_ingest",)
 
 
 @dataclass
@@ -104,30 +110,13 @@ def _page_ops(registry) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _offload(fn: Callable[[], ScenarioRun]) -> ScenarioRun:
-    """Run a single-universe scenario in one forked engine worker.
-
-    A scenario with one engine heap cannot be partitioned below engine
-    granularity, so its parallel leg occupies one worker of the fleet.
-    The leg still proves what matters: the fork/pipe transport and the
-    worker-side execution reproduce the serial fingerprint byte for
-    byte (the child inherits the parent's rewound node counter and
-    deactivated perf/recorder state across the fork).
-    """
-    with ParallelEngineGroup(1, lambda wid: (lambda op, payload: fn())) as group:
-        group.workers[0].request("run")
-        return group.workers[0].next_reply()
-
-
-def scenario_sysbench8(quick: bool = False, workers: int = 1) -> ScenarioRun:
+def scenario_sysbench8(quick: bool = False) -> ScenarioRun:
     """8-client sysbench read_write on one replicated volume.
 
     The headline scenario: the bulk load's checkpoint consolidates every
     dirty page on all three replicas with identical page images, which
     is exactly the duplicate work the codec memo collapses.
     """
-    if workers > 1:
-        return _offload(lambda: scenario_sysbench8(quick))
     from repro.api import ReproConfig, build_db
     from repro.workloads.sysbench import prepare_table, run_sysbench
 
@@ -187,7 +176,7 @@ def scenario_sysbench8(quick: bool = False, workers: int = 1) -> ScenarioRun:
     )
 
 
-def scenario_chaos_smoke(quick: bool = False, workers: int = 1) -> ScenarioRun:
+def scenario_chaos_smoke(quick: bool = False) -> ScenarioRun:
     """Seeded fault-injection smoke: corruption must not perturb results.
 
     Exercises the memo's verified-only discipline end to end — bit
@@ -195,8 +184,6 @@ def scenario_chaos_smoke(quick: bool = False, workers: int = 1) -> ScenarioRun:
     the memo serves, and the rendered invariant report must match the
     serial run byte for byte.
     """
-    if workers > 1:
-        return _offload(lambda: scenario_chaos_smoke(quick))
     from repro.chaos.harness import run_chaos
 
     ops = 80 if quick else 160
@@ -233,8 +220,8 @@ def scenario_cluster_ingest(
     migration catch-up are the memo's cluster-level win.
 
     ``workers > 1`` fans the two independent scheduler-leg fleets across
-    worker processes (``leg_workers``) — the partitionable half of the
-    scenario, and the one whose parallel speedup the harness gates."""
+    worker processes — the parallel leg whose speedup the harness
+    gates."""
     from repro.bench.cluster_fig import run_fig10_11
 
     shards = 2 if quick else 3
@@ -246,7 +233,7 @@ def scenario_cluster_ingest(
             chunks=chunks,
             seed=0,
             quiet=True,
-            leg_workers=workers,
+            workers=workers,
         )
     blob = json.dumps(result.to_dict(), sort_keys=True, default=repr)
     rows = {row[0]: dict(zip(result.columns, row)) for row in result.rows}
@@ -270,7 +257,7 @@ SCENARIOS: Dict[str, Callable[..., ScenarioRun]] = {
 
 
 # ---------------------------------------------------------------------------
-# A/B/C driver
+# A/B driver
 # ---------------------------------------------------------------------------
 
 
@@ -294,7 +281,7 @@ def _timed(
 
 
 def _peak_rss_bytes() -> int:
-    """Peak resident set, harness process + reaped pool workers."""
+    """Peak resident set, harness process + reaped fan-out workers."""
     self_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     child_kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     return (self_kib + child_kib) * 1024
@@ -303,17 +290,15 @@ def _peak_rss_bytes() -> int:
 def run_harness(
     scenario_names: Optional[List[str]] = None,
     quick: bool = False,
-    perf_spec: Optional[Dict[str, object]] = None,
     verbose: bool = True,
     workers: Optional[int] = None,
 ) -> Dict[str, object]:
     """Run each scenario serial/fast (and parallel); build the scoreboard.
 
-    ``perf_spec`` overrides the fast-path shape (keys: ``pool_workers``,
-    ``pool_kind``, ``memo_capacity_bytes``); the default is a process
-    pool sized to the host plus a 64 MiB memo.  ``workers >= 2`` adds the
-    third leg: the scenario re-runs across forked engine workers
-    (``repro.engine.parallel``) with the perf runtime off, and its
+    The fast leg runs under the codec memo at its default size.
+    ``workers >= 2`` adds a parallel leg to :data:`FANOUT_SCENARIOS`: the
+    scenario re-runs with its independent programs fanned across forked
+    workers (``repro.engine.parallel``) and the perf runtime off, and its
     fingerprint must equal the serial reference byte for byte.  The
     default comes from ``REPRO_WORKERS`` (unset → no parallel leg).
 
@@ -331,23 +316,17 @@ def run_harness(
     if workers is None:
         workers = workers_from_env() or 1
     workers = max(1, int(workers))
-    spec = {
-        "pool_workers": default_workers(),
-        "pool_kind": "process",
-        "memo_capacity_bytes": 64 * 1024 * 1024,
-    }
-    spec.update(perf_spec or {})
 
     def say(msg: str) -> None:
         if verbose:
             print(msg, file=sys.stderr)
 
     scoreboard: Dict[str, object] = {
-        "version": 2,
+        "version": 3,
         "quick": quick,
         "cpu_count": os.cpu_count(),
         "workers": workers,
-        "perf_spec": dict(spec),
+        "perf_spec": {"memo_capacity_bytes": DEFAULT_MEMO_BYTES},
         "scenarios": {},
     }
     total_saved = 0.0
@@ -359,8 +338,7 @@ def run_harness(
             serial = _timed(fn, quick)
             say(f"[{name}] serial: {serial.wall_s:.3f}s wall, "
                 f"{serial.pages} page ops")
-            runtime = PerfRuntime(**spec)
-            configure(runtime)
+            runtime = configure(PerfRuntime())
             # The fast leg runs with the flight recorder ACTIVE while the
             # serial leg ran with it off.  The fingerprints must still
             # match: that equality is the standing proof that
@@ -371,18 +349,17 @@ def run_harness(
                 obs_events.FlightRecorder(capacity=16384)
             )
             try:
-                say(f"[{name}] fast path ({spec['pool_kind']} pool, "
-                    f"{spec['pool_workers']} workers) ...")
+                say(f"[{name}] fast path (codec memo) ...")
                 fast = _timed(fn, quick)
                 stats = runtime.stats()
             finally:
                 deactivate()
                 obs_events.deactivate()
             parallel_block: Optional[Dict[str, object]] = None
-            if workers > 1:
-                # Third leg: forked engine workers, perf runtime off —
-                # the same serial universe, computed elsewhere.
-                say(f"[{name}] parallel ({workers} engine workers) ...")
+            if workers > 1 and name in FANOUT_SCENARIOS:
+                # Parallel leg: the scenario's independent programs fanned
+                # across forked workers, perf runtime off.
+                say(f"[{name}] parallel ({workers} workers) ...")
                 par = _timed(fn, quick, workers=workers)
                 p_identical = par.fingerprint == serial.fingerprint
                 p_speedup = (
@@ -407,10 +384,10 @@ def run_harness(
             continue
         identical = fast.fingerprint == serial.fingerprint
         speedup = serial.wall_s / fast.wall_s if fast.wall_s > 0 else 0.0
-        total_saved += stats.get("codec_calls_saved", 0)
+        total_saved += stats["codec_calls_saved"]
         say(f"[{name}] fast  : {fast.wall_s:.3f}s wall "
             f"({speedup:.2f}x), identical={identical}, memo hit rate "
-            f"{(stats.get('memo') or {}).get('hit_rate', 0.0):.3f}")
+            f"{stats['memo']['hit_rate']:.3f}")
         row: Dict[str, object] = {
             "identical": identical,
             "serial_wall_s": round(serial.wall_s, 4),
@@ -422,11 +399,9 @@ def run_harness(
             "pages_per_s_perf": round(fast.pages / fast.wall_s, 1)
             if fast.wall_s > 0 else 0.0,
             "sim_us": serial.sim_us,
-            "codec_calls_saved": stats.get("codec_calls_saved", 0),
-            "memo": stats.get("memo"),
-            "pool": stats.get("pool"),
+            "codec_calls_saved": stats["codec_calls_saved"],
+            "memo": stats["memo"],
             "events_recorded": recorder.total_emitted,
-            "workers": workers,
             "detail": serial.detail,
         }
         if parallel_block is not None:
@@ -455,9 +430,9 @@ def check_regression(
     same process), which normalizes away absolute machine speed; raw
     pages/sec are reported for humans but not gated.  When the fresh
     run carried a parallel leg, its byte-identity is an invariant and —
-    for :data:`PARALLEL_GATED_SCENARIOS` on a multi-core host — its
-    speedup is held to the baseline's the same way.  A scenario that
-    raised is itself a violation, reported alongside the rest.
+    on a multi-core host — its speedup is held to the baseline's the
+    same way.  A scenario that raised is itself a violation, reported
+    alongside the rest.
 
     Every pass/fail decision is expressed as an SLO spec and routed
     through :class:`repro.obs.slo.SLOEvaluator` — the same evaluator
@@ -489,7 +464,7 @@ def check_regression(
                     ],
                     description="parallel fingerprint equals serial",
                 ))
-            elif name in PARALLEL_GATED_SCENARIOS and cpu_count >= 2:
+            elif cpu_count >= 2:
                 base_parallel = base_scenarios.get(name, {}).get("parallel")
                 if base_parallel is not None:
                     floor = base_parallel["speedup"] * (1.0 - tolerance)
@@ -545,7 +520,8 @@ def check_regression(
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro perf",
-        description="wall-clock A/B harness: serial vs perf fast path",
+        description="wall-clock A/B harness: serial vs codec-memo fast "
+                    "path (vs fan-out with --workers)",
     )
     parser.add_argument(
         "--scenario", action="append", choices=sorted(SCENARIOS),
@@ -566,30 +542,17 @@ def main(argv: Optional[List[str]] = None) -> int:
              f">{REGRESSION_TOLERANCE:.0%}% speedup regression",
     )
     parser.add_argument(
-        "--pool-workers", type=int, default=None,
-        help="override pool size (0 disables the pool; default: auto)",
-    )
-    parser.add_argument(
-        "--pool-kind", choices=("process", "thread", "serial"),
-        default=None, help="override pool kind (default: process)",
-    )
-    parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="run a third leg across N forked engine workers and require "
-             "its fingerprint to equal serial (default: $REPRO_WORKERS, "
-             "else no parallel leg)",
+        help="re-run scenarios made of independent programs "
+             f"({', '.join(FANOUT_SCENARIOS)}) fanned across N worker "
+             "processes and require the fingerprint to equal serial "
+             "(default: $REPRO_WORKERS, else no parallel leg)",
     )
     args = parser.parse_args(argv)
 
-    spec: Dict[str, object] = {}
-    if args.pool_workers is not None:
-        spec["pool_workers"] = args.pool_workers
-    if args.pool_kind is not None:
-        spec["pool_kind"] = args.pool_kind
     scoreboard = run_harness(
         scenario_names=args.scenario,
         quick=args.quick,
-        perf_spec=spec or None,
         workers=args.workers,
     )
     diverged = [

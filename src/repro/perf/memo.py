@@ -3,7 +3,7 @@
 The software codecs (:mod:`repro.compression`) are pure functions of their
 input bytes, so any call whose input content has been seen before can be
 answered from a recorded result instead of re-running the pure-Python
-compressor (23–34 ms per 16 KiB page on one core).  The big repeat sources
+compressor (3–6 ms per 16 KiB page on one core).  The big repeat sources
 in this system are structural, not accidental:
 
 * every replica consolidates the *same* page image from the same redo
@@ -110,10 +110,6 @@ class CodecMemoCache:
             self._used -= victim_size
             self.evictions += 1
 
-    def clear(self) -> None:
-        self._items.clear()
-        self._used = 0
-
     @classmethod
     def _charge(cls, value) -> int:
         if isinstance(value, int):
@@ -135,9 +131,6 @@ class CodecMemoCache:
             "used_bytes": self._used,
             "capacity_bytes": self.capacity_bytes,
         }
-
-    def reset_counters(self) -> None:
-        self.hits = self.misses = self.insertions = self.evictions = 0
 
 
 def memo_key_compress(codec: str, data) -> tuple:

@@ -1,12 +1,14 @@
-"""The active wall-clock fast path: memo + pool + arena behind one handle.
+"""The active wall-clock fast path: one codec memo behind one handle.
 
 A :class:`PerfRuntime` is installed process-wide with :func:`configure`
 (or :func:`configure_from_env` for CLI entry points honouring the
-``REPRO_PERF`` variable) and consulted by the hot paths through
-:func:`perf_active`.  When nothing is configured every call site falls
-back to its original inline behavior, so the perf layer is strictly
-opt-in — tier-1 tests and legacy entry points run exactly the code they
-always ran.
+``REPRO_PERF`` variable).  The hot paths never ask whether one is
+installed: they call the module-level :func:`compress`,
+:func:`decompress` and :func:`hw_compressed_len`, which consult the
+active memo or — when nothing is configured — run the original inline
+codec call.  The memo-or-inline policy therefore lives here and nowhere
+else, and the perf layer stays strictly opt-in: tier-1 tests and the
+end-to-end benchmark run exactly the code they always ran.
 
 Why process-wide instead of per-volume: the memo cache is *content*-
 addressed over pure functions, so sharing it across volumes is not just
@@ -17,27 +19,25 @@ Each volume still exports the runtime's counters through its own
 .bind_metrics` (callback gauges, so snapshots always read live values).
 
 Determinism: nothing here can change a simulated timestamp or an output
-byte.  Memo values are recorded outputs of pure codec calls; pool results
-are consumed in submission order; simulated CPU cost is charged from
-:mod:`repro.compression.cost` regardless of where (or whether) the codec
-actually ran.  ``tests/perf/test_golden_equivalence.py`` locks this in.
+byte.  Memo values are recorded outputs of pure codec calls, and
+simulated CPU cost is charged from :mod:`repro.compression.cost`
+whether or not the codec actually ran.
+``tests/perf/test_golden_equivalence.py`` locks this in.
 """
 
 from __future__ import annotations
 
 import os
 import zlib
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.common.units import MiB
-from repro.perf.arena import PageArena
 from repro.perf.memo import (
     CodecMemoCache,
     memo_key_compress,
     memo_key_decompress,
     memo_key_hw_len,
 )
-from repro.perf.pool import CodecPool, PendingCodec, default_workers
 
 #: Default memo capacity when enabled without an explicit size.
 DEFAULT_MEMO_BYTES = 64 * MiB
@@ -52,123 +52,25 @@ def _get_codec(name: str):
 
 
 class PerfRuntime:
-    """One configured fast path: codec memo, codec pool, buffer arena."""
+    """One configured fast path: the content-addressed codec memo."""
 
-    def __init__(
-        self,
-        pool_workers: int = 0,
-        pool_kind: str = "process",
-        memo_capacity_bytes: int = DEFAULT_MEMO_BYTES,
-        zero_copy: bool = True,
-        arena_slots: int = 8,
-    ) -> None:
-        self.pool: Optional[CodecPool] = (
-            CodecPool(pool_workers, pool_kind) if pool_workers > 0 else None
-        )
-        self.memo: Optional[CodecMemoCache] = (
-            CodecMemoCache(memo_capacity_bytes)
-            if memo_capacity_bytes > 0
-            else None
-        )
-        self.zero_copy = zero_copy
-        self.arena = PageArena(slots=max(1, arena_slots))
-        #: Codec jobs submitted speculatively and not yet folded into the
-        #: memo: key -> PendingCodec.  Hot-path lookups drain these so a
-        #: prefetch in flight is awaited, never recomputed.
-        self._pending: Dict[tuple, PendingCodec] = {}
-        #: Codec calls answered without running the codec (memo hits on
-        #: compress/decompress, prefetched results adopted).
+    def __init__(self, memo_capacity_bytes: int = DEFAULT_MEMO_BYTES) -> None:
+        #: A zero-capacity memo admits nothing, so every call computes.
+        self.memo = CodecMemoCache(memo_capacity_bytes)
+        #: Codec calls answered from the memo without running the codec.
         self.codec_calls_saved = 0
 
-    @classmethod
-    def from_config(cls, perf_config) -> "PerfRuntime":
-        """Build from a :class:`repro.api.config.PerfConfig`."""
-        workers = perf_config.pool_workers
-        if workers < 0:  # auto
-            workers = default_workers()
-        return cls(
-            pool_workers=workers,
-            pool_kind=perf_config.pool_kind,
-            memo_capacity_bytes=perf_config.memo_capacity_bytes,
-            zero_copy=perf_config.zero_copy,
-            arena_slots=perf_config.arena_slots,
-        )
-
-    # -- compression -------------------------------------------------------
-
     def compress(self, codec_name: str, data) -> Tuple[bytes, int]:
-        """``(payload, crc32(payload))`` for one page, memo-aware."""
-        if self.memo is None:
-            payload = _get_codec(codec_name).compress(bytes(data))
-            return payload, zlib.crc32(payload) & 0xFFFFFFFF
+        """``(payload, crc32(payload))`` for one page, memoized."""
         key = memo_key_compress(codec_name, data)
         cached = self.memo.get(key)
         if cached is not None:
             self.codec_calls_saved += 1
             return cached
-        value = self._adopt_pending(key)
-        if value is None:
-            payload = _get_codec(codec_name).compress(bytes(data))
-            value = (payload, zlib.crc32(payload) & 0xFFFFFFFF)
+        payload = _get_codec(codec_name).compress(bytes(data))
+        value = (payload, zlib.crc32(payload) & 0xFFFFFFFF)
         self.memo.put(key, value)
         return value
-
-    def compress_pair(
-        self, data, codecs: Sequence[str] = ("lz4", "zstd")
-    ) -> Dict[str, Tuple[bytes, int]]:
-        """Compress ``data`` with every codec in ``codecs``.
-
-        Misses are submitted to the pool *together* so independent codecs
-        run on separate cores (Algorithm 1's dual evaluation); results
-        are resolved in codec order, so the outcome is byte-identical to
-        the serial loop.  Falls back to sequential :meth:`compress` when
-        fewer than two jobs actually need computing.
-        """
-        out: Dict[str, Tuple[bytes, int]] = {}
-        misses = []
-        for codec_name in codecs:
-            if self.memo is not None:
-                key = memo_key_compress(codec_name, data)
-                cached = self.memo.get(key)
-                if cached is not None:
-                    self.codec_calls_saved += 1
-                    out[codec_name] = cached
-                    continue
-                pending = self._pending.pop(key, None)
-                if pending is not None:
-                    misses.append((codec_name, key, pending))
-                    continue
-                misses.append((codec_name, key, None))
-            else:
-                misses.append((codec_name, None, None))
-        if self.pool is not None and len(misses) >= 2:
-            payload_bytes = bytes(data)
-            submitted = [
-                (codec_name, key,
-                 pending if pending is not None
-                 else self.pool.submit_compress(codec_name, payload_bytes))
-                for codec_name, key, pending in misses
-            ]
-            if len(submitted) > 1:
-                self.pool.batches += 1
-            for codec_name, key, pending in submitted:
-                value = pending.result()
-                if self.memo is not None:
-                    self.memo.put(key, value)
-                out[codec_name] = value
-        else:
-            for codec_name, key, pending in misses:
-                if pending is not None:
-                    value = pending.result()
-                    self.codec_calls_saved += 1
-                    if self.memo is not None:
-                        self.memo.put(key, value)
-                    out[codec_name] = value
-                else:
-                    out[codec_name] = self.compress(codec_name, data)
-        return out
-
-    # -- decompression -----------------------------------------------------
 
     def decompress(self, codec_name: str, payload, verified: bool = True) -> bytes:
         """Decompress ``payload``; memoized only for *verified* content.
@@ -180,20 +82,16 @@ class PerfRuntime:
         content digests, a bit-flipped payload could not hit a stale
         entry even if it got here (see tests/chaos/test_memo_chaos.py).
         """
-        if self.memo is None or not verified:
+        if not verified:
             return _get_codec(codec_name).decompress(payload)
         key = memo_key_decompress(codec_name, payload)
         cached = self.memo.get(key)
         if cached is not None:
             self.codec_calls_saved += 1
             return cached
-        value = self._adopt_pending(key)
-        if value is None:
-            value = _get_codec(codec_name).decompress(payload)
+        value = _get_codec(codec_name).decompress(payload)
         self.memo.put(key, value)
         return value
-
-    # -- hardware-gzip sizing ---------------------------------------------
 
     def hw_compressed_len(self, compressor, block) -> int:
         """``len(compressor.compress(block))`` with content memoization.
@@ -203,66 +101,14 @@ class PerfRuntime:
         content constantly, so this is a pure-win cache even though the
         transform itself is C-speed zlib.
         """
-        if self.memo is None:
-            return len(compressor.compress(bytes(block)))
         key = memo_key_hw_len(block)
         cached = self.memo.get(key)
         if cached is not None:
             self.codec_calls_saved += 1
             return cached
-        value = len(compressor.compress(bytes(block)))
+        value = len(compressor.compress(block))
         self.memo.put(key, value)
         return value
-
-    # -- speculative prefetch ---------------------------------------------
-
-    def warm_compress(self, codec_name: str, pages: Iterable[bytes]) -> int:
-        """Submit compressions for upcoming inputs; returns jobs queued.
-
-        Results land in :attr:`_pending` and are adopted (in content
-        order, not completion order) by the next hot-path lookup for the
-        same content.  No-op without both a pool and a memo.
-        """
-        if self.pool is None or self.memo is None:
-            return 0
-        queued = 0
-        for page in pages:
-            key = memo_key_compress(codec_name, page)
-            if self.memo.get(key) is not None or key in self._pending:
-                continue
-            self._pending[key] = self.pool.submit_compress(
-                codec_name, bytes(page)
-            )
-            queued += 1
-        if queued:
-            self.pool.batches += 1
-        return queued
-
-    def warm_decompress(self, codec_name: str, payloads: Iterable[bytes]) -> int:
-        """Prefetch decompressions (scrub sweeps, migration reads)."""
-        if self.pool is None or self.memo is None:
-            return 0
-        queued = 0
-        for payload in payloads:
-            key = memo_key_decompress(codec_name, payload)
-            if self.memo.get(key) is not None or key in self._pending:
-                continue
-            self._pending[key] = self.pool.submit_decompress(
-                codec_name, bytes(payload)
-            )
-            queued += 1
-        if queued:
-            self.pool.batches += 1
-        return queued
-
-    def _adopt_pending(self, key: tuple):
-        pending = self._pending.pop(key, None)
-        if pending is None:
-            return None
-        self.codec_calls_saved += 1
-        return pending.result()
-
-    # -- observability -----------------------------------------------------
 
     def bind_metrics(self, registry) -> None:
         """Export live counters through a volume's metrics registry.
@@ -271,59 +117,23 @@ class PerfRuntime:
         and Prometheus exporters pick the fast path up with no changes.
         """
         memo = self.memo
-        registry.gauge_fn(
-            "perf.memo.hits", lambda: memo.hits if memo else 0
-        )
-        registry.gauge_fn(
-            "perf.memo.misses", lambda: memo.misses if memo else 0
-        )
-        registry.gauge_fn(
-            "perf.memo.hit_rate", lambda: memo.hit_rate if memo else 0.0
-        )
-        registry.gauge_fn(
-            "perf.memo.used_bytes", lambda: memo.used_bytes if memo else 0
-        )
+        registry.gauge_fn("perf.memo.hits", lambda: memo.hits)
+        registry.gauge_fn("perf.memo.misses", lambda: memo.misses)
+        registry.gauge_fn("perf.memo.hit_rate", lambda: memo.hit_rate)
+        registry.gauge_fn("perf.memo.used_bytes", lambda: memo.used_bytes)
         registry.gauge_fn(
             "perf.codec_calls_saved", lambda: self.codec_calls_saved
-        )
-        pool = self.pool
-        registry.gauge_fn(
-            "perf.pool.workers", lambda: pool.workers if pool else 0
-        )
-        registry.gauge_fn(
-            "perf.pool.submitted", lambda: pool.submitted if pool else 0
-        )
-        registry.gauge_fn(
-            "perf.pool.batches", lambda: pool.batches if pool else 0
-        )
-        # ``completed`` and ``max_in_flight`` are deliberately NOT
-        # exported: done-callbacks fire on a waiter thread, so their
-        # instantaneous values depend on host scheduling.  Exported
-        # snapshots must stay byte-identical across runs (the
-        # determinism CI diffs them); the wall-clock-dependent numbers
-        # are still reported through :meth:`stats` in the perf harness
-        # scoreboard, where nondeterminism is expected.
-        registry.gauge_fn(
-            "perf.arena.reuse_rate", lambda: self.arena.reuse_rate
         )
 
     def stats(self) -> dict:
         return {
-            "memo": self.memo.stats() if self.memo else None,
-            "pool": self.pool.stats() if self.pool else None,
-            "arena": self.arena.stats(),
+            "memo": self.memo.stats(),
             "codec_calls_saved": self.codec_calls_saved,
-            "zero_copy": self.zero_copy,
         }
 
-    def shutdown(self) -> None:
-        if self.pool is not None:
-            self.pool.shutdown()
-        self._pending.clear()
 
-
-#: The process-wide active runtime (None = fast path off, legacy inline
-#: behavior everywhere).
+#: The process-wide active runtime (None = fast path off, the original
+#: inline codec calls everywhere).
 _active: Optional[PerfRuntime] = None
 
 
@@ -334,8 +144,6 @@ def perf_active() -> Optional[PerfRuntime]:
 def configure(runtime: Optional[PerfRuntime]) -> Optional[PerfRuntime]:
     """Install ``runtime`` as the process-wide fast path (None clears)."""
     global _active
-    if _active is not None and _active is not runtime:
-        _active.shutdown()
     _active = runtime
     return runtime
 
@@ -344,42 +152,52 @@ def deactivate() -> None:
     configure(None)
 
 
+# -- the one memo-or-inline decision ------------------------------------------
+
+
+def compress(codec_name: str, data) -> Tuple[bytes, int]:
+    """``(payload, crc)`` for one buffer through the active memo, else
+    inline.  The inline branch leaves the CRC lazy: ``crc == 0`` means
+    "not computed", and the write path checksums the payload it keeps."""
+    if _active is not None:
+        return _active.compress(codec_name, data)
+    return _get_codec(codec_name).compress(bytes(data)), 0
+
+
+def decompress(codec_name: str, payload, verified: bool = True) -> bytes:
+    """Decompress through the active memo (verified payloads only), else
+    inline."""
+    if _active is not None:
+        return _active.decompress(codec_name, payload, verified=verified)
+    return _get_codec(codec_name).decompress(payload)
+
+
+def hw_compressed_len(compressor, block) -> int:
+    """Compressed length of one device block, memoized when active."""
+    if _active is not None:
+        return _active.hw_compressed_len(compressor, block)
+    return len(compressor.compress(block))
+
+
 def configure_from_env() -> Optional[PerfRuntime]:
     """CLI hook: honour ``REPRO_PERF`` for opt-in fast-path runs.
 
     ``REPRO_PERF=0``/unset leaves the fast path off.  ``REPRO_PERF=1``
-    enables memo + auto-sized pool.  A comma-separated spec tunes it:
-    ``REPRO_PERF=pool=2,memo=64,kind=thread`` (memo in MiB; ``pool=0``
-    for memo-only).
+    enables the memo at its default size; ``REPRO_PERF=memo=16`` sizes it
+    (MiB).  Any other key raises, naming the key.
     """
     spec = os.environ.get("REPRO_PERF", "").strip()
     if spec in ("", "0", "off", "false"):
         return perf_active()
-    if spec in ("1", "on", "true"):
-        return configure(
-            PerfRuntime(pool_workers=default_workers())
-        )
-    workers = default_workers()
-    kind = "process"
     memo_bytes = DEFAULT_MEMO_BYTES
-    for part in spec.split(","):
-        if not part.strip():
-            continue
-        name, _, value = part.partition("=")
-        name = name.strip()
-        value = value.strip()
-        if name == "pool":
-            workers = int(value)
-        elif name == "memo":
-            memo_bytes = int(float(value) * MiB)
-        elif name == "kind":
-            kind = value
-        else:
-            raise ValueError(f"unknown REPRO_PERF key {name!r} in {spec!r}")
-    return configure(
-        PerfRuntime(
-            pool_workers=workers,
-            pool_kind=kind,
-            memo_capacity_bytes=memo_bytes,
-        )
-    )
+    if spec not in ("1", "on", "true"):
+        for part in spec.split(","):
+            if not part.strip():
+                continue
+            name, _, value = part.partition("=")
+            if name.strip() != "memo":
+                raise ValueError(
+                    f"unknown REPRO_PERF key {name.strip()!r} in {spec!r}"
+                )
+            memo_bytes = int(float(value.strip()) * MiB)
+    return configure(PerfRuntime(memo_capacity_bytes=memo_bytes))

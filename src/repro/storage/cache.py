@@ -4,12 +4,12 @@ Backs the page cache, the redo-log cache, and the decompressed-segment
 buffer of the heavy-compression path.  Eviction returns the evicted items
 so callers can spill them (the redo cache spills into per-page log space).
 
-Copy audit (zero-copy read path): ``get``/``peek``/``put`` store and hand
-back *references* — no ``bytes()`` materialization happens in this layer.
-The full-page copies the read path used to make lived in the callers
-(``node._read_materialized`` payload slicing, ``device._load`` block
-assembly, ``perpage_log.unseal_block`` body slicing) and were removed
-there; cached page images stay immutable ``bytes`` shared by reference.
+Copy audit: ``get``/``peek``/``put`` store and hand back *references* —
+no ``bytes()`` materialization happens in this layer; cached page images
+stay immutable ``bytes`` shared by reference.  The read path's remaining
+copies live in the callers and are at most one page each: the payload
+trim in ``node`` (``bytes`` because the lz4 decoder indexes its input
+per token) and the ``perpage_log.unseal_block`` body slice.
 """
 
 from __future__ import annotations
@@ -50,8 +50,18 @@ class LRUCache(Generic[K, V]):
             labels = metric_labels or {}
             self._hit_ctr = metrics.counter(f"{metric_name}.hits", **labels)
             self._miss_ctr = metrics.counter(f"{metric_name}.misses", **labels)
+            # Caches that share a metric family (the RW and RO buffer
+            # pools of one deployment) share these counters, so the
+            # gauge reads them rather than whichever instance registered
+            # last.
+            hit_ctr, miss_ctr = self._hit_ctr, self._miss_ctr
+
+            def family_hit_rate() -> float:
+                total = hit_ctr.value + miss_ctr.value
+                return hit_ctr.value / total if total else 0.0
+
             metrics.gauge_fn(
-                f"{metric_name}.hit_rate", lambda: self.hit_rate, **labels
+                f"{metric_name}.hit_rate", family_hit_rate, **labels
             )
             metrics.gauge_fn(
                 f"{metric_name}.used_bytes", lambda: self._used, **labels

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro import perf
 from repro.common.checksum import crc32
 from repro.common.errors import (
     ChecksumError,
@@ -30,12 +31,10 @@ from repro.common.errors import (
     ReproError,
 )
 from repro.common.units import DB_PAGE_SIZE, LBA_SIZE, MiB, align_up, ceil_div
-from repro.compression.base import get_codec
 from repro.compression.cost import codec_cost
 from repro.compression.selector import AlgorithmSelector
 from repro.csd.device import BlockDevice
 from repro.obs.metrics import MetricsRegistry
-from repro.perf.runtime import perf_active
 from repro.storage.allocator import SpaceManager
 from repro.storage.cache import LRUCache
 from repro.storage.consolidation import ConsolidationConfig, make_policy
@@ -264,14 +263,9 @@ class StorageNode:
             return PreparedWrite(
                 CompressionInfo.UNCOMPRESSED, None, data, 4, 0.0
             )
-        runtime = perf_active()
         if force_codec is not None:
             codec_name = force_codec
-            if runtime is not None:
-                payload, payload_crc = runtime.compress(codec_name, data)
-            else:
-                payload = get_codec(codec_name).compress(data)
-                payload_crc = 0
+            payload, payload_crc = perf.compress(codec_name, data)
             cpu = codec_cost(codec_name).compress_us(len(data))
             evaluated = False
         elif self.config.opt_algorithm_selection:
@@ -292,11 +286,7 @@ class StorageNode:
                 cpu += codec_cost(other).compress_us(len(data))
         else:
             codec_name = self.config.default_codec
-            if runtime is not None:
-                payload, payload_crc = runtime.compress(codec_name, data)
-            else:
-                payload = get_codec(codec_name).compress(data)
-                payload_crc = 0
+            payload, payload_crc = perf.compress(codec_name, data)
             cpu = codec_cost(codec_name).compress_us(len(data))
             evaluated = False
 
@@ -493,15 +483,13 @@ class StorageNode:
             tracer.end(dev_sp, start_us)
             raise corrupt("unreadable", f"device read failed: {exc}") from exc
         tracer.end(dev_sp, completion.done_us)
-        runtime = perf_active()
         raw = completion.data
         if entry.payload_len == len(raw):
             payload = raw
-        elif runtime is not None and runtime.zero_copy:
-            # Trim the block padding without copying the page body: CRC,
-            # hashing, and both codecs read straight from the view.
-            payload = memoryview(raw)[: entry.payload_len]
         else:
+            # A ``bytes`` slice, not a view: the lz4 decoder indexes its
+            # input per token, which is measurably slower through a
+            # ``memoryview`` than this one copy costs.
             payload = raw[: entry.payload_len]
         verified = bool(entry.checksum)
         if entry.checksum and crc32(payload) != entry.checksum:
@@ -511,14 +499,11 @@ class StorageNode:
         cpu = 0.0
         if entry.status is CompressionInfo.NORMAL:
             try:
-                if runtime is not None:
-                    # Memoized only for CRC-verified payloads: a damaged
-                    # payload can neither hit nor seed the cache.
-                    data = runtime.decompress(
-                        entry.algorithm, payload, verified=verified
-                    )
-                else:
-                    data = get_codec(entry.algorithm).decompress(payload)
+                # Memoized only for CRC-verified payloads: a damaged
+                # payload can neither hit nor seed the memo.
+                data = perf.decompress(
+                    entry.algorithm, payload, verified=verified
+                )
             except (CorruptionError, ValueError, IndexError) as exc:
                 raise corrupt(
                     "decompress_error", f"payload does not decompress: {exc}"
@@ -602,17 +587,9 @@ class StorageNode:
                 if len(self._redo_log_window) > DB_PAGE_SIZE:
                     del self._redo_log_window[: len(self._redo_log_window)
                                              - DB_PAGE_SIZE]
-                runtime = perf_active()
-                if runtime is not None:
-                    # Every replica compresses the same window content;
-                    # the memo collapses those to one codec run.
-                    payload, _ = runtime.compress(
-                        "lz4", self._redo_log_window
-                    )
-                else:
-                    payload = get_codec("lz4").compress(
-                        bytes(self._redo_log_window)
-                    )
+                # Every replica compresses the same window content; an
+                # active memo collapses those to one codec run.
+                payload, _ = perf.compress("lz4", self._redo_log_window)
                 cpu = codec_cost("lz4").compress_us(DB_PAGE_SIZE)
             else:
                 payload = blob

@@ -29,7 +29,6 @@ from typing import Dict, List, Set
 from repro.common.checksum import crc32
 from repro.common.errors import ChecksumError, ReproError
 from repro.common.units import LBA_SIZE
-from repro.perf.runtime import perf_active
 from repro.storage.redo import RedoRecord, decode_records, encode_records
 
 _HEADER = struct.Struct("<QQHH")
@@ -58,9 +57,6 @@ def unseal_block(blob: bytes) -> bytes:
 
     Raises :class:`ChecksumError` on any damage — CRC mismatch, an
     impossible length field, or a block too short to carry the header.
-    With the wall-clock fast path active the body comes back as a
-    zero-copy ``memoryview`` (record decoding parses it in place and
-    copies only the record data it keeps).
     """
     if len(blob) < _SEAL.size:
         raise ChecksumError("log block shorter than its seal header")
@@ -68,9 +64,6 @@ def unseal_block(blob: bytes) -> bytes:
     body = memoryview(blob)[_SEAL.size : _SEAL.size + length]
     if len(body) != length or crc32(body) != crc:
         raise ChecksumError("log block fails CRC verification")
-    runtime = perf_active()
-    if runtime is not None and runtime.zero_copy:
-        return body
     return bytes(body)
 
 

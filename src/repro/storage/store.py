@@ -40,7 +40,6 @@ from repro.obs.events import recorder_active
 from repro.obs.metrics import MetricsRegistry
 from repro.perf.runtime import perf_active
 from repro.storage.consolidation import ConsolidationConfig
-from repro.storage.index import CompressionInfo
 from repro.storage.node import NodeConfig, PreparedWrite, ReadResult, StorageNode
 from repro.storage.raft import NetworkModel
 from repro.storage.redo import RedoRecord, encode_records
@@ -218,7 +217,7 @@ class PolarStore:
         )
         runtime = perf_active()
         if runtime is not None:
-            # Fast-path counters (memo hit rate, pool utilization) flow
+            # Fast-path counters (memo hit rate, codec calls saved) flow
             # through this volume's exporters like any other instrument.
             runtime.bind_metrics(self.metrics)
 
@@ -957,7 +956,6 @@ class PolarStore:
         rec = recorder_active()
         if rec is not None:
             rec.emit(now, "scrub", "sweep_start", pages=len(pages))
-        self._warm_scrub_memo(sorted(pages))
         for page_no in sorted(pages):
             for i, node in enumerate(self.nodes):
                 if not self._alive[i] or page_no in self._missed[i]:
@@ -984,47 +982,6 @@ class PolarStore:
         if rec is not None:
             rec.emit(now, "scrub", "sweep_end", pages=len(pages))
         return now
-
-    def _warm_scrub_memo(self, page_nos: Sequence[int]) -> None:
-        """Prefetch the scrub sweep's decompressions into the codec memo.
-
-        The sweep is about to checksum-read every replica copy serially;
-        the payloads are already on the devices, so the codec pool can
-        decompress them ahead of the sweep while it walks.  Only payloads
-        that pass their stored CRC are warmed — the memo's verified-only
-        discipline holds even for speculative work (a chaos-corrupted
-        copy is skipped here and still fails loudly in the sweep).
-        Wall-clock only: no simulated I/O or time is charged.
-        """
-        runtime = perf_active()
-        if runtime is None or runtime.pool is None or runtime.memo is None:
-            return
-        from repro.common.checksum import crc32 as _crc32
-        from repro.common.units import LBA_SIZE
-
-        batches: dict = {}
-        for page_no in page_nos:
-            for i, node in enumerate(self.nodes):
-                if not self._alive[i] or page_no in self._missed[i]:
-                    continue
-                entry = node.index.get(page_no)
-                if (
-                    entry is None
-                    or entry.status is not CompressionInfo.NORMAL
-                    or not entry.checksum
-                ):
-                    continue
-                raw = node.data_device.peek(
-                    entry.lba, entry.n_blocks * LBA_SIZE
-                )
-                if raw is None:
-                    continue
-                payload = memoryview(raw)[: entry.payload_len]
-                if _crc32(payload) != entry.checksum:
-                    continue
-                batches.setdefault(entry.algorithm, []).append(bytes(payload))
-        for algorithm, payloads in batches.items():
-            runtime.warm_decompress(algorithm, payloads)
 
     # ------------------------------------------------------------------ #
     # Space                                                               #

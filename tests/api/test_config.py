@@ -84,7 +84,7 @@ def test_sections_are_plain_dataclasses():
     config = ReproConfig()
     doc = config.to_dict()
     assert set(doc) == {"store", "device", "engine", "db", "cluster",
-                        "perf", "net", "consolidation", "parallel"}
+                        "perf", "net", "consolidation"}
     # Every leaf is JSON-able (asdict flattened the NodeConfig too).
     assert isinstance(doc["store"]["node"], dict)
 
@@ -93,36 +93,22 @@ def test_perf_defaults_off():
     config = ReproConfig()
     assert config.perf == PerfConfig()
     assert config.perf.enabled is False
-    assert config.perf.pool_workers == -1  # auto-size when enabled
-    assert config.perf.zero_copy is True
 
 
 def test_perf_dict_round_trip():
     config = ReproConfig.from_dict({
         "perf": {
             "enabled": True,
-            "pool_workers": 3,
-            "pool_kind": "thread",
             "memo_capacity_bytes": 8 * MiB,
-            "zero_copy": False,
-            "arena_slots": 4,
         },
     })
     assert config.perf.enabled is True
-    assert config.perf.pool_workers == 3
-    assert config.perf.pool_kind == "thread"
     assert config.perf.memo_capacity_bytes == 8 * MiB
-    assert config.perf.zero_copy is False
-    assert config.perf.arena_slots == 4
     # Strict identity both ways.
     assert ReproConfig.from_dict(config.to_dict()) == config
     assert config.to_dict()["perf"] == {
         "enabled": True,
-        "pool_workers": 3,
-        "pool_kind": "thread",
         "memo_capacity_bytes": 8 * MiB,
-        "zero_copy": False,
-        "arena_slots": 4,
     }
 
 
@@ -132,16 +118,10 @@ def test_perf_unknown_key_rejected():
 
 
 def test_perf_validation_rejects_bad_values():
-    with pytest.raises(ValueError, match="pool_kind"):
-        ReproConfig.from_dict({"perf": {"pool_kind": "fibers"}}).validate()
-    with pytest.raises(ValueError, match="pool_workers"):
-        ReproConfig.from_dict({"perf": {"pool_workers": -2}}).validate()
     with pytest.raises(ValueError, match="memo_capacity_bytes"):
         ReproConfig.from_dict(
             {"perf": {"memo_capacity_bytes": -1}}
         ).validate()
-    with pytest.raises(ValueError, match="arena_slots"):
-        ReproConfig.from_dict({"perf": {"arena_slots": 0}}).validate()
 
 
 def test_per_instance_sections_do_not_alias():

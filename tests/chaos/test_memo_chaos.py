@@ -72,11 +72,8 @@ def _faulted_read(kind):
 def test_corrupted_read_repairs_identically_with_memo(kind):
     # Serial reference.
     serial_store, serial_result = _faulted_read(kind)
-    # Same schedule with the memo (and a pool) active.
-    runtime = PerfRuntime(
-        pool_workers=2, pool_kind="thread", memo_capacity_bytes=8 * MiB
-    )
-    configure(runtime)
+    # Same schedule with the memo active.
+    configure(PerfRuntime(memo_capacity_bytes=8 * MiB))
     fast_store, fast_result = _faulted_read(kind)
     deactivate()
     assert bytes(fast_result.data) == make_page(7)
@@ -88,14 +85,11 @@ def test_corrupted_read_repairs_identically_with_memo(kind):
     assert counter_total(fast_store, "chaos.detected") >= 1
 
 
-def test_scrub_prefetch_skips_corrupt_copies():
-    # The scrub's memo warm-up CRC-checks every stored payload before
-    # prefetching, so the damaged copy is never decompressed through the
-    # memo — it flows through the normal detect-and-repair sweep.
-    runtime = PerfRuntime(
-        pool_workers=2, pool_kind="thread", memo_capacity_bytes=8 * MiB
-    )
-    configure(runtime)
+def test_scrub_with_memo_repairs_corrupt_copies():
+    # The scrub sweep reads through the same CRC-first path, so with the
+    # memo active the damaged copy is never decompressed through it — it
+    # flows through the normal detect-and-repair sweep.
+    configure(PerfRuntime(memo_capacity_bytes=8 * MiB))
     store = make_store()
     arm(store, FaultKind.BIT_FLIP)
     now = store.write_page(0.0, 1, make_page(9)).commit_us
@@ -120,7 +114,6 @@ def test_unverified_decompress_never_touches_memo():
     assert runtime.decompress("lz4", payload, verified=True) == page
     stats = runtime.memo.stats()
     assert stats["insertions"] == 1 and stats["hits"] == 1
-    runtime.shutdown()
 
 
 def test_flipped_payload_cannot_hit_a_clean_memo_entry():
@@ -139,4 +132,3 @@ def test_flipped_payload_cannot_hit_a_clean_memo_entry():
     except Exception:
         pass  # a decode failure is equally acceptable
     assert runtime.memo.stats()["hits"] == hits_before
-    runtime.shutdown()

@@ -1,18 +1,12 @@
-"""The parallel engine layer: program fan-out, conservative epoch
-synchronization, and the deterministic observability merges."""
+"""The parallel layer: ``REPRO_WORKERS`` and program fan-out."""
 
 import pytest
 
-from repro.engine.core import EngineError, Timeout
 from repro.engine.parallel import (
-    ParallelEngine,
     ParallelEngineGroup,
     ParallelError,
-    merge_event_streams,
-    merge_metrics_states,
     workers_from_env,
 )
-from repro.obs.metrics import MetricsRegistry
 
 
 # -- REPRO_WORKERS ----------------------------------------------------------
@@ -82,138 +76,17 @@ def test_run_programs_setup_seeds_each_worker():
     assert results == [0, 1, 0, 1]
 
 
-# -- conservative epoch synchronization -------------------------------------
+def test_fig10_11_legs_fan_out_to_the_same_result(tmp_path):
+    # ``cluster --workers N``: the two scheduler fleets are independent
+    # universes, so fanning them out may not change the artifact.
+    from repro.bench.cluster_fig import run_fig10_11
 
-def _pump_delivering(engine, pending, completions):
-    """A reply pump that resolves the oldest call when blocked."""
-
-    def pump(block):
-        if block and pending:
-            call = pending.pop(0)
-            engine.deliver(call, completions[call.label])
-
-    return pump
-
-
-def test_events_inside_lookahead_run_before_the_reply():
-    engine = ParallelEngine()
-    log = []
-    pending = []
-    engine.reply_pump = _pump_delivering(
-        engine, pending, {"w": {"t": 10.0, "value": 42}}
+    serial, fanned = (
+        run_fig10_11(out_dir=str(tmp_path / f"w{workers}"), shards=2,
+                     chunks=4, seed=0, quiet=True, workers=workers)
+        for workers in (1, 2)
     )
-
-    def remote_proc():
-        call = engine.remote(10.0, lambda v: v["t"], label="w")
-        pending.append(call)
-        value = yield call
-        log.append(("reply", engine.now_us, value["value"]))
-
-    def ticker():
-        yield Timeout(5.0)
-        log.append(("tick", engine.now_us))
-        yield Timeout(10.0)
-        log.append(("tick", engine.now_us))
-
-    engine.spawn(remote_proc())
-    engine.spawn(ticker())
-    engine.run_until_idle()
-    # t=5 is inside the lookahead window: it dispatches while the call
-    # is in flight.  t=15 is past the horizon: it must wait for the
-    # reply (which lands at exactly t=10).
-    assert log == [("tick", 5.0), ("reply", 10.0, 42), ("tick", 15.0)]
-    assert engine.stalls >= 1
-    assert engine.outstanding == 0
-
-
-def test_reply_tie_at_horizon_uses_the_reserved_seq():
-    # A completion at t=10 ties with a timer at t=10.  The completion's
-    # sequence number was reserved at issue time (earlier), so serial
-    # order — completion first — must be reproduced.
-    engine = ParallelEngine()
-    log = []
-    pending = []
-    engine.reply_pump = _pump_delivering(
-        engine, pending, {"w": {"t": 10.0}}
-    )
-
-    def remote_proc():
-        call = engine.remote(10.0, lambda v: v["t"], label="w")
-        pending.append(call)
-        yield call
-        log.append("reply")
-
-    def ticker():
-        yield Timeout(10.0)
-        log.append("tick")
-
-    engine.spawn(remote_proc())
-    engine.spawn(ticker())
-    engine.run_until_idle()
-    assert log == ["reply", "tick"]
-
-
-def test_lookahead_certificate_violation_raises():
-    engine = ParallelEngine()
-    pending = []
-    engine.reply_pump = _pump_delivering(
-        engine, pending, {"w": {"t": 3.0}}  # < issue(0) + lookahead(10)
-    )
-
-    def remote_proc():
-        call = engine.remote(10.0, lambda v: v["t"], label="w")
-        pending.append(call)
-        yield call
-
-    engine.spawn(remote_proc())
-    with pytest.raises(EngineError, match="lookahead certificate"):
-        engine.run_until_idle()
-
-
-def test_outstanding_call_without_pump_raises():
-    engine = ParallelEngine()
-
-    def remote_proc():
-        yield engine.remote(10.0, lambda v: v)
-
-    engine.spawn(remote_proc())
-    with pytest.raises(EngineError, match="no reply pump"):
-        engine.run_until_idle()
-
-
-def test_negative_lookahead_rejected():
-    engine = ParallelEngine()
-    with pytest.raises(EngineError, match="negative"):
-        engine.remote(-1.0, lambda v: v)
-
-
-# -- deterministic merges ---------------------------------------------------
-
-class _Ev:
-    def __init__(self, t_us, tag):
-        self.t_us = t_us
-        self.tag = tag
-
-
-def test_merge_event_streams_orders_by_time_then_worker_then_pos():
-    w0 = [_Ev(1.0, "a"), _Ev(5.0, "b"), _Ev(5.0, "c")]
-    w1 = [_Ev(0.5, "d"), _Ev(5.0, "e")]
-    merged = merge_event_streams([w0, w1])
-    assert [e.tag for e in merged] == ["d", "a", "b", "c", "e"]
-
-
-def test_merge_metrics_states_is_permutation_independent():
-    def worker_state(seed):
-        reg = MetricsRegistry()
-        reg.counter("ops", shard=seed).inc(seed + 1)
-        hist = reg.histogram("lat_us")
-        for i in range(20):
-            hist.record(0.1 + ((seed * 7 + i * 13) % 50) / 3.0)
-        return reg.state()
-
-    states = [worker_state(s) for s in range(4)]
-    merged_a = MetricsRegistry()
-    merge_metrics_states(merged_a, states)
-    merged_b = MetricsRegistry()
-    merge_metrics_states(merged_b, list(reversed(states)))
-    assert merged_a.snapshot() == merged_b.snapshot()
+    assert fanned == serial
+    assert (tmp_path / "w1" / "fig10_11_scheduling.json").read_bytes() == (
+        tmp_path / "w2" / "fig10_11_scheduling.json"
+    ).read_bytes()

@@ -1,5 +1,5 @@
-"""Order-independent metric merges: the property the parallel engine's
-deterministic observability fold stands on."""
+"""Order-independent metric merges: folding registry captures from
+several processes must not depend on the order they arrive in."""
 
 import itertools
 import random

@@ -1,22 +1,22 @@
-"""Unit coverage for the fast-path building blocks (memo, pool, arena)."""
+"""Unit coverage for the fast-path building blocks (memo, runtime, env)."""
 
 import pytest
 
-from repro.perf.runtime import (
-    configure_from_env,
-    deactivate,
-    perf_active,
-)
-
+from repro import perf
+from repro.api.config import ReproConfig
 from repro.compression.base import get_codec
-from repro.perf.arena import PageArena
 from repro.perf.memo import (
     CodecMemoCache,
     memo_key_compress,
     memo_key_decompress,
 )
-from repro.perf.pool import CodecPool, default_workers
-from repro.perf.runtime import PerfRuntime
+from repro.perf.runtime import (
+    PerfRuntime,
+    configure,
+    configure_from_env,
+    deactivate,
+    perf_active,
+)
 
 
 PAGE = (b"polar" * 4096)[: 16 * 1024]
@@ -70,101 +70,58 @@ def test_memo_evicts_lru_under_pressure():
 
 def test_memo_zero_capacity_disabled_in_runtime():
     runtime = PerfRuntime(memo_capacity_bytes=0)
-    assert runtime.memo is None
     payload, crc = runtime.compress("lz4", PAGE)
+    assert runtime.compress("lz4", PAGE) == (payload, crc)
     assert get_codec("lz4").decompress(payload) == PAGE
+    assert len(runtime.memo) == 0
     assert runtime.codec_calls_saved == 0
-    runtime.shutdown()
 
 
-# -- pool -------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("kind", ["thread", "process", "serial"])
-def test_pool_roundtrip_matches_inline(kind):
-    pool = CodecPool(2, kind)
-    try:
-        expected = get_codec("lz4").compress(PAGE)
-        pending = pool.submit_compress("lz4", PAGE)
-        payload, crc = pending.result()
-        assert payload == expected
-        back = pool.submit_decompress("lz4", payload).result()
-        assert back == PAGE
-        stats = pool.stats()
-        assert stats["submitted"] == 2 and stats["completed"] == 2
-    finally:
-        pool.shutdown()
-
-
-def test_pool_results_resolve_in_submission_order():
-    pool = CodecPool(2, "thread")
-    try:
-        pages = [bytes([i]) * 16384 for i in range(6)]
-        pendings = [pool.submit_compress("lz4", p) for p in pages]
-        results = [p.result()[0] for p in pendings]
-        assert results == [get_codec("lz4").compress(p) for p in pages]
-    finally:
-        pool.shutdown()
-
-
-def test_default_workers_positive():
-    assert default_workers() >= 1
-
-
-# -- arena ------------------------------------------------------------------
-
-
-def test_arena_reuses_released_buffers():
-    arena = PageArena(slots=2)
-    buf = arena.borrow(16 * 1024)
-    assert len(buf) == 16 * 1024
-    arena.release(buf)
-    again = arena.borrow(16 * 1024)
-    assert again is buf
-    stats = arena.stats()
-    assert stats["reuses"] == 1
-    assert arena.reuse_rate > 0.0
-
-
-def test_arena_bounded_by_slots():
-    arena = PageArena(slots=1)
-    a, b = arena.borrow(1024), arena.borrow(1024)
-    arena.release(a)
-    arena.release(b)  # beyond capacity: dropped, not hoarded
-    assert arena.borrow(1024) is a
-    assert arena.borrow(1024) is not b
-
-
-# -- runtime orchestration --------------------------------------------------
+# -- runtime ----------------------------------------------------------------
 
 
 def test_runtime_compress_is_memoized_and_correct():
     runtime = PerfRuntime(memo_capacity_bytes=1 << 20)
-    try:
-        first = runtime.compress("zstd", PAGE)
-        second = runtime.compress("zstd", PAGE)
-        assert first == second
-        assert runtime.codec_calls_saved == 1
-        assert get_codec("zstd").decompress(first[0]) == PAGE
-    finally:
-        runtime.shutdown()
+    first = runtime.compress("zstd", PAGE)
+    second = runtime.compress("zstd", PAGE)
+    assert first == second
+    assert runtime.codec_calls_saved == 1
+    assert get_codec("zstd").decompress(first[0]) == PAGE
 
 
-def test_runtime_compress_pair_matches_serial_codecs():
-    runtime = PerfRuntime(
-        pool_workers=2, pool_kind="thread", memo_capacity_bytes=1 << 20
-    )
+def test_runtime_decompress_roundtrip():
+    runtime = PerfRuntime(memo_capacity_bytes=1 << 20)
+    payload = get_codec("lz4").compress(PAGE)
+    assert runtime.decompress("lz4", payload, verified=True) == PAGE
+    assert runtime.decompress("lz4", payload, verified=True) == PAGE
+    assert runtime.codec_calls_saved == 1
+
+
+def test_module_level_calls_are_inline_without_a_runtime_and_memoized_with():
+    # The one memo-or-inline decision: call sites never ask which.
+    hw = get_codec("hw-gzip")
+    block = PAGE[:4096]
     try:
-        out = runtime.compress_pair(PAGE)
-        assert set(out) == {"lz4", "zstd"}
-        for codec_name, (payload, _crc) in out.items():
-            assert payload == get_codec(codec_name).compress(PAGE)
-        assert runtime.pool.stats()["batches"] == 1
-        # Second evaluation of the same page is served from the memo.
-        runtime.compress_pair(PAGE)
-        assert runtime.codec_calls_saved == 2
+        deactivate()
+        payload, crc = perf.compress("lz4", bytearray(PAGE))
+        assert payload == get_codec("lz4").compress(PAGE)
+        assert crc == 0  # lazy on the inline branch: the caller checksums
+        assert perf.decompress("lz4", payload) == PAGE
+        assert perf.hw_compressed_len(hw, block) == len(hw.compress(block))
+        runtime = configure(PerfRuntime(memo_capacity_bytes=1 << 20))
+        fast_payload, fast_crc = perf.compress("lz4", bytearray(PAGE))
+        assert fast_payload == payload and fast_crc != 0
+        assert perf.compress("lz4", PAGE) == (fast_payload, fast_crc)
+        assert perf.decompress("lz4", payload) == PAGE
+        assert perf.decompress("lz4", payload) == PAGE
+        assert perf.hw_compressed_len(hw, block) == len(hw.compress(block))
+        assert perf.hw_compressed_len(hw, block) == len(hw.compress(block))
+        assert runtime.codec_calls_saved == 3
     finally:
-        runtime.shutdown()
+        deactivate()
+
+
+# -- REPRO_PERF / config ----------------------------------------------------
 
 
 def test_configure_from_env(monkeypatch):
@@ -176,31 +133,28 @@ def test_configure_from_env(monkeypatch):
         monkeypatch.setenv("REPRO_PERF", "0")
         configure_from_env()
         assert perf_active() is None
-        monkeypatch.setenv(
-            "REPRO_PERF", "pool=2,memo=8,kind=thread"
-        )
+        monkeypatch.setenv("REPRO_PERF", "memo=8")
         configure_from_env()
         runtime = perf_active()
         assert runtime is not None
-        assert runtime.pool.workers == 2
-        assert runtime.pool.kind == "thread"
         assert runtime.memo.capacity_bytes == 8 * 1024 * 1024
-        monkeypatch.setenv("REPRO_PERF", "pool=oops")
+        monkeypatch.setenv("REPRO_PERF", "memo=oops")
         with pytest.raises(ValueError):
             configure_from_env()
-        monkeypatch.setenv("REPRO_PERF", "turbo=9")
-        with pytest.raises(ValueError):
-            configure_from_env()
+        # Unknown keys — the removed pool knobs included — fail loudly,
+        # naming the key, and install nothing.
+        deactivate()
+        for spec in ("turbo=9", "pool=2", "kind=thread"):
+            monkeypatch.setenv("REPRO_PERF", spec)
+            with pytest.raises(ValueError, match=repr(spec.split("=")[0])):
+                configure_from_env()
+            assert perf_active() is None
     finally:
         deactivate()
 
 
-def test_runtime_decompress_roundtrip():
-    runtime = PerfRuntime(memo_capacity_bytes=1 << 20)
-    try:
-        payload = get_codec("lz4").compress(PAGE)
-        assert runtime.decompress("lz4", payload, verified=True) == PAGE
-        assert runtime.decompress("lz4", payload, verified=True) == PAGE
-        assert runtime.codec_calls_saved == 1
-    finally:
-        runtime.shutdown()
+def test_removed_config_keys_hit_the_unknown_key_error():
+    with pytest.raises(ValueError, match="unknown keys.*'perf'.*pool_workers"):
+        ReproConfig.from_dict({"perf": {"pool_workers": 2}})
+    with pytest.raises(ValueError, match="unknown config sections.*parallel"):
+        ReproConfig.from_dict({"parallel": {"workers": 2}})

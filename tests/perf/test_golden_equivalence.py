@@ -3,9 +3,8 @@
 Each test runs the same seeded workload twice — serial reference, then
 with a configured :class:`~repro.perf.runtime.PerfRuntime` — and
 asserts byte-identical outputs and identical simulated timestamps.
-This is the contract everything in ``repro.perf`` hangs off: memo hits,
-pooled codec calls, and zero-copy buffer handling are invisible to the
-simulated universe.
+This is the contract everything in ``repro.perf`` hangs off: memo hits
+are invisible to the simulated universe.
 """
 
 import hashlib
@@ -79,15 +78,7 @@ def _store_trace():
 
 
 @pytest.mark.parametrize(
-    "spec",
-    [
-        {"pool_workers": 0, "memo_capacity_bytes": 8 * MiB},
-        {"pool_workers": 2, "pool_kind": "thread",
-         "memo_capacity_bytes": 8 * MiB},
-        {"pool_workers": 2, "pool_kind": "thread",
-         "memo_capacity_bytes": 8 * MiB, "zero_copy": False},
-    ],
-    ids=["memo-only", "memo+pool", "no-zero-copy"],
+    "spec", [{"memo_capacity_bytes": 8 * MiB}], ids=["memo-only"]
 )
 def test_store_pipeline_golden(spec):
     serial = _store_trace()
@@ -106,9 +97,7 @@ def test_sysbench_scenario_golden():
     stack (B+tree, buffer pool, group commit, checkpoint, scrub) is
     byte- and sim-time-identical under the fast path."""
     serial = harness._timed(harness.scenario_sysbench8, quick=True)
-    runtime = PerfRuntime(
-        pool_workers=2, pool_kind="thread", memo_capacity_bytes=8 * MiB
-    )
+    runtime = PerfRuntime(memo_capacity_bytes=8 * MiB)
     configure(runtime)
     fast = harness._timed(harness.scenario_sysbench8, quick=True)
     saved = runtime.codec_calls_saved

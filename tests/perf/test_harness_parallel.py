@@ -1,4 +1,4 @@
-"""The perf harness's third leg (parallel workers), its error
+"""The perf harness's parallel leg (fan-out scenarios only), its error
 containment, and the parallel regression gates."""
 
 import pytest
@@ -52,12 +52,18 @@ def test_errored_scenario_is_a_check_violation(fake_scenarios):
     assert all("ok" != f.split(":")[0] for f in failures)
 
 
-def test_parallel_leg_runs_and_reports(fake_scenarios):
-    scoreboard = run_harness(["ok"], verbose=False, workers=2)
-    row = scoreboard["scenarios"]["ok"]
-    assert row["workers"] == 2
-    assert row["parallel"]["identical"] is True
+def test_parallel_leg_runs_and_reports(fake_scenarios, monkeypatch):
+    # Only scenarios that actually fan out carry a parallel block.
+    monkeypatch.setitem(ph.SCENARIOS, "fans", _fake_scenario())
+    monkeypatch.setattr(ph, "FANOUT_SCENARIOS", ("fans",))
+    scoreboard = run_harness(["ok", "fans"], verbose=False, workers=2)
     assert scoreboard["workers"] == 2
+    assert scoreboard["scenarios"]["fans"]["parallel"]["identical"] is True
+    assert "parallel" not in scoreboard["scenarios"]["ok"]
+    assert "pool" not in scoreboard["scenarios"]["ok"]
+    assert scoreboard["perf_spec"] == {
+        "memo_capacity_bytes": ph.DEFAULT_MEMO_BYTES
+    }
 
 
 def _board(cpu_count, parallel):
