@@ -338,7 +338,7 @@ def run_chaos(
 
     # I5 convergence: every alive replica serves every page byte-exact.
     for i, node in enumerate(store.nodes):
-        if not store._alive[i]:
+        if not store.group.alive[i]:
             observed.append(f"I4: node {i} still down at end")
             continue
         for page_no in sorted(oracle):

@@ -80,26 +80,6 @@ def decode_row_page(image: bytes) -> Tuple[int, bytes]:
     return key, image[_ROW_HEADER.size:_ROW_HEADER.size + length]
 
 
-def drop_page(store: PolarStore, page_no: int) -> None:
-    """Free one page on every live replica of a volume (TRIM the space;
-    the WAL records the removal so recovery agrees)."""
-    for i, node in enumerate(store.nodes):
-        if not store._alive[i]:
-            store._missed[i].discard(page_no)
-            continue
-        if node.index.get(page_no) is None:
-            continue
-        entry = node.index.remove(page_no)
-        node.wal.append_index_remove(page_no)
-        node._release_entry(entry)
-        node.page_cache.remove(page_no)
-        cached = node.redo_cache.pop(page_no, None)
-        if cached:
-            node._redo_cache_bytes -= sum(
-                r.size_bytes for r in cached
-            )
-
-
 class ChunkState(enum.Enum):
     SERVING = "serving"
     MIGRATING = "migrating"   # copy/catch-up in flight; writes journal
@@ -464,7 +444,7 @@ class ClusterRuntime:
             raise ReproError(f"delete of missing key {key}")
         page_no = chunk.rows.pop(key)
         shard = self.owner(chunk)
-        drop_page(shard.store, page_no)
+        shard.store.drop_page(page_no)
         if chunk.state is ChunkState.MIGRATING:
             chunk.dirty.add(key)
             chunk.deleted[key] = page_no
@@ -663,7 +643,7 @@ class ClusterRuntime:
             target.chunks[chunk.chunk_id] = chunk
             chunk.shard_id = target_id
             for page_no in sorted(chunk.rows.values()):
-                drop_page(source.store, page_no)
+                source.store.drop_page(page_no)
             chunk.deleted = {}
             chunk.state = ChunkState.SERVING
             gate, chunk.gate = chunk.gate, None
@@ -730,7 +710,7 @@ class ClusterRuntime:
                 # the delete survives the cutover.
                 stale = chunk.deleted.pop(key, None)
                 if stale is not None:
-                    drop_page(target.store, stale)
+                    target.store.drop_page(stale)
                 continue
             read = yield from self._read_page(source, page_no)
             committed = yield from self._commit_write(
@@ -872,6 +852,5 @@ __all__ = [
     "RuntimeChunk",
     "ShardServer",
     "decode_row_page",
-    "drop_page",
     "encode_row_page",
 ]

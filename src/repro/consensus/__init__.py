@@ -1,9 +1,10 @@
 """Raft consensus running as engine processes.
 
-The static replication rule in :mod:`repro.storage.raft` commits a write
-at the majority but has no story for *who* the leader is when the
-current one dies or is partitioned away.  This package supplies that
-story on the deterministic event kernel:
+The volume's :class:`~repro.storage.raft.ReplicationGroup` commits a
+write at the majority and records who leads, but has no story for *who*
+the leader becomes when the current one dies or is partitioned away.
+This package supplies that story on the deterministic event kernel (and
+tells the group the outcome through ``PolarStore.attach_consensus``):
 
 * :mod:`repro.consensus.raft` — the node state machine: randomized
   (seeded) election timers, RequestVote/AppendEntries, term-based

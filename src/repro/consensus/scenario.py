@@ -248,7 +248,7 @@ def run_raft(
             f"{group.leader_id} term {group.leader_term}")
 
         # Phase B: crash the leader, recover it through WAL replay.
-        lead = store.leader_index
+        lead = store.group.leader
         store.fail_node(lead)
         report.leader_crashes += 1
         say(f"[{engine.now_us / 1e3:9.2f}ms] B: crashed leader {lead}")
@@ -304,7 +304,7 @@ def run_raft(
 
     # Settle: heal everything, resync stale replicas, checkpoint.
     for i in range(len(store.nodes)):
-        if not store._alive[i]:
+        if not store.group.alive[i]:
             store.recover_node(i, engine.now_us)
     end = store.resync_missed(engine.now_us)
     end = max(end, store.checkpoint(end))
@@ -336,7 +336,7 @@ def run_raft(
             per_node.append(lsns)
         for lsn in acked_lsns:
             copies = sum(1 for lsns in per_node if lsn in lsns)
-            if copies < store.quorum:
+            if copies < store.group.quorum:
                 out.append(
                     f"acked lsn {lsn} durable on only {copies}/"
                     f"{len(store.nodes)} replicas"

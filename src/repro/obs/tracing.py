@@ -20,7 +20,8 @@ span into the registry's histograms (``trace.<name>.self_us`` and
 ``trace.<root>.total_us``) and publishes the finished trace as
 ``tracer.last``.  Replica fan-out overlaps the leader's timeline, so
 replication code wraps follower work in :meth:`Tracer.suppressed` — only
-the critical path is attributed.
+the critical path is attributed.  An operation that raises gives its
+span to :meth:`Tracer.abandon` instead of ``end``.
 """
 
 from __future__ import annotations
@@ -163,6 +164,16 @@ class Tracer:
             self._stack.pop()
         if span.parent is None:
             self._finish(Trace(span))
+
+    def abandon(self, span: Optional[Span]) -> None:
+        """Discard ``span`` (and anything opened under it) unfinished:
+        the operation it covered raised.  Nothing is published, and the
+        stack is left as it was before ``span`` began."""
+        if span is None or span not in self._stack:
+            return
+        del self._stack[self._stack.index(span):]
+        if span.parent is not None:
+            span.parent.children.remove(span)
 
     @contextmanager
     def suppressed(self):

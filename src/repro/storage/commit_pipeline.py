@@ -29,7 +29,9 @@ being serialized against them.
   an error).  Only when the retry deadline is exhausted does the commit
   event fail with :class:`RaftError` — every waiter in the batch sees
   the same error, and nothing deadlocks, exactly as before;
-* each replication attempt snapshots the store's leader epoch and is
+* each replication attempt snapshots the epoch of the store's
+  :class:`~repro.storage.raft.ReplicationGroup` — the same object that
+  tells it who is reachable and how many acks make a majority — and is
   *fenced*: if an election moves leadership while the fan-out is in
   flight, the attempt fails rather than letting a deposed leader
   acknowledge a commit it can no longer guarantee.
@@ -188,27 +190,28 @@ class GroupCommitPipeline:
 
         Leader persist and every follower pipeline run as concurrent
         processes; this process wakes when quorum is durable (or
-        provably unreachable).  The attempt is pinned to the leader
+        provably unreachable).  The attempt is pinned to the group
         epoch observed at entry: an election mid-flight fails it with
         :class:`RaftError` instead of letting the deposed leader ack.
         """
         store = self.store
+        group = store.group
         engine = self.engine
-        store._require_quorum(engine.now_us)
-        epoch = store._leader_epoch
+        group.require_quorum(engine.now_us)
+        epoch = group.epoch
         leader = store.leader
         blob = encode_records(records)
         pages = [r.page_no for r in records]
         send = store.network.rpc_us(len(blob))
         ack = store.network.rpc_us(64)
-        needed = store.quorum - 1  # follower acks beyond the leader
+        needed = group.acks_needed
         quorum_ev = engine.event("redo-quorum")
         state = {"leader_done": False, "acks": 0, "live": 0, "lost": 0}
 
         def check() -> None:
             if quorum_ev.fired:
                 return
-            if store._leader_epoch != epoch:
+            if group.epoch != epoch:
                 quorum_ev.fail(RaftError(
                     "fenced: leadership changed during replication"
                 ))
@@ -217,7 +220,7 @@ class GroupCommitPipeline:
             elif state["live"] - state["lost"] < needed:
                 alive = 1 + state["live"] - state["lost"]
                 quorum_ev.fail(
-                    RaftError(f"no quorum: {alive}/{len(store.nodes)} alive")
+                    RaftError(f"no quorum: {alive}/{group.size} alive")
                 )
 
         def leader_proc():
@@ -233,12 +236,12 @@ class GroupCommitPipeline:
                 # leader's work is attributed on the commit path.
                 yield from node.persist_redo_proc(blob, trace=False)
             except DeviceUnavailableError:
-                store._missed[i].update(pages)
+                group.missed[i].update(pages)
                 state["lost"] += 1
                 check()
                 return
             yield engine.timeout(ack)
-            if store._net_blocked(i, engine.now_us):
+            if group.net_blocked(i, engine.now_us):
                 # The ack died in a partition that opened mid-flight;
                 # the follower's copy is durable but unprovable here.
                 state["lost"] += 1
@@ -247,12 +250,14 @@ class GroupCommitPipeline:
             check()
 
         engine.spawn(leader_proc(), name="redo-leader")
-        for i, node in store._followers():
-            if not store._alive[i] or store._net_blocked(i, engine.now_us):
-                store._missed[i].update(pages)
+        for i in group.followers():
+            if not group.reachable(i, engine.now_us):
+                group.missed[i].update(pages)
                 continue
             state["live"] += 1
-            engine.spawn(follower_proc(i, node), name=f"redo-follower-{i}")
+            engine.spawn(
+                follower_proc(i, store.nodes[i]), name=f"redo-follower-{i}"
+            )
         check()  # degenerate case: no follower can ever ack
         commit = yield quorum_ev
         return commit

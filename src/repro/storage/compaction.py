@@ -79,7 +79,7 @@ class CompactionScheduler:
         while True:
             yield engine.timeout(self.period_us)
             for i, node in enumerate(store.nodes):
-                if not store._alive[i]:
+                if not store.group.alive[i]:
                     continue
                 if getattr(node.log_store, "consolidate_on_cycle", True):
                     done = node.consolidate_pending(engine.now_us)

@@ -18,7 +18,7 @@ FIFO — the building block of the volume-level group-commit pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro import perf
 from repro.common.checksum import crc32
@@ -171,8 +171,10 @@ class StorageNode:
             metrics=self.metrics, metric_name="storage.page_cache",
             metric_labels={"node": name},
         )
-        # Redo machinery.
+        # Redo machinery.  The cache and its byte counts (per page, and
+        # their total) change together, through _stage_redo / _pop_redo.
         self.redo_cache: Dict[int, List[RedoRecord]] = {}
+        self._redo_page_bytes: Dict[int, int] = {}
         self._redo_cache_bytes = 0
         self._last_algorithm: Dict[int, str] = {}
         #: How evicted redo is organized + compacted (§3.3.3 family).
@@ -422,6 +424,18 @@ class StorageNode:
             self.wal.append_free(piece_lba, piece_blocks)
         self.heavy.release(segment_id)
 
+    def drop_page(self, page_no: int) -> None:
+        """Forget one materialized page: index entry (WAL-logged so
+        recovery agrees), device blocks (TRIMmed), cached image, cached
+        redo.  A page this node holds no image of is left alone."""
+        entry = self.index.remove(page_no)
+        if entry is None:
+            return
+        self.wal.append_index_remove(page_no)
+        self._release_entry(entry)
+        self.page_cache.remove(page_no)
+        self._pop_redo(page_no)
+
     # ------------------------------------------------------------------ #
     # Page read path                                                      #
     # ------------------------------------------------------------------ #
@@ -432,10 +446,14 @@ class StorageNode:
         root = tracer.begin("storage.page_read", start_us, layer="storage")
         pending = self.redo_cache.get(page_no) or []
         spilled = self.log_store.blocks_for(page_no) > 0
-        if not pending and not spilled:
-            result = self._read_materialized(start_us, page_no)
-        else:
-            result = self._consolidate_and_read(start_us, page_no)
+        try:
+            if not pending and not spilled:
+                result = self._read_materialized(start_us, page_no)
+            else:
+                result = self._consolidate_and_read(start_us, page_no)
+        except Exception:
+            tracer.abandon(root)
+            raise
         tracer.end(root, result.done_us)
         self.page_read_stats.append(result.done_us - start_us)
         return result
@@ -546,9 +564,7 @@ class StorageNode:
         page (already folded into ``data`` by the healthy replica), and
         the bad on-device blocks (released by the index overwrite).
         """
-        cached = self.redo_cache.pop(page_no, None)
-        if cached:
-            self._redo_cache_bytes -= sum(r.size_bytes for r in cached)
+        self._pop_redo(page_no)
         self.log_store.discard(page_no)
         self.page_cache.remove(page_no)
         prepared = self.prepare_page(page_no, data)
@@ -683,36 +699,44 @@ class StorageNode:
         lba = self._next_perf_lba(LBA_SIZE)
         return self.perf_device.write(start_us, lba, _ZERO_LBA).done_us
 
+    def _stage_redo(self, records: Iterable[RedoRecord]) -> None:
+        """Cache ``records`` under their pages (a page not yet cached
+        joins at the end of the eviction tie-break order)."""
+        cache, page_bytes = self.redo_cache, self._redo_page_bytes
+        for record in records:
+            page_no, nbytes = record.page_no, record.size_bytes
+            cache.setdefault(page_no, []).append(record)
+            page_bytes[page_no] = page_bytes.get(page_no, 0) + nbytes
+            self._redo_cache_bytes += nbytes
+
+    def _pop_redo(self, page_no: int) -> List[RedoRecord]:
+        """Remove and return the page's cached redo (``[]`` if none)."""
+        self._redo_cache_bytes -= self._redo_page_bytes.pop(page_no, 0)
+        return self.redo_cache.pop(page_no, [])
+
     def add_redo(self, start_us: float, records: List[RedoRecord]) -> float:
         """Cache redo records; spill the overflow to the log store."""
         now = start_us
-        for record in records:
-            self.redo_cache.setdefault(record.page_no, []).append(record)
-            self._redo_cache_bytes += record.size_bytes
+        self._stage_redo(records)
         while self._redo_cache_bytes > self.config.redo_cache_bytes:
             now = self._evict_one_page(now)
         return now
 
     def _evict_one_page(self, start_us: float) -> float:
         # Evict the page with the most cached redo bytes (best payoff).
-        page_no = max(
-            self.redo_cache,
-            key=lambda p: sum(r.size_bytes for r in self.redo_cache[p]),
-        )
+        page_no = max(self._redo_page_bytes, key=self._redo_page_bytes.get)
         if self._would_overflow_page_log(page_no):
             # Too much redo for the 4 KB per-page log slot: consolidate
             # the page instead (the logs fold into the page image).
             result = self._consolidate_and_read(start_us, page_no)
             return result.done_us
-        records = self.redo_cache.pop(page_no)
-        self._redo_cache_bytes -= sum(r.size_bytes for r in records)
+        records = self._pop_redo(page_no)
         self._redo_spills.inc()
         try:
             return self.log_store.evict(start_us, records)
         except DeviceUnavailableError:
             # Spill never hit the device; keep the records in memory.
-            self.redo_cache[page_no] = records
-            self._redo_cache_bytes += sum(r.size_bytes for r in records)
+            self._stage_redo(records)
             raise
 
     def _would_overflow_page_log(self, page_no: int) -> bool:
@@ -720,12 +744,9 @@ class StorageNode:
         if capacity is None:
             # Scattered / run-based layouts grow per-page without bound.
             return False
-        pending = sum(r.size_bytes for r in self.redo_cache.get(page_no, ()))
+        pending = self._redo_page_bytes.get(page_no, 0)
         existing = self.log_store.stored_bytes_for(page_no)
         return pending + existing > capacity
-
-    def pending_redo_pages(self) -> List[int]:
-        return list(self.redo_cache)
 
     # ------------------------------------------------------------------ #
     # Consolidation                                                       #
@@ -777,9 +798,7 @@ class StorageNode:
         cpu += cpu_apply
 
         # Write back the materialized page and drop the logs.
-        cached = self.redo_cache.pop(page_no, None)
-        if cached:
-            self._redo_cache_bytes -= sum(r.size_bytes for r in cached)
+        self._pop_redo(page_no)
         self.log_store.discard(page_no)
         # §3.3.2: the database layer estimates the updated fraction from
         # the log size; re-selection only triggers past the 30% gate.
@@ -803,11 +822,7 @@ class StorageNode:
                 # The write-back never persisted.  Re-stage the records so
                 # this replica is not left silently stale (its old page
                 # image still passes its old checksum).
-                if records:
-                    self.redo_cache[page_no] = list(records)
-                    self._redo_cache_bytes += sum(
-                        r.size_bytes for r in records
-                    )
+                self._stage_redo(records)
                 raise
         self._admit(page_no, image)
         return ReadResult(image, now, io_reads, cpu, consolidated=True)

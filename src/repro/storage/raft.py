@@ -1,24 +1,32 @@
-"""Simplified Raft-style 3-way replication (§3.2.1).
+"""The volume's replication state and commit rule (§3.2.1).
 
-PolarStore commits a write once the leader and a majority of replicas have
-persisted it.  This module models exactly that commit rule plus the
-network.  Leadership election and log repair live in
-:mod:`repro.consensus` — a full Raft implementation (randomized election
-timers, term fencing, nextIndex backoff) that a volume opts into via
-:meth:`PolarStore.attach_consensus`; without it leadership stays static
-at replica 0, and follower failure / quorum loss are still modeled so
-the availability behaviour is testable either way.
+PolarStore commits a write once the leader and a majority of replicas
+have persisted it.  :class:`ReplicationGroup` holds what that rule needs
+to know about one volume's replica set — who is alive, which pages each
+replica missed, who leads and in which epoch, which links the attached
+network fault plan severs — and states the rule once:
+:meth:`~ReplicationGroup.require_quorum` before any replica is touched,
+:meth:`~ReplicationGroup.commit_time` once the acks are in.
+:class:`~repro.storage.store.PolarStore` owns one (``store.group``) and
+makes the node calls; the group-commit pipeline, the compaction
+scheduler and the chaos/raft harnesses read the same object.
 
-Timing: the leader issues the replica RPCs in parallel; each follower
-persists through its own device queue; the commit time is the leader
-persist time joined with the second-fastest follower acknowledgement
-(majority of 3 = leader + 1).
+Elections and log repair live in :mod:`repro.consensus`, a full Raft
+that a volume opts into via :meth:`PolarStore.attach_consensus` and that
+calls :meth:`~ReplicationGroup.elect` on every leader change.  Static
+leadership is simply the group nobody re-elects: replica 0 leads epoch 0
+forever, and follower failure / quorum loss are modeled all the same.
+
+Timing: the leader issues the replica RPCs in parallel and each follower
+persists through its own device queue, so a write commits at the
+leader's persist time joined with the ``quorum - 1``-th fastest follower
+acknowledgement (majority of 3 = leader + 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Iterable, List, Set
 
 from repro.common.errors import RaftError
 from repro.common.units import KiB
@@ -40,86 +48,93 @@ class NetworkModel:
         return self.one_way_us + self.per_kib_us * payload_bytes / KiB
 
 
-#: A persist function: (start_us, payload) -> completion time in µs.
-PersistFn = Callable[[float, bytes], float]
-
-
-class Replica:
-    """One member of the group; ``persist`` writes to its local durable
-    medium (WAL device or data device, injected by the storage node)."""
-
-    def __init__(self, name: str, persist: PersistFn) -> None:
-        self.name = name
-        self.persist = persist
-        self.alive = True
-        self.persisted_count = 0
-
-    def handle_append(self, arrive_us: float, payload: bytes) -> float:
-        if not self.alive:
-            raise RaftError(f"replica {self.name} is down")
-        done = self.persist(arrive_us, payload)
-        self.persisted_count += 1
-        return done
-
-
-@dataclass(frozen=True)
-class CommitResult:
-    commit_us: float
-    leader_persist_us: float
-    follower_acks_us: List[float]
-
-
 class ReplicationGroup:
-    """Leader + followers with majority-commit semantics."""
+    """Replica-set state of one volume plus the majority-commit rule.
 
-    def __init__(
-        self,
-        leader: Replica,
-        followers: Sequence[Replica],
-        network: NetworkModel = NetworkModel(),
-    ) -> None:
-        if not followers:
-            raise RaftError("need at least one follower")
-        self.leader = leader
-        self.followers = list(followers)
-        self.network = network
+    Replicas are addressed by index (the same index as
+    ``PolarStore.nodes`` and, under consensus, the Raft node id).
+    """
 
-    @property
-    def size(self) -> int:
-        return 1 + len(self.followers)
+    def __init__(self, size: int) -> None:
+        if size < 1:
+            raise RaftError("a replication group needs at least one replica")
+        self.size = size
+        self.alive: List[bool] = [True] * size
+        #: Pages each replica missed while down, partitioned or while its
+        #: device was failing: its copy (if any) is stale, so it is
+        #: excluded from reads and repair sourcing until resynced.
+        self.missed: List[Set[int]] = [set() for _ in range(size)]
+        self.leader = 0
+        #: Bumped by every :meth:`elect`; in-flight pipelined commits
+        #: snapshot it so an election fences them.
+        self.epoch = 0
+        #: A :class:`~repro.chaos.net.NetFaultPlan` (replica index = net
+        #: node id) whose partitions also sever the replica fan-out.
+        self.net_plan = None
 
     @property
     def quorum(self) -> int:
         return self.size // 2 + 1
 
-    def replicate(self, start_us: float, payload: bytes) -> CommitResult:
-        """Persist ``payload`` on a majority; returns commit timing.
+    @property
+    def acks_needed(self) -> int:
+        """Follower acknowledgements a commit needs beyond the leader's
+        own persist."""
+        return self.quorum - 1
 
-        Raises :class:`RaftError` when too few replicas are alive to form
-        a quorum (counting the leader).
+    def followers(self) -> List[int]:
+        """Replica indexes other than the current leader's, in order."""
+        return [i for i in range(self.size) if i != self.leader]
+
+    def elect(self, index: int) -> None:
+        """Move leadership to ``index`` and open a new epoch."""
+        self.leader = index
+        self.epoch += 1
+
+    def net_blocked(self, index: int, now_us: float) -> bool:
+        """Is the leader <-> ``index`` link partitioned right now?"""
+        plan = self.net_plan
+        if plan is None:
+            return False
+        lead = self.leader
+        return plan.blocked(lead, index, now_us) or plan.blocked(
+            index, lead, now_us
+        )
+
+    def reachable(self, index: int, now_us: float) -> bool:
+        """Can the leader get a write to replica ``index`` right now?"""
+        return self.alive[index] and not self.net_blocked(index, now_us)
+
+    def current(self, index: int, page_no: int) -> bool:
+        """Does replica ``index`` hold a current copy of ``page_no``?"""
+        return self.alive[index] and page_no not in self.missed[index]
+
+    def require_quorum(self, now_us: float) -> None:
+        """Refuse before mutating any replica when quorum is already known
+        to be lost: writing the leader first would leave an orphaned local
+        copy of an update that never committed — unreadable garbage no
+        healthy replica can repair.  A partitioned follower counts as
+        lost like a dead one — the same hazard, caused by a severed link
+        instead of a dead process.
         """
-        if not self.leader.alive:
-            raise RaftError("leader is down")
-        leader_done = self.leader.handle_append(start_us, payload)
-
-        acks: List[float] = []
-        send_cost = self.network.rpc_us(len(payload))
-        ack_cost = self.network.rpc_us(64)  # small ack message
-        for follower in self.followers:
-            if not follower.alive:
-                continue
-            arrive = start_us + send_cost
-            persisted = follower.handle_append(arrive, payload)
-            acks.append(persisted + ack_cost)
-
-        alive = 1 + len(acks)
-        if alive < self.quorum:
+        if not self.alive[self.leader]:
+            raise RaftError("leader replica is down (awaiting election)")
+        reachable = 1 + sum(
+            self.reachable(i, now_us) for i in self.followers()
+        )
+        if reachable < self.quorum:
             raise RaftError(
-                f"no quorum: {alive}/{self.size} alive, need {self.quorum}"
+                f"no quorum: {reachable}/{self.size} reachable"
             )
-        acks.sort()
-        needed_acks = self.quorum - 1  # leader counts toward quorum
-        commit = leader_done
-        if needed_acks > 0:
-            commit = max(commit, acks[needed_acks - 1])
-        return CommitResult(commit, leader_done, acks)
+
+    def commit_time(self, leader_done: float, acks: Iterable[float]) -> float:
+        """When a write commits: the leader's persist joined with the
+        ``acks_needed``-th follower acknowledgement.  Raises
+        :class:`RaftError` when too few followers acknowledged."""
+        acks = sorted(acks)
+        needed = self.acks_needed
+        if len(acks) < needed:
+            raise RaftError(
+                f"no quorum: {1 + len(acks)}/{self.size} alive"
+            )
+        return max(leader_done, acks[needed - 1]) if needed else leader_done

@@ -268,7 +268,7 @@ def _restage_redo(node: StorageNode, index: PageIndex) -> None:
             applied = entry.applied_lsn if entry else 0
             if record.lsn > applied:
                 pending.setdefault(record.page_no, []).append(record)
-    for page_no, records in pending.items():
+    for records in pending.values():
         # Deduplicate by LSN (a batch may have been re-persisted).
         seen = set()
         unique = []
@@ -276,5 +276,4 @@ def _restage_redo(node: StorageNode, index: PageIndex) -> None:
             if record.lsn not in seen:
                 seen.add(record.lsn)
                 unique.append(record)
-        node.redo_cache[page_no] = unique
-        node._redo_cache_bytes += sum(r.size_bytes for r in unique)
+        node._stage_redo(unique)

@@ -20,13 +20,12 @@ import dataclasses
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.common.clock import SimClock
 from repro.common.errors import (
     DeviceUnavailableError,
     PageCorruptionError,
-    RaftError,
     ReproError,
 )
 from repro.common.units import DB_PAGE_SIZE, MiB
@@ -41,7 +40,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.perf.runtime import perf_active
 from repro.storage.consolidation import ConsolidationConfig
 from repro.storage.node import NodeConfig, PreparedWrite, ReadResult, StorageNode
-from repro.storage.raft import NetworkModel
+from repro.storage.raft import NetworkModel, ReplicationGroup
 from repro.storage.redo import RedoRecord, encode_records
 
 _node_counter = itertools.count()
@@ -118,7 +117,14 @@ def build_node(
 
 
 class PolarStore:
-    """A replicated volume: one leader node plus ``replicas - 1`` followers."""
+    """A replicated volume: one leader node plus ``replicas - 1`` followers.
+
+    ``nodes`` are the replicas; ``group`` (a :class:`ReplicationGroup`) is
+    the only record of which of them are alive, stale, partitioned or
+    leading.  Every replicated write goes through one quorum fan-out
+    (:meth:`_replicate`), every maintenance pass over the replicas through
+    one retry-with-repair loop (:meth:`_on_each_replica`).
+    """
 
     def __init__(
         self,
@@ -134,8 +140,8 @@ class PolarStore:
         parallelism: int = 8,
         consolidation: Optional[ConsolidationConfig] = None,
     ) -> None:
-        if replicas < 1:
-            raise ValueError("need at least one replica")
+        #: Replica-set state and the commit rule (see class docstring).
+        self.group = ReplicationGroup(replicas)
         self.config = config if config is not None else NodeConfig()
         #: Consolidation policy + compaction cadence shared by all nodes.
         self.consolidation = (
@@ -164,23 +170,10 @@ class PolarStore:
             )
             for i in range(replicas)
         ]
-        self._alive = [True] * replicas
-        #: Pages each replica missed while down or while its device was
-        #: failing: its copy (if any) is stale, so it is excluded from
-        #: hedged reads and repair sourcing until resynced.
-        self._missed: List[set] = [set() for _ in range(replicas)]
         #: Chaos fault plan (when armed) — its ledger attributes detected
         #: corruption back to the injected fault kind.
         self.chaos_plan = None
-        #: Network fault plan (when armed): partitions that sever
-        #: consensus heartbeats also sever this volume's replica fan-out.
-        self._net_plan = None
-        #: Elected leadership (when a consensus group is attached).
-        #: Without one the leader is statically replica 0, as before.
-        self._leader_index = 0
-        #: Bumped on every leader change; the commit pipeline snapshots
-        #: it to fence in-flight replication across an election.
-        self._leader_epoch = 0
+        #: The elected Raft group driving ``group.elect`` (when attached).
         self._consensus = None
         #: Volume-time high-water mark: every commit/read completion
         #: advances it, so control-plane operations (recovery, resync)
@@ -260,15 +253,7 @@ class PolarStore:
 
     @property
     def leader(self) -> StorageNode:
-        return self.nodes[self._leader_index]
-
-    @property
-    def leader_index(self) -> int:
-        return self._leader_index
-
-    @property
-    def quorum(self) -> int:
-        return len(self.nodes) // 2 + 1
+        return self.nodes[self.group.leader]
 
     def attach_chaos(self, plan) -> None:
         """Register the fault plan whose ledger attributes corruption."""
@@ -279,15 +264,15 @@ class PolarStore:
         fan-out consults its partition windows (node index = net node
         id), so a partition that isolates the leader from a follower
         stops that follower from acking writes."""
-        self._net_plan = plan
+        self.group.net_plan = plan
 
     def attach_consensus(self, group) -> None:
         """Drive this volume's leadership from an elected Raft group.
 
         Raft node ids map one-to-one onto replica indexes.  Every
-        election moves the write/read anchor to the winner and bumps the
-        leader epoch that fences in-flight pipelined commits; crash and
-        recovery of a replica crash and restart its Raft node, so a
+        election moves the write/read anchor to the winner and opens a
+        new group epoch, which fences in-flight pipelined commits; crash
+        and recovery of a replica crash and restart its Raft node, so a
         failed *leader* now triggers a real failover instead of the old
         "out of scope" refusal.
         """
@@ -298,13 +283,12 @@ class PolarStore:
             )
         self._consensus = group
         if group.leader_id is not None:
-            self._leader_index = group.leader_id
+            self.group.leader = group.leader_id
         group.add_leader_listener(self._on_consensus_leader)
 
     def _on_consensus_leader(self, node_id: int, term: int) -> None:
-        changed = node_id != self._leader_index
-        self._leader_index = node_id
-        self._leader_epoch += 1
+        changed = node_id != self.group.leader
+        self.group.elect(node_id)
         if changed:
             self.metrics.counter("storage.leader_changes").add(1)
         rec = recorder_active()
@@ -314,24 +298,6 @@ class PolarStore:
                 node=node_id, term=term,
             )
 
-    def _net_blocked(self, index: int, now_us: float) -> bool:
-        """Is the leader <-> ``index`` link partitioned right now?"""
-        plan = self._net_plan
-        if plan is None:
-            return False
-        lead = self._leader_index
-        return plan.blocked(lead, index, now_us) or plan.blocked(
-            index, lead, now_us
-        )
-
-    def _followers(self):
-        """Replica ``(index, node)`` pairs excluding the current leader
-        (the dynamic counterpart of the old ``nodes[1:]`` fan-out)."""
-        lead = self._leader_index
-        return [
-            (i, node) for i, node in enumerate(self.nodes) if i != lead
-        ]
-
     def fail_node(self, index: int) -> None:
         """Crash a replica (loses all RAM state).
 
@@ -340,11 +306,11 @@ class PolarStore:
         (when present) crashes with the replica, so the failure is
         visible to the consensus plane too.
         """
-        if index == self._leader_index and self._consensus is None:
+        if index == self.group.leader and self._consensus is None:
             raise ReproError("leader failover requires a consensus group")
-        if not self._alive[index]:
+        if not self.group.alive[index]:
             raise ReproError(f"node {index} is already failed")
-        self._alive[index] = False
+        self.group.alive[index] = False
         if self._consensus is not None:
             self._consensus.crash(index)
 
@@ -363,7 +329,7 @@ class PolarStore:
         forward — a stale (or defaulted) timestamp cannot schedule
         recovery I/O before commits that already completed.
         """
-        if self._alive[index]:
+        if self.group.alive[index]:
             raise ReproError(f"node {index} is not failed")
         now = self.clock.now_us
         if now_us is not None:
@@ -376,7 +342,7 @@ class PolarStore:
                 self._engine, qd=self._qd, defer_gc=self._defer_gc
             )
         self.nodes[index] = rebuilt
-        self._alive[index] = True
+        self.group.alive[index] = True
         if self._consensus is not None:
             # Even a deposed leader rejoins as FOLLOWER at its persisted
             # term; its Raft log repairs (nextIndex backoff) before the
@@ -398,18 +364,19 @@ class PolarStore:
     def _resync_node(self, index: int, now_us: float) -> float:
         """Copy every missed page from a healthy replica onto ``index``.
 
-        Pages stay in ``_missed[index]`` until their copy lands, so the
-        read path never mistakes this node's stale-but-checksummed copy
-        for a good repair source mid-resync.  The good image comes from
-        the *verified* store read (the source copy itself may be bit-rot
-        damaged and need repair first).
+        Pages stay in ``group.missed[index]`` until their copy lands, so
+        the read path never mistakes this node's stale-but-checksummed
+        copy for a good repair source mid-resync.  The good image comes
+        from the *verified* store read (the source copy itself may be
+        bit-rot damaged and need repair first).
         """
         node = self.nodes[index]
+        missed = self.group.missed[index]
         now = now_us
         with self.metrics.tracer.suppressed():
-            for page_no in sorted(self._missed[index]):
+            for page_no in sorted(missed):
                 if self.leader.index.get(page_no) is None:
-                    self._missed[index].discard(page_no)
+                    missed.discard(page_no)
                     continue
                 try:
                     good = self.read_page(now, page_no)
@@ -423,7 +390,7 @@ class PolarStore:
                     )
                 except DeviceUnavailableError:
                     break  # still down: the rest stays queued for later
-                self._missed[index].discard(page_no)
+                missed.discard(page_no)
                 now = result.done_us
                 self.metrics.counter(
                     "chaos.resynced_pages", node=node.name
@@ -434,8 +401,9 @@ class PolarStore:
         """Resync stale pages on replicas that stayed up through a device
         outage (their writes were dropped, not their process)."""
         now = now_us
-        for i, _node in self._followers():
-            if self._alive[i] and self._missed[i]:
+        group = self.group
+        for i in group.followers():
+            if group.alive[i] and group.missed[i]:
                 now = max(now, self._resync_node(i, now_us))
         return now
 
@@ -486,13 +454,18 @@ class PolarStore:
                 payload_bytes=len(prepared.payload),
                 cpu_us=round(prepared.cpu_us, 3),
             )
-        commit = self._replicate_page(
-            after_compress, page_no, prepared, applied_lsn
+        # A full fresh copy supersedes any older missed version: a
+        # follower it lands on is current for the page again, and may
+        # serve as a repair source for it.
+        commit = self._replicate(
+            root, after_compress, (page_no,), len(prepared.payload),
+            lambda node, at_us: node.write_page_local(
+                at_us, page_no, prepared, applied_lsn=applied_lsn
+            ).done_us,
+            full_copy=True,
         )
-        tracer.end(root, commit)
         self.page_write_commit_stats.append(commit - start_us)
         self._commit_rate.record(commit)
-        self.clock.advance_to(commit)
         if rec is not None:
             rec.emit(
                 commit, "io", "page_write",
@@ -516,80 +489,57 @@ class PolarStore:
             0.0,
         )
 
-    def _replicate_page(
+    def _replicate(
         self,
+        root,
         start_us: float,
-        page_no: int,
-        prepared: PreparedWrite,
-        applied_lsn: int = 0,
+        pages: Sequence[int],
+        wire_bytes: int,
+        persist: Callable[[StorageNode, float], float],
+        full_copy: bool = False,
     ) -> float:
+        """The one synchronous quorum write (Figure 4 steps 2-4).
+
+        ``persist(node, at_us)`` applies the write to one replica and
+        returns its completion time: the leader at ``start_us``, each
+        reachable follower one RPC of ``wire_bytes`` later.  A follower
+        that is dead, partitioned or failing goes stale for ``pages``.
+        Closes ``root`` (the caller's open span) at the commit time it
+        returns — or abandons it when the write is refused or fails, so
+        the ambient span stack is left as the caller found it.
+        """
+        group = self.group
         tracer = self.metrics.tracer
-        self._require_quorum(start_us)
-        leader_done = self.leader.write_page_local(
-            start_us, page_no, prepared, applied_lsn=applied_lsn
-        ).done_us
-        send = self.network.rpc_us(len(prepared.payload))
-        ack = self.network.rpc_us(64)
-        acks: List[float] = []
-        # Followers run concurrently with the leader; only the critical
-        # path is attributed, so their spans are suppressed.
-        with tracer.suppressed():
-            for i, node in self._followers():
-                if not self._alive[i] or self._net_blocked(i, start_us):
-                    self._missed[i].add(page_no)
-                    continue
-                try:
-                    done = node.write_page_local(
-                        start_us + send, page_no, prepared,
-                        applied_lsn=applied_lsn,
-                    ).done_us
-                except DeviceUnavailableError:
-                    self._missed[i].add(page_no)
-                    continue
-                # A full fresh copy supersedes any older missed version:
-                # this follower is current for the page again, and may
-                # serve as a repair source for it.
-                self._missed[i].discard(page_no)
-                acks.append(done + ack)
-        commit = self._commit_time(leader_done, acks)
+        try:
+            group.require_quorum(start_us)
+            leader_done = persist(self.leader, start_us)
+            send = self.network.rpc_us(wire_bytes)
+            ack = self.network.rpc_us(64)
+            acks: List[float] = []
+            # Followers run concurrently with the leader; only the
+            # critical path is attributed, so their spans are suppressed.
+            with tracer.suppressed():
+                for i in group.followers():
+                    landed = group.reachable(i, start_us)
+                    if landed:
+                        try:
+                            acks.append(
+                                persist(self.nodes[i], start_us + send) + ack
+                            )
+                        except DeviceUnavailableError:
+                            landed = False
+                    if not landed:
+                        group.missed[i].update(pages)
+                    elif full_copy:
+                        group.missed[i].difference_update(pages)
+            commit = group.commit_time(leader_done, acks)
+        except Exception:
+            tracer.abandon(root)
+            raise
         sp = tracer.begin("net.quorum_wait", leader_done, layer="net")
         tracer.end(sp, commit)
-        return commit
-
-    def _require_quorum(self, now_us: Optional[float] = None) -> None:
-        """Refuse before mutating any replica when quorum is already known
-        to be lost: writing the leader first would leave an orphaned local
-        copy of an update that never committed — unreadable garbage no
-        healthy replica can repair.
-
-        With ``now_us``, partitioned followers (per the attached net
-        plan) count as unreachable too — the same orphaned-copy hazard,
-        caused by a severed link instead of a dead process.
-        """
-        if not self._alive[self._leader_index]:
-            raise RaftError(
-                "leader replica is down (awaiting election)"
-            )
-        reachable = 1 + sum(
-            1
-            for i, _node in self._followers()
-            if self._alive[i]
-            and not (now_us is not None and self._net_blocked(i, now_us))
-        )
-        if reachable < self.quorum:
-            raise RaftError(
-                f"no quorum: {reachable}/{len(self.nodes)} reachable"
-            )
-
-    def _commit_time(self, leader_done: float, acks: List[float]) -> float:
-        alive = 1 + len(acks)
-        if alive < self.quorum:
-            raise RaftError(f"no quorum: {alive}/{len(self.nodes)} alive")
-        acks.sort()
-        needed = self.quorum - 1
-        commit = leader_done
-        if needed > 0:
-            commit = max(commit, acks[needed - 1])
+        tracer.end(root, commit)
+        self.clock.advance_to(commit)
         return commit
 
     def write_partial(
@@ -597,62 +547,28 @@ class PolarStore:
     ) -> float:
         """Replicated non-page-aligned write (no-compression mode rule:
         decompress existing, splice, store uncompressed)."""
-        tracer = self.metrics.tracer
-        self._require_quorum(start_us)
-        root = tracer.begin("storage.partial_write", start_us, layer="storage")
-        leader_done = self.leader.write_partial(
-            start_us, page_no, offset, data
-        ).done_us
-        send = self.network.rpc_us(len(data))
-        ack = self.network.rpc_us(64)
-        acks = []
-        with tracer.suppressed():
-            for i, node in self._followers():
-                if not self._alive[i] or self._net_blocked(i, start_us):
-                    self._missed[i].add(page_no)
-                    continue
-                try:
-                    done = node.write_partial(
-                        start_us + send, page_no, offset, data
-                    ).done_us
-                except DeviceUnavailableError:
-                    self._missed[i].add(page_no)
-                    continue
-                acks.append(done + ack)
-        commit = self._commit_time(leader_done, acks)
-        sp = tracer.begin("net.quorum_wait", leader_done, layer="net")
-        tracer.end(sp, commit)
-        tracer.end(root, commit)
-        self.clock.advance_to(commit)
-        return commit
+        root = self.metrics.tracer.begin(
+            "storage.partial_write", start_us, layer="storage"
+        )
+        return self._replicate(
+            root, start_us, (page_no,), len(data),
+            lambda node, at_us: node.write_partial(
+                at_us, page_no, offset, data
+            ).done_us,
+        )
 
     def write_redo(
         self, start_us: float, records: Sequence[RedoRecord]
     ) -> float:
         """Replicated redo persistence (the transaction-commit path)."""
         blob = encode_records(records)
-        tracer = self.metrics.tracer
-        self._require_quorum(start_us)
-        root = tracer.begin("storage.redo_commit", start_us, layer="storage")
-        leader_done = self.leader.persist_redo(start_us, blob)
-        send = self.network.rpc_us(len(blob))
-        ack = self.network.rpc_us(64)
-        acks = []
-        with tracer.suppressed():
-            for i, node in self._followers():
-                if not self._alive[i] or self._net_blocked(i, start_us):
-                    self._missed[i].update(r.page_no for r in records)
-                    continue
-                try:
-                    acks.append(
-                        node.persist_redo(start_us + send, blob) + ack
-                    )
-                except DeviceUnavailableError:
-                    self._missed[i].update(r.page_no for r in records)
-        commit = self._commit_time(leader_done, acks)
-        sp = tracer.begin("net.quorum_wait", leader_done, layer="net")
-        tracer.end(sp, commit)
-        tracer.end(root, commit)
+        root = self.metrics.tracer.begin(
+            "storage.redo_commit", start_us, layer="storage"
+        )
+        commit = self._replicate(
+            root, start_us, [r.page_no for r in records], len(blob),
+            lambda node, at_us: node.persist_redo(at_us, blob),
+        )
         self._after_redo_commit(commit, records)
         self.redo_commit_stats.append(commit - start_us)
         self._commit_rate.record(commit)
@@ -666,38 +582,56 @@ class PolarStore:
             )
         return commit
 
+    def _on_each_replica(
+        self,
+        at_us: float,
+        attempts: int,
+        op: Callable[[StorageNode], float],
+        pages: Sequence[int] = (),
+    ) -> float:
+        """The one per-replica retry-with-repair loop: run ``op(node)``
+        on every alive replica; returns the latest completion time.
+
+        An ``op`` that trips over a corrupt page gets the page repaired
+        from a healthy replica and is retried, ``attempts`` times at most.
+        A dead replica, or a follower whose device is down, goes stale for
+        ``pages`` instead; the elected leader must stay durable, so its
+        device failing propagates.  Spans are suppressed: this is
+        background work overlapping the committed request.
+        """
+        group = self.group
+        done = at_us
+        with self.metrics.tracer.suppressed():
+            for i, node in enumerate(self.nodes):
+                if not group.alive[i]:
+                    group.missed[i].update(pages)
+                    continue
+                for _ in range(attempts):
+                    try:
+                        done = max(done, op(node))
+                        break
+                    except DeviceUnavailableError:
+                        if i == group.leader:
+                            raise
+                        group.missed[i].update(pages)
+                        break
+                    except PageCorruptionError as err:
+                        self._read_with_repair(at_us, err.page_no, i, err)
+        return done
+
     def _after_redo_commit(
         self, commit: float, records: Sequence[RedoRecord]
     ) -> None:
         """Post-commit bookkeeping shared by the synchronous path and the
         group-commit pipeline: records enter every replica's redo cache
-        for later consolidation.  Cache spills here may consolidate pages
-        (background work whose spans would overlap the committed
-        request)."""
-        with self.metrics.tracer.suppressed():
-            for i, node in enumerate(self.nodes):
-                if not self._alive[i]:
-                    self._missed[i].update(r.page_no for r in records)
-                    continue
-                for _ in range(16):
-                    try:
-                        node.add_redo(commit, list(records))
-                        break
-                    except DeviceUnavailableError:
-                        if i == self._leader_index:
-                            raise  # the elected leader must stay durable
-                        self._missed[i].update(
-                            r.page_no for r in records
-                        )
-                        break
-                    except PageCorruptionError as err:
-                        # A spill-triggered consolidation tripped over a
-                        # corrupt page: repair it, then retry.  Duplicate
-                        # records from the retry are deduplicated by LSN
-                        # at apply time.
-                        self._read_with_repair(
-                            commit, err.page_no, i, err
-                        )
+        for later consolidation.  Cache spills here may consolidate
+        pages; duplicate records from a retry after a repair are
+        deduplicated by LSN at apply time."""
+        self._on_each_replica(
+            commit, 16,
+            lambda node: node.add_redo(commit, list(records)),
+            pages=[r.page_no for r in records],
+        )
         self.clock.advance_to(commit)
 
     def write_redo_proc(self, records: Sequence[RedoRecord]):
@@ -717,56 +651,29 @@ class PolarStore:
 
     def archive_range(self, start_us: float, page_nos: List[int]) -> float:
         """Heavy-compress a page range on every replica."""
-        done = start_us
-        # Replicas archive concurrently; span attribution tracks the leader.
-        with self.metrics.tracer.suppressed():
-            for i, node in enumerate(self.nodes):
-                if not self._alive[i]:
-                    self._missed[i].update(page_nos)
-                    continue
-                for _ in range(64):
-                    try:
-                        done = max(
-                            done,
-                            node.archive_range(start_us, list(page_nos)),
-                        )
-                        break
-                    except DeviceUnavailableError:
-                        if i == self._leader_index:
-                            raise
-                        self._missed[i].update(page_nos)
-                        break
-                    except PageCorruptionError as err:
-                        self._read_with_repair(
-                            start_us, err.page_no, i, err
-                        )
-        return done
+        return self._on_each_replica(
+            start_us, 64,
+            lambda node: node.archive_range(start_us, list(page_nos)),
+            pages=page_nos,
+        )
 
     def checkpoint(self, start_us: float) -> float:
-        """Consolidate every pending redo page on all alive replicas."""
-        done = start_us
-        with self.metrics.tracer.suppressed():
-            for i, node in enumerate(self.nodes):
-                if not self._alive[i]:
-                    continue
-                for _ in range(256):
-                    try:
-                        done = max(
-                            done, node.consolidate_pending(start_us)
-                        )
-                        break
-                    except DeviceUnavailableError:
-                        if i == self._leader_index:
-                            raise
-                        # Un-consolidated redo stays cached for later.
-                        break
-                    except PageCorruptionError as err:
-                        # Consolidation read a corrupt base page or log
-                        # block: repair from a healthy replica, retry.
-                        self._read_with_repair(
-                            start_us, err.page_no, i, err
-                        )
-        return done
+        """Consolidate every pending redo page on all alive replicas (a
+        follower whose device is down keeps its redo cached for later)."""
+        return self._on_each_replica(
+            start_us, 256,
+            lambda node: node.consolidate_pending(start_us),
+        )
+
+    def drop_page(self, page_no: int) -> None:
+        """Free one page on every alive replica (TRIM the space; the WAL
+        records the removal so recovery agrees).  A dead replica no
+        longer owes a resync for it."""
+        for i, node in enumerate(self.nodes):
+            if self.group.alive[i]:
+                node.drop_page(page_no)
+            else:
+                self.group.missed[i].discard(page_no)
 
     # ------------------------------------------------------------------ #
     # Read path                                                           #
@@ -782,8 +689,8 @@ class PolarStore:
         the bad copies from the good image, and counts the repair.  Reads
         slower than ``hedge_after_us`` are hedged to a follower.
         """
-        lead = self._leader_index
-        if not self._alive[lead] or page_no in self._missed[lead]:
+        lead = self.group.leader
+        if not self.group.current(lead, page_no):
             # The anchor replica cannot serve this page (dead, or it is
             # a freshly-elected leader still missing pages from its own
             # downtime): read from any live replica with a current copy.
@@ -816,7 +723,7 @@ class PolarStore:
         replica holding a current copy wins (repairing as needed)."""
         last_err: Optional[ReproError] = None
         for i, node in enumerate(self.nodes):
-            if not self._alive[i] or page_no in self._missed[i]:
+            if not self.group.current(i, page_no):
                 continue
             try:
                 with self.metrics.tracer.suppressed():
@@ -840,8 +747,8 @@ class PolarStore:
         """Fire a backup read at a follower after the hedge timeout; the
         earlier completion wins (the slow-I/O mitigation of §4.1.1)."""
         hedge_start = start_us + self.hedge_after_us
-        for i, _node in self._followers():
-            if not self._alive[i] or page_no in self._missed[i]:
+        for i in self.group.followers():
+            if not self.group.current(i, page_no):
                 continue
             try:
                 with self.metrics.tracer.suppressed():
@@ -878,11 +785,7 @@ class PolarStore:
         good: Optional[ReadResult] = None
         good_index = -1
         for i, node in enumerate(self.nodes):
-            if (
-                i == bad_index
-                or not self._alive[i]
-                or page_no in self._missed[i]
-            ):
+            if i == bad_index or not self.group.current(i, page_no):
                 continue
             try:
                 with tracer.suppressed():
@@ -951,14 +854,14 @@ class PolarStore:
         now = self.resync_missed(start_us)
         pages: set = set()
         for i, node in enumerate(self.nodes):
-            if self._alive[i]:
+            if self.group.alive[i]:
                 pages.update(p for p, _ in node.index.items())
         rec = recorder_active()
         if rec is not None:
             rec.emit(now, "scrub", "sweep_start", pages=len(pages))
         for page_no in sorted(pages):
             for i, node in enumerate(self.nodes):
-                if not self._alive[i] or page_no in self._missed[i]:
+                if not self.group.current(i, page_no):
                     continue
                 has_copy = (
                     node.index.get(page_no) is not None

@@ -123,10 +123,7 @@ class TieringManager:
         archived = ArchivedRange(key, tuple(page_nos), len(blob))
         for page_no in page_nos:
             self._archived[page_no] = archived
-            entry = self.node.index.remove(page_no)
-            self.node.wal.append_index_remove(page_no)
-            self.node._release_entry(entry)
-            self.node.page_cache.remove(page_no)
+            self.node.drop_page(page_no)
         return archived, now
 
     # -- read ------------------------------------------------------------------

@@ -61,7 +61,7 @@ def _legacy_consolidator_proc(store, engine, period_us):
     while True:
         yield engine.timeout(period_us)
         for i, node in enumerate(store.nodes):
-            if not store._alive[i]:
+            if not store.group.alive[i]:
                 continue
             done = node.consolidate_pending(engine.now_us)
             if done > engine.now_us:

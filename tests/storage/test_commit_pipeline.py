@@ -142,7 +142,7 @@ def test_commit_survives_one_follower_down():
     commit = engine.run(store.write_redo_proc(make_records(2)))
     assert commit > 0.0
     # The dead follower's pages are tracked for resync.
-    assert store._missed[2]
+    assert store.group.missed[2]
 
 
 def test_no_quorum_fails_commit_without_deadlock():

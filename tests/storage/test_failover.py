@@ -41,27 +41,27 @@ def test_leader_failover_requires_consensus():
 
 def test_store_leadership_tracks_the_elected_node():
     store, engine, group = make_stack()
-    assert store.leader_index == group.leader_id
+    assert store.group.leader == group.leader_id
     assert store.leader is store.nodes[group.leader_id]
 
 
 def test_leader_crash_elects_successor_and_commits_resume():
     store, engine, group = make_stack()
-    old = store.leader_index
+    old = store.group.leader
     store.fail_node(old)
     # The pipeline's retry deadline (60 ms) dwarfs the 8-16 ms election
     # timeout, so one submission rides through the whole failover.
     commit = engine.run(store.write_redo_proc(make_records(3)))
     assert commit > 0.0
-    assert store.leader_index != old
-    assert store.leader_index == group.leader_id
+    assert store.group.leader != old
+    assert store.group.leader == group.leader_id
     assert store.metrics.counter("raft.retries").value >= 1
     assert store.metrics.counter("storage.leader_changes").value >= 1
 
 
 def test_crashed_leader_rejoins_as_repairing_follower():
     store, engine, group = make_stack()
-    old = store.leader_index
+    old = store.group.leader
     store.fail_node(old)
     engine.run_until_idle(limit_us=engine.now_us + 40_000.0)
     engine.run(store.write_redo_proc(make_records(2, lsn0=50)))
@@ -78,7 +78,7 @@ def test_crashed_leader_rejoins_as_repairing_follower():
 
 def test_reads_reroute_around_a_dead_leader():
     store, engine, group = make_stack()
-    old = store.leader_index
+    old = store.group.leader
     store.fail_node(old)
     result = store.read_page(engine.now_us, 3)
     assert result.data == bytes([4]) * DB_PAGE_SIZE
@@ -92,7 +92,7 @@ def test_double_failover_keeps_acked_commits_durable():
     store, engine, group = make_stack(seed=29)
     acked = []
     for round_no in range(2):
-        lead = store.leader_index
+        lead = store.group.leader
         store.fail_node(lead)
         commit = engine.run(
             store.write_redo_proc(make_records(2, lsn0=100 * (round_no + 1)))
@@ -106,4 +106,4 @@ def test_double_failover_keeps_acked_commits_durable():
     assert group.tracker.fenced_commit_nothing() == []
     # Quorum durability of every acked batch.
     holders = sum(1 for n in store.nodes if n.durable_redo_blobs)
-    assert holders >= store.quorum
+    assert holders >= store.group.quorum

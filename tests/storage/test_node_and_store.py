@@ -383,3 +383,210 @@ def test_hardware_only_cluster_matches_c1_shape():
         store.write_page(i * 1e3, i, make_page(i))
     ratio = store.compression_ratio()
     assert 1.5 < ratio < 5.0  # hardware gzip only
+
+
+# --------------------------------------------------------------------- #
+# The one quorum fan-out behind write_page / write_partial / write_redo  #
+# --------------------------------------------------------------------- #
+
+#: op name -> (store, now_us, page_no) -> commit time.
+WRITE_OPS = {
+    "write_page": lambda store, now, page: store.write_page(
+        now, page, make_page(100 + page)
+    ).commit_us,
+    "write_partial": lambda store, now, page: store.write_partial(
+        now, page, 64, b"PARTIAL"
+    ),
+    "write_redo": lambda store, now, page: store.write_redo(
+        now, [RedoRecord(page, page, 0, b"redo")]  # one LSN per page
+    ),
+}
+
+
+def _crash(store, index, now):
+    store.fail_node(index)
+
+
+def _partition(store, index, now):
+    from repro.chaos.net import NetFaultPlan
+
+    plan = NetFaultPlan(seed=0)
+    plan.partition([store.group.leader], [index], from_us=now, until_us=1e12)
+    store.attach_net_plan(plan)
+
+
+def _fail_devices(store, index, now):
+    from repro.chaos.plan import FaultKind, FaultPlan, FaultRule
+
+    plan = FaultPlan(seed=0)
+    plan.add(FaultRule(
+        FaultKind.DEVICE_FAIL, scope=store.nodes[index].name, from_us=now
+    ))
+    plan.attach_to_store(store)
+
+
+def _leader_state(store):
+    leader = store.leader
+    return (
+        dict(leader.index.items()),
+        leader.wal.next_lsn,
+        len(leader.durable_redo_blobs),
+        {p: list(r) for p, r in leader.redo_cache.items()},
+    )
+
+
+@pytest.mark.parametrize("failure", [_crash, _partition, _fail_devices])
+@pytest.mark.parametrize("op", sorted(WRITE_OPS))
+def test_fan_out_commits_at_quorum_and_tracks_missed_pages(store, op, failure):
+    now = store.write_page(0.0, 1, make_page(1)).commit_us
+    now = store.write_page(now, 2, make_page(2)).commit_us
+    failure(store, 2, now)
+    commit = WRITE_OPS[op](store, now, 1)
+    assert commit > now
+    # Exactly the touched page went stale, on exactly the lost follower.
+    assert store.group.missed == [set(), set(), {1}]
+    assert store.read_page(commit, 1).done_us > commit
+    store.fail_node(1)
+    before = _leader_state(store)
+    with pytest.raises(RaftError):
+        WRITE_OPS[op](store, commit, 2)
+    if failure is _fail_devices:
+        # A failing device is only discovered by writing to it: this
+        # refusal comes from the ack count, after the leader persisted.
+        assert store.group.missed[2] == {1, 2}
+    else:
+        # Quorum known to be lost: refused before the leader is mutated.
+        assert _leader_state(store) == before
+        assert store.group.missed == [set(), set(), {1}]
+
+
+@pytest.mark.parametrize("op", sorted(WRITE_OPS))
+def test_only_a_full_page_write_clears_a_missed_page(store, op):
+    now = store.write_page(0.0, 1, make_page(1)).commit_us
+    store.group.missed[2].add(1)  # follower 2's copy of page 1 is stale
+    WRITE_OPS[op](store, now, 1)
+    # A full fresh image makes the follower current again; a splice or a
+    # redo batch applied over a stale base does not.
+    assert (1 in store.group.missed[2]) == (op != "write_page")
+
+
+def test_refused_writes_leave_no_span_behind(store):
+    """A write that raises must not leave its root span on the tracer's
+    ambient stack (every later span would become its child and no trace
+    would ever be published again)."""
+    tracer = store.metrics.tracer
+    now = store.write_page(0.0, 1, make_page(1)).commit_us
+    published = tracer.last
+    store.fail_node(1)
+    store.fail_node(2)
+    for _ in range(3):
+        with pytest.raises(RaftError):
+            store.write_page(now, 2, make_page(2))
+        assert len(tracer._stack) == 0
+    for refused in ("write_partial", "write_redo"):
+        with pytest.raises(RaftError):
+            WRITE_OPS[refused](store, now, 1)
+        assert len(tracer._stack) == 0
+    assert tracer.last is published  # a refused write publishes nothing
+    now = store.recover_node(1, now)
+    commit = store.write_page(now, 2, make_page(2)).commit_us
+    assert len(tracer._stack) == 0
+    assert tracer.last is not published
+    assert tracer.last.root.name == "storage.page_write"
+    assert tracer.last.root.end_us == commit
+
+
+def test_failed_read_leaves_no_span_behind(node):
+    tracer = node.metrics.tracer
+    with pytest.raises(ReproError):
+        node.read_page(0.0, 404)
+    assert len(tracer._stack) == 0
+    node.write_page(0.0, 1, make_page(1))
+    node.read_page(1e3, 1)
+    assert tracer.last.root.name == "storage.page_read"
+
+
+# --------------------------------------------------------------------- #
+# Redo-cache byte accounting                                             #
+# --------------------------------------------------------------------- #
+
+
+def _assert_redo_accounting(node):
+    recount = {
+        page: sum(r.size_bytes for r in records)
+        for page, records in node.redo_cache.items()
+    }
+    assert node._redo_page_bytes == recount
+    assert list(node._redo_page_bytes) == list(node.redo_cache)
+    assert node._redo_cache_bytes == sum(recount.values())
+    assert all(node.redo_cache.values())  # no empty per-page lists
+
+
+def test_redo_cache_byte_counts_survive_every_mutation():
+    from repro.storage.recovery import recover_node
+    from repro.storage.redo import encode_records
+
+    node = build_node(
+        "acct", NodeConfig(redo_cache_bytes=2 * KiB), volume_bytes=64 * MiB
+    )
+    rng = random.Random(11)
+    now, lsn = 0.0, 0
+    for page in range(8):
+        now = node.write_page(now, page, make_page(page)).done_us
+    for step in range(120):
+        roll = rng.random()
+        page = rng.randrange(10)  # pages 8 and 9 exist only as redo
+        if roll < 0.70:
+            batch = []
+            for _ in range(rng.randint(1, 4)):
+                lsn += 1
+                batch.append(RedoRecord(
+                    lsn, rng.randrange(10), rng.randrange(0, 4096, 64),
+                    bytes([lsn % 251]) * rng.randint(8, 400),
+                ))
+            now = node.persist_redo(now, encode_records(batch))
+            now = node.add_redo(now, batch)  # spills once past 2 KiB
+        elif roll < 0.80:
+            now = node.read_page(now, page).done_us  # consolidates
+        elif roll < 0.88:
+            now = node.repair_page(now, page, make_page(step)).done_us
+        elif roll < 0.95:
+            node.drop_page(page)
+        else:
+            node = recover_node(node)  # re-stages durable redo
+        _assert_redo_accounting(node)
+    assert node._redo_spills.value > 0 and node._consolidations.value > 0
+    node.consolidate_pending(now)
+    assert node.redo_cache == {} and node._redo_cache_bytes == 0
+    _assert_redo_accounting(node)
+
+
+def test_redo_eviction_picks_the_same_victims_as_the_full_rescan():
+    """The per-page byte counts must choose exactly the victim the old
+    per-eviction rescan chose, ties included (first-inserted wins)."""
+    node = build_node(
+        "victim", NodeConfig(redo_cache_bytes=1 * KiB), volume_bytes=64 * MiB
+    )
+    evict = node._evict_one_page
+    victims = []
+
+    def checked_evict(start_us):
+        cache = node.redo_cache
+        # The pre-refactor victim expression, kept as the reference.
+        reference = max(
+            cache, key=lambda p: sum(r.size_bytes for r in cache[p])
+        )
+        before = set(cache)
+        done = evict(start_us)
+        assert before - set(cache) == {reference}
+        victims.append(reference)
+        return done
+
+    node._evict_one_page = checked_evict
+    rng = random.Random(5)
+    now = 0.0
+    for lsn in range(1, 241):
+        # Equal-sized records across few pages force frequent ties.
+        record = RedoRecord(lsn, rng.randrange(6), 0, b"t" * 64)
+        now = node.add_redo(now, [record])
+    assert len(victims) > 10 and len(set(victims)) > 3

@@ -70,7 +70,7 @@ def test_epoch_bump_mid_flight_fences_then_retries():
 
     def usurper():
         yield engine.timeout(2.0)  # well inside the replication window
-        store._leader_epoch += 1
+        store.group.elect(store.group.leader)  # same leader, new epoch
 
     client = engine.spawn(store.write_redo_proc(make_records(2)))
     engine.run_until_complete([engine.spawn(usurper()), client])

@@ -66,6 +66,24 @@ def test_restore_brings_pages_back(tiered):
         assert result.data == pages[page_no]
 
 
+def test_archiving_a_page_with_cached_redo_leaves_no_redo_behind(tiered):
+    from repro.storage.redo import RedoRecord
+
+    node, manager, pages, now = tiered
+    node.add_redo(now, [
+        RedoRecord(1, 2, 0, b"HOT!"),   # archived below
+        RedoRecord(2, 7, 0, b"stay"),   # stays local
+    ])
+    _, now = manager.archive_to_object_store(now, [0, 1, 2])
+    # The archived image carries the redo; nothing of page 2 stays cached.
+    assert manager.read_page(now, 2).data == b"HOT!" + pages[2][4:]
+    assert list(node.redo_cache) == [7]
+    assert node._redo_page_bytes == {
+        7: sum(r.size_bytes for r in node.redo_cache[7])
+    }
+    assert node._redo_cache_bytes == node._redo_page_bytes[7]
+
+
 def test_double_archive_rejected(tiered):
     node, manager, pages, now = tiered
     _, now = manager.archive_to_object_store(now, [0, 1])

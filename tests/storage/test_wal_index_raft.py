@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import RaftError, WALError
 from repro.storage.index import CompressionInfo, IndexEntry, PageIndex
-from repro.storage.raft import NetworkModel, Replica, ReplicationGroup
+from repro.storage.raft import NetworkModel, ReplicationGroup
 from repro.storage.wal import (
     WALRecordType,
     WriteAheadLog,
@@ -148,68 +148,84 @@ def test_index_logical_bytes():
 # --------------------------------------------------------------------- #
 
 
-def _persist(latency):
-    return lambda start, payload: start + latency
+NET = NetworkModel(one_way_us=5.0, per_kib_us=0.0)
 
 
-def make_group(leader_lat=10.0, follower_lats=(12.0, 20.0), net=None):
-    leader = Replica("leader", _persist(leader_lat))
-    followers = [
-        Replica(f"f{i}", _persist(lat)) for i, lat in enumerate(follower_lats)
+def replicate(group, payload, leader_lat=10.0, follower_lats=(12.0, 20.0),
+              net=NET, start=0.0):
+    """One quorum write against ``group`` with injected persist latencies
+    — the calls every user of the group makes, in the order
+    ``PolarStore._replicate`` makes them.  Returns ``(commit, acks)``."""
+    group.require_quorum(start)
+    send, ack = net.rpc_us(len(payload)), net.rpc_us(64)
+    acks = [
+        start + send + lat + ack
+        for i, lat in zip(group.followers(), follower_lats)
+        if group.reachable(i, start)
     ]
-    group = ReplicationGroup(
-        leader, followers, net or NetworkModel(one_way_us=5.0, per_kib_us=0.0)
-    )
-    return group, leader, followers
+    return group.commit_time(start + leader_lat, acks), acks
 
 
 def test_commit_waits_for_majority_not_all():
-    group, _, _ = make_group()
-    result = group.replicate(0.0, b"x" * 100)
+    group = ReplicationGroup(3)
+    commit, acks = replicate(group, b"x" * 100)
     # Leader done at 10; follower acks at 5+12+5=22 and 5+20+5=30.
     # Quorum = 2 (leader + fastest follower) => commit at 22, not 30.
-    assert result.leader_persist_us == 10.0
-    assert result.commit_us == 22.0
-    assert sorted(result.follower_acks_us) == [22.0, 30.0]
+    assert group.quorum == 2 and group.acks_needed == 1
+    assert commit == 22.0
+    assert sorted(acks) == [22.0, 30.0]
 
 
 def test_commit_bounded_by_leader_when_leader_slow():
-    group, _, _ = make_group(leader_lat=50.0)
-    result = group.replicate(0.0, b"x")
-    assert result.commit_us == 50.0
+    commit, _ = replicate(ReplicationGroup(3), b"x", leader_lat=50.0)
+    assert commit == 50.0
 
 
 def test_one_follower_down_still_commits():
-    group, _, followers = make_group()
-    followers[0].alive = False
-    result = group.replicate(0.0, b"x")
-    assert result.commit_us == 30.0  # must wait for the slow follower
+    group = ReplicationGroup(3)
+    group.alive[1] = False
+    commit, _ = replicate(group, b"x")
+    assert commit == 30.0  # must wait for the slow follower
 
 
 def test_no_quorum_raises():
-    group, _, followers = make_group()
-    for follower in followers:
-        follower.alive = False
+    group = ReplicationGroup(3)
+    group.alive[1] = group.alive[2] = False
     with pytest.raises(RaftError):
-        group.replicate(0.0, b"x")
+        replicate(group, b"x")
+    # Too few acknowledgements is refused by the commit rule itself too.
+    with pytest.raises(RaftError):
+        ReplicationGroup(3).commit_time(10.0, [])
 
 
 def test_dead_leader_raises():
-    group, leader, _ = make_group()
-    leader.alive = False
+    group = ReplicationGroup(3)
+    group.alive[group.leader] = False
     with pytest.raises(RaftError):
-        group.replicate(0.0, b"x")
+        replicate(group, b"x")
 
 
 def test_payload_size_slows_replication():
     net = NetworkModel(one_way_us=5.0, per_kib_us=1.0)
-    group, _, _ = make_group(net=net)
-    small = group.replicate(0.0, b"x" * 1024).commit_us
-    group2, _, _ = make_group(net=net)
-    large = group2.replicate(0.0, b"x" * 64 * 1024).commit_us
+    small, _ = replicate(ReplicationGroup(3), b"x" * 1024, net=net)
+    large, _ = replicate(ReplicationGroup(3), b"x" * 64 * 1024, net=net)
     assert large > small
 
 
 def test_group_requires_followers():
+    """A group needs at least one replica; a group of exactly one is
+    its own majority and commits when the leader persists."""
     with pytest.raises(RaftError):
-        ReplicationGroup(Replica("l", _persist(1.0)), [])
+        ReplicationGroup(0)
+    solo = ReplicationGroup(1)
+    assert solo.followers() == [] and solo.acks_needed == 0
+    assert solo.commit_time(10.0, []) == 10.0
+
+
+def test_election_moves_leadership_and_opens_an_epoch():
+    group = ReplicationGroup(3)
+    assert (group.leader, group.epoch, group.followers()) == (0, 0, [1, 2])
+    group.elect(2)
+    assert (group.leader, group.epoch, group.followers()) == (2, 1, [0, 1])
+    group.missed[0].add(7)
+    assert group.current(1, 7) and not group.current(0, 7)
