@@ -11,15 +11,22 @@ The ``test_stage_*`` rows split a cold page compression (Algorithm 1
 runs both codecs on it) into the stages a codec change can move: the
 shared chain-index build, the two parses that walk it, and the zstd
 entropy stage — on a structured page, a text page and a random one.
+The ``test_stage_decode_*`` rows do the same for a page read: Huffman
+table build and ``decode_all`` on the literal stream, ``unpack_bits`` on
+the extra bits, sequence execution, and the whole ``decompress`` of both
+codecs.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.compression import lz77
+from repro.compression import zstd as zstd_module
 from repro.compression.base import get_codec
 from repro.compression.cost import LZ4_COST, ZSTD_COST
+from repro.compression.huffman import TableDecoder, unpack_bits
 from repro.compression.zstd import encode_tokens
 from repro.workloads.datagen import dataset_pages
 
@@ -91,6 +98,80 @@ def test_stage_zstd_entropy(benchmark, page_name):
     # dropped for the raw form; the stage costs the same either way.
     if page_name != "random":
         assert bytes(body) == get_codec("zstd").compress(page)
+
+
+def _container_parts(page):
+    """The pieces of ``page``'s zstd container the decode stages consume
+    (the container itself even where ``compress`` would fall back to the
+    raw form, as for the random page: the stages cost the same)."""
+    z = zstd_module
+    payload = bytes(encode_tokens(page, PARSES["zstd"].tokenize(page)))
+    size, pos = z._read_varint(payload, 2)
+    n_tokens, pos = z._read_varint(payload, pos)
+    n_literals, pos = z._read_varint(payload, pos)
+    lit_lengths, at = z._read_table(payload, pos, 256)
+    lit_size, at = z._read_varint(payload, at)
+    parts = {
+        "size": size,
+        "n_literals": n_literals,
+        "lit_lengths": lit_lengths,
+        "lit_stream": payload[at : at + lit_size],
+    }
+    parts["literals"], pos = z._decode_symbols(payload, pos, n_literals, 256)
+    syms = np.zeros((n_tokens, 3), dtype=np.uint8)
+    syms[:, 0], pos = z._decode_symbols(payload, pos, n_tokens, z._BUCKET_ALPHABET)
+    syms[:, 1], pos = z._decode_symbols(payload, pos, n_tokens, z._BUCKET_ALPHABET)
+    has_match = syms[:, 1] != 0
+    syms[has_match, 2], pos = z._decode_symbols(
+        payload, pos, int(has_match.sum()), z._BUCKET_ALPHABET
+    )
+    parts["widths"] = z._EXTRA_BITS[syms].ravel()
+    parts["extras"] = payload[pos:]
+    parts["fields"] = z._token_fields(syms, parts["extras"])
+    return parts
+
+
+@pytest.fixture(scope="module")
+def container_parts():
+    return {name: _container_parts(page) for name, page in STAGE_PAGES.items()}
+
+
+@pytest.mark.parametrize("page_name", list(STAGE_PAGES))
+def test_stage_decode_table_build(benchmark, container_parts, page_name):
+    benchmark(TableDecoder, container_parts[page_name]["lit_lengths"])
+
+
+@pytest.mark.parametrize("page_name", list(STAGE_PAGES))
+def test_stage_decode_all_literals(benchmark, container_parts, page_name):
+    parts = container_parts[page_name]
+    decoder = TableDecoder(parts["lit_lengths"])
+    out = benchmark(decoder.decode_all, parts["lit_stream"], parts["n_literals"])
+    assert np.array_equal(out, parts["literals"])
+
+
+@pytest.mark.parametrize("page_name", list(STAGE_PAGES))
+def test_stage_decode_unpack_bits(benchmark, container_parts, page_name):
+    parts = container_parts[page_name]
+    out = benchmark(unpack_bits, parts["extras"], parts["widths"])
+    assert len(out) == len(parts["widths"])
+
+
+@pytest.mark.parametrize("page_name", list(STAGE_PAGES))
+def test_stage_decode_sequence_execution(benchmark, container_parts, page_name):
+    parts = container_parts[page_name]
+    out = benchmark(
+        zstd_module._execute, parts["fields"], parts["literals"], b"", parts["size"]
+    )
+    assert out == STAGE_PAGES[page_name]
+
+
+@pytest.mark.parametrize("codec_name", ["lz4", "zstd"])
+@pytest.mark.parametrize("page_name", list(STAGE_PAGES))
+def test_stage_decode_whole(benchmark, page_name, codec_name):
+    codec = get_codec(codec_name)
+    payload = codec.compress(STAGE_PAGES[page_name])
+    out = benchmark(codec.decompress, payload)
+    assert out == STAGE_PAGES[page_name]
 
 
 def test_cost_model_ordering_matches_reality(benchmark):

@@ -5,13 +5,20 @@ with a standard Huffman tree, then adjusted to a 12-bit maximum using the
 same overflow-repair pass zlib applies, and finally assigned canonically so
 the decoder only needs the length table.
 
-The encode side works on whole symbol arrays: frequencies come from one
+Both sides work on whole arrays.  Encoding: frequencies from one
 ``bincount``, codes and widths from lookup arrays, and :func:`pack_bits`
-lays every field of a stream into its bit positions at once.  None of
-that may change a bit of the output: the streams are MSB-first with a
-zero-padded last byte, the tree breaks frequency ties by symbol (leaves)
-and then by creation order (internal nodes), and
-``tests/compression/golden/codec_digests.json`` pins the result.
+lays every field of a stream into its bit positions at once.  Decoding:
+:func:`unpack_bits` is its inverse for fields of known widths, and
+:meth:`TableDecoder.decode_all` finds the code boundaries by looking the
+12-bit window up at every bit position and following the resulting
+"next code starts at" array in strides.  None of that may change a bit
+of the format: the streams are MSB-first with a zero-padded last byte,
+the tree breaks frequency ties by symbol (leaves) and then by creation
+order (internal nodes), and ``tests/compression/golden/codec_digests.json``
+pins the result.  The decode side reads stored bytes: what no encoder
+writes is a ``ValueError``, in time and memory bounded by the stream
+(the bit-at-a-time decoders it replaced are the references in
+``tests/compression/reference_decoders.py``).
 """
 
 from __future__ import annotations
@@ -147,26 +154,32 @@ def pack_bits(values: np.ndarray, widths: np.ndarray) -> bytes:
     return out[:size].astype(np.uint8).tobytes()
 
 
-class BitReader:
-    """MSB-first bit reader over a byte string."""
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
-        self._bits = 0
-        self._nbits = 0
-
-    def read(self, length: int) -> int:
-        while self._nbits < length:
-            if self._pos >= len(self._data):
-                raise ValueError("bit stream exhausted")
-            self._bits = (self._bits << 8) | self._data[self._pos]
-            self._pos += 1
-            self._nbits += 8
-        self._nbits -= length
-        value = (self._bits >> self._nbits) & ((1 << length) - 1)
-        self._bits &= (1 << self._nbits) - 1
-        return value
+def unpack_bits(data: bytes, widths: np.ndarray, start: int = 0) -> np.ndarray:
+    """The inverse of :func:`pack_bits`: the ``widths[i]``-bit fields of
+    ``data`` from bit ``start`` on, MSB first, as an integer array.
+    Raises ``ValueError`` when a field is wider than 16 bits or the
+    fields ask for more bits than ``data`` holds."""
+    if len(widths) and widths.max() > 16:
+        raise ValueError("unpack_bits: field wider than 16 bits")
+    ends = np.cumsum(widths, dtype=np.int64)
+    total = int(ends[-1]) if len(ends) else 0
+    if start + total > 8 * len(data):
+        raise ValueError("bit stream exhausted")
+    # Only the bytes these fields touch, padded so that every field has
+    # the 24-bit window pack_bits wrote it through (a zero-width field
+    # may start at the very end).
+    first_byte = start >> 3
+    stream = np.frombuffer(
+        data[first_byte : (start + total + 7) >> 3] + b"\x00\x00\x00", dtype=np.uint8
+    )
+    starts = ends - widths + (start & 7)
+    first = starts >> 3
+    windows = (
+        stream[first].astype(np.int64) << 16
+        | stream[first + 1].astype(np.int64) << 8
+        | stream[first + 2]
+    )
+    return (windows >> (24 - (starts & 7) - widths)) & ((1 << widths) - 1)
 
 
 class HuffmanEncoder:
@@ -189,90 +202,106 @@ class HuffmanEncoder:
         return pack_bits(self._codes[symbols], self._widths[symbols])
 
 
-class HuffmanDecoder:
-    """Canonical Huffman decoder driven by the length table alone."""
-
-    def __init__(self, lengths: Sequence[int]) -> None:
-        self.lengths = list(lengths)
-        # first_code[l], first_index[l]: canonical decode tables.
-        pairs = sorted(
-            (length, sym) for sym, length in enumerate(lengths) if length
-        )
-        self._symbols = [sym for _, sym in pairs]
-        self._first_code = {}
-        self._first_index = {}
-        self._count = {}
-        code = 0
-        prev_length = 0
-        index = 0
-        for length, _ in pairs:
-            if length != prev_length:
-                code <<= length - prev_length
-                self._first_code[length] = code
-                self._first_index[length] = index
-                prev_length = length
-            self._count[length] = self._count.get(length, 0) + 1
-            code += 1
-            index += 1
-
-    def decode_one(self, reader: BitReader) -> int:
-        code = 0
-        length = 0
-        while True:
-            code = (code << 1) | reader.read(1)
-            length += 1
-            if length > MAX_CODE_LENGTH:
-                raise ValueError("invalid Huffman stream")
-            first = self._first_code.get(length)
-            if first is not None:
-                offset = code - first
-                if 0 <= offset < self._count[length]:
-                    return self._symbols[self._first_index[length] + offset]
+#: ``decode_all`` works through its stream this many bytes at a time, so
+#: its temporaries (a few arrays with one entry per bit of the block)
+#: neither grow with the input nor outgrow what the allocator hands
+#: back from its free lists (fresh pages per call cost 1.8x on a page).
+_DECODE_BLOCK = 1024
+#: One Python-level step of ``decode_all`` covers 2**this many symbols.
+_STRIDE_LOG2 = 4
+#: Right shifts that slide a ``MAX_CODE_LENGTH``-bit window over the
+#: first 8 bit offsets of a 24-bit word.
+_WINDOW_SHIFTS = np.arange(
+    24 - MAX_CODE_LENGTH, 16 - MAX_CODE_LENGTH, -1, dtype=np.uint32
+)
 
 
 class TableDecoder:
-    """Table-driven canonical Huffman decoder for batch decoding.
+    """Table-driven canonical Huffman decoder for whole symbol streams.
 
-    Builds a ``2**MAX_CODE_LENGTH`` lookup table mapping every possible bit
-    prefix to ``(symbol, code_length)``, then decodes a whole symbol stream
-    in one tight loop — roughly an order of magnitude faster than bit-by-bit
-    decoding, which matters when decompressing thousands of pages.
+    A ``2**MAX_CODE_LENGTH`` table maps every 12-bit window to the symbol
+    and length of the code it starts with.  Canonical codes are handed
+    out in (length, symbol) order, so a code's slots begin where the
+    previous code's ended and the table is one ``np.repeat``.  Raises
+    ``ValueError`` for a code length over the limit, an oversubscribed
+    table, a window no code owns, a count the stream cannot hold.
     """
 
     def __init__(self, lengths: Sequence[int]) -> None:
-        bits = MAX_CODE_LENGTH
-        table: List[int] = [0] * (1 << bits)
-        for sym, (code, length) in canonical_codes(lengths).items():
-            base = code << (bits - length)
-            # Pack (symbol, length) into one int: sym * 16 + length.
-            packed = (sym << 4) | length
-            for i in range(base, base + (1 << (bits - length))):
-                table[i] = packed
-        self._table = table
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if len(lengths) and lengths.max() > MAX_CODE_LENGTH:
+            raise ValueError("Huffman code length over the limit")
+        used = np.flatnonzero(lengths)
+        order = used[np.argsort(lengths[used], kind="stable")]
+        spans = 1 << (MAX_CODE_LENGTH - lengths[order])
+        filled = int(spans.sum())
+        if filled > 1 << MAX_CODE_LENGTH:
+            raise ValueError("oversubscribed Huffman table")
+        # Windows from ``_filled`` up belong to no code; they move on a
+        # whole window, so a walk over them still ends.
+        self._filled = filled
+        size = 1 << MAX_CODE_LENGTH
+        self._symbols = np.zeros(size, dtype=np.min_scalar_type(len(lengths) - 1))
+        self._symbols[:filled] = np.repeat(order, spans)
+        self._lengths = np.full(size, MAX_CODE_LENGTH, dtype=np.uint8)
+        self._lengths[:filled] = np.repeat(lengths[order], spans)
 
-    def decode_all(self, data: bytes, count: int) -> List[int]:
-        """Decode exactly ``count`` symbols from ``data``."""
-        bits_needed = MAX_CODE_LENGTH
-        table = self._table
-        acc = 0
-        nbits = 0
-        pos = 0
-        n = len(data)
-        out: List[int] = []
-        append = out.append
-        for _ in range(count):
-            while nbits < bits_needed:
-                if pos < n:
-                    acc = (acc << 8) | data[pos]
-                    pos += 1
-                else:
-                    acc <<= 8  # zero padding at stream end
-                nbits += 8
-            packed = table[(acc >> (nbits - bits_needed)) & 0xFFF]
-            length = packed & 0xF
-            if length == 0:
+    def decode_all(self, data: bytes, count: int) -> np.ndarray:
+        """Decode exactly ``count`` symbols from ``data`` (an int array).
+
+        Array-at-a-time: look the window up at *every* bit position of a
+        block, which gives "the code after the one starting here starts
+        there" as an array; composing that array with itself
+        ``_STRIDE_LOG2`` times gives the same for 16 codes on, so Python
+        only visits every 16th code start (the anchors) and 15 gathers
+        over the anchors fill in the starts between them.
+        """
+        # Every code is at least one bit: refuse a count the stream
+        # cannot hold before decoding anything.
+        if count > 8 * len(data):
+            raise ValueError("Huffman stream shorter than its symbol count")
+        stream = np.frombuffer(data + b"\x00\x00", dtype=np.uint8)
+        stride = 1 << _STRIDE_LOG2
+        pieces = []
+        position = 0  # bit at which the next code starts
+        while count > 0:
+            base = position >> 3
+            if base >= len(data):
+                raise ValueError("Huffman stream exhausted")
+            chunk = stream[base : base + _DECODE_BLOCK + 2]
+            m = 8 * (len(chunk) - 2)  # code start positions in this block
+            wide = chunk.astype(np.uint32)
+            words = wide[:-2] << 16 | wide[1:-1] << 8 | wide[2:]
+            windows = (words[:, None] >> _WINDOW_SHIFTS).ravel()
+            windows &= (1 << MAX_CODE_LENGTH) - 1
+            # step[p]: where the code after the one at p starts.  Starts
+            # past the block (at most 11 bits past) stay where they are.
+            step = np.arange(m + MAX_CODE_LENGTH)
+            step[:m] += self._lengths.take(windows)
+            far = step
+            for _ in range(_STRIDE_LOG2):
+                far = far.take(far)
+            anchors = []
+            at = position & 7
+            following = far.item
+            while at < m:
+                anchors.append(at)
+                at = following(at)
+            starts = np.empty((stride, len(anchors)), dtype=np.intp)
+            starts[0] = anchors
+            for row in range(1, stride):
+                # (No index is out of range; "raise" would buffer ``out``.)
+                step.take(starts[row - 1], out=starts[row], mode="clip")
+            starts = starts.T.ravel()
+            starts = starts[: min(count, int(np.searchsorted(starts, m)))]
+            codes = windows[starts]
+            if codes.max() >= self._filled:
                 raise ValueError("invalid Huffman stream")
-            nbits -= length
-            acc &= (1 << nbits) - 1
-            append(packed >> 4)
-        return out
+            pieces.append(self._symbols[codes])
+            count -= len(codes)
+            position = 8 * base + int(starts[-1]) + int(self._lengths[codes[-1]])
+        # The encoder pads the last byte only: a code that runs past the
+        # data was read from padding.
+        if position > 8 * len(data):
+            raise ValueError("Huffman stream exhausted")
+        return np.concatenate(pieces) if pieces else self._symbols[:0]

@@ -13,6 +13,12 @@ Crucially for this paper, LZ4 performs **no entropy coding** — its output is
 a byte-aligned splice of literals and copy commands — which is why the
 PolarCSD hardware gzip stage can compress LZ4 output substantially further
 (Figure 5c).
+
+The decoder copies whole slices: a literal run, a match, or — when a
+match overlaps its own output — the ``distance`` bytes before it
+repeated to length.  A block carries no size, so a damaged one either
+raises ``CorruptionError`` or decodes to at most 255 bytes per payload
+byte.
 """
 
 from __future__ import annotations
@@ -112,18 +118,21 @@ class LZ4Codec(Compressor):
 
     def decompress(self, payload: bytes) -> bytes:
         out = bytearray()
+        size = 0  # len(out)
         pos = 0
         n = len(payload)
         while pos < n:
             token_byte = payload[pos]
             pos += 1
             lit_len = token_byte >> 4
-            if lit_len == 15:
-                lit_len, pos = self._read_extended(payload, pos, lit_len)
-            if pos + lit_len > n:
-                raise CorruptionError("lz4: literal run overflows payload")
-            out += payload[pos : pos + lit_len]
-            pos += lit_len
+            if lit_len:
+                if lit_len == 15:
+                    lit_len, pos = self._read_extended(payload, pos, lit_len)
+                if pos + lit_len > n:
+                    raise CorruptionError("lz4: literal run overflows payload")
+                out += payload[pos : pos + lit_len]
+                pos += lit_len
+                size += lit_len
             if pos == n:
                 break  # final, literal-only sequence
             if pos + 2 > n:
@@ -136,11 +145,16 @@ class LZ4Codec(Compressor):
             if match_len == 15:
                 match_len, pos = self._read_extended(payload, pos, match_len)
             match_len += MIN_MATCH
-            start = len(out) - distance
+            start = size - distance
             if start < 0:
                 raise CorruptionError("lz4: offset before output start")
-            for i in range(match_len):
-                out.append(out[start + i])
+            if distance >= match_len:
+                out += out[start : start + match_len]
+            else:
+                # The match reaches into its own output: it repeats the
+                # ``distance`` bytes before it.
+                out += (out[start:] * (match_len // distance + 1))[:match_len]
+            size += match_len
         return bytes(out)
 
     @staticmethod

@@ -26,6 +26,17 @@ Container layout (integers are LEB128 varints)::
                      |ml bits| ml bitstream
                      |of bits| of bitstream
                      extra-bits bitstream (to end)
+
+Decoding is array-at-a-time up to the last step: the symbol streams
+through :meth:`TableDecoder.decode_all`, the extra bits through one
+:func:`unpack_bits` per block of tokens, all literal runs scattered to
+their places at once, then one slice copy per match into a buffer of
+the final size.  The payload is stored bytes, so every way it can lie
+is a ``CorruptionError`` raised before the work it would cause: counts a
+stream cannot hold, more literals than output, lengths that do not add
+up to ``original_size`` (checked before the output buffer exists),
+impossible code tables, exhausted extra bits, a match distance of zero
+or before the start.
 """
 
 from __future__ import annotations
@@ -37,11 +48,11 @@ import numpy as np
 from repro.common.errors import CorruptionError
 from repro.compression.base import Compressor, register_codec
 from repro.compression.huffman import (
-    BitReader,
     HuffmanEncoder,
     TableDecoder,
     code_lengths,
     pack_bits,
+    unpack_bits,
 )
 from repro.compression.lz77 import MatchFinder, Token
 
@@ -95,20 +106,19 @@ def _bucket(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sym, nbits, values & ((1 << nbits) - 1)
 
 
-def _unbucket(sym: int, extra: int) -> int:
-    """(symbol, extra bits already read) -> value."""
-    if sym < 8:
-        return sym
-    k = sym - 8
-    n = k // 2 + 3
-    top = 2 + (k & 1)
-    return (top << (n - 1)) | extra
+#: The inverse of :func:`_bucket`, per symbol: how many raw extra bits
+#: follow it, and the value it stands for when they are all zero.
+_SYMBOLS = np.arange(_BUCKET_ALPHABET)
+_EXTRA_BITS = np.where(_SYMBOLS < 8, 0, (_SYMBOLS - 8) // 2 + 2)
+_BUCKET_BASE = np.where(
+    _SYMBOLS < 8, _SYMBOLS, (2 + (_SYMBOLS & 1)) << _EXTRA_BITS
+)
 
-
-def _extra_bits_of(sym: int) -> int:
-    if sym < 8:
-        return 0
-    return (sym - 8) // 2 + 2
+#: The decoder unpacks and executes this many tokens per numpy pass and
+#: places this many literal bytes per scatter, so its temporaries stay a
+#: few hundred KB however many tokens or literals the payload carries.
+_TOKEN_BLOCK = 4096
+_LITERAL_BLOCK = 16384
 
 
 def _write_table(out: bytearray, lengths: Sequence[int]) -> None:
@@ -185,15 +195,92 @@ def encode_tokens(buf: bytes, tokens: List[Token], start: int = 0) -> bytearray:
 
 def _decode_symbols(
     data: bytes, pos: int, count: int, alphabet: int
-) -> Tuple[List[int], int]:
+) -> Tuple[np.ndarray, int]:
     lengths, pos = _read_table(data, pos, alphabet)
     size, pos = _read_varint(data, pos)
     stream = data[pos : pos + size]
     if len(stream) != size:
         raise CorruptionError("zstd: truncated bitstream")
-    if count == 0:
-        return [], pos + size
-    return TableDecoder(lengths).decode_all(stream, count), pos + size
+    try:
+        symbols = TableDecoder(lengths).decode_all(stream, count)
+    except ValueError as exc:
+        raise CorruptionError(f"zstd: {exc}") from exc
+    return symbols, pos + size
+
+
+def _token_fields(syms: np.ndarray, extras: bytes) -> np.ndarray:
+    """Rows of literal lengths, match lengths and distances, one column
+    per token, from the tokens' rows of bucket symbols and the extra
+    bits interleaved in the same order.  A token without a match has
+    offset symbol 0: no extra bits, distance 0."""
+    fields = np.empty(syms.shape[::-1], dtype=np.uint16)
+    bit = 0
+    for lo in range(0, len(syms), _TOKEN_BLOCK):
+        block = syms[lo : lo + _TOKEN_BLOCK]
+        widths = _EXTRA_BITS[block]
+        try:
+            values = unpack_bits(extras, widths.ravel(), bit)
+        except ValueError as exc:
+            raise CorruptionError(f"zstd: extra bits: {exc}") from exc
+        values = _BUCKET_BASE[block] + values.reshape(-1, 3)
+        fields[:, lo : lo + _TOKEN_BLOCK] = values.T
+        bit += int(widths.sum())
+    return fields
+
+
+def _execute(
+    fields: np.ndarray, literals: np.ndarray, prefix: bytes, original_size: int
+) -> bytes:
+    """Run the tokens of :func:`_token_fields` over ``prefix``: the
+    ``original_size`` bytes they produce."""
+    n_literals, n_matched, _ = fields.sum(axis=1, dtype=np.int64).tolist()
+    if n_literals != len(literals):
+        raise CorruptionError("zstd: literal runs do not fit the literal stream")
+    if n_literals + n_matched != original_size:
+        raise CorruptionError(
+            f"zstd: size mismatch ({n_literals + n_matched} != {original_size})"
+        )
+    # Only now is ``original_size`` known to be what the tokens produce,
+    # so a payload cannot size this buffer by claiming a number.
+    out = bytearray(len(prefix) + original_size)
+    out[: len(prefix)] = prefix
+    view = np.frombuffer(out, dtype=np.uint8)
+    at = len(prefix)
+    lit_at = 0
+    for lo in range(0, fields.shape[1], _TOKEN_BLOCK):
+        block = fields[:, lo : lo + _TOKEN_BLOCK].astype(np.int64)
+        lit_lens, match_lens, distances = block
+        ends = at + np.cumsum(lit_lens + match_lens)
+        dests = ends - match_lens  # where each match is written
+        sources = dests - distances
+        if (sources < 0).any() or (distances[match_lens != 0] == 0).any():
+            raise CorruptionError("zstd: match distance zero or before the start")
+        # Literals never depend on the output: scatter every run of the
+        # block to its place first, then only matches are left to copy.
+        lit_ends = lit_at + np.cumsum(lit_lens)
+        lit_starts = lit_ends - lit_lens
+        shifts = dests - lit_ends  # literal stream position -> output position
+        lit_end = int(lit_ends[-1])
+        for lo_lit in range(lit_at, lit_end, _LITERAL_BLOCK):
+            hi_lit = min(lo_lit + _LITERAL_BLOCK, lit_end)
+            runs = lit_ends.clip(lo_lit, hi_lit) - lit_starts.clip(lo_lit, hi_lit)
+            places = np.repeat(shifts, runs) + np.arange(lo_lit, hi_lit)
+            view[places] = literals[lo_lit:hi_lit]
+        # A match that reaches into its own output (distance < length)
+        # repeats the ``distance`` bytes before it.
+        source_ends = np.minimum(sources + match_lens, dests)
+        for dest, end, source, source_end in zip(
+            dests.tolist(), ends.tolist(), sources.tolist(), source_ends.tolist()
+        ):
+            if source_end - source == end - dest:
+                out[dest:end] = out[source:source_end]
+            else:
+                length = end - dest
+                pattern = out[source:dest]
+                out[dest:end] = (pattern * (length // len(pattern) + 1))[:length]
+        at = int(ends[-1])
+        lit_at = lit_end
+    return bytes(memoryview(out)[len(prefix) :])
 
 
 class ZstdCodec(Compressor):
@@ -254,47 +341,24 @@ class ZstdCodec(Compressor):
 
         n_tokens, pos = _read_varint(payload, pos)
         n_literals, pos = _read_varint(payload, pos)
-        lit_syms, pos = _decode_symbols(payload, pos, n_literals, 256)
+        if n_literals > original_size:
+            raise CorruptionError("zstd: more literals than output bytes")
+        literals, pos = _decode_symbols(payload, pos, n_literals, 256)
         ll_syms, pos = _decode_symbols(payload, pos, n_tokens, _BUCKET_ALPHABET)
         ml_syms, pos = _decode_symbols(payload, pos, n_tokens, _BUCKET_ALPHABET)
-        # ml symbol 0 encodes match length 0 (final token only); every
-        # other token carries an offset.
-        n_offsets = sum(1 for sym in ml_syms if sym != 0)
-        of_syms, pos = _decode_symbols(payload, pos, n_offsets, _BUCKET_ALPHABET)
-        extras = BitReader(bytes(payload[pos:]) + b"\x00\x00\x00\x00")
-
-        literals = bytes(lit_syms)
-        out = bytearray(prefix)
-        lit_pos = 0
-        of_index = 0
-        for i in range(n_tokens):
-            lit_len = self._read_value(ll_syms[i], extras)
-            out += literals[lit_pos : lit_pos + lit_len]
-            lit_pos += lit_len
-            match_len = self._read_value(ml_syms[i], extras)
-            if match_len:
-                distance = self._read_value(of_syms[of_index], extras)
-                of_index += 1
-                start = len(out) - distance
-                if start < 0:
-                    raise CorruptionError("zstd: distance before stream start")
-                if distance >= match_len:
-                    out += out[start : start + match_len]
-                else:
-                    for j in range(match_len):
-                        out.append(out[start + j])
-        if len(out) - len(prefix) != original_size:
-            raise CorruptionError(
-                f"zstd: size mismatch ({len(out) - len(prefix)} != "
-                f"{original_size})"
-            )
-        return bytes(out[len(prefix):])
-
-    @staticmethod
-    def _read_value(sym: int, extras: BitReader) -> int:
-        nbits = _extra_bits_of(sym)
-        extra = extras.read(nbits) if nbits else 0
-        return _unbucket(sym, extra)
+        # ml symbol 0 encodes match length 0 (the final token, or a piece
+        # of a split literal run); every other token carries an offset.
+        has_match = ml_syms != 0
+        of_syms, pos = _decode_symbols(
+            payload, pos, int(np.count_nonzero(has_match)), _BUCKET_ALPHABET
+        )
+        syms = np.zeros((n_tokens, 3), dtype=np.uint8)
+        syms[:, 0] = ll_syms
+        syms[:, 1] = ml_syms
+        syms[has_match, 2] = of_syms
+        return _execute(
+            _token_fields(syms, payload[pos:]), literals, prefix, original_size
+        )
 
 
 register_codec("zstd", ZstdCodec)

@@ -522,7 +522,7 @@ class StorageNode:
                 data = perf.decompress(
                     entry.algorithm, payload, verified=verified
                 )
-            except (CorruptionError, ValueError, IndexError) as exc:
+            except CorruptionError as exc:
                 raise corrupt(
                     "decompress_error", f"payload does not decompress: {exc}"
                 ) from exc

@@ -121,16 +121,27 @@ def _token_digest(tokens):
     return {"len": len(tokens), "blake2b": hashlib.blake2b(blob, digest_size=16).hexdigest()}
 
 
-def compute(inputs, dicts):
-    """The golden document for the code under ``src/``."""
+def compress_all(inputs, dicts):
+    """``{section: {case: payload}}`` from the code under ``src/``."""
     lz4, zstd = LZ4Codec(), ZstdCodec()
-    doc = {"lz4": {}, "zstd": {}, "zstd_dict": {}, "tokens": {}}
+    payloads = {"lz4": {}, "zstd": {}, "zstd_dict": {}}
     for case, data in inputs.items():
-        doc["lz4"][case] = _digest(lz4.compress(data))
-        doc["zstd"][case] = _digest(zstd.compress(data))
-        doc["zstd_dict"][case] = _digest(
-            zstd.compress(data, dictionary=_dictionary_for(case, dicts))
+        payloads["lz4"][case] = lz4.compress(data)
+        payloads["zstd"][case] = zstd.compress(data)
+        payloads["zstd_dict"][case] = zstd.compress(
+            data, dictionary=_dictionary_for(case, dicts)
         )
+    return payloads
+
+
+def compute(inputs, dicts, payloads=None):
+    """The golden document for the code under ``src/``."""
+    payloads = payloads or compress_all(inputs, dicts)
+    doc = {
+        section: {case: _digest(blob) for case, blob in cases.items()}
+        for section, cases in payloads.items()
+    }
+    doc["tokens"] = {}
     for case in _TOKEN_CASES:
         for label, make in _FINDERS.items():
             doc["tokens"][f"{case}/{label}"] = _token_digest(
@@ -163,8 +174,13 @@ def dicts():
 
 
 @pytest.fixture(scope="module")
-def fresh(inputs, dicts):
-    return compute(inputs, dicts)
+def payloads(inputs, dicts):
+    return compress_all(inputs, dicts)
+
+
+@pytest.fixture(scope="module")
+def fresh(inputs, dicts, payloads):
+    return compute(inputs, dicts, payloads)
 
 
 @pytest.mark.parametrize("section", ["lz4", "zstd", "zstd_dict", "tokens"])
@@ -173,6 +189,26 @@ def test_section_is_bit_identical(golden, fresh, section):
     for case, expected in golden[section].items():
         if expected is not None:
             assert fresh[section][case] == expected, (section, case)
+
+
+@pytest.mark.parametrize("section", ["lz4", "zstd", "zstd_dict"])
+def test_every_pinned_payload_decodes_to_its_input(
+    golden, inputs, dicts, payloads, section
+):
+    """The stored format did not move: the payloads the digests pin are
+    what the commit before the decode kernels wrote, and each decodes to
+    its input under the decoders of today."""
+    codec = LZ4Codec() if section == "lz4" else ZstdCodec()
+    assert set(payloads[section]) == set(inputs)
+    for case, payload in payloads[section].items():
+        if golden[section][case] is not None:
+            assert _digest(payload) == golden[section][case], (section, case)
+        kwargs = (
+            {"dictionary": _dictionary_for(case, dicts)}
+            if section == "zstd_dict"
+            else {}
+        )
+        assert codec.decompress(payload, **kwargs) == inputs[case], (section, case)
 
 
 def test_inputs_the_older_encoder_refused_round_trip(golden, inputs, dicts):

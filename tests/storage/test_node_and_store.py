@@ -1,11 +1,13 @@
 """Storage node + replicated PolarStore: end-to-end behaviour."""
 
+import dataclasses
 import random
 
 import pytest
 
-from repro.common.errors import RaftError, ReproError
-from repro.common.units import DB_PAGE_SIZE, KiB, MiB
+from repro.common.errors import PageCorruptionError, RaftError, ReproError
+from repro.common.units import DB_PAGE_SIZE, LBA_SIZE, KiB, MiB
+from repro.compression.zstd import _read_varint
 from repro.csd.specs import P5510, POLARCSD2
 from repro.storage.index import CompressionInfo
 from repro.storage.node import NodeConfig
@@ -254,6 +256,33 @@ def test_archive_read_uses_segment_buffer(node):
     hits_before = node.heavy.buffer_hits
     node.read_page(3e6, 1)  # same segment: served from the buffer
     assert node.heavy.buffer_hits == hits_before + 1
+
+
+def test_corrupt_segment_without_a_checksum_is_a_corrupt_page(node):
+    """A segment whose registry entry carries no CRC (checksum 0 = skip
+    verification) meets the decoder unchecked: what the decoder makes of
+    damaged bytes must be the one error the read path turns into a
+    repairable corrupt-copy report.  A stored code length of 200 used to
+    be a negative shift, a ``ValueError`` nothing caught."""
+    for i in range(4):
+        node.write_page(i * 1e3, i, make_page(i))
+    now = node.archive_range(1e6, [0, 1, 2, 3])
+    meta = node.heavy.get(node.index.get(0).segment_id)
+    node.heavy.restore({meta.segment_id: dataclasses.replace(meta, checksum=0)})
+    lba = meta.pieces[0][0]
+    block = bytearray(node.data_device.read(now, lba, LBA_SIZE).data)
+    # magic, mode, then four varints (original size, token and literal
+    # counts, literal table size) and the table's first symbol: the
+    # byte after that is its code length.
+    at = 2
+    for _ in range(4):
+        _, at = _read_varint(block, at)
+    assert block[:2] == b"\x5a\x01" and 0 < block[at + 1] <= 12
+    block[at + 1] = 200
+    now = node.data_device.write(now, lba, bytes(block)).done_us
+    with pytest.raises(PageCorruptionError) as caught:
+        node.read_page(now, 2)
+    assert caught.value.symptom == "segment_corrupt"
 
 
 # --------------------------------------------------------------------- #
