@@ -14,8 +14,8 @@ from repro.bench.harness import ExperimentResult, print_table, save_result
 from repro.common.units import DB_PAGE_SIZE, KiB, MiB
 from repro.csd.device import PlainSSD
 from repro.csd.specs import P5510
-from repro.storage.dedup import dedup_ratio_of
-from repro.storage.erasure import ECVolume, ReedSolomon
+from benchmarks.ablation.dedup import dedup_ratio_of
+from benchmarks.ablation.erasure import ECVolume, ReedSolomon
 from repro.workloads.datagen import DATASETS, dataset_pages
 
 

@@ -6,8 +6,8 @@ import random
 
 from repro.bench.harness import ExperimentResult, print_table, save_result
 from repro.compression.base import get_codec
-from repro.compression.dictionary import DictionaryManager, build_dictionary
-from repro.compression.estimator import EstimatingSelector, estimate_ratio
+from benchmarks.ablation.dictionary import DictionaryManager, build_dictionary
+from benchmarks.ablation.estimator import EstimatingSelector, estimate_ratio
 from repro.compression.selector import AlgorithmSelector
 from repro.workloads.datagen import DATASETS, dataset_pages
 

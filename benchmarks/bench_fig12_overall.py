@@ -5,148 +5,25 @@ Paper result (16 threads, I/O-bound): C1 (PolarCSD1.0, hardware-only
 compression) runs ~10% below N1 (P4510); C2 (PolarCSD2.0 with the full
 dual-layer stack and all optimizations) reaches parity with N2 (P5510).
 
-Transaction counts are trimmed for pure-Python runtime; the simulated
-clock still exposes the relative ordering the paper reports.
+The clusters, budgets and cell loop are ``repro.bench.figures.run_fig12``
+(also ``python -m repro bench --fig 12``); this file owns the shape
+assertions.
 """
 
-from repro.bench.harness import ExperimentResult, print_table, save_result
-from repro.common.units import MiB
-from repro.csd.specs import (
-    OPTANE_P4800X,
-    OPTANE_P5800X,
-    P4510,
-    P5510,
-    POLARCSD1,
-    POLARCSD2,
-)
-from repro.db.database import PolarDB
-from repro.storage.node import NodeConfig
-from repro.storage.store import PolarStore
-from repro.workloads.sysbench import (
-    SYSBENCH_WORKLOADS,
-    WORKLOAD_LABELS,
-    prepare_table,
-    run_sysbench,
-)
-
-#: Sized so the working set far exceeds the buffer pool — the paper's
-#: "I/O-bound environment" (480 GB data vs 32 GB RAM) at simulation scale.
-ROWS = 3000
-BUFFER_POOL_PAGES = 10
-THREADS = 16
-TXN_BUDGET = {
-    "insert": 60,
-    "point_select": 200,
-    "read_only": 40,
-    "read_write": 30,
-    "write_only": 45,
-    "update_index": 60,
-    "update_non_index": 80,
-}
-
-#: Cluster configurations from Table 2.
-CLUSTERS = {
-    "N1": dict(
-        data_spec=P4510, perf_spec=OPTANE_P4800X,
-        config=NodeConfig(
-            software_compression=False, opt_algorithm_selection=False,
-            opt_per_page_log=False,
-        ),
-    ),
-    "C1": dict(
-        data_spec=POLARCSD1, perf_spec=OPTANE_P4800X,
-        config=NodeConfig(
-            software_compression=False, opt_algorithm_selection=False,
-            opt_per_page_log=False,
-        ),
-    ),
-    "N2": dict(
-        data_spec=P5510, perf_spec=OPTANE_P5800X,
-        config=NodeConfig(
-            software_compression=False, opt_algorithm_selection=False,
-            opt_per_page_log=False,
-        ),
-    ),
-    "C2": dict(
-        data_spec=POLARCSD2, perf_spec=OPTANE_P5800X,
-        config=NodeConfig(),
-    ),
-}
-
-
-def _make_db(cluster, seed=3):
-    spec = CLUSTERS[cluster]
-    store = PolarStore(
-        spec["config"],
-        data_spec=spec["data_spec"],
-        perf_spec=spec["perf_spec"],
-        volume_bytes=128 * MiB,
-        seed=seed,
-    )
-    db = PolarDB(store=store, buffer_pool_pages=BUFFER_POOL_PAGES)
-    now = prepare_table(db, rows=ROWS, seed=seed)
-    return db, now
-
-
-def run_figure12(workloads=None):
-    workloads = workloads or list(SYSBENCH_WORKLOADS)
-    result = ExperimentResult(
-        "fig12_overall",
-        "sysbench throughput / avg latency / P95 per cluster",
-        ["workload", "cluster", "tps", "avg_us", "p95_us"],
-    )
-    metrics = {}
-    for cluster in CLUSTERS:
-        db, now = _make_db(cluster)
-        offset = now
-        for workload in workloads:
-            run = run_sysbench(
-                db, workload, duration_s=30.0, threads=THREADS,
-                key_range=ROWS, start_us=offset, seed=11,
-                max_transactions=TXN_BUDGET[workload],
-            )
-            offset += 40e6
-            label = WORKLOAD_LABELS[workload]
-            result.add(label, cluster, run.tps, run.avg_latency_us,
-                       run.p95_latency_us)
-            metrics[(workload, cluster)] = run
-    _note_ratios(result, metrics, workloads)
-    print_table(result)
-    save_result(result)
-    return metrics
-
-
-def _note_ratios(result, metrics, workloads):
-    for pair in (("C1", "N1"), ("C2", "N2")):
-        ratios = [
-            metrics[(w, pair[0])].tps / metrics[(w, pair[1])].tps
-            for w in workloads
-        ]
-        mean = sum(ratios) / len(ratios)
-        result.note(
-            f"{pair[0]} throughput vs {pair[1]}: {mean:.2f}x on average "
-            "(paper: C1 ~0.90x, C2 ~1.00x)"
-        )
+from repro.bench.figures import mean_tps_ratio, run_fig12
 
 
 def test_fig12(run_once):
-    metrics = run_once(run_figure12)
-    workloads = sorted({w for w, _ in metrics})
-    c1_ratios = [
-        metrics[(w, "C1")].tps / metrics[(w, "N1")].tps for w in workloads
-    ]
-    c2_ratios = [
-        metrics[(w, "C2")].tps / metrics[(w, "N2")].tps for w in workloads
-    ]
-    c1_mean = sum(c1_ratios) / len(c1_ratios)
-    c2_mean = sum(c2_ratios) / len(c2_ratios)
+    result = run_once(run_fig12)
+    c1_mean = mean_tps_ratio(result, "C1", "N1")
+    c2_mean = mean_tps_ratio(result, "C2", "N2")
     # C1 pays a visible but bounded penalty; C2 is near parity and closer
     # to its baseline than C1 is to its own.
     assert 0.70 < c1_mean < 1.02
     assert 0.85 < c2_mean < 1.10
     assert c2_mean > c1_mean - 0.02
     # Latency ordering mirrors throughput (no pathological config).
-    for w in workloads:
-        assert metrics[(w, "C2")].avg_latency_us < (
-            metrics[(w, "N2")].avg_latency_us * 1.35
-        )
+    avg_us = {(row[0], row[1]): row[3] for row in result.rows}
+    for (workload, cluster), avg in avg_us.items():
+        if cluster == "C2":
+            assert avg < avg_us[(workload, "N2")] * 1.35

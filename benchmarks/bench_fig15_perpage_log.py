@@ -7,92 +7,18 @@ threads the per-page log cuts P95 latency by 28.9–39.5% (page generation
 needs one read instead of several scattered ones); beyond 128 threads the
 RO node becomes CPU-bound and the benefit fades.
 
-We reproduce the mechanism: a tiny storage redo cache forces spills; write
-bursts between read phases keep pages' logs scattered; reads route to an
-RO node whose core pool saturates at high thread counts.
+The set-up and phase loop are ``repro.bench.figures.run_fig15`` (also
+``python -m repro bench --fig 15``); this file owns the shape assertions.
 """
 
-from repro.bench.harness import ExperimentResult, print_table, save_result
-from repro.common.units import KiB, MiB
-from repro.db.database import PolarDB
-from repro.db.ro_node import RONode
-from repro.storage.node import NodeConfig
-from repro.storage.store import PolarStore
-from repro.workloads.sysbench import prepare_table, run_sysbench
-
-ROWS = 1500
-THREADS_SWEEP = (16, 32, 64, 128, 256)
-WRITE_BURST_TXNS = 500
-READ_TXNS = 160
-RO_CPU_CORES = 2
-
-
-def _make_db(per_page_log: bool, seed=9):
-    config = NodeConfig(
-        opt_per_page_log=per_page_log,
-        opt_algorithm_selection=False,  # isolate Opt#3
-        redo_cache_bytes=8 * KiB,       # lagging RO => log cache pressure
-    )
-    store = PolarStore(config, volume_bytes=128 * MiB, seed=seed)
-    # The RW node's working set stays cached (it never reads storage, it
-    # only ships redo); the lagging RO node drives all storage reads.
-    db = PolarDB(store=store, buffer_pool_pages=512, ro_nodes=0)
-    db.ro.append(
-        RONode(store, db.rw, buffer_pool_pages=4, lag_us=1e6,
-               cpu_cores=RO_CPU_CORES)
-    )
-    now = prepare_table(db, rows=ROWS, seed=seed)
-    return db, now
-
-
-def _phase(db, now, threads, seed):
-    """One write burst (RW node) followed by one read phase (RO node)."""
-    burst = run_sysbench(
-        db, "update_non_index", duration_s=60.0, threads=16,
-        key_range=ROWS, start_us=now, seed=seed,
-        max_transactions=WRITE_BURST_TXNS,
-    )
-    now += 70e6
-    reads = run_sysbench(
-        db, "point_select", duration_s=60.0, threads=threads,
-        key_range=ROWS, start_us=now, seed=seed + 1,
-        max_transactions=READ_TXNS, ro_index=0,
-    )
-    return reads, now + 70e6
-
-
-def run_figure15():
-    result = ExperimentResult(
-        "fig15_perpage_log",
-        "RO-node P95 read latency vs threads, baseline vs per-page log",
-        ["threads", "baseline_p95_us", "perpage_p95_us", "p95_reduction"],
-    )
-    p95 = {}
-    for per_page_log in (False, True):
-        db, now = _make_db(per_page_log)
-        for threads in THREADS_SWEEP:
-            reads, now = _phase(db, now, threads, seed=31 + threads)
-            p95[(per_page_log, threads)] = reads.p95_latency_us
-    for threads in THREADS_SWEEP:
-        base = p95[(False, threads)]
-        opt = p95[(True, threads)]
-        result.add(threads, base, opt, 1 - opt / base)
-    result.note(
-        "paper: 28.9-39.5% P95 reduction below 128 threads; CPU-bound "
-        "beyond 128 threads erodes the benefit"
-    )
-    print_table(result)
-    save_result(result)
-    return p95
+from repro.bench.figures import run_fig15
 
 
 def test_fig15(run_once):
-    p95 = run_once(run_figure15)
-    low_gains = [
-        1 - p95[(True, t)] / p95[(False, t)] for t in (16, 32, 64)
-    ]
-    high_gain = 1 - p95[(True, 256)] / p95[(False, 256)]
+    result = run_once(run_fig15)
+    reduction = {row[0]: row[3] for row in result.rows}
+    low_gains = [reduction[t] for t in (16, 32, 64)]
     # The optimization helps clearly at low thread counts...
     assert sum(low_gains) / len(low_gains) > 0.10
     # ...and its advantage shrinks once the node saturates.
-    assert high_gain < max(low_gains)
+    assert reduction[256] < max(low_gains)

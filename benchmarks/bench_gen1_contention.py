@@ -17,7 +17,7 @@ from repro.common.clock import ResourcePool
 from repro.common.latency import LatencyStats
 from repro.common.units import GiB
 from repro.compression.cost import codec_cost
-from repro.csd.host_ftl import contention_risk, host_ftl_footprint
+from benchmarks.ablation.host_ftl import contention_risk, host_ftl_footprint
 from repro.csd.specs import POLARCSD1, POLARCSD2
 
 HOST_CORES = 32

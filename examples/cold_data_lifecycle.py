@@ -16,7 +16,7 @@ from repro.common.units import DB_PAGE_SIZE, MiB
 from repro.storage.node import NodeConfig
 from repro.storage.recovery import recover_node
 from repro.storage.store import build_node
-from repro.storage.tiering import ObjectStore, TieringManager
+from tiering import ObjectStore, TieringManager
 from repro.workloads.datagen import dataset_pages
 
 

@@ -19,7 +19,7 @@ from repro.csd.specs import (
     POLARCSD1,
     POLARCSD2,
 )
-from repro.workloads.trace import generate_trace, prefill, replay_trace
+from block_trace import generate_trace, prefill, replay_trace
 
 
 def make_device(spec):

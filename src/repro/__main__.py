@@ -142,11 +142,11 @@ def cmd_info(_args) -> int:
     print(f"repro {repro.__version__} — PolarStore reproduction (FAST 2026)")
     print(__doc__.split("Commands")[0].strip())
     subsystems = [
-        ("repro.compression", "LZ4 + zstd-like codecs, dictionaries, "
-                              "estimator, Algorithm-1 selector"),
+        ("repro.compression", "LZ4 + zstd-like codecs (dictionary mode), "
+                              "Algorithm-1 selector"),
         ("repro.csd", "PolarCSD simulator: FTL, NAND, GC, TRIM, faults"),
         ("repro.storage", "storage node, replication, WAL recovery, "
-                          "per-page log, heavy archive, tiering"),
+                          "per-page log, heavy archive"),
         ("repro.db", "pages, B+tree, buffer pool, RW/RO compute nodes"),
         ("repro.baselines", "InnoDB / MyRocks / log-structured baselines"),
         ("repro.cluster", "zone scheduler, migration, cost model"),

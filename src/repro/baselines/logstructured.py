@@ -35,7 +35,6 @@ class _CompressedUnit:
 
 @dataclass
 class LogStructuredStats:
-    user_writes: int = 0
     compactions: int = 0
     compaction_write_bytes: int = 0
     split_page_reads: int = 0
@@ -67,7 +66,6 @@ class LogStructuredStore:
         now = self.device.write(start_us, lba, data).done_us
         self._open[page_no] = data
         self._open_bytes += DB_PAGE_SIZE
-        self.stats.user_writes += 1
         if self._open_bytes >= SEGMENT_BYTES:
             now = self._compact(now)
         return now
@@ -167,18 +165,3 @@ class LogStructuredStore:
 
     def _unit_after(self, unit: _CompressedUnit) -> Optional[_CompressedUnit]:
         return self._unit_next.get(unit.lba)
-
-    # -- space -----------------------------------------------------------------------
-
-    @property
-    def split_fraction(self) -> float:
-        """Fraction of compacted pages whose image straddles two units."""
-        total = len(self._compacted)
-        if total == 0:
-            return 0.0
-        split = 0
-        for unit, offset in self._compacted.values():
-            # The decompressed unit is UNIT_BYTES long except the last one.
-            if offset + DB_PAGE_SIZE > UNIT_BYTES:
-                split += 1
-        return split / total

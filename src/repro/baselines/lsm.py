@@ -81,7 +81,6 @@ class SSTable:
 
 @dataclass
 class LSMStats:
-    flushes: int = 0
     compactions: int = 0
     compaction_read_bytes: int = 0
     compaction_write_bytes: int = 0
@@ -157,7 +156,6 @@ class LSMTree:
         self._memtable_size = 0
         table, now = self._write_table(start_us, entries, level=0)
         self._levels[0].append(table)
-        self.stats.flushes += 1
         return now
 
     def _write_table(
@@ -334,10 +332,6 @@ class LSMTree:
     @property
     def stored_bytes(self) -> int:
         return sum(t.stored_bytes for level in self._levels for t in level)
-
-    @property
-    def level_sizes(self) -> List[int]:
-        return [len(level) for level in self._levels]
 
     def flush_now(self, start_us: float) -> float:
         """Force a memtable flush (used by space benchmarks)."""

@@ -241,9 +241,6 @@ class NetFaultPlan:
             dropped=dropped, extra_delay_us=extra, duplicates=duplicates
         )
 
-    def active_rules(self, now_us: float) -> List[NetRule]:
-        return [r for r in self.rules if r.window_active(now_us)]
-
     def counts(self) -> Dict[str, int]:
         return {
             "blocked": self.blocked_messages,

@@ -193,10 +193,6 @@ class HuffmanEncoder:
         self._codes = np.array(codes, dtype=np.int64)
         self._widths = np.array(self.lengths, dtype=np.int64)
 
-    @classmethod
-    def from_frequencies(cls, frequencies: Sequence[int]) -> "HuffmanEncoder":
-        return cls(code_lengths(frequencies))
-
     def encode(self, symbols: np.ndarray) -> bytes:
         """The bitstream of ``symbols`` (an integer array)."""
         return pack_bits(self._codes[symbols], self._widths[symbols])

@@ -91,7 +91,6 @@ class RaftGroup:
         self._leader_listeners: List[Callable[[int, int], None]] = []
         # Plain-int tallies so scenario thresholds need no registry.
         self.elections_won = 0
-        self.leader_changes = 0
         self.term_bumps = 0
         self.fences = 0
         self.client_retries = 0
@@ -155,7 +154,6 @@ class RaftGroup:
         self.elections_won += 1
         self.metrics_counter("consensus.elections").inc()
         if node.node_id != self.leader_id:
-            self.leader_changes += 1
             self.metrics_counter("consensus.leader_changes").inc()
         self.leader_id = node.node_id
         self.leader_term = term

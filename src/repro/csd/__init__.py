@@ -10,7 +10,6 @@
   greedy garbage collection, and TRIM.
 * :mod:`repro.csd.device` — the PolarCSD device (in-storage gzip) and the
   plain-SSD / Optane models behind one ``BlockDevice`` interface.
-* :mod:`repro.csd.host_ftl` — gen-1 host-based FTL resource accounting.
 * :mod:`repro.csd.faults` — slow-I/O fault injection for Figure 8.
 """
 

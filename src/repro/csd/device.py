@@ -55,31 +55,6 @@ class IOCompletion:
         return self.done_us - self.start_us
 
 
-def _load_blocks(
-    blocks: Dict[int, bytes], name: str, lba: int, nbytes: int
-) -> bytes:
-    """Assemble a read payload from the per-LBA block map.
-
-    Single-block reads (the common case: redo batches, WAL flushes,
-    per-page log blocks, most compressed pages) return the stored bytes
-    object directly — the seed built a ``bytearray`` and copied it to
-    ``bytes`` even for one block.  Multi-block reads join once.
-    """
-    n_blocks = nbytes // LBA_SIZE
-    if n_blocks == 1:
-        block = blocks.get(lba)
-        if block is None:
-            raise DeviceError(f"{name}: read of unwritten LBA {lba}")
-        return block
-    parts = []
-    for i in range(n_blocks):
-        block = blocks.get(lba + i)
-        if block is None:
-            raise DeviceError(f"{name}: read of unwritten LBA {lba + i}")
-        parts.append(block)
-    return b"".join(parts)
-
-
 class BlockDevice:
     """Common queueing, jitter, fault injection, and stats."""
 
@@ -98,6 +73,8 @@ class BlockDevice:
         registry with the owning node so device latency histograms and
         FTL counters appear in volume-level snapshots."""
         self.spec = spec
+        #: Stored content, one entry per written 4 KB LBA.
+        self._blocks: Dict[int, bytes] = {}
         self.queue = Resource(spec.name, servers=max(1, parallelism))
         self.read_stats = LatencyStats()
         self.write_stats = LatencyStats()
@@ -169,11 +146,32 @@ class BlockDevice:
     def _store(self, lba: int, data: bytes) -> None:
         raise NotImplementedError
 
-    def _load(self, lba: int, nbytes: int) -> bytes:
-        raise NotImplementedError
-
     def trim(self, lba: int, nbytes: int = LBA_SIZE) -> None:
         raise NotImplementedError
+
+    def _load(self, lba: int, nbytes: int) -> bytes:
+        """Assemble a read payload from the per-LBA block map.
+
+        Single-block reads (the common case: redo batches, WAL flushes,
+        per-page log blocks, most compressed pages) return the stored bytes
+        object directly — the seed built a ``bytearray`` and copied it to
+        ``bytes`` even for one block.  Multi-block reads join once.
+        """
+        n_blocks = nbytes // LBA_SIZE
+        if n_blocks == 1:
+            block = self._blocks.get(lba)
+            if block is None:
+                raise DeviceError(f"{self.name}: read of unwritten LBA {lba}")
+            return block
+        parts = []
+        for i in range(n_blocks):
+            block = self._blocks.get(lba + i)
+            if block is None:
+                raise DeviceError(
+                    f"{self.name}: read of unwritten LBA {lba + i}"
+                )
+            parts.append(block)
+        return b"".join(parts)
 
     # -- public interface ----------------------------------------------------
 
@@ -275,19 +273,6 @@ class BlockDevice:
         self._finish_read(start_us, done, nbytes)
         return IOCompletion(start_us, done, data)
 
-    def peek(self, lba: int, nbytes: int) -> Optional[bytes]:
-        """Inspect stored content without simulating an I/O.
-
-        No queueing, no latency, no stats, no fault/chaos sampling — this
-        exists solely for the wall-clock prefetcher, which warms the codec
-        memo with content a simulated read is about to fetch anyway.
-        Returns ``None`` where a real read would error (unwritten LBA).
-        """
-        try:
-            return self._load(lba, nbytes)
-        except ReproError:
-            return None
-
     def gc_proc(self, period_us: float = 500.0):
         """Daemon process: drain accumulated FTL relocation work
         (:attr:`_pending_gc_us`) through the device queue, stealing idle
@@ -333,19 +318,6 @@ class BlockDevice:
 class PlainSSD(BlockDevice):
     """Conventional SSD (Intel P4510/P5510/Optane): fixed 1:1 mapping."""
 
-    def __init__(
-        self,
-        spec: DeviceSpec,
-        seed: int = 0,
-        inject_faults: bool = False,
-        parallelism: int = 1,
-        metrics: Optional[MetricsRegistry] = None,
-        metric_labels: Optional[Dict[str, str]] = None,
-    ):
-        super().__init__(spec, seed, inject_faults, parallelism,
-                         metrics=metrics, metric_labels=metric_labels)
-        self._blocks: Dict[int, bytes] = {}
-
     def _service_write_us(self, lba: int, data: bytes) -> float:
         return (
             self.spec.write_fixed_us
@@ -367,9 +339,6 @@ class PlainSSD(BlockDevice):
             if block_lba >= capacity_blocks:
                 raise OutOfSpaceError(f"{self.name}: LBA {block_lba} beyond capacity")
             self._blocks[block_lba] = bytes(data[i : i + LBA_SIZE])
-
-    def _load(self, lba: int, nbytes: int) -> bytes:
-        return _load_blocks(self._blocks, self.name, lba, nbytes)
 
     def trim(self, lba: int, nbytes: int = LBA_SIZE) -> None:
         self._check_alignment(nbytes)
@@ -422,7 +391,6 @@ class PolarCSD(BlockDevice):
             metric_labels=self.metric_labels,
         )
         self.engine = HardwareGzip()
-        self._blocks: Dict[int, bytes] = {}
 
     # -- service time ---------------------------------------------------------
 
@@ -479,9 +447,6 @@ class PolarCSD(BlockDevice):
     def _store(self, lba: int, data: bytes) -> None:
         for i in range(0, len(data), LBA_SIZE):
             self._blocks[lba + i // LBA_SIZE] = bytes(data[i : i + LBA_SIZE])
-
-    def _load(self, lba: int, nbytes: int) -> bytes:
-        return _load_blocks(self._blocks, self.name, lba, nbytes)
 
     def trim(self, lba: int, nbytes: int = LBA_SIZE) -> None:
         self._check_alignment(nbytes)

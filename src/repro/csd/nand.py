@@ -25,7 +25,6 @@ class NandBlock:
     write_ptr: int = 0
     live_bytes: int = 0
     sealed: bool = False
-    erase_count: int = 0
 
     @property
     def stale_bytes(self) -> int:
@@ -61,7 +60,6 @@ class NandBlock:
             )
         self.write_ptr = 0
         self.sealed = False
-        self.erase_count += 1
 
 
 @dataclass
@@ -77,10 +75,6 @@ class NandSpace:
             raise ValueError("physical capacity smaller than one erase block")
         count = self.physical_capacity // self.block_capacity
         self.blocks = [NandBlock(i, self.block_capacity) for i in range(count)]
-
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
 
     def free_blocks(self) -> List[NandBlock]:
         return [b for b in self.blocks if not b.sealed and b.write_ptr == 0]

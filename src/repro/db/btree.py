@@ -13,7 +13,7 @@ eagerly, which is exactly the fragmentation §2.2.1 attributes to them.
 from __future__ import annotations
 
 import struct
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.common.errors import CorruptionError
 from repro.db.bufferpool import BufferPool, OpContext
@@ -166,16 +166,3 @@ class BPlusTree:
         new_root.insert(sep, _CHILD.pack(new_page_no), lsn)
         self.root_page_no = new_root.page_no
         self.height += 1
-
-    # -- introspection --------------------------------------------------------------
-
-    def leaf_page_nos(self, ctx: OpContext) -> Iterator[int]:
-        yield from self._leaves_under(ctx, self.root_page_no)
-
-    def _leaves_under(self, ctx: OpContext, page_no: int) -> Iterator[int]:
-        page = self._pool.get_page(ctx, page_no)
-        if page.page_type is PageType.LEAF:
-            yield page_no
-            return
-        for _, child_value in page.items():
-            yield from self._leaves_under(ctx, _CHILD.unpack(child_value)[0])

@@ -26,7 +26,6 @@ class OpContext:
 
     now_us: float
     io_reads: int = 0
-    io_read_us: float = 0.0
 
     def charge_cpu(self, cpu_us: float) -> None:
         self.now_us += cpu_us
@@ -77,7 +76,6 @@ class BufferPool:
             self.metrics.tracer.end(span, result.done_us)
         self._miss_hist.record(result.done_us - ctx.now_us)
         ctx.io_reads += 1
-        ctx.io_read_us += result.done_us - ctx.now_us
         ctx.now_us = result.done_us
         page = Page.parse(result.data)
         self._evict(ctx, self._pages.put(page_no, page))

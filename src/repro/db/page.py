@@ -47,7 +47,6 @@ class Page:
             raise ValueError("use Page.new() or Page.parse()")
         self.buf = buf
         self._mods: List[Tuple[int, bytes]] = []
-        self._undo: List[Tuple[int, bytes]] = []
         #: Set on any mutation; write-back engines (InnoDB baseline) clear
         #: it after flushing.  The PolarDB path ignores it (storage rebuilds
         #: pages from redo).
@@ -112,10 +111,6 @@ class Page:
     # -- mutation plumbing ------------------------------------------------------
 
     def _write(self, offset: int, data: bytes) -> None:
-        # Before-image first (undo), then the mutation (redo).
-        self._undo.append(
-            (offset, bytes(self.buf[offset : offset + len(data)]))
-        )
         self.buf[offset : offset + len(data)] = data
         self._mods.append((offset, bytes(data)))
         self.dirty = True
@@ -124,17 +119,7 @@ class Page:
         """Byte ranges changed since the last drain (for redo generation)."""
         mods = self._mods
         self._mods = []
-        self._undo = []
         return mods
-
-    def rollback_mods(self) -> int:
-        """Undo every change since the last drain; returns entries undone."""
-        count = len(self._undo)
-        for offset, before in reversed(self._undo):
-            self.buf[offset : offset + len(before)] = before
-        self._undo = []
-        self._mods = []
-        return count
 
     # -- slot directory ------------------------------------------------------------
 

@@ -33,7 +33,6 @@ class RONode:
         #: How far this node's redo parsing trails the RW node.  A large
         #: lag prevents the storage layer from recycling redo (Fig 15).
         self.lag_us = lag_us
-        self.applied_lsn = 0
         #: Query execution contends for the node's cores; at high thread
         #: counts this queue, not the storage I/O, bounds throughput (the
         #: Figure 15 crossover beyond 128 threads).
@@ -49,14 +48,6 @@ class RONode:
         registry = getattr(self.store, "metrics", None)
         if registry is not None:
             self.cpu.bind_metrics(registry, node=f"ro-{label}")
-
-    def parse_redo_up_to(self, lsn: int) -> None:
-        """Advance the local parsing progress (LSN_i)."""
-        self.applied_lsn = max(self.applied_lsn, lsn)
-        # Pages cached before this point may be stale; a real RO node
-        # applies redo to cached pages — we approximate by dropping the
-        # cache so the next read refetches a consolidated page.
-        # (Only needed when the workload mixes writes into cached pages.)
 
     def _lookup(self, ctx: OpContext, table: str, key: int):
         """The query body shared by both execution paths: descend the
@@ -92,9 +83,3 @@ class RONode:
         # Result assembly + row handling back on the CPU.
         yield from self.cpu.process(EXECUTE_CPU_US / 2)
         return OpResult(engine.now_us, ctx.io_reads, 0, value)
-
-    def invalidate_cache(self) -> None:
-        """Drop every cached page (stale after heavy write traffic)."""
-        self.pool = BufferPool(
-            self.pool._pages.capacity_bytes // (16 * 1024), self.store
-        )

@@ -48,7 +48,6 @@ class RWNode:
         self.trees: Dict[str, BPlusTree] = {}
         self._next_page_no = 1
         self._next_lsn = 1
-        self.committed_statements = 0
         #: The compute instance's cores (the paper evaluates an 8-core
         #: instance); statement CPU queues here under high concurrency.
         self.cpu = ResourcePool("rw-cpu", cpu_cores)
@@ -124,7 +123,6 @@ class RWNode:
             return ctx.now_us, 0
         ctx.now_us = self.cpu.serve(ctx.now_us, COMMIT_CPU_US)
         commit_us = self.store.write_redo(ctx.now_us, records)
-        self.committed_statements += 1
         return commit_us, sum(r.size_bytes for r in records)
 
     @property
@@ -229,7 +227,6 @@ class RWNode:
             return OpResult(engine.now_us, ctx.io_reads, 0, value)
         yield from self.cpu.process(COMMIT_CPU_US)
         commit = yield from self.store.write_redo_proc(records)
-        self.committed_statements += 1
         return OpResult(
             commit, ctx.io_reads, sum(r.size_bytes for r in records), value
         )

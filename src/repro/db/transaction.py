@@ -161,7 +161,6 @@ class Transaction:
             done = self.rw.store.write_redo(
                 self.now_us + COMMIT_CPU_US, self._pending
             )
-            self.rw.committed_statements += 1
         self._release_pins()
         self.now_us = done
         return done
@@ -177,7 +176,6 @@ class Transaction:
             if page is not None:
                 page.buf[:] = image
                 page._mods = []
-                page._undo = []
         for table, (root, height) in self._tree_snapshots.items():
             tree = self.rw.tree(table)
             tree.root_page_no = root

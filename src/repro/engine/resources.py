@@ -133,10 +133,6 @@ class Resource:
         """When the last queued work drains."""
         return max(self._free_at)
 
-    @property
-    def next_free_us(self) -> float:
-        return min(self._free_at)
-
     def utilization(self, elapsed_us: float) -> float:
         """Fraction of ``servers * elapsed_us`` spent busy."""
         if elapsed_us <= 0:

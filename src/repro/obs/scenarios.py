@@ -52,9 +52,6 @@ class ObservedRun:
     now_us: float = 0.0
     passed: bool = True
     detail: Dict[str, object] = field(default_factory=dict)
-    #: The chaos and raft scenarios keep their full report here
-    #: (rendered verdict with schedule counters).
-    chaos_report: Optional[object] = None
 
     @property
     def slo_report(self) -> SLOReport:
@@ -173,7 +170,6 @@ def _run_chaos(
                         default=run.now_us)
     )
     run.passed = report.passed
-    run.chaos_report = report
     run.detail = {
         "ops": ops,
         "injected_data_faults": report.injected_data_faults,
@@ -272,7 +268,6 @@ def _run_raft(
     run.registries.append(report.metrics)
     run.now_us = max(run.now_us, report.end_us)
     run.passed = report.passed
-    run.chaos_report = report
     run.detail = {
         "commits_acked": report.commits_acked,
         "elections": report.elections,

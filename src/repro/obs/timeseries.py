@@ -46,13 +46,6 @@ class TimeSeries(Instrument):
             for idx in sorted(self._windows)
         ]
 
-    def rate_points(self) -> List[Tuple[float, float]]:
-        """``(window_start_s, value_per_second)`` pairs for plotting."""
-        per_s = 1e6 / self.window_us
-        return [
-            (t_us / 1e6, value * per_s) for t_us, value in self.points()
-        ]
-
     def merged(self, other: "TimeSeries") -> "TimeSeries":
         if self.window_us != other.window_us:
             raise ValueError(

@@ -161,15 +161,6 @@ class BitmapAllocator:
     def used_bytes(self) -> int:
         return self.used_blocks * LBA_SIZE
 
-    @property
-    def owned_extents(self) -> Set[int]:
-        return set(self._extents)
-
-    def is_allocated(self, lba: int) -> bool:
-        extent_index, offset = divmod(lba, BLOCKS_PER_EXTENT)
-        extent = self._extents.get(extent_index)
-        return bool(extent and extent.bitmap[offset])
-
 
 class SpaceManager:
     """The storage node's allocation facade.

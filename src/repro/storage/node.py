@@ -104,6 +104,15 @@ class PreparedWrite:
         if self.checksum == 0:
             object.__setattr__(self, "checksum", crc32(self.payload))
 
+    @classmethod
+    def raw(cls, data: bytes, cpu_us: float = 0.0) -> "PreparedWrite":
+        """``data`` stored uncompressed in whole blocks — at least one:
+        neither the index nor the device has a zero-block extent."""
+        return cls(
+            CompressionInfo.UNCOMPRESSED, None, data,
+            max(1, ceil_div(len(data), LBA_SIZE)), cpu_us,
+        )
+
     @property
     def device_bytes(self) -> int:
         return self.n_blocks * LBA_SIZE
@@ -253,24 +262,9 @@ class StorageNode:
         force_codec: Optional[str] = None,
     ) -> PreparedWrite:
         """Leader-side software compression (step 1 of Figure 4)."""
-        if len(data) != DB_PAGE_SIZE:
-            return PreparedWrite(
-                CompressionInfo.UNCOMPRESSED,
-                None,
-                data,
-                ceil_div(len(data), LBA_SIZE),
-                0.0,
-            )
-        if not self.config.software_compression:
-            return PreparedWrite(
-                CompressionInfo.UNCOMPRESSED, None, data, 4, 0.0
-            )
-        if force_codec is not None:
-            codec_name = force_codec
-            payload, payload_crc = perf.compress(codec_name, data)
-            cpu = codec_cost(codec_name).compress_us(len(data))
-            evaluated = False
-        elif self.config.opt_algorithm_selection:
+        if len(data) != DB_PAGE_SIZE or not self.config.software_compression:
+            return PreparedWrite.raw(data)
+        if force_codec is None and self.config.opt_algorithm_selection:
             decision = self.selector.select(
                 data,
                 cpu_utilization=cpu_utilization,
@@ -281,23 +275,22 @@ class StorageNode:
             payload = decision.result.payload
             payload_crc = decision.payload_crc
             evaluated = decision.evaluated
-            cpu = codec_cost(codec_name).compress_us(len(data))
-            if evaluated:
-                # Evaluation compressed with *both* codecs (Algorithm 1).
-                other = "zstd" if codec_name == "lz4" else "lz4"
-                cpu += codec_cost(other).compress_us(len(data))
         else:
-            codec_name = self.config.default_codec
+            codec_name = (
+                self.config.default_codec if force_codec is None else force_codec
+            )
             payload, payload_crc = perf.compress(codec_name, data)
-            cpu = codec_cost(codec_name).compress_us(len(data))
             evaluated = False
+        cpu = codec_cost(codec_name).compress_us(len(data))
+        if evaluated:
+            # Evaluation compressed with *both* codecs (Algorithm 1).
+            other = "zstd" if codec_name == "lz4" else "lz4"
+            cpu += codec_cost(other).compress_us(len(data))
 
         n_blocks = ceil_div(len(payload), LBA_SIZE)
         if n_blocks * LBA_SIZE >= DB_PAGE_SIZE:
             # Compression did not save a single block: store raw.
-            return PreparedWrite(
-                CompressionInfo.UNCOMPRESSED, None, data, 4, cpu
-            )
+            return PreparedWrite.raw(data, cpu)
         self._last_algorithm[page_no] = codec_name
         return PreparedWrite(
             CompressionInfo.NORMAL, codec_name, payload, n_blocks, cpu,
@@ -312,6 +305,10 @@ class StorageNode:
         applied_lsn: int = 0,
     ) -> WriteResult:
         """Persist a prepared page on this node (steps 3.1–3.3 of Fig 4)."""
+        if not prepared.payload:
+            # The index has no entry for zero bytes; refuse before the
+            # allocator, the device and the WAL have each recorded one.
+            raise ReproError("empty page write")
         # A rewrite supersedes everything folded in so far: carry the
         # page's redo high-water mark forward so recovery never replays
         # stale records over newer content.
@@ -395,11 +392,9 @@ class StorageNode:
             base = self._read_materialized(start_us, page_no)
         image = bytearray(base.data)
         image[offset : offset + len(data)] = data
-        prepared = PreparedWrite(
-            CompressionInfo.UNCOMPRESSED, None, bytes(image),
-            DB_PAGE_SIZE // LBA_SIZE, 0.0,
+        return self.write_page_local(
+            base.done_us, page_no, PreparedWrite.raw(bytes(image))
         )
-        return self.write_page_local(base.done_us, page_no, prepared)
 
     def _release_entry(self, entry: Optional[IndexEntry]) -> None:
         if entry is None:

@@ -435,7 +435,7 @@ class PolarStore:
         sp = tracer.begin("compression.prepare", start_us, layer="compression")
         if mode is CompressionMode.NONE or len(data) != DB_PAGE_SIZE:
             # Non-page-aligned I/O automatically reverts to no-compression.
-            prepared = self._raw_prepared(data)
+            prepared = PreparedWrite.raw(data)
         else:
             prepared = self.leader.prepare_page(
                 page_no, data, cpu_utilization, update_percent, force_codec
@@ -475,19 +475,6 @@ class PolarStore:
                 latency_us=round(commit - start_us, 3),
             )
         return CommittedWrite(commit, prepared)
-
-    @staticmethod
-    def _raw_prepared(data: bytes) -> PreparedWrite:
-        from repro.common.units import LBA_SIZE, ceil_div
-        from repro.storage.index import CompressionInfo
-
-        return PreparedWrite(
-            CompressionInfo.UNCOMPRESSED,
-            None,
-            data,
-            max(1, ceil_div(len(data), LBA_SIZE)),
-            0.0,
-        )
 
     def _replicate(
         self,
@@ -718,19 +705,32 @@ class PolarStore:
             )
         return result
 
-    def _read_from_peer(self, start_us: float, page_no: int) -> ReadResult:
-        """Serve a read when the leader replica cannot: first live
-        replica holding a current copy wins (repairing as needed)."""
-        last_err: Optional[ReproError] = None
-        for i, node in enumerate(self.nodes):
+    def _current_reads(self, at_us: float, page_no: int, indexes):
+        """Read ``page_no`` from each replica of ``indexes`` that holds a
+        current copy, in order and off the tracer (the caller's span
+        already owns this time).  Yields ``(index, result, error)`` with
+        exactly one of the two set; lazy, so a caller that stops at the
+        first outcome it can use touches no further replica."""
+        for i in indexes:
             if not self.group.current(i, page_no):
                 continue
             try:
                 with self.metrics.tracer.suppressed():
-                    result = node.read_page(start_us, page_no)
-            except PageCorruptionError as err:
-                return self._read_with_repair(start_us, page_no, i, err)
+                    result, error = self.nodes[i].read_page(at_us, page_no), None
             except ReproError as err:
+                result, error = None, err
+            yield i, result, error
+
+    def _read_from_peer(self, start_us: float, page_no: int) -> ReadResult:
+        """Serve a read when the leader replica cannot: first live
+        replica holding a current copy wins (repairing as needed)."""
+        last_err: Optional[ReproError] = None
+        for i, result, err in self._current_reads(
+            start_us, page_no, range(len(self.nodes))
+        ):
+            if isinstance(err, PageCorruptionError):
+                return self._read_with_repair(start_us, page_no, i, err)
+            if err is not None:
                 last_err = err
                 continue
             self.clock.advance_to(result.done_us)
@@ -747,13 +747,10 @@ class PolarStore:
         """Fire a backup read at a follower after the hedge timeout; the
         earlier completion wins (the slow-I/O mitigation of §4.1.1)."""
         hedge_start = start_us + self.hedge_after_us
-        for i in self.group.followers():
-            if not self.group.current(i, page_no):
-                continue
-            try:
-                with self.metrics.tracer.suppressed():
-                    mirror = self.nodes[i].read_page(hedge_start, page_no)
-            except ReproError:
+        for _, mirror, err in self._current_reads(
+            hedge_start, page_no, self.group.followers()
+        ):
+            if err is not None:
                 continue  # corrupt/missing there: the scrubber's problem
             self.metrics.counter("chaos.hedged_reads").add(1)
             if mirror.done_us < leader_result.done_us:
@@ -772,6 +769,19 @@ class PolarStore:
                 return kind.value
         return "unknown"
 
+    def _count_scrub(
+        self, at_us: float, outcome: str, page_no: int, node: int, kind: str,
+        **extra,
+    ) -> None:
+        """One ``chaos.<outcome>`` count and its ``scrub`` event."""
+        self.metrics.counter("chaos." + outcome, kind=kind).add(1)
+        rec = recorder_active()
+        if rec is not None:
+            rec.emit(
+                at_us, "scrub", outcome,
+                page=page_no, node=node, kind=kind, **extra,
+            )
+
     def _read_with_repair(
         self,
         start_us: float,
@@ -780,71 +790,46 @@ class PolarStore:
         first_err: PageCorruptionError,
     ) -> ReadResult:
         """Serve a read despite corruption, then repair every bad copy."""
-        tracer = self.metrics.tracer
         bad = [(bad_index, first_err)]
         good: Optional[ReadResult] = None
         good_index = -1
-        for i, node in enumerate(self.nodes):
-            if i == bad_index or not self.group.current(i, page_no):
-                continue
-            try:
-                with tracer.suppressed():
-                    candidate = node.read_page(start_us, page_no)
+        others = [i for i in range(len(self.nodes)) if i != bad_index]
+        for i, candidate, err in self._current_reads(start_us, page_no, others):
+            if isinstance(err, PageCorruptionError):
+                bad.append((i, err))
+            elif err is None:
                 good, good_index = candidate, i
                 break
-            except PageCorruptionError as err:
-                bad.append((i, err))
-            except (DeviceUnavailableError, ReproError):
-                continue
         kinds = {i: self._attribute(err) for i, err in bad}
-        rec = recorder_active()
         for i, _ in bad:
-            self.metrics.counter("chaos.detected", kind=kinds[i]).add(1)
-            if rec is not None:
-                rec.emit(
-                    start_us, "scrub", "detected",
-                    page=page_no, node=i, kind=kinds[i],
-                )
+            self._count_scrub(start_us, "detected", page_no, i, kinds[i])
         if good is None:
             for i, _ in bad:
-                self.metrics.counter(
-                    "chaos.unrepairable", kind=kinds[i]
-                ).add(1)
-                if rec is not None:
-                    rec.emit(
-                        start_us, "scrub", "unrepairable",
-                        page=page_no, node=i, kind=kinds[i],
-                    )
+                self._count_scrub(
+                    start_us, "unrepairable", page_no, i, kinds[i]
+                )
             raise first_err
         entry = self.nodes[good_index].index.get(page_no)
         applied = entry.applied_lsn if entry else 0
-        with tracer.suppressed():
+        with self.metrics.tracer.suppressed():
             for i, err in bad:
                 try:
                     self.nodes[i].repair_page(
                         good.done_us, page_no, good.data, applied_lsn=applied
                     )
                 except DeviceUnavailableError:
-                    self.metrics.counter(
-                        "chaos.unrepairable", kind=kinds[i]
-                    ).add(1)
-                    if rec is not None:
-                        rec.emit(
-                            good.done_us, "scrub", "unrepairable",
-                            page=page_no, node=i, kind=kinds[i],
-                        )
+                    self._count_scrub(
+                        good.done_us, "unrepairable", page_no, i, kinds[i]
+                    )
                     continue
                 if self.chaos_plan is not None:
                     self.chaos_plan.ledger.clear_node(
                         err.node, err.lba, err.n_blocks
                     )
-                self.metrics.counter("chaos.repaired", kind=kinds[i]).add(1)
-                if rec is not None:
-                    rec.emit(
-                        good.done_us, "scrub", "repaired",
-                        page=page_no, node=i, kind=kinds[i],
-                        source=good_index,
-                    )
+                self._count_scrub(
+                    good.done_us, "repaired", page_no, i, kinds[i],
+                    source=good_index,
+                )
         return good
 
     def scrub(self, start_us: float) -> float:

@@ -6,6 +6,7 @@ import pytest
 from repro.chaos.plan import FaultKind, FaultPlan, FaultRule
 from repro.common.errors import RaftError
 from repro.common.units import DB_PAGE_SIZE, MiB
+from repro.obs.events import FlightRecorder, recording
 from repro.storage.node import NodeConfig
 from repro.storage.store import PolarStore
 
@@ -79,6 +80,56 @@ def test_scrub_finds_and_repairs_without_client_reads():
     repaired_before = counter_total(store, "chaos.repaired")
     store.scrub(now)
     assert counter_total(store, "chaos.repaired") == repaired_before
+
+
+#: scenario -> (chaos.* counter totals, scrub events) of one read of page 1.
+#: ``leader_stale`` goes through the peer read, ``follower_stale`` through
+#: the hedged read, ``follower_corrupt`` (stale leader, bit-flipped node 1)
+#: through peer read into repair.
+STALE_REPLICA_READS = {
+    "leader_stale": ({}, []),
+    "follower_stale": ({"chaos.hedged_reads": 1}, []),
+    "follower_corrupt": (
+        {"chaos.detected": 1, "chaos.repaired": 1},
+        [
+            ("detected", {"page": 1, "node": 1, "kind": "bit_flip"}),
+            ("repaired",
+             {"page": 1, "node": 1, "kind": "bit_flip", "source": 2}),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(STALE_REPLICA_READS))
+def test_read_path_never_reads_a_replica_that_missed_the_page(scenario):
+    store = make_store()
+    if scenario == "follower_corrupt":
+        plan = FaultPlan(seed=3)
+        plan.add(FaultRule(
+            FaultKind.BIT_FLIP, scope=f"{store.nodes[1].name}:data",
+            max_count=1,
+        ))
+        plan.attach_to_store(store)
+    if scenario == "follower_stale":
+        store.hedge_after_us = 1.0  # every device read is slower: all hedge
+    now = store.write_page(0.0, 1, make_page(5)).commit_us
+    stale = 1 if scenario == "follower_stale" else 0
+    store.group.missed[stale].add(1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"replica {stale} missed page 1 and was read")
+
+    store.nodes[stale].read_page = refuse
+    with recording(FlightRecorder()) as rec:
+        result = store.read_page(now, 1)
+    assert result.data == make_page(5)
+    counts, events = STALE_REPLICA_READS[scenario]
+    for name in ("chaos.hedged_reads", "chaos.detected", "chaos.repaired",
+                 "chaos.unrepairable"):
+        assert counter_total(store, name) == counts.get(name, 0), name
+    assert [
+        (ev.kind, dict(ev.fields)) for ev in rec.events(channel="scrub")
+    ] == events
 
 
 def test_crash_rejoin_resyncs_missed_pages():

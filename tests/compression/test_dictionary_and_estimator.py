@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import CorruptionError
-from repro.compression.dictionary import DictionaryManager, build_dictionary
-from repro.compression.estimator import (
+from benchmarks.ablation.dictionary import DictionaryManager, build_dictionary
+from benchmarks.ablation.estimator import (
     EstimatingSelector,
     EstimatorThresholds,
     estimate_ratio,

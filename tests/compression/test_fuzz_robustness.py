@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import CorruptionError
 from repro.compression.base import get_codec
-from repro.compression.dictionary import build_dictionary
+from benchmarks.ablation.dictionary import build_dictionary
 from repro.workloads.datagen import DATASETS, dataset_pages
 
 _EXPECTED = (CorruptionError,)

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression.dictionary import build_dictionary
+from benchmarks.ablation.dictionary import build_dictionary
 from repro.compression.lz4 import LZ4Codec
 from repro.compression.lz77 import MIN_MATCH, MatchFinder
 from repro.compression.zstd import ZstdCodec

@@ -12,7 +12,7 @@ from repro.csd.faults import (
     FaultProfile,
     profile_for,
 )
-from repro.csd.host_ftl import (
+from benchmarks.ablation.host_ftl import (
     CPU_CORES_PER_DEVICE,
     contention_risk,
     host_ftl_footprint,

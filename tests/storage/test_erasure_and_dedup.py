@@ -12,8 +12,8 @@ from repro.common.errors import ReproError
 from repro.common.units import DB_PAGE_SIZE, MiB
 from repro.csd.device import PlainSSD
 from repro.csd.specs import P5510
-from repro.storage.dedup import DedupIndex, dedup_ratio_of
-from repro.storage.erasure import ECVolume, ReedSolomon, gf_inv, gf_mul, gf_pow
+from benchmarks.ablation.dedup import DedupIndex, dedup_ratio_of
+from benchmarks.ablation.erasure import ECVolume, ReedSolomon, gf_inv, gf_mul, gf_pow
 from repro.workloads.datagen import dataset_pages
 
 # --------------------------------------------------------------------- #

@@ -10,7 +10,7 @@ from repro.common.units import DB_PAGE_SIZE, LBA_SIZE, KiB, MiB
 from repro.compression.zstd import _read_varint
 from repro.csd.specs import P5510, POLARCSD2
 from repro.storage.index import CompressionInfo
-from repro.storage.node import NodeConfig
+from repro.storage.node import NodeConfig, PreparedWrite
 from repro.storage.redo import RedoRecord
 from repro.storage.store import CompressionMode, PolarStore, build_node
 
@@ -343,6 +343,24 @@ def test_store_non_page_aligned_write_reverts_to_none(store):
     # Round-trips through the raw path.
     raw = store.leader.read_page(1e3, 3)
     assert raw.data[: len(blob)] == blob
+
+
+def test_zero_length_write_is_one_block_on_both_entry_points(node, store):
+    """A raw write is sized in whole blocks, at least one, whichever
+    entry point built it — and an empty one is then refused before the
+    allocator, the device or the WAL record anything, because the index
+    has no entry for zero bytes."""
+    assert PreparedWrite.raw(b"").device_bytes == LBA_SIZE
+    assert node.prepare_page(1, b"").n_blocks == 1
+    for replica, write in (
+        (node, lambda: node.write_page(0.0, 1, b"")),
+        (store.leader, lambda: store.write_page(0.0, 1, b"")),
+    ):
+        with pytest.raises(ReproError, match="empty page write"):
+            write()
+        assert replica.index.get(1) is None
+        assert replica.logical_used_bytes == 0
+        assert replica.wal.record_count == 0
 
 
 def test_partial_write_decompresses_and_stores_raw(node):

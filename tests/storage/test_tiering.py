@@ -8,7 +8,7 @@ from repro.common.errors import ReproError
 from repro.common.units import DB_PAGE_SIZE, MiB
 from repro.storage.node import NodeConfig
 from repro.storage.store import build_node
-from repro.storage.tiering import ObjectStore, TieringManager
+from examples.tiering import ObjectStore, TieringManager
 
 
 def make_page(seed=0):

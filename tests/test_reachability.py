@@ -1,0 +1,128 @@
+"""Reachability guard: ``src/repro`` holds what runs.
+
+Every module under ``src/repro/`` must be reached, by import closure
+(module-level and function-level imports, parent packages included),
+from something that runs: the CLI, the tracked public API, the e2e
+benchmark, or a ``bench_fig*`` / ``bench_table*`` module that reproduces
+a figure or table of the paper.  An extension only an ablation benchmark
+or an example imports lives beside that consumer instead.  Computed
+with ``ast`` alone — nothing is imported.
+"""
+
+import ast
+import pathlib
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "repro"
+
+# ROADMAP item 4 decides these two (run them inside a pinned scenario or
+# delete them); until then only tests start them.  The set may only shrink.
+PENDING = {"repro.storage.background", "repro.storage.compaction"}
+
+
+def package_modules(package_dir):
+    """Dotted name -> path for every module of the package at ``package_dir``."""
+    modules = {}
+    for path in package_dir.rglob("*.py"):
+        parts = path.relative_to(package_dir.parent).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        modules[".".join(parts)] = path
+    return modules
+
+
+def imported_names(path, module=None):
+    """Every dotted name ``path`` imports, anywhere in its body.
+
+    ``from a import b`` yields ``a`` and ``a.b`` (``b`` may be a module);
+    relative imports resolve against ``module``, the file's own dotted name.
+    """
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            parts = [node.module] if node.module else []
+            if node.level:
+                package = module.split(".")
+                if path.name != "__init__.py":
+                    package.pop()
+                parts = package[:len(package) - node.level + 1] + parts
+            base = ".".join(parts)
+            yield base
+            for alias in node.names:
+                yield f"{base}.{alias.name}"
+
+
+def unreached(package_dir, root_files=(), root_modules=()):
+    """Modules of the package no root reaches through its import closure."""
+    modules = package_modules(package_dir)
+    reached = set()
+    pending = []
+
+    def reach(name):
+        # Importing a.b.c runs a/__init__ and a/b/__init__ first.
+        parts = name.split(".")
+        for end in range(1, len(parts) + 1):
+            prefix = ".".join(parts[:end])
+            if prefix in modules and prefix not in reached:
+                reached.add(prefix)
+                pending.append(prefix)
+
+    for name in root_modules:
+        reach(name)
+    for path in root_files:
+        for name in imported_names(path):
+            reach(name)
+    while pending:
+        module = pending.pop()
+        for name in imported_names(modules[module], module):
+            reach(name)
+    return set(modules) - reached
+
+
+def roots():
+    benchmarks = REPO / "benchmarks"
+    files = sorted(benchmarks.glob("e2e/*.py"))
+    files += sorted(benchmarks.glob("bench_fig*.py"))
+    files += sorted(benchmarks.glob("bench_table*.py"))
+    return files, ("repro.__main__", "repro.api", "repro.api.manifest")
+
+
+def test_every_module_under_src_is_reached_from_something_that_runs():
+    files, modules = roots()
+    orphans = unreached(PACKAGE, files, modules) - PENDING
+    assert not orphans, (
+        "imported by nothing that runs — move beside the only consumer "
+        "(benchmarks/ablation/, examples/) or wire in:\n"
+        + "\n".join(sorted(orphans))
+    )
+
+
+def test_pending_set_only_shrinks():
+    files, modules = roots()
+    stale = PENDING - unreached(PACKAGE, files, modules)
+    assert not stale, f"reachable or gone, drop from PENDING: {sorted(stale)}"
+
+
+def build_package(tmp_path, orphan_import):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "used.py").write_text(orphan_import)
+    (package / "orphan.py").write_text("X = 1\n")
+    root = tmp_path / "run.py"
+    root.write_text("from pkg import used\n")
+    return package, root
+
+
+def test_closure_reports_an_orphan(tmp_path):
+    package, root = build_package(tmp_path, "Y = 2\n")
+    assert unreached(package, [root]) == {"pkg.orphan"}
+
+
+def test_closure_follows_function_level_imports(tmp_path):
+    package, root = build_package(
+        tmp_path, "def f():\n    from .orphan import X\n    return X\n"
+    )
+    assert unreached(package, [root]) == set()

@@ -7,7 +7,7 @@ import pytest
 from repro.common.units import KiB, MiB
 from repro.csd.device import PlainSSD, PolarCSD
 from repro.csd.specs import P5510, POLARCSD2
-from repro.workloads.trace import (
+from examples.block_trace import (
     TraceRecord,
     generate_trace,
     prefill,
