@@ -13,12 +13,12 @@ back) both fall out of the model.
 import random
 
 from repro.bench.harness import ExperimentResult, print_table, save_result
-from repro.common.clock import ResourcePool
 from repro.common.latency import LatencyStats
 from repro.common.units import GiB
 from repro.compression.cost import codec_cost
 from benchmarks.ablation.host_ftl import contention_risk, host_ftl_footprint
 from repro.csd.specs import POLARCSD1, POLARCSD2
+from repro.engine import ResourcePool
 
 HOST_CORES = 32
 HOST_DRAM = 256 * GiB

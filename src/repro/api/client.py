@@ -205,9 +205,7 @@ class PolarStoreClient:
         return self._proc("delete", table, key)
 
     def select_proc(self, table: str, key: int, ro_index: int = -1):
-        if self._transport.sharded:
-            return self._proc("select", table, key)
-        return self._proc("select", table, key, ro_index=ro_index)
+        return self._proc("select", table, key, ro_index)
 
     def range_select_proc(self, table: str, low: int, high: int):
         return self._proc("range_select", table, low, high)

@@ -22,29 +22,12 @@ callers get a actionable message, not an ``AttributeError``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.api.config import ReproConfig
 from repro.api.factory import build_cluster, build_db
 from repro.common.errors import ReproError
-
-#: Ops a transport must implement (the PolarStoreClient data plane).
-TRANSPORT_OPS = (
-    "create_table",
-    "insert",
-    "update",
-    "delete",
-    "select",
-    "range_select",
-    "bulk_load",
-    "checkpoint",
-    "write_page",
-    "read_page",
-    "archive_range",
-    "scrub",
-    "compression_ratio",
-    "space",
-)
+from repro.common.ops import RESULT_KINDS, TRANSPORT_OPS, data_op
 
 
 class TransportError(ReproError):
@@ -61,6 +44,15 @@ class AdmissionError(TransportError):
 
 class TransportTimeout(TransportError):
     """A request exceeded its wall-clock deadline."""
+
+
+def _in_process_only(what: str) -> property:
+    """A property only an in-process transport can honour."""
+
+    def gated(self):
+        raise self._no_capability(what)
+
+    return property(gated)
 
 
 class Transport:
@@ -111,29 +103,12 @@ class Transport:
             f"over a {self.kind!r} transport"
         )
 
-    @property
-    def config(self) -> Optional[ReproConfig]:
-        raise self._no_capability("the deployment config")
-
-    @property
-    def db(self):
-        raise self._no_capability("the PolarDB handle")
-
-    @property
-    def runtime(self):
-        raise self._no_capability("the ClusterRuntime handle")
-
-    @property
-    def store(self):
-        raise self._no_capability("the raw volume")
-
-    @property
-    def engine(self):
-        raise self._no_capability("the event kernel")
-
-    @property
-    def metrics(self):
-        raise self._no_capability("the metrics registry")
+    config = _in_process_only("the deployment config")
+    db = _in_process_only("the PolarDB handle")
+    runtime = _in_process_only("the ClusterRuntime handle")
+    store = _in_process_only("the raw volume")
+    engine = _in_process_only("the event kernel")
+    metrics = _in_process_only("the metrics registry")
 
 
 class LocalTransport(Transport):
@@ -246,96 +221,43 @@ class LocalTransport(Transport):
     def backend(self):
         return self._runtime if self._sharded else self._db
 
-    def call(self, op: str, /, *args, **kwargs):
-        handler = getattr(self, "_op_" + op, None)
-        if handler is None:
-            raise ReproError(f"unknown transport op {op!r}")
-        return handler(*args, **kwargs)
+    def _target(self, spec):
+        """The object an op row's ``target`` names."""
+        if spec.target == "store":
+            return self.store
+        return self.backend() if spec.target == "backend" else self
 
-    def _dispatch(self, op: str, *args, **kwargs):
-        """Route one DML op sync-vs-proc based on engine binding."""
-        backend = self.backend()
-        if self._engine is not None:
-            self._engine.advance_to(self._now_us)
-            result = self._engine.run(
-                getattr(backend, op + "_proc")(*args, **kwargs)
+    def call(self, op: str, /, *args, **kwargs):
+        """Look the op up, coerce its arguments, execute it on the
+        row's target — through the engine-native generator when an
+        engine is bound and the row has one — and advance the cursor to
+        the completion time its result kind reads off the result."""
+        spec = data_op(op)
+        args = spec.bind(args, kwargs, self._sharded)
+        target = self._target(spec)
+        done_us = RESULT_KINDS[spec.kind].done_us
+        if done_us is None:
+            return getattr(target, op)(*args, **kwargs)
+        now = self.now_us
+        engine = self._engine
+        if engine is not None:
+            engine.advance_to(now)
+        if engine is not None and spec.proc:
+            result = engine.run(
+                getattr(target, op + "_proc")(*args, **kwargs)
             )
-            self._now_us = max(self._now_us, self._engine.now_us)
         else:
-            result = getattr(backend, op)(self._now_us, *args, **kwargs)
-            done = getattr(result, "done_us", result)
-            self._now_us = max(self._now_us, float(done))
+            result = getattr(target, op)(now, *args, **kwargs)
+        self._now_us = max(now, done_us(result))
         return result
 
     def proc(self, op: str, *args, **kwargs):
         """The engine-native generator for one op (workload drivers)."""
+        args = data_op(op).bind(args, kwargs, self._sharded)
         return getattr(self.backend(), op + "_proc")(*args, **kwargs)
 
-    # -- op handlers -------------------------------------------------------
-
-    def _op_create_table(self, table: str) -> None:
-        self.backend().create_table(table)
-
-    def _op_insert(self, table: str, key: int, value: bytes):
-        return self._dispatch("insert", table, key, bytes(value))
-
-    def _op_update(self, table: str, key: int, value: bytes):
-        return self._dispatch("update", table, key, bytes(value))
-
-    def _op_delete(self, table: str, key: int):
-        return self._dispatch("delete", table, key)
-
-    def _op_select(self, table: str, key: int, ro_index: int = -1):
-        if self._sharded:
-            return self._dispatch("select", table, key)
-        return self._dispatch("select", table, key, ro_index=ro_index)
-
-    def _op_range_select(self, table: str, low: int, high: int):
-        return self._dispatch("range_select", table, low, high)
-
-    def _op_bulk_load(self, table: str, rows) -> float:
-        backend = self.backend()
-        if self._engine is not None:
-            self._engine.advance_to(self._now_us)
-        done = backend.bulk_load(
-            self.now_us, table, [(k, bytes(v)) for k, v in rows]
-        )
-        self._now_us = max(self._now_us, done)
-        return done
-
-    def _op_checkpoint(self) -> float:
-        done = self.backend().checkpoint(self.now_us)
-        self._now_us = max(self._now_us, done)
-        return done
-
-    def _op_write_page(self, page_no: int, data: bytes, **kwargs):
-        committed = self.store.write_page(
-            self.now_us, page_no, bytes(data), **kwargs
-        )
-        self._now_us = max(self._now_us, committed.commit_us)
-        return committed
-
-    def _op_read_page(self, page_no: int):
-        result = self.store.read_page(self.now_us, page_no)
-        self._now_us = max(self._now_us, result.done_us)
-        return result
-
-    def _op_archive_range(self, page_nos) -> float:
-        done = self.store.archive_range(self.now_us, list(page_nos))
-        self._now_us = max(self._now_us, done)
-        return done
-
-    def _op_scrub(self) -> float:
-        done = self.store.scrub(self.now_us)
-        self._now_us = max(self._now_us, done)
-        return done
-
-    def _op_compression_ratio(self) -> float:
-        if self._sharded:
-            return self._runtime.compression_ratio()
-        return self._db.compression_ratio()
-
-    def _op_space(self):
+    def space(self):
+        """(logical, physical) bytes in use, summed over shards."""
         if self._sharded:
             return (
                 sum(s.logical_used for s in self._runtime.shards),

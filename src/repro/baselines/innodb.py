@@ -23,7 +23,6 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.common.clock import ResourcePool
 from repro.common.errors import ReproError
 from repro.common.units import DB_PAGE_SIZE, LBA_SIZE, MiB, ceil_div
 from repro.compression.base import get_codec
@@ -33,6 +32,7 @@ from repro.csd.specs import P5510
 from repro.db.btree import BPlusTree
 from repro.db.bufferpool import BufferPool, OpContext
 from repro.db.rw_node import COMMIT_CPU_US, EXECUTE_CPU_US, OpResult
+from repro.engine import ResourcePool
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ data (write/CPU amplification), competing with foreground operations.
 
 All payloads are real bytes through the real codecs; block reads go
 through the shared device model, and codec CPU is charged to a compute
-:class:`~repro.common.clock.Resource` shared with query execution.
+:class:`~repro.engine.Resource` shared with query execution.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.common.clock import Resource
 from repro.common.errors import ReproError
 from repro.common.units import KiB, LBA_SIZE, align_up
 from repro.compression.base import get_codec
 from repro.compression.cost import codec_cost
+from repro.engine import Resource
 
 _ENTRY = struct.Struct("<QIB")  # key, value_len, tombstone
 _TOMBSTONE = 1

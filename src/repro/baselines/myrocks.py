@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.common.clock import ResourcePool
 from repro.common.errors import ReproError
 from repro.common.units import MiB
 from repro.csd.device import PlainSSD
 from repro.csd.specs import P5510
 from repro.db.rw_node import EXECUTE_CPU_US, OpResult
 from repro.baselines.lsm import LSMTree
+from repro.engine import ResourcePool
 
 
 class MyRocksEngine:

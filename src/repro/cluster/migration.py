@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.common.clock import ResourcePool
 from repro.common.units import GiB, MiB
 from repro.cluster.cluster import Cluster
 from repro.cluster.scheduler import MigrationTask
+from repro.engine import ResourcePool
 from repro.obs.metrics import MetricsRegistry
 
 

@@ -6,20 +6,12 @@ logical clock measured in microseconds.  Components *charge* latency to the
 clock instead of sleeping; benchmarks then report simulated latency and
 simulated operations/second.
 
-Two primitives cover everything the simulator needs:
-
-``SimClock``
-    A monotonically advancing microsecond counter shared by one simulation.
-
-``Resource``
-    A single-server queue attached to a clock.  ``serve()`` models a request
-    that must wait for the resource to drain before its own service time
-    starts (device channels, CPU cores, NIC links all use this).
+``SimClock`` is the monotonically advancing microsecond counter one
+simulation shares; contention (device channels, CPU cores, NIC links) is
+modelled by :class:`repro.engine.Resource`.
 """
 
 from __future__ import annotations
-
-from typing import List
 
 
 class SimClock:
@@ -53,68 +45,3 @@ class SimClock:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SimClock(now_us={self._now_us:.3f})"
-
-
-class Resource:
-    """A single-server FIFO queue used to model contention.
-
-    ``serve(start_us, service_us)`` returns the completion time of a request
-    that arrives at ``start_us`` and needs ``service_us`` of exclusive
-    service.  Requests queue behind whatever the resource is already doing,
-    which is how queue-depth effects and device busy time emerge in the
-    simulation.
-    """
-
-    def __init__(self, name: str = "resource") -> None:
-        self.name = name
-        self._busy_until_us = 0.0
-        self.total_busy_us = 0.0
-        self.completed = 0
-
-    @property
-    def busy_until_us(self) -> float:
-        return self._busy_until_us
-
-    def serve(self, start_us: float, service_us: float) -> float:
-        """Queue a request; return its completion time in microseconds."""
-        if service_us < 0:
-            raise ValueError(f"negative service time {service_us}")
-        begin = max(start_us, self._busy_until_us)
-        end = begin + service_us
-        self._busy_until_us = end
-        self.total_busy_us += service_us
-        self.completed += 1
-        return end
-
-    def utilization(self, elapsed_us: float) -> float:
-        """Fraction of ``elapsed_us`` this resource spent busy."""
-        if elapsed_us <= 0:
-            return 0.0
-        return min(1.0, self.total_busy_us / elapsed_us)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Resource({self.name!r}, busy_until={self._busy_until_us:.1f})"
-
-
-class ResourcePool:
-    """``k`` identical servers; requests go to the earliest-free one.
-
-    Models multi-channel NAND, multi-core FTL processors, and replica fan-out
-    without a full event queue.
-    """
-
-    def __init__(self, name: str, servers: int) -> None:
-        if servers <= 0:
-            raise ValueError(f"need at least one server, got {servers}")
-        self.name = name
-        self._servers: List[Resource] = [
-            Resource(f"{name}[{i}]") for i in range(servers)
-        ]
-
-    def serve(self, start_us: float, service_us: float) -> float:
-        server = min(self._servers, key=lambda s: s.busy_until_us)
-        return server.serve(start_us, service_us)
-
-    @property
-    def servers(self) -> List[Resource]:
-        return list(self._servers)

@@ -103,10 +103,11 @@ class BlockDevice:
         #: (Named _sim_engine because PolarCSD.engine is the gzip engine.)
         self._sim_engine: Optional[Engine] = None
         #: When True (engine mode), GC relocation cost accrues into
-        #: _pending_gc_us for a background process to drain through the
-        #: device queue instead of being charged inline to the writer.
+        #: _pending_gc_us for :meth:`gc_proc` to drain through the device
+        #: queue instead of being charged inline to the writer.
         self._defer_gc = False
         self._pending_gc_us = 0.0
+        self._gc_draining = False
         #: Bytes the FTL relocated during the most recent write's service
         #: computation; stashed by the subclass (which has no timestamp)
         #: and turned into a ``gc`` flight-recorder event by
@@ -127,8 +128,8 @@ class BlockDevice:
 
         ``qd`` reconfigures the device's queue depth (how many requests
         are in service at once); ``defer_gc`` moves FTL relocation cost
-        out of the write path into :attr:`_pending_gc_us` for a
-        background GC process to drain.
+        out of the write path into :attr:`_pending_gc_us`, which
+        :meth:`gc_proc` drains in the background.
         """
         self._sim_engine = engine
         self._defer_gc = defer_gc
@@ -273,14 +274,26 @@ class BlockDevice:
         self._finish_read(start_us, done, nbytes)
         return IOCompletion(start_us, done, data)
 
+    def _bank_gc(self, gc_us: float) -> None:
+        """Defer ``gc_us`` of relocation work; the deposit that finds no
+        drain running starts one."""
+        self._pending_gc_us += gc_us
+        if not self._gc_draining:
+            self._gc_draining = True
+            self._sim_engine.spawn(
+                self.gc_proc(), name=f"gc-drain-{self.spec.name}"
+            )
+
     def gc_proc(self, period_us: float = 500.0):
-        """Daemon process: drain accumulated FTL relocation work
-        (:attr:`_pending_gc_us`) through the device queue, stealing idle
-        device time and interfering with foreground I/O under load."""
+        """Drain banked FTL relocation work (:attr:`_pending_gc_us`)
+        through the device queue, one burst per ``period_us``, stealing
+        idle device time and interfering with foreground I/O under load.
+        Started by :meth:`_bank_gc` and finished once the bank is empty,
+        so an engine with nothing else to do still runs to idle."""
         engine = self._sim_engine
-        while True:
-            yield engine.timeout(period_us)
-            if self._pending_gc_us > 0.0:
+        try:
+            while self._pending_gc_us > 0.0:
+                yield engine.timeout(period_us)
                 burst = self._pending_gc_us
                 self._pending_gc_us = 0.0
                 done = yield from self.queue.process(burst)
@@ -292,6 +305,8 @@ class BlockDevice:
                         device=self.spec.name,
                         burst_us=round(burst, 3),
                     )
+        finally:
+            self._gc_draining = False
 
     # -- helpers --------------------------------------------------------------
 
@@ -418,14 +433,14 @@ class PolarCSD(BlockDevice):
         )
         # GC relocation work occupies the device asynchronously; charge it
         # as extra service so sustained overwrites feel the pressure — or,
-        # in engine mode with defer_gc, bank it for the background GC
-        # process to drain through the same queue.
+        # in engine mode with defer_gc, bank it for gc_proc to drain
+        # through the same queue.
         if relocated:
             gc_us = self.spec.nand_write_us(relocated) + self.spec.nand_read_us(
                 relocated
             )
             if self._defer_gc:
-                self._pending_gc_us += gc_us
+                self._bank_gc(gc_us)
             else:
                 service += gc_us
         return service

@@ -149,7 +149,7 @@ class WallClockBridge:
             return BridgeDecision(False, depth, completions)
         self.admitted += 1
         proc = self.engine.spawn(
-            self._guard(gen_factory()),
+            self._guard(gen_factory),
             name=f"net-op-{token}",
             at_us=arrival_us,
         )
@@ -167,12 +167,13 @@ class WallClockBridge:
 
     # -- internals ---------------------------------------------------------
 
-    def _guard(self, gen: Generator) -> Generator:
-        """Wrap an op so failures become per-op results, not dead
-        processes that poison the run loop, and so the completion time
-        is captured at the instant the op finishes."""
+    def _guard(self, gen_factory: Callable[[], Generator]) -> Generator:
+        """Wrap an op so failures — building its generator included —
+        become per-op results, not dead processes that poison the run
+        loop, and so the completion time is captured at the instant the
+        op finishes."""
         try:
-            result = yield from gen
+            result = yield from gen_factory()
         except Exception as exc:  # noqa: BLE001 - delivered per-op
             return (False, exc, self.engine.now_us)
         return (True, result, self.engine.now_us)

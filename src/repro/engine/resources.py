@@ -8,11 +8,11 @@ styles over one shared state**:
   server by an event, and occupies it for its service time.  Queue waits,
   depths, and utilization are measured, and batching/saturation effects
   emerge from genuine interleaving;
-* the **analytic adapter** — :meth:`Resource.serve` is the legacy
-  ``max(start, busy_until) + service`` arithmetic of
-  :class:`repro.common.clock.Resource`.  It updates the *same* per-server
-  ``free_at`` state, so synchronous legacy code paths and engine processes
-  queue against each other consistently.
+* the **analytic adapter** — :meth:`Resource.serve` is the pre-engine
+  ``max(start, busy_until) + service`` arithmetic, pinned call for call
+  against ``tests/engine/legacy_resource.py``.  It updates the *same*
+  per-server ``free_at`` state, so synchronous code paths and engine
+  processes queue against each other consistently.
 
 The two styles are timing-equivalent for a single client (the
 analytic-equivalence property covered by ``tests/engine``): an engine
@@ -235,9 +235,9 @@ class Resource:
 
 
 class ResourcePool(Resource):
-    """Alias shape of the legacy ``clock.ResourcePool``: ``k`` identical
-    servers, earliest-free dispatch — now with a real shared FIFO wait
-    list in engine-native mode."""
+    """``k`` identical servers, earliest-free dispatch, with a real
+    shared FIFO wait list in engine-native mode (a :class:`Resource`
+    whose ``servers`` is required)."""
 
     def __init__(
         self, name: str, servers: int, engine: Optional[Engine] = None

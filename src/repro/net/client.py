@@ -45,12 +45,13 @@ from repro.api.transport import (
     TransportError,
     TransportTimeout,
 )
+from repro.common.ops import OPS_BY_NAME, RESULT_KINDS, OpSpec, data_op
 from repro.net.protocol import (
     FLAG_SYNC,
     MAX_FRAME_BYTES,
     VERSION,
     FrameDecoder,
-    FrameError,
+    ProtocolError,
     Request,
     Response,
     decode_message,
@@ -181,6 +182,7 @@ class SocketPool:
 
     async def _read_loop(self, conn: _Connection) -> None:
         reader = conn.reader
+        reason = "connection lost mid-stream"
         try:
             while True:
                 data = await reader.read(64 * 1024)
@@ -190,19 +192,20 @@ class SocketPool:
                     message = decode_message(payload)
                     if isinstance(message, Response):
                         self._resolve(message)
-        except (ConnectionError, OSError, FrameError):
+        except (ConnectionError, OSError):
             pass
+        except ProtocolError as exc:
+            # A stream that stopped making sense cannot be trusted to
+            # answer what is in flight on it.
+            reason = f"undecodable reply ({type(exc).__name__}: {exc})"
         finally:
-            self._fail_connection(conn, "connection lost mid-stream")
+            self._fail_connection(conn, reason)
 
     def _resolve(self, response: Response) -> None:
-        entry = self._pending.pop(response.id, None)
-        if entry is not None:
-            future, _ = entry
-            if not future.set_running_or_notify_cancel():
-                pass  # timed out caller already walked away
-            else:
-                future.set_result(response)
+        future, _ = self._pending.pop(response.id, (None, 0))
+        # A caller that timed out has cancelled its future and left.
+        if future is not None and future.set_running_or_notify_cancel():
+            future.set_result(response)
         self._pump()
 
     def _fail_connection(self, conn: _Connection, reason: str) -> None:
@@ -232,7 +235,6 @@ class SocketPool:
         *,
         sync: bool = False,
         arrival_us: float = 0.0,
-        control: bool = False,
     ) -> Future:
         """Thread-safe: enqueue one op; returns a Future[Response].
 
@@ -243,10 +245,13 @@ class SocketPool:
         """
         if self._closed:
             raise TransportError("socket pool is closed")
+        row = OPS_BY_NAME.get(op)
+        if row is None:
+            raise ProtocolError(f"unknown op {op!r}")
         future: Future = Future()
         spec = dict(
-            op=op, args=args, sync=sync,
-            arrival_us=arrival_us, control=control,
+            op=op, args=args, sync=sync, arrival_us=arrival_us,
+            control=row.control,
         )
         try:
             self._loop.call_soon_threadsafe(self._enqueue, spec, future)
@@ -255,12 +260,6 @@ class SocketPool:
         return future
 
     def _enqueue(self, spec: dict, future: Future) -> None:
-        if not any(conn.alive for conn in self._conns):
-            if future.set_running_or_notify_cancel():
-                future.set_exception(
-                    TransportError("all pool connections are down")
-                )
-            return
         if spec["control"] or len(self._pending) < self.max_inflight:
             self._dispatch(spec, future)
             return
@@ -340,13 +339,10 @@ class SocketPool:
         *,
         sync: bool = True,
         arrival_us: float = 0.0,
-        control: bool = False,
         timeout_s: Optional[float] = None,
     ) -> Response:
         """Send one request and block for its reply."""
-        future = self.request(
-            op, args, sync=sync, arrival_us=arrival_us, control=control
-        )
+        future = self.request(op, args, sync=sync, arrival_us=arrival_us)
         return self.wait(future, timeout_s=timeout_s)
 
     def wait(
@@ -417,21 +413,10 @@ class SocketTransport(Transport):
     kind = "socket"
 
     def __init__(
-        self,
-        addr: Union[str, Tuple[str, int]],
-        *,
-        connections: int = 2,
-        max_inflight: int = 256,
-        queue_cap: int = 4096,
-        timeout_s: float = 30.0,
+        self, addr: Union[str, Tuple[str, int]], **pool_options
     ) -> None:
-        self.pool = SocketPool(
-            addr,
-            connections=connections,
-            max_inflight=max_inflight,
-            queue_cap=queue_cap,
-            timeout_s=timeout_s,
-        )
+        """``pool_options`` are :class:`SocketPool`'s keywords."""
+        self.pool = SocketPool(addr, **pool_options)
         self._now_us = 0.0
 
     # -- simulated time ----------------------------------------------------
@@ -459,11 +444,12 @@ class SocketTransport(Transport):
     # -- ops ---------------------------------------------------------------
 
     def call(self, op: str, /, *args, **kwargs):
-        wire_args = self._wire_args(op, args, kwargs)
+        spec = data_op(op)
         response = self.pool.call(
-            op, wire_args, sync=True, arrival_us=self._now_us,
+            op, self._wire_args(spec, args, kwargs),
+            sync=True, arrival_us=self._now_us,
         )
-        return self._decode(op, response)
+        return self._decode(spec, response)
 
     def submit(self, op: str, /, *args, arrival_us: float = 0.0, **kwargs):
         """Open-loop pipelined submit; returns a Future[Response].
@@ -472,9 +458,8 @@ class SocketTransport(Transport):
         drains the engine past the op's completion, or immediately with
         ``STATUS_REJECTED`` if the server's admission window is full.
         """
-        wire_args = self._wire_args(op, args, kwargs)
         return self.pool.request(
-            op, wire_args, sync=False,
+            op, self._wire_args(data_op(op), args, kwargs), sync=False,
             arrival_us=max(arrival_us, self._now_us),
         )
 
@@ -486,84 +471,44 @@ class SocketTransport(Transport):
         return float(response.value)
 
     def stats(self) -> Dict[str, Any]:
-        return dict(self.pool.call("stats", [], control=True).value)
+        return dict(self.pool.call("stats", []).value)
 
     def ping(self) -> float:
-        return float(self.pool.call("ping", [], control=True).value)
+        return float(self.pool.call("ping", []).value)
 
-    def _wire_args(self, op: str, args: tuple, kwargs: dict) -> List[Any]:
-        if op == "select":
-            table, key = args
-            return [table, key, int(kwargs.pop("ro_index", -1))]
+    def _wire_args(self, spec: OpSpec, args: tuple, kwargs: dict) -> list:
+        bound = spec.bind(args, kwargs)
         if kwargs:
             raise self._no_capability(
-                f"op {op!r} options {sorted(kwargs)} (in-process tuning "
-                f"knobs are not part of the wire protocol)"
+                f"op {spec.name!r} options {sorted(kwargs)} (in-process "
+                f"tuning knobs are not part of the wire protocol)"
             )
-        if op == "bulk_load":
-            table, rows = args
-            return [table, [[key, bytes(value)] for key, value in rows]]
-        return list(args)
+        return bound
 
-    def _decode(self, op: str, response: Response):
+    def _decode(self, spec: OpSpec, response: Response):
         if response.rejected:
             raise AdmissionError(
-                f"server admission window full for {op!r} "
+                f"server admission window full for {spec.name!r} "
                 f"(in-flight depth {response.queue_depth})"
             )
         if not response.ok:
             raise TransportError(
-                f"remote {op!r} failed: {response.error}"
+                f"remote {spec.name!r} failed: {response.error}"
+            )
+        if response.kind != spec.kind:
+            raise TransportError(
+                f"remote {spec.name!r} replied with result kind "
+                f"{response.kind!r}"
             )
         self._now_us = max(self._now_us, response.done_us)
-        return decode_result(op, response)
+        return RESULT_KINDS[spec.kind].from_wire(response)
 
     def close(self) -> None:
         self.pool.close()
 
 
-def decode_result(op: str, response: Response):
-    """Reply -> the same result object a LocalTransport call returns."""
-    kind = response.kind
-    if kind == "op":
-        from repro.db.rw_node import OpResult
-
-        value = response.value
-        return OpResult(
-            done_us=response.done_us,
-            io_reads=response.io_reads,
-            redo_bytes=response.redo_bytes,
-            value=None if value is None else bytes(value),
-        )
-    if kind in ("time", "ratio"):
-        return float(response.value)
-    if kind == "read":
-        from repro.storage.node import ReadResult
-
-        doc = response.value
-        return ReadResult(
-            data=bytes(doc["data"]),
-            done_us=response.done_us,
-            io_reads=response.io_reads,
-            cpu_us=float(doc["cpu_us"]),
-            consolidated=bool(doc["consolidated"]),
-        )
-    if kind == "commit":
-        from repro.storage.store import CommittedWrite
-
-        # ``prepared`` carries in-process page buffers; over the wire
-        # the commit timestamp is the contract.
-        return CommittedWrite(commit_us=response.done_us, prepared=None)
-    if kind == "space":
-        return (int(response.value[0]), int(response.value[1]))
-    if kind in ("hello", "stats"):
-        return dict(response.value)
-    return None  # "none": create_table and friends
-
-
 __all__ = [
     "SocketPool",
     "SocketTransport",
-    "decode_result",
     "parse_addr",
 ]

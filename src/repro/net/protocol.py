@@ -28,12 +28,14 @@ the simulated side of a networked run deterministic.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List
 
 from repro.common.errors import ReproError
+from repro.common.ops import OPS, OPS_BY_CODE, OPS_BY_NAME, OpSpec
 
 #: Frame header: magic, version, payload length, payload CRC32.
 MAGIC = b"PN"
@@ -43,6 +45,10 @@ _HEADER = struct.Struct("<2sBII")
 #: Default ceiling on one frame's payload (requests larger than this are
 #: malformed or hostile; bulk loads should batch below it).
 MAX_FRAME_BYTES = 8 * 1024 * 1024
+
+#: Ceiling on list/dict nesting inside one payload; the deepest message
+#: this protocol sends (``bulk_load`` rows) nests four levels.
+MAX_DEPTH = 32
 
 #: Request flags.
 FLAG_SYNC = 0x01  # run the engine until this op completes, then reply
@@ -162,8 +168,16 @@ class _Reader:
     def u32(self) -> int:
         return _U32.unpack(self.take(4))[0]
 
+    def text(self) -> str:
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"string is not UTF-8: {exc}") from None
 
-def _decode_value(reader: _Reader) -> Any:
+
+def _decode_value(reader: _Reader, depth: int = 0) -> Any:
+    if depth > MAX_DEPTH:
+        raise ProtocolError(f"value nests deeper than {MAX_DEPTH} levels")
     tag = reader.take(1)[0]
     if tag == _T_NONE:
         return None
@@ -180,15 +194,15 @@ def _decode_value(reader: _Reader) -> Any:
     if tag == _T_BYTES:
         return reader.take(reader.u32())
     if tag == _T_STR:
-        return reader.take(reader.u32()).decode("utf-8")
+        return reader.text()
     if tag == _T_LIST:
-        return [_decode_value(reader) for _ in range(reader.u32())]
+        return [_decode_value(reader, depth + 1) for _ in range(reader.u32())]
     if tag == _T_DICT:
         count = reader.u32()
         doc: Dict[str, Any] = {}
         for _ in range(count):
-            key = reader.take(reader.u32()).decode("utf-8")
-            doc[key] = _decode_value(reader)
+            key = reader.text()
+            doc[key] = _decode_value(reader, depth + 1)
         return doc
     raise ProtocolError(f"unknown value tag 0x{tag:02x}")
 
@@ -224,9 +238,10 @@ class FrameDecoder:
     """Incremental frame reassembly: feed bytes, get whole payloads.
 
     Truncated input is not an error (the next ``feed`` may complete the
-    frame); structurally bad input raises :class:`FrameError` and the
-    decoder must be discarded — a stream that lost framing cannot be
-    resynchronized.
+    frame); structurally bad input — including a CRC-valid payload that
+    is not one well-formed value — raises :class:`FrameError`, the only
+    exception ``feed`` raises, and the decoder must be discarded: a
+    stream that lost framing cannot be resynchronized.
     """
 
     def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
@@ -271,62 +286,15 @@ class FrameDecoder:
                     f"frame CRC mismatch: header says 0x{crc:08x}, "
                     f"payload is 0x{actual:08x}"
                 )
-            out.append(decode_value(payload))
+            try:
+                out.append(decode_value(payload))
+            except ProtocolError as exc:
+                raise FrameError(f"undecodable payload: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
-# ops
+# ops (the table itself is :mod:`repro.common.ops`)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OpSpec:
-    """One typed operation: its wire code and argument schema."""
-
-    code: int
-    name: str
-    #: (arg_name, allowed python types) pairs, positional.
-    args: Tuple[Tuple[str, tuple], ...]
-    #: Control ops bypass the per-session sequencer entirely.
-    control: bool = False
-    #: Ops with no engine-native ``*_proc`` path always execute
-    #: synchronously on the server, even when submitted pipelined.
-    sync_only: bool = False
-
-
-_BYTESLIKE = (bytes, bytearray)
-
-#: The op table.  Codes are wire ABI: never renumber, only append.
-OPS: Tuple[OpSpec, ...] = (
-    OpSpec(1, "hello", (("session", (int,)), ("version", (int,))),
-           control=True),
-    OpSpec(2, "ping", (), control=True),
-    OpSpec(3, "stats", (), control=True),
-    OpSpec(4, "flush", ()),
-    OpSpec(10, "create_table", (("table", (str,)),), sync_only=True),
-    OpSpec(11, "insert", (("table", (str,)), ("key", (int,)),
-                          ("value", _BYTESLIKE))),
-    OpSpec(12, "update", (("table", (str,)), ("key", (int,)),
-                          ("value", _BYTESLIKE))),
-    OpSpec(13, "delete", (("table", (str,)), ("key", (int,)))),
-    OpSpec(14, "select", (("table", (str,)), ("key", (int,)),
-                          ("ro_index", (int,)))),
-    OpSpec(15, "range_select", (("table", (str,)), ("low", (int,)),
-                                ("high", (int,)))),
-    OpSpec(16, "bulk_load", (("table", (str,)), ("rows", (list,))),
-           sync_only=True),
-    OpSpec(17, "checkpoint", (), sync_only=True),
-    OpSpec(20, "write_page", (("page_no", (int,)), ("data", _BYTESLIKE)),
-           sync_only=True),
-    OpSpec(21, "read_page", (("page_no", (int,)),), sync_only=True),
-    OpSpec(22, "archive_range", (("page_nos", (list,)),), sync_only=True),
-    OpSpec(23, "scrub", (), sync_only=True),
-    OpSpec(30, "compression_ratio", (), sync_only=True),
-    OpSpec(31, "space", (), sync_only=True),
-)
-
-OPS_BY_NAME: Dict[str, OpSpec] = {spec.name: spec for spec in OPS}
-OPS_BY_CODE: Dict[int, OpSpec] = {spec.code: spec for spec in OPS}
 
 
 def check_args(spec: OpSpec, args: Iterable[Any]) -> List[Any]:
@@ -335,13 +303,13 @@ def check_args(spec: OpSpec, args: Iterable[Any]) -> List[Any]:
     if len(args) != len(spec.args):
         raise ProtocolError(
             f"op {spec.name!r} takes {len(spec.args)} args "
-            f"({', '.join(name for name, _ in spec.args)}), got {len(args)}"
+            f"({', '.join(arg.name for arg in spec.args)}), got {len(args)}"
         )
-    for (name, types), value in zip(spec.args, args):
-        if not isinstance(value, types):
-            allowed = "/".join(t.__name__ for t in types)
+    for arg, value in zip(spec.args, args):
+        if not isinstance(value, arg.types):
+            allowed = "/".join(t.__name__ for t in arg.types)
             raise ProtocolError(
-                f"op {spec.name!r} arg {name!r} must be {allowed}, "
+                f"op {spec.name!r} arg {arg.name!r} must be {allowed}, "
                 f"got {type(value).__name__}"
             )
     return args
@@ -350,6 +318,36 @@ def check_args(spec: OpSpec, args: Iterable[Any]) -> List[Any]:
 # ---------------------------------------------------------------------------
 # request / response
 # ---------------------------------------------------------------------------
+
+def _wire_doc(tag: str, message: Any, schema) -> Dict[str, Any]:
+    """A message -> its payload dict (time stamps always as floats)."""
+    doc = {"t": tag}
+    for name, kind in schema:
+        value = getattr(message, name)
+        doc[name] = float(value) if kind is float else value
+    return doc
+
+
+def _typed_fields(doc: Any, tag: str, schema) -> Dict[str, Any]:
+    """A decoded payload -> its message fields, each present and of the
+    declared type (whatever else a peer sent is a protocol error)."""
+    if not isinstance(doc, dict) or doc.get("t") != tag:
+        raise ProtocolError(
+            f"not a {tag!r} message payload: {type(doc).__name__}"
+        )
+    fields = {}
+    for name, kind in schema:
+        if name not in doc:
+            raise ProtocolError(f"message missing field {name!r}")
+        value = fields[name] = doc[name]
+        if not isinstance(value, kind) or (
+            kind is float and not math.isfinite(value)
+        ):
+            raise ProtocolError(
+                f"message field {name!r} must be a finite "
+                f"{kind.__name__}, got {type(value).__name__}"
+            )
+    return fields
 
 
 @dataclass(frozen=True)
@@ -366,6 +364,10 @@ class Request:
     arrival_us: float = 0.0
     flags: int = 0
 
+    #: The payload's fields and types (``op`` travels as its code).
+    _WIRE = (("id", int), ("op", int), ("args", list), ("seq", int),
+             ("session", int), ("arrival_us", float), ("flags", int))
+
     @property
     def sync(self) -> bool:
         return bool(self.flags & FLAG_SYNC)
@@ -378,37 +380,20 @@ class Request:
         spec = OPS_BY_NAME.get(self.op)
         if spec is None:
             raise ProtocolError(f"unknown op {self.op!r}")
-        return encode_frame({
-            "t": "q",
-            "id": self.id,
-            "op": spec.code,
-            "args": check_args(spec, self.args),
-            "seq": self.seq,
-            "session": self.session,
-            "arrival_us": float(self.arrival_us),
-            "flags": self.flags,
-        })
+        doc = _wire_doc("q", self, self._WIRE)
+        doc["op"] = spec.code
+        doc["args"] = check_args(spec, self.args)
+        return encode_frame(doc)
 
     @classmethod
     def from_payload(cls, doc: Any) -> "Request":
-        if not isinstance(doc, dict) or doc.get("t") != "q":
-            raise ProtocolError(f"not a request payload: {doc!r}")
-        try:
-            code = doc["op"]
-            spec = OPS_BY_CODE.get(code)
-            if spec is None:
-                raise ProtocolError(f"unknown op code {code}")
-            return cls(
-                id=doc["id"],
-                op=spec.name,
-                args=check_args(spec, doc["args"]),
-                seq=doc["seq"],
-                session=doc["session"],
-                arrival_us=float(doc["arrival_us"]),
-                flags=doc["flags"],
-            )
-        except KeyError as exc:
-            raise ProtocolError(f"request missing field {exc}") from None
+        fields = _typed_fields(doc, "q", cls._WIRE)
+        spec = OPS_BY_CODE.get(fields["op"])
+        if spec is None:
+            raise ProtocolError(f"unknown op code {fields['op']}")
+        fields["op"] = spec.name
+        fields["args"] = check_args(spec, fields["args"])
+        return cls(**fields)
 
 
 @dataclass(frozen=True)
@@ -419,8 +404,9 @@ class Response:
     the request so ``done_us - arrival_us`` is the simulated latency
     (queueing included).  ``queue_depth`` is the bridge's in-flight
     count observed at the op's simulated arrival — the admission-control
-    signal, deterministic per seed.  ``kind`` names how ``value`` maps
-    back onto a client-side result object.
+    signal, deterministic per seed.  ``kind`` names the row of
+    :data:`repro.common.ops.RESULT_KINDS` that maps ``value`` back onto
+    a client-side result object.
     """
 
     id: int
@@ -433,6 +419,10 @@ class Response:
     redo_bytes: int = 0
     queue_depth: int = 0
     error: str = ""
+
+    _WIRE = (("id", int), ("status", int), ("kind", str), ("value", object),
+             ("done_us", float), ("arrival_us", float), ("io_reads", int),
+             ("redo_bytes", int), ("queue_depth", int), ("error", str))
 
     @property
     def ok(self) -> bool:
@@ -447,50 +437,18 @@ class Response:
         return self.done_us - self.arrival_us
 
     def encode(self) -> bytes:
-        return encode_frame({
-            "t": "r",
-            "id": self.id,
-            "status": self.status,
-            "kind": self.kind,
-            "value": self.value,
-            "done_us": float(self.done_us),
-            "arrival_us": float(self.arrival_us),
-            "io_reads": self.io_reads,
-            "redo_bytes": self.redo_bytes,
-            "queue_depth": self.queue_depth,
-            "error": self.error,
-        })
+        return encode_frame(_wire_doc("r", self, self._WIRE))
 
     @classmethod
     def from_payload(cls, doc: Any) -> "Response":
-        if not isinstance(doc, dict) or doc.get("t") != "r":
-            raise ProtocolError(f"not a response payload: {doc!r}")
-        try:
-            return cls(
-                id=doc["id"],
-                status=doc["status"],
-                kind=doc["kind"],
-                value=doc["value"],
-                done_us=float(doc["done_us"]),
-                arrival_us=float(doc["arrival_us"]),
-                io_reads=doc["io_reads"],
-                redo_bytes=doc["redo_bytes"],
-                queue_depth=doc["queue_depth"],
-                error=doc["error"],
-            )
-        except KeyError as exc:
-            raise ProtocolError(f"response missing field {exc}") from None
+        return cls(**_typed_fields(doc, "r", cls._WIRE))
 
 
 def decode_message(payload: Any):
     """Payload value -> :class:`Request` or :class:`Response`."""
-    if isinstance(payload, dict):
-        tag = payload.get("t")
-        if tag == "q":
-            return Request.from_payload(payload)
-        if tag == "r":
-            return Response.from_payload(payload)
-    raise ProtocolError(f"unrecognized message payload: {payload!r}")
+    if isinstance(payload, dict) and payload.get("t") == "q":
+        return Request.from_payload(payload)
+    return Response.from_payload(payload)
 
 
 __all__ = [

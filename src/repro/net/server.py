@@ -38,11 +38,11 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.config import ReproConfig
 from repro.api.transport import LocalTransport
+from repro.common.ops import RESULT_KINDS
 from repro.engine.bridge import BridgeCompletion, WallClockBridge
 from repro.net.protocol import (
     MAX_FRAME_BYTES,
     STATUS_ERROR,
-    STATUS_OK,
     STATUS_REJECTED,
     VERSION,
     FrameDecoder,
@@ -151,6 +151,7 @@ class PolarStoreServer:
                     try:
                         message = decode_message(payload)
                     except ProtocolError as exc:
+                        self._frame_errors.inc()
                         await self._reply_malformed(writer, payload, exc)
                         continue
                     if not isinstance(message, Request):
@@ -173,11 +174,7 @@ class PolarStoreServer:
         per-request if an id is recoverable, else ignore."""
         req_id = payload.get("id") if isinstance(payload, dict) else None
         if isinstance(req_id, int):
-            await self._write(writer, Response(
-                id=req_id,
-                status=STATUS_ERROR,
-                error=f"{type(exc).__name__}: {exc}",
-            ))
+            await self._write(writer, _error_reply(req_id, exc))
 
     # -- sequencing --------------------------------------------------------
 
@@ -185,7 +182,7 @@ class PolarStoreServer:
         self, req: Request, writer: asyncio.StreamWriter
     ) -> None:
         if req.spec.control:
-            await self._process_control(req, writer)
+            await self._serve_session(req, writer)
             return
         session = self._sessions.get(req.session)
         if session is None:
@@ -210,86 +207,86 @@ class PolarStoreServer:
             await self._process(queued, queued_writer)
             session.next_seq += 1
 
-    # -- control ops -------------------------------------------------------
+    # -- session ops -------------------------------------------------------
 
-    async def _process_control(
+    async def _serve_session(
         self, req: Request, writer: asyncio.StreamWriter
     ) -> None:
+        """Ops the server answers itself (the rows whose target is
+        ``"session"``); each handler is named after its row."""
+        await self._write(writer, getattr(self, "_session_" + req.op)(req))
+
+    def _session_hello(self, req: Request) -> Response:
+        session_id, client_version = req.args
+        if client_version != VERSION:
+            return Response(
+                id=req.id,
+                status=STATUS_ERROR,
+                error=(
+                    f"protocol version mismatch: client {client_version}"
+                    f", server {VERSION}"
+                ),
+            )
+        if session_id not in self._sessions:
+            self._sessions[session_id] = _Session(session_id)
+        return Response(
+            id=req.id,
+            kind=req.spec.kind,
+            value={
+                "session": session_id,
+                "version": VERSION,
+                "sharded": self.transport.sharded,
+                "engine": self.transport.engine is not None,
+                "window": getattr(self.bridge, "window", 0),
+            },
+            done_us=self.transport.now_us,
+        )
+
+    def _session_ping(self, req: Request) -> Response:
         now = self.transport.now_us
-        if req.op == "hello":
-            session_id, client_version = req.args
-            if client_version != VERSION:
-                await self._write(writer, Response(
-                    id=req.id,
-                    status=STATUS_ERROR,
-                    error=(
-                        f"protocol version mismatch: client {client_version}"
-                        f", server {VERSION}"
-                    ),
-                ))
-                return
-            if session_id not in self._sessions:
-                self._sessions[session_id] = _Session(session_id)
-            await self._write(writer, Response(
-                id=req.id,
-                kind="hello",
-                value={
-                    "session": session_id,
-                    "version": VERSION,
-                    "sharded": self.transport.sharded,
-                    "engine": self.transport.engine is not None,
-                    "window": (
-                        self.bridge.window if self.bridge is not None else 0
-                    ),
-                },
-                done_us=now,
-            ))
-        elif req.op == "ping":
-            await self._write(writer, Response(
-                id=req.id, kind="time", value=now, done_us=now,
-            ))
-        elif req.op == "stats":
-            bridge = self.bridge
-            await self._write(writer, Response(
-                id=req.id,
-                kind="stats",
-                value={
-                    "now_us": now,
-                    "sessions": len(self._sessions),
-                    "admitted": bridge.admitted if bridge else 0,
-                    "rejected": bridge.rejected if bridge else 0,
-                    "completed": bridge.completed if bridge else 0,
-                    "queue_depth": bridge.queue_depth if bridge else 0,
-                    "window": bridge.window if bridge else 0,
-                },
-                done_us=now,
-            ))
+        return Response(
+            id=req.id, kind=req.spec.kind, value=now,
+            done_us=now, arrival_us=req.arrival_us,
+        )
+
+    #: The sequenced ping: `_process` has run the engine to idle first.
+    _session_flush = _session_ping
+
+    def _session_stats(self, req: Request) -> Response:
+        now = self.transport.now_us
+        value = {"now_us": now, "sessions": len(self._sessions)}
+        for name in (
+            "admitted", "rejected", "completed", "queue_depth", "window"
+        ):  # all zero on a deployment without an engine
+            value[name] = getattr(self.bridge, name, 0)
+        return Response(
+            id=req.id, kind=req.spec.kind, value=value, done_us=now
+        )
 
     # -- data ops ----------------------------------------------------------
 
     async def _process(
         self, req: Request, writer: asyncio.StreamWriter
     ) -> None:
-        if req.op == "flush":
+        if req.spec.target == "session":
+            # A session op in the sequenced stream is a barrier: every
+            # pipelined op before it completes and replies first.
             if self.bridge is not None:
                 await self._send_completions(self.bridge.flush())
-            now = self.transport.now_us
-            await self._write(writer, Response(
-                id=req.id, kind="time", value=now,
-                done_us=now, arrival_us=req.arrival_us,
-            ))
+            await self._serve_session(req, writer)
             return
         # Time never flows backward: a session whose stamps lag another
         # session's progress is clamped to engine-now (single-session
         # streams, the deterministic case, are never clamped).
         arrival = max(req.arrival_us, self.transport.now_us)
-        if self.bridge is None or req.sync or req.spec.sync_only:
+        if self.bridge is None or req.sync or not req.spec.proc:
             await self._process_sync(req, writer, arrival)
             return
         token = self._next_token
         self._next_token += 1
+        transport = self.transport
         decision = self.bridge.submit(
-            token, arrival, self._gen_factory(req.op, req.args)
+            token, arrival, lambda: transport.proc(req.op, *req.args)
         )
         await self._send_completions(decision.completions)
         if not decision.admitted:
@@ -312,54 +309,21 @@ class PolarStoreServer:
             await self._send_completions(self.bridge.drain_to(arrival))
         self.transport.advance_to(arrival)
         try:
-            result = self.transport.call(
-                req.op, *self._call_args(req.op, req.args)
-            )
+            result = self.transport.call(req.op, *req.args)
         except Exception as exc:  # noqa: BLE001 - delivered per-request
-            await self._write(writer, Response(
-                id=req.id,
-                status=STATUS_ERROR,
-                error=f"{type(exc).__name__}: {exc}",
-                done_us=self.transport.now_us,
-                arrival_us=arrival,
+            await self._write(writer, _error_reply(
+                req.id, exc,
+                done_us=self.transport.now_us, arrival_us=arrival,
             ))
             return
-        kind, value, done_us, io_reads, redo_bytes = _encode_result(
-            req.op, result, self.transport.now_us
-        )
-        await self._write(writer, Response(
-            id=req.id,
-            status=STATUS_OK,
-            kind=kind,
-            value=value,
-            done_us=done_us,
+        done_us = RESULT_KINDS[req.spec.kind].done_us
+        await self._write(writer, _result_reply(
+            req, result,
+            done_us=(
+                self.transport.now_us if done_us is None else done_us(result)
+            ),
             arrival_us=arrival,
-            io_reads=io_reads,
-            redo_bytes=redo_bytes,
         ))
-
-    def _call_args(self, op: str, args: List[Any]) -> List[Any]:
-        """Wire args -> LocalTransport.call positional args."""
-        if op == "bulk_load":
-            table, rows = args
-            return [table, [(key, bytes(value)) for key, value in rows]]
-        if op == "archive_range":
-            return [list(args[0])]
-        return list(args)
-
-    def _gen_factory(self, op: str, args: List[Any]):
-        """Build the thunk the bridge spawns — mirrors the client-side
-        ``*_proc`` dispatch (sharded select drops ro_index)."""
-        transport = self.transport
-        if op == "select":
-            table, key, ro_index = args
-            if transport.sharded:
-                return lambda: transport.proc("select", table, key)
-            return lambda: transport.proc(
-                "select", table, key, ro_index=ro_index
-            )
-        frozen = list(args)
-        return lambda: transport.proc(op, *frozen)
 
     async def _send_completions(
         self, completions: List[BridgeCompletion]
@@ -369,32 +333,16 @@ class PolarStoreServer:
             if entry is None:
                 continue
             writer, req = entry
+            stamps = dict(
+                done_us=completion.done_us,
+                arrival_us=completion.arrival_us,
+                queue_depth=completion.depth_at_admit,
+            )
             if completion.ok:
-                kind, value, _, io_reads, redo_bytes = _encode_result(
-                    req.op, completion.result, completion.done_us
-                )
-                response = Response(
-                    id=req.id,
-                    status=STATUS_OK,
-                    kind=kind,
-                    value=value,
-                    done_us=completion.done_us,
-                    arrival_us=completion.arrival_us,
-                    io_reads=io_reads,
-                    redo_bytes=redo_bytes,
-                    queue_depth=completion.depth_at_admit,
-                )
+                reply = _result_reply(req, completion.result, **stamps)
             else:
-                exc = completion.error
-                response = Response(
-                    id=req.id,
-                    status=STATUS_ERROR,
-                    error=f"{type(exc).__name__}: {exc}",
-                    done_us=completion.done_us,
-                    arrival_us=completion.arrival_us,
-                    queue_depth=completion.depth_at_admit,
-                )
-            await self._write(writer, response)
+                reply = _error_reply(req.id, completion.error, **stamps)
+            await self._write(writer, reply)
 
     async def _write(
         self, writer: asyncio.StreamWriter, response: Response
@@ -411,32 +359,23 @@ class PolarStoreServer:
             pass
 
 
-def _encode_result(
-    op: str, result: Any, now_us: float
-) -> Tuple[str, Any, float, int, int]:
-    """Map one LocalTransport result object onto (kind, wire value,
-    done_us, io_reads, redo_bytes)."""
-    if op in ("insert", "update", "delete", "select", "range_select"):
-        return ("op", result.value, result.done_us,
-                result.io_reads, result.redo_bytes)
-    if op in ("bulk_load", "checkpoint", "archive_range", "scrub"):
-        return ("time", float(result), float(result), 0, 0)
-    if op == "write_page":
-        return ("commit", None, result.commit_us, 0, 0)
-    if op == "read_page":
-        return (
-            "read",
-            {"data": result.data, "cpu_us": result.cpu_us,
-             "consolidated": result.consolidated},
-            result.done_us,
-            result.io_reads,
-            0,
-        )
-    if op == "compression_ratio":
-        return ("ratio", float(result), now_us, 0, 0)
-    if op == "space":
-        return ("space", [int(result[0]), int(result[1])], now_us, 0, 0)
-    return ("none", None, now_us, 0, 0)  # create_table
+def _result_reply(req: Request, result: Any, **stamps) -> Response:
+    """One result object -> its OK reply, through the row's result kind."""
+    return Response(
+        id=req.id,
+        kind=req.spec.kind,
+        value=RESULT_KINDS[req.spec.kind].to_wire(result),
+        io_reads=getattr(result, "io_reads", 0),
+        redo_bytes=getattr(result, "redo_bytes", 0),
+        **stamps,
+    )
+
+
+def _error_reply(req_id: int, exc: BaseException, **stamps) -> Response:
+    return Response(
+        id=req_id, status=STATUS_ERROR,
+        error=f"{type(exc).__name__}: {exc}", **stamps,
+    )
 
 
 class ServerThread:

@@ -1,13 +1,15 @@
 """Background maintenance as engine processes.
 
-The storage layer's housekeeping — scrubbing, page consolidation /
-compaction, and deferred FTL garbage collection — used to run only when
-a caller chose a moment to invoke it synchronously.  On the event kernel
-it becomes what it is in the paper's system: daemons that periodically
-steal device time from the same queues the foreground traffic uses.
-Every slice of background I/O goes through the shared per-device state,
-so a scrub pass genuinely delays concurrent reads (and vice versa: a
-busy device pushes the scrubber's completion out).
+The storage layer's housekeeping — scrubbing and page consolidation /
+compaction — used to run only when a caller chose a moment to invoke it
+synchronously.  On the event kernel it becomes what it is in the paper's
+system: daemons that periodically steal device time from the same queues
+the foreground traffic uses.  Every slice of background I/O goes through
+the shared per-device state, so a scrub pass genuinely delays concurrent
+reads (and vice versa: a busy device pushes the scrubber's completion
+out).  Deferred FTL garbage collection needs no daemon here: a device
+bound with ``defer_gc`` starts and ends its own drain
+(:meth:`repro.csd.device.BlockDevice.gc_proc`).
 
 Since the consolidation path became policy-pluggable
 (:mod:`repro.storage.consolidation`), the consolidator daemon is the
@@ -72,15 +74,12 @@ def start_background(
     engine: Engine,
     scrub_period_us: Optional[float] = _FROM_CONFIG,  # type: ignore[assignment]
     consolidate_period_us: Optional[float] = _FROM_CONFIG,  # type: ignore[assignment]
-    gc_period_us: Optional[float] = None,
 ) -> List[Process]:
     """Spawn the volume's maintenance daemons; returns the processes.
 
     Periods default to the volume's consolidation config
     (``scrub_period_us`` / ``consolidate_period_us``); pass ``None`` to
-    skip that daemon.  ``gc_period_us`` additionally starts each data
-    device's deferred-GC drain (only meaningful when the store was bound
-    with ``defer_gc=True``).
+    skip that daemon.
     """
     config = _store_consolidation(store)
     if scrub_period_us is _FROM_CONFIG:
@@ -102,12 +101,4 @@ def start_background(
                 name="bg-consolidator",
             )
         )
-    if gc_period_us is not None:
-        for i, node in enumerate(store.nodes):
-            procs.append(
-                engine.spawn(
-                    node.data_device.gc_proc(gc_period_us),
-                    name=f"bg-gc-{i}",
-                )
-            )
     return procs

@@ -1,11 +1,10 @@
-"""The Transport seam: capability gating, LocalTransport dispatch,
-and the op vocabulary shared with the wire protocol."""
+"""The Transport seam: capability gating and LocalTransport dispatch
+(the op table both transports read is covered in ``test_op_table``)."""
 
 import pytest
 
 from repro.api import ReproConfig
 from repro.api.transport import (
-    TRANSPORT_OPS,
     LocalTransport,
     Transport,
     TransportCapabilityError,
@@ -18,15 +17,6 @@ def test_abstract_transport_gates_in_process_capabilities():
     for attr in ("config", "db", "runtime", "store", "engine", "metrics"):
         with pytest.raises(TransportCapabilityError, match="abstract"):
             getattr(transport, attr)
-
-
-def test_transport_ops_match_the_wire_vocabulary():
-    from repro.net.protocol import OPS
-
-    wire_data_ops = {
-        spec.name for spec in OPS if not spec.control
-    } - {"flush"}
-    assert wire_data_ops == set(TRANSPORT_OPS)
 
 
 def test_local_transport_engine_dispatch_and_cursor():

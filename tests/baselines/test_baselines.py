@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.common.clock import Resource
+from repro.engine import Resource
 from repro.common.errors import ReproError
 from repro.common.units import DB_PAGE_SIZE, KiB, MiB
 from repro.csd.device import PlainSSD

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.common.clock import Resource, ResourcePool, SimClock
+from repro.common.clock import SimClock
+from repro.engine import Resource, ResourcePool
 
 
 def test_clock_starts_at_zero_and_advances():

@@ -3,9 +3,9 @@ analytic equivalence (S3), and obs wiring (S2)."""
 
 import pytest
 
-from repro.common.clock import Resource as LegacyResource
-from repro.common.clock import ResourcePool as LegacyPool
 from repro.engine import Engine, EngineError, Queue, Resource, ResourcePool
+from tests.engine.legacy_resource import Resource as LegacyResource
+from tests.engine.legacy_resource import ResourcePool as LegacyPool
 from repro.obs.metrics import MetricsRegistry
 
 
