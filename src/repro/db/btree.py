@@ -56,16 +56,12 @@ class BPlusTree:
         return descend(self._pool, ctx, self.root_page_no, key)
 
     @staticmethod
+    def _child_at(page: Page, index: int) -> int:
+        return _CHILD.unpack(page.value_at(index))[0]
+
+    @staticmethod
     def _child_for(page: Page, key: int) -> int:
-        index, found = page._bisect(key)
-        if not found:
-            if index == 0:
-                index = 1  # key below the leftmost separator
-            slot_index = index - 1
-        else:
-            slot_index = index
-        child_key, child_value = page._record_at(slot_index)
-        return _CHILD.unpack(child_value)[0]
+        return BPlusTree._child_at(page, page.floor_index(key))
 
     def range_scan(
         self, ctx: OpContext, low: int, high: int
@@ -80,21 +76,12 @@ class BPlusTree:
     ) -> None:
         page = self._pool.get_page(ctx, page_no)
         if page.page_type is PageType.LEAF:
-            out.extend(
-                (key, value) for key, value in page.items() if low <= key <= high
-            )
+            out.extend(page.range_items(low, high))
             return
-        entries = list(page.items())
-        for i, (sep, child_value) in enumerate(entries):
-            next_sep = entries[i + 1][0] if i + 1 < len(entries) else None
-            # Child i covers [sep, next_sep); include it if it overlaps.
-            if next_sep is not None and next_sep <= low:
-                continue
-            if sep > high:
-                break
-            self._scan_page(
-                ctx, _CHILD.unpack(child_value)[0], low, high, out
-            )
+        # Every child a key in [low, high] routes to, as ``_child_for``
+        # routes it.
+        for index in range(page.floor_index(low), page.floor_index(high) + 1):
+            self._scan_page(ctx, self._child_at(page, index), low, high, out)
 
     # -- mutation -------------------------------------------------------------
 

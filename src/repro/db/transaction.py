@@ -174,8 +174,7 @@ class Transaction:
                 continue  # page born in this txn: unreferenced after undo
             page = self.rw.pool.lookup(page_no)
             if page is not None:
-                page.buf[:] = image
-                page._mods = []
+                page.restore(image)
         for table, (root, height) in self._tree_snapshots.items():
             tree = self.rw.tree(table)
             tree.root_page_no = root

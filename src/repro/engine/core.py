@@ -278,11 +278,19 @@ class Engine:
     def run_until_idle(self, limit_us: Optional[float] = None) -> float:
         """Drain the heap (optionally stopping once *now* passes
         ``limit_us``); returns the final simulated time."""
-        while self._heap:
-            if limit_us is not None and self._heap[0][0] > limit_us:
+        heap, pop = self._heap, heapq.heappop
+        while heap:
+            if limit_us is not None and heap[0][0] > limit_us:
                 break
-            self._dispatch_one()
-            self._raise_dead()
+            # ``_dispatch_one`` inline: this loop runs once per event of
+            # every engine workload, and the two calls saved are 2% of
+            # ``oltp_rw``.
+            when_us, _seq, fn, args = pop(heap)
+            if when_us > self._now_us:
+                self._now_us = when_us
+            fn(*args)
+            if self._dead:
+                self._raise_dead()
         return self._now_us
 
     def run_until_complete(self, procs: Sequence[Process]) -> float:

@@ -161,8 +161,9 @@ class Resource:
         """
         if service_us < 0:
             raise ValueError(f"negative service time {service_us}")
-        idx = min(range(len(self._free_at)), key=self._free_at.__getitem__)
-        begin = max(start_us, self._free_at[idx])
+        free = min(self._free_at)
+        idx = self._free_at.index(free)  # the first earliest-free server
+        begin = max(start_us, free)
         end = begin + service_us
         self._free_at[idx] = end
         self._account(begin - start_us, service_us, end)
@@ -206,10 +207,7 @@ class Resource:
         engine = self.engine
         now = engine.now_us
         while self._waiters:
-            idx = min(
-                range(len(self._free_at)), key=self._free_at.__getitem__
-            )
-            free = self._free_at[idx]
+            free = min(self._free_at)
             if free > now:
                 # Earliest server frees in the future; wake up then.  (A
                 # single pending wake-up suffices: dispatch re-evaluates.)
@@ -218,7 +216,8 @@ class Resource:
                     engine.schedule(free, self._redispatch)
                 return
             grant, arrive, service_us = self._waiters.popleft()
-            self._free_at[idx] = now + service_us
+            # The first earliest-free server takes it.
+            self._free_at[self._free_at.index(free)] = now + service_us
             self._account(now - arrive, service_us, now + service_us)
             grant.succeed(now)
 

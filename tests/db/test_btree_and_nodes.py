@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ReproError
 from repro.common.units import MiB
+from repro.db.btree import BPlusTree
 from repro.db.bufferpool import BufferPool, OpContext
 from repro.db.database import PolarDB
 from repro.db.page import PageType
@@ -63,6 +64,77 @@ def test_range_scan():
         now = db.insert(now, "t", key, value_for(key)).done_us
     result = db.range_select(now, "t", 50, 59)
     assert result.value == b"".join(value_for(k) for k in range(50, 60))
+
+
+def scan_tree(value_len, seed, first_key, inserts, deletes):
+    """A tree of random keys with tombstones, and its live rows."""
+    rng = random.Random(seed)
+    pool = BufferPool(4096, store=None)  # holds every page: never reads
+    page_nos = iter(range(1, 1 << 16))
+    tree = BPlusTree(pool, lambda: next(page_nos))
+    ctx = OpContext(0.0)
+    rows = {}
+    # The first key becomes the leftmost separator: with 5000, later
+    # smaller keys land below it.  (Not on the three-level tree: a leaf
+    # that holds such a key and splits at its own separator trips
+    # "duplicate key" in the parent — ROADMAP item 1(c).)
+    for key in [first_key] + rng.sample(range(101, 10_000), inserts):
+        rows[key] = b"%06d" % key + rng.randbytes(value_len)
+        tree.insert(ctx, key, rows[key], 1)
+    for key in rng.sample(sorted(rows), deletes):
+        del rows[key]
+        assert tree.delete(ctx, key, 2)
+    return tree, pool, sorted(rows.items())
+
+
+@pytest.mark.parametrize(
+    "value_len, first_key, inserts, deletes, height",
+    [(60, 5000, 1500, 500, 2), (5000, 100, 1800, 400, 3)],
+)
+def test_range_scan_matches_brute_force(
+    value_len, first_key, inserts, deletes, height
+):
+    tree, pool, rows = scan_tree(
+        value_len, f"scan-{height}", first_key, inserts, deletes
+    )
+    assert tree.height == height
+    ctx = OpContext(0.0)
+    keys = [key for key, _ in rows]
+    # Bounds on, just inside and just outside every leaf boundary, plus
+    # the ends of the key space and random pairs (some with low > high).
+    edges = {0, 99, 100, 9_999, 10_000, 1 << 40}
+    for page_no in range(1, 1 << 16):
+        page = pool.lookup(page_no)
+        if page is None:
+            break
+        if page.page_type is PageType.LEAF and page.keys():
+            first, last = page.keys()[0], page.keys()[-1]
+            edges |= {first - 1, first, first + 1, last - 1, last, last + 1}
+    rng = random.Random(height)
+    edges = sorted(edges)
+    pairs = [(rng.choice(edges), rng.choice(edges)) for _ in range(300)]
+    pairs += [(rng.randrange(10_100), rng.randrange(10_100)) for _ in range(200)]
+    pairs += [(0, 1 << 40), (keys[0], keys[0]), (keys[-1] + 1, 1 << 40), (0, 99)]
+    for low, high in pairs:
+        expect = [row for row in rows if low <= row[0] <= high]
+        assert tree.range_scan(ctx, low, high) == expect, (low, high)
+    assert any(low > high for low, high in pairs)
+
+
+def test_range_scan_sees_keys_below_the_leftmost_separator():
+    """The root's first separator is the smallest key at the time the
+    root grew; rows inserted below it later route to child 0, and a scan
+    that ends below the separator must still visit that child."""
+    db = make_db()
+    now = 0.0
+    for key in list(range(1000, 1400)) + list(range(10, 20)):
+        now = db.insert(now, "t", key, value_for(key)).done_us
+    assert db.rw.tree("t").height == 2
+    expect = b"".join(value_for(key) for key in range(10, 20))
+    assert db.range_select(now, "t", 0, 500).value == expect
+    assert db.range_select(now, "t", 15, 1001).value == b"".join(
+        value_for(key) for key in [*range(15, 20), 1000, 1001]
+    )
 
 
 def test_update_and_delete_through_tree():

@@ -5,6 +5,7 @@ import pytest
 from repro.common.errors import ReproError
 from repro.common.units import MiB
 from repro.db.database import PolarDB
+from repro.db.page import Page
 from repro.storage.node import NodeConfig
 
 
@@ -80,6 +81,46 @@ def test_rollback_across_page_splits():
     # The tree remains fully usable after the rolled-back splits.
     done = db.insert(now + 2e4, "t", 1001, value_for(1001)).done_us
     assert db.select(done, "t", 1001).value == value_for(1001)
+
+
+def test_rollback_leaves_no_stale_page_view():
+    """Update + insert-that-splits + delete, rolled back: every read
+    returns the pre-transaction rows, and every pooled page answers as a
+    fresh decode of its own bytes does (``Page.restore`` reset the view
+    together with the bytes)."""
+    db = make_db()
+    now = 0.0
+    rows = {key: value_for(key) for key in range(0, 240, 2)}
+    for key, value in rows.items():
+        now = db.insert(now, "t", key, value).done_us
+    tree = db.rw.tree("t")
+    shape = (tree.root_page_no, tree.height)
+    pages_before = db.rw._next_page_no
+
+    txn = db.rw.begin(now)
+    txn.update("t", 10, value_for(10, b"grown-" * 20))
+    txn.update("t", 12, value_for(12)[:20])
+    key = 1
+    while db.rw._next_page_no == pages_before:  # until a leaf splits
+        txn.insert("t", key, value_for(key, b"tmp"))
+        key += 2
+    txn.delete("t", 14)
+    txn.delete("t", 200)
+    assert txn.select("t", 14).value is None
+    txn.rollback()
+
+    assert (tree.root_page_no, tree.height) == shape
+    later = now + 1e4
+    for probe in range(-1, 242):
+        assert db.select(later, "t", probe).value == rows.get(probe)
+    for low, high in [(0, 238), (9, 15), (13, 13), (100, 139), (230, 500)]:
+        assert db.range_select(later, "t", low, high).value == b"".join(
+            rows[k] for k in sorted(rows) if low <= k <= high
+        )
+    for page_no in range(1, db.rw._next_page_no):
+        page = db.rw.pool.lookup(page_no)
+        assert page is not None  # the 64-page pool holds them all
+        assert Page.parse(page.to_bytes()).items() == page.items()
 
 
 def test_committed_data_survives_storage_consolidation():
