@@ -35,12 +35,6 @@ Commands
     layout across real replica groups, show zone A/B/C/D occupancy,
     live-migrate chunks under both schedulers, and persist the wasted-
     space / migration-traffic table + JSON artifact (Figures 10/11).
-``perf``
-    Wall-clock A/B harness: run pinned seeded scenarios serially and
-    again with the codec-memo fast path, assert the outputs and
-    simulated timings are identical, and write the speedup scoreboard
-    to ``BENCH_wallclock.json``.  ``--check BASELINE`` is the CI
-    perf-smoke regression gate.
 ``events``
     Run an observed scenario (sysbench / chaos / cluster) with the
     flight recorder active and print (or dump) the structured event
@@ -75,14 +69,11 @@ Commands
     half of the ``--out`` JSON artifact is byte-identical across runs
     of the same spec (the CI ``net-smoke`` gate).
 
-Every command honours ``REPRO_PERF`` (``1``/``on`` for the codec memo
-at its default size, or ``memo=MiB``); unset or ``0`` runs the original
-serial code everywhere.  ``REPRO_OBS=1`` activates a flight recorder
-for any command (``capacity=N, sample=io:8`` tunes it).
-``REPRO_WORKERS=N`` is the default for every ``--workers`` flag
-(``bench``, ``cluster``, ``perf``), which means one thing everywhere:
-independent programs fanned across N forked worker processes with
-byte-identical output.
+``REPRO_OBS=1`` activates a flight recorder for any command
+(``capacity=N, sample=io:8`` tunes it).  ``REPRO_WORKERS=N`` is the
+default for every ``--workers`` flag (``bench``, ``cluster``), which
+means one thing everywhere: independent programs fanned across N forked
+worker processes with byte-identical output.
 """
 
 from __future__ import annotations
@@ -524,13 +515,6 @@ def shared_options(
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv[:1] == ["perf"]:
-        # Forwarded wholesale: the harness owns its own argparse, and
-        # nesting its optionals under a subparser would swallow them.
-        from repro.perf.harness import main as perf_main
-
-        return perf_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="PolarStore reproduction toolkit",
@@ -645,11 +629,6 @@ def main(argv=None) -> int:
         help="fan the two independent scheduler fleets across N "
              "worker processes; byte-identical output (default: "
              "$REPRO_WORKERS, else 1)",
-    )
-    sub.add_parser(
-        "perf",
-        help="wall-clock A/B harness (serial vs codec-memo fast "
-             "path); see 'perf --help' for its own options",
     )
     events_p = sub.add_parser(
         "events",
@@ -859,14 +838,9 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
-    # Honour REPRO_PERF for every command: an opted-in fast path changes
-    # wall-clock only, never a simulated result, so it is safe to apply
-    # globally.  The perf harness manages its own A/B runtimes per run.
-    from repro.perf.runtime import configure_from_env
-
-    configure_from_env()
-    # Likewise REPRO_OBS: an always-on flight recorder is cheap (ring
-    # append per event) and never changes a simulated result.
+    # Honour REPRO_OBS for every command: an always-on flight recorder
+    # is cheap (ring append per event) and never changes a simulated
+    # result.
     from repro.obs.events import configure_from_env as obs_from_env
 
     obs_from_env()

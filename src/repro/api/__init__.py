@@ -16,7 +16,6 @@ from repro.api.config import (
     DeviceSection,
     EngineSection,
     NetSection,
-    PerfConfig,
     ReproConfig,
     StoreSection,
     resolve_spec,
@@ -43,7 +42,6 @@ __all__ = [
     "ClusterSection",
     "ConsolidationConfig",
     "NetSection",
-    "PerfConfig",
     "resolve_spec",
     "build_store",
     "build_db",

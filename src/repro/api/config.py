@@ -6,7 +6,7 @@ another overlapping set, :class:`~repro.db.database.PolarDB` threaded a
 third through to both, and the cluster/benchmark code re-invented all of
 it per call site.  :class:`ReproConfig` replaces that with a single
 dataclass tree — ``store``, ``device``, ``engine``, ``db``, ``cluster``,
-``perf``, ``consolidation`` sections — consumed by
+``net``, ``consolidation`` sections — consumed by
 :meth:`repro.api.PolarStore.open`, the CLI, and the figure benchmarks.
 
 ``from_dict``/``to_dict`` round-trip the tree through plain JSON-able
@@ -131,22 +131,6 @@ class ClusterSection:
 
 
 @dataclass
-class PerfConfig:
-    """Wall-clock fast path (``repro.perf``): the codec memo.
-
-    Off by default: the fast path is opt-in, and with ``enabled`` False
-    the hot paths run exactly the serial seed code.  Enabling it changes
-    no simulated timing and no output byte (golden-tested) — only how
-    fast the process gets there.
-    """
-
-    #: Master switch; False leaves the serial path untouched.
-    enabled: bool = False
-    #: Codec memo capacity; a zero-capacity memo admits nothing.
-    memo_capacity_bytes: int = 64 * MiB
-
-
-@dataclass
 class NetSection:
     """Serving layer (``repro.net``): the socket server front-end.
 
@@ -175,7 +159,6 @@ class ReproConfig:
     engine: EngineSection = field(default_factory=EngineSection)
     db: DbSection = field(default_factory=DbSection)
     cluster: ClusterSection = field(default_factory=ClusterSection)
-    perf: PerfConfig = field(default_factory=PerfConfig)
     net: NetSection = field(default_factory=NetSection)
     #: Evicted-redo organization (single-level/leveled/tiered) plus the
     #: background consolidation/scrub cadence and compaction throttle.
@@ -215,8 +198,6 @@ class ReproConfig:
             raise ValueError("net.port must be in [1, 65535]")
         if self.net.max_frame_bytes < 0:
             raise ValueError("net.max_frame_bytes cannot be negative")
-        if self.perf.memo_capacity_bytes < 0:
-            raise ValueError("perf.memo_capacity_bytes cannot be negative")
         resolve_spec(self.device.data_spec)
         resolve_spec(self.device.perf_spec)
         self.consolidation.validate()

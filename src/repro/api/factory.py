@@ -14,28 +14,10 @@ import dataclasses
 from repro.api.config import ReproConfig, resolve_spec
 
 
-def apply_perf(config: ReproConfig) -> None:
-    """Install (or clear) the process-wide wall-clock fast path.
-
-    Called by every ``build_*`` before construction so a volume built
-    from a perf-enabled config binds the runtime's counters into its
-    metrics registry.  An already-active runtime is kept as-is when the
-    config section is disabled — explicit harness/CLI configuration
-    (e.g. ``REPRO_PERF``) outlives per-volume defaults.
-    """
-    from repro.perf.runtime import PerfRuntime, configure
-
-    # perf.enabled=False leaves any externally configured runtime alone:
-    # the section's default must not tear down REPRO_PERF-driven setups.
-    if config.perf.enabled:
-        configure(PerfRuntime(config.perf.memo_capacity_bytes))
-
-
 def build_store(config: ReproConfig, seed_offset: int = 0):
     """One replicated :class:`~repro.storage.store.PolarStore` volume."""
     from repro.storage.store import PolarStore
 
-    apply_perf(config)
     store_cfg = config.store
     device_cfg = config.device
     return PolarStore(
@@ -70,5 +52,4 @@ def build_cluster(config: ReproConfig, engine=None):
     """A sharded :class:`~repro.cluster.runtime.ClusterRuntime`."""
     from repro.cluster.runtime import ClusterRuntime
 
-    apply_perf(config)
     return ClusterRuntime(config, engine=engine)

@@ -14,6 +14,12 @@ out of these implementations naturally.
 :mod:`repro.compression.gzipdev` models the PolarCSD hardware gzip engine
 (DEFLATE level 5), and :mod:`repro.compression.selector` implements the
 paper's Algorithm 1 (adaptive lz4/zstd selection).
+
+The write path does not call a codec's ``compress`` itself: it calls
+:mod:`repro.compression.memo`, a content-addressed cache of a fixed
+size in front of the codecs, because replicas, devices and migrations
+compress the same bytes again and again.  Reads call
+``get_codec(name).decompress`` directly.
 """
 
 from repro.compression.base import (

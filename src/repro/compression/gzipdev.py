@@ -23,9 +23,9 @@ class HardwareGzip(Compressor):
     """The in-storage compression transform (DEFLATE level 5)."""
 
     name = "hw-gzip"
-
-    def __init__(self, level: int = HARDWARE_GZIP_LEVEL) -> None:
-        self.level = level
+    #: Not a constructor argument: every engine is the same ASIC, and
+    #: ``memo.hw_compressed_len`` keys a block's length on content alone.
+    level = HARDWARE_GZIP_LEVEL
 
     def compress(self, data: bytes) -> bytes:
         return zlib.compress(data, self.level)

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro import perf
 from repro.common.units import align_up, LBA_SIZE
+from repro.compression import memo
 from repro.compression.base import CompressionResult
 from repro.compression.cost import codec_cost
 from repro.obs.metrics import MetricsRegistry
@@ -31,6 +31,12 @@ CPU_UTILIZATION_GATE = 0.20
 UPDATE_PERCENT_GATE = 0.30
 
 
+def _compressed(page: bytes, codec_name: str) -> CompressionResult:
+    return CompressionResult(
+        codec_name, memo.compress(codec_name, page), len(page)
+    )
+
+
 @dataclass(frozen=True)
 class SelectionDecision:
     """Outcome of one selection: which codec won and why."""
@@ -40,9 +46,6 @@ class SelectionDecision:
     evaluated: bool
     benefit_bytes: float = 0.0
     overhead_us: float = 0.0
-    #: CRC-32 of ``result.payload`` when the codec memo recorded it
-    #: alongside the compression (0 = caller computes it).
-    payload_crc: int = 0
 
     @property
     def aligned_size(self) -> int:
@@ -104,10 +107,8 @@ class AlgorithmSelector:
 
         self.evaluations += 1
         self._evaluations_ctr.inc()
-        lz4_payload, lz4_crc = perf.compress("lz4", page)
-        zstd_payload, zstd_crc = perf.compress("zstd", page)
-        lz4_result = CompressionResult("lz4", lz4_payload, len(page))
-        zstd_result = CompressionResult("zstd", zstd_payload, len(page))
+        lz4_result = _compressed(page, "lz4")
+        zstd_result = _compressed(page, "zstd")
         lz4_aligned = align_up(lz4_result.compressed_size, LBA_SIZE)
         zstd_aligned = align_up(zstd_result.compressed_size, LBA_SIZE)
 
@@ -122,15 +123,13 @@ class AlgorithmSelector:
         if benefit_bytes / overhead_us > self.threshold:
             return self._decided(SelectionDecision(
                 "zstd", zstd_result, True, benefit_bytes, overhead_us,
-                payload_crc=zstd_crc,
             ))
         return self._decided(SelectionDecision(
             "lz4", lz4_result, True, benefit_bytes, overhead_us,
-            payload_crc=lz4_crc,
         ))
 
     @staticmethod
     def _single(page: bytes, codec_name: str) -> SelectionDecision:
-        payload, crc = perf.compress(codec_name, page)
-        result = CompressionResult(codec_name, payload, len(page))
-        return SelectionDecision(codec_name, result, False, payload_crc=crc)
+        return SelectionDecision(
+            codec_name, _compressed(page, codec_name), False
+        )

@@ -26,11 +26,10 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro import perf
 from repro.common.errors import DeviceError, OutOfSpaceError, ReproError
 from repro.common.latency import LatencyStats
 from repro.common.units import KiB, MiB, is_aligned
-from repro.compression.gzipdev import HardwareGzip
+from repro.compression.memo import hw_compressed_len
 from repro.csd.faults import FaultProfile, profile_for
 from repro.csd.ftl import FTL
 from repro.csd.mapping import L2PEntryCodecV1, L2PEntryCodecV2
@@ -100,7 +99,6 @@ class BlockDevice:
         #: Data-level chaos injector (repro.chaos); None = no injection.
         self._chaos = None
         #: Shared discrete-event kernel once bind_engine() is called.
-        #: (Named _sim_engine because PolarCSD.engine is the gzip engine.)
         self._sim_engine: Optional[Engine] = None
         #: When True (engine mode), GC relocation cost accrues into
         #: _pending_gc_us for :meth:`gc_proc` to drain through the device
@@ -405,7 +403,6 @@ class PolarCSD(BlockDevice):
             metrics=self.metrics,
             metric_labels=self.metric_labels,
         )
-        self.engine = HardwareGzip()
 
     # -- service time ---------------------------------------------------------
 
@@ -418,10 +415,8 @@ class PolarCSD(BlockDevice):
         for i in range(n_blocks):
             block = data[i * LBA_SIZE : (i + 1) * LBA_SIZE]
             # Block content repeats heavily (filler-tiled row pages, zero
-            # padding), so an active memo sizes it by content.
-            compressed_len = min(
-                perf.hw_compressed_len(self.engine, block), LBA_SIZE
-            )
+            # padding, the other two replicas), so it is sized by content.
+            compressed_len = min(hw_compressed_len(block), LBA_SIZE)
             relocated += self.ftl.write(lba + i, compressed_len)
             physical += self.ftl.stored_length(lba + i)
         self._last_relocated = relocated

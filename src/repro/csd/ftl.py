@@ -93,7 +93,7 @@ class FTLStats:
 
         Opt-in (benchmarks/monitors call it): binding at construction
         time would add an instrument to every default store and perturb
-        the perf-harness metric fingerprints.
+        the oracle fingerprints of ``tests/perf``.
         """
         from repro.obs import amp
 

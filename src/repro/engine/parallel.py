@@ -35,8 +35,8 @@ __all__ = [
 #: Wire framing for the pipe channels: payload length prefix.
 _FRAME = struct.Struct("<I")
 
-#: Environment variable honored by every CLI entry point (REPRO_PERF /
-#: REPRO_OBS pattern): ``REPRO_WORKERS=4`` is equivalent to ``--workers 4``.
+#: Environment variable honored by every CLI entry point (the REPRO_OBS
+#: pattern): ``REPRO_WORKERS=4`` is equivalent to ``--workers 4``.
 WORKERS_ENV = "REPRO_WORKERS"
 
 

@@ -12,8 +12,8 @@ gauges in whatever :class:`~repro.obs.metrics.MetricsRegistry` owns the
 run.
 
 The accountant is deliberately lazy: nothing registers these gauges at
-store construction time (the perf-harness fingerprints hash every
-instrument in a registry, and the default single-level path must stay
+store construction time (the scenario fingerprints of
+``tests/perf/oracle.py`` hash every instrument in a registry, and the default single-level path must stay
 byte-identical to the pre-policy code).  Benchmarks, the compaction CLI,
 and tests create accountants explicitly.
 """

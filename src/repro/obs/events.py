@@ -6,7 +6,7 @@ the stack emits structured events into one process-wide recorder — page
 I/O, FTL garbage collection, group-commit flushes, chunk migrations,
 injected faults, codec selections, scrub repairs, SLO alerts — each
 stamped with the *simulated* time at which it happened, so a dump reads
-as the black box of a run: after a chaos failure or a perf regression,
+as the black box of a run: after a chaos failure or a missed SLO,
 ``python -m repro events --load`` replays the history post-hoc.
 
 Design constraints:
@@ -14,8 +14,7 @@ Design constraints:
 * **Zero cost when disabled.**  Call sites do ``rec = recorder_active()``
   and skip all field building when it returns ``None``; nothing is
   allocated, no instrument is touched.  Recording is opt-in per run
-  (the ``events``/``dash`` commands, ``REPRO_OBS=1``, or the perf
-  harness's fast leg).
+  (the ``events``/``dash`` commands or ``REPRO_OBS=1``).
 * **Bounded.**  The ring holds ``capacity`` events; older events fall
   off the back (counted per channel, never silently).  Per-channel
   sampling knobs (``keep 1 in N``) cut hot channels like ``io`` down
@@ -26,7 +25,7 @@ Design constraints:
 * **Outside the metrics universe.**  The recorder's own bookkeeping
   (emitted/sampled/dropped counts) lives in plain dicts, *not* registry
   instruments: enabling the recorder must not perturb a metrics
-  snapshot, which the perf harness fingerprints.
+  snapshot, which ``tests/perf/oracle.py`` fingerprints.
 
 Two dump formats: JSONL (one event per line, greppable) and a compact
 binary framing (magic + string tables + fixed-width records) for large
@@ -294,7 +293,7 @@ class FlightRecorder:
 
 
 # ---------------------------------------------------------------------------
-# process-wide activation (mirrors repro.perf.runtime's configure pattern)
+# process-wide activation
 # ---------------------------------------------------------------------------
 
 _active: Optional[FlightRecorder] = None

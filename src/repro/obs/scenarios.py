@@ -32,7 +32,7 @@ from repro.obs.slo import (
     ThresholdSLO,
 )
 
-#: Default seeds per scenario (match the CLI/perf-harness conventions).
+#: Default seeds per scenario (match the CLI conventions).
 DEFAULT_SEEDS = {"sysbench": 7, "chaos": 42, "cluster": 0, "raft": 11}
 
 #: ``on_tick(run, now_us)`` — fired every evaluator interval.

@@ -11,14 +11,14 @@ flight recorder on status transitions, and produces a final
 :class:`SLOReport` verdict.
 
 All pass/fail logic in the repo flows through this one evaluator: the
-chaos harness's six invariants (I1–I6) and the perf harness's
-regression gate are expressed as specs — same violation strings, same
-order, one code path deciding red or green.
+chaos harness's six invariants (I1–I6) and the scenario SLOs are
+expressed as specs — same violation strings, same order, one code path
+deciding red or green.
 
 Evaluation is read-only: specs merge histogram snapshots and read
 counters but never create registry instruments, so an evaluator
-attached to a run leaves the metrics snapshot (and hence the perf
-fingerprints) untouched.
+attached to a run leaves the metrics snapshot (and hence the oracle
+fingerprints of ``tests/perf``) untouched.
 """
 
 from __future__ import annotations
@@ -223,8 +223,7 @@ class BurnRateSLO(SLO):
 
 class ThresholdSLO(SLO):
     """``value_fn() >= floor`` (or ``<= ceiling``) with an exact breach
-    message — the shape the chaos schedule floors and the perf speedup
-    gate need."""
+    message — the shape the chaos schedule floors need."""
 
     def __init__(
         self,

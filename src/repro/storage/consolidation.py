@@ -162,7 +162,7 @@ class SingleLevelPolicy:
             self.page_capacity_bytes = None
         # Plain accounting attributes (not registry instruments: the
         # default construction path must not add instruments, or the
-        # perf-harness metric fingerprints would drift).
+        # oracle fingerprints of tests/perf would drift).
         self.user_bytes_evicted = 0
         self.fetches = 0
         self.fetch_reads = 0

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro import perf
 from repro.common.checksum import crc32
 from repro.common.errors import (
     ChecksumError,
@@ -31,6 +30,8 @@ from repro.common.errors import (
     ReproError,
 )
 from repro.common.units import DB_PAGE_SIZE, LBA_SIZE, MiB, align_up, ceil_div
+from repro.compression import memo
+from repro.compression.base import get_codec
 from repro.compression.cost import codec_cost
 from repro.compression.selector import AlgorithmSelector
 from repro.csd.device import BlockDevice
@@ -92,7 +93,7 @@ class PreparedWrite:
     codec_evaluated: bool = False
     #: CRC-32 of ``payload``, carried into the index entry and verified
     #: on every read (the integrity check lives above the device).
-    checksum: int = 0
+    checksum: int = field(init=False)
     #: Payload padded to the device write size, computed on first use and
     #: shared by every replica that persists this prepared write (the
     #: leader prepares once, all three nodes used to re-pad).
@@ -101,8 +102,7 @@ class PreparedWrite:
     )
 
     def __post_init__(self) -> None:
-        if self.checksum == 0:
-            object.__setattr__(self, "checksum", crc32(self.payload))
+        object.__setattr__(self, "checksum", crc32(self.payload))
 
     @classmethod
     def raw(cls, data: bytes, cpu_us: float = 0.0) -> "PreparedWrite":
@@ -273,13 +273,12 @@ class StorageNode:
             )
             codec_name = decision.codec
             payload = decision.result.payload
-            payload_crc = decision.payload_crc
             evaluated = decision.evaluated
         else:
             codec_name = (
                 self.config.default_codec if force_codec is None else force_codec
             )
-            payload, payload_crc = perf.compress(codec_name, data)
+            payload = memo.compress(codec_name, data)
             evaluated = False
         cpu = codec_cost(codec_name).compress_us(len(data))
         if evaluated:
@@ -294,7 +293,7 @@ class StorageNode:
         self._last_algorithm[page_no] = codec_name
         return PreparedWrite(
             CompressionInfo.NORMAL, codec_name, payload, n_blocks, cpu,
-            evaluated, checksum=payload_crc,
+            evaluated,
         )
 
     def write_page_local(
@@ -504,7 +503,6 @@ class StorageNode:
             # input per token, which is measurably slower through a
             # ``memoryview`` than this one copy costs.
             payload = raw[: entry.payload_len]
-        verified = bool(entry.checksum)
         if entry.checksum and crc32(payload) != entry.checksum:
             raise corrupt(
                 "checksum_mismatch", "stored payload fails CRC verification"
@@ -512,11 +510,7 @@ class StorageNode:
         cpu = 0.0
         if entry.status is CompressionInfo.NORMAL:
             try:
-                # Memoized only for CRC-verified payloads: a damaged
-                # payload can neither hit nor seed the memo.
-                data = perf.decompress(
-                    entry.algorithm, payload, verified=verified
-                )
+                data = get_codec(entry.algorithm).decompress(payload)
             except CorruptionError as exc:
                 raise corrupt(
                     "decompress_error", f"payload does not decompress: {exc}"
@@ -598,9 +592,9 @@ class StorageNode:
                 if len(self._redo_log_window) > DB_PAGE_SIZE:
                     del self._redo_log_window[: len(self._redo_log_window)
                                              - DB_PAGE_SIZE]
-                # Every replica compresses the same window content; an
-                # active memo collapses those to one codec run.
-                payload, _ = perf.compress("lz4", self._redo_log_window)
+                # Every replica compresses the same window content; the
+                # memo collapses those to one codec run.
+                payload = memo.compress("lz4", self._redo_log_window)
                 cpu = codec_cost("lz4").compress_us(DB_PAGE_SIZE)
             else:
                 payload = blob

@@ -37,7 +37,6 @@ from repro.csd.specs import (
 )
 from repro.obs.events import recorder_active
 from repro.obs.metrics import MetricsRegistry
-from repro.perf.runtime import perf_active
 from repro.storage.consolidation import ConsolidationConfig
 from repro.storage.node import NodeConfig, PreparedWrite, ReadResult, StorageNode
 from repro.storage.raft import NetworkModel, ReplicationGroup
@@ -208,11 +207,6 @@ class PolarStore:
             "storage.physical_used_bytes",
             lambda: self.leader.physical_used_bytes,
         )
-        runtime = perf_active()
-        if runtime is not None:
-            # Fast-path counters (memo hit rate, codec calls saved) flow
-            # through this volume's exporters like any other instrument.
-            runtime.bind_metrics(self.metrics)
 
     @classmethod
     def from_config(cls, config) -> "PolarStore":

@@ -6,7 +6,6 @@ import pytest
 
 from repro.api.config import (
     ClusterSection,
-    PerfConfig,
     ReproConfig,
     StoreSection,
     resolve_spec,
@@ -84,44 +83,16 @@ def test_sections_are_plain_dataclasses():
     config = ReproConfig()
     doc = config.to_dict()
     assert set(doc) == {"store", "device", "engine", "db", "cluster",
-                        "perf", "net", "consolidation"}
+                        "net", "consolidation"}
     # Every leaf is JSON-able (asdict flattened the NodeConfig too).
     assert isinstance(doc["store"]["node"], dict)
 
 
-def test_perf_defaults_off():
-    config = ReproConfig()
-    assert config.perf == PerfConfig()
-    assert config.perf.enabled is False
-
-
-def test_perf_dict_round_trip():
-    config = ReproConfig.from_dict({
-        "perf": {
-            "enabled": True,
-            "memo_capacity_bytes": 8 * MiB,
-        },
-    })
-    assert config.perf.enabled is True
-    assert config.perf.memo_capacity_bytes == 8 * MiB
-    # Strict identity both ways.
-    assert ReproConfig.from_dict(config.to_dict()) == config
-    assert config.to_dict()["perf"] == {
-        "enabled": True,
-        "memo_capacity_bytes": 8 * MiB,
-    }
-
-
 def test_perf_unknown_key_rejected():
-    with pytest.raises(ValueError, match="perf"):
-        ReproConfig.from_dict({"perf": {"pool_size": 4}})
-
-
-def test_perf_validation_rejects_bad_values():
-    with pytest.raises(ValueError, match="memo_capacity_bytes"):
-        ReproConfig.from_dict(
-            {"perf": {"memo_capacity_bytes": -1}}
-        ).validate()
+    # The codec memo has no settings: the section that used to switch
+    # it is an unknown section like any other typo.
+    with pytest.raises(ValueError, match="unknown config sections.*perf"):
+        ReproConfig.from_dict({"perf": {"enabled": True}})
 
 
 def test_per_instance_sections_do_not_alias():

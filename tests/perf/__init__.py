@@ -1,1 +1,1 @@
-"""Wall-clock fast path (repro.perf): correctness, not speed."""
+"""The codec memo and the pinned fingerprint scenarios: correctness, not speed."""

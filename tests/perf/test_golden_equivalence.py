@@ -1,32 +1,46 @@
-"""Golden A/B equivalence: the fast path may only change wall-clock.
+"""Golden equivalence: the codec memo may only change wall-clock.
 
-Each test runs the same seeded workload twice — serial reference, then
-with a configured :class:`~repro.perf.runtime.PerfRuntime` — and
-asserts byte-identical outputs and identical simulated timestamps.
-This is the contract everything in ``repro.perf`` hangs off: memo hits
-are invisible to the simulated universe.
+Each test runs the same seeded workload twice — once with the
+process-wide memo swapped for a zero-capacity cache (admits nothing, so
+every codec call computes), once with a fresh cache of the product's
+size — and asserts byte-identical outputs and identical simulated
+timestamps.  This is the contract :mod:`repro.compression.memo` hangs
+off: memo hits are invisible to the simulated universe.
+
+The memo leg also runs with a flight recorder active while the
+zero-capacity leg runs without one, so the same equality is the
+standing proof that observability is byte- and sim-time-neutral.
 """
 
 import hashlib
 import itertools
 
 import numpy as np
-import pytest
 
 from repro.common.units import DB_PAGE_SIZE, MiB
-from repro.perf import harness
-from repro.perf.runtime import PerfRuntime, configure, deactivate
+from repro.compression.memo import MEMO_CAPACITY_BYTES
+from repro.obs import events as obs_events
 from repro.storage import store as store_mod
 from repro.storage.node import NodeConfig
 from repro.storage.redo import RedoRecord
 from repro.storage.store import PolarStore
+from tests.perf import oracle
 
 
-@pytest.fixture(autouse=True)
-def _clean_runtime():
-    deactivate()
-    yield
-    deactivate()
+def _both_legs(run):
+    """``run()`` without and with the memo; the memo leg must have hit."""
+    with oracle.memo_capacity(0) as off:
+        computed = run()
+    assert off.hits == 0 and len(off) == 0
+    obs_events.activate(obs_events.FlightRecorder(capacity=16384))
+    try:
+        with oracle.memo_capacity(MEMO_CAPACITY_BYTES) as on:
+            memoized = run()
+    finally:
+        obs_events.deactivate()
+    # Not vacuous: duplicate codec work was answered from the cache.
+    assert on.hits > 0
+    return computed, memoized
 
 
 def _mixed_pages(n, seed):
@@ -73,36 +87,38 @@ def _store_trace():
         now = result.done_us
         trace.update(f"p{page_no}:{now!r}:".encode())
         trace.update(bytes(result.data))
-    trace.update(harness._metrics_digest(store.metrics).encode())
+    # Consolidation re-compresses on every replica, and the followers'
+    # calls are the ones a memo answers: read each copy back, not only
+    # the leader's.
+    for node in store.nodes:
+        for page_no in range(len(pages)):
+            trace.update(bytes(node.read_page(now, page_no).data))
+    trace.update(oracle.metrics_digest(store.metrics).encode())
     return trace.hexdigest()
 
 
-@pytest.mark.parametrize(
-    "spec", [{"memo_capacity_bytes": 8 * MiB}], ids=["memo-only"]
-)
-def test_store_pipeline_golden(spec):
-    serial = _store_trace()
-    runtime = PerfRuntime(**spec)
-    configure(runtime)
-    fast = _store_trace()
-    stats = runtime.stats()
-    deactivate()
-    assert fast == serial
-    # The fast path actually engaged: duplicate codec work was elided.
-    assert stats["codec_calls_saved"] > 0
+def test_store_pipeline_golden():
+    computed, memoized = _both_legs(_store_trace)
+    assert memoized == computed
+
+
+def _assert_scenario_golden(scenario):
+    """A pinned scenario, quick profile: the full stack is byte- and
+    sim-time-identical whether codec calls compute or replay."""
+    computed, memoized = _both_legs(lambda: oracle.run_scenario(scenario))
+    assert memoized.fingerprint == computed.fingerprint
+    assert memoized.sim_us == computed.sim_us
+    assert memoized.pages == computed.pages
 
 
 def test_sysbench_scenario_golden():
-    """The harness's own headline scenario, quick profile: the full DB
-    stack (B+tree, buffer pool, group commit, checkpoint, scrub) is
-    byte- and sim-time-identical under the fast path."""
-    serial = harness._timed(harness.scenario_sysbench8, quick=True)
-    runtime = PerfRuntime(memo_capacity_bytes=8 * MiB)
-    configure(runtime)
-    fast = harness._timed(harness.scenario_sysbench8, quick=True)
-    saved = runtime.codec_calls_saved
-    deactivate()
-    assert fast.fingerprint == serial.fingerprint
-    assert fast.sim_us == serial.sim_us
-    assert fast.pages == serial.pages
-    assert saved > 0
+    # B+tree, buffer pool, group commit, checkpoint, scrub.
+    _assert_scenario_golden(oracle.scenario_sysbench8)
+
+
+def test_chaos_smoke_scenario_golden():
+    _assert_scenario_golden(oracle.scenario_chaos_smoke)
+
+
+def test_cluster_ingest_scenario_golden():
+    _assert_scenario_golden(oracle.scenario_cluster_ingest)

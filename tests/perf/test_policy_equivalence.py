@@ -2,7 +2,7 @@
 
 Two independent equivalence proofs:
 
-1. **Wrapper transparency** — the pinned perf scenarios fingerprint
+1. **Wrapper transparency** — the pinned oracle scenarios fingerprint
    identically whether nodes get the default :class:`SingleLevelPolicy`
    or the raw pre-refactor log stores (``make_policy`` monkeypatched
    away).  Same bytes, same simulated times, same metrics.
@@ -20,19 +20,16 @@ import random
 import repro.storage.store as store_mod
 from repro.common.units import DB_PAGE_SIZE, MiB
 from repro.engine import Engine
-from repro.perf import harness
 from repro.storage.background import scrubber_proc, start_background
 from repro.storage.node import NodeConfig
 from repro.storage.perpage_log import PerPageLogStore, ScatteredLogStore
 from repro.storage.redo import RedoRecord
 from repro.storage.store import PolarStore
+from tests.perf import oracle
 
 
 def _scenario_fingerprint(scenario):
-    # Node names feed metric labels; reset the counter so both A/B legs
-    # name their nodes identically inside one process.
-    store_mod._node_counter = itertools.count()
-    return harness._timed(scenario, quick=True).fingerprint
+    return oracle.run_scenario(scenario).fingerprint
 
 
 def _raw_make_policy(consolidation, node_config, device, allocator):
@@ -43,7 +40,7 @@ def _raw_make_policy(consolidation, node_config, device, allocator):
 
 
 def test_pinned_scenarios_identical_with_raw_stores(monkeypatch):
-    scenarios = (harness.scenario_sysbench8, harness.scenario_chaos_smoke)
+    scenarios = (oracle.scenario_sysbench8, oracle.scenario_chaos_smoke)
     wrapped = [_scenario_fingerprint(s) for s in scenarios]
     monkeypatch.setattr("repro.storage.node.make_policy", _raw_make_policy)
     raw = [_scenario_fingerprint(s) for s in scenarios]
@@ -111,7 +108,7 @@ def _daemon_fingerprint(spawn_daemons):
     digest.update(b"%.6f" % engine.now_us)
     for proc in procs:
         proc.cancel()
-    digest.update(harness._metrics_digest(store.metrics).encode())
+    digest.update(oracle.metrics_digest(store.metrics).encode())
     return digest.hexdigest()
 
 

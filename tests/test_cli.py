@@ -72,7 +72,8 @@ def test_help_renders_for_every_subcommand(capsys):
 
     listed = re.search(r"\{([a-z,]+)\}", _help_text([], capsys)).group(1)
     commands = listed.split(",")
-    assert {"info", "perf", "bench", "serve"} <= set(commands)
+    assert {"info", "bench", "serve"} <= set(commands)
+    assert "perf" not in commands
     for command in commands:
         out = _help_text([command], capsys)
         assert "usage" in out
@@ -106,6 +107,29 @@ def test_chaos_metrics_flag_appends_json_snapshot(capsys):
     doc = json.loads(out[out.index("{"):])
     names = {i["name"] for i in doc["instruments"]}
     assert any(n.startswith("chaos.") for n in names)
+
+
+def test_repro_perf_variable_is_inert(capsys, monkeypatch):
+    # The codec memo is how the codec is called; the variable that used
+    # to switch it is read nowhere, and no volume exports perf.* gauges.
+    import itertools
+
+    from repro.storage import store as store_mod
+
+    argv = ["chaos", "--seed", "42", "--ops", "120", "--min-faults", "1",
+            "--metrics"]
+    outputs = []
+    for value in (None, "1"):
+        if value is None:
+            monkeypatch.delenv("REPRO_PERF", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_PERF", value)
+        # Fault scopes name nodes: both runs must build node-0/1/2.
+        monkeypatch.setattr(store_mod, "_node_counter", itertools.count())
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert '"perf.' not in outputs[0]
 
 
 def test_raft_smoke_passes_and_reports(capsys):
