@@ -40,7 +40,7 @@ Commands
     flight recorder active and print (or dump) the structured event
     log: page I/O, GC relocations, group-commit flushes, migrations,
     injected faults, codec selections, scrub repairs, SLO alerts,
-    compaction tasks — all stamped with simulated time.  ``--load
+    elections, admissions — all stamped with simulated time.  ``--load
     PATH`` replays and filters a previously-written dump instead of
     running anything.
 ``compaction``
@@ -666,14 +666,13 @@ def main(argv=None) -> int:
     )
     events_p.add_argument(
         "--sample", default=None, metavar="SPEC",
-        help="per-channel sampling, e.g. 'io=8,gc=4,compaction=1' "
+        help="per-channel sampling, e.g. 'io=8,gc=4,codec=1' "
              "keeps 1 in N",
     )
     events_p.add_argument(
         "--channel", default=None,
         help="only print events from this channel (io, gc, commit, "
-             "migration, fault, codec, scrub, db, slo, election, "
-             "compaction, net)",
+             "migration, fault, codec, scrub, db, slo, election, net)",
     )
     events_p.add_argument(
         "--kind", default=None,

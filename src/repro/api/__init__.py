@@ -11,7 +11,6 @@ constructors they delegate to.
 from repro.api.client import PolarStore, PolarStoreClient
 from repro.api.config import (
     ClusterSection,
-    ConsolidationConfig,
     DbSection,
     DeviceSection,
     EngineSection,
@@ -40,7 +39,6 @@ __all__ = [
     "EngineSection",
     "DbSection",
     "ClusterSection",
-    "ConsolidationConfig",
     "NetSection",
     "resolve_spec",
     "build_store",

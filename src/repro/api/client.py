@@ -176,7 +176,7 @@ class PolarStoreClient:
 
     # -- workload-driver compatibility -------------------------------------
 
-    def bind_engine(self, engine, **kwargs) -> None:
+    def bind_engine(self, engine) -> None:
         """Adopt an external event kernel (what ``run_sysbench`` does).
 
         A sharded client is born on its runtime's kernel and cannot move;
@@ -186,7 +186,7 @@ class PolarStoreClient:
         adopt = getattr(transport, "adopt_engine", None)
         if adopt is None:
             raise transport._no_capability("binding an event kernel")
-        adopt(engine, **kwargs)
+        adopt(engine)
 
     def _proc(self, op: str, *args, **kwargs):
         transport = self._transport

@@ -6,7 +6,7 @@ another overlapping set, :class:`~repro.db.database.PolarDB` threaded a
 third through to both, and the cluster/benchmark code re-invented all of
 it per call site.  :class:`ReproConfig` replaces that with a single
 dataclass tree — ``store``, ``device``, ``engine``, ``db``, ``cluster``,
-``net``, ``consolidation`` sections — consumed by
+``net`` sections — consumed by
 :meth:`repro.api.PolarStore.open`, the CLI, and the figure benchmarks.
 
 ``from_dict``/``to_dict`` round-trip the tree through plain JSON-able
@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional
 
 from repro.common.units import MiB
-from repro.storage.consolidation import ConsolidationConfig
 from repro.storage.node import NodeConfig
 
 #: Named device specs selectable from configuration (resolved lazily so
@@ -81,11 +80,6 @@ class EngineSection:
     #: Bind the stack to a shared event kernel at open time; operations
     #: then dispatch through the engine-native ``*_proc`` paths.
     enabled: bool = False
-    #: Group-commit window (0 = flush immediately; batching still
-    #: emerges under load).
-    group_commit_window_us: float = 0.0
-    #: Device queue depth override (None keeps each device's default).
-    qd: Optional[int] = None
     #: Bank GC work and drain it from an engine daemon.
     defer_gc: bool = False
 
@@ -160,11 +154,6 @@ class ReproConfig:
     db: DbSection = field(default_factory=DbSection)
     cluster: ClusterSection = field(default_factory=ClusterSection)
     net: NetSection = field(default_factory=NetSection)
-    #: Evicted-redo organization (single-level/leveled/tiered) plus the
-    #: background consolidation/scrub cadence and compaction throttle.
-    consolidation: ConsolidationConfig = field(
-        default_factory=ConsolidationConfig
-    )
 
     # -- validation --------------------------------------------------------
 
@@ -190,8 +179,6 @@ class ReproConfig:
             raise ValueError(
                 "cluster.consensus_nodes must be odd (majority quorum)"
             )
-        if self.engine.group_commit_window_us < 0:
-            raise ValueError("engine.group_commit_window_us cannot be negative")
         if self.net.window < 1:
             raise ValueError("net.window must be at least 1")
         if not 0 < self.net.port < 65536:
@@ -200,7 +187,6 @@ class ReproConfig:
             raise ValueError("net.max_frame_bytes cannot be negative")
         resolve_spec(self.device.data_spec)
         resolve_spec(self.device.perf_spec)
-        self.consolidation.validate()
         return self
 
     # -- dict round-trip ---------------------------------------------------

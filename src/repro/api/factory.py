@@ -32,8 +32,6 @@ def build_store(config: ReproConfig, seed_offset: int = 0):
         seed=store_cfg.seed + seed_offset,
         inject_faults=device_cfg.inject_faults,
         parallelism=device_cfg.parallelism,
-        # Same per-volume-instance rule as the NodeConfig above.
-        consolidation=dataclasses.replace(config.consolidation),
     )
 
 

@@ -139,12 +139,7 @@ class LocalTransport(Transport):
 
                 self._engine = Engine()
                 self._db.bind_engine(
-                    self._engine,
-                    group_commit_window_us=(
-                        config.engine.group_commit_window_us
-                    ),
-                    qd=config.engine.qd,
-                    defer_gc=config.engine.defer_gc,
+                    self._engine, defer_gc=config.engine.defer_gc
                 )
 
     # -- locals the client (and the net server) may reach ------------------
@@ -205,7 +200,7 @@ class LocalTransport(Transport):
 
     # -- engine adoption (workload-driver compatibility) -------------------
 
-    def adopt_engine(self, engine, **kwargs) -> None:
+    def adopt_engine(self, engine) -> None:
         if self._sharded:
             if engine is not self._runtime.engine:
                 raise ReproError(
@@ -214,7 +209,7 @@ class LocalTransport(Transport):
                 )
             return
         self._engine = engine
-        self._db.bind_engine(engine, **kwargs)
+        self._db.bind_engine(engine)
 
     # -- dispatch ----------------------------------------------------------
 

@@ -50,7 +50,6 @@ from repro.storage.consolidation import (
     ConsolidationConfig,
     make_policy,
 )
-from repro.storage.node import NodeConfig
 from repro.storage.redo import RedoRecord
 
 CORPORA = ("hot-template", "random")
@@ -59,16 +58,14 @@ CORPORA = ("hot-template", "random")
 _PAYLOAD = 180
 
 
-def _policy_config(name: str) -> ConsolidationConfig:
-    """Benchmark-scale policy parameters (small levels, eager cascades)."""
-    return ConsolidationConfig(
-        policy=name,
-        l0_limit=2,
-        level_ratio=4,
-        base_level_bytes=32 * KiB,
-        tier_fanout=3,
-        max_levels=6,
-    )
+#: Benchmark-scale policy parameters (small levels, eager cascades).
+_POLICY_CONFIG = ConsolidationConfig(
+    l0_limit=2,
+    level_ratio=4,
+    base_level_bytes=32 * KiB,
+    tier_fanout=3,
+    max_levels=6,
+)
 
 
 def _record_data(corpus: str, seed: int, page: int, rnd: int,
@@ -102,9 +99,7 @@ def _run_policy(
         metrics=metrics, metric_labels={"role": "amp"},
     )
     allocator = SpaceManager(64 * MiB)
-    policy = make_policy(
-        _policy_config(policy_name), NodeConfig(), device, allocator
-    )
+    policy = make_policy(policy_name, device, allocator, _POLICY_CONFIG)
     stats = device.ftl.stats
 
     def live_user_bytes() -> int:
@@ -137,15 +132,7 @@ def _run_policy(
                     _record_data(corpus, seed, page, rnd, templates),
                 )
             )
-        now = policy.evict(now, batch)
-        # Drain planned compactions after each flush (the scheduler's
-        # unlimited-token behaviour, synchronously).
-        while True:
-            tasks = policy.plan_compactions()
-            if not tasks:
-                break
-            task = sorted(tasks, key=lambda t: (t.priority, t.level))[0]
-            now = policy.compact(now, task)
+        now = policy.drain(policy.evict(now, batch))
     # Read phase: one fetch per page (the consolidation read pattern).
     for page in range(pages):
         result = policy.fetch(now, page)

@@ -275,12 +275,7 @@ class ClusterRuntime:
         if self.config.engine.enabled:
             for shard in shards:
                 shard.store.bind_engine(
-                    self.engine,
-                    group_commit_window_us=(
-                        self.config.engine.group_commit_window_us
-                    ),
-                    qd=self.config.engine.qd,
-                    defer_gc=self.config.engine.defer_gc,
+                    self.engine, defer_gc=self.config.engine.defer_gc
                 )
         return shards
 

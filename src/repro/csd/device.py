@@ -116,22 +116,16 @@ class BlockDevice:
         """Arm a :class:`repro.chaos.DeviceInjector` on this device."""
         self._chaos = injector
 
-    def bind_engine(
-        self,
-        engine: Engine,
-        qd: Optional[int] = None,
-        defer_gc: bool = False,
-    ) -> None:
+    def bind_engine(self, engine: Engine, defer_gc: bool = False) -> None:
         """Attach the device queue to a shared event kernel.
 
-        ``qd`` reconfigures the device's queue depth (how many requests
-        are in service at once); ``defer_gc`` moves FTL relocation cost
-        out of the write path into :attr:`_pending_gc_us`, which
-        :meth:`gc_proc` drains in the background.
+        ``defer_gc`` moves FTL relocation cost out of the write path into
+        :attr:`_pending_gc_us`, which :meth:`gc_proc` drains in the
+        background.
         """
         self._sim_engine = engine
         self._defer_gc = defer_gc
-        self.queue.bind_engine(engine, servers=qd)
+        self.queue.bind_engine(engine)
         self.queue.bind_metrics(self.metrics, **self.metric_labels)
 
     # -- subclass hooks ----------------------------------------------------

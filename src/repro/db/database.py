@@ -45,24 +45,13 @@ class PolarDB:
 
     # -- engine wiring -------------------------------------------------------
 
-    def bind_engine(
-        self,
-        engine,
-        group_commit_window_us: float = 0.0,
-        qd: Optional[int] = None,
-        defer_gc: bool = False,
-    ) -> None:
+    def bind_engine(self, engine, defer_gc: bool = False) -> None:
         """Run the whole instance on one shared discrete-event kernel:
         device queues, compute core pools, and the redo group-commit
         pipeline all serve genuinely concurrent processes (what
         ``workloads.sysbench`` drives for thread-scaling figures)."""
         self._sim_engine = engine
-        self.store.bind_engine(
-            engine,
-            group_commit_window_us=group_commit_window_us,
-            qd=qd,
-            defer_gc=defer_gc,
-        )
+        self.store.bind_engine(engine, defer_gc=defer_gc)
         self.rw.bind_engine(engine)
         for i, ro in enumerate(self.ro):
             ro.bind_engine(engine, label=str(i))

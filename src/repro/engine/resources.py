@@ -74,24 +74,9 @@ class Resource:
 
     # -- construction helpers ---------------------------------------------
 
-    def bind_engine(self, engine: Engine, servers: Optional[int] = None) -> None:
-        """Attach (or re-attach) the event kernel; optionally resize the
-        server count (queue depth).  Resize only between runs — in-flight
-        grants are not migrated."""
+    def bind_engine(self, engine: Engine) -> None:
+        """Attach (or re-attach) the event kernel."""
         self.engine = engine
-        if servers is not None:
-            self.set_servers(servers)
-
-    def set_servers(self, servers: int) -> None:
-        if servers <= 0:
-            raise ValueError(f"need at least one server, got {servers}")
-        current = len(self._free_at)
-        if servers > current:
-            # New servers become available no earlier than the present.
-            now = self.engine.now_us if self.engine is not None else 0.0
-            self._free_at.extend([now] * (servers - current))
-        elif servers < current:
-            self._free_at = sorted(self._free_at)[:servers]
 
     def bind_metrics(self, registry, **labels) -> None:
         """Publish queue-wait histograms and saturation gauges."""

@@ -54,7 +54,6 @@ CHANNELS = (
     "db",         # compute-layer checkpoints
     "slo",        # SLO evaluator alerts/recoveries
     "election",   # consensus votes, term bumps, fences (consensus layer)
-    "compaction", # consolidation-policy compaction tasks + deferred debt
     "net",        # serving-layer admissions/rejections/completions
 )
 

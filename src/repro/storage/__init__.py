@@ -9,6 +9,12 @@ the three DB-oriented optimizations:
 * Opt#2 — adaptive lz4/zstd selection per page (Algorithm 1);
 * Opt#3 — per-page log co-location to remove read amplification from page
   consolidation.
+
+Maintenance — scrub, checkpoint, consolidation of pending redo — runs
+only when a caller invokes it.  :mod:`repro.storage.consolidation`
+models leveled and tiered alternatives to Opt#3 for the
+write-amplification benchmark (``python -m repro compaction``); no
+volume runs them.
 """
 
 from repro.storage.allocator import BitmapAllocator, GlobalAllocator, SpaceManager

@@ -15,8 +15,7 @@ being serialized against them.
 * the flusher drains the pending list into one batch, encodes it as one
   blob, and replicates it.  While that flush is in flight, new commits
   pile up and form the next batch — batch size *emerges from load*, no
-  tuning needed.  An optional ``window_us`` additionally holds each
-  flush open (classic group-commit timer);
+  timer or tuning needed;
 * replication spawns the leader persist and all follower pipelines
   (send RTT → persist → ack RTT) as concurrent processes; the commit
   event fires the moment the leader is durable and ``quorum - 1``
@@ -36,10 +35,10 @@ being serialized against them.
   flight, the attempt fails rather than letting a deposed leader
   acknowledge a commit it can no longer guarantee.
 
-With a single client and ``window_us == 0`` the pipeline reproduces the
-synchronous path's timings exactly (each batch has one commit, the
-fan-out arithmetic degenerates to ``max(leader, k-th ack)``) — the
-analytic-equivalence property the legacy tests rely on.
+With a single client the pipeline reproduces the synchronous path's
+timings exactly (each batch has one commit, the fan-out arithmetic
+degenerates to ``max(leader, k-th ack)``) — the analytic-equivalence
+property the legacy tests rely on.
 """
 
 from __future__ import annotations
@@ -56,30 +55,21 @@ from repro.engine import Engine, Event
 from repro.obs.events import recorder_active
 from repro.storage.redo import RedoRecord, encode_records
 
+#: Most commits one flush carries; the rest wait for the next flush.
+MAX_BATCH = 64
+#: Base pause before re-replicating after a transient RaftError;
+#: doubles per attempt with seeded jitter.
+RETRY_BACKOFF_US = 250.0
+#: Total retry budget per batch; exhausted = fail-fast.
+RETRY_DEADLINE_US = 60_000.0
+
 
 class GroupCommitPipeline:
     """One flusher per volume batching concurrent redo commits."""
 
-    def __init__(
-        self,
-        store,
-        engine: Engine,
-        window_us: float = 0.0,
-        max_batch: int = 64,
-        retry_backoff_us: float = 250.0,
-        retry_deadline_us: float = 60_000.0,
-    ) -> None:
-        if window_us < 0:
-            raise ValueError(f"negative group-commit window {window_us}")
+    def __init__(self, store, engine: Engine) -> None:
         self.store = store
         self.engine = engine
-        self.window_us = float(window_us)
-        self.max_batch = max_batch
-        #: Base pause before re-replicating after a transient RaftError;
-        #: doubles per attempt with seeded jitter.
-        self.retry_backoff_us = float(retry_backoff_us)
-        #: Total retry budget per batch; exhausted = fail-fast as before.
-        self.retry_deadline_us = float(retry_deadline_us)
         self._retry_rng = make_rng(
             getattr(store, "seed", 0), "commit-retry"
         )
@@ -108,12 +98,9 @@ class GroupCommitPipeline:
     def _flush_loop(self):
         """Drain pending commits batch by batch until none remain, then
         exit (the next commit spawns a fresh flusher)."""
-        engine = self.engine
         store = self.store
         while self._pending:
-            if self.window_us > 0.0:
-                yield engine.timeout(self.window_us)
-            batch = self._pending[: self.max_batch]
+            batch = self._pending[:MAX_BATCH]
             del self._pending[: len(batch)]
             records = [r for recs, _, _ in batch for r in recs]
             self._batches.inc()
@@ -158,7 +145,7 @@ class GroupCommitPipeline:
         tests depend on.
         """
         engine = self.engine
-        deadline = engine.now_us + self.retry_deadline_us
+        deadline = engine.now_us + RETRY_DEADLINE_US
         attempt = 0
         while True:
             try:
@@ -170,7 +157,7 @@ class GroupCommitPipeline:
                         f"commit gave up after {attempt} attempts: {exc}"
                     )
                 self._retries.inc()
-                pause = self.retry_backoff_us * (2 ** min(attempt, 6))
+                pause = RETRY_BACKOFF_US * (2 ** min(attempt, 6))
                 pause *= 0.5 + self._retry_rng.random()
                 pause = max(1.0, min(pause, deadline - engine.now_us))
                 rec = recorder_active()

@@ -1,4 +1,4 @@
-"""Pluggable consolidation policies for evicted redo (ROADMAP item 3).
+"""Consolidation policies for evicted redo — the WA benchmark's model.
 
 Opt#3 (§3.3.3) is a *single-level* scheme: every page's spilled redo is
 re-merged into one dedicated 4 KB block on each eviction.  That buys
@@ -10,14 +10,15 @@ Gap on Modern Storage Hardware with Built-in Transparent Compression*
 log is internally redundant, so hardware compression collapses it); on
 incompressible data it is the dominant write cost.
 
-This module lifts the choice into a :class:`ConsolidationPolicy`
-interface with three implementations:
+The storage node runs Opt#3 only, building
+:class:`~repro.storage.perpage_log.PerPageLogStore` (or the scattered
+baseline when ``opt_per_page_log`` is off) itself.  This module models
+the alternatives so ``python -m repro compaction``
+(:mod:`repro.bench.write_amp`) can measure the crossover:
 
-:class:`SingleLevelPolicy`
-    The existing behaviour, byte-identical: delegates to
-    :class:`~repro.storage.perpage_log.PerPageLogStore` (or the scattered
-    baseline when ``opt_per_page_log`` is off).  Never issues compaction
-    tasks.
+:class:`SingleLevelLog`
+    Opt#3's per-page log plus the counters the benchmark's accountant
+    reads.  Never compacts.
 
 :class:`LeveledPolicy`
     LSM-style: each eviction appends a sorted *run* (page-clustered
@@ -32,12 +33,10 @@ interface with three implementations:
     single run in the *next* tier — once ``tier_fanout`` of them
     accumulate.  Lowest WA, highest RA.
 
-Policies implement the full log-store protocol the storage node already
-speaks (``evict``/``fetch``/``discard``/``blocks_for``/
-``pages_with_logs``/``stored_bytes_for``/``allocated_blocks``) plus the
-scheduler hooks ``plan_compactions()`` / ``compact()``.  The
-:class:`~repro.storage.compaction.CompactionScheduler` runs the issued
-tasks as engine daemons through the shared device queues.
+Every policy speaks the log-store protocol the storage node uses
+(``evict``/``fetch``/``discard``/``blocks_for``/``pages_with_logs``/
+``stored_bytes_for``/``allocated_blocks``) plus :meth:`drain`, which
+runs planned compactions synchronously until none is left.
 """
 
 from __future__ import annotations
@@ -46,19 +45,17 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.common.errors import ReproError
 from repro.common.units import KiB, LBA_SIZE, align_up
 from repro.storage.perpage_log import (
     LOG_BLOCK_CAPACITY,
     FetchResult,
     PerPageLogStore,
-    ScatteredLogStore,
     seal_block,
     unseal_block,
 )
 from repro.storage.redo import RedoRecord, decode_records, encode_records
 
-#: Selectable policy names (``ConsolidationConfig.policy``).
+#: Selectable policy names (:func:`make_policy`).
 POLICIES = ("single-level", "leveled", "tiered")
 
 #: Bytes the seal header (CRC + length) takes out of each 4 KB block.
@@ -71,19 +68,8 @@ _RUN_ORDER = lambda r: (r.page_no, r.lsn, r.offset)  # noqa: E731
 
 @dataclass
 class ConsolidationConfig:
-    """How evicted redo is organized on the data device (§3.3.3 family).
+    """Shape of the run-based policies' level / tier hierarchy."""
 
-    Also owns the background maintenance cadence (previously hard-coded
-    in ``storage/background.py``) and the scheduler's compaction-token
-    throttle.
-    """
-
-    #: ``single-level`` (Opt#3, the default), ``leveled``, or ``tiered``.
-    policy: str = "single-level"
-    #: Background consolidation / compaction-scheduler cycle period.
-    consolidate_period_us: float = 20_000.0
-    #: Background checksum-scrub cycle period.
-    scrub_period_us: float = 100_000.0
     #: Leveled: L0 run count that triggers the first merge.
     l0_limit: int = 4
     #: Leveled: geometric growth factor between level byte budgets.
@@ -94,41 +80,24 @@ class ConsolidationConfig:
     max_levels: int = 8
     #: Tiered: runs that must stack up in a tier before they merge.
     tier_fanout: int = 4
-    #: Compaction tasks the scheduler may run per cycle and node
-    #: (0 = unlimited).  Small values let compaction debt build up and
-    #: visibly delay foreground reads — the knob the scheduler tests turn.
-    compaction_tokens: int = 0
 
     def validate(self) -> "ConsolidationConfig":
-        if self.policy not in POLICIES:
-            raise ValueError(
-                f"unknown consolidation.policy {self.policy!r}; "
-                f"options: {', '.join(POLICIES)}"
-            )
-        if self.consolidate_period_us <= 0:
-            raise ValueError("consolidation.consolidate_period_us must be positive")
-        if self.scrub_period_us <= 0:
-            raise ValueError("consolidation.scrub_period_us must be positive")
         if self.l0_limit < 1:
-            raise ValueError("consolidation.l0_limit must be at least 1")
+            raise ValueError("l0_limit must be at least 1")
         if self.level_ratio < 2:
-            raise ValueError("consolidation.level_ratio must be at least 2")
+            raise ValueError("level_ratio must be at least 2")
         if self.base_level_bytes < LBA_SIZE:
-            raise ValueError(
-                "consolidation.base_level_bytes must be at least one 4 KB block"
-            )
+            raise ValueError("base_level_bytes must be at least one 4 KB block")
         if self.max_levels < 2:
-            raise ValueError("consolidation.max_levels must be at least 2")
+            raise ValueError("max_levels must be at least 2")
         if self.tier_fanout < 2:
-            raise ValueError("consolidation.tier_fanout must be at least 2")
-        if self.compaction_tokens < 0:
-            raise ValueError("consolidation.compaction_tokens cannot be negative")
+            raise ValueError("tier_fanout must be at least 2")
         return self
 
 
 @dataclass(frozen=True)
 class CompactionTask:
-    """One unit of maintenance a policy wants the scheduler to run."""
+    """One unit of maintenance a run-based policy plans."""
 
     #: Source level (leveled) or tier (tiered).
     level: int
@@ -136,75 +105,37 @@ class CompactionTask:
     reason: str
     #: Lower runs first; L0/T0 absorb foreground flushes, so they win.
     priority: int = 1
-    #: Source runs at plan time (display / debugging only).
-    runs: int = 0
 
 
-class SingleLevelPolicy:
-    """Opt#3 as-is: the policy wrapper around the existing log stores.
+class SingleLevelLog(PerPageLogStore):
+    """Opt#3's per-page log as the benchmark's single-level arm.
 
-    Byte-identical to pre-policy behaviour — every call delegates to the
-    exact store the node used to construct directly.
+    The store the storage node runs, plus plain-int counters for the
+    amplification accountant; one block per page leaves nothing to
+    compact, so :meth:`drain` returns at once.
     """
 
     name = "single-level"
-    #: The background cycle folds pending redo into pages (the original
-    #: consolidator loop); run-based policies leave records in runs and
-    #: let compaction bound read fan-out instead.
-    consolidate_on_cycle = True
+    compactions = 0
 
-    def __init__(self, device, allocator, per_page: bool = True) -> None:
-        if per_page:
-            self.store = PerPageLogStore(device, allocator)
-            self.page_capacity_bytes: Optional[int] = LOG_BLOCK_CAPACITY
-        else:
-            self.store = ScatteredLogStore(device, allocator)
-            self.page_capacity_bytes = None
-        # Plain accounting attributes (not registry instruments: the
-        # default construction path must not add instruments, or the
-        # oracle fingerprints of tests/perf would drift).
+    def __init__(self, device, allocator) -> None:
+        super().__init__(device, allocator)
         self.user_bytes_evicted = 0
         self.fetches = 0
         self.fetch_reads = 0
-        self.compactions = 0
-        self.compaction_read_bytes = 0
-        self.compaction_write_bytes = 0
-
-    # -- log-store protocol (pure delegation) -------------------------------
 
     def evict(self, start_us: float, records: List[RedoRecord]) -> float:
         self.user_bytes_evicted += sum(r.size_bytes for r in records)
-        return self.store.evict(start_us, records)
+        return super().evict(start_us, records)
 
     def fetch(self, start_us: float, page_no: int) -> FetchResult:
-        result = self.store.fetch(start_us, page_no)
+        result = super().fetch(start_us, page_no)
         self.fetches += 1
         self.fetch_reads += result.reads_issued
         return result
 
-    def discard(self, page_no: int) -> None:
-        self.store.discard(page_no)
-
-    def blocks_for(self, page_no: int) -> int:
-        return self.store.blocks_for(page_no)
-
-    def pages_with_logs(self) -> List[int]:
-        return self.store.pages_with_logs()
-
-    def stored_bytes_for(self, page_no: int) -> int:
-        return self.store.stored_bytes_for(page_no)
-
-    @property
-    def allocated_blocks(self) -> int:
-        return self.store.allocated_blocks
-
-    # -- scheduler hooks -----------------------------------------------------
-
-    def plan_compactions(self) -> List[CompactionTask]:
-        return []
-
-    def compact(self, start_us: float, task: CompactionTask) -> float:
-        raise ReproError("single-level policy issues no compaction tasks")
+    def drain(self, now_us: float) -> float:
+        return now_us
 
 
 @dataclass
@@ -236,9 +167,6 @@ class _Run:
 
 class _RunBasedPolicy:
     """Shared machinery for the leveled and tiered policies."""
-
-    consolidate_on_cycle = False
-    page_capacity_bytes: Optional[int] = None
 
     def __init__(self, device, allocator, config: ConsolidationConfig) -> None:
         self._device = device
@@ -378,7 +306,17 @@ class _RunBasedPolicy:
     def allocated_blocks(self) -> int:
         return sum(run.span_blocks for run in self._iter_runs())
 
-    # -- shared compaction core ----------------------------------------------
+    # -- compaction ----------------------------------------------------------
+
+    def drain(self, now_us: float) -> float:
+        """Run the most urgent planned task — lowest ``(priority, level)``
+        — until nothing is planned; returns the finish time."""
+        while True:
+            tasks = self.plan_compactions()
+            if not tasks:
+                return now_us
+            task = min(tasks, key=lambda t: (t.priority, t.level))
+            now_us = self.compact(now_us, task)
 
     def _merge_runs(
         self,
@@ -422,9 +360,7 @@ class LeveledPolicy(_RunBasedPolicy):
         tasks: List[CompactionTask] = []
         l0 = self._groups[0]
         if len(l0) > self.config.l0_limit:
-            tasks.append(
-                CompactionTask(0, "l0-runs", priority=0, runs=len(l0))
-            )
+            tasks.append(CompactionTask(0, "l0-runs", priority=0))
         last = self.config.max_levels - 1
         for level in range(1, self.config.max_levels):
             group = self._groups[level]
@@ -435,17 +371,9 @@ class LeveledPolicy(_RunBasedPolicy):
                 # The bottom level can only fold its own runs together;
                 # a single over-budget run has nowhere to cascade.
                 if len(group) > 1 and over:
-                    tasks.append(
-                        CompactionTask(
-                            level, "level-bytes", priority=1, runs=len(group)
-                        )
-                    )
+                    tasks.append(CompactionTask(level, "level-bytes"))
             elif over:
-                tasks.append(
-                    CompactionTask(
-                        level, "level-bytes", priority=1, runs=len(group)
-                    )
-                )
+                tasks.append(CompactionTask(level, "level-bytes"))
         return tasks
 
     def compact(self, start_us: float, task: CompactionTask) -> float:
@@ -471,10 +399,7 @@ class TieredPolicy(_RunBasedPolicy):
             if len(group) >= self.config.tier_fanout:
                 tasks.append(
                     CompactionTask(
-                        tier,
-                        "tier-fanout",
-                        priority=0 if tier == 0 else 1,
-                        runs=len(group),
+                        tier, "tier-fanout", priority=0 if tier == 0 else 1
                     )
                 )
         return tasks
@@ -488,24 +413,19 @@ class TieredPolicy(_RunBasedPolicy):
 
 
 def make_policy(
-    consolidation: Optional[ConsolidationConfig],
-    node_config,
+    name: str,
     device,
     allocator,
+    config: Optional[ConsolidationConfig] = None,
 ):
-    """Build the configured policy for one storage node.
-
-    ``single-level`` respects the node's ``opt_per_page_log`` switch, so
-    a default-configured node behaves exactly as before this interface
-    existed.
-    """
-    config = consolidation if consolidation is not None else ConsolidationConfig()
-    config.validate()
-    if config.policy == "single-level":
-        per_page = bool(getattr(node_config, "opt_per_page_log", True))
-        return SingleLevelPolicy(device, allocator, per_page=per_page)
-    if config.policy == "leveled":
+    """Build the named policy (one of :data:`POLICIES`) on a device."""
+    if name == "single-level":
+        return SingleLevelLog(device, allocator)
+    config = (config if config is not None else ConsolidationConfig()).validate()
+    if name == "leveled":
         return LeveledPolicy(device, allocator, config)
-    if config.policy == "tiered":
+    if name == "tiered":
         return TieredPolicy(device, allocator, config)
-    raise ValueError(f"unknown consolidation policy {config.policy!r}")
+    raise ValueError(
+        f"unknown consolidation policy {name!r}; options: {', '.join(POLICIES)}"
+    )

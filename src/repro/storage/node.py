@@ -38,9 +38,9 @@ from repro.csd.device import BlockDevice
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.allocator import SpaceManager
 from repro.storage.cache import LRUCache
-from repro.storage.consolidation import ConsolidationConfig, make_policy
 from repro.storage.heavy import HeavySegmentStore
 from repro.storage.index import CompressionInfo, IndexEntry, PageIndex
+from repro.storage.perpage_log import PerPageLogStore, ScatteredLogStore
 from repro.storage.redo import RedoRecord, apply_records
 from repro.storage.wal import WriteAheadLog
 
@@ -158,7 +158,6 @@ class StorageNode:
         data_device: BlockDevice,
         perf_device: BlockDevice,
         metrics: Optional[MetricsRegistry] = None,
-        consolidation: Optional[ConsolidationConfig] = None,
     ) -> None:
         self.name = name
         self.config = config
@@ -186,14 +185,12 @@ class StorageNode:
         self._redo_page_bytes: Dict[int, int] = {}
         self._redo_cache_bytes = 0
         self._last_algorithm: Dict[int, str] = {}
-        #: How evicted redo is organized + compacted (§3.3.3 family).
-        self.consolidation = (
-            consolidation if consolidation is not None else ConsolidationConfig()
-        )
-        #: The consolidation policy.  Kept under the historical name:
-        #: every policy speaks the full log-store protocol.
-        self.log_store = make_policy(
-            self.consolidation, config, data_device, self.space
+        #: Where evicted redo spills: Opt#3's per-page log, or the
+        #: scattered baseline Fig 15 measures it against.
+        self.log_store = (
+            PerPageLogStore(data_device, self.space)
+            if config.opt_per_page_log
+            else ScatteredLogStore(data_device, self.space)
         )
         self.heavy = HeavySegmentStore(data_device, self.space)
         # Performance-device LBA cursors (WAL area, redo area).
@@ -236,17 +233,14 @@ class StorageNode:
         #: Shared discrete-event kernel once bind_engine() is called.
         self._sim_engine = None
 
-    def bind_engine(self, engine, qd: Optional[int] = None,
-                    defer_gc: bool = False) -> None:
+    def bind_engine(self, engine, defer_gc: bool = False) -> None:
         """Attach this node's device queues to a shared event kernel.
 
-        ``qd`` reconfigures the data device's queue depth; the
-        performance device keeps its own parallelism (it models a small
-        dedicated Optane stripe).  ``defer_gc`` moves FTL relocation cost
-        to a background GC process (see :meth:`BlockDevice.gc_proc`).
+        ``defer_gc`` moves the data device's FTL relocation cost to a
+        background GC process (see :meth:`BlockDevice.gc_proc`).
         """
         self._sim_engine = engine
-        self.data_device.bind_engine(engine, qd=qd, defer_gc=defer_gc)
+        self.data_device.bind_engine(engine, defer_gc=defer_gc)
         self.perf_device.bind_engine(engine)
 
     # ------------------------------------------------------------------ #
@@ -729,9 +723,9 @@ class StorageNode:
             raise
 
     def _would_overflow_page_log(self, page_no: int) -> bool:
-        capacity = getattr(self.log_store, "page_capacity_bytes", None)
+        capacity = self.log_store.page_capacity_bytes
         if capacity is None:
-            # Scattered / run-based layouts grow per-page without bound.
+            # The scattered layout grows per page without bound.
             return False
         pending = self._redo_page_bytes.get(page_no, 0)
         existing = self.log_store.stored_bytes_for(page_no)

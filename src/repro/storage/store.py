@@ -37,7 +37,6 @@ from repro.csd.specs import (
 )
 from repro.obs.events import recorder_active
 from repro.obs.metrics import MetricsRegistry
-from repro.storage.consolidation import ConsolidationConfig
 from repro.storage.node import NodeConfig, PreparedWrite, ReadResult, StorageNode
 from repro.storage.raft import NetworkModel, ReplicationGroup
 from repro.storage.redo import RedoRecord, encode_records
@@ -70,7 +69,6 @@ def build_node(
     inject_faults: bool = False,
     parallelism: int = 8,
     metrics: Optional[MetricsRegistry] = None,
-    consolidation: Optional[ConsolidationConfig] = None,
 ) -> StorageNode:
     """Construct a storage node with simulation-sized devices.
 
@@ -109,10 +107,7 @@ def build_node(
         perf_sized, seed=seed + 1, parallelism=2,
         metrics=metrics, metric_labels={"node": name, "role": "perf"},
     )
-    return StorageNode(
-        name, config, data_device, perf_device,
-        metrics=metrics, consolidation=consolidation,
-    )
+    return StorageNode(name, config, data_device, perf_device, metrics=metrics)
 
 
 class PolarStore:
@@ -137,15 +132,10 @@ class PolarStore:
         inject_faults: bool = False,
         physical_bytes: Optional[int] = None,
         parallelism: int = 8,
-        consolidation: Optional[ConsolidationConfig] = None,
     ) -> None:
         #: Replica-set state and the commit rule (see class docstring).
         self.group = ReplicationGroup(replicas)
         self.config = config if config is not None else NodeConfig()
-        #: Consolidation policy + compaction cadence shared by all nodes.
-        self.consolidation = (
-            consolidation if consolidation is not None else ConsolidationConfig()
-        )
         self.network = network
         self.seed = seed
         #: One registry spans the whole volume: every node, device, FTL,
@@ -165,7 +155,6 @@ class PolarStore:
                 inject_faults=inject_faults,
                 parallelism=parallelism,
                 metrics=self.metrics,
-                consolidation=self.consolidation,
             )
             for i in range(replicas)
         ]
@@ -181,7 +170,6 @@ class PolarStore:
         #: Shared event kernel + group-commit pipeline (engine mode).
         self._engine = None
         self._pipeline = None
-        self._qd: Optional[int] = None
         self._defer_gc = False
         #: Leader reads slower than this are hedged to a follower.
         self.hedge_after_us = 4000.0
@@ -216,33 +204,23 @@ class PolarStore:
 
         return build_store(config)
 
-    def bind_engine(
-        self,
-        engine,
-        group_commit_window_us: float = 0.0,
-        qd: Optional[int] = None,
-        defer_gc: bool = False,
-    ) -> None:
+    def bind_engine(self, engine, defer_gc: bool = False) -> None:
         """Attach the volume to a shared discrete-event kernel.
 
         Every node's device queues become engine-native (concurrent
         requests really wait FIFO), and redo commits gain a volume-level
         group-commit pipeline with pipelined replica fan-out
-        (:meth:`write_redo_proc`).  ``group_commit_window_us`` optionally
-        holds each flush open to batch more commits; with the default 0
-        batching still emerges whenever commits arrive while a flush is
-        in flight.
+        (:meth:`write_redo_proc`): commits that arrive while a flush is
+        in flight share the next one.  ``defer_gc`` moves FTL relocation
+        cost to each data device's background GC process.
         """
         from repro.storage.commit_pipeline import GroupCommitPipeline
 
         self._engine = engine
-        self._qd = qd
         self._defer_gc = defer_gc
         for node in self.nodes:
-            node.bind_engine(engine, qd=qd, defer_gc=defer_gc)
-        self._pipeline = GroupCommitPipeline(
-            self, engine, window_us=group_commit_window_us
-        )
+            node.bind_engine(engine, defer_gc=defer_gc)
+        self._pipeline = GroupCommitPipeline(self, engine)
         self.clock.advance_to(engine.now_us)
 
     @property
@@ -332,9 +310,7 @@ class PolarStore:
 
         rebuilt = _wal_recover(self.nodes[index], metrics=self.metrics)
         if self._engine is not None:
-            rebuilt.bind_engine(
-                self._engine, qd=self._qd, defer_gc=self._defer_gc
-            )
+            rebuilt.bind_engine(self._engine, defer_gc=self._defer_gc)
         self.nodes[index] = rebuilt
         self.group.alive[index] = True
         if self._consensus is not None:

@@ -233,15 +233,12 @@ def run_sysbench(
     ro_index: int = -1,
     max_transactions: Optional[int] = None,
     engine: Optional[Engine] = None,
-    group_commit_window_us: float = 0.0,
 ) -> SysbenchResult:
     """Run one workload for ``duration_s`` of *simulated* time.
 
     ``engine`` lets callers share one kernel across phases (background
     processes keep running between runs); by default a fresh engine
-    starts at ``start_us``.  ``group_commit_window_us`` is forwarded to
-    the storage group-commit pipeline (0 = flush immediately; batching
-    still emerges under load).
+    starts at ``start_us``.
     """
     if workload not in SYSBENCH_WORKLOADS:
         raise KeyError(
@@ -254,7 +251,7 @@ def run_sysbench(
     eng.advance_to(start_us)
     use_procs = hasattr(db, "bind_engine")
     if use_procs:
-        db.bind_engine(eng, group_commit_window_us=group_commit_window_us)
+        db.bind_engine(eng)
     ctx = _TxnContext(
         db=db,
         table=table,

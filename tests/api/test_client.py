@@ -69,15 +69,12 @@ def test_engine_ops_match_legacy_exactly():
     )
     legacy_db.create_table("t")
     engine = Engine()
-    legacy_db.bind_engine(engine, group_commit_window_us=25.0)
+    legacy_db.bind_engine(engine)
 
     def run_legacy(op, *args):
         return _op_tuple(engine.run(getattr(legacy_db, op + "_proc")(*args)))
 
-    client = PolarStore.open(
-        dict(CONFIG_DOC, engine={"enabled": True,
-                                 "group_commit_window_us": 25.0})
-    )
+    client = PolarStore.open(dict(CONFIG_DOC, engine={"enabled": True}))
     client.create_table("t")
 
     def run_client(op, *args):

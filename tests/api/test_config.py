@@ -25,11 +25,11 @@ def test_defaults_validate():
 def test_dict_round_trip():
     config = ReproConfig.from_dict({
         "store": {"volume_bytes": 32 * MiB, "seed": 7},
-        "engine": {"enabled": True, "group_commit_window_us": 25.0},
+        "engine": {"enabled": True, "defer_gc": True},
         "cluster": {"shards": 3, "chunk_keys": 4},
     })
     assert config.store.volume_bytes == 32 * MiB
-    assert config.engine.group_commit_window_us == 25.0
+    assert config.engine.defer_gc is True
     assert config.cluster.shards == 3
     # to_dict -> from_dict is the identity.
     assert ReproConfig.from_dict(config.to_dict()) == config
@@ -82,8 +82,8 @@ def test_resolve_spec_returns_device_specs():
 def test_sections_are_plain_dataclasses():
     config = ReproConfig()
     doc = config.to_dict()
-    assert set(doc) == {"store", "device", "engine", "db", "cluster",
-                        "net", "consolidation"}
+    assert set(doc) == {"store", "device", "engine", "db", "cluster", "net"}
+    assert set(doc["engine"]) == {"enabled", "defer_gc"}
     # Every leaf is JSON-able (asdict flattened the NodeConfig too).
     assert isinstance(doc["store"]["node"], dict)
 
@@ -93,6 +93,25 @@ def test_perf_unknown_key_rejected():
     # it is an unknown section like any other typo.
     with pytest.raises(ValueError, match="unknown config sections.*perf"):
         ReproConfig.from_dict({"perf": {"enabled": True}})
+
+
+def test_removed_consolidation_section_rejected():
+    # Every volume runs Opt#3's per-page log: the section that chose a
+    # policy for it is an unknown section like any other typo.
+    with pytest.raises(
+        ValueError, match="unknown config sections.*consolidation"
+    ):
+        ReproConfig.from_dict({"consolidation": {"policy": "leveled"}})
+
+
+@pytest.mark.parametrize(
+    "key, value", [("qd", 4), ("group_commit_window_us", 25.0)]
+)
+def test_removed_engine_keys_rejected(key, value):
+    with pytest.raises(
+        ValueError, match=f"unknown keys in config section 'engine'.*{key}"
+    ):
+        ReproConfig.from_dict({"engine": {key: value}})
 
 
 def test_per_instance_sections_do_not_alias():

@@ -152,18 +152,6 @@ def test_mixed_sync_and_engine_share_state():
     assert res.serve(105.0, 5.0) == 115.0
 
 
-def test_set_servers_grows_and_shrinks():
-    eng = Engine()
-    res = Resource("dev", servers=1, engine=eng)
-    res.serve(0.0, 50.0)
-    res.set_servers(3)
-    assert len(res.servers) == 3
-    # New servers are free now; a request lands immediately.
-    assert res.serve(0.0, 5.0) == 5.0
-    res.set_servers(1)
-    assert len(res.servers) == 1
-
-
 # -- observability (S2) ----------------------------------------------------
 
 def test_queue_wait_histogram_and_gauges_exported():

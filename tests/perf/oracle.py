@@ -7,7 +7,7 @@ simulated duration, device byte count and checksum-driven counter in
 the stack) — into one SHA-256.  Two runs that agree on the fingerprint
 agree on every byte and every simulated microsecond, which is what
 ``test_golden_equivalence.py`` (memo against a zero-capacity cache) and
-``test_policy_equivalence.py`` (policy wrapper against raw log stores)
+``test_scenario_goldens.py`` (this tree against ``golden/scenarios.json``)
 compare.
 """
 

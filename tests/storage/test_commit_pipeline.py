@@ -26,7 +26,7 @@ def make_store(seed=5):
 
 
 def test_single_client_matches_sync_write_redo():
-    """One client, window 0: the pipeline degenerates to the synchronous
+    """One client: the pipeline degenerates to the synchronous
     path's arithmetic (leader persist overlapped with follower RTT +
     persist + ack, commit at quorum)."""
     sync_store = make_store()
@@ -94,39 +94,6 @@ def test_concurrent_commits_batch():
     # Every member of one batch shares its commit time; commits are
     # globally non-decreasing in flush order.
     assert sorted(commits) == commits or len(set(commits)) < n
-
-
-def test_commit_window_holds_flush_open():
-    """An explicit window delays the flush so staggered commits batch."""
-    store = make_store()
-    engine = Engine()
-    store.bind_engine(engine, group_commit_window_us=50.0)
-
-    def client(i, delay):
-        yield engine.timeout(delay)
-        commit = yield from store.write_redo_proc(
-            make_records(1, lsn0=200 + i)
-        )
-        return commit
-
-    a = engine.spawn(client(0, 0.0))
-    b = engine.spawn(client(1, 10.0))
-    engine.run_until_complete([a, b])
-    assert a.value == b.value  # same batch, same commit time
-    assert store.metrics.get("storage.group_commit.batches").value == 1
-
-
-def test_window_zero_single_client_unaffected_by_window_param():
-    base = make_store()
-    e1 = Engine()
-    base.bind_engine(e1, group_commit_window_us=0.0)
-    c1 = e1.run(base.write_redo_proc(make_records(2)))
-
-    windowed = make_store()
-    e2 = Engine()
-    windowed.bind_engine(e2, group_commit_window_us=40.0)
-    c2 = e2.run(windowed.write_redo_proc(make_records(2)))
-    assert c2 == pytest.approx(c1 + 40.0)
 
 
 # --------------------------------------------------------------------- #

@@ -1,11 +1,11 @@
-"""The pluggable consolidation-policy family (single/leveled/tiered)."""
+"""The consolidation-policy family (single/leveled/tiered) the WA
+benchmark drives, and the node's own choice of log store."""
 
 import dataclasses
 import random
 
 import pytest
 
-from repro.common.errors import ReproError
 from repro.common.units import LBA_SIZE, MiB
 from repro.csd.device import PolarCSD
 from repro.csd.specs import POLARCSD2
@@ -14,7 +14,7 @@ from repro.storage.consolidation import (
     POLICIES,
     ConsolidationConfig,
     LeveledPolicy,
-    SingleLevelPolicy,
+    SingleLevelLog,
     TieredPolicy,
     make_policy,
 )
@@ -25,6 +25,7 @@ from repro.storage.perpage_log import (
     ScatteredLogStore,
 )
 from repro.storage.redo import RedoRecord
+from repro.storage.store import build_node
 
 
 def make_device(seed=0):
@@ -40,8 +41,8 @@ def make_device(seed=0):
 def build(policy_name, **overrides):
     device = make_device()
     allocator = SpaceManager(64 * MiB)
-    config = ConsolidationConfig(policy=policy_name, **overrides)
-    policy = make_policy(config, NodeConfig(), device, allocator)
+    config = ConsolidationConfig(**overrides)
+    policy = make_policy(policy_name, device, allocator, config)
     return policy, device, allocator
 
 
@@ -53,15 +54,6 @@ def records_for(page, n, lsn0=1, size=100, seed=3):
     ]
 
 
-def drain(policy, now):
-    while True:
-        tasks = policy.plan_compactions()
-        if not tasks:
-            return now
-        task = sorted(tasks, key=lambda t: (t.priority, t.level))[0]
-        now = policy.compact(now, task)
-
-
 # --------------------------------------------------------------------- #
 # Selection                                                              #
 # --------------------------------------------------------------------- #
@@ -69,7 +61,7 @@ def drain(policy, now):
 
 def test_make_policy_selects_by_name():
     for name, cls in (
-        ("single-level", SingleLevelPolicy),
+        ("single-level", SingleLevelLog),
         ("leveled", LeveledPolicy),
         ("tiered", TieredPolicy),
     ):
@@ -80,43 +72,38 @@ def test_make_policy_selects_by_name():
 
 
 def test_unknown_policy_rejected():
-    with pytest.raises(ValueError, match="unknown consolidation.policy"):
+    with pytest.raises(ValueError, match="unknown consolidation policy"):
         build("btree")
 
 
 def test_single_level_respects_per_page_switch():
-    device = make_device()
-    allocator = SpaceManager(64 * MiB)
-    per_page = make_policy(
-        ConsolidationConfig(), NodeConfig(opt_per_page_log=True),
-        device, allocator,
+    """A storage node runs Opt#3 only; ``opt_per_page_log`` picks the
+    per-page log or the scattered baseline, with no policy around it."""
+    per_page = build_node(
+        "n", NodeConfig(opt_per_page_log=True), volume_bytes=64 * MiB
     )
-    assert isinstance(per_page.store, PerPageLogStore)
-    assert per_page.page_capacity_bytes == LOG_BLOCK_CAPACITY
-    scattered = make_policy(
-        ConsolidationConfig(), NodeConfig(opt_per_page_log=False),
-        device, allocator,
+    assert type(per_page.log_store) is PerPageLogStore
+    assert per_page.log_store.page_capacity_bytes == LOG_BLOCK_CAPACITY
+    scattered = build_node(
+        "n", NodeConfig(opt_per_page_log=False), volume_bytes=64 * MiB
     )
-    assert isinstance(scattered.store, ScatteredLogStore)
-    assert scattered.page_capacity_bytes is None
+    assert type(scattered.log_store) is ScatteredLogStore
+    assert scattered.log_store.page_capacity_bytes is None
 
 
 def test_config_validation():
     with pytest.raises(ValueError, match="l0_limit"):
         ConsolidationConfig(l0_limit=0).validate()
-    with pytest.raises(ValueError, match="consolidate_period_us"):
-        ConsolidationConfig(consolidate_period_us=0).validate()
-    with pytest.raises(ValueError, match="compaction_tokens"):
-        ConsolidationConfig(compaction_tokens=-1).validate()
 
 
 # --------------------------------------------------------------------- #
-# Single-level: transparent wrapper                                      #
+# Single-level: the per-page log plus counters                           #
 # --------------------------------------------------------------------- #
 
 
 def test_single_level_matches_raw_store_byte_for_byte():
-    """The wrapper adds nothing: same bytes, same times, same layout."""
+    """The benchmark's arm adds counters only: same bytes, same times,
+    same layout as the store the node runs."""
     policy, _, _ = build("single-level")
     raw = PerPageLogStore(make_device(), SpaceManager(64 * MiB))
     now_p, now_r = 0.0, 0.0
@@ -134,9 +121,8 @@ def test_single_level_matches_raw_store_byte_for_byte():
         assert policy.blocks_for(page) == raw.blocks_for(page)
         assert policy.stored_bytes_for(page) == raw.stored_bytes_for(page)
     assert policy.allocated_blocks == raw.allocated_blocks
-    assert policy.plan_compactions() == []
-    with pytest.raises(ReproError):
-        policy.compact(0.0, None)
+    assert policy.drain(now_p) == now_p
+    assert (policy.fetches, policy.fetch_reads) == (3, 2)
 
 
 # --------------------------------------------------------------------- #
@@ -175,7 +161,7 @@ def test_leveled_l0_merge_reduces_read_fanout():
     before = policy.fetch(now, 0)
     tasks = policy.plan_compactions()
     assert tasks and tasks[0].reason == "l0-runs"
-    now = drain(policy, before.done_us)
+    now = policy.drain(before.done_us)
     assert len(policy._groups[0]) == 0
     after = policy.fetch(now, 0)
     assert after.reads_issued < before.reads_issued
@@ -194,7 +180,7 @@ def test_leveled_cascade_on_level_bytes():
             [r for p in range(4) for r in records_for(p, 2, lsn0=1 + rnd * 50,
                                                       size=400)],
         )
-        now = drain(policy, now)
+        now = policy.drain(now)
     # Data cascaded past L1: its live bytes respect the geometric budget.
     l1_bytes = sum(run.live_bytes for run in policy._groups[1])
     assert l1_bytes <= 8 * 1024
@@ -208,7 +194,7 @@ def test_tiered_fanout_merges_into_next_tier():
         now = policy.evict(now, records_for(5, 2, lsn0=1 + rnd * 10))
     tasks = policy.plan_compactions()
     assert tasks and tasks[0].reason == "tier-fanout"
-    now = drain(policy, now)
+    now = policy.drain(now)
     assert len(policy._groups[0]) == 0
     assert len(policy._groups[1]) == 1
     got = policy.fetch(now, 5)
@@ -240,7 +226,7 @@ def test_compaction_drops_discarded_pages_from_rewrites():
         )
     policy.discard(1)
     before = policy.compaction_write_bytes
-    now = drain(policy, now)
+    now = policy.drain(now)
     assert policy.compaction_write_bytes > before
     assert policy.fetch(now, 1).records == []
     assert len(policy.fetch(now, 2).records) == 3
@@ -256,7 +242,7 @@ def test_large_records_get_multi_block_chunks():
     got = policy.fetch(now, 4)
     assert sorted(got.records) == sorted([big] + small)
     assert policy.allocated_blocks >= 3  # 2-block chunk + 1 small block
-    now = drain(policy, got.done_us)
+    now = policy.drain(got.done_us)
     got = policy.fetch(now, 4)
     assert sorted(got.records) == sorted([big] + small)
 

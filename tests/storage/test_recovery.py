@@ -8,9 +8,10 @@ from repro.common.errors import WALError
 from repro.common.units import DB_PAGE_SIZE, KiB, MiB
 from repro.storage.index import CompressionInfo
 from repro.storage.node import NodeConfig
+from repro.storage.perpage_log import PerPageLogStore, ScatteredLogStore
 from repro.storage.recovery import recover_node
 from repro.storage.redo import RedoRecord
-from repro.storage.store import build_node
+from repro.storage.store import PolarStore, build_node
 
 
 def make_page(seed=0):
@@ -327,3 +328,15 @@ def test_corrupt_committed_record_raises_after_checkpoint():
     node.wal.corrupt_record(node.wal.record_count - 2)
     with pytest.raises(WALError):
         crash_and_recover(node)
+
+
+@pytest.mark.parametrize(
+    "per_page, log_store", [(True, PerPageLogStore), (False, ScatteredLogStore)]
+)
+def test_recovered_replica_keeps_its_peers_log_store(per_page, log_store):
+    store = PolarStore(
+        NodeConfig(opt_per_page_log=per_page), volume_bytes=64 * MiB, seed=3
+    )
+    store.fail_node(1)
+    store.recover_node(1)
+    assert [type(node.log_store) for node in store.nodes] == [log_store] * 3

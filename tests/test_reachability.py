@@ -15,11 +15,6 @@ import pathlib
 REPO = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "repro"
 
-# ROADMAP item 4 decides these two (run them inside a pinned scenario or
-# delete them); until then only tests start them.  The set may only shrink.
-PENDING = {"repro.storage.background", "repro.storage.compaction"}
-
-
 def package_modules(package_dir):
     """Dotted name -> path for every module of the package at ``package_dir``."""
     modules = {}
@@ -91,18 +86,12 @@ def roots():
 
 def test_every_module_under_src_is_reached_from_something_that_runs():
     files, modules = roots()
-    orphans = unreached(PACKAGE, files, modules) - PENDING
+    orphans = unreached(PACKAGE, files, modules)
     assert not orphans, (
         "imported by nothing that runs — move beside the only consumer "
         "(benchmarks/ablation/, examples/) or wire in:\n"
         + "\n".join(sorted(orphans))
     )
-
-
-def test_pending_set_only_shrinks():
-    files, modules = roots()
-    stale = PENDING - unreached(PACKAGE, files, modules)
-    assert not stale, f"reachable or gone, drop from PENDING: {sorted(stale)}"
 
 
 def build_package(tmp_path, orphan_import):
