@@ -405,7 +405,7 @@ def cmd_serve(args) -> int:
 
     doc = {
         "engine": {"enabled": not args.no_engine},
-        "net": {"window": args.window},
+        "net": {"window": args.window, "host": args.host, "port": args.port},
         "store": {"seed": args.seed},
     }
     if args.shards:
@@ -413,7 +413,7 @@ def cmd_serve(args) -> int:
     server = PolarStoreServer(ReproConfig.from_dict(doc))
 
     async def run() -> None:
-        host, port = await server.start(args.host, args.port)
+        host, port = await server.start()
         print(
             f"serving PolarStore on {host}:{port} "
             f"(window {args.window}, "
@@ -749,13 +749,12 @@ def main(argv=None) -> int:
         )],
     )
     serve_p.add_argument(
-        "--host", default=None,
-        help="bind address (default: config net.host, 127.0.0.1)",
+        "--host", default="127.0.0.1",
+        help="bind address (default: 127.0.0.1)",
     )
     serve_p.add_argument(
-        "--port", type=int, default=None,
-        help="TCP port; 0 picks an ephemeral one "
-             "(default: config net.port, 7411)",
+        "--port", type=int, default=7411,
+        help="TCP port; 0 picks an ephemeral one (default: 7411)",
     )
     serve_p.add_argument(
         "--window", type=int, default=64,

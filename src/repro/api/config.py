@@ -54,10 +54,6 @@ class DeviceSection:
     data_spec: str = "POLARCSD2"
     #: Performance device (WAL + Opt#1 redo).
     perf_spec: str = "OPTANE_P5800X"
-    #: Drives a storage server stripes across (device parallelism).
-    parallelism: int = 8
-    #: Arm the device-level fault injectors (bit flips, torn writes, ...).
-    inject_faults: bool = False
 
 
 @dataclass
@@ -67,7 +63,6 @@ class StoreSection:
     volume_bytes: int = 256 * MiB
     #: Physical NAND capacity; ``None`` keeps the spec's provisioning ratio.
     physical_bytes: Optional[int] = None
-    replicas: int = 3
     seed: int = 0
     #: Per-node feature switches (§3's optimizations).
     node: NodeConfig = field(default_factory=NodeConfig)
@@ -102,26 +97,6 @@ class ClusterSection:
     """
 
     shards: int = 0
-    #: Keys per range-sharded chunk (each key owns one 16 KiB page).
-    chunk_keys: int = 8
-    #: Placement/scheduling block threshold (§4.2.1).
-    usage_limit: float = 0.75
-    #: Half-width of the scheduler's [c_l, c_h] band relative to c_avg.
-    band_width: float = 0.10
-    #: Concurrent migration streams (background mover throttle).
-    migration_streams: int = 2
-    #: Catch-up rounds before the cutover pause forces a final drain.
-    max_catchup_rounds: int = 3
-    #: Physical capacity of each shard as a fraction of its logical
-    #: capacity (drives the logical-vs-physical stranding of Fig 10/11).
-    physical_fraction: float = 0.5
-    #: Drive chunk placement and migration cutover through a replicated
-    #: Raft metadata log (``repro.consensus``) instead of direct
-    #: in-memory mutation.  Off by default: placement decisions then
-    #: commit at quorum before any chunk is created or flipped.
-    consensus: bool = False
-    #: Replica count of the metadata Raft group when ``consensus`` is on.
-    consensus_nodes: int = 3
 
 
 @dataclass
@@ -140,8 +115,6 @@ class NetSection:
     #: Evaluated at simulated arrival instants, so rejection decisions
     #: are deterministic for a seeded request stream.
     window: int = 64
-    #: Largest frame the server will accept (0 keeps the protocol cap).
-    max_frame_bytes: int = 0
 
 
 @dataclass
@@ -158,8 +131,6 @@ class ReproConfig:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> "ReproConfig":
-        if self.store.replicas < 1:
-            raise ValueError("store.replicas must be at least 1")
         if self.store.volume_bytes <= 0:
             raise ValueError("store.volume_bytes must be positive")
         if self.cluster.shards < 0:
@@ -169,22 +140,10 @@ class ReproConfig:
                 "cluster.shards == 1 is ambiguous: use 0 for a single "
                 "volume or >= 2 for a sharded runtime"
             )
-        if self.cluster.chunk_keys < 1:
-            raise ValueError("cluster.chunk_keys must be at least 1")
-        if not 0.0 < self.cluster.usage_limit <= 1.0:
-            raise ValueError("cluster.usage_limit must be in (0, 1]")
-        if self.cluster.consensus_nodes < 1:
-            raise ValueError("cluster.consensus_nodes must be at least 1")
-        if self.cluster.consensus and self.cluster.consensus_nodes % 2 == 0:
-            raise ValueError(
-                "cluster.consensus_nodes must be odd (majority quorum)"
-            )
         if self.net.window < 1:
             raise ValueError("net.window must be at least 1")
-        if not 0 < self.net.port < 65536:
-            raise ValueError("net.port must be in [1, 65535]")
-        if self.net.max_frame_bytes < 0:
-            raise ValueError("net.max_frame_bytes cannot be negative")
+        if not 0 <= self.net.port < 65536:
+            raise ValueError("net.port must be in [0, 65535]")
         resolve_spec(self.device.data_spec)
         resolve_spec(self.device.perf_spec)
         return self

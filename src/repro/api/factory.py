@@ -28,10 +28,7 @@ def build_store(config: ReproConfig, seed_offset: int = 0):
         perf_spec=resolve_spec(device_cfg.perf_spec),
         volume_bytes=store_cfg.volume_bytes,
         physical_bytes=store_cfg.physical_bytes,
-        replicas=store_cfg.replicas,
         seed=store_cfg.seed + seed_offset,
-        inject_faults=device_cfg.inject_faults,
-        parallelism=device_cfg.parallelism,
     )
 
 

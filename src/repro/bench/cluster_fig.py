@@ -26,7 +26,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.api.config import ReproConfig
 from repro.bench.harness import ExperimentResult, print_table, save_result
-from repro.cluster.runtime import ClusterRuntime
+from repro.cluster.runtime import CHUNK_KEYS, ClusterRuntime
 from repro.cluster.scheduler import (
     CompressionAwareScheduler,
     LogicalOnlyScheduler,
@@ -57,12 +57,7 @@ def scenario_config(shards: int = 4, seed: int = 0) -> ReproConfig:
     return ReproConfig.from_dict({
         "store": {"volume_bytes": 16 * MiB, "seed": seed},
         "engine": {"enabled": True},
-        "cluster": {
-            "shards": shards,
-            "chunk_keys": 8,
-            "physical_fraction": 0.5,
-            "migration_streams": 2,
-        },
+        "cluster": {"shards": shards},
     })
 
 
@@ -80,11 +75,10 @@ def build_skewed_runtime(
     rng = random.Random(seed + 1)
     runtime.create_table("tenants")
     expected: Dict[Tuple[str, int], bytes] = {}
-    chunk_keys = runtime.chunk_keys
     for chunk_index in range(chunks):
         compressible = chunk_index % shards < shards // 2
-        for j in range(chunk_keys):
-            key = chunk_index * chunk_keys + j
+        for j in range(CHUNK_KEYS):
+            key = chunk_index * CHUNK_KEYS + j
             value = _row_value(rng, compressible)
             runtime.insert(runtime.engine.now_us, "tenants", key, value)
             expected[("tenants", key)] = value

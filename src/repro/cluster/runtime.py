@@ -55,6 +55,18 @@ from repro.storage.store import PolarStore
 #: tiled from the value so page compressibility tracks the row data).
 _ROW_HEADER = struct.Struct("<QI")
 
+#: Keys per range-sharded chunk (each key owns one 16 KiB page).
+CHUNK_KEYS = 8
+#: Placement block threshold (§4.2.1).
+USAGE_LIMIT = 0.75
+#: Concurrent chunk moves (background mover throttle).
+MIGRATION_STREAMS = 2
+#: Catch-up rounds before the cutover pause forces a final drain.
+MAX_CATCHUP_ROUNDS = 3
+#: Physical capacity of a shard as a fraction of its logical capacity
+#: (drives the logical-vs-physical stranding of Fig 10/11).
+PHYSICAL_FRACTION = 0.5
+
 
 def encode_row_page(key: int, value: bytes) -> bytes:
     """One 16 KiB page image holding one row.
@@ -199,44 +211,15 @@ class ClusterRuntime:
             )
         self.engine = engine if engine is not None else Engine()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        cluster_cfg = self.config.cluster
-        store_cfg = self.config.store
-        self.usage_limit = cluster_cfg.usage_limit
-        self.chunk_keys = cluster_cfg.chunk_keys
-        self.max_catchup_rounds = cluster_cfg.max_catchup_rounds
-        physical_capacity = int(
-            store_cfg.volume_bytes * cluster_cfg.physical_fraction
-        )
-        self.shards: List[ShardServer] = self._build_shards(
-            cluster_cfg, store_cfg, physical_capacity
-        )
+        self.shards: List[ShardServer] = self._build_shards()
         self.tables: Dict[str, Dict[int, RuntimeChunk]] = {}
         self.chunks: Dict[int, RuntimeChunk] = {}
         self._next_chunk_id = 0
         self._next_page_no = 0
-        #: Replicated metadata log (``cluster.consensus = true``): chunk
-        #: placement and migration cutover commit through an elected
-        #: Raft group before they take effect, so the routing table is
-        #: a deterministic function of the committed log, not of which
-        #: coordinator happened to act first.
-        self.meta_group = None
-        #: Applied metadata commands, in committed-log order.
-        self.meta_log: List[tuple] = []
-        if cluster_cfg.consensus:
-            from repro.consensus import RaftGroup
-
-            self.meta_group = RaftGroup(
-                self.engine,
-                n_nodes=cluster_cfg.consensus_nodes,
-                seed=store_cfg.seed,
-                metrics=self.metrics,
-                apply_fn=self._apply_meta,
-                name="cluster-meta",
-            ).start()
-        #: Migration stream tokens: at most ``migration_streams`` chunk
+        #: Migration stream tokens: at most ``MIGRATION_STREAMS`` chunk
         #: moves are in flight; further tasks queue FIFO.
         self._streams = Queue(self.engine, "migration-streams")
-        for token in range(cluster_cfg.migration_streams):
+        for token in range(MIGRATION_STREAMS):
             self._streams.put(token)
         m = self.metrics
         self._mig_tasks = m.counter("cluster.migration.tasks")
@@ -257,20 +240,19 @@ class ClusterRuntime:
     # Shard hosting and storage calls                                     #
     # ------------------------------------------------------------------ #
 
-    def _build_shards(
-        self, cluster_cfg, store_cfg, physical_capacity: int
-    ) -> List[ShardServer]:
+    def _build_shards(self) -> List[ShardServer]:
         """Build the replica groups this runtime hosts."""
         from repro.api.factory import build_store
 
+        volume_bytes = self.config.store.volume_bytes
         shards = [
             ShardServer(
                 i,
                 build_store(self.config, seed_offset=1000 * i),
-                logical_capacity=store_cfg.volume_bytes,
-                physical_capacity=physical_capacity,
+                logical_capacity=volume_bytes,
+                physical_capacity=int(volume_bytes * PHYSICAL_FRACTION),
             )
-            for i in range(cluster_cfg.shards)
+            for i in range(self.config.cluster.shards)
         ]
         if self.config.engine.enabled:
             for shard in shards:
@@ -315,7 +297,7 @@ class ClusterRuntime:
         self.tables[name] = {}
 
     def _chunk_index(self, key: int) -> int:
-        return key // self.chunk_keys
+        return key // CHUNK_KEYS
 
     def _chunk_for(self, table: str, key: int, create: bool) -> RuntimeChunk:
         if table not in self.tables:
@@ -326,13 +308,6 @@ class ClusterRuntime:
         if chunk is None:
             if not create:
                 raise ReproError(f"key {key} not found in {table!r}")
-            if self.meta_group is not None:
-                # Placement must commit through the metadata log first
-                # (the write path proposes before routing here).
-                raise ReproError(
-                    f"chunk for key {key} in {table!r} not yet placed "
-                    "by the metadata log"
-                )
             chunk = self._create_chunk(
                 table, index, self._place_new_chunk().shard_id
             )
@@ -341,13 +316,12 @@ class ClusterRuntime:
     def _create_chunk(
         self, table: str, index: int, shard_id: int
     ) -> RuntimeChunk:
-        """Materialize one chunk at a decided placement (the single
-        mutation point shared by direct routing and the metadata log)."""
+        """Materialize one chunk at a decided placement."""
         chunk = RuntimeChunk(
             self._next_chunk_id,
             table,
-            index * self.chunk_keys,
-            (index + 1) * self.chunk_keys,
+            index * CHUNK_KEYS,
+            (index + 1) * CHUNK_KEYS,
             shard_id,
         )
         self._next_chunk_id += 1
@@ -356,52 +330,15 @@ class ClusterRuntime:
         self.shards[shard_id].chunks[chunk.chunk_id] = chunk
         return chunk
 
-    def _apply_meta(self, entry) -> None:
-        """Apply one committed metadata-log entry.
-
-        Idempotent by construction: two racing coordinators may both
-        propose placement of the same chunk; the first committed entry
-        wins and the duplicate applies as a no-op — exactly the Raft
-        state-machine discipline.
-        """
-        command = entry.command
-        if not isinstance(command, tuple) or not command:
-            return
-        op = command[0]
-        if op == "place":
-            _, table, index, shard_id = command
-            chunks = self.tables.get(table)
-            if chunks is None or index in chunks:
-                return  # table dropped, or a duplicate proposal lost
-            self.meta_log.append(command)
-            self._create_chunk(table, index, shard_id)
-        elif op == "cutover":
-            self.meta_log.append(command)
-
-    def _ensure_chunk_proc(self, table: str, key: int):
-        """Engine process: make sure ``key``'s chunk exists, committing
-        the placement decision through the metadata log."""
-        if table not in self.tables:
-            raise ReproError(f"no such table {table!r}")
-        index = self._chunk_index(key)
-        while self.tables[table].get(index) is None:
-            shard = self._place_new_chunk()
-            yield from self.meta_group.propose_proc(
-                ("place", table, index, shard.shard_id)
-            )
-            # The committed entry (ours or a racing coordinator's)
-            # created the chunk via _apply_meta; loop re-checks.
-        return self.tables[table][index]
-
     def _place_new_chunk(self) -> ShardServer:
         """Logical-only placement (the original §4.2.1 strategy): the
         imbalance the schedulers fix emerges from here."""
-        full_chunk = self.chunk_keys * DB_PAGE_SIZE
+        full_chunk = CHUNK_KEYS * DB_PAGE_SIZE
         candidates = [
             s
             for s in self.shards
             if (s.logical_used + full_chunk)
-            <= self.usage_limit * s.logical_capacity
+            <= USAGE_LIMIT * s.logical_capacity
         ]
         if not candidates:
             raise SchedulingError(
@@ -478,8 +415,6 @@ class ClusterRuntime:
 
     def _write_proc(self, table: str, key: int, value: bytes, create: bool):
         engine = self.engine
-        if create and self.meta_group is not None:
-            yield from self._ensure_chunk_proc(table, key)
         while True:
             chunk = self._chunk_for(table, key, create=create)
             if chunk.state is not ChunkState.CUTOVER:
@@ -598,7 +533,7 @@ class ClusterRuntime:
             copy_done = engine.now_us
             # Phase 2: catch-up rounds replay pages dirtied meanwhile.
             rounds = 0
-            while chunk.dirty and rounds < self.max_catchup_rounds:
+            while chunk.dirty and rounds < MAX_CATCHUP_ROUNDS:
                 rounds += 1
                 delta = sorted(chunk.dirty)
                 chunk.dirty = set()
@@ -625,14 +560,6 @@ class ClusterRuntime:
             yield from self._copy_keys(
                 chunk, source, target, final, catchup=True
             )
-            if self.meta_group is not None:
-                # The ownership flip is a metadata transition: it must
-                # commit on the replicated log before any router acts on
-                # it, so a coordinator crash at this exact moment cannot
-                # leave the two shards disagreeing about the owner.
-                yield from self.meta_group.propose_proc(
-                    ("cutover", chunk.chunk_id, target_id)
-                )
             # Flip ownership, then free every source copy.
             del source.chunks[chunk.chunk_id]
             target.chunks[chunk.chunk_id] = chunk
@@ -727,7 +654,7 @@ class ClusterRuntime:
     def snapshot(self) -> Tuple[Cluster, Dict[int, int]]:
         """Mirror the fleet onto the abstract logical x physical plane
         with *measured* sizes (every physical byte is codec output)."""
-        abstract = Cluster(servers=[], usage_limit=self.usage_limit)
+        abstract = Cluster(servers=[], usage_limit=USAGE_LIMIT)
         owner: Dict[int, int] = {}
         for shard in self.shards:
             mirror = StorageServer(
@@ -753,9 +680,7 @@ class ClusterRuntime:
         self, scheduler: Optional[CompressionAwareScheduler] = None
     ) -> Dict[str, int]:
         """Shards per zone (A/B/C/D) on the logical x physical plane."""
-        scheduler = scheduler or CompressionAwareScheduler(
-            band_width=self.config.cluster.band_width
-        )
+        scheduler = scheduler or CompressionAwareScheduler()
         abstract, _ = self.snapshot()
         c_avg = abstract.average_compression_ratio
         c_l, c_h = scheduler.band(abstract)
@@ -767,9 +692,7 @@ class ClusterRuntime:
     def rebalance(self, scheduler=None) -> MigrationReport:
         """Plan on the measured snapshot, then execute the plan as
         concurrent migration daemons on the engine."""
-        scheduler = scheduler or CompressionAwareScheduler(
-            band_width=self.config.cluster.band_width
-        )
+        scheduler = scheduler or CompressionAwareScheduler()
         abstract, _ = self.snapshot()
         tasks = scheduler.rebalance(abstract)
         return self.execute(tasks)

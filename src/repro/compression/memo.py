@@ -31,9 +31,9 @@ below it, while the resident-set cost on a workload of distinct pages
 :meth:`put` safe to share between server threads; the codec call itself
 runs outside it, so two threads may both compute the same miss.
 
-Reads are not memoized: ``NodeConfig.page_cache_bytes`` is the one
-cache of decompressed pages, and a second one here would hide the
-decompression cost that a read of a stored page is meant to pay.
+Reads are not memoized: no layer below the buffer pool caches
+decompressed pages, because a cache would hide the decompression cost
+that a read of a stored page is meant to pay.
 """
 
 from __future__ import annotations

@@ -54,7 +54,6 @@ class RaftGroup:
         plan=None,
         metrics=None,
         timing: Optional[ElectionTiming] = None,
-        apply_fn: Optional[Callable[[LogEntry], None]] = None,
         clock_skews: Optional[Sequence[float]] = None,
         tracker: Optional[SplitBrainTracker] = None,
         name: str = "raft",
@@ -81,7 +80,6 @@ class RaftGroup:
             )
             self.nodes.append(node)
             self.fabric.register(node)
-        self.apply_fn = apply_fn
         self.client_backoff_us = float(client_backoff_us)
         self._client_rng = make_rng(seed, "raft", name, "client")
         #: The group view of the committed log (see module docstring).
@@ -175,8 +173,6 @@ class RaftGroup:
         if index == known + 1:
             self.committed.append(entry)
             self.metrics_counter("consensus.commits").inc()
-            if self.apply_fn is not None:
-                self.apply_fn(entry)
         elif index <= known:
             # A replay (restart re-advancing its commit index) or a
             # second replica reaching the same slot: must agree exactly.

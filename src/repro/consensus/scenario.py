@@ -163,9 +163,7 @@ def run_raft(
     pace_us = 1_500.0
     say = print if verbose else (lambda *a, **k: None)
 
-    store = PolarStore(
-        NodeConfig(), volume_bytes=volume_bytes, replicas=3, seed=seed
-    )
+    store = PolarStore(NodeConfig(), volume_bytes=volume_bytes, seed=seed)
     now = 0.0
     for p in range(pages):
         now = store.write_page(

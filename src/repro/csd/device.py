@@ -30,7 +30,6 @@ from repro.common.errors import DeviceError, OutOfSpaceError, ReproError
 from repro.common.latency import LatencyStats
 from repro.common.units import KiB, MiB, is_aligned
 from repro.compression.memo import hw_compressed_len
-from repro.csd.faults import FaultProfile, profile_for
 from repro.csd.ftl import FTL
 from repro.csd.mapping import L2PEntryCodecV1, L2PEntryCodecV2
 from repro.csd.specs import DeviceSpec
@@ -55,13 +54,12 @@ class IOCompletion:
 
 
 class BlockDevice:
-    """Common queueing, jitter, fault injection, and stats."""
+    """Common queueing, jitter, chaos hooks, and stats."""
 
     def __init__(
         self,
         spec: DeviceSpec,
         seed: int = 0,
-        inject_faults: bool = False,
         parallelism: int = 1,
         metrics: Optional[MetricsRegistry] = None,
         metric_labels: Optional[Dict[str, str]] = None,
@@ -93,9 +91,6 @@ class BlockDevice:
             "csd.device.write_bytes", **self.metric_labels
         )
         self._rng = np.random.default_rng(seed)
-        self._faults: Optional[FaultProfile] = (
-            profile_for(spec.name) if inject_faults else None
-        )
         #: Data-level chaos injector (repro.chaos); None = no injection.
         self._chaos = None
         #: Shared discrete-event kernel once bind_engine() is called.
@@ -169,7 +164,7 @@ class BlockDevice:
     # -- public interface ----------------------------------------------------
 
     def _submit_write(self, start_us: float, lba: int, data: bytes) -> float:
-        """Validate, apply chaos/fault effects, persist the payload, and
+        """Validate, apply chaos effects, persist the payload, and
         return the request's total service time.  State mutation happens
         at submission so the payload is durable regardless of when the
         queue drains (the simulated latency covers the whole operation)."""
@@ -189,7 +184,6 @@ class BlockDevice:
                     deferred=self._defer_gc,
                 )
         service *= self._jitter()
-        service += self._fault_extra(is_read=False)
         store_lba, store_data = lba, data
         if self._chaos is not None:
             store_lba, store_data, extra = self._chaos.on_write(
@@ -222,7 +216,6 @@ class BlockDevice:
         data = self._load(lba, nbytes)
         service = self._service_read_us(lba, nbytes)
         service *= self._jitter()
-        service += self._fault_extra(is_read=True)
         if self._chaos is not None:
             service += self._chaos.on_read(start_us, lba, nbytes)
         return data, service
@@ -312,11 +305,6 @@ class BlockDevice:
             return 1.0
         return float(np.exp(self._rng.normal(0.0, self.spec.jitter_sigma)))
 
-    def _fault_extra(self, is_read: bool) -> float:
-        if self._faults is None:
-            return 0.0
-        return self._faults.sample_one_us(self._rng, is_read)
-
     @property
     def name(self) -> str:
         return self.spec.name
@@ -374,7 +362,6 @@ class PolarCSD(BlockDevice):
         self,
         spec: DeviceSpec,
         seed: int = 0,
-        inject_faults: bool = False,
         block_capacity: int = 4 * MiB,
         physical_capacity: Optional[int] = None,
         trim_enabled: bool = True,
@@ -384,7 +371,7 @@ class PolarCSD(BlockDevice):
     ) -> None:
         if not spec.has_compression:
             raise DeviceError(f"{spec.name} has no compression engine")
-        super().__init__(spec, seed, inject_faults, parallelism,
+        super().__init__(spec, seed, parallelism,
                          metrics=metrics, metric_labels=metric_labels)
         codec = L2PEntryCodecV1() if spec.host_managed_ftl else L2PEntryCodecV2()
         self.ftl = FTL(

@@ -11,13 +11,13 @@ This module models those mechanisms as per-I/O spike probabilities with
 per-cause severity distributions.  The constants are chosen so the
 simulated 7-day tail distribution lands on the paper's Figure 8 numbers
 (CSD1.0: 2.9e-5 of reads and 4.0e-5 of writes ≥ 4 ms; CSD2.0: 7.91e-7 and
-1.05e-6).
+1.05e-6).  Fig 8 samples the profiles directly; no device model arms them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -88,25 +88,3 @@ POLARCSD2_FAULTS = FaultProfile(
         FaultCause("internal", 1.45e-6, median_us=5_500.0, sigma=0.5),
     ),
 )
-
-#: Plain SSDs in this cluster show tails comparable to PolarCSD2.0.
-PLAIN_SSD_FAULTS = FaultProfile(
-    name="plain SSD",
-    read_causes=(
-        FaultCause("internal", 6.0e-7, median_us=4_500.0, sigma=0.5),
-    ),
-    write_causes=(
-        FaultCause("internal", 8.0e-7, median_us=5_000.0, sigma=0.5),
-    ),
-)
-
-
-def profile_for(device_name: str) -> Optional[FaultProfile]:
-    """Fault profile for a device spec name (None = no injection)."""
-    if "PolarCSD1" in device_name:
-        return POLARCSD1_FAULTS
-    if "PolarCSD2" in device_name:
-        return POLARCSD2_FAULTS
-    if "Optane" in device_name:
-        return None
-    return PLAIN_SSD_FAULTS

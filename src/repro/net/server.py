@@ -95,9 +95,6 @@ class PolarStoreServer:
                 window=self.config.net.window,
                 registry=self.registry,
             )
-        self._max_frame = (
-            self.config.net.max_frame_bytes or MAX_FRAME_BYTES
-        )
         self._sessions: Dict[int, _Session] = {}
         self._next_token = 0
         #: bridge token -> (writer, request) awaiting completion reply.
@@ -135,7 +132,7 @@ class PolarStoreServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        decoder = FrameDecoder(self._max_frame)
+        decoder = FrameDecoder(MAX_FRAME_BYTES)
         try:
             while True:
                 data = await reader.read(64 * 1024)

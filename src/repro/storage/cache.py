@@ -1,8 +1,8 @@
-"""Byte-capacity LRU cache used across the storage node.
+"""Byte-capacity LRU cache shared by the db and storage layers.
 
-Backs the page cache, the redo-log cache, and the decompressed-segment
-buffer of the heavy-compression path.  Eviction returns the evicted items
-so callers can spill them (the redo cache spills into per-page log space).
+Backs the db buffer pool and the decompressed-segment buffer of the
+heavy-compression path.  Eviction returns the evicted items so callers
+can spill them.
 
 Copy audit: ``get``/``peek``/``put`` store and hand back *references* —
 no ``bytes()`` materialization happens in this layer; cached page images
@@ -30,12 +30,11 @@ class LRUCache(Generic[K, V]):
         sizer: Optional[Callable[[V], int]] = None,
         metrics=None,
         metric_name: Optional[str] = None,
-        metric_labels: Optional[dict] = None,
     ) -> None:
         """``metrics``/``metric_name`` optionally publish hit/miss
         counters and a hit-rate gauge to a
         :class:`~repro.obs.metrics.MetricsRegistry` (e.g.
-        ``storage.page_cache.hits{node="node-0"}``)."""
+        ``db.bufferpool.hits``)."""
         if capacity_bytes < 0:
             raise ValueError(f"negative capacity {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
@@ -47,9 +46,8 @@ class LRUCache(Generic[K, V]):
         self.misses = 0
         self._hit_ctr = self._miss_ctr = None
         if metrics is not None and metric_name is not None:
-            labels = metric_labels or {}
-            self._hit_ctr = metrics.counter(f"{metric_name}.hits", **labels)
-            self._miss_ctr = metrics.counter(f"{metric_name}.misses", **labels)
+            self._hit_ctr = metrics.counter(f"{metric_name}.hits")
+            self._miss_ctr = metrics.counter(f"{metric_name}.misses")
             # Caches that share a metric family (the RW and RO buffer
             # pools of one deployment) share these counters, so the
             # gauge reads them rather than whichever instance registered
@@ -60,12 +58,8 @@ class LRUCache(Generic[K, V]):
                 total = hit_ctr.value + miss_ctr.value
                 return hit_ctr.value / total if total else 0.0
 
-            metrics.gauge_fn(
-                f"{metric_name}.hit_rate", family_hit_rate, **labels
-            )
-            metrics.gauge_fn(
-                f"{metric_name}.used_bytes", lambda: self._used, **labels
-            )
+            metrics.gauge_fn(f"{metric_name}.hit_rate", family_hit_rate)
+            metrics.gauge_fn(f"{metric_name}.used_bytes", lambda: self._used)
 
     # -- pinning -----------------------------------------------------------
 

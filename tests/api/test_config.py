@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.api.config import (
-    ClusterSection,
+    NetSection,
     ReproConfig,
     StoreSection,
     resolve_spec,
@@ -26,11 +26,13 @@ def test_dict_round_trip():
     config = ReproConfig.from_dict({
         "store": {"volume_bytes": 32 * MiB, "seed": 7},
         "engine": {"enabled": True, "defer_gc": True},
-        "cluster": {"shards": 3, "chunk_keys": 4},
+        "cluster": {"shards": 3},
+        "net": {"window": 8},
     })
     assert config.store.volume_bytes == 32 * MiB
     assert config.engine.defer_gc is True
     assert config.cluster.shards == 3
+    assert config.net.window == 8
     # to_dict -> from_dict is the identity.
     assert ReproConfig.from_dict(config.to_dict()) == config
 
@@ -38,7 +40,7 @@ def test_dict_round_trip():
 def test_partial_dict_keeps_defaults():
     config = ReproConfig.from_dict({"cluster": {"shards": 2}})
     assert config.store.volume_bytes == ReproConfig().store.volume_bytes
-    assert config.cluster.chunk_keys == ClusterSection().chunk_keys
+    assert config.net.window == NetSection().window
 
 
 def test_nested_node_config_from_dict():
@@ -112,6 +114,40 @@ def test_removed_engine_keys_rejected(key, value):
         ValueError, match=f"unknown keys in config section 'engine'.*{key}"
     ):
         ReproConfig.from_dict({"engine": {key: value}})
+
+
+#: Leaves no caller outside the tests ever set; each is now a constant
+#: or gone, and naming one is a typo like any other.
+REMOVED_LEAVES = [
+    ("cluster.consensus", True),
+    ("cluster.consensus_nodes", 5),
+    ("cluster.chunk_keys", 4),
+    ("cluster.usage_limit", 0.9),
+    ("cluster.band_width", 0.2),
+    ("cluster.migration_streams", 1),
+    ("cluster.max_catchup_rounds", 5),
+    ("cluster.physical_fraction", 0.25),
+    ("store.replicas", 5),
+    ("store.node.page_cache_bytes", 1 << 20),
+    ("store.node.seed", 3),
+    ("store.node.default_codec", "lz4"),
+    ("device.parallelism", 4),
+    ("device.inject_faults", True),
+    ("net.max_frame_bytes", 1024),
+]
+
+
+@pytest.mark.parametrize("path, value", REMOVED_LEAVES)
+def test_removed_leaves_rejected(path, value):
+    *sections, key = path.split(".")
+    doc = {key: value}
+    for name in reversed(sections):
+        doc = {name: doc}
+    section = ".".join(sections)
+    with pytest.raises(
+        ValueError, match=f"unknown keys in config section '{section}'.*{key}"
+    ):
+        ReproConfig.from_dict(doc)
 
 
 def test_per_instance_sections_do_not_alias():

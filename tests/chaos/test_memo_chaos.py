@@ -53,7 +53,6 @@ def _faulted_read(kind):
     store = make_store()
     arm(store, kind)
     now = store.write_page(0.0, 1, make_page(7)).commit_us
-    store.leader.page_cache.remove(1)
     result = store.read_page(now, 1)
     return store, result
 
@@ -88,5 +87,4 @@ def test_scrub_with_memo_repairs_corrupt_copies():
     assert cache.hits > 0
     assert counter_total(store, "chaos.repaired", kind="bit_flip") == 1
     assert counter_total(store, "chaos.unrepairable") == 0
-    store.leader.page_cache.remove(1)
     assert bytes(store.read_page(now, 1).data) == make_page(9)

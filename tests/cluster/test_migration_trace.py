@@ -28,7 +28,7 @@ def _bare_runtime() -> ClusterRuntime:
     doc = {
         "store": {"volume_bytes": 16 * MiB},
         "engine": {"enabled": True},
-        "cluster": {"shards": 2, "chunk_keys": 8},
+        "cluster": {"shards": 2},
     }
     return ClusterRuntime(ReproConfig.from_dict(doc))
 

@@ -1,9 +1,14 @@
 """The sharded cluster runtime: routing, live migration, cutover safety."""
 
+import random
+
 import pytest
 
 from repro.api import PolarStore, ReproConfig
+from repro.chaos.plan import FaultKind, FaultPlan, FaultRule
 from repro.cluster.runtime import (
+    CHUNK_KEYS,
+    MIGRATION_STREAMS,
     ChunkState,
     ClusterRuntime,
     decode_row_page,
@@ -14,15 +19,20 @@ from repro.common.units import DB_PAGE_SIZE, MiB
 from repro.engine.core import Timeout
 
 
-def make_runtime(shards=2, chunk_keys=8, **cluster_overrides):
+def make_runtime(shards=2):
     doc = {
         "store": {"volume_bytes": 16 * MiB},
         "engine": {"enabled": True},
-        "cluster": dict(
-            {"shards": shards, "chunk_keys": chunk_keys}, **cluster_overrides
-        ),
+        "cluster": {"shards": shards},
     }
     return ClusterRuntime(ReproConfig.from_dict(doc))
+
+
+def counter_total(store, name):
+    return sum(
+        int(inst.value) for inst in store.metrics.instruments()
+        if inst.kind == "counter" and inst.name == name
+    )
 
 
 # -- row page codec ---------------------------------------------------------
@@ -47,26 +57,28 @@ def test_row_value_must_fit_one_page():
 # -- routing ----------------------------------------------------------------
 
 def test_range_sharding_routes_by_chunk():
-    runtime = make_runtime(shards=2, chunk_keys=4)
+    runtime = make_runtime(shards=2)
     runtime.create_table("t")
-    for key in range(12):
+    keys = range(3 * CHUNK_KEYS)
+    for key in keys:
         runtime.insert(runtime.engine.now_us, "t", key, bytes([key]) * 8)
-    # 12 keys / 4 per chunk = 3 chunks, spread by least-logical placement.
+    # Three chunks' worth of keys, spread by least-logical placement.
     assert len(runtime.chunks) == 3
     owners = {c.shard_id for c in runtime.chunks.values()}
     assert owners == {0, 1}
-    for key in range(12):
+    for key in keys:
         result = runtime.select(runtime.engine.now_us, "t", key)
         assert result.value == bytes([key]) * 8
 
 
 def test_range_select_spans_chunks():
-    runtime = make_runtime(shards=2, chunk_keys=4)
+    runtime = make_runtime(shards=2)
     runtime.create_table("t")
-    for key in range(10):
+    for key in range(2 * CHUNK_KEYS + 2):
         runtime.insert(runtime.engine.now_us, "t", key, bytes([65 + key]))
-    result = runtime.range_select(runtime.engine.now_us, "t", 2, 7)
-    assert result.value == b"CDEFGH"
+    low, high = CHUNK_KEYS - 2, CHUNK_KEYS + 3
+    result = runtime.range_select(runtime.engine.now_us, "t", low, high)
+    assert result.value == bytes(65 + key for key in range(low, high + 1))
 
 
 def test_missing_table_and_keys_raise():
@@ -89,7 +101,7 @@ def test_needs_at_least_two_shards():
 
 
 def test_delete_frees_space_on_owner():
-    runtime = make_runtime(shards=2, chunk_keys=4)
+    runtime = make_runtime(shards=2)
     runtime.create_table("t")
     runtime.insert(0.0, "t", 1, b"v" * 32)
     chunk = next(iter(runtime.chunks.values()))
@@ -104,9 +116,9 @@ def test_delete_frees_space_on_owner():
 # -- live migration ---------------------------------------------------------
 
 def test_migration_moves_real_compressed_pages():
-    runtime = make_runtime(shards=2, chunk_keys=8)
+    runtime = make_runtime(shards=2)
     runtime.create_table("t")
-    for key in range(8):
+    for key in range(CHUNK_KEYS):
         runtime.insert(runtime.engine.now_us, "t", key, b"compress-me" * 40)
     chunk = next(iter(runtime.chunks.values()))
     source_id = chunk.shard_id
@@ -115,7 +127,7 @@ def test_migration_moves_real_compressed_pages():
     moved = runtime.engine.run(
         runtime.migrate_chunk_proc(chunk.chunk_id, target_id)
     )
-    assert moved == 8
+    assert moved == CHUNK_KEYS
     assert chunk.shard_id == target_id
     assert runtime.engine.now_us > t0  # the copy consumed simulated time
     # Source replicas hold no trace of the chunk's pages.
@@ -126,17 +138,17 @@ def test_migration_moves_real_compressed_pages():
     # physically smaller than their logical size.
     logical = runtime.metrics.counter("cluster.migration.logical_bytes")
     physical = runtime.metrics.counter("cluster.migration.physical_bytes")
-    assert logical.value == 8 * DB_PAGE_SIZE
+    assert logical.value == CHUNK_KEYS * DB_PAGE_SIZE
     assert 0 < physical.value < logical.value
     assert runtime.metrics.counter("cluster.migration.tasks").value == 1
     # Rows stay readable from the new owner.
-    for key in range(8):
+    for key in range(CHUNK_KEYS):
         result = runtime.select(runtime.engine.now_us, "t", key)
         assert result.value == b"compress-me" * 40
 
 
 def test_migration_rejects_bad_targets():
-    runtime = make_runtime(shards=2, chunk_keys=8)
+    runtime = make_runtime(shards=2)
     runtime.create_table("t")
     runtime.insert(0.0, "t", 1, b"v")
     chunk = next(iter(runtime.chunks.values()))
@@ -149,10 +161,10 @@ def test_migration_rejects_bad_targets():
 
 
 def test_migration_catches_up_with_concurrent_writers():
-    runtime = make_runtime(shards=2, chunk_keys=16)
+    runtime = make_runtime(shards=2)
     runtime.create_table("t")
     expected = {}
-    for key in range(16):
+    for key in range(CHUNK_KEYS):
         value = bytes([key]) * 200
         runtime.insert(runtime.engine.now_us, "t", key, value)
         expected[("t", key)] = value
@@ -162,7 +174,7 @@ def test_migration_catches_up_with_concurrent_writers():
 
     def writer():
         for i in range(30):
-            key = i % 16
+            key = i % CHUNK_KEYS
             value = bytes([(key + 100) % 256]) * 150
             yield from runtime.insert_proc("t", key, value)
             expected[("t", key)] = value
@@ -188,7 +200,7 @@ def test_migration_catches_up_with_concurrent_writers():
 
 
 def test_cutover_gate_blocks_writes_until_flip():
-    runtime = make_runtime(shards=2, chunk_keys=8)
+    runtime = make_runtime(shards=2)
     runtime.create_table("t")
     runtime.insert(0.0, "t", 1, b"before")
     chunk = next(iter(runtime.chunks.values()))
@@ -220,50 +232,70 @@ def test_cutover_gate_blocks_writes_until_flip():
 
 
 def test_migration_streams_throttle_concurrency():
-    runtime = make_runtime(shards=3, chunk_keys=4, migration_streams=1)
+    runtime = make_runtime(shards=4)
     runtime.create_table("t")
-    for key in range(8):  # two chunks on two different shards
+    moves = MIGRATION_STREAMS + 1
+    for key in range(moves * CHUNK_KEYS):  # one chunk on each of shards 0..
         runtime.insert(runtime.engine.now_us, "t", key, bytes([key]) * 64)
     chunks = list(runtime.chunks.values())
-    assert len(chunks) == 2
-    targets = [2, 2]
+    assert sorted(c.shard_id for c in chunks) == list(range(moves))
     engine = runtime.engine
     procs = [
-        engine.spawn(runtime.migrate_chunk_proc(c.chunk_id, t))
-        for c, t in zip(chunks, targets)
+        engine.spawn(runtime.migrate_chunk_proc(c.chunk_id, moves))
+        for c in chunks
     ]
+    in_flight = []
+
+    def monitor():
+        while not all(p.done for p in procs):
+            in_flight.append(
+                sum(c.state is not ChunkState.SERVING for c in chunks)
+            )
+            yield Timeout(10.0)
+
+    engine.spawn(monitor())
     engine.run_until_complete(procs)
-    assert all(c.shard_id == 2 for c in chunks)
-    # With one stream the moves serialized: the makespan covers both.
+    assert all(c.shard_id == moves for c in chunks)
+    # A move holds a stream token from before it leaves SERVING until it
+    # is back: the streams bound the moves in flight, and they fill up.
+    assert max(in_flight) == MIGRATION_STREAMS
     chunk_us = runtime.metrics.histogram("cluster.migration.chunk_us")
-    assert chunk_us.count == 2
+    assert chunk_us.count == moves
 
 
 def test_cutover_loses_nothing_under_fault_injection():
-    """The chaos variant of the catch-up test: device-level fault
-    injection is armed on every shard, so migration reads hit corrupt
-    frames and must detect-and-repair while writers race the cutover."""
-    doc = {
-        "store": {"volume_bytes": 16 * MiB},
-        "device": {"inject_faults": True},
-        "engine": {"enabled": True},
-        "cluster": {"shards": 2, "chunk_keys": 16},
-    }
-    runtime = ClusterRuntime(ReproConfig.from_dict(doc))
+    """The chaos variant of the catch-up test: the source shard's leader
+    data device flips bits and tears writes, so migration reads hit
+    corrupt pages and must detect-and-repair while a writer races the
+    cutover."""
+    runtime = make_runtime(shards=2)
     runtime.create_table("t")
+    rng = random.Random(5)
     expected = {}
-    for key in range(16):
-        value = bytes([key + 1]) * 300
-        runtime.insert(runtime.engine.now_us, "t", key, value)
-        expected[("t", key)] = value
+
+    def row():
+        # Incompressible, so a flipped bit or a torn tail lands in the
+        # stored payload rather than in the zero padding behind it.
+        return rng.randbytes(DB_PAGE_SIZE - 16)
+
+    runtime.insert(0.0, "t", 0, row())
     chunk = next(iter(runtime.chunks.values()))
+    source = runtime.owner(chunk).store
+    plan = FaultPlan(seed=7)
+    scope = f"{source.leader.name}:data"
+    plan.add(FaultRule(FaultKind.BIT_FLIP, probability=0.3, scope=scope))
+    plan.add(FaultRule(FaultKind.TORN_WRITE, probability=0.2, scope=scope))
+    plan.attach_to_store(source)
+    for key in range(CHUNK_KEYS):
+        expected[("t", key)] = value = row()
+        runtime.insert(runtime.engine.now_us, "t", key, value)
     target_id = 1 - chunk.shard_id
     engine = runtime.engine
 
     def writer():
         for i in range(24):
-            key = i % 16
-            value = bytes([(key + 50) % 256]) * 250
+            key = i % CHUNK_KEYS
+            value = row()
             yield from runtime.insert_proc("t", key, value)
             expected[("t", key)] = value
             yield Timeout(5.0)
@@ -274,22 +306,25 @@ def test_cutover_loses_nothing_under_fault_injection():
     ]
     engine.run_until_complete(procs)
     assert chunk.shard_id == target_id
-    assert runtime.verify_readable(expected) == 16
+    detected = counter_total(source, "chaos.detected")
+    assert detected == counter_total(source, "chaos.repaired") > 0
+    assert counter_total(source, "chaos.unrepairable") == 0
+    assert runtime.verify_readable(expected) == CHUNK_KEYS
 
 
 # -- scheduler bridge -------------------------------------------------------
 
 def test_snapshot_mirrors_measured_state():
-    runtime = make_runtime(shards=2, chunk_keys=4)
+    runtime = make_runtime(shards=2)
     runtime.create_table("t")
-    for key in range(8):
+    for key in range(2 * CHUNK_KEYS):
         runtime.insert(runtime.engine.now_us, "t", key, b"abc" * 100)
     abstract, owner = runtime.snapshot()
     assert len(abstract.servers) == 2
     mirrored = [c for s in abstract.servers for c in s.chunks.values()]
     assert {c.chunk_id for c in mirrored} == set(runtime.chunks)
     for chunk in mirrored:
-        assert chunk.logical_bytes == 4 * DB_PAGE_SIZE
+        assert chunk.logical_bytes == CHUNK_KEYS * DB_PAGE_SIZE
         assert chunk.compression_ratio >= 1.0
         assert owner[chunk.chunk_id] == runtime.chunks[
             chunk.chunk_id
@@ -321,7 +356,7 @@ def test_rebalance_keeps_every_row_and_does_not_lower_band_coverage():
 
 
 def test_rebalance_skips_net_noop_moves():
-    runtime = make_runtime(shards=2, chunk_keys=4)
+    runtime = make_runtime(shards=2)
     runtime.create_table("t")
     runtime.insert(0.0, "t", 1, b"v" * 16)
     chunk = next(iter(runtime.chunks.values()))
@@ -339,7 +374,7 @@ def test_rebalance_skips_net_noop_moves():
 
 
 def test_zone_occupancy_shape():
-    runtime = make_runtime(shards=2, chunk_keys=4)
+    runtime = make_runtime(shards=2)
     runtime.create_table("t")
     for key in range(8):
         runtime.insert(runtime.engine.now_us, "t", key, b"z" * 50)

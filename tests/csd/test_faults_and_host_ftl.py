@@ -5,19 +5,17 @@ import pytest
 
 from repro.common.units import GiB
 from repro.csd.faults import (
-    PLAIN_SSD_FAULTS,
     POLARCSD1_FAULTS,
     POLARCSD2_FAULTS,
     FaultCause,
     FaultProfile,
-    profile_for,
 )
 from benchmarks.ablation.host_ftl import (
     CPU_CORES_PER_DEVICE,
     contention_risk,
     host_ftl_footprint,
 )
-from repro.csd.specs import OPTANE_P4800X, P4510, POLARCSD1, POLARCSD2
+from repro.csd.specs import POLARCSD1, POLARCSD2
 
 
 def _tail_fraction(profile, n, is_read, threshold_us=4000.0, seed=0):
@@ -59,13 +57,6 @@ def test_sample_one_matches_vector_api():
     rng = np.random.default_rng(2)
     value = POLARCSD1_FAULTS.sample_one_us(rng, is_read=True)
     assert value >= 0.0
-
-
-def test_profile_lookup():
-    assert profile_for(POLARCSD1.name) is POLARCSD1_FAULTS
-    assert profile_for(POLARCSD2.name) is POLARCSD2_FAULTS
-    assert profile_for(OPTANE_P4800X.name) is None
-    assert profile_for(P4510.name) is PLAIN_SSD_FAULTS
 
 
 def test_host_ftl_footprint_matches_paper():

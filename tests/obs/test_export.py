@@ -200,7 +200,6 @@ def test_live_chaos_run_exports_in_both_formats():
         0, 256, DB_PAGE_SIZE, dtype=np.uint8
     ).tobytes()
     now = store.write_page(0.0, 1, page).commit_us
-    store.leader.page_cache.remove(1)
     assert store.read_page(now, 1).data == page
 
     doc = json.loads(to_json(store.metrics))

@@ -129,37 +129,6 @@ def test_algorithm_selection_tracks_last_used(node):
     assert node.index.get(1).algorithm == first
 
 
-def test_storage_memory_cache_skips_device_reads():
-    """§3.3.3: the storage software's memory cache serves repeat reads
-    without device I/O or decompression."""
-    node = build_node(
-        "cache", NodeConfig(page_cache_bytes=1024 * 1024),
-        volume_bytes=64 * MiB,
-    )
-    page = make_page(7)
-    node.write_page(0.0, 1, page)
-    cold = node.read_page(1e3, 1)
-    warm = node.read_page(cold.done_us + 1e3, 1)
-    assert cold.io_reads == 1
-    assert warm.io_reads == 0
-    assert warm.data == page
-    assert warm.done_us == cold.done_us + 1e3  # free hit
-
-
-def test_storage_memory_cache_invalidated_on_write():
-    node = build_node(
-        "cache2", NodeConfig(page_cache_bytes=1024 * 1024),
-        volume_bytes=64 * MiB,
-    )
-    node.write_page(0.0, 1, make_page(1))
-    node.read_page(1e3, 1)  # cached
-    fresh = make_page(2)
-    node.write_page(2e3, 1, fresh)
-    result = node.read_page(3e3, 1)
-    assert result.data == fresh
-    assert result.io_reads == 1  # cache was invalidated
-
-
 def test_redo_cache_and_consolidated_read(node):
     base = make_page(1)
     node.write_page(0.0, 1, base)

@@ -41,6 +41,7 @@ def test_algorithm_distribution_matches_index():
 def test_fault_injected_device_still_round_trips():
     import dataclasses
 
+    from repro.chaos.plan import FaultKind, FaultPlan, FaultRule
     from repro.csd.device import PolarCSD
     from repro.csd.specs import POLARCSD2
     from repro.common.units import MiB
@@ -48,10 +49,14 @@ def test_fault_injected_device_still_round_trips():
     spec = dataclasses.replace(
         POLARCSD2, logical_capacity=32 * MiB, physical_capacity=16 * MiB,
     )
-    device = PolarCSD(spec, seed=3, inject_faults=True, block_capacity=1 * MiB)
+    device = PolarCSD(spec, seed=3, block_capacity=1 * MiB)
+    plan = FaultPlan(seed=3)
+    plan.add(FaultRule(FaultKind.SLOW_IO, probability=0.2))
+    device.attach_chaos(plan.injector_for("csd"))
     data = repro.dataset_pages("fnb", 1, seed=2)[0]
     now = 0.0
     for i in range(50):
         now = device.write(now, (i % 8) * 4, data).done_us
         now = device.read(now, (i % 8) * 4, len(data)).done_us
+    assert plan.injected["slow_io"] > 0
     assert device.read(now, 0, len(data)).data == data
