@@ -36,13 +36,13 @@ Commands
     live-migrate chunks under both schedulers, and persist the wasted-
     space / migration-traffic table + JSON artifact (Figures 10/11).
 ``events``
-    Run an observed scenario (sysbench / chaos / cluster) with the
-    flight recorder active and print (or dump) the structured event
-    log: page I/O, GC relocations, group-commit flushes, migrations,
-    injected faults, codec selections, scrub repairs, SLO alerts,
-    elections, admissions — all stamped with simulated time.  ``--load
-    PATH`` replays and filters a previously-written dump instead of
-    running anything.
+    Run an observed scenario (sysbench / chaos / cluster / raft) with
+    the flight recorder active and print (or dump as JSONL) the
+    structured event log: page I/O, GC relocations, group-commit
+    flushes, migrations, injected faults, codec selections, scrub
+    repairs, elections, admissions — all stamped with simulated time.
+    ``--load PATH`` replays and filters a previously-written dump
+    instead of running anything.
 ``compaction``
     Drive the three consolidation policies (single-level / leveled /
     tiered) with the same flush workload over a compressible and an
@@ -50,12 +50,6 @@ Commands
     the unified ``storage.amp.*`` accountant, and check the
     B-tree-vs-LSM WA crossover (arXiv:2107.13987); persists a
     byte-deterministic table + JSON artifact.
-``dash``
-    Run an observed scenario and redraw a live terminal dashboard
-    (queue depths, device utilization, latency percentiles,
-    compression ratio, migration progress, SLO burn-rate sparklines)
-    on every evaluator tick; ``--html PATH`` also writes a static,
-    byte-deterministic HTML report at run end.
 ``serve``
     Host a PolarStore deployment (engine-bound volume or sharded
     cluster) on a TCP socket speaking the ``repro.net`` wire protocol;
@@ -69,11 +63,9 @@ Commands
     half of the ``--out`` JSON artifact is byte-identical across runs
     of the same spec (the CI ``net-smoke`` gate).
 
-``REPRO_OBS=1`` activates a flight recorder for any command
-(``capacity=N, sample=io:8`` tunes it).  ``REPRO_WORKERS=N`` is the
-default for every ``--workers`` flag (``bench``, ``cluster``), which
-means one thing everywhere: independent programs fanned across N forked
-worker processes with byte-identical output.
+``--workers N`` (``bench``, ``cluster``; default 1) means one thing
+everywhere: independent programs fanned across N forked worker
+processes with byte-identical output.
 """
 
 from __future__ import annotations
@@ -273,14 +265,9 @@ def cmd_raft(args) -> int:
 
 
 def _resolved_workers(args) -> int:
-    """``--workers`` if given, else ``REPRO_WORKERS``, else 1 (serial)."""
-    from repro.engine.parallel import workers_from_env
-
-    if args.workers is not None:
-        if args.workers < 1:
-            raise SystemExit("--workers must be >= 1")
-        return args.workers
-    return workers_from_env() or 1
+    if args.workers < 1:
+        raise SystemExit("--workers must be >= 1")
+    return args.workers
 
 
 def cmd_bench(args) -> int:
@@ -342,10 +329,7 @@ def cmd_events(args) -> int:
               f"verdict {'PASS' if run.passed else 'FAIL'}",
               file=sys.stderr)
         if args.out is not None:
-            if args.binary:
-                recorder.dump_binary(args.out)
-            else:
-                recorder.dump_jsonl(args.out)
+            recorder.dump_jsonl(args.out)
             print(f"# wrote {args.out}", file=sys.stderr)
     selected = recorder.events(
         channel=args.channel,
@@ -378,23 +362,6 @@ def cmd_compaction(args) -> int:
         print("FAIL: WA crossover does not hold", file=sys.stderr)
         return 1
     return 0
-
-
-def cmd_dash(args) -> int:
-    from repro.obs.dash import live_dash
-    from repro.obs.report import write_html
-
-    run = live_dash(
-        args.scenario,
-        seed=args.seed,
-        quick=not args.full,
-        interval_us=args.interval_us,
-        ansi=not args.no_ansi,
-    )
-    if args.html is not None:
-        write_html(run, args.html)
-        print(f"wrote {args.html}", file=sys.stderr)
-    return 0 if run.passed else 1
 
 
 def cmd_serve(args) -> int:
@@ -601,10 +568,9 @@ def main(argv=None) -> int:
         help="which figure to profile (12: cluster sweep, 15: per-page log)",
     )
     bench_p.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=int, default=1, metavar="N",
         help="fan independent figure cells across N worker "
-             "processes; byte-identical output (default: $REPRO_WORKERS, "
-             "else 1)",
+             "processes; byte-identical output (default: 1)",
     )
     cluster_p = sub.add_parser(
         "cluster",
@@ -625,10 +591,9 @@ def main(argv=None) -> int:
              "benchmark profile uses 16)",
     )
     cluster_p.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=int, default=1, metavar="N",
         help="fan the two independent scheduler fleets across N "
-             "worker processes; byte-identical output (default: "
-             "$REPRO_WORKERS, else 1)",
+             "worker processes; byte-identical output (default: 1)",
     )
     events_p = sub.add_parser(
         "events",
@@ -638,8 +603,7 @@ def main(argv=None) -> int:
             seed=None,
             seed_help="scenario seed (default: the scenario's pinned seed)",
             out=None,
-            out_help="also write the dump here (JSONL; --binary for the "
-                     "compact framing)",
+            out_help="also write the JSONL dump here",
             out_metavar="PATH",
         )],
     )
@@ -657,10 +621,6 @@ def main(argv=None) -> int:
         help="full-size workload (default: quick smoke profile)",
     )
     events_p.add_argument(
-        "--binary", action="store_true",
-        help="write --out in the binary format instead of JSONL",
-    )
-    events_p.add_argument(
         "--capacity", type=int, default=65536,
         help="ring capacity in events (default: 65536)",
     )
@@ -672,7 +632,7 @@ def main(argv=None) -> int:
     events_p.add_argument(
         "--channel", default=None,
         help="only print events from this channel (io, gc, commit, "
-             "migration, fault, codec, scrub, db, slo, election, net)",
+             "migration, fault, codec, scrub, db, election, net)",
     )
     events_p.add_argument(
         "--kind", default=None,
@@ -707,37 +667,6 @@ def main(argv=None) -> int:
         choices=("single-level", "leveled", "tiered"),
         help="run only this policy (repeatable; default: all three, "
              "which also enables the crossover check)",
-    )
-    dash_p = sub.add_parser(
-        "dash",
-        help="run an observed scenario with a live terminal dashboard",
-        parents=[shared_options(
-            seed=None,
-            seed_help="scenario seed (default: the scenario's pinned seed)",
-        )],
-    )
-    dash_p.add_argument(
-        "scenario", choices=("sysbench", "chaos", "cluster", "raft"),
-        help="which observed scenario to run",
-    )
-    dash_p.add_argument(
-        "--full", action="store_true",
-        help="full-size workload (default: quick smoke profile)",
-    )
-    dash_p.add_argument(
-        "--interval-us", type=float, default=2_000.0,
-        help="simulated microseconds between dashboard refreshes "
-             "(default: 2000)",
-    )
-    dash_p.add_argument(
-        "--no-ansi", action="store_true",
-        help="append frames instead of redrawing in place (for logs "
-             "and pipes)",
-    )
-    dash_p.add_argument(
-        "--html", default=None, metavar="PATH",
-        help="write the static self-contained HTML report here at "
-             "run end",
     )
     serve_p = sub.add_parser(
         "serve",
@@ -829,19 +758,12 @@ def main(argv=None) -> int:
         "cluster": cmd_cluster,
         "events": cmd_events,
         "compaction": cmd_compaction,
-        "dash": cmd_dash,
         "serve": cmd_serve,
         "load": cmd_load,
     }
     if args.command is None:
         parser.print_help()
         return 2
-    # Honour REPRO_OBS for every command: an always-on flight recorder
-    # is cheap (ring append per event) and never changes a simulated
-    # result.
-    from repro.obs.events import configure_from_env as obs_from_env
-
-    obs_from_env()
     return handlers[args.command](args)
 
 

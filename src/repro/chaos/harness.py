@@ -22,19 +22,17 @@ I6  the schedule actually exercised the machinery (≥ ``min_faults``
 
 Every event is also visible as ``chaos.*`` counters in the volume's
 metrics registry and as trace spans, so the observability layer (PR 1)
-tells the same story the report does.  The invariants themselves are
-declared as :mod:`repro.obs.slo` specs and the report's verdict is the
-SLO evaluator's final evaluation — chaos shares its pass/fail machinery
-with every other harness in the repo.  With a flight recorder active
-(``repro events chaos`` / ``repro dash chaos``) the crash, device-fail
-window, quorum drill, and every injected fault land on the ``fault``
-channel with simulated timestamps.
+tells the same story the report does.  The report's verdict is the list
+of violated invariants, in the order above.  With a flight recorder
+active (``repro events chaos``) the crash, device-fail window, quorum
+drill, and every injected fault land on the ``fault`` channel with
+simulated timestamps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -42,14 +40,6 @@ from repro.chaos.plan import DATA_FAULT_KINDS, FaultKind, FaultPlan, FaultRule
 from repro.common.errors import RaftError
 from repro.common.units import DB_PAGE_SIZE, MiB
 from repro.obs.events import recorder_active
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import (
-    ErrorBudgetSLO,
-    InvariantSLO,
-    SLOEvaluator,
-    SLOReport,
-    ThresholdSLO,
-)
 from repro.storage.node import NodeConfig
 from repro.storage.redo import RedoRecord
 from repro.storage.store import PolarStore
@@ -77,10 +67,6 @@ class ChaosReport:
     #: The volume's MetricsRegistry, for exporting the full snapshot
     #: (``python -m repro chaos --metrics``).  Not part of the render.
     metrics: Optional[object] = field(default=None, repr=False)
-    #: Final :class:`~repro.obs.slo.SLOReport` over the six invariants —
-    #: ``violations`` above is its flattened output, so the verdict and
-    #: the SLO evaluator can never disagree.  Not part of the render.
-    slo: Optional[SLOReport] = field(default=None, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -167,20 +153,12 @@ def run_chaos(
     scrub_every: int = 150,
     verbose: bool = False,
     min_data_faults: int = 100,
-    on_progress: Optional[Callable[[int, float], None]] = None,
-    evaluator: Optional[SLOEvaluator] = None,
 ) -> ChaosReport:
     """Run the chaos schedule and return the invariant report.
 
     ``min_data_faults`` is the I6 floor on injected data faults; scale
     it down together with ``ops`` for quick smoke runs (the default
     matches the full 700-op schedule).
-
-    The six invariants are declared as SLO specs on ``evaluator`` (one
-    is created when not supplied) and the report's verdict is the
-    evaluator's — there is exactly one pass/fail code path.
-    ``on_progress(op, now_us)`` fires after every workload op, letting a
-    live dashboard snapshot metrics and re-evaluate SLOs mid-run.
     """
     rng = np.random.default_rng(seed)
     store = PolarStore(NodeConfig(), volume_bytes=volume_bytes, seed=seed)
@@ -196,16 +174,9 @@ def run_chaos(
     lsn = [0]
     now = 0.0
     #: Runtime-observed violations (I1 read-backs, the I4 quorum probe,
-    #: the final I1/I4/I5 sweeps), in chronological order; surfaced
-    #: through the workload-invariant SLO spec below.
+    #: the final I1/I4/I5 sweeps), in chronological order; they lead the
+    #: report's violation list.
     observed: List[str] = []
-    if evaluator is None:
-        evaluator = SLOEvaluator()
-    evaluator.attach(store.metrics)
-    chaos_specs = _declare_invariant_slos(
-        evaluator, store, plan, report, observed,
-        lambda: crashed, min_data_faults,
-    )
 
     def say(msg: str) -> None:
         if verbose:
@@ -316,8 +287,6 @@ def run_chaos(
             do_read(page_no)
         if op > 0 and op % scrub_every == 0:
             do_scrub()
-        if on_progress is not None:
-            on_progress(op, now)
 
     # Drain: stop injecting, consolidate all pending redo, resync
     # stragglers, final scrub — then assert convergence.
@@ -351,93 +320,46 @@ def run_chaos(
 
     report.metrics = store.metrics
     _collect_counters(store, plan, report)
-    # The verdict is the SLO evaluator's: one final evaluation of the
-    # invariant specs, flattened in declaration order (which reproduces
-    # the historical violation ordering exactly).
-    evaluator.evaluate(now)
-    report.slo = SLOReport(
-        statuses=[evaluator.last[spec.name] for spec in chaos_specs]
+    report.violations = _invariant_violations(
+        report, observed, crashed, min_data_faults
     )
-    report.violations = report.slo.violations()
     return report
 
 
-def _declare_invariant_slos(
-    evaluator: SLOEvaluator,
-    store: PolarStore,
-    plan: FaultPlan,
+def _invariant_violations(
     report: ChaosReport,
     observed: List[str],
-    still_crashed: Callable[[], bool],
+    still_crashed: bool,
     min_faults: int,
-) -> List:
-    """I1–I6 as declarative SLO specs (in historical violation order)."""
-
-    def i2_check() -> List[str]:
-        out = []
-        for kind in sorted(set(report.detected) | set(report.repaired)):
-            detected = report.detected.get(kind, 0)
-            repaired = report.repaired.get(kind, 0)
-            unrepairable = report.unrepairable.get(kind, 0)
-            if detected != repaired + unrepairable:
-                out.append(
-                    f"I2: kind {kind}: detected={detected} != "
-                    f"repaired={repaired} + unrepairable={unrepairable}"
-                )
-        return out
-
-    def data_faults() -> int:
-        return sum(
-            n for kind, n in plan.injected.items()
-            if FaultKind(kind) in DATA_FAULT_KINDS
+) -> List[str]:
+    """I1–I6 in their historical order: the run's observed I1/I4/I5
+    breaches, then repair accounting (I2), repairability (I3), the
+    rejoin (I4) and the three I6 schedule floors."""
+    out = list(observed)
+    for kind in sorted(set(report.detected) | set(report.repaired)):
+        detected = report.detected.get(kind, 0)
+        repaired = report.repaired.get(kind, 0)
+        unrepairable = report.unrepairable.get(kind, 0)
+        if detected != repaired + unrepairable:
+            out.append(
+                f"I2: kind {kind}: detected={detected} != "
+                f"repaired={repaired} + unrepairable={unrepairable}"
+            )
+    unrepairable = sum(report.unrepairable.values())
+    if unrepairable:
+        out.append(f"I3: {unrepairable} corruptions had no healthy copy")
+    if still_crashed:
+        out.append("I4: follower never rejoined")
+    if report.injected_data_faults < min_faults:
+        out.append(
+            f"I6: only {report.injected_data_faults} data faults injected "
+            f"(schedule requires >= {min_faults})"
         )
-
-    def wal_replays() -> int:
-        return sum(
-            int(inst.value)
-            for inst in store.metrics.find("chaos.wal_replays")
-        )
-
-    specs = [
-        InvariantSLO(
-            "chaos.workload_invariants", lambda: list(observed),
-            description="I1/I4/I5: read-backs, quorum probe, convergence",
-        ),
-        InvariantSLO(
-            "chaos.repair_accounting", i2_check,
-            description="I2: detected == repaired + unrepairable per kind",
-        ),
-        ErrorBudgetSLO(
-            "chaos.repairability", "chaos.unrepairable", budget=0.0,
-            message=lambda bad, total: (
-                f"I3: {int(bad)} corruptions had no healthy copy"
-            ),
-        ),
-        ThresholdSLO(
-            "chaos.rejoin",
-            lambda: 0.0 if still_crashed() else 1.0, floor=1.0,
-            message=lambda v: "I4: follower never rejoined",
-        ),
-        ThresholdSLO(
-            "chaos.fault_floor", data_faults, floor=float(min_faults),
-            message=lambda v: (
-                f"I6: only {int(v)} data faults injected "
-                f"(schedule requires >= {min_faults})"
-            ),
-        ),
-        ThresholdSLO(
-            "chaos.wal_replayed", wal_replays, floor=1.0,
-            message=lambda v: "I6: recovery never replayed a WAL",
-        ),
-        ThresholdSLO(
-            "chaos.quorum_drill",
-            lambda: float(report.quorum_errors), floor=1.0,
-            message=lambda v: "I6: quorum loss was never exercised",
-        ),
-    ]
-    for spec in specs:
-        evaluator.add(spec)
-    return specs
+    if report.wal_replays < 1:
+        out.append("I6: recovery never replayed a WAL")
+    if report.quorum_errors < 1:
+        out.append("I6: quorum loss was never exercised")
+    return out
 
 
 def _check_quorum_loss(

@@ -16,8 +16,8 @@ tells the group the outcome through ``PolarStore.attach_consensus``):
 * :mod:`repro.consensus.group` — a whole replica group plus the
   client-side propose/retry loop;
 * :mod:`repro.consensus.invariants` — the split-brain safety tracker
-  whose four checks surface as SLO specs (one leader per term, no
-  committed write lost, terms monotonic, fenced leaders commit
+  whose four checks list the scenario's violations (one leader per
+  term, no committed write lost, terms monotonic, fenced leaders commit
   nothing);
 * :mod:`repro.consensus.scenario` — the ``python -m repro raft``
   schedule: symmetric and asymmetric partitions, clock-skewed timers,

@@ -244,12 +244,5 @@ class RaftGroup:
             return None
         return live[attempt % len(live)]
 
-    # -- invariants --------------------------------------------------------
-
-    def slo_specs(self):
-        """The four split-brain invariants, bound to this group's final
-        committed log."""
-        return self.tracker.slo_specs(self.committed_commands)
-
 
 __all__ = ["RaftGroup"]

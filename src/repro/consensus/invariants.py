@@ -4,8 +4,8 @@ A :class:`SplitBrainTracker` is a passive observer wired into every
 :class:`~repro.consensus.raft.RaftNode` and the group's commit path.  It
 records the safety-relevant events as they happen (leader elections,
 term changes, fences, commit advances, client acknowledgements) and
-exposes four checks that the chaos harness surfaces as
-:class:`~repro.obs.slo.InvariantSLO` specs:
+exposes four checks, which :meth:`SplitBrainTracker.check` folds into
+one violation list for the Raft scenario's verdict:
 
 * **one leader per term** — Election Safety: two nodes claiming
   leadership of the same term is split-brain, full stop;
@@ -19,7 +19,7 @@ exposes four checks that the chaos harness surfaces as
 
 The tracker never throws during the run: violations accumulate as
 human-readable strings so one broken invariant cannot mask another, and
-the SLO evaluator reports them all at the end.
+the scenario reports them all at the end.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.consensus.raft import RaftState
-from repro.obs.slo import InvariantSLO
 
 
 class SplitBrainTracker:
@@ -108,30 +107,15 @@ class SplitBrainTracker:
                 out.append(f"acked write lost: {command!r} not committed")
         return out
 
-    def slo_specs(self, committed_commands_fn) -> List[InvariantSLO]:
-        """The four split-brain invariants as evaluator-ready specs.
-
-        ``committed_commands_fn`` is called at evaluation time and must
-        return the group's final committed command sequence.
-        """
-        return [
-            InvariantSLO(
-                "raft.one_leader_per_term",
-                lambda: self.one_leader_per_term(),
-            ),
-            InvariantSLO(
-                "raft.no_committed_write_lost",
-                lambda: self.no_committed_write_lost(committed_commands_fn()),
-            ),
-            InvariantSLO(
-                "raft.terms_monotonic",
-                lambda: self.terms_monotonic(),
-            ),
-            InvariantSLO(
-                "raft.fenced_leaders_commit_nothing",
-                lambda: self.fenced_commit_nothing(),
-            ),
-        ]
+    def check(self, committed_commands: Iterable[object]) -> List[str]:
+        """Every split-brain violation, against the group's final
+        committed command sequence, one invariant after another."""
+        return (
+            self.one_leader_per_term()
+            + self.no_committed_write_lost(committed_commands)
+            + self.terms_monotonic()
+            + self.fenced_commit_nothing()
+        )
 
 
 __all__ = ["SplitBrainTracker"]

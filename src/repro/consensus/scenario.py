@@ -21,12 +21,12 @@ survive, in order:
   the election that follows, not by the proposer.
 
 One node's election timer runs on a deliberately skewed clock
-throughout.  The verdict comes from the PR 6 SLO evaluator: the four
-split-brain invariants (one leader per term, no committed write lost,
-monotonic terms, fenced leaders commit nothing), a redo-durability
-oracle (every acknowledged LSN decodes from a quorum of replicas'
-durable redo), and floors asserting the schedule really exercised what
-it claims (elections, both partition shapes, two leader crashes).
+throughout.  The verdict is a list of violations: the four split-brain
+invariants (one leader per term, no committed write lost, monotonic
+terms, fenced leaders commit nothing), a redo-durability oracle (every
+acknowledged LSN decodes from a quorum of replicas' durable redo), and
+floors asserting the schedule really exercised what it claims
+(elections, both partition shapes, two leader crashes).
 
 Everything is derived from ``(seed, quick)``; the artifact is
 byte-deterministic across double runs and CI diffs it.
@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.chaos.net import NetFaultPlan
 from repro.common.errors import RaftError
@@ -45,7 +45,6 @@ from repro.common.rng import make_rng
 from repro.common.units import DB_PAGE_SIZE, MiB
 from repro.consensus.group import RaftGroup
 from repro.engine import Engine
-from repro.obs.slo import InvariantSLO, SLOEvaluator, SLOReport, ThresholdSLO
 from repro.storage.node import NodeConfig
 from repro.storage.redo import RedoRecord, decode_records
 from repro.storage.store import PolarStore
@@ -76,9 +75,6 @@ class RaftReport:
     violations: List[str] = field(default_factory=list)
     #: The volume's MetricsRegistry (``--metrics``); not in the render.
     metrics: Optional[object] = field(default=None, repr=False)
-    #: Final SLO report — ``violations`` is its flattened output, so the
-    #: verdict and the evaluator can never disagree.
-    slo: Optional[SLOReport] = field(default=None, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -134,9 +130,6 @@ class RaftReport:
             f"{self.leader_crashes} leader crashes",
             f"  net: {self.net_counts}",
         ]
-        if self.slo is not None:
-            lines.append("  SLOs:")
-            lines.append(self.slo.render())
         for v in self.violations:
             lines.append(f"  VIOLATION: {v}")
         return "\n".join(lines)
@@ -147,16 +140,8 @@ def run_raft(
     quick: bool = True,
     verbose: bool = False,
     volume_bytes: int = 64 * MiB,
-    on_progress: Optional[Callable[[int, float], None]] = None,
-    evaluator: Optional[SLOEvaluator] = None,
 ) -> RaftReport:
-    """Run the partition + leader-crash schedule; return the verdict.
-
-    The invariants are declared as SLO specs on ``evaluator`` (one is
-    created when not supplied) and the report's verdict is the
-    evaluator's.  ``on_progress(op, now_us)`` fires after every acked
-    commit, letting a live dashboard snapshot metrics mid-run.
-    """
+    """Run the partition + leader-crash schedule; return the verdict."""
     report = RaftReport(seed=seed, quick=quick)
     pages = 16
     commits = 48 if quick else 200
@@ -215,8 +200,6 @@ def run_raft(
             if committed:
                 acked_lsns.append(lsn)
                 report.commits_acked += 1
-                if on_progress is not None:
-                    on_progress(report.commits_acked, engine.now_us)
             else:
                 stuck.append(f"redo commit lsn {lsn} never succeeded")
             yield engine.timeout(pace_us)
@@ -323,47 +306,35 @@ def run_raft(
     report.end_us = engine.now_us
     report.net_counts = plan.counts()
 
-    def durability_violations() -> List[str]:
-        """Every acked LSN must decode from a quorum of replicas."""
-        out = list(stuck)
-        per_node: List[set] = []
-        for node in store.nodes:
-            lsns = set()
-            for blob in node.durable_redo_blobs:
-                lsns.update(r.lsn for r in decode_records(blob))
-            per_node.append(lsns)
-        for lsn in acked_lsns:
-            copies = sum(1 for lsns in per_node if lsn in lsns)
-            if copies < store.group.quorum:
-                out.append(
-                    f"acked lsn {lsn} durable on only {copies}/"
-                    f"{len(store.nodes)} replicas"
-                )
-        return out
-
-    if evaluator is None:
-        evaluator = SLOEvaluator()
-    evaluator.attach(store.metrics)
-    for spec in group.slo_specs():
-        evaluator.add(spec)
-    evaluator.add(InvariantSLO("raft.redo_durability", durability_violations))
+    violations = group.tracker.check(group.committed_commands())
+    # Redo durability: every acked LSN must decode from a quorum.
+    violations += stuck
+    per_node: List[set] = []
+    for node in store.nodes:
+        lsns = set()
+        for blob in node.durable_redo_blobs:
+            lsns.update(r.lsn for r in decode_records(blob))
+        per_node.append(lsns)
+    for lsn in acked_lsns:
+        copies = sum(1 for lsns in per_node if lsn in lsns)
+        if copies < store.group.quorum:
+            violations.append(
+                f"acked lsn {lsn} durable on only {copies}/"
+                f"{len(store.nodes)} replicas"
+            )
     floors = (
-        ("raft.elections", lambda: float(report.elections), 3.0),
-        ("raft.sym_partitions", lambda: float(report.sym_partitions), 1.0),
-        ("raft.asym_partitions", lambda: float(report.asym_partitions), 1.0),
-        ("raft.leader_crashes", lambda: float(report.leader_crashes), 2.0),
-        (
-            "raft.commits_acked",
-            lambda: float(report.commits_acked),
-            float(commits),
-        ),
+        ("raft.elections", report.elections, 3),
+        ("raft.sym_partitions", report.sym_partitions, 1),
+        ("raft.asym_partitions", report.asym_partitions, 1),
+        ("raft.leader_crashes", report.leader_crashes, 2),
+        ("raft.commits_acked", report.commits_acked, commits),
     )
-    for name, value_fn, floor in floors:
-        evaluator.add(ThresholdSLO(name, value_fn, floor=floor))
-    statuses = evaluator.evaluate(engine.now_us)
-    slo = SLOReport(statuses=statuses)
-    report.slo = slo
-    report.violations = slo.violations()
+    for name, value, floor in floors:
+        if value < floor:
+            violations.append(
+                f"{name}: value {value:g} breaches {name} >= {floor:g}"
+            )
+    report.violations = violations
     return report
 
 

@@ -29,33 +29,14 @@ __all__ = [
     "ParallelError",
     "WorkerProcess",
     "ParallelEngineGroup",
-    "workers_from_env",
 ]
 
 #: Wire framing for the pipe channels: payload length prefix.
 _FRAME = struct.Struct("<I")
 
-#: Environment variable honored by every CLI entry point (the REPRO_OBS
-#: pattern): ``REPRO_WORKERS=4`` is equivalent to ``--workers 4``.
-WORKERS_ENV = "REPRO_WORKERS"
-
 
 class ParallelError(RuntimeError):
     """A worker process failed; carries the remote traceback text."""
-
-
-def workers_from_env(env=None) -> Optional[int]:
-    """``REPRO_WORKERS`` as an int, ``None`` when unset/empty."""
-    raw = (os.environ if env is None else env).get(WORKERS_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{WORKERS_ENV} must be an integer: {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"{WORKERS_ENV} must be >= 1: {value}")
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,9 @@ load is therefore an input, not an emergent property, and pushing the
 rate past capacity produces real (deterministic) rejections.
 
 Everything measurable flows through :mod:`repro.obs`: latency
-percentiles from log-bucketed histograms, rejection/error counters, and
-a pair of SLOs (:class:`~repro.obs.slo.LatencySLO` on p95,
-:class:`~repro.obs.slo.ErrorBudgetSLO` on the rejection ratio)
-evaluated by the standard :class:`~repro.obs.slo.SLOEvaluator`.  The
+percentiles from log-bucketed histograms and rejection/error counters,
+judged by three SLO checks (p95 latency under a target, the rejection
+and error ratios inside their budgets), one ``slo`` line each.  The
 :class:`LoadReport` artifact is split into a ``sim`` section — a pure
 function of the spec (seed included), byte-identical across runs, which
 the CI ``net-smoke`` job double-runs and diffs — and a ``wall`` section
@@ -33,7 +32,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.api.transport import AdmissionError, Transport
 from repro.common.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import ErrorBudgetSLO, LatencySLO, SLOEvaluator
 
 ARRIVAL_PROCESSES = ("poisson", "bursty", "diurnal")
 
@@ -335,32 +333,21 @@ def run_load(
             "max": latency.max,
         }
 
-    evaluator = SLOEvaluator(
-        registries=[registry],
-        specs=[
-            LatencySLO(
-                "net-load-p95", "net.load.latency_us", 95.0, p95_target_us
-            ),
-            ErrorBudgetSLO(
-                "net-load-rejections",
-                "net.load.rejected",
-                "net.load.requests",
-                budget=rejection_budget,
-            ),
-            ErrorBudgetSLO(
-                "net-load-errors",
-                "net.load.errors",
-                "net.load.requests",
-                budget=0.0,
-            ),
-        ],
+    total = requests_total.value
+    checks = (
+        ("net-load-p95",
+         latency.percentile(95.0) if latency.count else 0.0, p95_target_us),
+        ("net-load-rejections",
+         rejected_counter.value / total if total > 0 else 0.0,
+         rejection_budget),
+        ("net-load-errors",
+         errors_counter.value / total if total > 0 else 0.0, 0.0),
     )
-    slo_report = evaluator.report(report.end_us or t0)
-    report.slo_passed = slo_report.passed
+    report.slo_passed = all(value <= target for _, value, target in checks)
     report.slo_lines = [
-        f"{status.name}: {'ok' if status.ok else 'BREACH'} "
-        f"(value {status.value:.3f}, target {status.target:.3f})"
-        for status in slo_report.statuses
+        f"{name}: {'ok' if value <= target else 'BREACH'} "
+        f"(value {value:.3f}, target {target:.3f})"
+        for name, value, target in checks
     ]
     report.wall_s = time.monotonic() - wall_start
     return report

@@ -18,10 +18,6 @@ package gives every subsystem one way to record those facts:
     simulated microseconds to a named span.  Exclusive span times within
     one trace sum exactly to the request's end-to-end latency.
 
-``repro.obs.timeseries``
-    :class:`TimeSeries`: counters sliced over ``SimClock`` windows for
-    throughput-over-time curves.
-
 ``repro.obs.export``
     JSON and Prometheus text-format exporters, backing the
     ``python -m repro metrics`` CLI command.
@@ -29,18 +25,11 @@ package gives every subsystem one way to record those facts:
 ``repro.obs.events``
     The flight recorder: a bounded, sampled, deterministic ring of
     typed events (io, gc, commit, migration, fault, codec, scrub, db,
-    slo) stamped with simulated time; JSONL + binary dumps behind
+    election, net) stamped with simulated time; a JSONL dump behind
     ``python -m repro events``.
 
-``repro.obs.slo``
-    Declarative SLO specs (latency percentiles, error budgets, burn
-    rates, thresholds, invariants) and the one :class:`SLOEvaluator`
-    every harness's pass/fail verdict flows through.
-
-``repro.obs.scenarios`` / ``repro.obs.dash`` / ``repro.obs.report``
-    Observed scenario runners, the live terminal dashboard
-    (``python -m repro dash``), and the byte-deterministic static
-    HTML report.
+``repro.obs.scenarios``
+    The seeded scenarios ``python -m repro events`` records.
 """
 
 from repro.obs.metrics import (
@@ -50,39 +39,19 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.timeseries import TimeSeries
 from repro.obs.tracing import Span, Trace, Tracer
 from repro.obs.export import to_json, to_prometheus
 from repro.obs.events import FlightRecorder, RecordedEvent, recorder_active
-from repro.obs.slo import (
-    BurnRateSLO,
-    ErrorBudgetSLO,
-    InvariantSLO,
-    LatencySLO,
-    SLOEvaluator,
-    SLOReport,
-    SLOStatus,
-    ThresholdSLO,
-)
 
 __all__ = [
     "BoundedSeries",
-    "BurnRateSLO",
     "Counter",
-    "ErrorBudgetSLO",
     "FlightRecorder",
     "Gauge",
     "Histogram",
-    "InvariantSLO",
-    "LatencySLO",
     "MetricsRegistry",
     "RecordedEvent",
-    "SLOEvaluator",
-    "SLOReport",
-    "SLOStatus",
     "Span",
-    "ThresholdSLO",
-    "TimeSeries",
     "Trace",
     "Tracer",
     "recorder_active",

@@ -4,9 +4,9 @@ Counters and histograms (``repro.obs.metrics``) answer "how much"; the
 flight recorder answers "what happened, in what order".  Every layer of
 the stack emits structured events into one process-wide recorder — page
 I/O, FTL garbage collection, group-commit flushes, chunk migrations,
-injected faults, codec selections, scrub repairs, SLO alerts — each
+injected faults, codec selections, scrub repairs, elections — each
 stamped with the *simulated* time at which it happened, so a dump reads
-as the black box of a run: after a chaos failure or a missed SLO,
+as the black box of a run: after a chaos or Raft failure,
 ``python -m repro events --load`` replays the history post-hoc.
 
 Design constraints:
@@ -14,33 +14,32 @@ Design constraints:
 * **Zero cost when disabled.**  Call sites do ``rec = recorder_active()``
   and skip all field building when it returns ``None``; nothing is
   allocated, no instrument is touched.  Recording is opt-in per run
-  (the ``events``/``dash`` commands or ``REPRO_OBS=1``).
+  (the ``events`` command).
 * **Bounded.**  The ring holds ``capacity`` events; older events fall
   off the back (counted per channel, never silently).  Per-channel
   sampling knobs (``keep 1 in N``) cut hot channels like ``io`` down
   before they reach the ring.
 * **Deterministic.**  Timestamps are simulated microseconds, sampling is
-  counter-based (no RNG), and both dump formats are byte-stable for a
-  seed — CI double-runs a scenario and diffs the dumps.
+  counter-based (no RNG), and the dump is byte-stable for a seed — CI
+  double-runs a scenario and diffs the dumps.
 * **Outside the metrics universe.**  The recorder's own bookkeeping
   (emitted/sampled/dropped counts) lives in plain dicts, *not* registry
   instruments: enabling the recorder must not perturb a metrics
   snapshot, which ``tests/perf/oracle.py`` fingerprints.
 
-Two dump formats: JSONL (one event per line, greppable) and a compact
-binary framing (magic + string tables + fixed-width records) for large
-rings; :meth:`FlightRecorder.load` sniffs the magic and reads either.
+The dump is JSONL: one event per line, ``t_us`` / ``channel`` / ``kind``
+at the top level and the payload under ``fields``, so a payload field
+named ``kind`` cannot shadow the event's own; :meth:`FlightRecorder.load`
+reads it back.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import struct
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 #: The event channels the stack emits on, one per subsystem concern.
 CHANNELS = (
@@ -52,15 +51,9 @@ CHANNELS = (
     "codec",      # compression algorithm selections
     "scrub",      # scrub sweeps and corruption repairs
     "db",         # compute-layer checkpoints
-    "slo",        # SLO evaluator alerts/recoveries
     "election",   # consensus votes, term bumps, fences (consensus layer)
     "net",        # serving-layer admissions/rejections/completions
 )
-
-#: Binary dump magic (versioned; bump on format change).
-_MAGIC = b"PSFR1\n"
-#: Fixed-width record: t_us (f64), channel idx, kind idx, payload len.
-_RECORD = struct.Struct("<dHHI")
 
 
 @dataclass(frozen=True)
@@ -73,14 +66,13 @@ class RecordedEvent:
     fields: Mapping[str, object] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, object]:
-        doc: Dict[str, object] = {
-            "t_us": round(float(self.t_us), 3),
+        return {
+            # Unrounded: a reload must render exactly as the live run.
+            "t_us": float(self.t_us),
             "channel": self.channel,
             "kind": self.kind,
+            "fields": dict(self.fields),
         }
-        for key in sorted(self.fields):
-            doc[key] = self.fields[key]
-        return doc
 
     def render(self) -> str:
         extras = " ".join(
@@ -193,7 +185,7 @@ class FlightRecorder:
             for ch in channels
         }
 
-    # -- dumps -------------------------------------------------------------
+    # -- dump --------------------------------------------------------------
 
     def dump_jsonl(self, path: str) -> str:
         """One compact JSON object per line; byte-stable per seed."""
@@ -208,52 +200,10 @@ class FlightRecorder:
                 handle.write("\n")
         return path
 
-    def dump_binary(self, path: str) -> str:
-        """Magic + string tables + fixed-width records; byte-stable."""
-        channels = sorted({ev.channel for ev in self._ring})
-        kinds = sorted({ev.kind for ev in self._ring})
-        ch_idx = {c: i for i, c in enumerate(channels)}
-        kind_idx = {k: i for i, k in enumerate(kinds)}
-        header = json.dumps(
-            {
-                "channels": channels,
-                "kinds": kinds,
-                "count": len(self._ring),
-                "sample": {k: self.sample[k] for k in sorted(self.sample)},
-                "summary": self.summary(),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        ).encode("utf-8")
-        with open(path, "wb") as handle:
-            handle.write(_MAGIC)
-            handle.write(struct.pack("<I", len(header)))
-            handle.write(header)
-            for ev in self._ring:
-                payload = json.dumps(
-                    {k: ev.fields[k] for k in sorted(ev.fields)},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                ).encode("utf-8")
-                handle.write(
-                    _RECORD.pack(
-                        round(float(ev.t_us), 3),
-                        ch_idx[ev.channel],
-                        kind_idx[ev.kind],
-                        len(payload),
-                    )
-                )
-                handle.write(payload)
-        return path
-
     @classmethod
     def load(cls, path: str) -> "FlightRecorder":
-        """Read a dump (binary or JSONL, sniffed by magic) back into a
-        recorder for post-hoc filtering/replay."""
-        with open(path, "rb") as handle:
-            magic = handle.read(len(_MAGIC))
-            if magic == _MAGIC:
-                return cls._load_binary(handle, path)
+        """Read a JSONL dump back into a recorder for post-hoc
+        filtering/replay."""
         rec = cls(capacity=1 << 22)
         with open(path, "r", encoding="utf-8") as handle:
             for line in handle:
@@ -261,33 +211,8 @@ class FlightRecorder:
                 if not line:
                     continue
                 doc = json.loads(line)
-                t_us = doc.pop("t_us")
-                channel = doc.pop("channel")
-                kind = doc.pop("kind")
-                rec.emit(t_us, channel, kind, **doc)
-        return rec
-
-    @classmethod
-    def _load_binary(cls, handle, path: str) -> "FlightRecorder":
-        (header_len,) = struct.unpack("<I", handle.read(4))
-        header = json.loads(handle.read(header_len).decode("utf-8"))
-        channels = header["channels"]
-        kinds = header["kinds"]
-        rec = cls(capacity=max(1, header.get("count", 1)))
-        for _ in range(header["count"]):
-            raw = handle.read(_RECORD.size)
-            if len(raw) < _RECORD.size:
-                raise ValueError(f"truncated event dump: {path}")
-            t_us, ch, kind, payload_len = _RECORD.unpack(raw)
-            payload = handle.read(payload_len)
-            if len(payload) < payload_len:
-                raise ValueError(f"truncated event dump: {path}")
-            fields = json.loads(payload.decode("utf-8"))
-            rec.emit(t_us, channels[ch], kinds[kind], **fields)
-        # Restore the sampling config for inspection only AFTER replay —
-        # the retained events already survived sampling once; applying
-        # it again on load would thin them a second time.
-        rec.sample = dict(header.get("sample", {}))
+                rec.emit(doc["t_us"], doc["channel"], doc["kind"],
+                         **doc["fields"])
         return rec
 
 
@@ -349,30 +274,6 @@ def parse_sample_spec(spec: str) -> Dict[str, int]:
     return out
 
 
-def configure_from_env(env: Optional[Mapping[str, str]] = None) -> None:
-    """Honour ``REPRO_OBS``: ``1``/``on`` activates a default recorder;
-    ``capacity=N`` and ``sample=io:8;gc:1`` tune it; unset/``0`` leaves
-    recording off (an already-active recorder is kept as-is)."""
-    value = (env if env is not None else os.environ).get("REPRO_OBS", "")
-    value = value.strip().lower()
-    if not value or value in ("0", "off", "false"):
-        return
-    if _active is not None:
-        return
-    capacity = 65536
-    sample: Dict[str, int] = {}
-    if value not in ("1", "on", "true"):
-        for part in value.split(","):
-            key, _, val = part.strip().partition("=")
-            if key == "capacity":
-                capacity = int(val)
-            elif key == "sample":
-                sample = parse_sample_spec(val.replace(";", ",").replace(":", "="))
-            else:
-                raise ValueError(f"REPRO_OBS: unknown key {key!r}")
-    activate(capacity=capacity, sample=sample)
-
-
 def emit(t_us: float, channel: str, kind: str, /, **fields) -> None:
     """Convenience: emit into the active recorder (no-op when off)."""
     rec = _active
@@ -385,7 +286,6 @@ __all__ = [
     "FlightRecorder",
     "RecordedEvent",
     "activate",
-    "configure_from_env",
     "deactivate",
     "emit",
     "parse_sample_spec",

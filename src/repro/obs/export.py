@@ -6,8 +6,7 @@ are sanitized (dots become underscores), label values are escaped
 requires), every family gets ``# HELP`` and ``# TYPE`` exactly once,
 histograms emit cumulative ``_bucket{le=...}`` lines ending in ``+Inf``
 plus ``_sum``/``_count``, and callback gauges are evaluated at export
-time.  Timeseries export their most recent window as a gauge (scrapers
-keep their own history).
+time.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import re
 from typing import Dict, List, Optional
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.timeseries import TimeSeries
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -104,9 +102,4 @@ def to_prometheus(registry: MetricsRegistry) -> str:
             lines.append(
                 f"{name}_count{_render_labels(labels)} {instrument.count}"
             )
-        elif isinstance(instrument, TimeSeries):
-            declare(name, "gauge", instrument.name)
-            points = instrument.points()
-            latest = points[-1][1] if points else 0.0
-            lines.append(f"{name}{_render_labels(labels)} {latest:g}")
     return "\n".join(lines) + "\n"

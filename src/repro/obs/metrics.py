@@ -508,13 +508,6 @@ class MetricsRegistry:
         """A bounded, histogram-backed replacement for a raw stats list."""
         return BoundedSeries(self.histogram(name, **labels), window=window)
 
-    def timeseries(self, name: str, window_us: float = 1e6, **labels):
-        from repro.obs.timeseries import TimeSeries
-
-        return self._get_or_create(
-            TimeSeries, name, labels, window_us=window_us
-        )
-
     # -- introspection -----------------------------------------------------
 
     def get(self, name: str, **labels) -> Optional[Instrument]:
@@ -576,20 +569,8 @@ class MetricsRegistry:
                 )
             elif isinstance(inst, Gauge):
                 rec["value"] = inst.value  # samples fn-backed gauges
-            else:
-                from repro.obs.timeseries import TimeSeries
-
-                if isinstance(inst, TimeSeries):
-                    rec.update(
-                        window_us=inst.window_us,
-                        windows={
-                            int(k): float(v)
-                            for k, v in inst._windows.items()
-                        },
-                        total=inst.total,
-                    )
-                else:  # pragma: no cover - no other kinds exist today
-                    rec["payload"] = inst.payload()
+            else:  # pragma: no cover - no other kinds exist today
+                rec["payload"] = inst.payload()
             out.append(rec)
         return out
 
@@ -607,10 +588,10 @@ class MetricsRegistry:
         """Fold any number of :meth:`state` captures, order-independently.
 
         Records are grouped per instrument across every capture and each
-        group folds in one pass: counters and histogram/timeseries float
-        sums reduce with a single ``math.fsum`` (correctly rounded over
-        the whole multiset, so any permutation of the captures produces
-        bit-identical results), bucket/window counts add per sorted key,
+        group folds in one pass: counters and histogram float sums
+        reduce with a single ``math.fsum`` (correctly rounded over the
+        whole multiset, so any permutation of the captures produces
+        bit-identical results), bucket counts add per sorted key,
         and min/max fold.  Plain gauges take the group's last capture
         (same-name gauges from disjoint shards carry disjoint labels, so
         overwrite order never matters in practice); fn-backed local
@@ -650,17 +631,5 @@ class MetricsRegistry:
                 gauge = self.gauge(rec["name"], **labels)
                 if gauge._fn is None:
                     gauge.set(recs[-1]["value"])
-            elif kind == "timeseries":
-                series = self.timeseries(
-                    rec["name"], window_us=rec["window_us"], **labels
-                )
-                for idx in sorted({i for r in recs for i in r["windows"]}):
-                    series._windows[idx] = math.fsum(
-                        [series._windows.get(idx, 0.0)]
-                        + [r["windows"].get(idx, 0.0) for r in recs]
-                    )
-                series.total = math.fsum(
-                    [series.total] + [r["total"] for r in recs]
-                )
             else:  # pragma: no cover - no other kinds exist today
                 raise ValueError(f"cannot merge instrument kind {kind!r}")

@@ -132,7 +132,6 @@ class GroupCommitPipeline:
                 )
                 tracer.end(sp, commit)
                 store.redo_commit_stats.append(commit - arrive_us)
-                store._commit_rate.record(commit)
                 done.succeed(commit)
 
     def _replicate_with_retry(self, records: List[RedoRecord]):

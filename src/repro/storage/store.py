@@ -178,9 +178,6 @@ class PolarStore:
         self.page_write_commit_stats = self.metrics.series(
             "storage.page_write_commit_us"
         )
-        self._commit_rate = self.metrics.timeseries(
-            "storage.commits_per_window", window_us=1e6
-        )
         self.metrics.gauge_fn(
             "storage.compression_ratio", self.compression_ratio
         )
@@ -432,7 +429,6 @@ class PolarStore:
             full_copy=True,
         )
         self.page_write_commit_stats.append(commit - start_us)
-        self._commit_rate.record(commit)
         if rec is not None:
             rec.emit(
                 commit, "io", "page_write",
@@ -525,7 +521,6 @@ class PolarStore:
         )
         self._after_redo_commit(commit, records)
         self.redo_commit_stats.append(commit - start_us)
-        self._commit_rate.record(commit)
         rec = recorder_active()
         if rec is not None:
             rec.emit(

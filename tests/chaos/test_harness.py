@@ -35,6 +35,18 @@ def test_report_render_mentions_the_outcome():
     assert ("all invariants held" in text) == report.passed
 
 
+def test_chaos_i6_floor_breaches_with_exact_message():
+    report = run_chaos(
+        seed=42, ops=80, pages=32, scrub_every=40,
+        min_data_faults=10**6,
+    )
+    assert not report.passed
+    assert any(
+        v.startswith("I6: only") and "schedule requires" in v
+        for v in report.violations
+    )
+
+
 def test_report_carries_the_metrics_registry():
     report = run_chaos(seed=8, ops=120, scrub_every=40, min_data_faults=1)
     names = {inst.name for inst in report.metrics.instruments()}

@@ -1,27 +1,8 @@
-"""The parallel layer: ``REPRO_WORKERS`` and program fan-out."""
+"""The parallel layer: program fan-out."""
 
 import pytest
 
-from repro.engine.parallel import (
-    ParallelEngineGroup,
-    ParallelError,
-    workers_from_env,
-)
-
-
-# -- REPRO_WORKERS ----------------------------------------------------------
-
-def test_workers_from_env_unset_and_set():
-    assert workers_from_env(env={}) is None
-    assert workers_from_env(env={"REPRO_WORKERS": ""}) is None
-    assert workers_from_env(env={"REPRO_WORKERS": " 4 "}) == 4
-
-
-def test_workers_from_env_rejects_garbage():
-    with pytest.raises(ValueError, match="integer"):
-        workers_from_env(env={"REPRO_WORKERS": "many"})
-    with pytest.raises(ValueError, match=">= 1"):
-        workers_from_env(env={"REPRO_WORKERS": "0"})
+from repro.engine.parallel import ParallelEngineGroup, ParallelError
 
 
 # -- program fan-out --------------------------------------------------------

@@ -133,6 +133,27 @@ def test_local_transport_falls_back_to_closed_loop():
     assert report.percentiles["max"] > 0.0
 
 
+def test_slo_lines_are_pinned_for_a_fixed_spec():
+    spec = _spec(requests=40, rate_per_s=500.0)
+    report = run_load(
+        PolarStore.open({"engine": {"enabled": True}}).transport, spec
+    )
+    assert report.slo_passed
+    assert report.slo_lines == [
+        "net-load-p95: ok (value 64.851, target 50000.000)",
+        "net-load-rejections: ok (value 0.000, target 0.500)",
+        "net-load-errors: ok (value 0.000, target 0.000)",
+    ]
+    tight = run_load(
+        PolarStore.open({"engine": {"enabled": True}}).transport, spec,
+        p95_target_us=10.0,
+    )
+    assert not tight.slo_passed
+    assert tight.slo_lines[0] == (
+        "net-load-p95: BREACH (value 64.851, target 10.000)"
+    )
+
+
 def test_artifact_shape_splits_sim_from_wall():
     client = PolarStore.open({"engine": {"enabled": True}})
     artifact = run_load(

@@ -13,7 +13,6 @@ def _sample_registry() -> MetricsRegistry:
     reg.gauge("csd.ftl.live_bytes").set(4096.0)
     hist = reg.histogram("storage.page_write_us")
     hist.extend([10.0, 20.0, 500.0])
-    reg.timeseries("storage.commits_per_window", window_us=100.0).record(50.0)
     return reg
 
 
@@ -25,7 +24,6 @@ def test_json_roundtrip_contains_every_instrument():
         "storage.wal_flushes",
         "csd.ftl.live_bytes",
         "storage.page_write_us",
-        "storage.commits_per_window",
     }
     by_name = {i["name"]: i for i in doc["instruments"]}
     assert by_name["storage.wal_flushes"]["labels"] == {"node": "node-0"}

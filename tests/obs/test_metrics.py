@@ -180,18 +180,3 @@ def test_registry_snapshot_and_reset():
     assert reg.counter("ops").value == 0.0
     assert reg.histogram("lat").count == 0
     assert reg.gauge_fn("live", lambda: 3.0).value == 3.0  # unaffected
-
-
-def test_registry_timeseries_windows():
-    reg = MetricsRegistry()
-    ts = reg.timeseries("commits", window_us=1000.0)
-    for t in (0.0, 10.0, 999.0, 1000.0, 2500.0):
-        ts.record(t)
-    points = dict(ts.points())
-    assert points[0.0] == 3.0
-    assert points[1000.0] == 1.0
-    assert points[2000.0] == 1.0
-    assert ts.total == 5.0
-    merged = ts.merged(ts)
-    assert merged.total == 10.0
-    assert dict(merged.points())[0.0] == 6.0

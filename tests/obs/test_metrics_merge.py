@@ -43,8 +43,8 @@ def test_merged_many_preserves_min_max_count():
 
 
 def _worker_registry(seed):
-    """One worker's registry: shared histograms/counters/timeseries plus
-    a per-worker-labeled gauge (how disjoint shard gauges really look)."""
+    """One worker's registry: shared histograms/counters plus a
+    per-worker-labeled gauge (how disjoint shard gauges really look)."""
     reg = MetricsRegistry()
     rng = random.Random(seed)
     reg.counter("io.ops").inc(seed * 10 + 3)
@@ -52,9 +52,6 @@ def _worker_registry(seed):
     hist = reg.histogram("io.lat_us")
     for _ in range(30):
         hist.record(rng.uniform(0.1, 900.0))
-    ts = reg.timeseries("io.bytes", window_us=100.0)
-    for _ in range(10):
-        ts.record(rng.uniform(0.0, 5000.0), rng.uniform(1.0, 64.0))
     return reg
 
 

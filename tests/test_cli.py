@@ -83,8 +83,10 @@ def test_help_renders_for_every_subcommand(capsys):
 
 
 def test_unknown_command_rejected():
-    with pytest.raises(SystemExit):
-        main(["frobnicate"])
+    for argv in (["frobnicate"], ["dash", "sysbench"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
 
 
 def test_chaos_smoke_passes_and_reports(capsys):
@@ -109,37 +111,15 @@ def test_chaos_metrics_flag_appends_json_snapshot(capsys):
     assert any(n.startswith("chaos.") for n in names)
 
 
-def test_repro_perf_variable_is_inert(capsys, monkeypatch):
-    # The codec memo is how the codec is called; the variable that used
-    # to switch it is read nowhere, and no volume exports perf.* gauges.
-    import itertools
-
-    from repro.storage import store as store_mod
-
-    argv = ["chaos", "--seed", "42", "--ops", "120", "--min-faults", "1",
-            "--metrics"]
-    outputs = []
-    for value in (None, "1"):
-        if value is None:
-            monkeypatch.delenv("REPRO_PERF", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_PERF", value)
-        # Fault scopes name nodes: both runs must build node-0/1/2.
-        monkeypatch.setattr(store_mod, "_node_counter", itertools.count())
-        assert main(argv) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
-    assert '"perf.' not in outputs[0]
-
-
 def test_raft_smoke_passes_and_reports(capsys):
     """Elections, partitions and leader crashes drive the volume's
     replication group through ``attach_consensus``; the scenario's own
-    SLOs (no acked write lost, fenced leaders commit nothing) judge it."""
+    invariants (no acked write lost, fenced leaders commit nothing)
+    judge it."""
     assert main(["raft", "--seed", "11"]) == 0
     out = capsys.readouterr().out
-    assert "SLO verdict: PASS" in out
-    assert "raft.redo_durability" in out
+    assert "raft scenario [PASS]" in out
+    assert "VIOLATION" not in out
 
 
 def test_chaos_rejects_tiny_op_counts(capsys):
@@ -221,11 +201,12 @@ def test_events_load_and_filter_roundtrip(tmp_path, capsys):
     assert replayed == first
     # Channel filtering narrows the replay to a strict subset.
     assert main([
-        "events", "--load", str(out_path), "--channel", "slo", "--limit", "5",
+        "events", "--load", str(out_path), "--channel", "commit",
+        "--limit", "5",
     ]) == 0
     filtered = capsys.readouterr().out.strip().splitlines()
-    assert len(filtered) <= 5
-    assert all(" slo/" in line for line in filtered)
+    assert 0 < len(filtered) <= 5
+    assert all("] commit " in line for line in filtered)
 
 
 def test_events_requires_scenario_or_load(capsys):
@@ -273,25 +254,3 @@ def test_serve_and_load_parsers_share_flag_shapes():
         main(["load", "--arrival", "sawtooth"])
     with pytest.raises(SystemExit):
         main(["serve", "--port", "not-a-port"])
-
-
-def test_dash_renders_frames_without_ansi(capsys):
-    assert main([
-        "dash", "chaos", "--seed", "42", "--no-ansi",
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "repro dash · chaos · seed 42" in out
-    assert "verdict PASS" in out
-    assert "\x1b[" not in out
-
-
-def test_dash_writes_html_report(tmp_path, capsys):
-    html_path = tmp_path / "report.html"
-    assert main([
-        "dash", "sysbench", "--no-ansi", "--html", str(html_path),
-    ]) == 0
-    captured = capsys.readouterr()
-    assert f"wrote {html_path}" in captured.err
-    text = html_path.read_text()
-    assert text.startswith("<!DOCTYPE html>")
-    assert "sysbench" in text and "verdict: PASS" in text

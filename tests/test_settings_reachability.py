@@ -11,6 +11,9 @@ What does not count: a literal equal to the default, and a pass-through
 that forwards a value of the same name (``seed=seed``,
 ``replicas=store_cfg.replicas``) unless it reads a CLI option
 (``args.window``).  Callers are found with ``ast`` alone.
+
+No module under ``src/repro`` reads the environment either: a setting
+an environment variable could switch would have no caller to find.
 """
 
 import ast
@@ -175,6 +178,43 @@ def test_allowlist_names_live_leaves_that_still_need_it():
     assert set(ALLOWLIST) <= set(leaves)
     assert set(ALLOWLIST) <= unset_leaves(leaves, caller_files())
     assert all(reason.strip() for reason in ALLOWLIST.values())
+
+
+def environment_reads(tree):
+    """Line numbers where a module reads ``os.environ`` / ``os.getenv``."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("environ", "getenv")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        ):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(a.name in ("environ", "getenv") for a in node.names):
+                yield node.lineno
+
+
+def test_no_module_reads_the_environment():
+    reads = [
+        f"{path.relative_to(REPO)}:{line}"
+        for path in sorted((REPO / "src" / "repro").rglob("*.py"))
+        for line in environment_reads(ast.parse(path.read_text()))
+    ]
+    assert not reads, (
+        "a setting comes from ReproConfig or a CLI option, never from "
+        "the environment:\n" + "\n".join(reads)
+    )
+
+
+def test_environment_guard_sees_every_spelling():
+    for source in (
+        'import os\nX = os.environ.get("A")\n',
+        'import os\nX = os.getenv("A")\n',
+        "from os import environ\n",
+    ):
+        assert list(environment_reads(ast.parse(source))), source
+    assert not list(environment_reads(ast.parse("import os\nos.getpid()\n")))
 
 
 LEAVES = {"net.window": 64, "store.replicas": 3, "cluster.chunk_keys": 8}
