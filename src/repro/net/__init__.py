@@ -22,7 +22,9 @@ network, and this package is the wire between them.
 ``repro.net.client``
     The pooled socket client: N connections, a bounded in-flight
     window with queue-full rejection (admission control), per-request
-    timeouts, and backpressure.  :class:`SocketTransport` presents the
+    timeouts, and backpressure — driven by the calling thread, with no
+    event loop or thread of its own, so a closed-loop call is one send
+    and one receive.  :class:`SocketTransport` presents the
     same transport surface as in-process access, so
     ``PolarStore.connect(addr)`` returns the exact same
     :class:`~repro.api.client.PolarStoreClient` as

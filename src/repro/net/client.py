@@ -1,24 +1,28 @@
 """The pooled socket client: PolarStore over the wire.
 
-:class:`SocketPool` owns N TCP connections on a private asyncio loop in
-a daemon thread and exposes a thread-safe, future-based request API:
+:class:`SocketPool` owns N non-blocking TCP connections and no thread
+or event loop: ``request`` writes the frame at once, and ``wait`` runs
+the ``selectors`` pump (pending writes, reads, decoding, resolving) on
+the caller's thread until its future resolves, so a closed-loop call is
+one send and one receive.  The pool promises:
 
 * **sequencing** — every data op gets its per-session ``seq`` and its
-  simulated ``arrival_us`` stamped *at dispatch*, on the loop, in
-  dispatch order.  Stamping at dispatch (not at enqueue) means a
-  request that times out while queued never occupies a sequence slot,
-  so the server's reorder buffer can never stall on a gap;
+  simulated ``arrival_us`` stamped *at dispatch*, under the lock, in
+  dispatch order.  A request that times out while queued therefore
+  never occupies a sequence slot, so the server's reorder buffer can
+  never stall on a gap;
 * **admission control** — a bounded in-flight window
   (``max_inflight``) plus a bounded dispatch queue (``queue_cap``);
   a full queue rejects immediately with
   :class:`~repro.api.transport.AdmissionError` (backpressure the
   caller can see) instead of buffering without bound;
 * **timeouts** — each blocking wait carries a wall-clock deadline
-  (:class:`~repro.api.transport.TransportTimeout`); the request's
-  reply is discarded if it arrives late;
+  (:class:`~repro.api.transport.TransportTimeout`); a late reply is
+  discarded;
 * **failure containment** — a mid-stream disconnect fails every
-  request in flight on that connection immediately; nothing hangs
-  waiting on a reply that can no longer arrive.
+  request in flight on that connection at once;
+* **no deadlock on backpressure** — the server stops reading while its
+  own replies back up, so the pump keeps reading while it cannot write.
 
 :class:`SocketTransport` wraps a pool in the
 :class:`~repro.api.transport.Transport` interface, so
@@ -31,13 +35,16 @@ simulated-time cursor, advanced from each reply's ``done_us``.
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import os
+import socket
 import threading
+import time
+from collections import deque
 from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from typing import Any, Dict, List, Optional, Tuple, Union
+from concurrent.futures import wait as wait_futures
+from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.api.transport import (
     AdmissionError,
@@ -62,6 +69,16 @@ from repro.net.protocol import (
 #: only; simulated outcomes never depend on their values).
 _session_ids = itertools.count(1)
 
+#: Bytes one ``recv`` may return.
+_RECV_BYTES = 256 * 1024
+
+#: How long a waiter sleeps on its future while another thread pumps.
+_HANDOFF_S = 0.001
+
+#: Longest single ``select``: bounds how late the pump notices that
+#: another thread settled its future (a failed send, ``close``).
+_SLICE_S = 0.05
+
 
 def _next_session_id() -> int:
     return (os.getpid() << 20) | next(_session_ids)
@@ -80,18 +97,23 @@ def parse_addr(addr: Union[str, Tuple[str, int]]) -> Tuple[str, int]:
     return (str(host), int(port))
 
 
+def _fail(future: Future, exc: BaseException) -> None:
+    """Fail ``future`` unless its waiter already gave up on it."""
+    if future.set_running_or_notify_cancel():
+        future.set_exception(exc)
+
+
 class _Connection:
-    """One TCP connection: writer, reader task, and its in-flight ids."""
+    """One TCP connection: its socket, unsent bytes and reply decoder."""
 
-    __slots__ = ("index", "reader", "writer", "decoder", "task", "alive")
+    __slots__ = ("index", "sock", "out", "decoder", "alive")
 
-    def __init__(self, index: int) -> None:
+    def __init__(self, index: int, sock: socket.socket) -> None:
         self.index = index
-        self.reader: Optional[asyncio.StreamReader] = None
-        self.writer: Optional[asyncio.StreamWriter] = None
+        self.sock = sock
+        self.out = bytearray()  # frame bytes the socket has not taken yet
         self.decoder = FrameDecoder(MAX_FRAME_BYTES)
-        self.task: Optional[asyncio.Task] = None
-        self.alive = False
+        self.alive = True
 
 
 class SocketPool:
@@ -118,7 +140,6 @@ class SocketPool:
         self.timeout_s = timeout_s
         self.session = _next_session_id()
         self.hello: Dict[str, Any] = {}
-        self.rejected = 0  # client-side queue-full rejections
         self._closed = False
         self._next_id = itertools.count(1)
         self._next_seq = 0
@@ -126,105 +147,37 @@ class SocketPool:
         self._rr = 0
         #: request id -> (Future[Response], connection index)
         self._pending: Dict[int, Tuple[Future, int]] = {}
-        #: (request-kwargs, future) waiting for a window slot.
-        self._queue: List[Tuple[dict, Future]] = []
-        self._conns = [_Connection(i) for i in range(connections)]
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="repro-net-pool", daemon=True
-        )
-        self._thread.start()
+        #: ((op, args, sync, arrival_us, control), future) awaiting a slot.
+        self._queue: Deque[Tuple[tuple, Future]] = deque()
+        self._lock = threading.Lock()  # pool state and socket I/O
+        self._pumping = threading.Lock()  # held by the one thread in select
+        self._selector = DefaultSelector()
+        self._conns: List[_Connection] = []
         try:
-            self._run(self._connect_all(), timeout=timeout_s)
-        except (TimeoutError, FuturesTimeoutError):
-            self.close()
-            host, port = self.addr
-            raise TransportTimeout(
-                f"no handshake reply from {host}:{port} "
-                f"within {timeout_s:g}s"
-            ) from None
+            self._connect_all(connections)
         except BaseException:
             self.close()
             raise
 
-    # -- loop plumbing -----------------------------------------------------
-
-    def _run(self, coro, timeout: Optional[float] = None):
-        return asyncio.run_coroutine_threadsafe(
-            coro, self._loop
-        ).result(timeout)
-
-    async def _connect_all(self) -> None:
+    def _connect_all(self, connections: int) -> None:
         host, port = self.addr
-        for conn in self._conns:
+        for index in range(connections):
             try:
-                conn.reader, conn.writer = await asyncio.open_connection(
-                    host, port
-                )
+                sock = socket.create_connection(self.addr, self.timeout_s)
             except OSError as exc:
                 raise TransportError(
                     f"cannot connect to {host}:{port}: {exc}"
                 ) from exc
-            conn.alive = True
-            conn.task = asyncio.ensure_future(self._read_loop(conn))
-        # Handshake on connection 0: version check + deployment shape.
-        future: Future = Future()
-        request = Request(
-            id=next(self._next_id), op="hello",
-            args=[self.session, VERSION],
-        )
-        self._pending[request.id] = (future, 0)
-        await self._send(self._conns[0], request, future)
-        response = await asyncio.wrap_future(future)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.setblocking(False)
+            conn = _Connection(index, sock)
+            self._conns.append(conn)
+            self._selector.register(sock, EVENT_READ, conn)
+        # Handshake (on connection 0): version check + deployment shape.
+        response = self.wait(self.request("hello", [self.session, VERSION]))
         if not response.ok:
             raise TransportError(f"handshake failed: {response.error}")
         self.hello = dict(response.value)
-
-    async def _read_loop(self, conn: _Connection) -> None:
-        reader = conn.reader
-        reason = "connection lost mid-stream"
-        try:
-            while True:
-                data = await reader.read(64 * 1024)
-                if not data:
-                    break
-                for payload in conn.decoder.feed(data):
-                    message = decode_message(payload)
-                    if isinstance(message, Response):
-                        self._resolve(message)
-        except (ConnectionError, OSError):
-            pass
-        except ProtocolError as exc:
-            # A stream that stopped making sense cannot be trusted to
-            # answer what is in flight on it.
-            reason = f"undecodable reply ({type(exc).__name__}: {exc})"
-        finally:
-            self._fail_connection(conn, reason)
-
-    def _resolve(self, response: Response) -> None:
-        future, _ = self._pending.pop(response.id, (None, 0))
-        # A caller that timed out has cancelled its future and left.
-        if future is not None and future.set_running_or_notify_cancel():
-            future.set_result(response)
-        self._pump()
-
-    def _fail_connection(self, conn: _Connection, reason: str) -> None:
-        conn.alive = False
-        if conn.writer is not None and not conn.writer.is_closing():
-            conn.writer.close()
-        stranded = [
-            rid for rid, (_, index) in self._pending.items()
-            if index == conn.index
-        ]
-        for rid in stranded:
-            future, _ = self._pending.pop(rid)
-            if future.set_running_or_notify_cancel():
-                future.set_exception(TransportError(
-                    f"{reason} (request id {rid}, "
-                    f"connection {conn.index} to "
-                    f"{self.addr[0]}:{self.addr[1]})"
-                ))
-        self._pump()
 
     # -- dispatch ----------------------------------------------------------
 
@@ -236,99 +189,155 @@ class SocketPool:
         sync: bool = False,
         arrival_us: float = 0.0,
     ) -> Future:
-        """Thread-safe: enqueue one op; returns a Future[Response].
-
-        Raises :class:`AdmissionError` immediately when the in-flight
-        window and the dispatch queue are both full, and
-        :class:`TransportError` when the pool is closed or every
-        connection has died.
+        """Thread-safe: dispatch one op (or queue it behind a full
+        window); returns a Future[Response].  Raises
+        :class:`AdmissionError` when the window and the queue are both
+        full, and :class:`TransportError` when the pool is closed.
         """
-        if self._closed:
-            raise TransportError("socket pool is closed")
         row = OPS_BY_NAME.get(op)
         if row is None:
             raise ProtocolError(f"unknown op {op!r}")
         future: Future = Future()
-        spec = dict(
-            op=op, args=args, sync=sync, arrival_us=arrival_us,
-            control=row.control,
-        )
-        try:
-            self._loop.call_soon_threadsafe(self._enqueue, spec, future)
-        except RuntimeError as exc:
-            raise TransportError("socket pool loop is gone") from exc
-        return future
-
-    def _enqueue(self, spec: dict, future: Future) -> None:
-        if spec["control"] or len(self._pending) < self.max_inflight:
-            self._dispatch(spec, future)
-            return
-        if len(self._queue) >= self.queue_cap:
-            self.rejected += 1
-            if future.set_running_or_notify_cancel():
-                future.set_exception(AdmissionError(
+        spec = (op, args, sync, arrival_us, row.control)
+        with self._lock:
+            if self._closed:
+                raise TransportError("socket pool is closed")
+            if (not row.control and len(self._pending) >= self.max_inflight
+                    and len(self._queue) >= self.queue_cap):
+                # Replies that already arrived may free window slots.
+                self._serve(self._selector.select(0))
+            # The queue is empty whenever the window has room, so this
+            # keeps dispatch order equal to call order.
+            if row.control or len(self._pending) < self.max_inflight:
+                self._dispatch(spec, future)
+            elif len(self._queue) >= self.queue_cap:
+                raise AdmissionError(
                     f"client dispatch queue full "
                     f"({self.queue_cap} waiting behind a "
                     f"{self.max_inflight}-request window)"
-                ))
-            return
-        self._queue.append((spec, future))
-
-    def _pump(self) -> None:
-        """Window slots freed (reply or failure): dispatch queued work."""
-        while self._queue and len(self._pending) < self.max_inflight:
-            spec, future = self._queue.pop(0)
-            if future.cancelled():
-                continue
-            self._dispatch(spec, future)
-
-    def _dispatch(self, spec: dict, future: Future) -> None:
-        """Stamp id/seq/arrival in dispatch order and write the frame."""
-        conn = self._pick_connection()
-        if conn is None:
-            if future.set_running_or_notify_cancel():
-                future.set_exception(
-                    TransportError("all pool connections are down")
                 )
+            else:
+                self._queue.append((spec, future))
+        return future
+
+    def _dispatch(self, spec: tuple, future: Future) -> None:
+        """Stamp id/seq/arrival in dispatch order and write the frame."""
+        alive = [conn for conn in self._conns if conn.alive]
+        if not alive:
+            _fail(future, TransportError("all pool connections are down"))
             return
+        conn = alive[self._rr % len(alive)]  # round robin
+        self._rr += 1
+        op, args, sync, arrival_us, control = spec
         request_id = next(self._next_id)
-        if spec["control"]:
-            request = Request(
-                id=request_id, op=spec["op"], args=spec["args"],
-            )
+        if control:
+            request = Request(id=request_id, op=op, args=args)
         else:
-            self._last_arrival = max(
-                self._last_arrival, float(spec["arrival_us"])
-            )
             request = Request(
-                id=request_id,
-                op=spec["op"],
-                args=spec["args"],
-                seq=self._next_seq,
-                session=self.session,
-                arrival_us=self._last_arrival,
-                flags=FLAG_SYNC if spec["sync"] else 0,
+                id=request_id, op=op, args=args, seq=self._next_seq,
+                session=self.session, flags=FLAG_SYNC if sync else 0,
+                arrival_us=max(self._last_arrival, float(arrival_us)),
             )
+        try:
+            frame = request.encode()
+        except ProtocolError as exc:
+            # Nothing was stamped: the sequence has no gap.
+            _fail(future, exc)
+            return
+        if not control:
+            self._last_arrival = request.arrival_us
             self._next_seq += 1
         self._pending[request_id] = (future, conn.index)
-        self._loop.create_task(self._send(conn, request, future))
+        conn.out += frame
+        self._flush(conn)
 
-    def _pick_connection(self) -> Optional[_Connection]:
-        for offset in range(len(self._conns)):
-            conn = self._conns[(self._rr + offset) % len(self._conns)]
-            if conn.alive:
-                self._rr = (conn.index + 1) % len(self._conns)
-                return conn
-        return None
+    def _admit_queued(self) -> None:
+        """Window slots freed (reply or failure): dispatch queued work."""
+        while self._queue and len(self._pending) < self.max_inflight:
+            spec, future = self._queue.popleft()
+            if not future.cancelled():
+                self._dispatch(spec, future)
 
-    async def _send(
-        self, conn: _Connection, request: Request, future: Future
-    ) -> None:
+    # -- the pump ----------------------------------------------------------
+
+    def _pump(self, future: Future, deadline: float) -> None:
+        """Do I/O until ``future`` resolves or ``deadline`` (monotonic)
+        passes.  Only the holder of ``_pumping`` runs this; it blocks in
+        ``select`` without the state lock, so other threads' requests go
+        out meanwhile, and does the I/O under it."""
+        while not future.done():
+            timeout = deadline - time.monotonic()
+            if timeout <= 0.0:
+                return
+            ready = self._selector.select(min(timeout, _SLICE_S))
+            with self._lock:
+                self._serve(ready)
+
+    def _serve(self, ready) -> None:
+        """Act on ``select``'s events (the caller holds the lock)."""
+        for key, events in ready:
+            conn = key.data
+            if events & EVENT_WRITE and conn.alive:
+                self._flush(conn)
+            if events & EVENT_READ and conn.alive:
+                self._receive(conn)
+
+    def _flush(self, conn: _Connection) -> None:
+        """Write what the socket takes now; the pump writes the rest."""
         try:
-            conn.writer.write(request.encode())
-            await conn.writer.drain()
-        except (ConnectionError, OSError):
+            sent = conn.sock.send(conn.out)
+        except BlockingIOError:
+            sent = 0
+        except OSError:
             self._fail_connection(conn, "connection lost while sending")
+            return
+        del conn.out[:sent]
+        events = EVENT_READ | (EVENT_WRITE if conn.out else 0)
+        if self._selector.get_key(conn.sock).events != events:
+            self._selector.modify(conn.sock, events, conn)
+
+    def _receive(self, conn: _Connection) -> None:
+        reason = "connection lost mid-stream"
+        try:
+            data = conn.sock.recv(_RECV_BYTES)
+            if data:
+                for payload in conn.decoder.feed(data):
+                    message = decode_message(payload)
+                    if isinstance(message, Response):
+                        self._resolve(message)
+                return
+        except BlockingIOError:
+            return
+        except OSError:
+            pass
+        except ProtocolError as exc:
+            # A stream that stopped making sense cannot be trusted to
+            # answer what is in flight on it.
+            reason = f"undecodable reply ({type(exc).__name__}: {exc})"
+        self._fail_connection(conn, reason)
+
+    def _resolve(self, response: Response) -> None:
+        future, _ = self._pending.pop(response.id, (None, 0))
+        # A caller that timed out has cancelled its future and left.
+        if future is not None and future.set_running_or_notify_cancel():
+            future.set_result(response)
+        self._admit_queued()
+
+    def _fail_connection(self, conn: _Connection, reason: str) -> None:
+        if not conn.alive:
+            return
+        conn.alive = False
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
+        conn.out.clear()
+        for rid, (future, index) in list(self._pending.items()):
+            if index == conn.index:
+                del self._pending[rid]
+                _fail(future, TransportError(
+                    f"{reason} (request id {rid}, connection {conn.index} "
+                    f"to {self.addr[0]}:{self.addr[1]})"
+                ))
+        self._admit_queued()
 
     # -- blocking conveniences ---------------------------------------------
 
@@ -348,15 +357,26 @@ class SocketPool:
     def wait(
         self, future: Future, *, timeout_s: Optional[float] = None
     ) -> Response:
+        """Block for ``future``'s reply, pumping the pool's I/O on this
+        thread; a thread that finds another pumping sleeps on its own
+        future instead, since that pump resolves it too."""
         timeout = self.timeout_s if timeout_s is None else timeout_s
-        try:
-            return future.result(timeout)
-        except (TimeoutError, FuturesTimeoutError):
-            future.cancel()
-            raise TransportTimeout(
-                f"no reply from {self.addr[0]}:{self.addr[1]} "
-                f"within {timeout:g}s"
-            ) from None
+        deadline = time.monotonic() + timeout
+        while not future.done():
+            remaining = deadline - time.monotonic()
+            if remaining <= 0.0 and future.cancel():
+                raise TransportTimeout(
+                    f"no reply from {self.addr[0]}:{self.addr[1]} "
+                    f"within {timeout:g}s"
+                )
+            if self._pumping.acquire(blocking=False):
+                try:
+                    self._pump(future, deadline)
+                finally:
+                    self._pumping.release()
+            else:
+                wait_futures([future], max(min(remaining, _HANDOFF_S), 0.0))
+        return future.result()
 
     def flush(self, *, timeout_s: Optional[float] = None) -> Response:
         """Sequenced run-to-idle: every pipelined op submitted before
@@ -366,38 +386,18 @@ class SocketPool:
             arrival_us=self._last_arrival, timeout_s=timeout_s,
         )
 
-    @property
-    def inflight(self) -> int:
-        return len(self._pending)
-
-    @property
-    def queued(self) -> int:
-        return len(self._queue)
-
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._loop.is_running():
-            try:
-                self._run(self._shutdown(), timeout=5.0)
-            except Exception:
-                pass
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=5.0)
-        if not self._loop.is_running():
-            self._loop.close()
-
-    async def _shutdown(self) -> None:
-        for conn in self._conns:
-            if conn.task is not None:
-                conn.task.cancel()
-            if conn.writer is not None and not conn.writer.is_closing():
-                conn.writer.close()
-        for rid in list(self._pending):
-            future, _ = self._pending.pop(rid)
-            if future.set_running_or_notify_cancel():
-                future.set_exception(TransportError("pool closed"))
+        """Close every connection and fail what is in flight or queued."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            while self._queue:
+                _fail(self._queue.popleft()[1], TransportError("pool closed"))
+            for conn in self._conns:
+                self._fail_connection(conn, "pool closed")
+        with self._pumping:  # a pump notices its failed future first
+            self._selector.close()
 
 
 class SocketTransport(Transport):

@@ -9,8 +9,9 @@ that simulated outcomes are a pure function of the seeded workload.
 Three mechanisms restore that property:
 
 * **per-session sequencing** — data ops carry a client-assigned ``seq``
-  and are executed in exactly that order via a reorder buffer, no
-  matter how frames interleave across a pool's connections;
+  and are executed in exactly that order via a reorder buffer (of at
+  most :data:`MAX_PARKED` frames), no matter how frames interleave
+  across a pool's connections;
 * **client-stamped simulated arrivals** — each op is bridged onto the
   engine at its ``arrival_us`` through a
   :class:`~repro.engine.bridge.WallClockBridge`, which drains earlier
@@ -52,6 +53,13 @@ from repro.net.protocol import (
     Response,
     decode_message,
 )
+
+
+#: Frames one session may park ahead of its next ``seq``.  A pool keeps
+#: at most its window (256 by default) sequenced requests in flight, so a
+#: well-behaved client parks fewer; without a ceiling a peer that skips a
+#: seq grows server memory by up to one frame (8 MiB) per request.
+MAX_PARKED = 1024
 
 
 class _Session:
@@ -186,16 +194,21 @@ class PolarStoreServer:
             session = self._sessions[req.session] = _Session(req.session)
         if req.seq != session.next_seq:
             if req.seq < session.next_seq or req.seq in session.pending:
-                await self._write(writer, Response(
-                    id=req.id,
-                    status=STATUS_ERROR,
-                    error=(
-                        f"sequence violation: seq {req.seq} vs "
-                        f"expected {session.next_seq}"
-                    ),
-                ))
+                error = (
+                    f"sequence violation: seq {req.seq} vs "
+                    f"expected {session.next_seq}"
+                )
+            elif len(session.pending) >= MAX_PARKED:
+                error = (
+                    f"reorder buffer full: {MAX_PARKED} frames parked "
+                    f"ahead of seq {session.next_seq}"
+                )
+            else:
+                session.pending[req.seq] = (req, writer)
                 return
-            session.pending[req.seq] = (req, writer)
+            await self._write(writer, Response(
+                id=req.id, status=STATUS_ERROR, error=error
+            ))
             return
         await self._process(req, writer)
         session.next_seq += 1
@@ -420,6 +433,7 @@ def serve_in_thread(
 
 
 __all__ = [
+    "MAX_PARKED",
     "PolarStoreServer",
     "ServerThread",
     "serve_in_thread",

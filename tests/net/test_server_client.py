@@ -1,12 +1,16 @@
 """The serving layer end to end: loopback server, pooled client,
 golden equivalence against in-process access."""
 
+import select
 import socket
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.api import (
+    AdmissionError,
     PolarStore,
     ReproConfig,
     TransportCapabilityError,
@@ -14,7 +18,14 @@ from repro.api import (
     TransportTimeout,
 )
 from repro.net.client import SocketTransport, parse_addr
-from repro.net.server import serve_in_thread
+from repro.net.protocol import (
+    STATUS_ERROR,
+    VERSION,
+    FrameDecoder,
+    Request,
+    Response,
+)
+from repro.net.server import MAX_PARKED, serve_in_thread
 
 
 def _config(**doc):
@@ -180,6 +191,49 @@ def test_stats_reflect_admission_accounting():
         handle.stop()
 
 
+def test_full_client_queue_raises_and_close_fails_what_is_queued(server):
+    transport = SocketTransport(
+        server.addr, connections=1, max_inflight=1, queue_cap=1,
+        timeout_s=10.0,
+    )
+    try:
+        transport.call("create_table", "t")
+        # Pipelined ops at one arrival: the engine holds their replies.
+        inflight = transport.submit("insert", "t", 1, b"a", arrival_us=0.0)
+        queued = transport.submit("insert", "t", 2, b"b", arrival_us=0.0)
+        with pytest.raises(AdmissionError, match="queue full"):
+            transport.submit("insert", "t", 3, b"c", arrival_us=0.0)
+    finally:
+        transport.close()
+    for future in (inflight, queued):
+        with pytest.raises(TransportError, match="pool closed"):
+            future.result(timeout=5.0)
+
+
+def test_full_client_queue_first_collects_replies_already_arrived():
+    handle = serve_in_thread(
+        ReproConfig.from_dict({"engine": {"enabled": False}}), port=0
+    )
+    transport = SocketTransport(
+        handle.addr, connections=1, max_inflight=1, queue_cap=1,
+        timeout_s=10.0,
+    )
+    try:
+        transport.call("create_table", "t")
+        futures = [transport.submit("insert", "t", 1, b"a")]
+        # Without an engine the reply leaves at once; let it reach the
+        # socket without reading it.
+        sock = transport.pool._conns[0].sock
+        assert select.select([sock], [], [], 5.0)[0]
+        futures.append(transport.submit("insert", "t", 2, b"b"))
+        futures.append(transport.submit("insert", "t", 3, b"c"))
+        assert futures[0].done()
+        assert all(transport.pool.wait(f).ok for f in futures)
+    finally:
+        transport.close()
+        handle.stop()
+
+
 def test_mid_stream_disconnect_fails_inflight_without_hanging(server):
     transport = SocketTransport(server.addr, connections=1, timeout_s=10.0)
     try:
@@ -191,16 +245,147 @@ def test_mid_stream_disconnect_fails_inflight_without_hanging(server):
             for i in range(3)
         ]
         # ...then sever the TCP stream underneath them.
-        async def sever():
-            for conn in transport.pool._conns:
-                conn.writer.close()
-
-        transport.pool._run(sever(), timeout=5.0)
+        for conn in transport.pool._conns:
+            conn.sock.shutdown(socket.SHUT_RDWR)
         for future in futures:
             with pytest.raises(TransportError):
                 transport.pool.wait(future, timeout_s=5.0)
     finally:
         transport.close()
+
+
+def test_pool_does_its_io_on_the_callers_thread(server):
+    before = threading.active_count()
+    client = PolarStore.connect(server.addr, timeout_s=10.0)
+    try:
+        client.create_table("t")
+        assert threading.active_count() == before
+    finally:
+        client.close()
+    assert threading.active_count() == before
+
+
+def test_threads_sharing_one_pool_each_get_their_own_replies(server):
+    """Whichever thread pumps resolves every waiter's future; a reply
+    lost or handed to the wrong caller shows as a wrong value."""
+    transport = SocketTransport(server.addr, timeout_s=20.0)
+    pool = transport.pool
+    pool.call("create_table", ["t"])
+    failures = []
+
+    def worker(base: int) -> None:
+        try:
+            for key in range(base, base + 40):
+                value = key.to_bytes(4, "little")
+                assert pool.call("insert", ["t", key, value]).ok
+                assert pool.call("select", ["t", key, -1]).value == value
+        except Exception as exc:  # noqa: BLE001 - reported below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=worker, args=(1000 * i,))
+            for i in range(6)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+    finally:
+        sys.setswitchinterval(interval)
+        transport.close()
+
+
+def test_a_waiting_thread_does_not_hold_up_another_threads_request(server):
+    """The pump blocks without the pool lock: while one thread waits on
+    a pipelined insert, another can send the flush that answers it."""
+    transport = SocketTransport(server.addr, connections=1, timeout_s=20.0)
+    try:
+        transport.call("create_table", "t")
+        future = transport.submit("insert", "t", 1, b"x", arrival_us=0.0)
+        replies = []
+        waiter = threading.Thread(
+            target=lambda: replies.append(transport.pool.wait(future))
+        )
+        waiter.start()
+        time.sleep(0.1)  # the waiter is pumping now
+        started = time.monotonic()
+        transport.flush()
+        waiter.join(timeout=10.0)
+        assert not waiter.is_alive()
+        assert replies[0].ok
+        assert time.monotonic() - started < 5.0
+    finally:
+        transport.close()
+
+
+def test_pipelining_past_the_socket_buffers_does_not_deadlock():
+    """3 000 pipelined 6 KiB updates, each read back: requests and
+    replies both overflow the loopback buffers.  The server stops
+    reading while its replies back up, so the pump must read while it
+    cannot write."""
+    handle = serve_in_thread(_config(net={"window": 1}), port=0)
+    steps = 3000
+    transport = SocketTransport(
+        handle.addr, connections=1, max_inflight=2 * steps, timeout_s=60.0
+    )
+    try:
+        transport.call("create_table", "t")
+        transport.call("insert", "t", 0, b"")
+        started = time.monotonic()
+        futures = []
+        for step in range(steps):
+            # Spaced arrivals: a window of 1 admits each op in turn.
+            arrival = transport.now_us + 1000.0 * (step + 1)
+            futures.append(transport.submit(
+                "update", "t", 0, bytes([step % 256]) * 6144,
+                arrival_us=arrival,
+            ))
+            futures.append(transport.submit(
+                "select", "t", 0, arrival_us=arrival + 500.0
+            ))
+        transport.flush()
+        responses = [transport.pool.wait(f) for f in futures]
+        assert time.monotonic() - started < 60.0
+        assert all(r.ok for r in responses)
+        for step, response in enumerate(responses[1::2]):
+            assert response.value == bytes([step % 256]) * 6144
+    finally:
+        transport.close()
+        handle.stop()
+
+
+def test_server_bounds_frames_parked_ahead_of_a_missing_seq(server):
+    """A peer that skips seq 0 parks at most MAX_PARKED frames; the
+    next one is refused instead of growing server memory."""
+    session = 777
+    with socket.create_connection(server.addr, timeout=10.0) as sock:
+        decoder = FrameDecoder()
+
+        def reply() -> Response:
+            while True:
+                data = sock.recv(65536)
+                assert data, "server closed the connection"
+                payloads = decoder.feed(data)
+                if payloads:
+                    return Response.from_payload(payloads[0])
+
+        sock.sendall(Request(
+            id=1, op="hello", args=[session, VERSION]
+        ).encode())
+        assert reply().ok
+        sock.sendall(b"".join(
+            Request(id=1 + seq, op="flush", seq=seq, session=session).encode()
+            for seq in range(1, MAX_PARKED + 2)
+        ))
+        refused = reply()
+        assert refused.id == MAX_PARKED + 2
+        assert refused.status == STATUS_ERROR
+        assert "reorder buffer full" in refused.error
 
 
 def test_timeout_against_a_mute_server():
