@@ -51,17 +51,17 @@ Commands
     B-tree-vs-LSM WA crossover (arXiv:2107.13987); persists a
     byte-deterministic table + JSON artifact.
 ``serve``
-    Host a PolarStore deployment (engine-bound volume or sharded
+    Host an engine-bound PolarStore deployment (volume or sharded
     cluster) on a TCP socket speaking the ``repro.net`` wire protocol;
     ``PolarStore.connect(addr)`` and ``python -m repro load`` are the
-    clients.  Runs until interrupted.
+    clients, one connection each.  Runs until interrupted.
 ``load``
-    Drive a seeded open-loop arrival process (Poisson / bursty /
-    diurnal) through the socket serving layer and report latency
-    percentiles, admission rejections, and SLO verdicts.  With no
-    ``--addr`` it spins up a loopback server in-process; the ``sim``
-    half of the ``--out`` JSON artifact is byte-identical across runs
-    of the same spec (the CI ``net-smoke`` gate).
+    Drive a seeded open-loop Poisson arrival process through the socket
+    serving layer and report latency percentiles, admission rejections,
+    and SLO verdicts.  With no ``--addr`` it spins up a loopback
+    server in-process; the ``sim`` half of the ``--out`` JSON artifact
+    is byte-identical across runs of the same spec, and against a
+    separate ``serve`` process (the CI ``net-smoke`` gate).
 
 ``--workers N`` (``bench``, ``cluster``; default 1) means one thing
 everywhere: independent programs fanned across N forked worker
@@ -371,7 +371,7 @@ def cmd_serve(args) -> int:
     from repro.net.server import PolarStoreServer
 
     doc = {
-        "engine": {"enabled": not args.no_engine},
+        "engine": {"enabled": True},
         "net": {"window": args.window, "host": args.host, "port": args.port},
         "store": {"seed": args.seed},
     }
@@ -384,7 +384,6 @@ def cmd_serve(args) -> int:
         print(
             f"serving PolarStore on {host}:{port} "
             f"(window {args.window}, "
-            f"engine {'off' if args.no_engine else 'on'}, "
             f"shards {args.shards or 'single volume'}) — ctrl-c to stop",
             flush=True,
         )
@@ -398,13 +397,12 @@ def cmd_serve(args) -> int:
 
 
 def cmd_load(args) -> int:
-    from repro.api import PolarStore
+    from repro.api import PolarStore, TransportError
     from repro.api.config import ReproConfig
     from repro.net.loadgen import ArrivalSpec, run_load
     from repro.net.server import serve_in_thread
 
     spec = ArrivalSpec(
-        process=args.arrival,
         rate_per_s=args.rate,
         requests=min(args.requests, 300) if args.quick else args.requests,
         seed=args.seed,
@@ -423,11 +421,16 @@ def cmd_load(args) -> int:
               f"(window {args.window})", file=sys.stderr)
     else:
         addr = args.addr
-    client = PolarStore.connect(addr, timeout_s=args.timeout_s)
     try:
-        report = run_load(client.transport, spec)
+        client = PolarStore.connect(addr, timeout_s=args.timeout_s)
+        try:
+            report = run_load(client.transport, spec)
+        finally:
+            client.close()
+    except TransportError as exc:
+        print(f"load: {exc}", file=sys.stderr)
+        return 1
     finally:
-        client.close()
         if handle is not None:
             handle.stop()
     print(report.render())
@@ -670,8 +673,8 @@ def main(argv=None) -> int:
     )
     serve_p = sub.add_parser(
         "serve",
-        help="host a PolarStore deployment on a TCP socket "
-             "(repro.net wire protocol); runs until interrupted",
+        help="host an engine-bound PolarStore deployment on a TCP "
+             "socket (repro.net wire protocol); runs until interrupted",
         parents=[shared_options(
             seed=0,
             seed_help="storage seed of the hosted volume (default: 0)",
@@ -695,15 +698,10 @@ def main(argv=None) -> int:
         help="host a sharded cluster runtime instead of a single "
              "volume (default: 0 = single volume)",
     )
-    serve_p.add_argument(
-        "--no-engine", action="store_true",
-        help="serve the analytic synchronous path (no event kernel, "
-             "no pipelining, no admission control)",
-    )
     load_p = sub.add_parser(
         "load",
-        help="drive a seeded open-loop arrival process through the "
-             "socket serving layer and report latency/rejection SLOs",
+        help="drive a seeded open-loop Poisson arrival process through "
+             "the socket serving layer and report latency/rejection SLOs",
         parents=[shared_options(
             seed=0,
             seed_help="arrival-process and workload seed (default: 0)",
@@ -718,11 +716,6 @@ def main(argv=None) -> int:
         "--addr", default=None, metavar="HOST:PORT",
         help="server to drive (default: spin up a loopback server "
              "in-process for the run)",
-    )
-    load_p.add_argument(
-        "--arrival", choices=("poisson", "bursty", "diurnal"),
-        default="poisson",
-        help="arrival process shape (default: poisson)",
     )
     load_p.add_argument(
         "--rate", type=float, default=20_000.0,

@@ -282,7 +282,7 @@ class PolarStore:
         cls,
         addr: Union[str, Tuple[str, int]],
         *,
-        connections: int = 2,
+        connections: int = 1,
         max_inflight: int = 256,
         queue_cap: int = 4096,
         timeout_s: float = 30.0,
@@ -291,17 +291,22 @@ class PolarStore:
 
         ``addr`` is ``"host:port"`` or a ``(host, port)`` tuple.  The
         returned client presents the identical surface as ``open`` —
-        same ops, same result shapes, same simulated timings — over a
-        pooled socket transport with a bounded in-flight window
+        same ops, same result shapes, same simulated timings — over one
+        socket connection with a bounded in-flight window
         (``max_inflight``), a backpressure queue (``queue_cap``, full
         queue rejects), and per-request wall-clock ``timeout_s``.
+        ``connections`` must be 1: a client is one connection.
         """
         from repro.net.client import SocketTransport
 
+        if connections != 1:
+            raise ValueError(
+                f"a client owns exactly one connection, got "
+                f"connections={connections!r}"
+            )
         return PolarStoreClient(
             transport=SocketTransport(
                 addr,
-                connections=connections,
                 max_inflight=max_inflight,
                 queue_cap=queue_cap,
                 timeout_s=timeout_s,

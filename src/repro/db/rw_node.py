@@ -51,7 +51,6 @@ class RWNode:
         #: The compute instance's cores (the paper evaluates an 8-core
         #: instance); statement CPU queues here under high concurrency.
         self.cpu = ResourcePool("rw-cpu", cpu_cores)
-        self.secondary_indexes: Dict[str, object] = {}
         self._sim_engine = None
 
     def bind_engine(self, engine) -> None:
@@ -76,25 +75,6 @@ class RWNode:
         self.trees[name] = tree
         # The catalog change itself generates redo.
         return tree
-
-    def create_secondary_index(self, table: str, index_name: str):
-        """Create a non-unique secondary index on ``table``.
-
-        Maintained explicitly via the returned handle's insert/move/delete
-        (the sysbench ``update_index`` mechanics); its pages flow through
-        the same buffer pool and redo pipeline as everything else.
-        """
-        from repro.db.secondary import SecondaryIndex
-
-        self.tree(table)  # validate the base table exists
-        catalog_name = f"{table}.{index_name}"
-        if catalog_name in self.trees:
-            raise ReproError(f"index {catalog_name!r} already exists")
-        tree = BPlusTree(self.pool, self._allocate_page_no)
-        self.trees[catalog_name] = tree
-        index = SecondaryIndex(tree)
-        self.secondary_indexes[catalog_name] = index
-        return index
 
     def _allocate_page_no(self) -> int:
         page_no = self._next_page_no

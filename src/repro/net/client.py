@@ -1,16 +1,16 @@
-"""The pooled socket client: PolarStore over the wire.
+"""The socket client: PolarStore over the wire.
 
-:class:`SocketPool` owns N non-blocking TCP connections and no thread
-or event loop: ``request`` writes the frame at once, and ``wait`` runs
-the ``selectors`` pump (pending writes, reads, decoding, resolving) on
-the caller's thread until its future resolves, so a closed-loop call is
-one send and one receive.  The pool promises:
+:class:`SocketPool` owns one non-blocking ``TCP_NODELAY`` connection
+and no thread or event loop: ``request`` writes the frame at once, and
+``wait`` runs the ``selectors`` pump (pending writes, reads, decoding,
+resolving) on the caller's thread until its future resolves, so a
+closed-loop call is one send and one receive.  The pool promises:
 
-* **sequencing** — every data op gets its per-session ``seq`` and its
-  simulated ``arrival_us`` stamped *at dispatch*, under the lock, in
-  dispatch order.  A request that times out while queued therefore
-  never occupies a sequence slot, so the server's reorder buffer can
-  never stall on a gap;
+* **sequencing** — every data op gets its ``seq`` and its simulated
+  ``arrival_us`` stamped *at dispatch*, under the lock, in dispatch
+  order, and TCP keeps that order on the one connection.  A request
+  that times out while queued therefore never occupies a sequence slot,
+  so the server never sees a gap;
 * **admission control** — a bounded in-flight window
   (``max_inflight``) plus a bounded dispatch queue (``queue_cap``);
   a full queue rejects immediately with
@@ -20,7 +20,7 @@ one send and one receive.  The pool promises:
   (:class:`~repro.api.transport.TransportTimeout`); a late reply is
   discarded;
 * **failure containment** — a mid-stream disconnect fails every
-  request in flight on that connection at once;
+  request in flight at once;
 * **no deadlock on backpressure** — the server stops reading while its
   own replies back up, so the pump keeps reading while it cannot write.
 
@@ -36,7 +36,6 @@ simulated-time cursor, advanced from each reply's ``done_us``.
 from __future__ import annotations
 
 import itertools
-import os
 import socket
 import threading
 import time
@@ -64,10 +63,9 @@ from repro.net.protocol import (
     decode_message,
 )
 
-#: Process-wide session id allocator: pid-salted so two client processes
-#: hitting one server never share a sequencer (ids are routing keys
-#: only; simulated outcomes never depend on their values).
-_session_ids = itertools.count(1)
+#: What the client puts in the wire's ``session`` field.  The server
+#: sequences by connection and only echoes it in the handshake reply.
+SESSION = 0
 
 #: Bytes one ``recv`` may return.
 _RECV_BYTES = 256 * 1024
@@ -80,21 +78,27 @@ _HANDOFF_S = 0.001
 _SLICE_S = 0.05
 
 
-def _next_session_id() -> int:
-    return (os.getpid() << 20) | next(_session_ids)
-
-
 def parse_addr(addr: Union[str, Tuple[str, int]]) -> Tuple[str, int]:
-    """``"host:port"`` or ``(host, port)`` -> ``(host, port)``."""
+    """``"host:port"`` or ``(host, port)`` -> ``(host, port)``; anything
+    else, a non-numeric port or one outside 0-65535 included, raises
+    :class:`TransportError`."""
     if isinstance(addr, str):
         host, sep, port = addr.rpartition(":")
         if not sep or not host:
             raise TransportError(
                 f"address must be 'host:port', got {addr!r}"
             )
-        return (host, int(port))
-    host, port = addr
-    return (str(host), int(port))
+    else:
+        host, port = addr
+    try:
+        number = int(port)
+    except (TypeError, ValueError):
+        raise TransportError(
+            f"port must be an integer, got {port!r}"
+        ) from None
+    if not 0 <= number <= 65535:
+        raise TransportError(f"port {number} is outside 0-65535")
+    return (str(host), number)
 
 
 def _fail(future: Future, exc: BaseException) -> None:
@@ -103,21 +107,8 @@ def _fail(future: Future, exc: BaseException) -> None:
         future.set_exception(exc)
 
 
-class _Connection:
-    """One TCP connection: its socket, unsent bytes and reply decoder."""
-
-    __slots__ = ("index", "sock", "out", "decoder", "alive")
-
-    def __init__(self, index: int, sock: socket.socket) -> None:
-        self.index = index
-        self.sock = sock
-        self.out = bytearray()  # frame bytes the socket has not taken yet
-        self.decoder = FrameDecoder(MAX_FRAME_BYTES)
-        self.alive = True
-
-
 class SocketPool:
-    """N connections to one server, a session sequencer, and a bounded
+    """One connection to one server, its sequencer, and a bounded
     dispatch pipeline (window + queue) — the client-side half of the
     serving layer's admission control."""
 
@@ -125,56 +116,52 @@ class SocketPool:
         self,
         addr: Union[str, Tuple[str, int]],
         *,
-        connections: int = 2,
         max_inflight: int = 256,
         queue_cap: int = 4096,
         timeout_s: float = 30.0,
     ) -> None:
-        if connections < 1:
-            raise ValueError("pool needs at least one connection")
         if max_inflight < 1:
             raise ValueError("max_inflight must be positive")
         self.addr = parse_addr(addr)
         self.max_inflight = max_inflight
         self.queue_cap = queue_cap
         self.timeout_s = timeout_s
-        self.session = _next_session_id()
         self.hello: Dict[str, Any] = {}
         self._closed = False
         self._next_id = itertools.count(1)
         self._next_seq = 0
         self._last_arrival = 0.0
-        self._rr = 0
-        #: request id -> (Future[Response], connection index)
-        self._pending: Dict[int, Tuple[Future, int]] = {}
+        #: request id -> Future[Response]
+        self._pending: Dict[int, Future] = {}
         #: ((op, args, sync, arrival_us, control), future) awaiting a slot.
         self._queue: Deque[Tuple[tuple, Future]] = deque()
         self._lock = threading.Lock()  # pool state and socket I/O
         self._pumping = threading.Lock()  # held by the one thread in select
         self._selector = DefaultSelector()
-        self._conns: List[_Connection] = []
+        #: None once the connection is down.
+        self._sock: Optional[socket.socket] = None
+        self._out = bytearray()  # frame bytes the socket has not taken yet
+        self._decoder = FrameDecoder(MAX_FRAME_BYTES)
         try:
-            self._connect_all(connections)
+            self._connect()
         except BaseException:
             self.close()
             raise
 
-    def _connect_all(self, connections: int) -> None:
+    def _connect(self) -> None:
         host, port = self.addr
-        for index in range(connections):
-            try:
-                sock = socket.create_connection(self.addr, self.timeout_s)
-            except OSError as exc:
-                raise TransportError(
-                    f"cannot connect to {host}:{port}: {exc}"
-                ) from exc
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.setblocking(False)
-            conn = _Connection(index, sock)
-            self._conns.append(conn)
-            self._selector.register(sock, EVENT_READ, conn)
-        # Handshake (on connection 0): version check + deployment shape.
-        response = self.wait(self.request("hello", [self.session, VERSION]))
+        try:
+            sock = socket.create_connection(self.addr, self.timeout_s)
+        except OSError as exc:
+            raise TransportError(
+                f"cannot connect to {host}:{port}: {exc}"
+            ) from exc
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.setblocking(False)
+        self._sock = sock
+        self._selector.register(sock, EVENT_READ)
+        # Handshake: version check + deployment shape.
+        response = self.wait(self.request("hello", [SESSION, VERSION]))
         if not response.ok:
             raise TransportError(f"handshake failed: {response.error}")
         self.hello = dict(response.value)
@@ -222,12 +209,9 @@ class SocketPool:
 
     def _dispatch(self, spec: tuple, future: Future) -> None:
         """Stamp id/seq/arrival in dispatch order and write the frame."""
-        alive = [conn for conn in self._conns if conn.alive]
-        if not alive:
-            _fail(future, TransportError("all pool connections are down"))
+        if self._sock is None:
+            _fail(future, TransportError("the connection is down"))
             return
-        conn = alive[self._rr % len(alive)]  # round robin
-        self._rr += 1
         op, args, sync, arrival_us, control = spec
         request_id = next(self._next_id)
         if control:
@@ -235,7 +219,7 @@ class SocketPool:
         else:
             request = Request(
                 id=request_id, op=op, args=args, seq=self._next_seq,
-                session=self.session, flags=FLAG_SYNC if sync else 0,
+                session=SESSION, flags=FLAG_SYNC if sync else 0,
                 arrival_us=max(self._last_arrival, float(arrival_us)),
             )
         try:
@@ -247,9 +231,9 @@ class SocketPool:
         if not control:
             self._last_arrival = request.arrival_us
             self._next_seq += 1
-        self._pending[request_id] = (future, conn.index)
-        conn.out += frame
-        self._flush(conn)
+        self._pending[request_id] = future
+        self._out += frame
+        self._flush()
 
     def _admit_queued(self) -> None:
         """Window slots freed (reply or failure): dispatch queued work."""
@@ -275,33 +259,32 @@ class SocketPool:
 
     def _serve(self, ready) -> None:
         """Act on ``select``'s events (the caller holds the lock)."""
-        for key, events in ready:
-            conn = key.data
-            if events & EVENT_WRITE and conn.alive:
-                self._flush(conn)
-            if events & EVENT_READ and conn.alive:
-                self._receive(conn)
+        for _, events in ready:
+            if events & EVENT_WRITE and self._sock is not None:
+                self._flush()
+            if events & EVENT_READ and self._sock is not None:
+                self._receive()
 
-    def _flush(self, conn: _Connection) -> None:
+    def _flush(self) -> None:
         """Write what the socket takes now; the pump writes the rest."""
         try:
-            sent = conn.sock.send(conn.out)
+            sent = self._sock.send(self._out)
         except BlockingIOError:
             sent = 0
         except OSError:
-            self._fail_connection(conn, "connection lost while sending")
+            self._fail_connection("connection lost while sending")
             return
-        del conn.out[:sent]
-        events = EVENT_READ | (EVENT_WRITE if conn.out else 0)
-        if self._selector.get_key(conn.sock).events != events:
-            self._selector.modify(conn.sock, events, conn)
+        del self._out[:sent]
+        events = EVENT_READ | (EVENT_WRITE if self._out else 0)
+        if self._selector.get_key(self._sock).events != events:
+            self._selector.modify(self._sock, events)
 
-    def _receive(self, conn: _Connection) -> None:
+    def _receive(self) -> None:
         reason = "connection lost mid-stream"
         try:
-            data = conn.sock.recv(_RECV_BYTES)
+            data = self._sock.recv(_RECV_BYTES)
             if data:
-                for payload in conn.decoder.feed(data):
+                for payload in self._decoder.feed(data):
                     message = decode_message(payload)
                     if isinstance(message, Response):
                         self._resolve(message)
@@ -314,29 +297,30 @@ class SocketPool:
             # A stream that stopped making sense cannot be trusted to
             # answer what is in flight on it.
             reason = f"undecodable reply ({type(exc).__name__}: {exc})"
-        self._fail_connection(conn, reason)
+        self._fail_connection(reason)
 
     def _resolve(self, response: Response) -> None:
-        future, _ = self._pending.pop(response.id, (None, 0))
+        future = self._pending.pop(response.id, None)
         # A caller that timed out has cancelled its future and left.
         if future is not None and future.set_running_or_notify_cancel():
             future.set_result(response)
         self._admit_queued()
 
-    def _fail_connection(self, conn: _Connection, reason: str) -> None:
-        if not conn.alive:
+    def _fail_connection(self, reason: str) -> None:
+        """Close the connection and fail everything in flight on it;
+        queued work then fails as it is dispatched."""
+        if self._sock is None:
             return
-        conn.alive = False
-        self._selector.unregister(conn.sock)
-        conn.sock.close()
-        conn.out.clear()
-        for rid, (future, index) in list(self._pending.items()):
-            if index == conn.index:
-                del self._pending[rid]
-                _fail(future, TransportError(
-                    f"{reason} (request id {rid}, connection {conn.index} "
-                    f"to {self.addr[0]}:{self.addr[1]})"
-                ))
+        self._selector.unregister(self._sock)
+        self._sock.close()
+        self._sock = None
+        self._out.clear()
+        pending, self._pending = self._pending, {}
+        for rid, future in pending.items():
+            _fail(future, TransportError(
+                f"{reason} (request id {rid}, "
+                f"to {self.addr[0]}:{self.addr[1]})"
+            ))
         self._admit_queued()
 
     # -- blocking conveniences ---------------------------------------------
@@ -387,15 +371,14 @@ class SocketPool:
         )
 
     def close(self) -> None:
-        """Close every connection and fail what is in flight or queued."""
+        """Close the connection and fail what is in flight or queued."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             while self._queue:
                 _fail(self._queue.popleft()[1], TransportError("pool closed"))
-            for conn in self._conns:
-                self._fail_connection(conn, "pool closed")
+            self._fail_connection("pool closed")
         with self._pumping:  # a pump notices its failed future first
             self._selector.close()
 

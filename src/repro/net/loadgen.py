@@ -1,12 +1,12 @@
-"""Open-loop arrival-process load generation for the serving layer.
+"""Open-loop Poisson load generation for the serving layer.
 
 A closed-loop driver (send, wait, send) can never overload a server —
 its offered load collapses to the server's completion rate, hiding
 exactly the queueing behavior admission control exists to manage.  This
-generator is **open-loop**: arrivals come from a seeded stochastic
-process (Poisson, bursty, or diurnal) laid out entirely in *simulated*
-time, and every request is submitted pipelined at its scheduled
-simulated arrival regardless of how many are still in flight.  Offered
+generator is **open-loop**: arrivals come from a seeded Poisson process
+laid out entirely in *simulated* time, and every request is submitted
+pipelined at its scheduled simulated arrival regardless of how many are
+still in flight.  Offered
 load is therefore an input, not an emergent property, and pushing the
 rate past capacity produces real (deterministic) rejections.
 
@@ -23,7 +23,6 @@ carrying the wall-clock numbers that legitimately vary.
 from __future__ import annotations
 
 import json
-import math
 import random
 import time
 from dataclasses import asdict, dataclass, field
@@ -33,16 +32,12 @@ from repro.api.transport import AdmissionError, Transport
 from repro.common.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
 
-ARRIVAL_PROCESSES = ("poisson", "bursty", "diurnal")
-
 
 @dataclass(frozen=True)
 class ArrivalSpec:
-    """One seeded open-loop scenario: arrival process plus workload mix."""
+    """One seeded open-loop scenario: Poisson arrivals plus workload
+    mix."""
 
-    #: ``poisson`` (memoryless), ``bursty`` (on/off rate switching), or
-    #: ``diurnal`` (sinusoidal rate, thinning-sampled).
-    process: str = "poisson"
     #: Mean offered load in requests per simulated second.
     rate_per_s: float = 2000.0
     requests: int = 1000
@@ -54,27 +49,14 @@ class ArrivalSpec:
     keys: int = 512
     value_bytes: int = 96
     table: str = "load"
-    #: bursty: full on/off cycle length and on-phase rate multiplier.
-    burst_period_s: float = 0.25
-    burst_factor: float = 8.0
-    #: diurnal: sinusoid period and relative amplitude in [0, 1).
-    diurnal_period_s: float = 2.0
-    diurnal_depth: float = 0.8
 
     def validate(self) -> "ArrivalSpec":
-        if self.process not in ARRIVAL_PROCESSES:
-            raise ReproError(
-                f"unknown arrival process {self.process!r}; options: "
-                f"{', '.join(ARRIVAL_PROCESSES)}"
-            )
         if self.rate_per_s <= 0:
             raise ReproError("rate_per_s must be positive")
         if self.requests < 1:
             raise ReproError("requests must be at least 1")
         if not 0.0 <= self.read_fraction <= 1.0:
             raise ReproError("read_fraction must be in [0, 1]")
-        if not 0.0 <= self.diurnal_depth < 1.0:
-            raise ReproError("diurnal_depth must be in [0, 1)")
         if self.keys < 1:
             raise ReproError("keys must be at least 1")
         return self
@@ -88,33 +70,9 @@ def build_schedule(spec: ArrivalSpec) -> List[float]:
     rate_us = spec.rate_per_s / 1e6  # arrivals per simulated µs
     out: List[float] = []
     t = 0.0
-    if spec.process == "poisson":
-        for _ in range(spec.requests):
-            t += rng.expovariate(rate_us)
-            out.append(t)
-    elif spec.process == "bursty":
-        period_us = spec.burst_period_s * 1e6
-        half = period_us / 2.0
-        # On-phase runs hot by burst_factor; the off-phase rate is scaled
-        # so the cycle's mean offered load stays rate_per_s.
-        on_rate = rate_us * spec.burst_factor
-        off_rate = rate_us * max(2.0 - spec.burst_factor, 0.05)
-        for _ in range(spec.requests):
-            in_burst = (t % period_us) < half
-            t += rng.expovariate(on_rate if in_burst else off_rate)
-            out.append(t)
-    else:  # diurnal: Lewis-Shedler thinning against the peak rate
-        peak = rate_us * (1.0 + spec.diurnal_depth)
-        period_us = spec.diurnal_period_s * 1e6
-        for _ in range(spec.requests):
-            while True:
-                t += rng.expovariate(peak)
-                lam = rate_us * (1.0 + spec.diurnal_depth * math.sin(
-                    2.0 * math.pi * t / period_us
-                ))
-                if rng.random() * peak <= lam:
-                    break
-            out.append(t)
+    for _ in range(spec.requests):
+        t += rng.expovariate(rate_us)
+        out.append(t)
     return out
 
 
@@ -211,7 +169,7 @@ class LoadReport:
 
     def render(self) -> str:
         lines = [
-            f"load: {self.spec.process} x{self.requests} "
+            f"load: poisson x{self.requests} "
             f"@ {self.spec.rate_per_s:g}/s (seed {self.spec.seed}) "
             f"over {self.transport_kind}",
             f"  completed {self.completed}  "
@@ -354,7 +312,6 @@ def run_load(
 
 
 __all__ = [
-    "ARRIVAL_PROCESSES",
     "ArrivalSpec",
     "LoadReport",
     "build_ops",

@@ -19,11 +19,12 @@ disconnect leaves any partial frame detectable via
 :attr:`FrameDecoder.pending_bytes`.
 
 Ops are numbered, typed, and cover the ``PolarStoreClient`` data-plane
-surface; control ops (HELLO/PING/STATS/FLUSH) manage the session.  The
-``seq`` field is the client-assigned per-session sequence number the
-server uses to execute data ops in submission order regardless of how
-frames interleave across pooled connections — the property that makes
-the simulated side of a networked run deterministic.
+surface; control ops (HELLO/PING/STATS) are answered outside the
+sequence.  The ``seq`` field is the client-assigned number of a data op
+on its connection (0, 1, 2, ...); the server executes them in that
+order and refuses any other — the property that makes the simulated
+side of a networked run deterministic.  Nothing routes on ``session``:
+the handshake reply echoes it, and the client always sends 0.
 """
 
 from __future__ import annotations
@@ -357,7 +358,8 @@ class Request:
     id: int
     op: str
     args: List[Any] = field(default_factory=list)
-    #: Per-session submission order; -1 for control ops (unsequenced).
+    #: Submission order on the connection; -1 for control ops
+    #: (unsequenced).
     seq: int = -1
     session: int = 0
     #: Simulated arrival time the op is bridged onto the engine at.

@@ -1,17 +1,17 @@
 """The PolarStore socket server: one engine-bound deployment, framed.
 
-:class:`PolarStoreServer` hosts a :class:`~repro.api.transport
-.LocalTransport` (a real store or sharded cluster, engine-bound when
-``engine.enabled``) behind the :mod:`repro.net.protocol` wire format on
-an asyncio TCP front-end.  The design problem is determinism: sockets
-deliver requests in wall-clock order, but the reproduction's value is
-that simulated outcomes are a pure function of the seeded workload.
-Three mechanisms restore that property:
+:class:`PolarStoreServer` hosts an engine-bound
+:class:`~repro.api.transport.LocalTransport` (a real store or sharded
+cluster) behind the :mod:`repro.net.protocol` wire format on an asyncio
+TCP front-end.  The design problem is determinism: sockets deliver
+requests in wall-clock order, but the reproduction's value is that
+simulated outcomes are a pure function of the seeded workload.  Three
+mechanisms restore that property:
 
-* **per-session sequencing** — data ops carry a client-assigned ``seq``
-  and are executed in exactly that order via a reorder buffer (of at
-  most :data:`MAX_PARKED` frames), no matter how frames interleave
-  across a pool's connections;
+* **per-connection sequencing** — TCP delivers one connection's frames
+  in order, and a client owns one connection, so each connection
+  expects data ops at ``seq`` 0, 1, 2, ...; a frame carrying any other
+  ``seq`` is refused at once (nothing is parked);
 * **client-stamped simulated arrivals** — each op is bridged onto the
   engine at its ``arrival_us`` through a
   :class:`~repro.engine.bridge.WallClockBridge`, which drains earlier
@@ -55,33 +55,14 @@ from repro.net.protocol import (
 )
 
 
-#: Frames one session may park ahead of its next ``seq``.  A pool keeps
-#: at most its window (256 by default) sequenced requests in flight, so a
-#: well-behaved client parks fewer; without a ceiling a peer that skips a
-#: seq grows server memory by up to one frame (8 MiB) per request.
-MAX_PARKED = 1024
-
-
-class _Session:
-    """Per-session reorder buffer: data ops execute in ``seq`` order."""
-
-    __slots__ = ("sid", "next_seq", "pending")
-
-    def __init__(self, sid: int) -> None:
-        self.sid = sid
-        self.next_seq = 0
-        #: seq -> (request, writer) parked until its turn comes.
-        self.pending: Dict[int, Tuple[Request, asyncio.StreamWriter]] = {}
-
-
 class PolarStoreServer:
     """One PolarStore deployment served over TCP.
 
     ``config.net`` supplies the bind address, the bridge admission
-    window, and the frame-size ceiling.  With ``engine.enabled`` the
-    server runs open-loop through a :class:`WallClockBridge`; without
-    an engine every op (pipelined or not) executes synchronously — the
-    analytic path has no overlap to model.
+    window, and the frame-size ceiling.  The deployment is always
+    engine-bound and fronted by a :class:`WallClockBridge`: a config
+    with ``engine.enabled`` false is refused, and no config means the
+    default deployment with its engine on.
     """
 
     def __init__(
@@ -90,20 +71,24 @@ class PolarStoreServer:
         *,
         registry=None,
     ) -> None:
-        self.config = config or ReproConfig()
+        if config is None:
+            config = ReproConfig.from_dict({"engine": {"enabled": True}})
+        if not config.engine.enabled:
+            raise ValueError(
+                "the server fronts an event engine: engine.enabled must "
+                "be true"
+            )
+        self.config = config
         self.transport = LocalTransport(self.config)
         self.registry = (
             registry if registry is not None else self.transport.metrics
         )
-        engine = self.transport.engine
-        self.bridge: Optional[WallClockBridge] = None
-        if engine is not None:
-            self.bridge = WallClockBridge(
-                engine,
-                window=self.config.net.window,
-                registry=self.registry,
-            )
-        self._sessions: Dict[int, _Session] = {}
+        self.bridge = WallClockBridge(
+            self.transport.engine,
+            window=self.config.net.window,
+            registry=self.registry,
+        )
+        self._connections = 0
         self._next_token = 0
         #: bridge token -> (writer, request) awaiting completion reply.
         self._inflight: Dict[int, Tuple[asyncio.StreamWriter, Request]] = {}
@@ -141,6 +126,8 @@ class PolarStoreServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         decoder = FrameDecoder(MAX_FRAME_BYTES)
+        next_seq = 0  # the data op this connection may send next
+        self._connections += 1
         try:
             while True:
                 data = await reader.read(64 * 1024)
@@ -162,10 +149,23 @@ class PolarStoreServer:
                     if not isinstance(message, Request):
                         continue  # a response frame to a server is noise
                     self._requests.inc()
-                    await self._route(message, writer)
+                    if message.spec.control:
+                        await self._serve_session(message, writer)
+                    elif message.seq != next_seq:
+                        await self._write(writer, Response(
+                            id=message.id, status=STATUS_ERROR,
+                            error=(
+                                f"sequence violation: seq {message.seq} "
+                                f"vs expected {next_seq}"
+                            ),
+                        ))
+                    else:
+                        next_seq += 1
+                        await self._process(message, writer)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
+            self._connections -= 1
             writer.close()
             try:
                 await writer.wait_closed()
@@ -180,42 +180,6 @@ class PolarStoreServer:
         req_id = payload.get("id") if isinstance(payload, dict) else None
         if isinstance(req_id, int):
             await self._write(writer, _error_reply(req_id, exc))
-
-    # -- sequencing --------------------------------------------------------
-
-    async def _route(
-        self, req: Request, writer: asyncio.StreamWriter
-    ) -> None:
-        if req.spec.control:
-            await self._serve_session(req, writer)
-            return
-        session = self._sessions.get(req.session)
-        if session is None:
-            session = self._sessions[req.session] = _Session(req.session)
-        if req.seq != session.next_seq:
-            if req.seq < session.next_seq or req.seq in session.pending:
-                error = (
-                    f"sequence violation: seq {req.seq} vs "
-                    f"expected {session.next_seq}"
-                )
-            elif len(session.pending) >= MAX_PARKED:
-                error = (
-                    f"reorder buffer full: {MAX_PARKED} frames parked "
-                    f"ahead of seq {session.next_seq}"
-                )
-            else:
-                session.pending[req.seq] = (req, writer)
-                return
-            await self._write(writer, Response(
-                id=req.id, status=STATUS_ERROR, error=error
-            ))
-            return
-        await self._process(req, writer)
-        session.next_seq += 1
-        while session.next_seq in session.pending:
-            queued, queued_writer = session.pending.pop(session.next_seq)
-            await self._process(queued, queued_writer)
-            session.next_seq += 1
 
     # -- session ops -------------------------------------------------------
 
@@ -237,8 +201,6 @@ class PolarStoreServer:
                     f", server {VERSION}"
                 ),
             )
-        if session_id not in self._sessions:
-            self._sessions[session_id] = _Session(session_id)
         return Response(
             id=req.id,
             kind=req.spec.kind,
@@ -246,8 +208,8 @@ class PolarStoreServer:
                 "session": session_id,
                 "version": VERSION,
                 "sharded": self.transport.sharded,
-                "engine": self.transport.engine is not None,
-                "window": getattr(self.bridge, "window", 0),
+                "engine": True,
+                "window": self.bridge.window,
             },
             done_us=self.transport.now_us,
         )
@@ -264,11 +226,11 @@ class PolarStoreServer:
 
     def _session_stats(self, req: Request) -> Response:
         now = self.transport.now_us
-        value = {"now_us": now, "sessions": len(self._sessions)}
+        value = {"now_us": now, "sessions": self._connections}
         for name in (
             "admitted", "rejected", "completed", "queue_depth", "window"
-        ):  # all zero on a deployment without an engine
-            value[name] = getattr(self.bridge, name, 0)
+        ):
+            value[name] = getattr(self.bridge, name)
         return Response(
             id=req.id, kind=req.spec.kind, value=value, done_us=now
         )
@@ -281,15 +243,14 @@ class PolarStoreServer:
         if req.spec.target == "session":
             # A session op in the sequenced stream is a barrier: every
             # pipelined op before it completes and replies first.
-            if self.bridge is not None:
-                await self._send_completions(self.bridge.flush())
+            await self._send_completions(self.bridge.flush())
             await self._serve_session(req, writer)
             return
-        # Time never flows backward: a session whose stamps lag another
-        # session's progress is clamped to engine-now (single-session
-        # streams, the deterministic case, are never clamped).
+        # Time never flows backward: a connection whose stamps lag another
+        # connection's progress is clamped to engine-now (one client at a
+        # time, the deterministic case, is never clamped).
         arrival = max(req.arrival_us, self.transport.now_us)
-        if self.bridge is None or req.sync or not req.spec.proc:
+        if req.sync or not req.spec.proc:
             await self._process_sync(req, writer, arrival)
             return
         token = self._next_token
@@ -315,8 +276,7 @@ class PolarStoreServer:
     ) -> None:
         """Closed-loop path: run the op to completion at its arrival and
         reply immediately — exactly what a LocalTransport call does."""
-        if self.bridge is not None:
-            await self._send_completions(self.bridge.drain_to(arrival))
+        await self._send_completions(self.bridge.drain_to(arrival))
         self.transport.advance_to(arrival)
         try:
             result = self.transport.call(req.op, *req.args)
@@ -433,7 +393,6 @@ def serve_in_thread(
 
 
 __all__ = [
-    "MAX_PARKED",
     "PolarStoreServer",
     "ServerThread",
     "serve_in_thread",

@@ -6,7 +6,6 @@ import pytest
 from repro.api import PolarStore, ReproConfig
 from repro.common.errors import ReproError
 from repro.net.loadgen import (
-    ARRIVAL_PROCESSES,
     ArrivalSpec,
     build_ops,
     build_schedule,
@@ -26,19 +25,18 @@ def _spec(**overrides):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("process", ARRIVAL_PROCESSES)
-def test_schedule_is_seeded_and_nondecreasing(process):
-    spec = _spec(process=process)
+def test_schedule_is_seeded_and_nondecreasing():
+    spec = _spec()
     schedule = build_schedule(spec)
     assert len(schedule) == spec.requests
     assert schedule == sorted(schedule)
     assert all(t > 0 for t in schedule)
     assert build_schedule(spec) == schedule
-    assert build_schedule(_spec(process=process, seed=4)) != schedule
+    assert build_schedule(_spec(seed=4)) != schedule
 
 
 def test_mean_rate_is_roughly_the_offered_rate():
-    spec = _spec(process="poisson", requests=4000, rate_per_s=10_000.0)
+    spec = _spec(requests=4000, rate_per_s=10_000.0)
     schedule = build_schedule(spec)
     mean_gap_us = schedule[-1] / len(schedule)
     assert mean_gap_us == pytest.approx(100.0, rel=0.2)
@@ -60,11 +58,9 @@ def test_op_mix_is_seeded_and_respects_keyspace():
 
 def test_spec_validation():
     for bad in (
-        dict(process="sawtooth"),
         dict(rate_per_s=0.0),
         dict(requests=0),
         dict(read_fraction=1.5),
-        dict(diurnal_depth=1.0),
         dict(keys=0),
     ):
         with pytest.raises(ReproError):
@@ -112,7 +108,7 @@ def test_overload_produces_deterministic_server_rejections():
 
 
 def test_sim_artifact_is_byte_identical_across_runs():
-    spec = _spec(process="bursty")
+    spec = _spec()
     a = _run_over_socket(spec).to_json()
     b = _run_over_socket(spec).to_json()
     import json

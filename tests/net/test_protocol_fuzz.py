@@ -306,7 +306,7 @@ def test_pipelined_op_whose_generator_cannot_be_built_is_one_error_reply():
     handle = serve_in_thread(
         ReproConfig.from_dict({"engine": {"enabled": True}}), port=0
     )
-    transport = SocketTransport(handle.addr, connections=1, timeout_s=10.0)
+    transport = SocketTransport(handle.addr, timeout_s=10.0)
     try:
         transport.call("create_table", "t")
         transport.call("insert", "t", 1, b"row")
@@ -358,9 +358,7 @@ def _mute_then_hostile_server(hostile: bytes):
 def test_pool_fails_inflight_requests_on_an_undecodable_reply(hostile, caplog):
     caplog.set_level(logging.ERROR, logger="asyncio")
     listener, thread = _mute_then_hostile_server(hostile)
-    transport = SocketTransport(
-        listener.getsockname(), connections=1, timeout_s=10.0
-    )
+    transport = SocketTransport(listener.getsockname(), timeout_s=10.0)
     try:
         started = time.perf_counter()
         with pytest.raises(TransportError, match="undecodable reply"):

@@ -1,5 +1,5 @@
-"""The serving layer end to end: loopback server, pooled client,
-golden equivalence against in-process access."""
+"""The serving layer end to end: loopback server, one-connection
+client, golden equivalence against in-process access."""
 
 import select
 import socket
@@ -25,7 +25,7 @@ from repro.net.protocol import (
     Request,
     Response,
 )
-from repro.net.server import MAX_PARKED, serve_in_thread
+from repro.net.server import PolarStoreServer, serve_in_thread
 
 
 def _config(**doc):
@@ -53,6 +53,17 @@ def test_parse_addr_forms():
     assert parse_addr(("localhost", 9)) == ("localhost", 9)
     with pytest.raises(TransportError):
         parse_addr("no-port")
+
+
+def test_parse_addr_rejects_a_port_that_is_not_a_number():
+    with pytest.raises(TransportError, match="integer"):
+        parse_addr("127.0.0.1:abc")
+
+
+def test_parse_addr_rejects_a_port_outside_the_tcp_range():
+    for addr in ("127.0.0.1:65536", ("127.0.0.1", -1)):
+        with pytest.raises(TransportError, match="0-65535"):
+            parse_addr(addr)
 
 
 def test_handshake_and_basic_ops(client):
@@ -193,8 +204,7 @@ def test_stats_reflect_admission_accounting():
 
 def test_full_client_queue_raises_and_close_fails_what_is_queued(server):
     transport = SocketTransport(
-        server.addr, connections=1, max_inflight=1, queue_cap=1,
-        timeout_s=10.0,
+        server.addr, max_inflight=1, queue_cap=1, timeout_s=10.0
     )
     try:
         transport.call("create_table", "t")
@@ -210,32 +220,27 @@ def test_full_client_queue_raises_and_close_fails_what_is_queued(server):
             future.result(timeout=5.0)
 
 
-def test_full_client_queue_first_collects_replies_already_arrived():
-    handle = serve_in_thread(
-        ReproConfig.from_dict({"engine": {"enabled": False}}), port=0
-    )
+def test_full_client_queue_first_collects_replies_already_arrived(server):
     transport = SocketTransport(
-        handle.addr, connections=1, max_inflight=1, queue_cap=1,
-        timeout_s=10.0,
+        server.addr, max_inflight=1, queue_cap=1, timeout_s=10.0
     )
+    pool = transport.pool
     try:
         transport.call("create_table", "t")
-        futures = [transport.submit("insert", "t", 1, b"a")]
-        # Without an engine the reply leaves at once; let it reach the
+        # A closed-loop op replies at once; let the reply reach the
         # socket without reading it.
-        sock = transport.pool._conns[0].sock
-        assert select.select([sock], [], [], 5.0)[0]
-        futures.append(transport.submit("insert", "t", 2, b"b"))
-        futures.append(transport.submit("insert", "t", 3, b"c"))
+        futures = [pool.request("insert", ["t", 1, b"a"], sync=True)]
+        assert select.select([pool._sock], [], [], 5.0)[0]
+        futures.append(pool.request("insert", ["t", 2, b"b"], sync=True))
+        futures.append(pool.request("insert", ["t", 3, b"c"], sync=True))
         assert futures[0].done()
-        assert all(transport.pool.wait(f).ok for f in futures)
+        assert all(pool.wait(f).ok for f in futures)
     finally:
         transport.close()
-        handle.stop()
 
 
 def test_mid_stream_disconnect_fails_inflight_without_hanging(server):
-    transport = SocketTransport(server.addr, connections=1, timeout_s=10.0)
+    transport = SocketTransport(server.addr, timeout_s=10.0)
     try:
         transport.call("create_table", "t")
         # Park requests the server will never answer on this connection:
@@ -245,8 +250,7 @@ def test_mid_stream_disconnect_fails_inflight_without_hanging(server):
             for i in range(3)
         ]
         # ...then sever the TCP stream underneath them.
-        for conn in transport.pool._conns:
-            conn.sock.shutdown(socket.SHUT_RDWR)
+        transport.pool._sock.shutdown(socket.SHUT_RDWR)
         for future in futures:
             with pytest.raises(TransportError):
                 transport.pool.wait(future, timeout_s=5.0)
@@ -303,7 +307,7 @@ def test_threads_sharing_one_pool_each_get_their_own_replies(server):
 def test_a_waiting_thread_does_not_hold_up_another_threads_request(server):
     """The pump blocks without the pool lock: while one thread waits on
     a pipelined insert, another can send the flush that answers it."""
-    transport = SocketTransport(server.addr, connections=1, timeout_s=20.0)
+    transport = SocketTransport(server.addr, timeout_s=20.0)
     try:
         transport.call("create_table", "t")
         future = transport.submit("insert", "t", 1, b"x", arrival_us=0.0)
@@ -331,7 +335,7 @@ def test_pipelining_past_the_socket_buffers_does_not_deadlock():
     handle = serve_in_thread(_config(net={"window": 1}), port=0)
     steps = 3000
     transport = SocketTransport(
-        handle.addr, connections=1, max_inflight=2 * steps, timeout_s=60.0
+        handle.addr, max_inflight=2 * steps, timeout_s=60.0
     )
     try:
         transport.call("create_table", "t")
@@ -359,33 +363,59 @@ def test_pipelining_past_the_socket_buffers_does_not_deadlock():
         handle.stop()
 
 
-def test_server_bounds_frames_parked_ahead_of_a_missing_seq(server):
-    """A peer that skips seq 0 parks at most MAX_PARKED frames; the
-    next one is refused instead of growing server memory."""
-    session = 777
-    with socket.create_connection(server.addr, timeout=10.0) as sock:
+def test_frame_ahead_of_the_connections_next_seq_is_refused_at_once(server):
+    """Nothing is parked: TCP keeps one connection's frames in order, so
+    a seq other than the next one is a client error, answered now."""
+    with socket.create_connection(server.addr, timeout=5.0) as sock:
         decoder = FrameDecoder()
+        replies = []
 
         def reply() -> Response:
-            while True:
+            while not replies:
                 data = sock.recv(65536)
                 assert data, "server closed the connection"
-                payloads = decoder.feed(data)
-                if payloads:
-                    return Response.from_payload(payloads[0])
+                replies.extend(decoder.feed(data))
+            return Response.from_payload(replies.pop(0))
 
-        sock.sendall(Request(
-            id=1, op="hello", args=[session, VERSION]
-        ).encode())
+        sock.sendall(Request(id=1, op="hello", args=[777, VERSION]).encode())
         assert reply().ok
-        sock.sendall(b"".join(
-            Request(id=1 + seq, op="flush", seq=seq, session=session).encode()
-            for seq in range(1, MAX_PARKED + 2)
-        ))
+        sock.sendall(Request(id=2, op="flush", seq=1, session=777).encode())
         refused = reply()
-        assert refused.id == MAX_PARKED + 2
+        assert refused.id == 2
         assert refused.status == STATUS_ERROR
-        assert "reorder buffer full" in refused.error
+        assert "sequence violation" in refused.error
+        # The refused frame took no slot: seq 0 is still the next one.
+        sock.sendall(Request(id=3, op="flush", seq=0, session=777).encode())
+        accepted = reply()
+        assert accepted.id == 3 and accepted.ok
+
+
+def test_sessions_counts_open_connections_not_every_client_ever(server):
+    for _ in range(5):
+        PolarStore.connect(server.addr, timeout_s=10.0).close()
+    client = PolarStore.connect(server.addr, timeout_s=10.0)
+    try:
+        # The server sees each close on its own loop; give it a moment.
+        deadline = time.monotonic() + 5.0
+        while (client.transport.stats()["sessions"] != 1
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert client.transport.stats()["sessions"] == 1
+    finally:
+        client.close()
+
+
+def test_a_client_is_one_connection():
+    with pytest.raises(ValueError, match="one connection"):
+        PolarStore.connect(("127.0.0.1", 1), connections=2)
+
+
+def test_server_is_always_engine_bound():
+    assert PolarStoreServer().transport.engine is not None
+    with pytest.raises(ValueError, match="engine.enabled"):
+        PolarStoreServer(
+            ReproConfig.from_dict({"engine": {"enabled": False}})
+        )
 
 
 def test_timeout_against_a_mute_server():
@@ -407,7 +437,7 @@ def test_timeout_against_a_mute_server():
     try:
         with pytest.raises((TransportTimeout, TransportError)):
             SocketTransport(
-                listener.getsockname(), connections=1, timeout_s=0.5
+                listener.getsockname(), timeout_s=0.5
             )
     finally:
         listener.close()
@@ -422,22 +452,3 @@ def test_connect_refused_is_a_transport_error():
     probe.close()
     with pytest.raises(TransportError):
         SocketTransport(("127.0.0.1", free_port), timeout_s=2.0)
-
-
-def test_no_engine_server_serves_synchronously():
-    handle = serve_in_thread(
-        ReproConfig.from_dict({"engine": {"enabled": False}}), port=0
-    )
-    client = PolarStore.connect(handle.addr, timeout_s=10.0)
-    try:
-        client.create_table("t")
-        client.insert("t", 1, b"plain")
-        assert client.select("t", 1).value == b"plain"
-        # Pipelined submits still answer (executed synchronously).
-        transport = client.transport
-        future = transport.submit("select", "t", 1, arrival_us=0.0)
-        response = transport.pool.wait(future)
-        assert response.ok and response.value == b"plain"
-    finally:
-        client.close()
-        handle.stop()

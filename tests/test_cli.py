@@ -237,7 +237,7 @@ def test_load_artifact_sim_half_is_run_independent(tmp_path, capsys):
     for path in paths:
         assert main([
             "load", "--quick", "--requests", "120", "--rate", "1000",
-            "--arrival", "bursty", "--out", str(path),
+            "--out", str(path),
         ]) == 0
         capsys.readouterr()
     a, b = (json.loads(p.read_text()) for p in paths)
@@ -251,6 +251,12 @@ def test_serve_and_load_parsers_share_flag_shapes():
     # The unified parent parser means --seed/--out/--quick parse the
     # same way everywhere; spot-check the serving-layer commands.
     with pytest.raises(SystemExit):
-        main(["load", "--arrival", "sawtooth"])
+        main(["load", "--rate", "fast"])
     with pytest.raises(SystemExit):
         main(["serve", "--port", "not-a-port"])
+
+
+def test_load_reports_a_bad_addr_instead_of_a_traceback(capsys):
+    for addr in ("127.0.0.1:abc", "127.0.0.1:70000"):
+        assert main(["load", "--addr", addr]) == 1
+        assert "port" in capsys.readouterr().err
