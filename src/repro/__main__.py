@@ -18,14 +18,6 @@ Commands
     misdirected writes, slow I/O, device failure, replica crash +
     rejoin, quorum loss) against a replicated volume and assert the
     durability invariants.  Exit 0 iff every invariant held.
-``raft``
-    Run the consensus scenario: real Raft elections on a replicated
-    volume under symmetric and asymmetric partitions, clock skew, and
-    leader crashes (including one with an AppendEntries in flight),
-    asserting the split-brain invariants — one leader per term, no
-    committed write lost, monotonic terms, fenced leaders commit
-    nothing — plus a quorum redo-durability oracle.  Exit 0 iff every
-    invariant held.  Artifacts are byte-deterministic (``--out``).
 ``bench``
     Run a trimmed, deterministic profile of a thread-scaling figure
     (Fig 12 cluster sweep or Fig 15 per-page log) on the event-driven
@@ -36,7 +28,7 @@ Commands
     live-migrate chunks under both schedulers, and persist the wasted-
     space / migration-traffic table + JSON artifact (Figures 10/11).
 ``events``
-    Run an observed scenario (sysbench / chaos / cluster / raft) with
+    Run an observed scenario (sysbench / chaos / cluster) with
     the flight recorder active and print (or dump as JSONL) the
     structured event log: page I/O, GC relocations, group-commit
     flushes, migrations, injected faults, codec selections, scrub
@@ -238,25 +230,6 @@ def cmd_chaos(args) -> int:
         min_data_faults=args.min_faults,
     )
     print(report.render())
-    if args.metrics:
-        from repro.obs.export import to_json
-
-        print(to_json(report.metrics))
-    return 0 if report.passed else 1
-
-
-def cmd_raft(args) -> int:
-    from repro.consensus.scenario import run_raft
-
-    report = run_raft(
-        seed=args.seed,
-        quick=not args.full,
-        verbose=args.verbose,
-    )
-    print(report.render())
-    if args.out is not None:
-        path = report.write_artifact(args.out)
-        print(f"artifact: {path}", file=sys.stderr)
     if args.metrics:
         from repro.obs.export import to_json
 
@@ -535,29 +508,6 @@ def main(argv=None) -> int:
         "--metrics", action="store_true",
         help="also dump the final metric snapshot as JSON",
     )
-    raft_p = sub.add_parser(
-        "raft",
-        help="run the consensus scenario (elections, partitions, leader "
-             "crashes) and assert the split-brain invariants",
-        parents=[shared_options(
-            seed=11,
-            seed_help="schedule seed (default: 11)",
-            out=None,
-            out_help="write the byte-deterministic raft_scenario.json here",
-        )],
-    )
-    raft_p.add_argument(
-        "--full", action="store_true",
-        help="full-size workload (default: quick smoke profile)",
-    )
-    raft_p.add_argument(
-        "--verbose", action="store_true",
-        help="narrate elections, partitions, and crashes as they happen",
-    )
-    raft_p.add_argument(
-        "--metrics", action="store_true",
-        help="also dump the final metric snapshot as JSON",
-    )
     bench_p = sub.add_parser(
         "bench",
         help="run a deterministic thread-scaling figure profile",
@@ -612,7 +562,7 @@ def main(argv=None) -> int:
     )
     events_p.add_argument(
         "scenario", nargs="?",
-        choices=("sysbench", "chaos", "cluster", "raft"),
+        choices=("sysbench", "chaos", "cluster"),
         help="which observed scenario to run (omit with --load)",
     )
     events_p.add_argument(
@@ -746,7 +696,6 @@ def main(argv=None) -> int:
         "experiments": cmd_experiments,
         "metrics": cmd_metrics,
         "chaos": cmd_chaos,
-        "raft": cmd_raft,
         "bench": cmd_bench,
         "cluster": cmd_cluster,
         "events": cmd_events,

@@ -9,7 +9,3 @@ def crc32(data: bytes, seed: int = 0) -> int:
     """CRC-32 of ``data`` (zlib polynomial), masked to 32 bits."""
     return zlib.crc32(data, seed) & 0xFFFFFFFF
 
-
-def verify_crc32(data: bytes, expected: int, seed: int = 0) -> bool:
-    """True when ``data`` matches the expected CRC-32."""
-    return crc32(data, seed) == expected

@@ -6,7 +6,7 @@ the stack emits structured events into one process-wide recorder — page
 I/O, FTL garbage collection, group-commit flushes, chunk migrations,
 injected faults, codec selections, scrub repairs, elections — each
 stamped with the *simulated* time at which it happened, so a dump reads
-as the black box of a run: after a chaos or Raft failure,
+as the black box of a run: after a chaos failure,
 ``python -m repro events --load`` replays the history post-hoc.
 
 Design constraints:
@@ -51,7 +51,7 @@ CHANNELS = (
     "codec",      # compression algorithm selections
     "scrub",      # scrub sweeps and corruption repairs
     "db",         # compute-layer checkpoints
-    "election",   # consensus votes, term bumps, fences (consensus layer)
+    "election",   # leader successions after a leader crash (storage layer)
     "net",        # serving-layer admissions/rejections/completions
 )
 

@@ -1,10 +1,10 @@
 """Observed scenario runners: one seeded workload under the flight recorder.
 
-``python -m repro events`` runs one of four canonical scenarios (sysbench
-OLTP, the chaos schedule, the sharded-cluster rebalance, the Raft
-schedule) with a fresh :class:`~repro.obs.events.FlightRecorder` active,
-through one entry point, :func:`run_observed`, which returns the
-recorder and the scenario's verdict.
+``python -m repro events`` runs one of three canonical scenarios (sysbench
+OLTP, the chaos schedule, the sharded-cluster rebalance) with a fresh
+:class:`~repro.obs.events.FlightRecorder` active, through one entry point,
+:func:`run_observed`, which returns the recorder and the scenario's
+verdict.
 
 Determinism contract: given ``(name, seed, quick)`` the run is byte-
 deterministic — the events dump must not change across double runs (CI
@@ -19,7 +19,7 @@ from typing import Dict, Optional
 from repro.obs.events import FlightRecorder, recording
 
 #: Default seeds per scenario (match the CLI conventions).
-DEFAULT_SEEDS = {"sysbench": 7, "chaos": 42, "cluster": 0, "raft": 11}
+DEFAULT_SEEDS = {"sysbench": 7, "chaos": 42, "cluster": 0}
 
 
 @dataclass
@@ -99,22 +99,10 @@ def _run_cluster(seed: int, quick: bool) -> bool:
     return runtime.verify_readable(expected) >= len(expected)
 
 
-# ---------------------------------------------------------------------------
-# raft: elections, partitions, and leader crashes on one volume
-# ---------------------------------------------------------------------------
-
-
-def _run_raft(seed: int, quick: bool) -> bool:
-    from repro.consensus.scenario import run_raft
-
-    return run_raft(seed=seed, quick=quick).passed
-
-
 _RUNNERS = {
     "sysbench": _run_sysbench,
     "chaos": _run_chaos,
     "cluster": _run_cluster,
-    "raft": _run_raft,
 }
 
 SCENARIOS = tuple(sorted(_RUNNERS))

@@ -1,9 +1,9 @@
 """The PolarStore storage node software.
 
 Implements §3 of the paper: the lightweight software compression layer
-(two-level allocator, hash-table page index, write-ahead log, 3-way Raft
-replication), the three write modes (normal / no / heavy compression), and
-the three DB-oriented optimizations:
+(two-level allocator, hash-table page index, write-ahead log, 3-way
+majority-commit replication), the three write modes (normal / no / heavy
+compression), and the three DB-oriented optimizations:
 
 * Opt#1 — redo-log writes bypass compression onto the performance device;
 * Opt#2 — adaptive lz4/zstd selection per page (Algorithm 1);

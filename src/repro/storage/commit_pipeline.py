@@ -30,7 +30,7 @@ being serialized against them.
   the same error, and nothing deadlocks, exactly as before;
 * each replication attempt snapshots the epoch of the store's
   :class:`~repro.storage.raft.ReplicationGroup` — the same object that
-  tells it who is reachable and how many acks make a majority — and is
+  tells it who is alive and how many acks make a majority — and is
   *fenced*: if an election moves leadership while the fan-out is in
   flight, the attempt fails rather than letting a deposed leader
   acknowledge a commit it can no longer guarantee.
@@ -183,7 +183,7 @@ class GroupCommitPipeline:
         store = self.store
         group = store.group
         engine = self.engine
-        group.require_quorum(engine.now_us)
+        group.require_quorum()
         epoch = group.epoch
         leader = store.leader
         blob = encode_records(records)
@@ -227,17 +227,12 @@ class GroupCommitPipeline:
                 check()
                 return
             yield engine.timeout(ack)
-            if group.net_blocked(i, engine.now_us):
-                # The ack died in a partition that opened mid-flight;
-                # the follower's copy is durable but unprovable here.
-                state["lost"] += 1
-            else:
-                state["acks"] += 1
+            state["acks"] += 1
             check()
 
         engine.spawn(leader_proc(), name="redo-leader")
         for i in group.followers():
-            if not group.reachable(i, engine.now_us):
+            if not group.alive[i]:
                 group.missed[i].update(pages)
                 continue
             state["live"] += 1

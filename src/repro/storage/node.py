@@ -40,7 +40,7 @@ from repro.storage.allocator import SpaceManager
 from repro.storage.heavy import HeavySegmentStore
 from repro.storage.index import CompressionInfo, IndexEntry, PageIndex
 from repro.storage.perpage_log import PerPageLogStore, ScatteredLogStore
-from repro.storage.redo import RedoRecord, apply_records
+from repro.storage.redo import RedoRecord, apply_records, decode_records
 from repro.storage.wal import WriteAheadLog
 
 #: Codec for writes that skip Algorithm 1 (Opt#2 off).
@@ -590,6 +590,15 @@ class StorageNode:
             self.wal.append_alloc(lba, nbytes // LBA_SIZE)
             self._track_redo_block(lba, nbytes)
         return device, lba, padded, cpu
+
+    @property
+    def durable_lsn(self) -> int:
+        """Highest LSN among the durably persisted redo batches (0: none)."""
+        return max(
+            (r.lsn for blob in self.durable_redo_blobs
+             for r in decode_records(blob)),
+            default=0,
+        )
 
     def _finish_redo(self, start_us: float, done_us: float, blob: bytes) -> None:
         self.durable_redo_blobs.append(blob)

@@ -3,19 +3,18 @@
 PolarStore commits a write once the leader and a majority of replicas
 have persisted it.  :class:`ReplicationGroup` holds what that rule needs
 to know about one volume's replica set — who is alive, which pages each
-replica missed, who leads and in which epoch, which links the attached
-network fault plan severs — and states the rule once:
+replica missed, who leads and in which epoch — and states the rule once:
 :meth:`~ReplicationGroup.require_quorum` before any replica is touched,
 :meth:`~ReplicationGroup.commit_time` once the acks are in.
 :class:`~repro.storage.store.PolarStore` owns one (``store.group``) and
 makes the node calls; the group-commit pipeline, the compaction
-scheduler and the chaos/raft harnesses read the same object.
+scheduler and the chaos harness read the same object.
 
-Elections and log repair live in :mod:`repro.consensus`, a full Raft
-that a volume opts into via :meth:`PolarStore.attach_consensus` and that
-calls :meth:`~ReplicationGroup.elect` on every leader change.  Static
-leadership is simply the group nobody re-elects: replica 0 leads epoch 0
-forever, and follower failure / quorum loss are modeled all the same.
+Leadership is not elected by a protocol: the paper leaves it to PolarFS.
+Replica 0 leads epoch 0 until it crashes; then
+:meth:`~ReplicationGroup.successor` names the live replica with the
+highest durable redo LSN (ties to the lowest index) and
+:meth:`~ReplicationGroup.elect` opens a new epoch for it.
 
 Timing: the leader issues the replica RPCs in parallel and each follower
 persists through its own device queue, so a write commits at the
@@ -26,7 +25,7 @@ acknowledgement (majority of 3 = leader + 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Set
+from typing import Callable, Iterable, List, Optional, Set
 
 from repro.common.errors import RaftError
 from repro.common.units import KiB
@@ -52,7 +51,7 @@ class ReplicationGroup:
     """Replica-set state of one volume plus the majority-commit rule.
 
     Replicas are addressed by index (the same index as
-    ``PolarStore.nodes`` and, under consensus, the Raft node id).
+    ``PolarStore.nodes``).
     """
 
     def __init__(self, size: int) -> None:
@@ -60,17 +59,14 @@ class ReplicationGroup:
             raise RaftError("a replication group needs at least one replica")
         self.size = size
         self.alive: List[bool] = [True] * size
-        #: Pages each replica missed while down, partitioned or while its
-        #: device was failing: its copy (if any) is stale, so it is
-        #: excluded from reads and repair sourcing until resynced.
+        #: Pages each replica missed while down or while its device was
+        #: failing: its copy (if any) is stale, so it is excluded from
+        #: reads and repair sourcing until resynced.
         self.missed: List[Set[int]] = [set() for _ in range(size)]
         self.leader = 0
         #: Bumped by every :meth:`elect`; in-flight pipelined commits
         #: snapshot it so an election fences them.
         self.epoch = 0
-        #: A :class:`~repro.chaos.net.NetFaultPlan` (replica index = net
-        #: node id) whose partitions also sever the replica fan-out.
-        self.net_plan = None
 
     @property
     def quorum(self) -> int:
@@ -91,41 +87,35 @@ class ReplicationGroup:
         self.leader = index
         self.epoch += 1
 
-    def net_blocked(self, index: int, now_us: float) -> bool:
-        """Is the leader <-> ``index`` link partitioned right now?"""
-        plan = self.net_plan
-        if plan is None:
-            return False
-        lead = self.leader
-        return plan.blocked(lead, index, now_us) or plan.blocked(
-            index, lead, now_us
-        )
+    def successor(self, durable_lsn: Callable[[int], int]) -> Optional[int]:
+        """The replica a leader crash hands leadership to: the live one
+        with the highest ``durable_lsn(index)``, ties to the lowest
+        index; ``None`` when no replica is alive.
 
-    def reachable(self, index: int, now_us: float) -> bool:
-        """Can the leader get a write to replica ``index`` right now?"""
-        return self.alive[index] and not self.net_blocked(index, now_us)
+        Every acked batch sits on the leader plus at least one follower,
+        so after a leader crash the winner holds all of them — the
+        outcome Raft's election restriction guarantees.
+        """
+        live = [i for i in range(self.size) if self.alive[i]]
+        if not live:
+            return None
+        return max(live, key=lambda i: (durable_lsn(i), -i))
 
     def current(self, index: int, page_no: int) -> bool:
         """Does replica ``index`` hold a current copy of ``page_no``?"""
         return self.alive[index] and page_no not in self.missed[index]
 
-    def require_quorum(self, now_us: float) -> None:
+    def require_quorum(self) -> None:
         """Refuse before mutating any replica when quorum is already known
         to be lost: writing the leader first would leave an orphaned local
         copy of an update that never committed — unreadable garbage no
-        healthy replica can repair.  A partitioned follower counts as
-        lost like a dead one — the same hazard, caused by a severed link
-        instead of a dead process.
+        healthy replica can repair.
         """
         if not self.alive[self.leader]:
             raise RaftError("leader replica is down (awaiting election)")
-        reachable = 1 + sum(
-            self.reachable(i, now_us) for i in self.followers()
-        )
-        if reachable < self.quorum:
-            raise RaftError(
-                f"no quorum: {reachable}/{self.size} reachable"
-            )
+        alive = 1 + sum(self.alive[i] for i in self.followers())
+        if alive < self.quorum:
+            raise RaftError(f"no quorum: {alive}/{self.size} reachable")
 
     def commit_time(self, leader_done: float, acks: Iterable[float]) -> float:
         """When a write commits: the leader's persist joined with the

@@ -116,10 +116,10 @@ class PolarStore:
     """A replicated volume: one leader node plus ``replicas - 1`` followers.
 
     ``nodes`` are the replicas; ``group`` (a :class:`ReplicationGroup`) is
-    the only record of which of them are alive, stale, partitioned or
-    leading.  Every replicated write goes through one quorum fan-out
-    (:meth:`_replicate`), every maintenance pass over the replicas through
-    one retry-with-repair loop (:meth:`_on_each_replica`).
+    the only record of which of them are alive, stale or leading.  Every
+    replicated write goes through one quorum fan-out (:meth:`_replicate`),
+    every maintenance pass over the replicas through one
+    retry-with-repair loop (:meth:`_on_each_replica`).
     """
 
     def __init__(
@@ -158,8 +158,6 @@ class PolarStore:
         #: Chaos fault plan (when armed) — its ledger attributes detected
         #: corruption back to the injected fault kind.
         self.chaos_plan = None
-        #: The elected Raft group driving ``group.elect`` (when attached).
-        self._consensus = None
         #: Volume-time high-water mark: every commit/read completion
         #: advances it, so control-plane operations (recovery, resync)
         #: can never be timestamped before work that already happened.
@@ -225,60 +223,45 @@ class PolarStore:
         """Register the fault plan whose ledger attributes corruption."""
         self.chaos_plan = plan
 
-    def attach_net_plan(self, plan) -> None:
-        """Register a :class:`~repro.chaos.net.NetFaultPlan`: replica
-        fan-out consults its partition windows (node index = net node
-        id), so a partition that isolates the leader from a follower
-        stops that follower from acking writes."""
-        self.group.net_plan = plan
-
-    def attach_consensus(self, group) -> None:
-        """Drive this volume's leadership from an elected Raft group.
-
-        Raft node ids map one-to-one onto replica indexes.  Every
-        election moves the write/read anchor to the winner and opens a
-        new group epoch, which fences in-flight pipelined commits; crash
-        and recovery of a replica crash and restart its Raft node, so a
-        failed *leader* now triggers a real failover instead of the old
-        "out of scope" refusal.
-        """
-        if len(group.node_ids) != len(self.nodes):
+    def _check_index(self, index: int) -> None:
+        if not 0 <= index < self.group.size:
             raise ReproError(
-                f"consensus group size {len(group.node_ids)} != "
-                f"{len(self.nodes)} replicas"
+                f"no replica {index}: the volume has {self.group.size}"
             )
-        self._consensus = group
-        if group.leader_id is not None:
-            self.group.leader = group.leader_id
-        group.add_leader_listener(self._on_consensus_leader)
 
-    def _on_consensus_leader(self, node_id: int, term: int) -> None:
-        changed = node_id != self.group.leader
-        self.group.elect(node_id)
-        if changed:
+    def _elect_successor(self, at_us: float) -> None:
+        """Hand leadership to :meth:`ReplicationGroup.successor`; with no
+        replica alive the leader stays down until one recovers."""
+        group = self.group
+        winner = group.successor(lambda i: self.nodes[i].durable_lsn)
+        if winner is None:
+            return
+        if winner != group.leader:
             self.metrics.counter("storage.leader_changes").add(1)
+        group.elect(winner)
         rec = recorder_active()
         if rec is not None:
             rec.emit(
-                self.clock.now_us, "election", "store_leader",
-                node=node_id, term=term,
+                at_us, "election", "store_leader",
+                node=winner, term=group.epoch,
             )
 
     def fail_node(self, index: int) -> None:
         """Crash a replica (loses all RAM state).
 
-        Crashing the *leader* requires an attached consensus group —
-        someone has to win the election that replaces it.  The Raft node
-        (when present) crashes with the replica, so the failure is
-        visible to the consensus plane too.
+        Crashing the leader elects its successor at once: the live
+        replica with the highest durable redo LSN, ties to the lowest
+        index.  The new epoch fences a pipelined commit in flight, which
+        retries on the new leader.  With no replica left alive the
+        leader stays down and writes raise :class:`RaftError` until the
+        first :meth:`recover_node` elects.
         """
-        if index == self.group.leader and self._consensus is None:
-            raise ReproError("leader failover requires a consensus group")
+        self._check_index(index)
         if not self.group.alive[index]:
             raise ReproError(f"node {index} is already failed")
         self.group.alive[index] = False
-        if self._consensus is not None:
-            self._consensus.crash(index)
+        if index == self.group.leader:
+            self._elect_successor(self.clock.now_us)
 
     def recover_node(self, index: int, now_us: Optional[float] = None) -> float:
         """Rejoin a failed replica through real crash recovery.
@@ -295,6 +278,7 @@ class PolarStore:
         forward — a stale (or defaulted) timestamp cannot schedule
         recovery I/O before commits that already completed.
         """
+        self._check_index(index)
         if self.group.alive[index]:
             raise ReproError(f"node {index} is not failed")
         now = self.clock.now_us
@@ -307,11 +291,8 @@ class PolarStore:
             rebuilt.bind_engine(self._engine, defer_gc=self._defer_gc)
         self.nodes[index] = rebuilt
         self.group.alive[index] = True
-        if self._consensus is not None:
-            # Even a deposed leader rejoins as FOLLOWER at its persisted
-            # term; its Raft log repairs (nextIndex backoff) before the
-            # node counts as serving again.
-            self._consensus.restart(index)
+        if not self.group.alive[self.group.leader]:
+            self._elect_successor(now)
         self.metrics.counter("chaos.wal_replays", node=rebuilt.name).add(1)
         rec = recorder_active()
         if rec is not None:
@@ -363,10 +344,11 @@ class PolarStore:
 
     def resync_missed(self, now_us: float) -> float:
         """Resync stale pages on replicas that stayed up through a device
-        outage (their writes were dropped, not their process)."""
+        outage (their writes were dropped, not their process) — the
+        leader too, which a failover may have handed such a replica."""
         now = now_us
         group = self.group
-        for i in group.followers():
+        for i in range(group.size):
             if group.alive[i] and group.missed[i]:
                 now = max(now, self._resync_node(i, now_us))
         return now
@@ -452,8 +434,8 @@ class PolarStore:
 
         ``persist(node, at_us)`` applies the write to one replica and
         returns its completion time: the leader at ``start_us``, each
-        reachable follower one RPC of ``wire_bytes`` later.  A follower
-        that is dead, partitioned or failing goes stale for ``pages``.
+        live follower one RPC of ``wire_bytes`` later.  A follower that
+        is dead or failing goes stale for ``pages``.
         Closes ``root`` (the caller's open span) at the commit time it
         returns — or abandons it when the write is refused or fails, so
         the ambient span stack is left as the caller found it.
@@ -461,7 +443,7 @@ class PolarStore:
         group = self.group
         tracer = self.metrics.tracer
         try:
-            group.require_quorum(start_us)
+            group.require_quorum()
             leader_done = persist(self.leader, start_us)
             send = self.network.rpc_us(wire_bytes)
             ack = self.network.rpc_us(64)
@@ -470,7 +452,7 @@ class PolarStore:
             # critical path is attributed, so their spans are suppressed.
             with tracer.suppressed():
                 for i in group.followers():
-                    landed = group.reachable(i, start_us)
+                    landed = group.alive[i]
                     if landed:
                         try:
                             acks.append(

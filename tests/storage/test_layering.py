@@ -2,7 +2,7 @@
 accounting are private to the storage core.
 
 Everything else — the group-commit pipeline, the compaction scheduler,
-the cluster runtime, tiering, the chaos and raft harnesses — goes through
+the cluster runtime, tiering, the chaos harness — goes through
 public names (``store.group``, ``store.drop_page``, ``node.drop_page``),
 so the replication model can change in one place.
 """

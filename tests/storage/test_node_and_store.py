@@ -423,14 +423,6 @@ def _crash(store, index, now):
     store.fail_node(index)
 
 
-def _partition(store, index, now):
-    from repro.chaos.net import NetFaultPlan
-
-    plan = NetFaultPlan(seed=0)
-    plan.partition([store.group.leader], [index], from_us=now, until_us=1e12)
-    store.attach_net_plan(plan)
-
-
 def _fail_devices(store, index, now):
     from repro.chaos.plan import FaultKind, FaultPlan, FaultRule
 
@@ -451,7 +443,7 @@ def _leader_state(store):
     )
 
 
-@pytest.mark.parametrize("failure", [_crash, _partition, _fail_devices])
+@pytest.mark.parametrize("failure", [_crash, _fail_devices])
 @pytest.mark.parametrize("op", sorted(WRITE_OPS))
 def test_fan_out_commits_at_quorum_and_tracks_missed_pages(store, op, failure):
     now = store.write_page(0.0, 1, make_page(1)).commit_us

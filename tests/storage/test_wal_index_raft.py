@@ -156,12 +156,12 @@ def replicate(group, payload, leader_lat=10.0, follower_lats=(12.0, 20.0),
     """One quorum write against ``group`` with injected persist latencies
     — the calls every user of the group makes, in the order
     ``PolarStore._replicate`` makes them.  Returns ``(commit, acks)``."""
-    group.require_quorum(start)
+    group.require_quorum()
     send, ack = net.rpc_us(len(payload)), net.rpc_us(64)
     acks = [
         start + send + lat + ack
         for i, lat in zip(group.followers(), follower_lats)
-        if group.reachable(i, start)
+        if group.alive[i]
     ]
     return group.commit_time(start + leader_lat, acks), acks
 

@@ -111,17 +111,6 @@ def test_chaos_metrics_flag_appends_json_snapshot(capsys):
     assert any(n.startswith("chaos.") for n in names)
 
 
-def test_raft_smoke_passes_and_reports(capsys):
-    """Elections, partitions and leader crashes drive the volume's
-    replication group through ``attach_consensus``; the scenario's own
-    invariants (no acked write lost, fenced leaders commit nothing)
-    judge it."""
-    assert main(["raft", "--seed", "11"]) == 0
-    out = capsys.readouterr().out
-    assert "raft scenario [PASS]" in out
-    assert "VIOLATION" not in out
-
-
 def test_chaos_rejects_tiny_op_counts(capsys):
     assert main(["chaos", "--ops", "10"]) == 2
 
