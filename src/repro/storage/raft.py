@@ -25,7 +25,7 @@ acknowledgement (majority of 3 = leader + 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Set
+from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.common.errors import RaftError
 from repro.common.units import KiB
@@ -87,19 +87,21 @@ class ReplicationGroup:
         self.leader = index
         self.epoch += 1
 
-    def successor(self, durable_lsn: Callable[[int], int]) -> Optional[int]:
+    def successor(self, durable_lsns: Sequence[int]) -> Optional[int]:
         """The replica a leader crash hands leadership to: the live one
-        with the highest ``durable_lsn(index)``, ties to the lowest
+        with the highest ``durable_lsns[index]``, ties to the lowest
         index; ``None`` when no replica is alive.
 
         Every acked batch sits on the leader plus at least one follower,
-        so after a leader crash the winner holds all of them — the
-        outcome Raft's election restriction guarantees.
+        so after a leader crash the winner holds the newest acked batch.
+        An older batch or page it missed while its device was failing is
+        in :attr:`missed`: reads of those pages go to a current peer
+        until a resync repairs the winner.
         """
         live = [i for i in range(self.size) if self.alive[i]]
         if not live:
             return None
-        return max(live, key=lambda i: (durable_lsn(i), -i))
+        return max(live, key=lambda i: (durable_lsns[i], -i))
 
     def current(self, index: int, page_no: int) -> bool:
         """Does replica ``index`` hold a current copy of ``page_no``?"""

@@ -233,7 +233,7 @@ class PolarStore:
         """Hand leadership to :meth:`ReplicationGroup.successor`; with no
         replica alive the leader stays down until one recovers."""
         group = self.group
-        winner = group.successor(lambda i: self.nodes[i].durable_lsn)
+        winner = group.successor([n.durable_lsn for n in self.nodes])
         if winner is None:
             return
         if winner != group.leader:
@@ -316,22 +316,33 @@ class PolarStore:
         bit-rot damaged and need repair first).
         """
         node = self.nodes[index]
-        missed = self.group.missed[index]
+        group = self.group
+        missed = group.missed[index]
         now = now_us
         with self.metrics.tracer.suppressed():
             for page_no in sorted(missed):
-                if self.leader.index.get(page_no) is None:
+                # Whether the page exists, and its LSN high-water mark,
+                # come from a peer with a current copy, leader first —
+                # never from ``index`` itself, which may be the leader.
+                source = next(
+                    (j for j in [group.leader] + group.followers()
+                     if j != index and group.current(j, page_no)),
+                    None,
+                )
+                if source is None:
+                    continue  # no current copy anywhere yet; stays queued
+                entry = self.nodes[source].index.get(page_no)
+                if entry is None:
                     missed.discard(page_no)
                     continue
                 try:
                     good = self.read_page(now, page_no)
                 except PageCorruptionError:
                     continue  # no healthy copy right now; stays queued
-                entry = self.leader.index.get(page_no)
                 try:
                     result = node.repair_page(
                         good.done_us, page_no, good.data,
-                        applied_lsn=entry.applied_lsn if entry else 0,
+                        applied_lsn=entry.applied_lsn,
                     )
                 except DeviceUnavailableError:
                     break  # still down: the rest stays queued for later

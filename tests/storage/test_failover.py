@@ -161,6 +161,26 @@ def test_reads_reroute_around_a_dead_leader():
     assert store.nodes[1].read_page(now, 3).data == page(30)
 
 
+def test_stale_successor_is_resynced_with_a_page_it_never_held():
+    store, now = make_store()
+    # Replica 1's device fails through the first write of page 8, so it
+    # has no copy and no index entry for it, yet wins the tie.
+    rule = fail_device(store, 1, now)
+    now = store.write_page(now, 8, page(80)).commit_us
+    rule.until_us = now
+    store.fail_node(0)
+    assert store.group.leader == 1 and store.group.missed[1] == {8}
+    assert store.nodes[1].index.get(8) is None
+    now = store.scrub(now)
+    assert store.group.missed[1] == set()
+    resynced = store.metrics.counter(
+        "chaos.resynced_pages", node=store.nodes[1].name
+    )
+    assert resynced.value == 1
+    assert store.nodes[1].read_page(now, 8).data == page(80)
+    assert store.read_page(now, 8).data == page(80)
+
+
 def test_double_failover_keeps_acked_commits_durable():
     store, engine = make_engine_stack(seed=29)
     acked = []
