@@ -2,13 +2,6 @@
 
 Commands
 --------
-``info``
-    Package, subsystem, and experiment inventory.
-``demo``
-    A 30-second end-to-end demonstration (replicated volume, dual-layer
-    writes, reads, space report).
-``experiments``
-    List every benchmark target and the paper artifact it reproduces.
 ``metrics``
     Run a short OLTP workload and dump the volume-wide metric snapshot
     (JSON or Prometheus text), plus one traced write's per-layer
@@ -58,120 +51,41 @@ Commands
 ``--workers N`` (``bench``, ``cluster``; default 1) means one thing
 everywhere: independent programs fanned across N forked worker
 processes with byte-identical output.
+
+A count, size, rate or timeout that is not a positive number is refused
+by the parser: exit 2 with a usage line, before anything runs.  The
+package inventory is DESIGN.md, the experiment list EXPERIMENTS.md, and
+the end-to-end demonstration ``examples/quickstart.py``.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
-EXPERIMENTS = [
-    ("fig2", "benchmarks/bench_fig2_granularity.py",
-     "index granularity / input size / algorithm sweep"),
-    ("fig5", "benchmarks/bench_fig5_algorithms.py",
-     "lz4 vs zstd and the dual-layer collapse"),
-    ("fig7", "benchmarks/bench_fig7_device_latency.py",
-     "device latency vs compression ratio"),
-    ("fig8", "benchmarks/bench_fig8_tail_latency.py",
-     ">=4ms tail: PolarCSD1.0 vs 2.0"),
-    ("fig9", "benchmarks/bench_fig9_scheduling.py",
-     "cluster ratio dispersion + zone-scheduling model"),
-    ("fig10-11", "benchmarks/bench_fig10_11_scheduling.py",
-     "live-migration scheduling on the sharded runtime"),
-    ("fig12", "benchmarks/bench_fig12_overall.py",
-     "sysbench overall performance (N1/C1/N2/C2)"),
-    ("fig13", "benchmarks/bench_fig13_ablation.py",
-     "technique-by-technique ablation"),
-    ("fig14", "benchmarks/bench_fig14_space_ablation.py",
-     "space ablation across datasets"),
-    ("fig15", "benchmarks/bench_fig15_perpage_log.py",
-     "per-page log vs scattered logs"),
-    ("fig16", "benchmarks/bench_fig16_comparison.py",
-     "vs InnoDB / MyRocks"),
-    ("table2", "benchmarks/bench_table2_costs.py",
-     "compression ratios and cost per GB"),
-    ("table3", "benchmarks/bench_table3_selection.py",
-     "algorithm selection split per dataset"),
-    ("ablation", "benchmarks/bench_ablation_design.py",
-     "per-page-log space, L2P granularity, heavy compression"),
-    ("extensions", "benchmarks/bench_ablation_extensions.py",
-     "shared dictionaries + estimation selection (§6)"),
-    ("gc", "benchmarks/bench_ablation_ftl_gc.py",
-     "FTL GC policy / over-provisioning"),
-    ("contention", "benchmarks/bench_gen1_contention.py",
-     "gen-1 host-FTL contention study"),
-    ("micro", "benchmarks/bench_codec_micro.py",
-     "codec wall-time microbenchmarks"),
-    ("ec-dedup", "benchmarks/bench_ablation_ec_dedup.py",
-     "erasure coding vs replication; dedup negative result (§6)"),
-    ("innodb-modes", "benchmarks/bench_ablation_innodb_modes.py",
-     "InnoDB table vs page compression vs PolarStore (§2.2.1)"),
-    ("placement", "benchmarks/bench_ablation_placement.py",
-     "ratio-aware chunk placement (extension)"),
-]
 
+def positive(kind=int, zero_ok=False):
+    """An argparse ``type``: a finite ``kind`` number above zero (at
+    least zero with ``zero_ok``)."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
+            raise argparse.ArgumentTypeError(
+                f"expected a {'non-negative' if zero_ok else 'positive'} "
+                f"{kind.__name__}, got {text!r}"
+            )
+        return value
 
-def cmd_info(_args) -> int:
-    import repro
-
-    print(f"repro {repro.__version__} — PolarStore reproduction (FAST 2026)")
-    print(__doc__.split("Commands")[0].strip())
-    subsystems = [
-        ("repro.compression", "LZ4 + zstd-like codecs (dictionary mode), "
-                              "Algorithm-1 selector"),
-        ("repro.csd", "PolarCSD simulator: FTL, NAND, GC, TRIM, faults"),
-        ("repro.storage", "storage node, replication, WAL recovery, "
-                          "per-page log, heavy archive"),
-        ("repro.db", "pages, B+tree, buffer pool, RW/RO compute nodes"),
-        ("repro.baselines", "InnoDB / MyRocks / log-structured baselines"),
-        ("repro.cluster", "zone scheduler, migration, cost model"),
-        ("repro.workloads", "datasets, fio buffers, sysbench driver"),
-    ]
-    print("\nsubsystems:")
-    for name, blurb in subsystems:
-        print(f"  {name:<20} {blurb}")
-    return 0
-
-
-def cmd_experiments(_args) -> int:
-    print(f"{'id':<11} {'target':<46} reproduces")
-    for exp_id, target, blurb in EXPERIMENTS:
-        print(f"{exp_id:<11} {target:<46} {blurb}")
-    print("\nrun all with: pytest benchmarks/ --benchmark-only")
-    return 0
-
-
-def cmd_demo(_args) -> int:
-    from repro.api import PolarStore
-    from repro.common.units import MiB
-    from repro.workloads.datagen import dataset_pages
-
-    print("building a 3-replica PolarStore volume (PolarCSD2.0) ...")
-    client = PolarStore.open(store={"volume_bytes": 64 * MiB})
-    pages = dataset_pages("finance", 16, seed=0)
-    for page_no, page in enumerate(pages):
-        client.write_page(page_no, page)
-    now = client.now_us
-    result = client.read_page(3)
-    assert result.data == pages[3]
-    leader = client.store.leader
-    print(f"wrote {len(pages)} pages; read one back in "
-          f"{result.done_us - now:.0f}us (simulated)")
-    print(f"logical  : {leader.logical_used_bytes // 1024} KiB")
-    print(f"software : {leader.device_used_bytes // 1024} KiB "
-          f"(4 KiB-aligned blocks)")
-    print(f"physical : {leader.physical_used_bytes // 1024} KiB of NAND")
-    print(f"dual-layer ratio: {client.compression_ratio():.2f}x")
-    return 0
+    return parse
 
 
 def cmd_metrics(args) -> int:
-    from repro.common.units import MiB
-
-    if args.rows < 1:
-        print("metrics: --rows must be at least 1", file=sys.stderr)
-        return 2
     from repro.api import PolarStore
+    from repro.common.units import MiB
     from repro.obs.export import to_json, to_prometheus
     from repro.workloads.sysbench import prepare_table, run_sysbench
 
@@ -237,18 +151,11 @@ def cmd_chaos(args) -> int:
     return 0 if report.passed else 1
 
 
-def _resolved_workers(args) -> int:
-    if args.workers < 1:
-        raise SystemExit("--workers must be >= 1")
-    return args.workers
-
-
 def cmd_bench(args) -> int:
     from repro.bench.figures import FIGURES
 
     runner = FIGURES[args.fig]
-    runner(out_dir=args.out, quick=args.quick,
-           workers=_resolved_workers(args))
+    runner(out_dir=args.out, quick=args.quick, workers=args.workers)
     return 0
 
 
@@ -266,7 +173,7 @@ def cmd_cluster(args) -> int:
         shards=args.shards,
         chunks=args.chunks,
         seed=args.seed,
-        workers=_resolved_workers(args),
+        workers=args.workers,
     )
     aware = dict(zip(result.columns, result.rows[-1]))
     print(f"compression-aware: {aware['tasks']} tasks moved "
@@ -463,9 +370,6 @@ def main(argv=None) -> int:
         description="PolarStore reproduction toolkit",
     )
     sub = parser.add_subparsers(dest="command")
-    sub.add_parser("info", help="package and subsystem inventory")
-    sub.add_parser("demo", help="30-second end-to-end demonstration")
-    sub.add_parser("experiments", help="list benchmark targets")
     metrics_p = sub.add_parser(
         "metrics",
         help="run a short workload and dump the metric snapshot",
@@ -475,7 +379,7 @@ def main(argv=None) -> int:
         help="snapshot format on stdout (default: json)",
     )
     metrics_p.add_argument(
-        "--rows", type=int, default=400,
+        "--rows", type=positive(), default=400,
         help="sysbench table rows (default: 400)",
     )
     metrics_p.add_argument(
@@ -521,7 +425,7 @@ def main(argv=None) -> int:
         help="which figure to profile (12: cluster sweep, 15: per-page log)",
     )
     bench_p.add_argument(
-        "--workers", type=int, default=1, metavar="N",
+        "--workers", type=positive(), default=1, metavar="N",
         help="fan independent figure cells across N worker "
              "processes; byte-identical output (default: 1)",
     )
@@ -544,7 +448,7 @@ def main(argv=None) -> int:
              "benchmark profile uses 16)",
     )
     cluster_p.add_argument(
-        "--workers", type=int, default=1, metavar="N",
+        "--workers", type=positive(), default=1, metavar="N",
         help="fan the two independent scheduler fleets across N "
              "worker processes; byte-identical output (default: 1)",
     )
@@ -574,7 +478,7 @@ def main(argv=None) -> int:
         help="full-size workload (default: quick smoke profile)",
     )
     events_p.add_argument(
-        "--capacity", type=int, default=65536,
+        "--capacity", type=positive(), default=65536,
         help="ring capacity in events (default: 65536)",
     )
     events_p.add_argument(
@@ -600,7 +504,7 @@ def main(argv=None) -> int:
         help="only print events before this simulated time",
     )
     events_p.add_argument(
-        "--limit", type=int, default=None,
+        "--limit", type=positive(zero_ok=True), default=None,
         help="print only the last N matching events",
     )
     compaction_p = sub.add_parser(
@@ -639,7 +543,7 @@ def main(argv=None) -> int:
         help="TCP port; 0 picks an ephemeral one (default: 7411)",
     )
     serve_p.add_argument(
-        "--window", type=int, default=64,
+        "--window", type=positive(), default=64,
         help="admission window: simulated in-flight ops beyond this "
              "are rejected, not queued (default: 64)",
     )
@@ -668,32 +572,29 @@ def main(argv=None) -> int:
              "in-process for the run)",
     )
     load_p.add_argument(
-        "--rate", type=float, default=20_000.0,
+        "--rate", type=positive(float), default=20_000.0,
         help="mean offered load in requests per simulated second "
              "(default: 20000)",
     )
     load_p.add_argument(
-        "--requests", type=int, default=1200,
+        "--requests", type=positive(), default=1200,
         help="total requests in the schedule (default: 1200)",
     )
     load_p.add_argument(
-        "--keys", type=int, default=512,
+        "--keys", type=positive(), default=512,
         help="preloaded keyspace size (default: 512)",
     )
     load_p.add_argument(
-        "--window", type=int, default=64,
+        "--window", type=positive(), default=64,
         help="loopback server admission window (default: 64; ignored "
              "with --addr)",
     )
     load_p.add_argument(
-        "--timeout-s", type=float, default=60.0,
+        "--timeout-s", type=positive(float), default=60.0,
         help="per-request wall-clock timeout (default: 60)",
     )
     args = parser.parse_args(argv)
     handlers = {
-        "info": cmd_info,
-        "demo": cmd_demo,
-        "experiments": cmd_experiments,
         "metrics": cmd_metrics,
         "chaos": cmd_chaos,
         "bench": cmd_bench,

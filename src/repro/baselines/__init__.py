@@ -6,13 +6,13 @@
   substrate, with compaction CPU billed to the compute node.
 * :mod:`repro.baselines.innodb` — InnoDB-style table/page compression on a
   B+tree with 4 KB file-block alignment and compute-side codec work.
-* :mod:`repro.baselines.logstructured` — a log-structured block store with
-  compression at segment compaction and page-spanning read amplification.
+
+Fig 16 compares exactly these two engines with PolarStore; the
+log-structured approach §2.2.1 describes has no figure, so no model.
 """
 
 from repro.baselines.innodb import InnoDBEngine, InnoDBStore
 from repro.baselines.lsm import LSMTree
-from repro.baselines.logstructured import LogStructuredStore
 from repro.baselines.myrocks import MyRocksEngine
 
 __all__ = [
@@ -20,5 +20,4 @@ __all__ = [
     "MyRocksEngine",
     "InnoDBEngine",
     "InnoDBStore",
-    "LogStructuredStore",
 ]

@@ -97,13 +97,6 @@ class LSMStats:
             self.user_write_bytes + self.compaction_write_bytes,
         )
 
-    def bind_amp(self, metrics, **labels):
-        """Export this tree's WA as the ``storage.amp.write`` gauge in
-        ``metrics`` (the LSM baseline carries no registry of its own)."""
-        from repro.obs import amp
-
-        return amp.for_lsm(self, metrics, **labels)
-
 
 class LSMTree:
     """Leveled LSM-tree over one block device."""

@@ -148,7 +148,7 @@ def run_fig10_11(
 
     The two fleets are independent engine universes, so ``workers``
     fans them across worker processes
-    (:meth:`~repro.engine.parallel.ParallelEngineGroup.run_programs`);
+    (:func:`~repro.engine.parallel.run_programs`);
     the artifact is byte-identical at any worker count.
     """
     result = ExperimentResult(
@@ -161,9 +161,9 @@ def run_fig10_11(
             "wasted_logical", "wasted_physical", "band_coverage",
         ),
     )
-    from repro.engine.parallel import ParallelEngineGroup
+    from repro.engine.parallel import run_programs
 
-    legs = ParallelEngineGroup.run_programs(
+    legs = run_programs(
         [
             lambda name=name: run_scheduler_leg(
                 name, shards=shards, chunks=chunks, seed=seed

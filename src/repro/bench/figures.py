@@ -30,7 +30,7 @@ from repro.csd.specs import (
 )
 from repro.db.database import PolarDB
 from repro.db.ro_node import RONode
-from repro.engine.parallel import ParallelEngineGroup
+from repro.engine.parallel import run_programs
 from repro.storage.node import NodeConfig
 from repro.storage.store import PolarStore
 from repro.workloads.sysbench import (
@@ -135,7 +135,7 @@ def run_fig12(
 
     Each cluster cell is an independent engine universe, so ``workers``
     fans the cells across worker processes
-    (:meth:`~repro.engine.parallel.ParallelEngineGroup.run_programs`);
+    (:func:`~repro.engine.parallel.run_programs`);
     the assembled table is byte-identical at any worker count."""
     profile = FIG12_PROFILES[quick]
     rows, digits = profile["rows"], profile["digits"]
@@ -167,7 +167,7 @@ def run_fig12(
             ))
         return cell_rows
 
-    cells = ParallelEngineGroup.run_programs(
+    cells = run_programs(
         [
             lambda cluster=cluster, spec=spec: cluster_cell(cluster, spec)
             for cluster, spec in FIG12_CLUSTERS.items()
@@ -242,7 +242,7 @@ def run_fig15(
             out[threads] = reads.p95_latency_us
         return out
 
-    baseline, perpage = ParallelEngineGroup.run_programs(
+    baseline, perpage = run_programs(
         [
             lambda ppl=per_page_log: variant_p95(ppl)
             for per_page_log in (False, True)

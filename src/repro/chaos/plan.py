@@ -363,7 +363,3 @@ class FaultPlan:
                 now_us if now_us is not None else 0.0,
                 "fault", "injected", kind=kind.value, device=label,
             )
-
-    @property
-    def total_injected(self) -> int:
-        return sum(self.injected.values())

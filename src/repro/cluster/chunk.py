@@ -42,9 +42,6 @@ class StorageServer:
     logical_capacity: int = 8 * 1024 * GiB
     physical_capacity: int = 4 * 1024 * GiB
     chunks: Dict[int, Chunk] = field(default_factory=dict)
-    #: Physical bytes freed by the host but invisible to the device while
-    #: TRIM is off (§4.2.1's monitoring inaccuracy).
-    ghost_physical_bytes: int = 0
 
     # -- usage -----------------------------------------------------------
 
@@ -55,11 +52,6 @@ class StorageServer:
     @property
     def physical_used(self) -> int:
         return sum(c.physical_bytes for c in self.chunks.values())
-
-    @property
-    def reported_physical_used(self) -> int:
-        """What monitoring sees: true usage plus untrimmed ghosts."""
-        return self.physical_used + self.ghost_physical_bytes
 
     @property
     def logical_utilization(self) -> float:
@@ -107,9 +99,3 @@ class StorageServer:
             key=lambda c: c.compression_ratio,
             reverse=not ascending,
         )
-
-    def enable_trim(self) -> int:
-        """Flush ghost bytes (§4.2.1: ~3% drop on enabling TRIM)."""
-        released = self.ghost_physical_bytes
-        self.ghost_physical_bytes = 0
-        return released

@@ -18,7 +18,6 @@ from repro.common.units import (
     KiB,
     MiB,
     TiB,
-    align_down,
     align_up,
     ceil_div,
     is_aligned,
@@ -37,7 +36,6 @@ __all__ = [
     "GiB",
     "TiB",
     "align_up",
-    "align_down",
     "is_aligned",
     "ceil_div",
 ]

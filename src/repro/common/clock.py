@@ -25,18 +25,6 @@ class SimClock:
         """Current simulated time in microseconds."""
         return self._now_us
 
-    @property
-    def now_s(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now_us / 1e6
-
-    def advance(self, delta_us: float) -> float:
-        """Move time forward by ``delta_us`` and return the new time."""
-        if delta_us < 0:
-            raise ValueError(f"cannot advance clock by negative {delta_us}")
-        self._now_us += delta_us
-        return self._now_us
-
     def advance_to(self, when_us: float) -> float:
         """Move time forward to ``when_us`` (no-op if already later)."""
         if when_us > self._now_us:

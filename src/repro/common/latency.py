@@ -1,47 +1,11 @@
-"""Latency distributions and summary statistics.
-
-Device and codec latencies in the simulator are drawn from small parametric
-distributions seeded per component, so runs are deterministic and tail
-behaviour (P95/P99) is meaningful.
-"""
+"""Latency summary statistics: nearest-rank percentiles and the sample
+list the figures report mean / P95 / P99 from."""
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence
-
-
-@dataclass
-class LatencyModel:
-    """A base latency plus multiplicative lognormal jitter.
-
-    ``sample()`` returns ``base_us * jitter`` where ``jitter`` is lognormal
-    with median 1 and shape ``sigma``.  ``sigma=0`` makes the model
-    deterministic, which most unit tests rely on.
-    """
-
-    base_us: float
-    sigma: float = 0.0
-    seed: int = 0
-    _rng: random.Random = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.base_us < 0:
-            raise ValueError(f"negative base latency {self.base_us}")
-        if self.sigma < 0:
-            raise ValueError(f"negative sigma {self.sigma}")
-        self._rng = random.Random(self.seed)
-
-    def sample(self) -> float:
-        if self.sigma == 0.0:
-            return self.base_us
-        return self.base_us * math.exp(self._rng.gauss(0.0, self.sigma))
-
-    def scaled(self, factor: float) -> "LatencyModel":
-        """A new model with the base scaled by ``factor`` (same jitter)."""
-        return LatencyModel(self.base_us * factor, self.sigma, self.seed)
 
 
 def percentile(samples: Sequence[float], pct: float) -> float:
@@ -83,26 +47,12 @@ class LatencyStats:
         return percentile(self.samples, percentile_value)
 
     @property
-    def p50_us(self) -> float:
-        return self.pct(50.0)
-
-    @property
     def p95_us(self) -> float:
         return self.pct(95.0)
 
     @property
     def p99_us(self) -> float:
         return self.pct(99.0)
-
-    @property
-    def max_us(self) -> float:
-        return max(self.samples) if self.samples else 0.0
-
-    def fraction_above(self, threshold_us: float) -> float:
-        """Fraction of samples strictly above ``threshold_us`` (Fig 8)."""
-        if not self.samples:
-            return 0.0
-        return sum(1 for s in self.samples if s > threshold_us) / len(self.samples)
 
     def merged(self, other: "LatencyStats") -> "LatencyStats":
         out = LatencyStats()

@@ -31,13 +31,6 @@ def align_up(value: int, alignment: int) -> int:
     return (value + alignment - 1) // alignment * alignment
 
 
-def align_down(value: int, alignment: int) -> int:
-    """Round ``value`` down to the previous multiple of ``alignment``."""
-    if alignment <= 0:
-        raise ValueError(f"alignment must be positive, got {alignment}")
-    return value // alignment * alignment
-
-
 def is_aligned(value: int, alignment: int) -> bool:
     """Return True when ``value`` is a multiple of ``alignment``."""
     if alignment <= 0:
@@ -50,13 +43,3 @@ def ceil_div(numerator: int, denominator: int) -> int:
     if denominator <= 0:
         raise ValueError(f"denominator must be positive, got {denominator}")
     return -(-numerator // denominator)
-
-
-def human_bytes(size: float) -> str:
-    """Render a byte count for log/bench output, e.g. ``1.50 GiB``."""
-    if size < 0:
-        return f"-{human_bytes(-size)}"
-    for unit, name in ((TiB, "TiB"), (GiB, "GiB"), (MiB, "MiB"), (KiB, "KiB")):
-        if size >= unit:
-            return f"{size / unit:.2f} {name}"
-    return f"{size:.0f} B"

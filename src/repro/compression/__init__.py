@@ -26,7 +26,6 @@ from repro.compression.base import (
     CompressionResult,
     Compressor,
     get_codec,
-    list_codecs,
     register_codec,
 )
 from repro.compression.lz4 import LZ4Codec
@@ -39,7 +38,6 @@ __all__ = [
     "CompressionResult",
     "register_codec",
     "get_codec",
-    "list_codecs",
     "LZ4Codec",
     "ZstdCodec",
     "HardwareGzip",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,3 @@ def get_codec(name: str) -> Compressor:
             )
         _INSTANCES[name] = _REGISTRY[name]()
     return _INSTANCES[name]
-
-
-def list_codecs() -> List[str]:
-    return sorted(_REGISTRY)

@@ -47,10 +47,6 @@ class SelectionDecision:
     benefit_bytes: float = 0.0
     overhead_us: float = 0.0
 
-    @property
-    def aligned_size(self) -> int:
-        return align_up(self.result.compressed_size, LBA_SIZE)
-
 
 class AlgorithmSelector:
     """Per-page codec chooser implementing Algorithm 1."""

@@ -56,9 +56,6 @@ class FaultProfile:
                 extra[hits] = np.maximum(extra[hits], spikes)
         return extra
 
-    def sample_one_us(self, rng: np.random.Generator, is_read: bool) -> float:
-        return float(self.sample_extra_us(rng, 1, is_read)[0])
-
 
 # Host-based FTL (PolarCSD1.0).  Memory contention dominates (12/26
 # incidents), then CPU contention (9/26), then driver bugs (5/26) which are

@@ -88,19 +88,6 @@ class FTLStats:
 
         return write_amp(self.host_written_bytes, self.nand_written_bytes)
 
-    def bind_amp(self, metrics: Optional[MetricsRegistry] = None, **labels):
-        """Export this FTL's WA as the ``storage.amp.write`` gauge.
-
-        Opt-in (benchmarks/monitors call it): binding at construction
-        time would add an instrument to every default store and perturb
-        the oracle fingerprints of ``tests/perf``.
-        """
-        from repro.obs import amp
-
-        return amp.for_ftl(
-            self, metrics if metrics is not None else self.metrics, **labels
-        )
-
 
 class FTL:
     """Byte-granular page-mapping FTL over :class:`NandSpace`."""
@@ -182,9 +169,6 @@ class FTL:
         except KeyError:
             raise DeviceError(f"read of unmapped LBA {lba}") from None
 
-    def is_mapped(self, lba: int) -> bool:
-        return lba in self._mapping
-
     def stored_length(self, lba: int) -> int:
         return self.read(lba)[2]
 
@@ -206,16 +190,6 @@ class FTL:
             return
         self._invalidate(lba)
 
-    def enable_trim(self) -> None:
-        """Turn TRIM on and retroactively discard every pending free.
-
-        Models the fix of §4.2.1: once TRIM was enabled the monitored
-        physical usage immediately dropped (~3% in production).
-        """
-        self.trim_enabled = True
-        for lba in list(self._untrimmed):
-            self._invalidate(lba)
-
     # -- space accounting ---------------------------------------------------
 
     @property
@@ -233,10 +207,6 @@ class FTL:
     def untrimmed_ghost_bytes(self) -> int:
         """Physical bytes held hostage by frees the device never saw."""
         return sum(self._mapping[lba][2] for lba in self._untrimmed)
-
-    @property
-    def mapped_lbas(self) -> int:
-        return len(self._mapping)
 
     @property
     def logical_used_bytes(self) -> int:

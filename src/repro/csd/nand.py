@@ -88,10 +88,6 @@ class NandSpace:
     def live_bytes(self) -> int:
         return sum(b.live_bytes for b in self.blocks)
 
-    @property
-    def written_bytes(self) -> int:
-        return sum(b.write_ptr for b in self.blocks)
-
     def find(self, block_id: int) -> Optional[NandBlock]:
         if 0 <= block_id < len(self.blocks):
             return self.blocks[block_id]

@@ -123,13 +123,6 @@ class BufferPool:
     def lookup(self, page_no: int) -> Optional[Page]:
         return self._pages.peek(page_no)
 
-    def drop(self, page_no: int) -> None:
-        self._pages.remove(page_no)
-
     @property
     def hit_rate(self) -> float:
         return self._pages.hit_rate
-
-    @property
-    def cached_pages(self) -> int:
-        return len(self._pages)

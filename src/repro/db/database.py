@@ -35,14 +35,6 @@ class PolarDB:
         ]
         self._sim_engine = None
 
-    @classmethod
-    def from_config(cls, config) -> "PolarDB":
-        """Build an instance from a :class:`repro.api.ReproConfig` (the
-        same wiring :meth:`repro.api.PolarStore.open` uses)."""
-        from repro.api.factory import build_db
-
-        return build_db(config)
-
     # -- engine wiring -------------------------------------------------------
 
     def bind_engine(self, engine, defer_gc: bool = False) -> None:

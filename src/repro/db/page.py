@@ -176,10 +176,6 @@ class Page:
     # -- header accessors ---------------------------------------------------
 
     @property
-    def page_lsn(self) -> int:
-        return _HEADER.unpack_from(self.buf)[3]
-
-    @property
     def n_slots(self) -> int:
         return len(self._view()[0])
 

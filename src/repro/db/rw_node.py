@@ -105,10 +105,6 @@ class RWNode:
         commit_us = self.store.write_redo(ctx.now_us, records)
         return commit_us, sum(r.size_bytes for r in records)
 
-    @property
-    def current_lsn(self) -> int:
-        return self._next_lsn
-
     # -- statement bodies (shared by the sync and engine-native paths) -------
 
     # Each DML statement is one body closure over (table, key, ...); the

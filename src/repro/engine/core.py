@@ -218,10 +218,6 @@ class Engine:
     def now_us(self) -> float:
         return self._now_us
 
-    @property
-    def now_s(self) -> float:
-        return self._now_us / 1e6
-
     def advance_to(self, when_us: float) -> float:
         """Move idle time forward (no-op if already later)."""
         if when_us > self._now_us:

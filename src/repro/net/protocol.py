@@ -14,9 +14,7 @@ directions: a frame with a bad magic, an oversized length, or a CRC
 mismatch raises :class:`FrameError`; a request whose op code is unknown
 or whose argument count/types drift from the op's spec raises
 :class:`ProtocolError`.  Truncation is not an error — the incremental
-:class:`FrameDecoder` simply waits for more bytes — but a mid-stream
-disconnect leaves any partial frame detectable via
-:attr:`FrameDecoder.pending_bytes`.
+:class:`FrameDecoder` simply waits for more bytes.
 
 Ops are numbered, typed, and cover the ``PolarStoreClient`` data-plane
 surface; control ops (HELLO/PING/STATS) are answered outside the
@@ -248,11 +246,6 @@ class FrameDecoder:
     def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
         self.max_frame_bytes = max_frame_bytes
         self._buf = bytearray()
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes of an incomplete frame still waiting for more input."""
-        return len(self._buf)
 
     def feed(self, data: bytes) -> List[Any]:
         """Append ``data``; return every completed payload value."""

@@ -95,30 +95,3 @@ class AmplificationAccountant:
 
     def read_amplification(self) -> float:
         return read_amp(self._user_reads(), self._device_reads())
-
-
-def for_ftl(stats, metrics, **labels) -> AmplificationAccountant:
-    """Bind an accountant to :class:`repro.csd.ftl.FTLStats`.
-
-    ``storage.amp.write`` then reports exactly what the legacy
-    ``stats.write_amplification`` accessor reports (NAND bytes per host
-    byte, GC relocation included).
-    """
-    return AmplificationAccountant(
-        metrics,
-        user_write_bytes=lambda: stats.host_written_bytes,
-        physical_write_bytes=lambda: stats.nand_written_bytes,
-        **labels,
-    )
-
-
-def for_lsm(stats, metrics, **labels) -> AmplificationAccountant:
-    """Bind an accountant to :class:`repro.baselines.lsm.LSMStats`."""
-    return AmplificationAccountant(
-        metrics,
-        user_write_bytes=lambda: stats.user_write_bytes,
-        physical_write_bytes=lambda: (
-            stats.user_write_bytes + stats.compaction_write_bytes
-        ),
-        **labels,
-    )

@@ -167,8 +167,8 @@ class FlightRecorder:
             and (since_us is None or ev.t_us >= since_us)
             and (until_us is None or ev.t_us < until_us)
         ]
-        if limit is not None and limit >= 0:
-            out = out[-limit:]
+        if limit is not None:
+            out = out[max(0, len(out) - limit):]
         return out
 
     def summary(self) -> Dict[str, Dict[str, int]]:
@@ -241,11 +241,6 @@ def activate(recorder: Optional[FlightRecorder] = None, **kwargs) -> FlightRecor
     return _active
 
 
-def deactivate() -> None:
-    global _active
-    _active = None
-
-
 @contextmanager
 def recording(recorder: Optional[FlightRecorder] = None, **kwargs):
     """Scoped activation; restores the previous recorder on exit."""
@@ -286,7 +281,6 @@ __all__ = [
     "FlightRecorder",
     "RecordedEvent",
     "activate",
-    "deactivate",
     "emit",
     "parse_sample_spec",
     "recording",

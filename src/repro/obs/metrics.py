@@ -248,16 +248,6 @@ class Histogram(Instrument):
     def p99(self) -> float:
         return self.percentile(99.0)
 
-    def fraction_above(self, threshold: float) -> float:
-        """Approximate fraction of samples strictly above ``threshold``."""
-        if self._count == 0:
-            return 0.0
-        above = sum(
-            count for idx, count in self._counts.items()
-            if self._bucket_value(idx) > threshold
-        )
-        return above / self._count
-
     # -- merge -------------------------------------------------------------
 
     def _compatible(self, other: "Histogram") -> bool:
@@ -388,20 +378,12 @@ class BoundedSeries:
         return self.histogram.mean
 
     @property
-    def p50_us(self) -> float:
-        return self.histogram.p50
-
-    @property
     def p95_us(self) -> float:
         return self.histogram.p95
 
     @property
     def p99_us(self) -> float:
         return self.histogram.p99
-
-    @property
-    def max_us(self) -> float:
-        return self.histogram.max
 
 
 class MetricsRegistry:
@@ -573,16 +555,6 @@ class MetricsRegistry:
                 rec["payload"] = inst.payload()
             out.append(rec)
         return out
-
-    def merge_state(self, records: Iterable[Dict]) -> None:
-        """Fold one :meth:`state` capture into this registry.
-
-        Folding captures one at a time rounds float sums once per fold;
-        use :meth:`merge_states` when combining several captures — it
-        folds each instrument with a *single* ``math.fsum`` pass, which
-        is what makes the merge exactly permutation-independent.
-        """
-        self.merge_states([records])
 
     def merge_states(self, states: Iterable[Iterable[Dict]]) -> None:
         """Fold any number of :meth:`state` captures, order-independently.

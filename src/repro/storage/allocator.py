@@ -55,14 +55,6 @@ class GlobalAllocator:
         self._allocated.remove(extent)
         self._recycled.append(extent)
 
-    @property
-    def allocated_extents(self) -> int:
-        return len(self._allocated)
-
-    @property
-    def free_extents(self) -> int:
-        return (self.total_extents - self._frontier) + len(self._recycled)
-
     def restore(self, allocated: Set[int]) -> None:
         """Reset state from recovery (the WAL replays chunk ownership)."""
         bad = {e for e in allocated if not 0 <= e < self.total_extents}
@@ -186,8 +178,3 @@ class SpaceManager:
     @property
     def used_bytes(self) -> int:
         return self.bitmap.used_bytes
-
-    @property
-    def reserved_bytes(self) -> int:
-        """Bytes of extents claimed from the device (128 KB granularity)."""
-        return self.global_allocator.allocated_extents * EXTENT_SIZE

@@ -168,7 +168,3 @@ class HeavySegmentStore:
         if meta is None:
             raise ReproError(f"unknown segment {segment_id}")
         return meta
-
-    @property
-    def segment_count(self) -> int:
-        return len(self._segments)

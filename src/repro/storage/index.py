@@ -89,13 +89,3 @@ class PageIndex:
         from repro.common.units import DB_PAGE_SIZE
 
         return len(self._entries) * DB_PAGE_SIZE
-
-    @property
-    def stored_blocks(self) -> int:
-        """4 KB blocks referenced by live entries (heavy pages share their
-        segment's blocks, counted once per segment elsewhere)."""
-        return sum(
-            e.n_blocks
-            for e in self._entries.values()
-            if e.status is not CompressionInfo.HEAVY
-        )

@@ -879,15 +879,6 @@ class StorageNode:
             return 1.0
         return self.logical_used_bytes / physical
 
-    def algorithm_distribution(self) -> Dict[str, int]:
-        """Pages per software codec among live normal-compressed entries
-        (the live view behind Table 3)."""
-        counts: Dict[str, int] = {}
-        for _, entry in self.index.items():
-            if entry.status is CompressionInfo.NORMAL:
-                counts[entry.algorithm] = counts.get(entry.algorithm, 0) + 1
-        return counts
-
     def page_stored_bytes(self, page_no: int) -> int:
         """Physical bytes attributable to one page (NAND bytes on a CSD,
         device blocks on a plain SSD; heavy pages share their segment)."""

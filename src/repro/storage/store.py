@@ -188,14 +188,6 @@ class PolarStore:
             lambda: self.leader.physical_used_bytes,
         )
 
-    @classmethod
-    def from_config(cls, config) -> "PolarStore":
-        """Build a volume from a :class:`repro.api.ReproConfig` (the same
-        wiring :meth:`repro.api.PolarStore.open` uses)."""
-        from repro.api.factory import build_store
-
-        return build_store(config)
-
     def bind_engine(self, engine, defer_gc: bool = False) -> None:
         """Attach the volume to a shared discrete-event kernel.
 

@@ -53,12 +53,11 @@ class WALRecord:
 
 
 class WriteAheadLog:
-    """Append-only log with CRC verification and prefix truncation."""
+    """Append-only log with CRC verification."""
 
     def __init__(self) -> None:
         self._records: List[bytes] = []
         self._next_lsn = 1
-        self._truncated_below = 0
         self.appended_bytes = 0
 
     # -- append ----------------------------------------------------------------
@@ -106,13 +105,9 @@ class WriteAheadLog:
     def append_free(self, lba: int, n_blocks: int) -> int:
         return self.append(WALRecordType.FREE, struct.pack("<QI", lba, n_blocks))
 
-    def append_checkpoint(self, snapshot: bytes = b"") -> int:
-        """Append a checkpoint carrying a serialized state snapshot.
-
-        Recovery may start from the latest checkpoint instead of replaying
-        the whole log; records below it become truncatable.
-        """
-        return self.append(WALRecordType.CHECKPOINT, snapshot)
+    def append_checkpoint(self) -> int:
+        """Append an empty checkpoint marker; replay skips it."""
+        return self.append(WALRecordType.CHECKPOINT, b"")
 
     def append_segment(
         self, segment_id: int, compressed_len: int,
@@ -169,45 +164,6 @@ class WriteAheadLog:
         except ValueError:
             raise WALError(f"unknown WAL record type {rtype}") from None
         return WALRecord(lsn, record_type, payload)
-
-    # -- maintenance -----------------------------------------------------------------
-
-    def truncate_below(self, lsn: int) -> int:
-        """Drop records with LSN < ``lsn`` (after a checkpoint); returns
-        how many were dropped."""
-        kept: List[bytes] = []
-        dropped = 0
-        for encoded in self._records:
-            record_lsn = _HEADER.unpack_from(encoded)[1]
-            if record_lsn < lsn:
-                dropped += 1
-            else:
-                kept.append(encoded)
-        self._records = kept
-        self._truncated_below = max(self._truncated_below, lsn)
-        return dropped
-
-    def corrupt_record(self, index: int) -> None:
-        """Flip a byte in record ``index`` (fault-injection for tests)."""
-        encoded = bytearray(self._records[index])
-        encoded[-1] ^= 0xFF
-        self._records[index] = bytes(encoded)
-
-    def tear_tail(self, drop_bytes: int = 1) -> None:
-        """Cut ``drop_bytes`` off the final record, simulating a crash
-        mid-append (fault injection; replay must ignore the torn tail)."""
-        if not self._records:
-            raise WALError("cannot tear an empty WAL")
-        tail = self._records[-1]
-        self._records[-1] = tail[: max(0, len(tail) - drop_bytes)]
-
-    @property
-    def record_count(self) -> int:
-        return len(self._records)
-
-    @property
-    def next_lsn(self) -> int:
-        return self._next_lsn
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Workload generation: domain datasets, fio-style buffers, sysbench OLTP."""
 
-from repro.workloads.datagen import DATASETS, DatasetSpec, dataset_pages, dataset_rows
+from repro.workloads.datagen import DATASETS, DatasetSpec, dataset_pages
 from repro.workloads.fio import buffer_with_ratio
 from repro.workloads.sysbench import (
     SYSBENCH_WORKLOADS,
@@ -13,7 +13,6 @@ __all__ = [
     "DATASETS",
     "DatasetSpec",
     "dataset_pages",
-    "dataset_rows",
     "buffer_with_ratio",
     "SYSBENCH_WORKLOADS",
     "SysbenchResult",

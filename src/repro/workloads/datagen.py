@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List
 
 from repro.common.units import DB_PAGE_SIZE
 
@@ -232,16 +232,6 @@ def dataset_pages(name: str, n_pages: int, seed: int = 0) -> List[bytes]:
         buf += bytes(DB_PAGE_SIZE - len(buf))
         pages.append(bytes(buf))
     return pages
-
-
-def dataset_rows(
-    name: str, n_rows: int, seed: int = 0
-) -> List[Tuple[int, bytes]]:
-    """(key, record) rows for loading into the DB engine."""
-    spec = DATASETS[name]
-    rng = random.Random((seed << 8) ^ zlib.crc32(name.encode()))
-    profile = spec.profile(rng)
-    return [(row_id, spec.record(rng, row_id, profile)) for row_id in range(n_rows)]
 
 
 def corpus(names=None, pages_per_dataset: int = 64, seed: int = 0) -> List[bytes]:

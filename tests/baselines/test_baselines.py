@@ -7,11 +7,10 @@ import pytest
 
 from repro.engine import Resource
 from repro.common.errors import ReproError
-from repro.common.units import DB_PAGE_SIZE, KiB, MiB
+from repro.common.units import KiB, MiB
 from repro.csd.device import PlainSSD
 from repro.csd.specs import P5510
 from repro.baselines.innodb import InnoDBEngine, InnoDBStore
-from repro.baselines.logstructured import LogStructuredStore, UNIT_BYTES
 from repro.baselines.lsm import LSMTree
 from repro.baselines.myrocks import MyRocksEngine
 from repro.workloads.datagen import dataset_pages
@@ -209,50 +208,3 @@ def test_innodb_engine_update_delete():
     now = db.delete(now, "t", 10).done_us
     assert db.select(now, "t", 10).value is None
 
-
-# --------------------------------------------------------------------- #
-# Log-structured store                                                   #
-# --------------------------------------------------------------------- #
-
-
-def test_logstructured_round_trip_through_compaction():
-    store = LogStructuredStore(make_device())
-    pages = {i: _db_page(i + 10) for i in range(40)}
-    now = 0.0
-    for page_no, page in pages.items():
-        now = store.write_page(now, page_no, page)
-    assert store.stats.compactions > 0
-    for page_no, page in pages.items():
-        data, now, _ = store.read_page(now, page_no)
-        assert data == page
-
-
-def test_logstructured_split_pages_cost_two_reads():
-    """§2.2.1: compression units misalign with 16 KB pages, so some reads
-    need two unit reads + decompressions."""
-    store = LogStructuredStore(make_device())
-    now = 0.0
-    for page_no in range(64):
-        now = store.write_page(now, page_no, _db_page(page_no))
-    split_reads = 0
-    for page_no in range(64):
-        _, now, units = store.read_page(now, page_no)
-        if units == 2:
-            split_reads += 1
-    assert split_reads > 0
-    assert store.stats.split_page_reads == split_reads
-
-
-def test_logstructured_compresses():
-    store = LogStructuredStore(make_device())
-    now = 0.0
-    for page_no in range(32):
-        now = store.write_page(now, page_no, _db_page(page_no))
-    compacted = store.stats.compaction_write_bytes
-    assert 0 < compacted < 32 * DB_PAGE_SIZE
-
-
-def test_logstructured_missing_page():
-    store = LogStructuredStore(make_device())
-    with pytest.raises(ReproError):
-        store.read_page(0.0, 5)

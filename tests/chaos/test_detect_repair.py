@@ -57,7 +57,7 @@ def test_read_detects_repairs_and_attributes(kind):
     store = make_store()
     plan = arm(store, kind)
     now = store.write_page(0.0, 1, make_page(7)).commit_us
-    assert plan.total_injected == 1
+    assert sum(plan.injected.values()) == 1
     result = store.read_page(now, 1)
     assert result.data == make_page(7)
     assert counter_total(store, "chaos.detected", kind=kind.value) >= 1

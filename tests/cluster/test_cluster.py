@@ -56,16 +56,6 @@ def test_server_fits_checks_both_dimensions():
     assert server.fits(compressible)
 
 
-def test_ghost_bytes_and_trim():
-    server = StorageServer(0)
-    server.add_chunk(Chunk(1, 10 * GiB, 2.0))
-    server.ghost_physical_bytes = GiB
-    assert server.reported_physical_used == server.physical_used + GiB
-    released = server.enable_trim()
-    assert released == GiB
-    assert server.reported_physical_used == server.physical_used
-
-
 # --------------------------------------------------------------------- #
 # Cluster placement                                                      #
 # --------------------------------------------------------------------- #
@@ -157,24 +147,6 @@ def test_scheduling_reduces_stranded_space():
         cluster.wasted_logical_fraction() + cluster.wasted_physical_fraction()
     )
     assert wasted_after < wasted_before
-
-
-def test_cluster_trim_rollout_recovers_monitored_space():
-    """§4.2.1: before TRIM, monitoring overestimates physical usage; the
-    rollout dropped monitored usage ~3%.  Reproduce at cluster scale with
-    ghost bytes on every server."""
-    cluster = synthesize_cluster(n_servers=20, seed=13)
-    total_true = sum(s.physical_used for s in cluster.servers)
-    # Each server carries ~3% ghost space from untrimmed frees.
-    for server in cluster.servers:
-        server.ghost_physical_bytes = int(server.physical_used * 0.031)
-    reported_before = sum(s.reported_physical_used for s in cluster.servers)
-    assert reported_before > total_true
-    released = sum(s.enable_trim() for s in cluster.servers)
-    reported_after = sum(s.reported_physical_used for s in cluster.servers)
-    assert reported_after == total_true
-    drop = released / reported_before
-    assert 0.02 < drop < 0.04  # the paper's ~3%
 
 
 def test_find_chunk():

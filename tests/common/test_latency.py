@@ -1,35 +1,8 @@
-"""Latency models and statistics."""
+"""Latency statistics."""
 
 import pytest
 
-from repro.common.latency import LatencyModel, LatencyStats, percentile
-
-
-def test_deterministic_model_returns_base():
-    model = LatencyModel(base_us=80.0)
-    assert all(model.sample() == 80.0 for _ in range(10))
-
-
-def test_jittered_model_is_reproducible_and_positive():
-    a = LatencyModel(80.0, sigma=0.3, seed=7)
-    b = LatencyModel(80.0, sigma=0.3, seed=7)
-    samples_a = [a.sample() for _ in range(100)]
-    samples_b = [b.sample() for _ in range(100)]
-    assert samples_a == samples_b
-    assert all(s > 0 for s in samples_a)
-    assert len(set(samples_a)) > 1
-
-
-def test_scaled_model():
-    model = LatencyModel(10.0)
-    assert model.scaled(2.5).sample() == 25.0
-
-
-def test_model_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        LatencyModel(-1.0)
-    with pytest.raises(ValueError):
-        LatencyModel(1.0, sigma=-0.1)
+from repro.common.latency import LatencyStats, percentile
 
 
 def test_percentile_nearest_rank():
@@ -52,18 +25,9 @@ def test_stats_summaries():
     stats.extend(float(i) for i in range(1, 101))
     assert stats.count == 100
     assert stats.mean_us == pytest.approx(50.5)
-    assert stats.p50_us == 50.0
+    assert stats.pct(50.0) == 50.0
     assert stats.p95_us == 95.0
     assert stats.p99_us == 99.0
-    assert stats.max_us == 100.0
-
-
-def test_stats_fraction_above():
-    stats = LatencyStats()
-    stats.extend([1.0, 2.0, 3.0, 4000.0, 5000.0])
-    assert stats.fraction_above(4000.0) == pytest.approx(1 / 5)
-    assert stats.fraction_above(0.5) == 1.0
-    assert LatencyStats().fraction_above(1.0) == 0.0
 
 
 def test_stats_merge_does_not_mutate():

@@ -5,14 +5,10 @@ import pytest
 from repro.common.units import (
     DB_PAGE_SIZE,
     EXTENT_SIZE,
-    GiB,
     KiB,
     LBA_SIZE,
-    MiB,
-    align_down,
     align_up,
     ceil_div,
-    human_bytes,
     is_aligned,
 )
 
@@ -39,19 +35,6 @@ def test_align_up(value, alignment, expected):
     assert align_up(value, alignment) == expected
 
 
-@pytest.mark.parametrize(
-    "value,alignment,expected",
-    [
-        (0, 4096, 0),
-        (1, 4096, 0),
-        (4096, 4096, 4096),
-        (8191, 4096, 4096),
-    ],
-)
-def test_align_down(value, alignment, expected):
-    assert align_down(value, alignment) == expected
-
-
 def test_is_aligned():
     assert is_aligned(8192, 4096)
     assert not is_aligned(8191, 4096)
@@ -69,15 +52,6 @@ def test_bad_alignment_rejected():
     with pytest.raises(ValueError):
         align_up(1, 0)
     with pytest.raises(ValueError):
-        align_down(1, -4)
-    with pytest.raises(ValueError):
         is_aligned(1, 0)
     with pytest.raises(ValueError):
         ceil_div(1, 0)
-
-
-def test_human_bytes():
-    assert human_bytes(512) == "512 B"
-    assert human_bytes(1536) == "1.50 KiB"
-    assert human_bytes(3 * GiB) == "3.00 GiB"
-    assert human_bytes(-2 * MiB) == "-2.00 MiB"

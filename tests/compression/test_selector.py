@@ -82,9 +82,3 @@ def test_decision_payload_round_trips():
     decision = AlgorithmSelector().select(page)
     codec = get_codec(decision.codec)
     assert codec.decompress(decision.result.payload) == page
-
-
-def test_aligned_size_is_lba_multiple():
-    decision = AlgorithmSelector().select(_textlike(16384, seed=6))
-    assert decision.aligned_size % LBA_SIZE == 0
-    assert decision.aligned_size >= decision.result.compressed_size

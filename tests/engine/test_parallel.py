@@ -1,17 +1,20 @@
 """The parallel layer: program fan-out."""
 
+import os
+import pathlib
+
 import pytest
 
-from repro.engine.parallel import ParallelEngineGroup, ParallelError
+from repro.engine.parallel import ParallelError, run_programs
 
 
 # -- program fan-out --------------------------------------------------------
 
 def test_run_programs_matches_inline_at_any_worker_count():
     programs = [lambda i=i: {"index": i, "value": i * i} for i in range(7)]
-    inline = ParallelEngineGroup.run_programs(programs, workers=1)
+    inline = run_programs(programs, workers=1)
     for workers in (2, 3, 7):
-        assert ParallelEngineGroup.run_programs(
+        assert run_programs(
             programs, workers=workers
         ) == inline
 
@@ -26,7 +29,7 @@ def test_run_programs_results_are_indexed_not_completion_ordered():
         return ("heavy", total)
 
     programs = [heavy] + [lambda i=i: ("light", i) for i in range(1, 5)]
-    results = ParallelEngineGroup.run_programs(programs, workers=4)
+    results = run_programs(programs, workers=4)
     assert results[0][0] == "heavy"
     assert [r[1] for r in results[1:]] == [1, 2, 3, 4]
 
@@ -36,25 +39,35 @@ def test_run_programs_propagates_worker_tracebacks():
         raise ValueError("deliberate-worker-failure")
 
     with pytest.raises(ParallelError, match="deliberate-worker-failure"):
-        ParallelEngineGroup.run_programs(
+        run_programs(
             [lambda: 1, boom], workers=2
         )
 
 
-def test_run_programs_setup_seeds_each_worker():
-    import tests.engine.test_parallel as mod
+def children():
+    """Pids whose parent is this process, zombies included."""
+    me = str(os.getpid())
+    found = set()
+    for stat in pathlib.Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if fields[1] == me:
+            found.add(stat.parent.name)
+    return found
 
-    def setup(worker_id):
-        mod._WORKER_TAG = worker_id
 
-    def read_tag():
-        return mod._WORKER_TAG
+def test_a_worker_that_dies_is_named_and_every_child_is_reaped():
+    before = children()
+    with pytest.raises(ParallelError, match="worker 1 exited with status 3"):
+        run_programs([lambda: 1, lambda: os._exit(3)], workers=2)
+    assert children() == before
 
-    # Round-robin: programs 0,2 land on worker 0; 1,3 on worker 1.
-    results = ParallelEngineGroup.run_programs(
-        [read_tag] * 4, workers=2, setup=setup
-    )
-    assert results == [0, 1, 0, 1]
+
+def test_run_programs_reports_an_unpicklable_result():
+    with pytest.raises(ParallelError, match="worker 1 failed"):
+        run_programs([lambda: 1, lambda: (lambda: 2)], workers=2)
 
 
 def test_fig10_11_legs_fan_out_to_the_same_result(tmp_path):

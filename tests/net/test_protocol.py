@@ -92,14 +92,14 @@ def test_frame_round_trip_and_incremental_feed():
     for offset in range(len(stream)):
         seen.extend(decoder.feed(stream[offset:offset + 1]))
     assert [doc["n"] for doc in seen] == list(range(5))
-    assert decoder.pending_bytes == 0
+    assert len(decoder._buf) == 0
 
 
 def test_truncated_frame_waits_then_completes():
     frame = encode_frame({"k": b"v" * 100})
     decoder = FrameDecoder()
     assert decoder.feed(frame[:10]) == []
-    assert decoder.pending_bytes == 10
+    assert len(decoder._buf) == 10
     (doc,) = decoder.feed(frame[10:])
     assert doc == {"k": b"v" * 100}
 

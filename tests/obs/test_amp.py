@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.baselines.lsm import LSMStats
-from repro.csd.ftl import FTLStats
 from repro.obs.amp import (
     READ_AMP_GAUGE,
     SPACE_AMP_GAUGE,
@@ -67,23 +65,3 @@ def test_accountant_skips_gauges_without_sources():
     assert accountant.write_amplification() == 3.0
     with pytest.raises(TypeError):
         accountant.space_amplification()
-
-
-def test_ftl_bind_amp_matches_legacy_accessor():
-    stats = FTLStats()
-    stats.record_host_write(1000)
-    stats.record_gc(1000)  # host 1000, nand 1000 + 1000 relocated
-    accountant = stats.bind_amp(role="data")
-    gauge = stats.metrics.get(WRITE_AMP_GAUGE, role="data")
-    assert gauge is not None
-    assert gauge.value == stats.write_amplification == 2.0
-    assert accountant.write_amplification() == stats.write_amplification
-
-
-def test_lsm_bind_amp_matches_legacy_accessor():
-    stats = LSMStats(user_write_bytes=500, compaction_write_bytes=750)
-    metrics = MetricsRegistry()
-    stats.bind_amp(metrics, tree="baseline")
-    gauge = metrics.get(WRITE_AMP_GAUGE, tree="baseline")
-    assert gauge is not None
-    assert gauge.value == stats.write_amplification == 2.5

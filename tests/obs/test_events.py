@@ -7,8 +7,6 @@ import pytest
 from repro.obs.events import (
     CHANNELS,
     FlightRecorder,
-    activate,
-    deactivate,
     emit,
     parse_sample_spec,
     recorder_active,
@@ -141,8 +139,7 @@ def test_chaos_dump_replays_every_event_unchanged(tmp_path):
 def test_activation_scoping():
     assert recorder_active() is None
     emit(1.0, "io", "noop")  # no-op when inactive
-    outer = activate(capacity=16)
-    try:
+    with recording(capacity=16) as outer:
         assert recorder_active() is outer
         with recording(capacity=8) as inner:
             assert recorder_active() is inner
@@ -151,8 +148,6 @@ def test_activation_scoping():
         assert recorder_active() is outer
         assert inner.total_emitted == 1
         assert outer.total_emitted == 0
-    finally:
-        deactivate()
     assert recorder_active() is None
 
 

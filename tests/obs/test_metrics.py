@@ -109,12 +109,6 @@ def test_histogram_merge_rejects_incompatible_layouts():
         a.merged(b)
 
 
-def test_histogram_fraction_above():
-    hist = Histogram("lat")
-    hist.extend([1.0] * 90 + [4000.0] * 10)
-    assert hist.fraction_above(100.0) == pytest.approx(0.10)
-
-
 def test_histogram_matches_latencystats_convention_on_small_sets():
     # Nearest-rank on tiny sample sets must agree within bucket error.
     samples = [10.0, 20.0, 30.0, 40.0, 50.0]
@@ -137,8 +131,8 @@ def test_bounded_series_len_counts_everything_window_is_bounded():
     assert len(list(series)) == 16  # but memory is bounded
     assert list(series)[-1] == 100.0
     assert series.mean_us == pytest.approx(sum(range(1, 101)) / 100)
-    assert series.max_us == 100.0
-    assert series.p95_us > series.p50_us
+    assert series.histogram.max == 100.0
+    assert series.p95_us > series.histogram.p50
     series.clear()
     assert len(series) == 0
     assert not series

@@ -58,7 +58,7 @@ def _worker_registry(seed):
 def test_registry_state_round_trips():
     source = _worker_registry(7)
     clone = MetricsRegistry()
-    clone.merge_state(source.state())
+    clone.merge_states([source.state()])
     assert clone.snapshot() == source.snapshot()
 
 
@@ -81,5 +81,5 @@ def test_state_samples_callback_gauges():
     # clobber the live callback.
     target = MetricsRegistry()
     target.gauge_fn("live.depth", lambda: 99.0)
-    target.merge_state([rec])
+    target.merge_states([[rec]])
     assert target.get("live.depth").value == 99.0

@@ -32,12 +32,9 @@ def _both_legs(run):
     with oracle.memo_capacity(0) as off:
         computed = run()
     assert off.hits == 0 and len(off) == 0
-    obs_events.activate(obs_events.FlightRecorder(capacity=16384))
-    try:
+    with obs_events.recording(obs_events.FlightRecorder(capacity=16384)):
         with oracle.memo_capacity(MEMO_CAPACITY_BYTES) as on:
             memoized = run()
-    finally:
-        obs_events.deactivate()
     # Not vacuous: duplicate codec work was answered from the cache.
     assert on.hits > 0
     return computed, memoized

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import AllocationError, OutOfSpaceError
-from repro.common.units import EXTENT_SIZE, KiB, LBA_SIZE, MiB
+from repro.common.units import KiB, LBA_SIZE, MiB
 from repro.storage.allocator import (
     BLOCKS_PER_EXTENT,
     BitmapAllocator,
@@ -30,7 +30,7 @@ def test_global_allocator_recycles_freed_extents():
     alloc = GlobalAllocator(1 * MiB)
     extent = alloc.allocate_extent()
     alloc.free_extent(extent)
-    assert alloc.free_extents == 8
+    assert alloc._recycled == [extent]
     assert alloc.allocate_extent() == extent  # recycled first
 
 
@@ -45,8 +45,7 @@ def test_global_allocator_rejects_double_free():
 def test_global_allocator_restore():
     alloc = GlobalAllocator(1 * MiB)
     alloc.restore({0, 3, 5})
-    assert alloc.allocated_extents == 3
-    assert alloc.free_extents == 5
+    assert alloc._allocated == {0, 3, 5}
     got = {alloc.allocate_extent() for _ in range(5)}
     assert got == {1, 2, 4, 6, 7}
 
@@ -78,9 +77,9 @@ def test_bitmap_releases_empty_extent_to_global():
     global_alloc = GlobalAllocator(1 * MiB)
     bitmap = BitmapAllocator(global_alloc)
     lba = bitmap.allocate(4)
-    assert global_alloc.allocated_extents == 1
+    assert len(global_alloc._allocated) == 1
     bitmap.free(lba, 4)
-    assert global_alloc.allocated_extents == 0
+    assert not global_alloc._allocated
 
 
 def test_bitmap_rejects_oversized_and_double_ops():
@@ -106,7 +105,7 @@ def test_space_manager_rounds_to_blocks():
     manager = SpaceManager(1 * MiB)
     manager.allocate_blocks(5000)  # needs 2 blocks
     assert manager.used_bytes == 2 * LBA_SIZE
-    assert manager.reserved_bytes == EXTENT_SIZE
+    assert len(manager.global_allocator._allocated) == 1
 
 
 def test_space_manager_exhaustion():

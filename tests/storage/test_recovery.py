@@ -13,6 +13,8 @@ from repro.storage.recovery import recover_node
 from repro.storage.redo import RedoRecord
 from repro.storage.store import PolarStore, build_node
 
+from .wal_faults import corrupt_record, tear_tail
+
 
 def make_page(seed=0):
     rng = random.Random(seed)
@@ -135,7 +137,7 @@ def test_recovery_restores_heavy_segments():
     for page_no, page in pages.items():
         assert recovered.read_page(now, page_no).data == page
     assert recovered.index.get(0).status is CompressionInfo.HEAVY
-    assert recovered.heavy.segment_count == 1
+    assert len(recovered.heavy._segments) == 1
 
 
 def test_recovery_restores_segment_allocations():
@@ -163,77 +165,36 @@ def test_segment_released_when_last_page_overwritten():
     for i in range(4):
         now = node.write_page(now, i, make_page(i)).done_us
     now = node.archive_range(now, [0, 1, 2, 3])
-    assert node.heavy.segment_count == 1
+    assert len(node.heavy._segments) == 1
     used_archived = node.space.used_bytes
     # Overwriting three pages keeps the segment (page 3 still needs it)...
     for i in range(3):
         now = node.write_page(now, i, make_page(i + 50)).done_us
-    assert node.heavy.segment_count == 1
+    assert len(node.heavy._segments) == 1
     # ...but the last reference releases it.
     now = node.write_page(now, 3, make_page(53)).done_us
-    assert node.heavy.segment_count == 0
+    assert len(node.heavy._segments) == 0
     assert node.space.used_bytes < used_archived + 4 * DB_PAGE_SIZE
 
 
 def test_recovery_detects_corrupt_wal():
     node = build_node("r8", NodeConfig(), volume_bytes=64 * MiB)
     node.write_page(0.0, 1, make_page(1))
-    node.wal.corrupt_record(0)
+    corrupt_record(node.wal, 0)
     with pytest.raises(WALError):
         crash_and_recover(node)
 
 
-def test_checkpoint_truncates_wal_and_recovery_still_works():
-    from repro.storage.recovery import take_checkpoint
-
+def test_recovery_skips_checkpoint_markers():
     node = build_node("cp1", NodeConfig(), volume_bytes=64 * MiB)
     now = 0.0
-    for i in range(12):
+    for i in range(6):
         now = node.write_page(now, i, make_page(i)).done_us
-    records_before = node.wal.record_count
-    take_checkpoint(node)
-    assert node.wal.record_count < records_before
-    # Post-checkpoint traffic layers on top of the snapshot.
-    for i in range(12, 18):
-        now = node.write_page(now, i, make_page(i)).done_us
+        node.wal.append_checkpoint()
     recovered = crash_and_recover(node)
-    for i in range(18):
+    for i in range(6):
         assert recovered.read_page(now, i).data == make_page(i)
     assert recovered.space.used_bytes == node.space.used_bytes
-
-
-def test_checkpoint_covers_heavy_segments():
-    from repro.storage.recovery import take_checkpoint
-
-    node = build_node("cp2", NodeConfig(), volume_bytes=64 * MiB)
-    now = 0.0
-    pages = {i: make_page(i + 30) for i in range(6)}
-    for page_no, page in pages.items():
-        now = node.write_page(now, page_no, page).done_us
-    now = node.archive_range(now, list(pages))
-    take_checkpoint(node)
-    recovered = crash_and_recover(node)
-    assert recovered.heavy.segment_count == 1
-    for page_no, page in pages.items():
-        assert recovered.read_page(now, page_no).data == page
-
-
-def test_repeated_checkpoints_keep_wal_bounded():
-    from repro.storage.recovery import take_checkpoint
-
-    node = build_node("cp3", NodeConfig(), volume_bytes=64 * MiB)
-    now = 0.0
-    sizes = []
-    for round_no in range(4):
-        for i in range(8):
-            now = node.write_page(now, i, make_page(round_no * 8 + i)).done_us
-        take_checkpoint(node)
-        sizes.append(node.wal.record_count)
-    # The WAL does not grow across rounds of equal work + checkpoint.
-    assert max(sizes) <= sizes[0] + 1
-    recovered = crash_and_recover(node)
-    for i in range(8):
-        assert recovered.read_page(now, i).data == make_page(24 + i)
 
 
 def test_recovered_node_accepts_new_traffic():
@@ -260,7 +221,7 @@ def test_recovery_ignores_torn_wal_tail():
     now = 0.0
     for i in range(6):
         now = node.write_page(now, i, make_page(i)).done_us
-    node.wal.tear_tail(3)
+    tear_tail(node.wal, 3)
     recovered = crash_and_recover(node)
     # Pages 0..4 committed long before the torn record; page 5's final
     # WAL record may be the torn one, so no claim is made about it.
@@ -274,7 +235,7 @@ def test_torn_tail_replay_is_idempotent():
     now = 0.0
     for i in range(8):
         now = node.write_page(now, i, make_page(i + 40)).done_us
-    node.wal.tear_tail(5)
+    tear_tail(node.wal, 5)
     once = crash_and_recover(node)
     twice = crash_and_recover(once)
     assert len(once.index) == len(twice.index)
@@ -283,49 +244,26 @@ def test_torn_tail_replay_is_idempotent():
         assert twice.read_page(now, i).data == make_page(i + 40)
 
 
-def test_checkpoint_round_trip_with_torn_tail():
-    """Checkpoint snapshot + WAL suffix + torn tail: the snapshot and all
-    fully-appended post-checkpoint records replay; the tail is dropped."""
-    from repro.storage.recovery import take_checkpoint
-
-    node = build_node("tt3", NodeConfig(), volume_bytes=64 * MiB)
-    now = 0.0
-    for i in range(10):
-        now = node.write_page(now, i, make_page(i)).done_us
-    take_checkpoint(node)
-    for i in range(10, 14):
-        now = node.write_page(now, i, make_page(i)).done_us
-    node.wal.tear_tail(4)
-    recovered = crash_and_recover(node)
-    for i in range(13):
-        assert recovered.read_page(now, i).data == make_page(i)
-
-
 def test_truncated_committed_record_raises():
     """Truncation is tolerated only at the tail: the same damage on a
     record that has successors means committed data was lost."""
     node = build_node("tt4", NodeConfig(), volume_bytes=64 * MiB)
     now = node.write_page(0.0, 1, make_page(1)).done_us
-    node.wal.tear_tail(2)
+    tear_tail(node.wal, 2)
     # A later append demotes the torn record to "committed" territory.
     node.write_page(now, 2, make_page(2))
     with pytest.raises(WALError):
         crash_and_recover(node)
 
 
-def test_corrupt_committed_record_raises_after_checkpoint():
-    """Bit rot inside the retained WAL suffix must fail loudly, not be
-    silently skipped like a torn tail."""
-    from repro.storage.recovery import take_checkpoint
-
+def test_corrupt_committed_record_raises_mid_log():
+    """Bit rot inside the log must fail loudly, not be silently skipped
+    like a torn tail."""
     node = build_node("tt5", NodeConfig(), volume_bytes=64 * MiB)
     now = 0.0
-    for i in range(4):
+    for i in range(8):
         now = node.write_page(now, i, make_page(i)).done_us
-    take_checkpoint(node)
-    for i in range(4, 8):
-        now = node.write_page(now, i, make_page(i)).done_us
-    node.wal.corrupt_record(node.wal.record_count - 2)
+    corrupt_record(node.wal, len(node.wal._records) - 2)
     with pytest.raises(WALError):
         crash_and_recover(node)
 

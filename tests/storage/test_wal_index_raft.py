@@ -13,6 +13,8 @@ from repro.storage.wal import (
     decode_index_remove,
 )
 
+from .wal_faults import corrupt_record
+
 # --------------------------------------------------------------------- #
 # WAL                                                                    #
 # --------------------------------------------------------------------- #
@@ -61,20 +63,9 @@ def test_wal_segment_record_round_trip():
 def test_wal_crc_detects_corruption():
     wal = WriteAheadLog()
     wal.append_alloc(1, 1)
-    wal.corrupt_record(0)
+    corrupt_record(wal, 0)
     with pytest.raises(WALError):
         list(wal.replay())
-
-
-def test_wal_truncate_below():
-    wal = WriteAheadLog()
-    for i in range(5):
-        wal.append_alloc(i, 1)
-    dropped = wal.truncate_below(4)
-    assert dropped == 3
-    assert [r.lsn for r in wal.replay()] == [4, 5]
-    # New appends continue the LSN sequence.
-    assert wal.append_checkpoint() == 6
 
 
 def test_wal_tracks_bytes():
@@ -133,7 +124,6 @@ def test_index_heavy_entry_carries_segment_info():
     index = PageIndex()
     index.put(9, heavy)
     assert index.get(9).segment_id == 3
-    assert index.stored_blocks == 0  # heavy blocks counted per segment
 
 
 def test_index_logical_bytes():

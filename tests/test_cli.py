@@ -2,28 +2,7 @@
 
 import pytest
 
-from repro.__main__ import EXPERIMENTS, main
-
-
-def test_info(capsys):
-    assert main(["info"]) == 0
-    out = capsys.readouterr().out
-    assert "PolarStore reproduction" in out
-    assert "repro.storage" in out
-
-
-def test_experiments_lists_every_target(capsys):
-    assert main(["experiments"]) == 0
-    out = capsys.readouterr().out
-    for exp_id, target, _ in EXPERIMENTS:
-        assert exp_id in out
-        assert target in out
-
-
-def test_demo_runs_end_to_end(capsys):
-    assert main(["demo"]) == 0
-    out = capsys.readouterr().out
-    assert "dual-layer ratio" in out
+from repro.__main__ import main
 
 
 def test_metrics_emits_json_snapshot(capsys):
@@ -72,8 +51,8 @@ def test_help_renders_for_every_subcommand(capsys):
 
     listed = re.search(r"\{([a-z,]+)\}", _help_text([], capsys)).group(1)
     commands = listed.split(",")
-    assert {"info", "bench", "serve"} <= set(commands)
-    assert "perf" not in commands
+    assert {"bench", "serve"} <= set(commands)
+    assert not {"perf", "info", "demo", "experiments"} & set(commands)
     for command in commands:
         out = _help_text([command], capsys)
         assert "usage" in out
@@ -87,6 +66,29 @@ def test_unknown_command_rejected():
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["load", "--requests", "0"],
+    ["load", "--keys", "0"],
+    ["load", "--rate", "0"],
+    ["load", "--rate", "nan"],
+    ["load", "--window", "0"],
+    ["load", "--timeout-s", "-1"],
+    ["serve", "--window", "0"],
+    ["events", "sysbench", "--capacity", "0"],
+    ["events", "sysbench", "--limit", "-1"],
+    ["bench", "--fig", "12", "--workers", "0"],
+    ["cluster", "--workers", "-2"],
+    ["metrics", "--rows", "0"],
+], ids=" ".join)
+def test_hostile_numbers_exit_2_with_usage(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "Traceback" not in err
 
 
 def test_chaos_smoke_passes_and_reports(capsys):
