@@ -112,14 +112,6 @@ class BufferPool:
         self._touched = {}
         return touched
 
-    def pin(self, page_no: int) -> None:
-        """Exempt a page from eviction (active transactions pin their
-        working set so uncommitted changes cannot be dropped)."""
-        self._pages.pin(page_no)
-
-    def unpin(self, page_no: int) -> None:
-        self._pages.unpin(page_no)
-
     def lookup(self, page_no: int) -> Optional[Page]:
         return self._pages.peek(page_no)
 

@@ -237,15 +237,6 @@ class RWNode:
         )
         return result
 
-    # -- transactions -----------------------------------------------------------------
-
-    def begin(self, start_us: float):
-        """Open a multi-statement transaction (see
-        :class:`repro.db.transaction.Transaction`)."""
-        from repro.db.transaction import Transaction
-
-        return Transaction(self, start_us)
-
     # -- bulk load -------------------------------------------------------------------
 
     def bulk_load(

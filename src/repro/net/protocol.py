@@ -28,10 +28,11 @@ the handshake reply echoes it, and the client always sends 0.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.common.errors import ReproError
 from repro.common.ops import OPS, OPS_BY_CODE, OPS_BY_NAME, OpSpec
@@ -149,9 +150,9 @@ class _Reader:
 
     __slots__ = ("data", "pos")
 
-    def __init__(self, data: bytes) -> None:
+    def __init__(self, data: bytes, pos: int = 0) -> None:
         self.data = data
-        self.pos = 0
+        self.pos = pos
 
     def take(self, n: int) -> bytes:
         end = self.pos + n
@@ -223,10 +224,14 @@ def decode_value(payload: bytes) -> Any:
 
 
 def encode_frame(payload_value: Any) -> bytes:
-    """One value -> one wire frame (header + CRC + typed payload)."""
-    body = bytearray()
-    encode_value(payload_value, body)
-    payload = bytes(body)
+    """One value -> one wire frame (header + CRC + typed payload); a
+    :class:`Request` / :class:`Response` is written by its layout."""
+    if isinstance(payload_value, (Request, Response)):
+        payload = payload_value._payload()
+    else:
+        body = bytearray()
+        encode_value(payload_value, body)
+        payload = bytes(body)
     return (
         _HEADER.pack(MAGIC, VERSION, len(payload), zlib.crc32(payload))
         + payload
@@ -234,7 +239,7 @@ def encode_frame(payload_value: Any) -> bytes:
 
 
 class FrameDecoder:
-    """Incremental frame reassembly: feed bytes, get whole payloads.
+    """Incremental frame reassembly: feed bytes, get whole messages.
 
     Truncated input is not an error (the next ``feed`` may complete the
     frame); structurally bad input — including a CRC-valid payload that
@@ -248,7 +253,8 @@ class FrameDecoder:
         self._buf = bytearray()
 
     def feed(self, data: bytes) -> List[Any]:
-        """Append ``data``; return every completed payload value."""
+        """Append ``data``; return every completed message (a payload not
+        in its canonical layout as its value, for :func:`decode_message`)."""
         self._buf += data
         out: List[Any] = []
         while True:
@@ -281,7 +287,7 @@ class FrameDecoder:
                     f"payload is 0x{actual:08x}"
                 )
             try:
-                out.append(decode_value(payload))
+                out.append(_decode_canonical(payload) or decode_value(payload))
             except ProtocolError as exc:
                 raise FrameError(f"undecodable payload: {exc}") from None
 
@@ -310,16 +316,141 @@ def check_args(spec: OpSpec, args: Iterable[Any]) -> List[Any]:
 
 
 # ---------------------------------------------------------------------------
-# request / response
+# compiled layouts: one message in a few struct calls
 # ---------------------------------------------------------------------------
 
-def _wire_doc(tag: str, message: Any, schema) -> Dict[str, Any]:
-    """A message -> its payload dict (time stamps always as floats)."""
-    doc = {"t": tag}
-    for name, kind in schema:
-        value = getattr(message, name)
-        doc[name] = float(value) if kind is float else value
-    return doc
+#: Tag and ``struct`` code of each leaf type a layout packs itself (of a
+#: ``str`` / ``bytes`` leaf, its length); the generic codec takes a leaf
+#: of any other type (``list``, say) or an ``object`` leaf (any value).
+_LEAF_CODES = {int: (_T_INT64, "q"), float: (_T_FLOAT, "d"),
+               str: (_T_STR, "I"), bytes: (_T_BYTES, "I")}
+
+
+class _Layout:
+    """A message class's canonical payload dict, compiled at import:
+    keys sorted, ``t`` the constant ``tag``, the ``list`` field one leaf
+    per type in ``args``.  ``leaves`` are (constant bytes before it, type)
+    in wire order.  Each segment is one ``struct`` over alternating
+    constants and fixed-width leaves, closed by a ``str`` / ``bytes`` leaf
+    (its length; the raw bytes follow), a leaf for the generic codec (at
+    nesting ``depth``) or the end."""
+
+    def __init__(self, message, tag: str, args=(), depth: int = 1) -> None:
+        fields = dict(message._WIRE, t=tag)
+        self.leaves, self.depth = [], depth
+        prefix = bytes([_T_DICT]) + _U32.pack(len(fields))
+        for name in sorted(fields):
+            prefix += _U32.pack(len(name)) + name.encode()
+            if name == "t":
+                prefix += bytes([_T_STR]) + _U32.pack(len(tag)) + tag.encode()
+                continue
+            kinds = [fields[name]]
+            if kinds == [list]:
+                prefix += bytes([_T_LIST]) + _U32.pack(len(args))
+                kinds = args
+            for kind in kinds:
+                self.leaves.append((prefix, kind))
+                prefix = b""
+        self.suffix = prefix
+        typed = [i for i, (_, kind) in enumerate(self.leaves)
+                 if kind is not object]  # never fewer than two
+        self._typed = operator.itemgetter(*typed)
+        self._types = tuple(self.leaves[i][1] for i in typed)
+        self._floats = [i for i in typed if self.leaves[i][1] is float]
+        #: (struct, its constants and value codes, their constants, first
+        #: leaf, closing leaf, its type) per segment.
+        self.segments = []
+        cells, lo = [], 0
+        for hi, (prefix, kind) in enumerate(self.leaves + [(prefix, None)]):
+            value_tag, code = _LEAF_CODES.get(kind, (None, None))
+            cells += [prefix + bytes([value_tag]), code] if code else [prefix]
+            if kind in (int, float) or (kind is None and cells == [b""]):
+                continue
+            fmt = "".join(c if isinstance(c, str) else f"{len(c)}s"
+                          for c in cells)
+            self.segments.append((struct.Struct("<" + fmt), cells,
+                                  tuple(cells[::2]), lo, hi, kind))
+            cells, lo = [], hi + 1
+
+    def encode(self, leaves: tuple) -> bytes:
+        """Leaf values in wire order -> payload (generic on a type miss)."""
+        if tuple(map(type, self._typed(leaves))) == self._types:
+            try:
+                return self._pack(leaves)
+            except struct.error:  # an int outside int64
+                pass
+        out = bytearray()
+        for (prefix, kind), value in zip(self.leaves, leaves):
+            out += prefix
+            encode_value(float(value) if kind is float else value, out)
+        return bytes(out + self.suffix)
+
+    def _pack(self, leaves: tuple) -> bytes:
+        out = []
+        for packer, cells, _, lo, hi, kind in self.segments:
+            cells, values, raw = cells.copy(), leaves[lo:hi], b""
+            if kind is str or kind is bytes:
+                raw = leaves[hi].encode() if kind is str else leaves[hi]
+                values += (len(raw),)
+            elif kind is not None:
+                raw = bytearray()
+                encode_value(leaves[hi], raw)
+            cells[1::2] = values
+            out += (packer.pack(*cells), raw)
+        return b"".join(out)
+
+    def decode(self, payload: bytes) -> Optional[list]:
+        """The payload's leaves; None if it departs from the layout."""
+        leaves, pos = [], 0
+        for packer, _, consts, _, _, kind in self.segments:
+            cells = packer.unpack_from(payload, pos)
+            pos += packer.size
+            if cells[::2] != consts:
+                return None
+            leaves += cells[1::2]
+            if kind is str or kind is bytes:
+                raw = payload[pos:pos + leaves[-1]]
+                pos += leaves[-1]
+                leaves[-1] = raw.decode("utf-8") if kind is str else raw
+            elif kind is not None:
+                reader = _Reader(payload, pos)
+                leaves.append(_decode_value(reader, self.depth))
+                pos = reader.pos
+                if kind is not object and type(leaves[-1]) is not kind:
+                    return None
+        finite = all(map(math.isfinite, map(leaves.__getitem__, self._floats)))
+        return leaves if pos == len(payload) and finite else None
+
+
+def _decode_canonical(payload: bytes):
+    """The message a canonical payload holds, its fields put straight in
+    the instance dict (a frozen dataclass's ``__init__`` costs a call per
+    field); None for any other payload, left to the generic codec."""
+    try:
+        if payload.startswith(_REQUEST_HEAD):
+            code = _Q.unpack_from(payload, len(payload) - _REQUEST_OP_AT)[0]
+            fields = code in _REQUESTS and _REQUESTS[code].decode(payload)
+            if fields:
+                tail, args = fields[_TAIL_AT:], fields[:_TAIL_AT]
+                # The layout fixed every arg's type: ``check_args`` holds.
+                tail[_REQUEST_OP] = OPS_BY_CODE[code].name
+                message = object.__new__(Request)
+                message.__dict__.update(zip(_REQUEST_NAMES, tail), args=args)
+                return message
+        elif payload.startswith(_RESPONSE_HEAD):
+            fields = _RESPONSE.decode(payload)
+            if fields:
+                message = object.__new__(Response)
+                message.__dict__.update(zip(_RESPONSE_NAMES, fields))
+                return message
+    except (struct.error, ValueError, ProtocolError):
+        pass
+    return None
+
+
+# ---------------------------------------------------------------------------
+# request / response
+# ---------------------------------------------------------------------------
 
 
 def _typed_fields(doc: Any, tag: str, schema) -> Dict[str, Any]:
@@ -372,23 +503,14 @@ class Request:
         return OPS_BY_NAME[self.op]
 
     def encode(self) -> bytes:
+        return encode_frame(self)
+
+    def _payload(self) -> bytes:
         spec = OPS_BY_NAME.get(self.op)
         if spec is None:
             raise ProtocolError(f"unknown op {self.op!r}")
-        doc = _wire_doc("q", self, self._WIRE)
-        doc["op"] = spec.code
-        doc["args"] = check_args(spec, self.args)
-        return encode_frame(doc)
-
-    @classmethod
-    def from_payload(cls, doc: Any) -> "Request":
-        fields = _typed_fields(doc, "q", cls._WIRE)
-        spec = OPS_BY_CODE.get(fields["op"])
-        if spec is None:
-            raise ProtocolError(f"unknown op code {fields['op']}")
-        fields["op"] = spec.name
-        fields["args"] = check_args(spec, fields["args"])
-        return cls(**fields)
+        args = tuple(check_args(spec, self.args))
+        return _REQUESTS[spec.code].encode(args + _REQUEST_FIELDS(self))
 
 
 @dataclass(frozen=True)
@@ -432,18 +554,45 @@ class Response:
         return self.done_us - self.arrival_us
 
     def encode(self) -> bytes:
-        return encode_frame(_wire_doc("r", self, self._WIRE))
+        return encode_frame(self)
 
-    @classmethod
-    def from_payload(cls, doc: Any) -> "Response":
-        return cls(**_typed_fields(doc, "r", cls._WIRE))
+    def _payload(self) -> bytes:
+        return _RESPONSE.encode(_RESPONSE_FIELDS(self))
 
 
 def decode_message(payload: Any):
-    """Payload value -> :class:`Request` or :class:`Response`."""
+    """Payload value (or the message it holds) -> the message."""
+    if isinstance(payload, (Request, Response)):
+        return payload
     if isinstance(payload, dict) and payload.get("t") == "q":
-        return Request.from_payload(payload)
-    return Response.from_payload(payload)
+        fields = _typed_fields(payload, "q", Request._WIRE)
+        spec = OPS_BY_CODE.get(fields["op"])
+        if spec is None:
+            raise ProtocolError(f"unknown op code {fields['op']}")
+        fields["op"] = spec.name
+        fields["args"] = check_args(spec, fields["args"])
+        return Request(**fields)
+    return Response(**_typed_fields(payload, "r", Response._WIRE))
+
+
+# A request's args sort first; so the op code, which picks its layout, is
+# a fixed distance from the end: it, an int per later field (key, tag,
+# eight bytes), ``t``.
+_REQUESTS = {spec.code: _Layout(
+    Request, "q", [arg.types[0] for arg in spec.args], depth=2)
+    for spec in OPS}
+_REQUEST_NAMES = sorted(name for name, _ in Request._WIRE)[1:]  # the tail
+_TAIL_AT, _REQUEST_OP = -len(_REQUEST_NAMES), _REQUEST_NAMES.index("op")
+_ANY = _REQUESTS[OPS[0].code]
+_REQUEST_HEAD = _ANY.leaves[0][0][:5]  # dict tag and key count
+_REQUEST_OP_AT = 8 + len(_ANY.suffix) + sum(
+    len(prefix) + 9 for prefix, _ in _ANY.leaves[_TAIL_AT + _REQUEST_OP + 1:])
+_REQUEST_FIELDS = operator.attrgetter(
+    *("spec.code" if name == "op" else name for name in _REQUEST_NAMES))
+_RESPONSE = _Layout(Response, "r")
+_RESPONSE_HEAD = _RESPONSE.leaves[0][0][:5]
+_RESPONSE_NAMES = sorted(name for name, _ in Response._WIRE)
+_RESPONSE_FIELDS = operator.attrgetter(*_RESPONSE_NAMES)
 
 
 __all__ = [

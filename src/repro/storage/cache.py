@@ -41,7 +41,6 @@ class LRUCache(Generic[K, V]):
         self._sizer = sizer if sizer is not None else len
         self._items: "OrderedDict[K, Tuple[V, int]]" = OrderedDict()
         self._used = 0
-        self._pinned: set = set()
         self.hits = 0
         self.misses = 0
         self._hit_ctr = self._miss_ctr = None
@@ -60,17 +59,6 @@ class LRUCache(Generic[K, V]):
 
             metrics.gauge_fn(f"{metric_name}.hit_rate", family_hit_rate)
             metrics.gauge_fn(f"{metric_name}.used_bytes", lambda: self._used)
-
-    # -- pinning -----------------------------------------------------------
-
-    def pin(self, key: K) -> None:
-        """Exempt ``key`` from eviction until unpinned (the cache may
-        temporarily exceed capacity if everything else is pinned)."""
-        if key in self._items:
-            self._pinned.add(key)
-
-    def unpin(self, key: K) -> None:
-        self._pinned.discard(key)
 
     # -- accessors -----------------------------------------------------------
 
@@ -121,14 +109,8 @@ class LRUCache(Generic[K, V]):
         self._items[key] = (value, size)
         self._used += size
         evicted: List[Tuple[K, V]] = []
-        scanned = 0
-        while self._used > self.capacity_bytes and scanned < len(self._items):
+        while self._used > self.capacity_bytes:
             victim_key = next(iter(self._items))
-            if victim_key in self._pinned:
-                # Skip pinned entries (refresh recency so the scan moves on).
-                self._items.move_to_end(victim_key)
-                scanned += 1
-                continue
             victim_value, victim_size = self._items.pop(victim_key)
             self._used -= victim_size
             evicted.append((victim_key, victim_value))
@@ -136,7 +118,6 @@ class LRUCache(Generic[K, V]):
 
     def remove(self, key: K) -> Optional[V]:
         entry = self._items.pop(key, None)
-        self._pinned.discard(key)
         if entry is None:
             return None
         self._used -= entry[1]
@@ -144,5 +125,4 @@ class LRUCache(Generic[K, V]):
 
     def clear(self) -> None:
         self._items.clear()
-        self._pinned.clear()
         self._used = 0

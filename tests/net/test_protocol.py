@@ -195,8 +195,9 @@ def test_response_round_trip():
 
 def test_unknown_op_code_rejected():
     frame = Request(id=1, op="ping", args=[]).encode()
-    (payload,) = FrameDecoder().feed(frame)
-    payload["op"] = 250
+    doc = decode_value(frame[11:])
+    doc["op"] = 250
+    (payload,) = FrameDecoder().feed(encode_frame(doc))
     with pytest.raises(ProtocolError, match="unknown op"):
         decode_message(payload)
 

@@ -14,6 +14,7 @@ Example counts of the generated sweep come from the Hypothesis profile
 
 import gc
 import logging
+import math
 import random
 import socket
 import struct
@@ -21,20 +22,24 @@ import threading
 import time
 import tracemalloc
 import zlib
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.api import PolarStore, ReproConfig, TransportError
+from repro.net import protocol
 from repro.net.client import SocketTransport
 from repro.net.protocol import (
     MAGIC,
     MAX_DEPTH,
+    OPS,
     VERSION,
     FrameDecoder,
     FrameError,
     ProtocolError,
+    Request,
     Response,
     decode_message,
     decode_value,
@@ -237,18 +242,161 @@ def test_request_fields_are_type_checked(field, value):
 
 
 def test_response_fields_are_type_checked():
-    (payload,) = FrameDecoder().feed(Response(id=1, kind="time").encode())
+    payload = decode_value(
+        Response(id=1, kind="time").encode()[_HEADER.size:]
+    )
     for field, value in [
         ("id", None), ("status", "0"), ("kind", 4), ("done_us", "1"),
         ("arrival_us", float("inf")), ("io_reads", 1.5),
         ("redo_bytes", b""), ("queue_depth", None), ("error", 0),
     ]:
         with pytest.raises(ProtocolError, match=field):
-            decode_message({**payload, field: value})
+            receive(encode_frame({**payload, field: value}))
     missing = dict(payload)
     del missing["value"]
     with pytest.raises(ProtocolError, match="missing field 'value'"):
-        decode_message(missing)
+        receive(encode_frame(missing))
+
+
+# ---------------------------------------------------------------------------
+# the compiled layouts against the generic codec, both ways
+# ---------------------------------------------------------------------------
+
+#: Eight-byte values to drop onto a payload's int and float fields.
+FIELD_VALUES = [
+    *(struct.pack("<d", x) for x in (math.nan, math.inf, -math.inf, -0.0)),
+    *(struct.pack("<q", x) for x in (250, -1, 2**63 - 1, -(2**63))),
+]
+INTS = st.one_of(
+    st.integers(-(2**63), 2**63 - 1), st.booleans(),
+    st.sampled_from([2**63, -(2**63) - 1, 2**100]),
+)
+VALUES = st.recursive(
+    st.none() | INTS | st.floats() | st.binary(max_size=32)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+ARGS = {
+    int: INTS,
+    str: st.text(max_size=12),
+    bytes: st.binary(max_size=48) | st.binary(max_size=8).map(bytearray),
+    list: st.lists(VALUES, max_size=3),
+}
+TIMES = st.floats() | st.integers(-(2**53), 2**53)
+
+
+def _outcome(call, *args):
+    """What ``call`` returns, or the type and text of what it raised."""
+    try:
+        return repr(call(*args))
+    except Exception as exc:  # compared below, never swallowed
+        return type(exc), str(exc)
+
+
+def _generic_receive(stream: bytes) -> list:
+    """``receive`` with the compiled layouts switched off: every payload
+    takes ``decode_value`` then ``decode_message``."""
+    with mock.patch.object(protocol, "_decode_canonical", lambda _: None):
+        return receive(stream)
+
+
+def _same_either_way(stream: bytes) -> None:
+    compiled = _outcome(receive, stream)
+    assert compiled == _outcome(_generic_receive, stream), stream[:96]
+
+
+def _nested(levels: int):
+    value = 1
+    for _ in range(levels):
+        value = [value]
+    return value
+
+
+#: Requests whose layout leaves an arg's type open, or fixes it and
+#: meets another: one bool, and rows whose deepest value sits at and one
+#: past :data:`MAX_DEPTH` (the args list nests at 1, an arg at 2).
+EDGE_FRAMES = [
+    encode_frame(_request_doc(op=code, args=args)) for code, args in (
+        (22, [5]),
+        (16, ["t", {"rows": 1}]),
+        (14, ["t", 1, True]),
+        (16, ["t", _nested(MAX_DEPTH - 2)]),
+        (16, ["t", _nested(MAX_DEPTH - 1)]),
+    )
+]
+
+
+def _field_overwritten(frame: bytes, rng: random.Random) -> bytes:
+    """One int or float field of the payload given a hostile value."""
+    payload = bytearray(frame[_HEADER.size:])
+    fields = [at + 1 for at, tag in enumerate(payload[:-8]) if tag in (3, 4)]
+    if fields:
+        at = rng.choice(fields)
+        payload[at:at + 8] = rng.choice(FIELD_VALUES)
+    return stamped(bytes(payload))
+
+
+def test_compiled_decode_matches_the_generic_path_on_the_sweep(frames):
+    for frame in EDGE_FRAMES:
+        _same_either_way(frame)
+    rng = random.Random("wire-differential")
+    for label in sorted(frames):
+        frame = frames[label]
+        _same_either_way(frame)
+        for _ in range(20):
+            _same_either_way(_mutated(frame, rng))
+            _same_either_way(_field_overwritten(frame, rng))
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_compiled_decode_matches_the_generic_path(frames, seed):
+    rng = random.Random(seed)
+    stream = frames[rng.choice(sorted(frames))]
+    for _ in range(rng.randint(1, 3)):
+        mutate = rng.choice((_mutated, _field_overwritten))
+        if len(stream) > _HEADER.size + 8:
+            stream = mutate(stream, rng)
+    _same_either_way(stream)
+
+
+@st.composite
+def _messages(draw):
+    if draw(st.booleans()):
+        spec = draw(st.sampled_from(OPS))
+        return Request(
+            id=draw(INTS), op=spec.name,
+            args=[draw(ARGS[arg.types[0]]) for arg in spec.args],
+            seq=draw(INTS), session=draw(INTS), arrival_us=draw(TIMES),
+            flags=draw(INTS),
+        )
+    return Response(
+        id=draw(INTS), status=draw(INTS), kind=draw(st.text(max_size=8)),
+        value=draw(VALUES), done_us=draw(TIMES), arrival_us=draw(TIMES),
+        io_reads=draw(INTS), redo_bytes=draw(INTS), queue_depth=draw(INTS),
+        error=draw(st.text(max_size=12)),
+    )
+
+
+def _generic_doc(message) -> dict:
+    """The payload dict the generic codec writes for ``message``."""
+    request = isinstance(message, Request)
+    doc = {"t": "q" if request else "r"}
+    for name, kind in message._WIRE:
+        value = getattr(message, name)
+        doc[name] = float(value) if kind is float else value
+    if request:
+        doc["op"] = message.spec.code
+        doc["args"] = list(message.args)
+    return doc
+
+
+@given(_messages())
+def test_compiled_encode_matches_the_generic_codec(message):
+    frame = message.encode()
+    assert frame == encode_frame(_generic_doc(message))
+    _same_either_way(frame)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from repro.net.protocol import (
     FrameDecoder,
     Request,
     Response,
+    decode_message,
 )
 from repro.net.server import PolarStoreServer, serve_in_thread
 
@@ -375,7 +376,7 @@ def test_frame_ahead_of_the_connections_next_seq_is_refused_at_once(server):
                 data = sock.recv(65536)
                 assert data, "server closed the connection"
                 replies.extend(decoder.feed(data))
-            return Response.from_payload(replies.pop(0))
+            return decode_message(replies.pop(0))
 
         sock.sendall(Request(id=1, op="hello", args=[777, VERSION]).encode())
         assert reply().ok

@@ -79,53 +79,6 @@ def test_negative_capacity_rejected():
         LRUCache(-1)
 
 
-def test_pinned_entries_survive_eviction_pressure():
-    cache = LRUCache(8)
-    cache.put("a", b"xxxx")
-    cache.pin("a")
-    cache.put("b", b"xxxx")
-    evicted = cache.put("c", b"xxxx")  # over capacity: must skip pinned a
-    assert "a" in cache
-    assert [k for k, _ in evicted] == ["b"]
-    cache.unpin("a")
-    # The pin-skip refreshed a's recency, so c is now the LRU victim.
-    evicted = cache.put("d", b"xxxx")
-    assert [k for k, _ in evicted] == ["c"]
-    assert "a" in cache
-
-
-def test_all_pinned_overflows_gracefully():
-    cache = LRUCache(8)
-    cache.put("a", b"xxxx")
-    cache.put("b", b"xxxx")
-    cache.pin("a")
-    cache.pin("b")
-    evicted = cache.put("c", b"xxxx")
-    # Nothing evictable: the cache temporarily exceeds capacity.
-    assert evicted == [] or all(k == "c" for k, _ in evicted)
-    assert "a" in cache and "b" in cache
-
-
-def test_pin_unknown_key_is_noop():
-    cache = LRUCache(8)
-    cache.pin("ghost")
-    cache.put("a", b"xxxx")
-    cache.put("b", b"xxxx")
-    evicted = cache.put("c", b"xxxx")
-    assert [k for k, _ in evicted] == ["a"]
-
-
-def test_remove_clears_pin():
-    cache = LRUCache(8)
-    cache.put("a", b"xxxx")
-    cache.pin("a")
-    cache.remove("a")
-    cache.put("a", b"xxxx")  # re-inserted unpinned
-    cache.put("b", b"xxxx")
-    evicted = cache.put("c", b"xxxx")
-    assert [k for k, _ in evicted] == ["a"]
-
-
 def test_multi_eviction_until_fits():
     cache = LRUCache(12)
     cache.put("a", b"xxxx")

@@ -30,10 +30,6 @@ MANIFEST = PACKAGE / "api" / "api_manifest.json"
 
 #: Public symbols kept although nothing that runs names them.
 ALLOWLIST = {
-    "repro.db.transaction.Transaction.rollback": "the abort half of "
-    "RWNode.begin's transactions; begin and commit pass only because "
-    "Tracer.begin and GroupCommitPipeline.commit share their names, so "
-    "the transaction API goes whole or not at all",
     "repro.storage.store.PolarStore.write_partial": "paper section "
     "3.2.3's rule for a non-page-aligned write (decompress, splice, store "
     "uncompressed); the model-based store test drives it, no figure does",
