@@ -22,15 +22,37 @@ the straightforward matcher (index as you go, compare byte by byte);
 code, and ``test_golden_bytes.py`` also carries a naive tokenizer for a
 differential test.  A faster kernel must keep both green.
 
-**Threads.**  The pool's ``thread`` kind shares codec instances.  The
-one-slot index memo is a single tuple, read once into a local and
-replaced by one assignment; the ``prev`` list inside it is never written
-after it is built.  A race costs a rebuilt index, never a wrong one.
+**One walk for two parses.**  Algorithm 1 parses every first-written
+page twice, lz4 (greedy, depth 16) first, then zstd (lazy, depth 64).
+A walk at ``at`` depends only on the buffer, ``prev``, the window and
+the length cap ``min(max_match, n - at)``; with one window and
+``len(data) <= 65535`` the two caps agree (65 536 vs 65 535 differ only
+past that), so lz4's walk *is* the first 16 steps of zstd's.  A greedy
+parse therefore records, for each position it probes, where its walk
+stopped — ``(best_len, best_dist, next candidate)``, the candidate
+:data:`_END` when the walk hit the cap — in the memo slot, keyed by
+buffer, ``(window, effective cap)`` and depth.  A deeper parse of the
+same key resumes a recorded floor-0 probe from that state, walks only
+the remaining ``depth - 16`` candidates, and drops the spent record
+from the slot.  Its lazy ``floor > 0`` probes and any position lz4 never
+probed walk from the start.  Another window or cap (zstd on a buffer
+over 65 535 bytes), a parse no deeper than the record, and a dictionary
+parse (``dictionary + page`` is a new object) walk cold.
+
+**Threads.**  Codec instances, and with them the one-slot memo, are
+shared by every thread that compresses — the ``serve_in_thread``
+servers among them.  The slot is a single tuple, read once into a local
+and replaced by one assignment; the ``prev`` list inside it is never
+written after it is built.  A race costs a rebuilt index, never a wrong
+one.  A walk record is published empty and filled as its parse goes,
+one whole :data:`Walk` per dictionary store, so a racing reader of a
+half-filled record finds either a whole walk or none, and where it
+finds none it walks from the start.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -46,18 +68,31 @@ _FIRST_CHUNK = 16
 #: (``match_len == 0`` marks the trailing literal-only token).
 Token = Tuple[int, int, int, int]
 
-#: The last buffer indexed and its chain array: lz4 then zstd compress
-#: the same page object during Algorithm 1's evaluation.
-_last_index: Tuple[bytes, List[int]] = (b"", [])
+#: Where one chain walk stopped, ``(best_len, best_dist, next candidate)``,
+#: packed as ``best_len | best_dist << 17 | (candidate + 1) << 34`` (a
+#: length or distance fits 17 bits).  An int, not a tuple: a GC-tracked
+#: tuple per probe shifts collections enough to raise peak RSS.
+Walk = int
+#: The next candidate of a walk that reached the length cap: nothing
+#: later can be strictly longer.  (-1 is before every window.)
+_END = -1
+
+#: The last buffer indexed, its chain array, and the floor-0 chain walks
+#: the last greedy parse of it recorded, with that parse's ``(window,
+#: cap)`` key and depth, until a deeper parse spends them: lz4 then zstd
+#: compress the same page object during Algorithm 1's evaluation.
+_last_index: Tuple[bytes, List[int], Tuple[int, int], int, Dict[int, Walk]] = (
+    b"", [], (0, 0), 0, {}
+)
 
 
 def chain_index(data: bytes) -> List[int]:
     """``prev[p]``: the nearest position before ``p`` whose four bytes
     hash like ``p``'s (-1 if none), for every ``p <= len(data) - 4``."""
     global _last_index
-    cached, prev = _last_index
-    if type(data) is bytes and data is cached:
-        return prev
+    slot = _last_index
+    if type(data) is bytes and data is slot[0]:
+        return slot[1]
     count = len(data) - MIN_MATCH + 1
     if count <= 0:
         return []
@@ -74,7 +109,7 @@ def chain_index(data: bytes) -> List[int]:
     links[order[1:][linked]] = order[:-1][linked]
     prev = links.tolist()
     if type(data) is bytes:
-        _last_index = (data, prev)
+        _last_index = (data, prev, (0, 0), 0, {})
     return prev
 
 
@@ -92,8 +127,9 @@ class MatchFinder:
         When True, defer emitting a match by one byte if the next position
         has a strictly longer one (zstd-style; LZ4 is greedy).
     max_match:
-        Cap on the match length (the LZ4 serializer has no cap; keeping one
-        bounds worst-case encode time).
+        Cap on the match length, at most 65 536 (the LZ4 serializer has no
+        cap; keeping one bounds worst-case encode time, and a recorded
+        :data:`Walk` packs the length in 17 bits).
     """
 
     def __init__(
@@ -105,6 +141,12 @@ class MatchFinder:
     ) -> None:
         if window <= 0 or window > 65535:
             raise ValueError(f"window must be in [1, 65535], got {window}")
+        if max_chain < 1:
+            raise ValueError(f"max_chain must be at least 1, got {max_chain}")
+        if not MIN_MATCH <= max_match <= 1 << 16:
+            raise ValueError(
+                f"max_match must be in [{MIN_MATCH}, 65536], got {max_match}"
+            )
         self.window = window
         self.max_chain = max_chain
         self.lazy = lazy
@@ -121,6 +163,7 @@ class MatchFinder:
         if n - start < MIN_MATCH + 1:
             return [(start, n - start, 0, 0)]
 
+        global _last_index
         prev = chain_index(data)
         window = self.window
         depth = range(self.max_chain)
@@ -128,6 +171,23 @@ class MatchFinder:
         lazy = self.lazy
         # The last MIN_MATCH bytes can never start a match.
         limit = n - MIN_MATCH
+
+        # A shallower walk of the same buffer, window and cap is the
+        # start of this parse's walk at the same position: resume it.
+        key = (window, max_match if max_match < n else n)
+        buffer, _, walked_key, walked_depth, walked = _last_index
+        record = None
+        if buffer is data and walked_key == key and walked_depth < self.max_chain:
+            rest = range(self.max_chain - walked_depth)
+            # Spent: Algorithm 1 runs one deeper parse per page, and a
+            # record kept until the next page holds memory (measurably,
+            # in ``peak_rss_mb``).
+            _last_index = (data, prev, (0, 0), 0, {})
+        else:
+            walked = {}
+            if not lazy and type(data) is bytes:
+                record = {}
+                _last_index = (data, prev, key, self.max_chain, record)
 
         def find(at: int, floor: int = 0) -> Tuple[int, int]:
             """Best ``(length, distance)`` at ``at`` among matches longer
@@ -142,11 +202,23 @@ class MatchFinder:
                 return 0, 0
             best_len = floor
             best_dist = 0
+            steps = depth
+            if walked and not floor:
+                walk = walked.get(at)
+                if walk is not None:
+                    best_len = walk & 0x1FFFF
+                    best_dist = walk >> 17 & 0x1FFFF
+                    candidate = (walk >> 34) - 1
+                    if candidate < oldest:  # the shallower walk was all of it
+                        if best_len < MIN_MATCH:
+                            return 0, 0
+                        return best_len, best_dist
+                    steps = rest
             # A longer match must repeat all of ``target`` and then agree
             # on the byte after it, which is checked first.
-            target = data[at : at + floor]
-            probe = data[at + floor]
-            for _ in depth:
+            target = data[at : at + best_len]
+            probe = data[at + best_len]
+            for _ in steps:
                 if (
                     data[candidate + best_len] == probe
                     and data[candidate : candidate + best_len] == target
@@ -172,12 +244,15 @@ class MatchFinder:
                     best_len = length
                     best_dist = at - candidate
                     if length >= cap:
+                        candidate = _END
                         break
                     target = data[at : at + length]
                     probe = data[at + length]
                 candidate = prev[candidate]
                 if candidate < oldest:
                     break
+            if record is not None:
+                record[at] = best_len | best_dist << 17 | (candidate + 1) << 34
             if best_len < MIN_MATCH or best_dist == 0:
                 return 0, 0
             return best_len, best_dist
