@@ -21,11 +21,12 @@ Commands
     live-migrate chunks under both schedulers, and persist the wasted-
     space / migration-traffic table + JSON artifact (Figures 10/11).
 ``events``
-    Run an observed scenario (sysbench / chaos / cluster) with
-    the flight recorder active and print (or dump as JSONL) the
-    structured event log: page I/O, GC relocations, group-commit
-    flushes, migrations, injected faults, codec selections, scrub
-    repairs, elections, admissions — all stamped with simulated time.
+    Run one row of the scenario table (sysbench / chaos / cluster) with
+    the flight recorder active; print its verdict and fingerprint, and
+    print (or dump as JSONL) the structured event log: page I/O, GC
+    relocations, group-commit flushes, migrations, injected faults,
+    codec selections, scrub repairs, elections, admissions — all
+    stamped with simulated time.
     ``--load PATH`` replays and filters a previously-written dump
     instead of running anything.
 ``compaction``
@@ -52,10 +53,11 @@ Commands
 everywhere: independent programs fanned across N forked worker
 processes with byte-identical output.
 
-A count, size, rate or timeout that is not a positive number is refused
-by the parser: exit 2 with a usage line, before anything runs.  The
-package inventory is DESIGN.md, the experiment list EXPERIMENTS.md, and
-the end-to-end demonstration ``examples/quickstart.py``.
+A count, size, rate, duration or timeout that is not a positive number,
+or a seed, port or floor below zero, is refused by the parser: exit 2
+with a usage line, before anything runs.  The package inventory is
+DESIGN.md, the experiment list EXPERIMENTS.md, and the end-to-end
+demonstration ``examples/quickstart.py``.
 """
 
 from __future__ import annotations
@@ -185,8 +187,8 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_events(args) -> int:
-    from repro.obs.events import FlightRecorder, parse_sample_spec
-    from repro.obs.scenarios import run_observed
+    from repro.obs.events import FlightRecorder, parse_sample_spec, recording
+    from repro.obs.scenarios import SCENARIOS, run_scenario
 
     if args.load is not None:
         recorder = FlightRecorder.load(args.load)
@@ -196,18 +198,19 @@ def cmd_events(args) -> int:
                   file=sys.stderr)
             return 2
         sample = parse_sample_spec(args.sample) if args.sample else None
-        run = run_observed(
-            args.scenario,
-            seed=args.seed,
-            quick=not args.full,
-            capacity=args.capacity,
-            sample=sample,
-        )
-        recorder = run.recorder
-        print(f"# scenario {run.name} seed {run.seed}: "
+        seed = args.seed
+        if seed is None:
+            seed = SCENARIOS[args.scenario].seed
+        with recording(capacity=args.capacity, sample=sample) as recorder:
+            run = run_scenario(args.scenario, seed)
+        print(f"# scenario {args.scenario} seed {seed}: "
               f"{recorder.total_emitted} events recorded, "
-              f"verdict {'PASS' if run.passed else 'FAIL'}",
+              f"verdict {'FAIL' if run.violations else 'PASS'}",
               file=sys.stderr)
+        for violation in run.violations:
+            print(f"#   {violation}", file=sys.stderr)
+        print(f"# fingerprint {run.fingerprint} pages {run.pages} "
+              f"sim_us {run.sim_us!r}", file=sys.stderr)
         if args.out is not None:
             recorder.dump_jsonl(args.out)
             print(f"# wrote {args.out}", file=sys.stderr)
@@ -224,7 +227,7 @@ def cmd_events(args) -> int:
     print("# channels: " + " ".join(
         f"{ch}={row['emitted']}" for ch, row in summary.items()
     ), file=sys.stderr)
-    if args.load is None and not run.passed:
+    if args.load is None and run.violations:
         return 1
     return 0
 
@@ -345,7 +348,7 @@ def shared_options(
     parent = argparse.ArgumentParser(add_help=False)
     if seed is not _UNSET:
         parent.add_argument(
-            "--seed", type=int, default=seed,
+            "--seed", type=positive(zero_ok=True), default=seed,
             help=seed_help or (
                 "deterministic RNG seed"
                 + ("" if seed is None else f" (default: {seed})")
@@ -365,6 +368,8 @@ def shared_options(
 
 
 def main(argv=None) -> int:
+    from repro.obs.scenarios import SCENARIOS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="PolarStore reproduction toolkit",
@@ -383,7 +388,7 @@ def main(argv=None) -> int:
         help="sysbench table rows (default: 400)",
     )
     metrics_p.add_argument(
-        "--duration", type=float, default=0.2,
+        "--duration", type=positive(float), default=0.2,
         help="simulated seconds of read_write load (default: 0.2)",
     )
     chaos_p = sub.add_parser(
@@ -400,7 +405,7 @@ def main(argv=None) -> int:
         help="operations in the workload schedule (default: 700)",
     )
     chaos_p.add_argument(
-        "--min-faults", type=int, default=100,
+        "--min-faults", type=positive(zero_ok=True), default=100,
         help="I6 floor on injected data faults; scale down together "
              "with --ops for a quick smoke run (default: 100)",
     )
@@ -466,16 +471,12 @@ def main(argv=None) -> int:
     )
     events_p.add_argument(
         "scenario", nargs="?",
-        choices=("sysbench", "chaos", "cluster"),
+        choices=tuple(SCENARIOS),
         help="which observed scenario to run (omit with --load)",
     )
     events_p.add_argument(
         "--load", default=None, metavar="PATH",
         help="replay/filter a previously-written dump instead of running",
-    )
-    events_p.add_argument(
-        "--full", action="store_true",
-        help="full-size workload (default: quick smoke profile)",
     )
     events_p.add_argument(
         "--capacity", type=positive(), default=65536,
@@ -539,7 +540,7 @@ def main(argv=None) -> int:
         help="bind address (default: 127.0.0.1)",
     )
     serve_p.add_argument(
-        "--port", type=int, default=7411,
+        "--port", type=positive(zero_ok=True), default=7411,
         help="TCP port; 0 picks an ephemeral one (default: 7411)",
     )
     serve_p.add_argument(
@@ -548,7 +549,7 @@ def main(argv=None) -> int:
              "are rejected, not queued (default: 64)",
     )
     serve_p.add_argument(
-        "--shards", type=int, default=0,
+        "--shards", type=positive(zero_ok=True), default=0,
         help="host a sharded cluster runtime instead of a single "
              "volume (default: 0 = single volume)",
     )

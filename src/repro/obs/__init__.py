@@ -29,7 +29,10 @@ package gives every subsystem one way to record those facts:
     ``python -m repro events``.
 
 ``repro.obs.scenarios``
-    The seeded scenarios ``python -m repro events`` records.
+    The scenario table: each seeded run (sysbench, chaos, cluster)
+    defined once, with its fingerprint.  ``python -m repro events``
+    records a row; the pinned fingerprints and the replay test run
+    the same rows.
 """
 
 from repro.obs.metrics import (

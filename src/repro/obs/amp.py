@@ -12,9 +12,10 @@ gauges in whatever :class:`~repro.obs.metrics.MetricsRegistry` owns the
 run.
 
 The accountant is deliberately lazy: nothing registers these gauges at
-store construction time (the scenario fingerprints of
-``tests/perf/oracle.py`` hash every instrument in a registry, and the default single-level path must stay
-byte-identical to the pre-policy code).  Benchmarks, the compaction CLI,
+store construction time (the fingerprints of the scenario table,
+:mod:`repro.obs.scenarios`, hash every instrument in a registry, and the
+default single-level path must stay byte-identical to the pre-policy
+code).  Benchmarks, the compaction CLI,
 and tests create accountants explicitly.
 """
 

@@ -25,7 +25,8 @@ Design constraints:
 * **Outside the metrics universe.**  The recorder's own bookkeeping
   (emitted/sampled/dropped counts) lives in plain dicts, *not* registry
   instruments: enabling the recorder must not perturb a metrics
-  snapshot, which ``tests/perf/oracle.py`` fingerprints.
+  snapshot, which the scenario table (``repro.obs.scenarios``)
+  fingerprints.
 
 The dump is JSONL: one event per line, ``t_us`` / ``channel`` / ``kind``
 at the top level and the payload under ``fields``, so a payload field

@@ -15,7 +15,7 @@ from repro.common.units import DB_PAGE_SIZE, MiB
 from repro.compression.memo import MEMO_CAPACITY_BYTES
 from repro.storage.node import NodeConfig
 from repro.storage.store import PolarStore
-from tests.perf.oracle import memo_capacity
+from tests.perf.memo_swap import memo_capacity
 
 
 def make_page(fill: int) -> bytes:

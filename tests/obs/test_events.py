@@ -119,11 +119,10 @@ def test_dumps_are_byte_deterministic(tmp_path):
 def test_chaos_dump_replays_every_event_unchanged(tmp_path):
     # Fault and scrub events carry a ``kind=`` payload field; a reload
     # must render each event exactly as the live run did.
-    from repro.chaos.harness import run_chaos
+    from repro.obs.scenarios import run_scenario
 
     with recording() as live:
-        run_chaos(seed=42, ops=80, pages=32, scrub_every=40,
-                  min_data_faults=2)
+        run_scenario("chaos")
     path = str(tmp_path / "chaos.jsonl")
     live.dump_jsonl(path)
     replayed = FlightRecorder.load(path)

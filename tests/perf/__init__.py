@@ -1,1 +1,1 @@
-"""The codec memo and the pinned fingerprint scenarios: correctness, not speed."""
+"""The codec memo and the scenario table: correctness, not speed."""

@@ -19,7 +19,7 @@ from repro.compression.memo import (
     content_key,
 )
 from repro.compression.selector import AlgorithmSelector
-from tests.perf.oracle import memo_capacity
+from tests.perf.memo_swap import memo_capacity
 
 
 PAGE = (b"polar" * 4096)[: 16 * 1024]

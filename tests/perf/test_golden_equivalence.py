@@ -16,24 +16,26 @@ import hashlib
 import itertools
 
 import numpy as np
+import pytest
 
 from repro.common.units import DB_PAGE_SIZE, MiB
 from repro.compression.memo import MEMO_CAPACITY_BYTES
 from repro.obs import events as obs_events
+from repro.obs.scenarios import SCENARIOS, metrics_digest, run_scenario
 from repro.storage import store as store_mod
 from repro.storage.node import NodeConfig
 from repro.storage.redo import RedoRecord
 from repro.storage.store import PolarStore
-from tests.perf import oracle
+from tests.perf.memo_swap import memo_capacity
 
 
 def _both_legs(run):
     """``run()`` without and with the memo; the memo leg must have hit."""
-    with oracle.memo_capacity(0) as off:
+    with memo_capacity(0) as off:
         computed = run()
     assert off.hits == 0 and len(off) == 0
     with obs_events.recording(obs_events.FlightRecorder(capacity=16384)):
-        with oracle.memo_capacity(MEMO_CAPACITY_BYTES) as on:
+        with memo_capacity(MEMO_CAPACITY_BYTES) as on:
             memoized = run()
     # Not vacuous: duplicate codec work was answered from the cache.
     assert on.hits > 0
@@ -90,7 +92,7 @@ def _store_trace():
     for node in store.nodes:
         for page_no in range(len(pages)):
             trace.update(bytes(node.read_page(now, page_no).data))
-    trace.update(oracle.metrics_digest(store.metrics).encode())
+    trace.update(metrics_digest(store.metrics).encode())
     return trace.hexdigest()
 
 
@@ -99,23 +101,10 @@ def test_store_pipeline_golden():
     assert memoized == computed
 
 
-def _assert_scenario_golden(scenario):
-    """A pinned scenario, quick profile: the full stack is byte- and
-    sim-time-identical whether codec calls compute or replay."""
-    computed, memoized = _both_legs(lambda: oracle.run_scenario(scenario))
-    assert memoized.fingerprint == computed.fingerprint
-    assert memoized.sim_us == computed.sim_us
-    assert memoized.pages == computed.pages
-
-
-def test_sysbench_scenario_golden():
-    # B+tree, buffer pool, group commit, checkpoint, scrub.
-    _assert_scenario_golden(oracle.scenario_sysbench8)
-
-
-def test_chaos_smoke_scenario_golden():
-    _assert_scenario_golden(oracle.scenario_chaos_smoke)
-
-
-def test_cluster_ingest_scenario_golden():
-    _assert_scenario_golden(oracle.scenario_cluster_ingest)
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_scenario_golden(name):
+    """A table row: the full stack (for sysbench: B+tree, buffer pool,
+    group commit, checkpoint, scrub) is byte- and sim-time-identical
+    whether codec calls compute or replay."""
+    computed, memoized = _both_legs(lambda: run_scenario(name))
+    assert memoized == computed

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import main
+from repro.common.errors import CorruptionError
 
 
 def test_metrics_emits_json_snapshot(capsys):
@@ -22,6 +23,15 @@ def test_metrics_emits_json_snapshot(capsys):
     # The traced write's breakdown lands on stderr with a sub-µs delta.
     assert "per-layer" in captured.err
     assert "delta 0.000us" in captured.err
+
+
+@pytest.mark.xfail(
+    raises=CorruptionError, strict=True,
+    reason="ROADMAP item 1: at its documented defaults the run dies in a "
+           "B+tree leaf insert with 'duplicate key 174'",
+)
+def test_metrics_runs_at_its_documented_defaults(capsys):
+    assert main(["metrics"]) == 0
 
 
 def test_metrics_prometheus_format(capsys):
@@ -81,6 +91,16 @@ def test_unknown_command_rejected():
     ["bench", "--fig", "12", "--workers", "0"],
     ["cluster", "--workers", "-2"],
     ["metrics", "--rows", "0"],
+    ["metrics", "--duration", "nan"],
+    ["metrics", "--duration", "inf"],
+    ["metrics", "--duration", "-1"],
+    ["chaos", "--seed", "-1"],
+    ["chaos", "--min-faults", "-3"],
+    ["events", "chaos", "--seed", "-1"],
+    ["load", "--seed", "-1"],
+    ["compaction", "--seed", "-1"],
+    ["serve", "--port", "-5"],
+    ["serve", "--shards", "-1"],
 ], ids=" ".join)
 def test_hostile_numbers_exit_2_with_usage(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -89,6 +109,28 @@ def test_hostile_numbers_exit_2_with_usage(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: ")
     assert "Traceback" not in err
+
+
+def test_zero_port_seed_and_shards_still_parse(monkeypatch):
+    # ``serve --port 0`` (an ephemeral port) is what the loopback
+    # benchmark's server child runs; zero is a seed and "no shards".
+    from repro.net import server
+
+    class Started(Exception):
+        pass
+
+    class StubServer:
+        def __init__(self, config):
+            self.config = config
+
+        async def start(self):
+            raise Started(self.config)
+
+    monkeypatch.setattr(server, "PolarStoreServer", StubServer)
+    with pytest.raises(Started) as started:
+        main(["serve", "--port", "0", "--seed", "0", "--shards", "0"])
+    config = started.value.args[0]
+    assert (config.net.port, config.store.seed) == (0, 0)
 
 
 def test_chaos_smoke_passes_and_reports(capsys):
