@@ -142,8 +142,8 @@ class PolarStoreClient:
 
     # -- volume-level page I/O (single-volume mode) ------------------------
 
-    def write_page(self, page_no: int, data: bytes, **kwargs):
-        return self._transport.call("write_page", page_no, data, **kwargs)
+    def write_page(self, page_no: int, data: bytes):
+        return self._transport.call("write_page", page_no, data)
 
     def read_page(self, page_no: int):
         return self._transport.call("read_page", page_no)
@@ -168,8 +168,8 @@ class PolarStoreClient:
         daemons; returns the :class:`MigrationReport`."""
         return self._require_sharded().rebalance(scheduler)
 
-    def zone_occupancy(self, scheduler=None) -> Dict[str, int]:
-        return self._require_sharded().zone_occupancy(scheduler)
+    def zone_occupancy(self) -> Dict[str, int]:
+        return self._require_sharded().zone_occupancy()
 
     def wasted_fractions(self) -> Tuple[float, float]:
         return self._require_sharded().wasted_fractions()
@@ -188,12 +188,12 @@ class PolarStoreClient:
             raise transport._no_capability("binding an event kernel")
         adopt(engine)
 
-    def _proc(self, op: str, *args, **kwargs):
+    def _proc(self, op: str, *args):
         transport = self._transport
         proc = getattr(transport, "proc", None)
         if proc is None:
             raise transport._no_capability("engine-native op generators")
-        return proc(op, *args, **kwargs)
+        return proc(op, *args)
 
     def insert_proc(self, table: str, key: int, value: bytes):
         return self._proc("insert", table, key, value)
@@ -236,7 +236,7 @@ class PolarStore:
     storage-layer volume this facade fronts — ``client.store``.)
     """
 
-    def __init__(self, *_args, **_kwargs) -> None:
+    def __init__(self) -> None:
         raise TypeError(
             "repro.api.PolarStore is not instantiated directly; call "
             "PolarStore.open(config) or PolarStore.connect(addr) for a "
@@ -283,8 +283,6 @@ class PolarStore:
         addr: Union[str, Tuple[str, int]],
         *,
         connections: int = 1,
-        max_inflight: int = 256,
-        queue_cap: int = 4096,
         timeout_s: float = 30.0,
     ) -> PolarStoreClient:
         """Connect to a ``python -m repro serve`` deployment.
@@ -292,9 +290,9 @@ class PolarStore:
         ``addr`` is ``"host:port"`` or a ``(host, port)`` tuple.  The
         returned client presents the identical surface as ``open`` —
         same ops, same result shapes, same simulated timings — over one
-        socket connection with a bounded in-flight window
-        (``max_inflight``), a backpressure queue (``queue_cap``, full
-        queue rejects), and per-request wall-clock ``timeout_s``.
+        socket connection with a bounded in-flight window, a
+        backpressure queue (a full queue rejects), and per-request
+        wall-clock ``timeout_s``.
         ``connections`` must be 1: a client is one connection.
         """
         from repro.net.client import SocketTransport
@@ -305,10 +303,5 @@ class PolarStore:
                 f"connections={connections!r}"
             )
         return PolarStoreClient(
-            transport=SocketTransport(
-                addr,
-                max_inflight=max_inflight,
-                queue_cap=queue_cap,
-                timeout_s=timeout_s,
-            )
+            transport=SocketTransport(addr, timeout_s=timeout_s)
         )

@@ -32,19 +32,19 @@ def build_store(config: ReproConfig, seed_offset: int = 0):
     )
 
 
-def build_db(config: ReproConfig, seed_offset: int = 0):
+def build_db(config: ReproConfig):
     """A :class:`~repro.db.database.PolarDB` instance on a fresh volume."""
     from repro.db.database import PolarDB
 
     return PolarDB(
-        store=build_store(config, seed_offset=seed_offset),
+        store=build_store(config),
         buffer_pool_pages=config.db.buffer_pool_pages,
         ro_nodes=config.db.ro_nodes,
     )
 
 
-def build_cluster(config: ReproConfig, engine=None):
+def build_cluster(config: ReproConfig):
     """A sharded :class:`~repro.cluster.runtime.ClusterRuntime`."""
     from repro.cluster.runtime import ClusterRuntime
 
-    return ClusterRuntime(config, engine=engine)
+    return ClusterRuntime(config)

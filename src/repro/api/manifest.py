@@ -126,7 +126,7 @@ def write_manifest() -> str:
     return MANIFEST_PATH
 
 
-def main(argv=None) -> int:
+def main() -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.api.manifest",
         description="check or update the public-API stability manifest",
@@ -140,7 +140,7 @@ def main(argv=None) -> int:
         "--update", action="store_true",
         help="regenerate the manifest from the current code",
     )
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
     if args.update:
         print(f"wrote {write_manifest()}")
         return 0

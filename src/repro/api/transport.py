@@ -232,24 +232,24 @@ class LocalTransport(Transport):
         target = self._target(spec)
         done_us = RESULT_KINDS[spec.kind].done_us
         if done_us is None:
-            return getattr(target, op)(*args, **kwargs)
+            return getattr(target, op)(*args)
         now = self.now_us
         engine = self._engine
         if engine is not None:
             engine.advance_to(now)
         if engine is not None and spec.proc:
             result = engine.run(
-                getattr(target, op + "_proc")(*args, **kwargs)
+                getattr(target, op + "_proc")(*args)
             )
         else:
-            result = getattr(target, op)(now, *args, **kwargs)
+            result = getattr(target, op)(now, *args)
         self._now_us = max(now, done_us(result))
         return result
 
-    def proc(self, op: str, *args, **kwargs):
+    def proc(self, op: str, *args):
         """The engine-native generator for one op (workload drivers)."""
-        args = data_op(op).bind(args, kwargs, self._sharded)
-        return getattr(self.backend(), op + "_proc")(*args, **kwargs)
+        args = data_op(op).bind(args, {}, self._sharded)
+        return getattr(self.backend(), op + "_proc")(*args)
 
     def space(self):
         """(logical, physical) bytes in use, summed over shards."""

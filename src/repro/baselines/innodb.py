@@ -34,6 +34,9 @@ from repro.db.bufferpool import BufferPool, OpContext
 from repro.db.rw_node import COMMIT_CPU_US, EXECUTE_CPU_US, OpResult
 from repro.engine import ResourcePool
 
+#: The page codec.
+CODEC = "zstd"
+
 
 @dataclass(frozen=True)
 class _PageLocation:
@@ -59,7 +62,6 @@ class InnoDBStore:
     def __init__(
         self,
         volume_bytes: int = 256 * MiB,
-        codec: str = "zstd",
         table_compression: bool = True,
         seed: int = 0,
         compute=None,
@@ -68,7 +70,6 @@ class InnoDBStore:
             P5510, logical_capacity=volume_bytes, physical_capacity=volume_bytes
         )
         self.device = PlainSSD(spec, seed=seed)
-        self.codec_name = codec
         #: Compute-node cores the codec work runs on (None = uncontended).
         self.compute = compute
         #: True: table compression (1/2/4-block sizes); False: page
@@ -112,8 +113,8 @@ class InnoDBStore:
     def write_page(self, start_us: float, page_no: int, data: bytes) -> _StoreResult:
         if len(data) != DB_PAGE_SIZE:
             raise ReproError("InnoDB store writes whole pages")
-        codec = get_codec(self.codec_name)
-        cost = codec_cost(self.codec_name)
+        codec = get_codec(CODEC)
+        cost = codec_cost(CODEC)
         payload = codec.compress(data)
         cpu = cost.compress_us(len(data))
         self.compress_cpu_us += cpu
@@ -151,8 +152,8 @@ class InnoDBStore:
         now = completion.done_us
         payload = completion.data[: location.payload_len]
         if location.compressed:
-            data = get_codec(self.codec_name).decompress(payload)
-            cpu = codec_cost(self.codec_name).decompress_us(
+            data = get_codec(CODEC).decompress(payload)
+            cpu = codec_cost(CODEC).decompress_us(
                 location.n_blocks * LBA_SIZE
             )
             self.decompress_cpu_us += cpu
@@ -198,14 +199,10 @@ class InnoDBEngine:
         self,
         volume_bytes: int = 256 * MiB,
         buffer_pool_pages: int = 256,
-        codec: str = "zstd",
-        table_compression: bool = True,
         seed: int = 0,
     ) -> None:
         self.cpu = ResourcePool("innodb-cpu", 8)
-        self.store = InnoDBStore(
-            volume_bytes, codec, table_compression, seed=seed, compute=self.cpu
-        )
+        self.store = InnoDBStore(volume_bytes, seed=seed, compute=self.cpu)
         self.pool = BufferPool(buffer_pool_pages, self.store, writeback=True)
         self.trees: Dict[str, BPlusTree] = {}
         self._next_page_no = 1

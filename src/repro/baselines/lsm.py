@@ -30,6 +30,11 @@ _TOMBSTONE = 1
 #: Uncompressed SSTable block size (RocksDB default is 4 KB before
 #: compression; 16 KB keeps block counts manageable in simulation).
 BLOCK_BYTES = 16 * KiB
+#: Block codec, and the shape of the level tree: L0 compacts past
+#: ``L0_LIMIT`` tables, each deeper level holds ``LEVEL_RATIO`` times more.
+CODEC = "zstd"
+L0_LIMIT = 4
+LEVEL_RATIO = 4
 
 
 def _encode_entries(entries: List[Tuple[int, Optional[bytes]]]) -> bytes:
@@ -105,18 +110,11 @@ class LSMTree:
         self,
         device,
         compute=None,
-        codec: str = "zstd",
         memtable_bytes: int = 256 * KiB,
-        l0_limit: int = 4,
-        level_ratio: int = 4,
-        seed: int = 0,
     ) -> None:
         self.device = device
         self.compute = compute if compute is not None else Resource("lsm-compute")
-        self.codec_name = codec
         self.memtable_bytes = memtable_bytes
-        self.l0_limit = l0_limit
-        self.level_ratio = level_ratio
         self.stats = LSMStats()
         self._memtable: Dict[int, Optional[bytes]] = {}
         self._memtable_size = 0
@@ -157,8 +155,8 @@ class LSMTree:
         entries: List[Tuple[int, Optional[bytes]]],
         level: int,
     ) -> Tuple[SSTable, float]:
-        codec = get_codec(self.codec_name)
-        cost = codec_cost(self.codec_name)
+        codec = get_codec(CODEC)
+        cost = codec_cost(CODEC)
         blocks: List[SSTBlock] = []
         now = start_us
         chunk: List[Tuple[int, Optional[bytes]]] = []
@@ -210,13 +208,13 @@ class LSMTree:
 
     def _maybe_compact(self, start_us: float) -> float:
         now = start_us
-        if len(self._levels[0]) > self.l0_limit:
+        if len(self._levels[0]) > L0_LIMIT:
             now = self._compact_level(now, 0)
-        limit = self.l0_limit * self.level_ratio
+        limit = L0_LIMIT * LEVEL_RATIO
         for level in range(1, len(self._levels) - 1):
             if len(self._levels[level]) > limit:
                 now = self._compact_level(now, level)
-            limit *= self.level_ratio
+            limit *= LEVEL_RATIO
         return now
 
     def _compact_level(self, start_us: float, level: int) -> float:
@@ -226,8 +224,8 @@ class LSMTree:
         self._levels[level + 1] = []
         merged: Dict[int, Optional[bytes]] = {}
         now = start_us
-        cost = codec_cost(self.codec_name)
-        codec = get_codec(self.codec_name)
+        cost = codec_cost(CODEC)
+        codec = get_codec(CODEC)
         # Newest data wins (setdefault keeps the first-seen version):
         # shallower levels are newer, and within a level a higher table_id
         # is newer.
@@ -258,8 +256,8 @@ class LSMTree:
         if key in self._memtable:
             return self._memtable[key], start_us
         now = start_us
-        cost = codec_cost(self.codec_name)
-        codec = get_codec(self.codec_name)
+        cost = codec_cost(CODEC)
+        codec = get_codec(CODEC)
         for level, tables in enumerate(self._levels):
             # L0 newest-first; deeper levels have non-overlapping tables.
             ordered = sorted(tables, key=lambda t: -t.table_id)
@@ -284,8 +282,8 @@ class LSMTree:
         """Iterator-style range scan: each overlapping block is read and
         decompressed once, newest version wins."""
         now = start_us
-        cost = codec_cost(self.codec_name)
-        codec = get_codec(self.codec_name)
+        cost = codec_cost(CODEC)
+        codec = get_codec(CODEC)
         merged: Dict[int, Optional[bytes]] = {}
         for key, value in self._memtable.items():
             if low <= key <= high:

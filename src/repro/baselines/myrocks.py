@@ -28,8 +28,6 @@ class MyRocksEngine:
     def __init__(
         self,
         volume_bytes: int = 256 * MiB,
-        codec: str = "zstd",
-        memtable_bytes: int = 256 * 1024,
         seed: int = 0,
     ) -> None:
         spec = dataclasses.replace(
@@ -37,9 +35,7 @@ class MyRocksEngine:
         )
         self.device = PlainSSD(spec, seed=seed)
         self.compute = ResourcePool("myrocks-compute", 8)
-        self.lsm = LSMTree(
-            self.device, self.compute, codec=codec, memtable_bytes=memtable_bytes
-        )
+        self.lsm = LSMTree(self.device, self.compute)
         self._tables: set = set()
 
     # -- DDL/DML (PolarDB-compatible surface) -------------------------------

@@ -159,8 +159,6 @@ def run_write_amp(
     quick: bool = False,
     policies: Optional[List[str]] = None,
     seed: int = 7,
-    quiet: bool = False,
-    save: bool = True,
 ) -> Tuple[ExperimentResult, Optional[bool]]:
     """Measure WA/SA/RA per (corpus, policy); returns (result, crossover).
 
@@ -210,8 +208,6 @@ def run_write_amp(
         "WA = FTL NAND bytes / user bytes; SA = live NAND / live user "
         "bytes; RA = device reads per page fetch (storage.amp.* gauges)"
     )
-    if not quiet:
-        print_table(result)
-    if save:
-        save_result(result, out_dir)
+    print_table(result)
+    save_result(result, out_dir)
     return result, crossover

@@ -13,7 +13,7 @@ I2  detected corruption equals repaired corruption, per fault kind
     (nothing repairable is left broken, nothing is double-counted);
 I3  nothing was unrepairable (the schedule never corrupts all replicas
     of a page at once, so a good copy always exists);
-I4  losing quorum raises ``RaftError``; writes resume after rejoin;
+I4  losing quorum raises ``ReplicationError``; writes resume after rejoin;
 I5  after recovery + final scrub, *every alive replica independently*
     serves every page byte-exact (convergence);
 I6  the schedule actually exercised the machinery (≥ ``min_faults``
@@ -37,7 +37,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.chaos.plan import DATA_FAULT_KINDS, FaultKind, FaultPlan, FaultRule
-from repro.common.errors import RaftError
+from repro.common.errors import ReplicationError
 from repro.common.units import DB_PAGE_SIZE, MiB
 from repro.obs.events import recorder_active
 from repro.storage.node import NodeConfig
@@ -148,8 +148,6 @@ def run_chaos(
     seed: int = 42,
     ops: int = 700,
     pages: int = 64,
-    plan: Optional[FaultPlan] = None,
-    volume_bytes: int = 64 * MiB,
     scrub_every: int = 150,
     verbose: bool = False,
     min_data_faults: int = 100,
@@ -161,9 +159,8 @@ def run_chaos(
     matches the full 700-op schedule).
     """
     rng = np.random.default_rng(seed)
-    store = PolarStore(NodeConfig(), volume_bytes=volume_bytes, seed=seed)
-    if plan is None:
-        plan = default_plan(seed, leader=store.leader.name)
+    store = PolarStore(NodeConfig(), volume_bytes=64 * MiB, seed=seed)
+    plan = default_plan(seed, leader=store.leader.name)
     plan.attach_to_store(store)
     fail_rules = [
         r for r in plan.rules if r.kind is FaultKind.DEVICE_FAIL
@@ -369,7 +366,7 @@ def _check_quorum_loss(
     now: float,
     probe_page: int,
 ) -> None:
-    """I4: with both followers down, a write must raise RaftError.
+    """I4: with both followers down, a write must raise ReplicationError.
 
     ``probe_page`` lies outside the workload's page range: the leader
     mutates local state before discovering the lost quorum, and the
@@ -379,11 +376,11 @@ def _check_quorum_loss(
     store.fail_node(2)
     try:
         store.write_page(now, probe_page, b"\x00" * DB_PAGE_SIZE)
-    except RaftError:
+    except ReplicationError:
         report.quorum_errors += 1
     else:
         observed.append(
-            "I4: write committed without a quorum (no RaftError)"
+            "I4: write committed without a quorum (no ReplicationError)"
         )
 
 

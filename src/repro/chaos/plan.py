@@ -293,11 +293,9 @@ class DeviceInjector:
 class FaultPlan:
     """A seeded fault schedule shared by every device in a volume."""
 
-    def __init__(
-        self, seed: int = 0, rules: Sequence[FaultRule] = ()
-    ) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self.rules: List[FaultRule] = list(rules)
+        self.rules: List[FaultRule] = []
         self.ledger = FaultLedger()
         self.metrics = None
         #: kind value -> firings (kept even when no registry is bound).

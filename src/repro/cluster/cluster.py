@@ -129,33 +129,36 @@ class Cluster:
         return wasted / total if total else 0.0
 
 
+#: A synthesized server: its capacities, the 10 GiB chunks it has room
+#: for, the share of those it holds, and the lognormal sigma of its
+#: users' mean compression ratios.
+SERVER_LOGICAL_CAPACITY = 1024 * GiB
+SERVER_PHYSICAL_CAPACITY = 384 * GiB
+CHUNK_LOGICAL_GIB = 10.0
+CHUNKS_PER_SERVER = 48
+FILL = 0.62
+RATIO_SIGMA = 0.35
+
+
 def synthesize_cluster(
     n_servers: int = 60,
-    chunks_per_server: int = 48,
-    chunk_logical_gib: float = 10.0,
     mean_ratio: float = 3.55,
-    ratio_sigma: float = 0.35,
-    logical_capacity: int = 1024 * GiB,
-    physical_capacity: int = 384 * GiB,
-    fill: float = 0.62,
     seed: int = 0,
 ) -> Cluster:
     """A cluster whose per-chunk compression ratios follow a lognormal
     spread around ``mean_ratio`` — matching the dispersion of Figure 9a —
     placed with the logical-only strategy (so the imbalance of Figures
     10a/11a emerges naturally).
-
-    ``fill`` scales how much of each server's logical capacity is used.
     """
     rng = random.Random(seed)
     cluster = Cluster(
         servers=[
-            StorageServer(i, logical_capacity, physical_capacity)
+            StorageServer(i, SERVER_LOGICAL_CAPACITY, SERVER_PHYSICAL_CAPACITY)
             for i in range(n_servers)
         ]
     )
     chunk_id = 0
-    target_chunks = int(n_servers * chunks_per_server * fill)
+    target_chunks = int(n_servers * CHUNKS_PER_SERVER * FILL)
     placed = 0
     while placed < target_chunks:
         # One user arrives with a batch of similarly-compressing chunks
@@ -163,12 +166,12 @@ def synthesize_cluster(
         # placed with affinity — subsequent chunks prefer servers already
         # holding that user's data — which is what concentrates ratios on
         # servers and produces Figure 9a's dispersion.
-        user_mean = mean_ratio * rng.lognormvariate(0.0, ratio_sigma)
+        user_mean = mean_ratio * rng.lognormvariate(0.0, RATIO_SIGMA)
         batch = min(rng.randrange(4, 25), target_chunks - placed)
         user_servers: list = []
         for _ in range(batch):
             ratio = max(1.05, user_mean * rng.lognormvariate(0.0, 0.08))
-            chunk = Chunk(chunk_id, int(chunk_logical_gib * GiB), ratio)
+            chunk = Chunk(chunk_id, int(CHUNK_LOGICAL_GIB * GiB), ratio)
             chunk_id += 1
             target = None
             if user_servers and rng.random() < 0.8:

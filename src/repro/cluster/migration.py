@@ -12,13 +12,21 @@ paper describes doing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.common.units import GiB, MiB
 from repro.cluster.cluster import Cluster
 from repro.cluster.scheduler import MigrationTask
 from repro.engine import ResourcePool
 from repro.obs.metrics import MetricsRegistry
+
+
+#: A throttled background mover: ~80 MiB/s per stream (a fraction of a
+#: 25 Gbps NIC), 8 streams per cluster, and per-task overhead for
+#: snapshotting + handoff.
+PER_STREAM_MIB_S = 80.0
+CONCURRENT_STREAMS = 8
+PER_TASK_OVERHEAD_S = 20.0
 
 
 @dataclass(frozen=True)
@@ -35,20 +43,8 @@ class MigrationPlanReport:
 class MigrationExecutor:
     """Executes a migration plan under bandwidth and concurrency limits."""
 
-    def __init__(
-        self,
-        per_stream_mib_s: float = 80.0,
-        concurrent_streams: int = 8,
-        per_task_overhead_s: float = 20.0,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        """Defaults model a throttled background mover: ~80 MiB/s per
-        stream (a fraction of a 25 Gbps NIC), 8 streams per cluster, and
-        per-task overhead for snapshotting + handoff."""
-        self.per_stream_mib_s = per_stream_mib_s
-        self.concurrent_streams = concurrent_streams
-        self.per_task_overhead_s = per_task_overhead_s
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+    def __init__(self) -> None:
+        self.metrics = MetricsRegistry()
         self._tasks_ctr = self.metrics.counter("cluster.migration.tasks")
         self._moved_ctr = self.metrics.counter("cluster.migration.moved_bytes")
         self._makespan = self.metrics.gauge("cluster.migration.makespan_s")
@@ -57,15 +53,14 @@ class MigrationExecutor:
         self, cluster_chunks_bytes: Sequence[int]
     ) -> MigrationPlanReport:
         """Makespan for moving chunks of the given physical sizes."""
-        pool = ResourcePool("migration", self.concurrent_streams)
+        pool = ResourcePool("migration", CONCURRENT_STREAMS)
         makespan_us = 0.0
         moved = 0
         # Longest-processing-time-first assignment approximates the
         # scheduler's behaviour of draining big chunks early.
         for nbytes in sorted(cluster_chunks_bytes, reverse=True):
             duration_s = (
-                nbytes / (self.per_stream_mib_s * MiB)
-                + self.per_task_overhead_s
+                nbytes / (PER_STREAM_MIB_S * MiB) + PER_TASK_OVERHEAD_S
             )
             done = pool.serve(0.0, duration_s * 1e6)
             makespan_us = max(makespan_us, done)

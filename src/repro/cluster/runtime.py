@@ -193,12 +193,7 @@ class MigrationReport:
 class ClusterRuntime:
     """N real replica groups, range-sharded tables, live migration."""
 
-    def __init__(
-        self,
-        config=None,
-        engine: Optional[Engine] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, config=None) -> None:
         from repro.api.config import ReproConfig
 
         self.config = config if config is not None else ReproConfig.from_dict(
@@ -209,8 +204,8 @@ class ClusterRuntime:
                 "ClusterRuntime needs cluster.shards >= 2; use a plain "
                 "volume for single-shard setups"
             )
-        self.engine = engine if engine is not None else Engine()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.engine = Engine()
+        self.metrics = MetricsRegistry()
         self.shards: List[ShardServer] = self._build_shards()
         self.tables: Dict[str, Dict[int, RuntimeChunk]] = {}
         self.chunks: Dict[int, RuntimeChunk] = {}
@@ -676,11 +671,9 @@ class ClusterRuntime:
             abstract.servers.append(mirror)
         return abstract, owner
 
-    def zone_occupancy(
-        self, scheduler: Optional[CompressionAwareScheduler] = None
-    ) -> Dict[str, int]:
+    def zone_occupancy(self) -> Dict[str, int]:
         """Shards per zone (A/B/C/D) on the logical x physical plane."""
-        scheduler = scheduler or CompressionAwareScheduler()
+        scheduler = CompressionAwareScheduler()
         abstract, _ = self.snapshot()
         c_avg = abstract.average_compression_ratio
         c_l, c_h = scheduler.band(abstract)

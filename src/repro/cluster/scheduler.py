@@ -22,6 +22,12 @@ from repro.cluster.chunk import StorageServer
 from repro.cluster.cluster import Cluster
 
 
+#: Logical-only migrates off servers this far above the average usage.
+IMBALANCE_MARGIN = 0.10
+#: Bound on the tasks one plan may hold.
+MAX_TASKS = 10_000
+
+
 @dataclass(frozen=True)
 class MigrationTask:
     chunk_id: int
@@ -32,17 +38,15 @@ class MigrationTask:
 class LogicalOnlyScheduler:
     """Balance logical usage; blind to compression ratios."""
 
-    def __init__(self, imbalance_margin: float = 0.10) -> None:
-        self.margin = imbalance_margin
-
-    def rebalance(self, cluster: Cluster, max_tasks: int = 10_000) -> List[MigrationTask]:
+    def rebalance(self, cluster: Cluster) -> List[MigrationTask]:
         tasks: List[MigrationTask] = []
-        while len(tasks) < max_tasks:
+        while len(tasks) < MAX_TASKS:
             average = cluster.average_logical_utilization
             overloaded = [
                 s
                 for s in cluster.servers
-                if s.logical_utilization > average + self.margin and s.chunks
+                if s.logical_utilization > average + IMBALANCE_MARGIN
+                and s.chunks
             ]
             if not overloaded:
                 break
@@ -85,21 +89,19 @@ class CompressionAwareScheduler:
             return "D"  # low physical, high logical: compresses very well
         return "B" if ratio <= c_avg else "C"
 
-    def rebalance(
-        self, cluster: Cluster, max_tasks: int = 10_000
-    ) -> List[MigrationTask]:
+    def rebalance(self, cluster: Cluster) -> List[MigrationTask]:
         tasks: List[MigrationTask] = []
         c_avg = cluster.average_compression_ratio
         c_l, c_h = self.band(cluster)
         progress = True
-        while progress and len(tasks) < max_tasks:
+        while progress and len(tasks) < MAX_TASKS:
             progress = False
             zones = {
                 server.server_id: self.zone(server, c_l, c_h, c_avg)
                 for server in cluster.servers
             }
             for server in cluster.servers:
-                if len(tasks) >= max_tasks:
+                if len(tasks) >= MAX_TASKS:
                     break
                 zone = zones[server.server_id]
                 if zone == "A":

@@ -17,8 +17,8 @@ from __future__ import annotations
 class SimClock:
     """A logical microsecond clock for one simulation universe."""
 
-    def __init__(self, start_us: float = 0.0) -> None:
-        self._now_us = float(start_us)
+    def __init__(self) -> None:
+        self._now_us = 0.0
 
     @property
     def now_us(self) -> float:

@@ -71,8 +71,8 @@ class TornWALError(WALError):
     """
 
 
-class RaftError(ReproError):
-    """Replication-layer failure (no quorum, stale term, ...)."""
+class ReplicationError(ReproError):
+    """Replication-layer failure (no quorum, a dead leader, a fenced epoch)."""
 
 
 class SchedulingError(ReproError):

@@ -65,8 +65,7 @@ class OpSpec:
     def bind(self, args: tuple, kwargs: dict, sharded: bool = False) -> list:
         """Call arguments -> the coerced positional list the wire
         carries, or with ``sharded`` the one a sharded backend takes.
-        Keywords naming an argument are consumed from ``kwargs``; the
-        rest (in-process tuning knobs) stay in it."""
+        A keyword must name an argument."""
         if len(args) > len(self.args):
             raise TypeError(
                 f"op {self.name!r} takes {len(self.args)} args, "
@@ -84,6 +83,8 @@ class OpSpec:
                 bound.append(
                     value if arg.coerce is None else arg.coerce(value)
                 )
+        if kwargs:
+            raise TypeError(f"op {self.name!r} takes no {sorted(kwargs)}")
         return bound
 
 

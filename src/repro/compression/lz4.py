@@ -42,8 +42,8 @@ class LZ4Codec(Compressor):
 
     name = "lz4"
 
-    def __init__(self, max_chain: int = 16) -> None:
-        self._finder = MatchFinder(window=65535, max_chain=max_chain, lazy=False)
+    def __init__(self) -> None:
+        self._finder = MatchFinder(window=65535, max_chain=16, lazy=False)
 
     # -- compression -----------------------------------------------------
 

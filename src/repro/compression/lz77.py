@@ -283,12 +283,9 @@ class MatchFinder:
         return tokens
 
 
-def reconstruct(tokens: List[Token], data: bytes, prefix: bytes = b"") -> bytes:
-    """Re-expand a token stream against its own source (testing aid).
-
-    ``prefix`` primes the output for dictionary-mode token streams.
-    """
-    out = bytearray(prefix)
+def reconstruct(tokens: List[Token], data: bytes) -> bytes:
+    """Re-expand a token stream against its own source (testing aid)."""
+    out = bytearray()
     for lit_start, lit_len, match_len, distance in tokens:
         out += data[lit_start : lit_start + lit_len]
         if match_len:
@@ -297,4 +294,4 @@ def reconstruct(tokens: List[Token], data: bytes, prefix: bytes = b"") -> bytes:
                 raise ValueError("distance reaches before stream start")
             for i in range(match_len):
                 out.append(out[start + i])
-    return bytes(out[len(prefix):])
+    return bytes(out)

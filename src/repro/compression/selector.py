@@ -53,13 +53,9 @@ class AlgorithmSelector:
 
     def __init__(
         self,
-        threshold_bytes_per_us: float = DEFAULT_THRESHOLD_BYTES_PER_US,
-        cpu_gate: float = CPU_UTILIZATION_GATE,
         update_gate: float = UPDATE_PERCENT_GATE,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.threshold = threshold_bytes_per_us
-        self.cpu_gate = cpu_gate
         self.update_gate = update_gate
         self.evaluations = 0
         self.fallbacks = 0
@@ -92,7 +88,7 @@ class AlgorithmSelector:
         ``update_percent=1.0`` (the default) models an initial page write,
         which always triggers evaluation when the CPU allows it.
         """
-        if cpu_utilization > self.cpu_gate:
+        if cpu_utilization > CPU_UTILIZATION_GATE:
             self.fallbacks += 1
             self._fallbacks_ctr.inc()
             return self._decided(self._single(page, "lz4"))
@@ -116,7 +112,7 @@ class AlgorithmSelector:
         benefit_bytes = float(lz4_aligned - zstd_aligned)
         self._benefit_hist.record(max(benefit_bytes, 0.0) / overhead_us)
 
-        if benefit_bytes / overhead_us > self.threshold:
+        if benefit_bytes / overhead_us > DEFAULT_THRESHOLD_BYTES_PER_US:
             return self._decided(SelectionDecision(
                 "zstd", zstd_result, True, benefit_bytes, overhead_us,
             ))

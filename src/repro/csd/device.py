@@ -38,6 +38,8 @@ from repro.obs.events import recorder_active
 from repro.obs.metrics import MetricsRegistry
 
 LBA_SIZE = 4 * KiB
+#: Simulated µs between two bursts of banked GC work.
+GC_PERIOD_US = 500.0
 
 
 @dataclass(frozen=True)
@@ -269,16 +271,16 @@ class BlockDevice:
                 self.gc_proc(), name=f"gc-drain-{self.spec.name}"
             )
 
-    def gc_proc(self, period_us: float = 500.0):
+    def gc_proc(self):
         """Drain banked FTL relocation work (:attr:`_pending_gc_us`)
-        through the device queue, one burst per ``period_us``, stealing
+        through the device queue, one burst per ``GC_PERIOD_US``, stealing
         idle device time and interfering with foreground I/O under load.
         Started by :meth:`_bank_gc` and finished once the bank is empty,
         so an engine with nothing else to do still runs to idle."""
         engine = self._sim_engine
         try:
             while self._pending_gc_us > 0.0:
-                yield engine.timeout(period_us)
+                yield engine.timeout(GC_PERIOD_US)
                 burst = self._pending_gc_us
                 self._pending_gc_us = 0.0
                 done = yield from self.queue.process(burst)
@@ -363,8 +365,6 @@ class PolarCSD(BlockDevice):
         spec: DeviceSpec,
         seed: int = 0,
         block_capacity: int = 4 * MiB,
-        physical_capacity: Optional[int] = None,
-        trim_enabled: bool = True,
         parallelism: int = 1,
         metrics: Optional[MetricsRegistry] = None,
         metric_labels: Optional[Dict[str, str]] = None,
@@ -375,12 +375,9 @@ class PolarCSD(BlockDevice):
                          metrics=metrics, metric_labels=metric_labels)
         codec = L2PEntryCodecV1() if spec.host_managed_ftl else L2PEntryCodecV2()
         self.ftl = FTL(
-            physical_capacity
-            if physical_capacity is not None
-            else spec.physical_capacity,
+            spec.physical_capacity,
             codec=codec,
             block_capacity=block_capacity,
-            trim_enabled=trim_enabled,
             metrics=self.metrics,
             metric_labels=self.metric_labels,
         )
@@ -449,7 +446,7 @@ class PolarCSD(BlockDevice):
 
     @property
     def physical_used_bytes(self) -> int:
-        """What the device reports (includes untrimmed ghosts)."""
+        """What the device reports."""
         return self.ftl.live_bytes
 
     @property
@@ -459,7 +456,7 @@ class PolarCSD(BlockDevice):
     @property
     def compression_ratio(self) -> float:
         """Logical bytes stored per physical byte consumed."""
-        physical = self.ftl.host_live_bytes
+        physical = self.ftl.live_bytes
         if physical == 0:
             return 1.0
         return self.ftl.logical_used_bytes / physical

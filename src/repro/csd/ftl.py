@@ -100,7 +100,6 @@ class FTL:
         physical_capacity: int,
         codec: Optional[object] = None,
         block_capacity: int = 4 * MiB,
-        trim_enabled: bool = True,
         gc_policy: str = "greedy",
         metrics: Optional[MetricsRegistry] = None,
         metric_labels: Optional[dict] = None,
@@ -116,7 +115,6 @@ class FTL:
         self._block_stamp: Dict[int, int] = {}
         self.nand = NandSpace(physical_capacity, block_capacity)
         self.codec = codec if codec is not None else L2PEntryCodecV1()
-        self.trim_enabled = trim_enabled
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.stats = FTLStats(self.metrics, metric_labels)
         labels = metric_labels or {}
@@ -127,18 +125,17 @@ class FTL:
             "csd.ftl.physical_utilization",
             self.physical_utilization, **labels
         )
+        # TRIM is always on, so no freed LBA stays mapped and this reads
+        # 0; it stays registered because every pinned metrics
+        # fingerprint includes it.
         self.metrics.gauge_fn(
-            "csd.ftl.untrimmed_ghost_bytes",
-            lambda: self.untrimmed_ghost_bytes, **labels
+            "csd.ftl.untrimmed_ghost_bytes", lambda: 0, **labels
         )
         # lba -> (block_id, offset, stored_len)
         self._mapping: Dict[int, "tuple[int, int, int]"] = {}
         # block_id -> {lba: stored_len}: reverse index for GC relocation.
         self._residents: Dict[int, Dict[int, int]] = {}
         self._active: Optional[NandBlock] = None
-        # LBAs the host freed while TRIM was disabled: the device still
-        # believes they are live (§4.2.1's monitoring lesson).
-        self._untrimmed: set = set()
 
     # -- public interface --------------------------------------------------
 
@@ -173,40 +170,19 @@ class FTL:
         return self.read(lba)[2]
 
     def trim(self, lba: int) -> None:
-        """Host frees an LBA.
-
-        With TRIM enabled the mapping is dropped and the bytes become
-        reclaimable stale space.  With TRIM disabled (the initial
-        deployment mistake of §4.2.1) the device never hears about the
-        free: the payload stays mapped and live — GC keeps relocating it —
-        and the device-reported physical usage exceeds the host's actual
-        usage.
-        """
+        """Host frees an LBA: the mapping is dropped and the bytes become
+        reclaimable stale space."""
         if lba not in self._mapping:
             return
         self.stats.record_trim()
-        if not self.trim_enabled:
-            self._untrimmed.add(lba)
-            return
         self._invalidate(lba)
 
     # -- space accounting ---------------------------------------------------
 
     @property
     def live_bytes(self) -> int:
-        """Bytes the *device* believes are live (its reported usage)."""
+        """Bytes the device holds live (its reported usage)."""
         return self.nand.live_bytes
-
-    @property
-    def host_live_bytes(self) -> int:
-        """Bytes actually in use by the host (excludes untrimmed frees)."""
-        ghost = sum(self._mapping[lba][2] for lba in self._untrimmed)
-        return self.nand.live_bytes - ghost
-
-    @property
-    def untrimmed_ghost_bytes(self) -> int:
-        """Physical bytes held hostage by frees the device never saw."""
-        return sum(self._mapping[lba][2] for lba in self._untrimmed)
 
     @property
     def logical_used_bytes(self) -> int:
@@ -224,7 +200,6 @@ class FTL:
         block_id, _, stored_len = entry
         self.nand.blocks[block_id].invalidate(stored_len)
         self._residents[block_id].pop(lba, None)
-        self._untrimmed.discard(lba)
 
     def _place(self, lba: int, stored_len: int) -> None:
         block = self._active_block(stored_len)

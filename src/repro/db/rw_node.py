@@ -22,6 +22,8 @@ from repro.storage.redo import RedoRecord
 EXECUTE_CPU_US = 18.0
 #: Extra CPU at commit (txn bookkeeping, §2.1 log record of commit).
 COMMIT_CPU_US = 4.0
+#: Rows per redo commit during a bulk load.
+BULK_REDO_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -40,9 +42,7 @@ class OpResult:
 class RWNode:
     """The single read-write node of a PolarDB instance."""
 
-    def __init__(
-        self, store, buffer_pool_pages: int = 256, cpu_cores: int = 8
-    ) -> None:
+    def __init__(self, store, buffer_pool_pages: int = 256) -> None:
         self.store = store
         self.pool = BufferPool(buffer_pool_pages, store)
         self.trees: Dict[str, BPlusTree] = {}
@@ -50,7 +50,7 @@ class RWNode:
         self._next_lsn = 1
         #: The compute instance's cores (the paper evaluates an 8-core
         #: instance); statement CPU queues here under high concurrency.
-        self.cpu = ResourcePool("rw-cpu", cpu_cores)
+        self.cpu = ResourcePool("rw-cpu", 8)
         self._sim_engine = None
 
     def bind_engine(self, engine) -> None:
@@ -240,10 +240,10 @@ class RWNode:
     # -- bulk load -------------------------------------------------------------------
 
     def bulk_load(
-        self, start_us: float, table: str, rows: List[Tuple[int, bytes]],
-        redo_batch: int = 64,
+        self, start_us: float, table: str, rows: List[Tuple[int, bytes]]
     ) -> float:
-        """Load many rows, batching redo commits (initial data load)."""
+        """Load many rows, one redo commit per ``BULK_REDO_BATCH`` rows
+        (initial data load)."""
         now = start_us
         tree = self.tree(table)
         pending = 0
@@ -252,7 +252,7 @@ class RWNode:
             tree.insert(ctx, key, value, self._next_lsn)
             now = ctx.now_us
             pending += 1
-            if pending >= redo_batch:
+            if pending >= BULK_REDO_BATCH:
                 now = self._commit(OpContext(now))[0]
                 pending = 0
         if pending:

@@ -305,10 +305,10 @@ class Engine:
                 raise proc.error
         return self._now_us
 
-    def run(self, gen: Generator, name: str = "", at_us: Optional[float] = None):
+    def run(self, gen: Generator):
         """Spawn ``gen`` and drive the engine until it completes; returns
         the process's return value (exceptions propagate)."""
-        proc = self.spawn(gen, name=name, at_us=at_us)
+        proc = self.spawn(gen)
         self.run_until_complete([proc])
         if not proc.done:
             raise EngineError(

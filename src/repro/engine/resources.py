@@ -51,16 +51,11 @@ class Resource:
     requests are in service, the rest wait in arrival order.
     """
 
-    def __init__(
-        self,
-        name: str = "resource",
-        servers: int = 1,
-        engine: Optional[Engine] = None,
-    ) -> None:
+    def __init__(self, name: str = "resource", servers: int = 1) -> None:
         if servers <= 0:
             raise ValueError(f"need at least one server, got {servers}")
         self.name = name
-        self.engine = engine
+        self.engine: Optional[Engine] = None
         self._free_at: List[float] = [0.0] * servers
         # FIFO wait list: (grant event, arrival time, service time).
         self._waiters: Deque[Tuple[Event, float, float]] = deque()
@@ -223,10 +218,8 @@ class ResourcePool(Resource):
     shared FIFO wait list in engine-native mode (a :class:`Resource`
     whose ``servers`` is required)."""
 
-    def __init__(
-        self, name: str, servers: int, engine: Optional[Engine] = None
-    ) -> None:
-        super().__init__(name, servers=servers, engine=engine)
+    def __init__(self, name: str, servers: int) -> None:
+        super().__init__(name, servers=servers)
 
 
 class Queue:

@@ -332,26 +332,23 @@ class SocketPool:
         *,
         sync: bool = True,
         arrival_us: float = 0.0,
-        timeout_s: Optional[float] = None,
     ) -> Response:
         """Send one request and block for its reply."""
         future = self.request(op, args, sync=sync, arrival_us=arrival_us)
-        return self.wait(future, timeout_s=timeout_s)
+        return self.wait(future)
 
-    def wait(
-        self, future: Future, *, timeout_s: Optional[float] = None
-    ) -> Response:
-        """Block for ``future``'s reply, pumping the pool's I/O on this
-        thread; a thread that finds another pumping sleeps on its own
-        future instead, since that pump resolves it too."""
-        timeout = self.timeout_s if timeout_s is None else timeout_s
-        deadline = time.monotonic() + timeout
+    def wait(self, future: Future) -> Response:
+        """Block up to ``timeout_s`` for ``future``'s reply, pumping the
+        pool's I/O on this thread; a thread that finds another pumping
+        sleeps on its own future instead, since that pump resolves it
+        too."""
+        deadline = time.monotonic() + self.timeout_s
         while not future.done():
             remaining = deadline - time.monotonic()
             if remaining <= 0.0 and future.cancel():
                 raise TransportTimeout(
                     f"no reply from {self.addr[0]}:{self.addr[1]} "
-                    f"within {timeout:g}s"
+                    f"within {self.timeout_s:g}s"
                 )
             if self._pumping.acquire(blocking=False):
                 try:
@@ -362,12 +359,11 @@ class SocketPool:
                 wait_futures([future], max(min(remaining, _HANDOFF_S), 0.0))
         return future.result()
 
-    def flush(self, *, timeout_s: Optional[float] = None) -> Response:
+    def flush(self) -> Response:
         """Sequenced run-to-idle: every pipelined op submitted before
         this point has its reply on the wire once flush returns."""
         return self.call(
-            "flush", [], sync=False,
-            arrival_us=self._last_arrival, timeout_s=timeout_s,
+            "flush", [], sync=False, arrival_us=self._last_arrival
         )
 
     def close(self) -> None:
@@ -429,12 +425,12 @@ class SocketTransport(Transport):
     def call(self, op: str, /, *args, **kwargs):
         spec = data_op(op)
         response = self.pool.call(
-            op, self._wire_args(spec, args, kwargs),
+            op, spec.bind(args, kwargs),
             sync=True, arrival_us=self._now_us,
         )
         return self._decode(spec, response)
 
-    def submit(self, op: str, /, *args, arrival_us: float = 0.0, **kwargs):
+    def submit(self, op: str, /, *args, arrival_us: float = 0.0):
         """Open-loop pipelined submit; returns a Future[Response].
 
         The reply materializes when a later arrival (or :meth:`flush`)
@@ -442,7 +438,7 @@ class SocketTransport(Transport):
         ``STATUS_REJECTED`` if the server's admission window is full.
         """
         return self.pool.request(
-            op, self._wire_args(data_op(op), args, kwargs), sync=False,
+            op, data_op(op).bind(args, {}), sync=False,
             arrival_us=max(arrival_us, self._now_us),
         )
 
@@ -458,15 +454,6 @@ class SocketTransport(Transport):
 
     def ping(self) -> float:
         return float(self.pool.call("ping", []).value)
-
-    def _wire_args(self, spec: OpSpec, args: tuple, kwargs: dict) -> list:
-        bound = spec.bind(args, kwargs)
-        if kwargs:
-            raise self._no_capability(
-                f"op {spec.name!r} options {sorted(kwargs)} (in-process "
-                f"tuning knobs are not part of the wire protocol)"
-            )
-        return bound
 
     def _decode(self, spec: OpSpec, response: Response):
         if response.rejected:

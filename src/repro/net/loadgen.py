@@ -32,6 +32,11 @@ from repro.api.transport import AdmissionError, Transport
 from repro.common.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
 
+#: A run's SLO: its p95 latency (simulated µs) and its share of
+#: rejected requests may not exceed these.
+P95_TARGET_US = 50_000.0
+REJECTION_BUDGET = 0.5
+
 
 @dataclass(frozen=True)
 class ArrivalSpec:
@@ -195,14 +200,7 @@ class LoadReport:
         return "\n".join(lines)
 
 
-def run_load(
-    transport: Transport,
-    spec: ArrivalSpec,
-    *,
-    registry: Optional[MetricsRegistry] = None,
-    p95_target_us: float = 50_000.0,
-    rejection_budget: float = 0.5,
-) -> LoadReport:
+def run_load(transport: Transport, spec: ArrivalSpec) -> LoadReport:
     """Drive one open-loop scenario through ``transport``.
 
     Preloads the keyspace (closed-loop ``bulk_load``), then submits
@@ -212,7 +210,7 @@ def run_load(
     no overlap, no rejections.
     """
     spec.validate()
-    registry = registry if registry is not None else MetricsRegistry()
+    registry = MetricsRegistry()
     latency = registry.histogram("net.load.latency_us")
     depth_hist = registry.histogram("net.load.queue_depth")
     requests_total = registry.counter("net.load.requests")
@@ -294,10 +292,10 @@ def run_load(
     total = requests_total.value
     checks = (
         ("net-load-p95",
-         latency.percentile(95.0) if latency.count else 0.0, p95_target_us),
+         latency.percentile(95.0) if latency.count else 0.0, P95_TARGET_US),
         ("net-load-rejections",
          rejected_counter.value / total if total > 0 else 0.0,
-         rejection_budget),
+         REJECTION_BUDGET),
         ("net-load-errors",
          errors_counter.value / total if total > 0 else 0.0, 0.0),
     )

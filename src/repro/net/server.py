@@ -65,12 +65,7 @@ class PolarStoreServer:
     default deployment with its engine on.
     """
 
-    def __init__(
-        self,
-        config: Optional[ReproConfig] = None,
-        *,
-        registry=None,
-    ) -> None:
+    def __init__(self, config: Optional[ReproConfig] = None) -> None:
         if config is None:
             config = ReproConfig.from_dict({"engine": {"enabled": True}})
         if not config.engine.enabled:
@@ -80,9 +75,7 @@ class PolarStoreServer:
             )
         self.config = config
         self.transport = LocalTransport(self.config)
-        self.registry = (
-            registry if registry is not None else self.transport.metrics
-        )
+        self.registry = self.transport.metrics
         self.bridge = WallClockBridge(
             self.transport.engine,
             window=self.config.net.window,
@@ -100,15 +93,12 @@ class PolarStoreServer:
 
     # -- lifecycle ---------------------------------------------------------
 
-    async def start(
-        self, host: Optional[str] = None, port: Optional[int] = None
-    ) -> Tuple[str, int]:
-        """Bind and listen; returns the actual (host, port) — pass
-        ``port=0`` for an ephemeral port."""
-        host = host if host is not None else self.config.net.host
+    async def start(self, port: Optional[int] = None) -> Tuple[str, int]:
+        """Bind ``config.net.host`` and listen; returns the actual
+        (host, port) — pass ``port=0`` for an ephemeral port."""
         port = port if port is not None else self.config.net.port
         self._server = await asyncio.start_server(
-            self._handle_connection, host, port
+            self._handle_connection, self.config.net.host, port
         )
         sock = self._server.sockets[0]
         self.addr = sock.getsockname()[:2]
@@ -359,12 +349,10 @@ class ServerThread:
             target=self._loop.run_forever, name="repro-net-serve", daemon=True
         )
 
-    def start(
-        self, host: Optional[str] = None, port: Optional[int] = None
-    ) -> Tuple[str, int]:
+    def start(self, port: Optional[int] = None) -> Tuple[str, int]:
         self._thread.start()
         future = asyncio.run_coroutine_threadsafe(
-            self.server.start(host, port), self._loop
+            self.server.start(port), self._loop
         )
         self.addr = future.result(timeout=10.0)
         return self.addr
@@ -379,16 +367,12 @@ class ServerThread:
 
 
 def serve_in_thread(
-    config: Optional[ReproConfig] = None,
-    *,
-    host: Optional[str] = None,
-    port: int = 0,
-    registry=None,
+    config: Optional[ReproConfig] = None, *, port: int = 0
 ) -> ServerThread:
     """Start a server on a background thread; returns the running
     :class:`ServerThread` with ``.addr`` bound (ephemeral by default)."""
-    handle = ServerThread(PolarStoreServer(config, registry=registry))
-    handle.start(host, port)
+    handle = ServerThread(PolarStoreServer(config))
+    handle.start(port)
     return handle
 
 

@@ -92,12 +92,10 @@ class FlightRecorder:
         self,
         capacity: int = 65536,
         sample: Optional[Dict[str, int]] = None,
-        enabled: bool = True,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"recorder capacity must be positive: {capacity}")
         self.capacity = capacity
-        self.enabled = enabled
         #: channel -> keep 1 event in N (1 keeps all, 0 mutes the channel).
         self.sample: Dict[str, int] = dict(sample or {})
         self._ring: deque = deque(maxlen=capacity)
@@ -117,8 +115,6 @@ class FlightRecorder:
         and friends stay usable as event field names (scrub and fault
         events carry a ``kind=`` payload field).
         """
-        if not self.enabled:
-            return
         self._seen[channel] = self._seen.get(channel, 0) + 1
         n = self.sample.get(channel, 1)
         if n != 1:
@@ -234,20 +230,21 @@ def recorder_active() -> Optional[FlightRecorder]:
     return _active
 
 
-def activate(recorder: Optional[FlightRecorder] = None, **kwargs) -> FlightRecorder:
-    """Install a process-wide recorder (every registry/volume shares it,
-    so a cluster of shards lands in one ordered event stream)."""
+def activate(**kwargs) -> FlightRecorder:
+    """Install a process-wide recorder of ``FlightRecorder``'s keywords
+    (every registry/volume shares it, so a cluster of shards lands in
+    one ordered event stream)."""
     global _active
-    _active = recorder if recorder is not None else FlightRecorder(**kwargs)
+    _active = FlightRecorder(**kwargs)
     return _active
 
 
 @contextmanager
-def recording(recorder: Optional[FlightRecorder] = None, **kwargs):
+def recording(**kwargs):
     """Scoped activation; restores the previous recorder on exit."""
     global _active
     previous = _active
-    rec = activate(recorder, **kwargs)
+    rec = activate(**kwargs)
     try:
         yield rec
     finally:

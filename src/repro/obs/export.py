@@ -20,9 +20,9 @@ from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
 
-def to_json(registry: MetricsRegistry, indent: int = 2) -> str:
+def to_json(registry: MetricsRegistry) -> str:
     """The whole registry as a JSON document."""
-    return json.dumps(registry.snapshot(), indent=indent, sort_keys=True)
+    return json.dumps(registry.snapshot(), indent=2, sort_keys=True)
 
 
 def prometheus_name(name: str) -> str:

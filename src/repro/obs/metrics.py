@@ -26,11 +26,11 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
-#: Default cap on distinct label-sets per metric family.  High enough
-#: that every in-repo scenario stays far below it; cluster-scale runs
-#: with runaway per-key labels overflow into ``__other__`` instead of
-#: growing the registry without bound.
-DEFAULT_MAX_LABEL_SETS = 256
+#: Cap on distinct label-sets per metric family.  High enough that every
+#: in-repo scenario stays far below it; cluster-scale runs with runaway
+#: per-key labels overflow into ``__other__`` instead of growing the
+#: registry without bound.
+MAX_LABEL_SETS = 256
 
 #: Label value marking the shared overflow bucket of a capped family.
 OVERFLOW_BUCKET = "__other__"
@@ -396,14 +396,9 @@ class MetricsRegistry:
     context flows through the stack without threading extra parameters.
     """
 
-    def __init__(self, max_label_sets: int = DEFAULT_MAX_LABEL_SETS) -> None:
-        if max_label_sets < 1:
-            raise ValueError(
-                f"max_label_sets must be positive: {max_label_sets}"
-            )
+    def __init__(self) -> None:
         self._instruments: Dict[Tuple[str, LabelKey], Instrument] = {}
-        #: Cardinality guard: cap on distinct label-sets per metric name.
-        self.max_label_sets = max_label_sets
+        #: Cardinality guard: admitted label-sets per metric name.
         self._label_sets: Dict[str, int] = {}
         # Imported lazily to avoid a module cycle (tracing records spans
         # back into this registry's histograms).
@@ -421,7 +416,7 @@ class MetricsRegistry:
         and ``obs.label_overflow{metric=...}`` counts the routed lookup,
         so saturation is visible instead of silent.
         """
-        if self._label_sets.get(name, 0) < self.max_label_sets:
+        if self._label_sets.get(name, 0) < MAX_LABEL_SETS:
             self._label_sets[name] = self._label_sets.get(name, 0) + 1
             return labels, False
         self._bump_overflow(name)

@@ -21,7 +21,7 @@ from repro.storage.allocator import BitmapAllocator, GlobalAllocator, SpaceManag
 from repro.storage.cache import LRUCache
 from repro.storage.index import CompressionInfo, IndexEntry, PageIndex
 from repro.storage.node import NodeConfig, StorageNode
-from repro.storage.raft import NetworkModel, ReplicationGroup
+from repro.storage.replication import NetworkModel, ReplicationGroup
 from repro.storage.store import CompressionMode, PolarStore
 from repro.storage.wal import WriteAheadLog
 

@@ -26,10 +26,10 @@ being serialized against them.
   *retries* the batch with bounded, seeded-jitter exponential backoff
   (a transient quorum loss across a failover is the expected case, not
   an error).  Only when the retry deadline is exhausted does the commit
-  event fail with :class:`RaftError` — every waiter in the batch sees
+  event fail with :class:`ReplicationError` — every waiter in the batch sees
   the same error, and nothing deadlocks, exactly as before;
 * each replication attempt snapshots the epoch of the store's
-  :class:`~repro.storage.raft.ReplicationGroup` — the same object that
+  :class:`~repro.storage.replication.ReplicationGroup` — the same object that
   tells it who is alive and how many acks make a majority — and is
   *fenced*: if an election moves leadership while the fan-out is in
   flight, the attempt fails rather than letting a deposed leader
@@ -47,7 +47,7 @@ from typing import List, Sequence, Tuple
 
 from repro.common.errors import (
     DeviceUnavailableError,
-    RaftError,
+    ReplicationError,
     ReproError,
 )
 from repro.common.rng import make_rng
@@ -57,7 +57,7 @@ from repro.storage.redo import RedoRecord, encode_records
 
 #: Most commits one flush carries; the rest wait for the next flush.
 MAX_BATCH = 64
-#: Base pause before re-replicating after a transient RaftError;
+#: Base pause before re-replicating after a transient ReplicationError;
 #: doubles per attempt with seeded jitter.
 RETRY_BACKOFF_US = 250.0
 #: Total retry budget per batch; exhausted = fail-fast.
@@ -80,7 +80,7 @@ class GroupCommitPipeline:
         self._batches = m.counter("storage.group_commit.batches")
         self._batched = m.counter("storage.group_commit.commits")
         self._batch_size = m.histogram("storage.group_commit.batch_size")
-        self._retries = m.counter("raft.retries")
+        self._retries = m.counter("storage.replication.retries")
 
     def commit_proc(self, records: Sequence[RedoRecord]):
         """Engine process: enqueue this commit, wait for its batch to be
@@ -135,7 +135,7 @@ class GroupCommitPipeline:
                 done.succeed(commit)
 
     def _replicate_with_retry(self, records: List[RedoRecord]):
-        """Replicate one batch, retrying transient :class:`RaftError`
+        """Replicate one batch, retrying transient :class:`ReplicationError`
         with bounded seeded-jitter backoff (see module docstring).
 
         A batch that succeeds first try draws no randomness and waits no
@@ -149,10 +149,10 @@ class GroupCommitPipeline:
         while True:
             try:
                 commit = yield from self._replicate_proc(records)
-            except RaftError as exc:
+            except ReplicationError as exc:
                 attempt += 1
                 if engine.now_us >= deadline:
-                    raise RaftError(
+                    raise ReplicationError(
                         f"commit gave up after {attempt} attempts: {exc}"
                     )
                 self._retries.inc()
@@ -178,7 +178,7 @@ class GroupCommitPipeline:
         processes; this process wakes when quorum is durable (or
         provably unreachable).  The attempt is pinned to the group
         epoch observed at entry: an election mid-flight fails it with
-        :class:`RaftError` instead of letting the deposed leader ack.
+        :class:`ReplicationError` instead of letting the deposed leader ack.
         """
         store = self.store
         group = store.group
@@ -198,7 +198,7 @@ class GroupCommitPipeline:
             if quorum_ev.fired:
                 return
             if group.epoch != epoch:
-                quorum_ev.fail(RaftError(
+                quorum_ev.fail(ReplicationError(
                     "fenced: leadership changed during replication"
                 ))
             elif state["leader_done"] and state["acks"] >= needed:
@@ -206,7 +206,7 @@ class GroupCommitPipeline:
             elif state["live"] - state["lost"] < needed:
                 alive = 1 + state["live"] - state["lost"]
                 quorum_ev.fail(
-                    RaftError(f"no quorum: {alive}/{group.size} alive")
+                    ReplicationError(f"no quorum: {alive}/{group.size} alive")
                 )
 
         def leader_proc():

@@ -51,13 +51,13 @@ class HeavySegmentStore:
     #: High-effort codec: deeper chains + lazy matching.
     HEAVY_CODEC = ZstdCodec(max_chain=256, lazy=True)
 
-    def __init__(self, device, allocator, buffer_bytes: int = 4 * DB_PAGE_SIZE):
+    def __init__(self, device, allocator):
         self._device = device
         self._allocator = allocator
         self._segments: Dict[int, SegmentMeta] = {}
         self._next_id = 1
         # Decompressed-segment buffer for sequential access (§3.2.3).
-        self._buffer: LRUCache = LRUCache(buffer_bytes)
+        self._buffer: LRUCache = LRUCache(4 * DB_PAGE_SIZE)
         self.buffer_hits = 0
 
     # -- write ----------------------------------------------------------------

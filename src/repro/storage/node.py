@@ -242,20 +242,18 @@ class StorageNode:
     # ------------------------------------------------------------------ #
 
     def prepare_page(
-        self,
-        page_no: int,
-        data: bytes,
-        cpu_utilization: float = 0.0,
-        update_percent: float = 1.0,
-        force_codec: Optional[str] = None,
+        self, page_no: int, data: bytes, update_percent: float = 1.0
     ) -> PreparedWrite:
-        """Leader-side software compression (step 1 of Figure 4)."""
+        """Leader-side software compression (step 1 of Figure 4).
+
+        ``update_percent`` is the share of the page changed since its
+        last selection: a fresh write is 1.0, a consolidation passes its
+        redo volume (Algorithm 1's update gate)."""
         if len(data) != DB_PAGE_SIZE or not self.config.software_compression:
             return PreparedWrite.raw(data)
-        if force_codec is None and self.config.opt_algorithm_selection:
+        if self.config.opt_algorithm_selection:
             decision = self.selector.select(
                 data,
-                cpu_utilization=cpu_utilization,
                 update_percent=update_percent,
                 last_used=self._last_algorithm.get(page_no),
             )
@@ -263,7 +261,7 @@ class StorageNode:
             payload = decision.result.payload
             evaluated = decision.evaluated
         else:
-            codec_name = DEFAULT_CODEC if force_codec is None else force_codec
+            codec_name = DEFAULT_CODEC
             payload = memo.compress(codec_name, data)
             evaluated = False
         cpu = codec_cost(codec_name).compress_us(len(data))
@@ -339,18 +337,10 @@ class StorageNode:
         return WriteResult(done, prepared)
 
     def write_page(
-        self,
-        start_us: float,
-        page_no: int,
-        data: bytes,
-        cpu_utilization: float = 0.0,
-        update_percent: float = 1.0,
-        force_codec: Optional[str] = None,
+        self, start_us: float, page_no: int, data: bytes
     ) -> WriteResult:
         """Single-node convenience: prepare + persist locally."""
-        prepared = self.prepare_page(
-            page_no, data, cpu_utilization, update_percent, force_codec
-        )
+        prepared = self.prepare_page(page_no, data)
         return self.write_page_local(start_us + prepared.cpu_us, page_no, prepared)
 
     def write_partial(

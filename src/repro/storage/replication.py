@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Set
 
-from repro.common.errors import RaftError
+from repro.common.errors import ReplicationError
 from repro.common.units import KiB
 
 
@@ -56,7 +56,9 @@ class ReplicationGroup:
 
     def __init__(self, size: int) -> None:
         if size < 1:
-            raise RaftError("a replication group needs at least one replica")
+            raise ReplicationError(
+                "a replication group needs at least one replica"
+            )
         self.size = size
         self.alive: List[bool] = [True] * size
         #: Pages each replica missed while down or while its device was
@@ -114,19 +116,21 @@ class ReplicationGroup:
         healthy replica can repair.
         """
         if not self.alive[self.leader]:
-            raise RaftError("leader replica is down (awaiting election)")
+            raise ReplicationError(
+                "leader replica is down (awaiting election)"
+            )
         alive = 1 + sum(self.alive[i] for i in self.followers())
         if alive < self.quorum:
-            raise RaftError(f"no quorum: {alive}/{self.size} reachable")
+            raise ReplicationError(f"no quorum: {alive}/{self.size} reachable")
 
     def commit_time(self, leader_done: float, acks: Iterable[float]) -> float:
         """When a write commits: the leader's persist joined with the
         ``acks_needed``-th follower acknowledgement.  Raises
-        :class:`RaftError` when too few followers acknowledged."""
+        :class:`ReplicationError` when too few followers acknowledged."""
         acks = sorted(acks)
         needed = self.acks_needed
         if len(acks) < needed:
-            raise RaftError(
+            raise ReplicationError(
                 f"no quorum: {1 + len(acks)}/{self.size} alive"
             )
         return max(leader_done, acks[needed - 1]) if needed else leader_done

@@ -38,7 +38,7 @@ from repro.csd.specs import (
 from repro.obs.events import recorder_active
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.node import NodeConfig, PreparedWrite, ReadResult, StorageNode
-from repro.storage.raft import NetworkModel, ReplicationGroup
+from repro.storage.replication import NetworkModel, ReplicationGroup
 from repro.storage.redo import RedoRecord, encode_records
 
 _node_counter = itertools.count()
@@ -128,14 +128,13 @@ class PolarStore:
         data_spec: DeviceSpec = POLARCSD2,
         perf_spec: DeviceSpec = OPTANE_P5800X,
         volume_bytes: int = 256 * MiB,
-        network: NetworkModel = NetworkModel(),
         seed: int = 0,
         physical_bytes: Optional[int] = None,
     ) -> None:
         #: Replica-set state and the commit rule (see class docstring).
         self.group = ReplicationGroup(REPLICAS)
         self.config = config if config is not None else NodeConfig()
-        self.network = network
+        self.network = NetworkModel()
         self.seed = seed
         #: One registry spans the whole volume: every node, device, FTL,
         #: and selector instrument lands here, and its tracer carries span
@@ -245,7 +244,7 @@ class PolarStore:
         replica with the highest durable redo LSN, ties to the lowest
         index.  The new epoch fences a pipelined commit in flight, which
         retries on the new leader.  With no replica left alive the
-        leader stays down and writes raise :class:`RaftError` until the
+        leader stays down and writes raise :class:`ReplicationError` until the
         first :meth:`recover_node` elects.
         """
         self._check_index(index)
@@ -366,9 +365,6 @@ class PolarStore:
         page_no: int,
         data: bytes,
         mode: CompressionMode = CompressionMode.NORMAL,
-        cpu_utilization: float = 0.0,
-        update_percent: float = 1.0,
-        force_codec: Optional[str] = None,
         applied_lsn: int = 0,
     ) -> CommittedWrite:
         """Figure 4 steps 1–4: compress, replicate, persist, commit.
@@ -386,9 +382,7 @@ class PolarStore:
             # Non-page-aligned I/O automatically reverts to no-compression.
             prepared = PreparedWrite.raw(data)
         else:
-            prepared = self.leader.prepare_page(
-                page_no, data, cpu_utilization, update_percent, force_codec
-            )
+            prepared = self.leader.prepare_page(page_no, data)
 
         after_compress = start_us + prepared.cpu_us
         tracer.end(sp, after_compress)

@@ -112,10 +112,10 @@ class WriteAheadLog:
     def append_segment(
         self, segment_id: int, compressed_len: int,
         pieces: Sequence[Tuple[int, int]], page_nos: Sequence[int],
-        checksum: int = 0,
     ) -> int:
+        # The trailing checksum field is written as 0.
         payload = struct.pack("<QQIII", segment_id, compressed_len,
-                              len(pieces), len(page_nos), checksum)
+                              len(pieces), len(page_nos), 0)
         for lba, blocks in pieces:
             payload += struct.pack("<QI", lba, blocks)
         for page_no in page_nos:

@@ -234,10 +234,9 @@ def dataset_pages(name: str, n_pages: int, seed: int = 0) -> List[bytes]:
     return pages
 
 
-def corpus(names=None, pages_per_dataset: int = 64, seed: int = 0) -> List[bytes]:
-    """A mixed corpus across datasets (the Figure 2 input)."""
-    names = list(DATASETS) if names is None else list(names)
+def corpus(pages_per_dataset: int = 64, seed: int = 0) -> List[bytes]:
+    """A mixed corpus across every dataset (the Figure 2 input)."""
     out: List[bytes] = []
-    for name in names:
+    for name in DATASETS:
         out.extend(dataset_pages(name, pages_per_dataset, seed))
     return out

@@ -31,6 +31,10 @@ from repro.workloads.zipf import ZipfSampler
 
 #: sysbench's c-column: digits + fixed padding, moderately compressible.
 _PAD = b"-" * 40
+#: The one table a sysbench run loads and queries.
+TABLE = "sbtest"
+#: Skew of the Zipf key sampler.
+ZIPF_S = 0.6
 
 
 def default_value(rng: random.Random, key: int) -> bytes:
@@ -200,23 +204,21 @@ class SysbenchResult:
         return self.latency.p95_us if self.latency.count else 0.0
 
 
-def prepare_table(
-    db, table: str = "sbtest", rows: int = 2000, seed: int = 0
-) -> float:
+def prepare_table(db, rows: int = 2000, seed: int = 0) -> float:
     """Create and load the sysbench table; returns the load finish time.
 
     Accepts either a legacy ``PolarDB`` (now_us-threaded calls) or a
     :class:`repro.api.PolarStoreClient` (which keeps the clock itself).
     """
     rng = random.Random(seed)
-    db.create_table(table)
+    db.create_table(TABLE)
     data = [(key, default_value(rng, key)) for key in range(rows)]
     from repro.api.client import PolarStoreClient
 
     if isinstance(db, PolarStoreClient):
-        db.bulk_load(table, data)
+        db.bulk_load(TABLE, data)
         return db.checkpoint()
-    done = db.bulk_load(0.0, table, data)
+    done = db.bulk_load(0.0, TABLE, data)
     return db.checkpoint(done)
 
 
@@ -225,21 +227,14 @@ def run_sysbench(
     workload: str,
     duration_s: float = 2.0,
     threads: int = 16,
-    table: str = "sbtest",
     key_range: int = 2000,
     start_us: float = 0.0,
     seed: int = 0,
-    zipf_s: float = 0.6,
     ro_index: int = -1,
     max_transactions: Optional[int] = None,
-    engine: Optional[Engine] = None,
 ) -> SysbenchResult:
-    """Run one workload for ``duration_s`` of *simulated* time.
-
-    ``engine`` lets callers share one kernel across phases (background
-    processes keep running between runs); by default a fresh engine
-    starts at ``start_us``.
-    """
+    """Run one workload for ``duration_s`` of *simulated* time on a fresh
+    engine that starts at ``start_us``."""
     if workload not in SYSBENCH_WORKLOADS:
         raise KeyError(
             f"unknown workload {workload!r}; options: {sorted(SYSBENCH_WORKLOADS)}"
@@ -247,16 +242,15 @@ def run_sysbench(
     txn = SYSBENCH_WORKLOADS[workload]
     rng = random.Random(seed)
     fresh = iter(range(key_range + 1_000_000, 10**9))
-    eng = engine if engine is not None else Engine(start_us=start_us)
-    eng.advance_to(start_us)
+    eng = Engine(start_us=start_us)
     use_procs = hasattr(db, "bind_engine")
     if use_procs:
         db.bind_engine(eng)
     ctx = _TxnContext(
         db=db,
-        table=table,
+        table=TABLE,
         rng=rng,
-        sampler=ZipfSampler(key_range, s=zipf_s, seed=seed),
+        sampler=ZipfSampler(key_range, s=ZIPF_S, seed=seed),
         fresh_key=lambda: next(fresh),
         engine=eng,
         ro_index=ro_index,

@@ -101,16 +101,15 @@ def test_check_args_rejects_wrong_arity_and_wrong_type_per_row(spec):
             check_args(spec, good[:index] + good[index + 1:])
 
 
-def test_bind_fills_defaults_takes_keywords_and_leaves_options():
+def test_bind_fills_defaults_takes_keywords_and_rejects_others():
     select = OPS_BY_NAME["select"]
     assert select.bind(("t", 1), {}) == ["t", 1, -1]
     assert select.bind(("t", 1), {"ro_index": 2}) == ["t", 1, 2]
     assert select.bind(("t", 1, 2), {}, sharded=True) == ["t", 1]
-    options = {"mode": "heavy"}
-    assert OPS_BY_NAME["write_page"].bind((3, bytearray(b"p")), options) == [
-        3, b"p"
-    ]
-    assert options == {"mode": "heavy"}
+    write_page = OPS_BY_NAME["write_page"]
+    assert write_page.bind((3, bytearray(b"p")), {}) == [3, b"p"]
+    with pytest.raises(TypeError, match="takes no \\['mode'\\]"):
+        write_page.bind((3, b"p"), {"mode": "heavy"})
     with pytest.raises(TypeError, match="needs 'key'"):
         select.bind(("t",), {})
     with pytest.raises(TypeError, match="takes 3 args"):

@@ -70,11 +70,13 @@ def test_lsm_delete_is_tombstone():
 
 
 def test_lsm_compaction_triggers_and_amplifies_writes():
-    lsm = LSMTree(make_device(), memtable_bytes=4 * KiB, l0_limit=2)
+    lsm = LSMTree(make_device(), memtable_bytes=4 * KiB)
     now = 0.0
     rng = random.Random(0)
+    # 200 keys: each L0_LIMIT-table compaction rewrites more than the
+    # last flush brought in.
     for _ in range(600):
-        now = lsm.put(now, rng.randrange(100), value_for(rng.randrange(10**6)))
+        now = lsm.put(now, rng.randrange(200), value_for(rng.randrange(10**6)))
     assert lsm.stats.compactions > 0
     assert lsm.stats.write_amplification > 1.2
     assert lsm.stats.compaction_read_bytes > 0
@@ -82,7 +84,7 @@ def test_lsm_compaction_triggers_and_amplifies_writes():
 
 def test_lsm_compaction_charges_compute_resource():
     compute = Resource("compute")
-    lsm = LSMTree(make_device(), compute, memtable_bytes=4 * KiB, l0_limit=2)
+    lsm = LSMTree(make_device(), compute, memtable_bytes=4 * KiB)
     now = 0.0
     for key in range(400):
         now = lsm.put(now, key, value_for(key))
@@ -104,7 +106,7 @@ def test_lsm_compresses_data():
 
 
 def test_myrocks_statement_api():
-    db = MyRocksEngine(memtable_bytes=8 * KiB)
+    db = MyRocksEngine()
     db.create_table("t")
     now = 0.0
     for key in range(100):
@@ -121,7 +123,7 @@ def test_myrocks_statement_api():
 
 
 def test_myrocks_compression_ratio():
-    db = MyRocksEngine(memtable_bytes=32 * KiB)
+    db = MyRocksEngine()
     db.create_table("t")
     now = db.bulk_load(0.0, "t", [(k, value_for(k)) for k in range(2000)])
     db.checkpoint(now)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.chaos.plan import FaultKind, FaultPlan, FaultRule
-from repro.common.errors import RaftError
+from repro.common.errors import ReplicationError
 from repro.common.units import DB_PAGE_SIZE, MiB
-from repro.obs.events import FlightRecorder, recording
+from repro.obs.events import recording
 from repro.storage.node import NodeConfig
 from repro.storage.store import PolarStore
 
@@ -117,7 +117,7 @@ def test_read_path_never_reads_a_replica_that_missed_the_page(scenario):
         raise AssertionError(f"replica {stale} missed page 1 and was read")
 
     store.nodes[stale].read_page = refuse
-    with recording(FlightRecorder()) as rec:
+    with recording() as rec:
         result = store.read_page(now, 1)
     assert result.data == make_page(5)
     counts, events = STALE_REPLICA_READS[scenario]
@@ -144,13 +144,13 @@ def test_crash_rejoin_resyncs_missed_pages():
     assert counter_total(store, "chaos.resynced_pages") >= 1
 
 
-def test_quorum_loss_raises_raft_error():
+def test_quorum_loss_raises_replication_error():
     store = make_store()
     now = store.write_page(0.0, 1, make_page(1)).commit_us
     store.fail_node(1)
     now = store.write_page(now, 2, make_page(2)).commit_us  # 2/3 still ok
     store.fail_node(2)
-    with pytest.raises(RaftError):
+    with pytest.raises(ReplicationError):
         store.write_page(now, 3, make_page(3))
 
 

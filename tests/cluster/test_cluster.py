@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import SchedulingError
-from repro.common.units import GiB
+from repro.common.units import GiB, MiB
 from repro.cluster.chunk import Chunk, StorageServer
 from repro.cluster.cluster import Cluster, synthesize_cluster
 from repro.cluster.costs import (
@@ -12,6 +12,7 @@ from repro.cluster.costs import (
     storage_cost_reduction,
 )
 from repro.cluster.scheduler import (
+    IMBALANCE_MARGIN,
     CompressionAwareScheduler,
     LogicalOnlyScheduler,
     band_coverage,
@@ -100,7 +101,7 @@ def test_logical_scheduler_balances_logical_usage_only():
     assert tasks
     average = cluster.average_logical_utilization
     assert all(
-        s.logical_utilization <= average + scheduler.margin + 0.02
+        s.logical_utilization <= average + IMBALANCE_MARGIN + 0.02
         for s in cluster.servers
     )
 
@@ -208,11 +209,16 @@ def test_migration_makespan_scales_with_bytes():
 
 
 def test_migration_concurrency_shortens_makespan():
-    from repro.cluster.migration import MigrationExecutor
+    from repro.cluster.migration import (
+        CONCURRENT_STREAMS, PER_STREAM_MIB_S, PER_TASK_OVERHEAD_S,
+        MigrationExecutor,
+    )
 
-    serial = MigrationExecutor(concurrent_streams=1).estimate([GiB] * 16)
-    parallel = MigrationExecutor(concurrent_streams=8).estimate([GiB] * 16)
-    assert parallel.makespan_s < serial.makespan_s / 3
+    task_s = GiB / (PER_STREAM_MIB_S * MiB) + PER_TASK_OVERHEAD_S
+    parallel = MigrationExecutor().estimate([GiB] * 16)
+    waves = -(-16 // CONCURRENT_STREAMS)
+    assert parallel.makespan_s == pytest.approx(waves * task_s)
+    assert parallel.makespan_s < 16 * task_s / 3
 
 
 def test_zone_plan_completes_within_a_day():

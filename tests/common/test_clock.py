@@ -14,7 +14,8 @@ def test_clock_starts_at_zero_and_advances():
 
 
 def test_clock_advance_to_never_goes_backwards():
-    clock = SimClock(100.0)
+    clock = SimClock()
+    clock.advance_to(100.0)
     clock.advance_to(50.0)
     assert clock.now_us == 100.0
     clock.advance_to(150.0)

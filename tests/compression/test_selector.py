@@ -2,12 +2,13 @@
 
 import random
 
-import pytest
-
 from repro.common.units import LBA_SIZE, align_up
 from repro.compression.base import get_codec
 from repro.compression.cost import codec_cost
-from repro.compression.selector import AlgorithmSelector
+from repro.compression.selector import (
+    DEFAULT_THRESHOLD_BYTES_PER_US,
+    AlgorithmSelector,
+)
 
 
 def _textlike(size, seed=0):
@@ -66,14 +67,18 @@ def test_zero_benefit_stays_lz4():
 
 
 def test_huge_benefit_switches_to_zstd():
-    # Force an artificial threshold of ~0 so any benefit selects zstd, and
-    # use a page where zstd demonstrably saves at least one 4 KiB block.
-    page = _textlike(16384, seed=4)
+    # Random symbols of an 8-letter alphabet: no matches for lz4, but
+    # zstd's entropy coder saves at least one 4 KiB block, which clears
+    # the threshold.
+    rng = random.Random(1)
+    page = bytes(rng.choice(b"abcdefgh") for _ in range(16384))
     lz4_sz = align_up(len(get_codec("lz4").compress(page)), LBA_SIZE)
     zstd_sz = align_up(len(get_codec("zstd").compress(page)), LBA_SIZE)
-    if lz4_sz == zstd_sz:
-        pytest.skip("dataset did not produce an alignment gap")
-    decision = AlgorithmSelector(threshold_bytes_per_us=0.0).select(page)
+    decision = AlgorithmSelector().select(page)
+    assert lz4_sz - zstd_sz >= LBA_SIZE
+    assert decision.benefit_bytes / decision.overhead_us > (
+        DEFAULT_THRESHOLD_BYTES_PER_US
+    )
     assert decision.codec == "zstd"
 
 

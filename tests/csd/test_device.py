@@ -23,10 +23,10 @@ def quiet(spec: DeviceSpec) -> DeviceSpec:
     return dataclasses.replace(spec, jitter_sigma=0.0)
 
 
-def make_csd(spec=POLARCSD2, **kwargs):
-    kwargs.setdefault("physical_capacity", 16 * MiB)
+def make_csd(spec=POLARCSD2, physical_capacity=16 * MiB, **kwargs):
     kwargs.setdefault("block_capacity", 1 * MiB)
-    return PolarCSD(quiet(spec), **kwargs)
+    spec = dataclasses.replace(quiet(spec), physical_capacity=physical_capacity)
+    return PolarCSD(spec, **kwargs)
 
 
 def _compressible(size, seed=0):

@@ -75,26 +75,6 @@ def test_trim_reclaims_space():
     assert ftl.stats.trims == 1
 
 
-def test_disabled_trim_leaves_ghost_bytes():
-    ftl = small_ftl(trim_enabled=False)
-    ftl.write(0, 3000)
-    ftl.write(1, 1000)
-    ftl.trim(0)
-    # Device still believes LBA 0 is live.
-    assert ftl.live_bytes == 4000
-    assert ftl.host_live_bytes == 1000
-    assert ftl.untrimmed_ghost_bytes == 3000
-
-
-def test_overwrite_of_untrimmed_lba_clears_ghost():
-    ftl = small_ftl(trim_enabled=False)
-    ftl.write(0, 3000)
-    ftl.trim(0)
-    ftl.write(0, 800)
-    assert ftl.untrimmed_ghost_bytes == 0
-    assert ftl.host_live_bytes == 800
-
-
 def test_gc_reclaims_stale_space_under_overwrites():
     ftl = small_ftl()
     rng = random.Random(0)

@@ -172,6 +172,38 @@ def test_tree_orders_arbitrary_keys(keys):
         assert db.select(now, "t", key).value == value_for(key, 40)
 
 
+def lost_rows(runs, size):
+    """Insert each run of keys in order, then the keys that do not read
+    back their value."""
+    db = make_db()
+    now = 0.0
+    keys = [key for run in runs for key in run]
+    for key in keys:
+        now = db.insert(now, "t", key, value_for(key, size)).done_us
+    return [
+        key for key in keys
+        if db.select(now, "t", key).value != value_for(key, size)
+    ]
+
+
+@pytest.mark.xfail(
+    raises=AssertionError, strict=True,
+    reason="ROADMAP item 1: a split of the leaf left of the root's first "
+           "separator leaves keys 5000 and 10 unreachable",
+)
+def test_rows_below_the_first_separator_survive_page_sized_values():
+    assert lost_rows([range(5000, 5004), range(10, 14)], 5000) == []
+
+
+@pytest.mark.xfail(
+    raises=AssertionError, strict=True,
+    reason="ROADMAP item 1: the same leftmost split loses keys 7-11 and "
+           "0-4 (the ascending-runs shrink)",
+)
+def test_rows_below_the_first_separator_survive_ascending_runs():
+    assert lost_rows([range(7, 19), range(0, 7)], 1350) == []
+
+
 # --------------------------------------------------------------------- #
 # Redo flow: evicted pages are rebuilt by storage                        #
 # --------------------------------------------------------------------- #

@@ -9,6 +9,11 @@ from tests.engine.legacy_resource import ResourcePool as LegacyPool
 from repro.obs.metrics import MetricsRegistry
 
 
+def bound(resource, engine):
+    resource.bind_engine(engine)
+    return resource
+
+
 def _process_requests(resource, arrivals):
     """Drive (arrive_us, service_us) pairs as concurrent engine
     processes; return [(tag, begin_wait_end)] in completion order."""
@@ -34,7 +39,7 @@ def test_fifo_order_under_simultaneous_arrivals():
     """Four clients arrive at the same instant; they are served in
     spawn order and each waits exactly behind its predecessors."""
     eng = Engine()
-    res = Resource("dev", engine=eng)
+    res = bound(Resource("dev"), eng)
     done = _process_requests(
         res, [(0.0, 10.0), (0.0, 10.0), (0.0, 10.0), (0.0, 10.0)]
     )
@@ -47,7 +52,7 @@ def test_fifo_not_shortest_job_first():
     """A long request that arrived first is served first even when a
     short one is waiting — FIFO, not SJF."""
     eng = Engine()
-    res = Resource("dev", engine=eng)
+    res = bound(Resource("dev"), eng)
     done = _process_requests(res, [(0.0, 100.0), (1.0, 1.0)])
     assert done == [(0, 100.0), (1, 101.0)]
 
@@ -56,7 +61,7 @@ def test_zero_service_requests():
     """Zero-service requests complete instantly when idle and still
     respect FIFO position when queued."""
     eng = Engine()
-    res = Resource("dev", engine=eng)
+    res = bound(Resource("dev"), eng)
     done = _process_requests(res, [(0.0, 0.0), (0.0, 50.0), (0.0, 0.0)])
     assert done == [(0, 0.0), (1, 50.0), (2, 50.0)]
     assert res.completed == 3
@@ -64,7 +69,7 @@ def test_zero_service_requests():
 
 def test_negative_service_rejected_in_both_styles():
     eng = Engine()
-    res = Resource("dev", engine=eng)
+    res = bound(Resource("dev"), eng)
     with pytest.raises(ValueError):
         res.serve(0.0, -1.0)
 
@@ -89,7 +94,7 @@ def test_multi_server_parallelism():
     """Two servers run two requests concurrently; the third waits for
     the earliest to free."""
     eng = Engine()
-    res = Resource("pool", servers=2, engine=eng)
+    res = bound(Resource("pool", servers=2), eng)
     done = _process_requests(res, [(0.0, 30.0), (0.0, 10.0), (0.0, 10.0)])
     # Client 0 on server A (done 30), client 1 on server B (done 10),
     # client 2 waits for B (done 20).
@@ -108,7 +113,7 @@ def test_engine_single_client_matches_legacy_serve():
     legacy_done = [legacy.serve(a, s) for a, s in requests]
 
     eng = Engine()
-    res = Resource("dev", engine=eng)
+    res = bound(Resource("dev"), eng)
 
     def one_client():
         ends = []
@@ -140,7 +145,7 @@ def test_mixed_sync_and_engine_share_state():
     """A sync serve() call books device time that a later engine
     process must queue behind, and vice versa."""
     eng = Engine()
-    res = Resource("dev", engine=eng)
+    res = bound(Resource("dev"), eng)
     assert res.serve(0.0, 100.0) == 100.0
 
     def client():
@@ -157,7 +162,7 @@ def test_mixed_sync_and_engine_share_state():
 def test_queue_wait_histogram_and_gauges_exported():
     registry = MetricsRegistry()
     eng = Engine()
-    res = Resource("nand", engine=eng)
+    res = bound(Resource("nand"), eng)
     res.bind_metrics(registry, device="dev0")
     _process_requests(res, [(0.0, 10.0), (0.0, 10.0)])
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.common.errors import OutOfSpaceError, RaftError
+from repro.common.errors import OutOfSpaceError, ReplicationError
 from repro.common.units import DB_PAGE_SIZE, KiB, MiB
 from repro.db.database import PolarDB
 from repro.storage.node import NodeConfig
@@ -44,7 +44,7 @@ def test_workload_halts_without_quorum_then_resumes():
     now = prepare_table(db, rows=100, seed=7)
     store.fail_node(1)
     store.fail_node(2)
-    with pytest.raises(RaftError):
+    with pytest.raises(ReplicationError):
         db.insert(now, "sbtest", 10_000, b"blocked")
     store.recover_node(1)
     # (The failed statement already mutated the buffer-pool page; real

@@ -6,6 +6,8 @@ import pytest
 from repro.api import PolarStore, ReproConfig
 from repro.common.errors import ReproError
 from repro.net.loadgen import (
+    P95_TARGET_US,
+    REJECTION_BUDGET,
     ArrivalSpec,
     build_ops,
     build_schedule,
@@ -103,6 +105,12 @@ def test_overload_produces_deterministic_server_rejections():
     first = _run_over_socket(spec, window=8)
     assert first.rejected_server > 0
     assert first.completed + first.rejected_server == spec.requests
+    share = first.rejected_server / spec.requests
+    assert share > REJECTION_BUDGET and not first.slo_passed
+    assert first.slo_lines[1] == (
+        f"net-load-rejections: BREACH (value {share:.3f}, "
+        f"target {REJECTION_BUDGET:.3f})"
+    )
     second = _run_over_socket(spec, window=8)
     assert second.to_artifact()["sim"] == first.to_artifact()["sim"]
 
@@ -136,18 +144,10 @@ def test_slo_lines_are_pinned_for_a_fixed_spec():
     )
     assert report.slo_passed
     assert report.slo_lines == [
-        "net-load-p95: ok (value 64.851, target 50000.000)",
-        "net-load-rejections: ok (value 0.000, target 0.500)",
+        f"net-load-p95: ok (value 64.851, target {P95_TARGET_US:.3f})",
+        f"net-load-rejections: ok (value 0.000, target {REJECTION_BUDGET:.3f})",
         "net-load-errors: ok (value 0.000, target 0.000)",
     ]
-    tight = run_load(
-        PolarStore.open({"engine": {"enabled": True}}).transport, spec,
-        p95_target_us=10.0,
-    )
-    assert not tight.slo_passed
-    assert tight.slo_lines[0] == (
-        "net-load-p95: BREACH (value 64.851, target 10.000)"
-    )
 
 
 def test_artifact_shape_splits_sim_from_wall():
@@ -165,15 +165,8 @@ def test_artifact_shape_splits_sim_from_wall():
 
 
 def test_registry_carries_load_instruments():
-    from repro.obs.metrics import MetricsRegistry
-
-    registry = MetricsRegistry()
     client = PolarStore.open({"engine": {"enabled": True}})
-    report = run_load(
-        client.transport,
-        _spec(requests=30, rate_per_s=500.0),
-        registry=registry,
-    )
+    report = run_load(client.transport, _spec(requests=30, rate_per_s=500.0))
+    registry = report.registry
     assert registry.counter("net.load.requests").value == 30
     assert registry.histogram("net.load.latency_us").count == 30
-    assert report.registry is registry

@@ -458,7 +458,7 @@ def test_pipelined_op_whose_generator_cannot_be_built_is_one_error_reply():
     try:
         transport.call("create_table", "t")
         transport.call("insert", "t", 1, b"row")
-        future = transport.submit("select", "t", 1, ro_index=99)
+        future = transport.submit("select", "t", 1, 99)
         transport.flush()
         response = transport.pool.wait(future)
         assert not response.ok and "IndexError" in response.error

@@ -100,7 +100,6 @@ def test_capability_errors_on_remote_client(client):
         lambda: client.config,
         lambda: client.bind_engine(object()),
         lambda: client.insert_proc("t", 1, b"v"),
-        lambda: client.write_page(0, b"p", mode="heavy"),
     ):
         with pytest.raises(TransportCapabilityError):
             access()
@@ -254,7 +253,7 @@ def test_mid_stream_disconnect_fails_inflight_without_hanging(server):
         transport.pool._sock.shutdown(socket.SHUT_RDWR)
         for future in futures:
             with pytest.raises(TransportError):
-                transport.pool.wait(future, timeout_s=5.0)
+                transport.pool.wait(future)
     finally:
         transport.close()
 

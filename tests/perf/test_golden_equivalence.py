@@ -34,7 +34,7 @@ def _both_legs(run):
     with memo_capacity(0) as off:
         computed = run()
     assert off.hits == 0 and len(off) == 0
-    with obs_events.recording(obs_events.FlightRecorder(capacity=16384)):
+    with obs_events.recording(capacity=16384):
         with memo_capacity(MEMO_CAPACITY_BYTES) as on:
             memoized = run()
     # Not vacuous: duplicate codec work was answered from the cache.

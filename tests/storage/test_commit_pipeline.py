@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import RaftError
+from repro.common.errors import ReplicationError
 from repro.common.units import MiB
 from repro.engine import Engine
 from repro.storage.node import NodeConfig
@@ -118,7 +118,7 @@ def test_no_quorum_fails_commit_without_deadlock():
     store.fail_node(2)
     engine = Engine()
     store.bind_engine(engine)
-    with pytest.raises(RaftError):
+    with pytest.raises(ReplicationError):
         engine.run(store.write_redo_proc(make_records(2)))
 
 
@@ -133,7 +133,7 @@ def test_no_quorum_fails_every_member_of_the_batch():
     def client(i):
         try:
             yield from store.write_redo_proc(make_records(1, lsn0=300 + i))
-        except RaftError:
+        except ReplicationError:
             failures.append(i)
 
     engine.run_until_complete([engine.spawn(client(i)) for i in range(5)])

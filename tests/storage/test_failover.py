@@ -8,7 +8,7 @@ durable redo LSN (ties to the lowest index) and opens a new epoch.
 import pytest
 
 from repro.chaos.plan import FaultKind, FaultPlan, FaultRule
-from repro.common.errors import RaftError, ReproError
+from repro.common.errors import ReplicationError, ReproError
 from repro.common.units import DB_PAGE_SIZE, MiB
 from repro.engine import Engine
 from repro.obs.events import recording
@@ -122,7 +122,7 @@ def test_leader_crash_elects_successor_and_commits_resume():
     client = crash_leader_mid_flight(store, engine, make_records(3))
     assert client.error is None and client.value > 0.0
     assert store.group.leader == 1
-    assert store.metrics.counter("raft.retries").value >= 1
+    assert store.metrics.counter("storage.replication.retries").value >= 1
     assert store.metrics.counter("storage.leader_changes").value == 1
     # The fenced attempt was re-replicated under the new leader.
     assert store.leader.durable_lsn == 3
@@ -205,11 +205,11 @@ def test_with_no_replica_alive_the_first_recovery_elects():
     store.fail_node(2)
     store.fail_node(0)  # the leader: nobody is left to succeed it
     assert store.group.leader == 0 and not any(store.group.alive)
-    with pytest.raises(RaftError, match="leader replica is down"):
+    with pytest.raises(ReplicationError, match="leader replica is down"):
         store.write_page(now, 1, page(11))
     now = store.recover_node(2, now)
     assert (store.group.leader, store.group.epoch) == (2, 1)
-    with pytest.raises(RaftError, match="no quorum"):
+    with pytest.raises(ReplicationError, match="no quorum"):
         store.write_page(now, 1, page(11))
     now = store.recover_node(0, now)
     assert store.group.leader == 2

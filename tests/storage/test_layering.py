@@ -19,7 +19,7 @@ PRIVATE_STATE = re.compile(
 OWNERS = {
     "storage/store.py",
     "storage/node.py",
-    "storage/raft.py",
+    "storage/replication.py",
     "storage/recovery.py",
 }
 

@@ -5,7 +5,11 @@ import random
 
 import pytest
 
-from repro.common.errors import PageCorruptionError, RaftError, ReproError
+from repro.common.errors import (
+    PageCorruptionError,
+    ReplicationError,
+    ReproError,
+)
 from repro.common.units import DB_PAGE_SIZE, LBA_SIZE, KiB, MiB
 from repro.compression.zstd import _read_varint
 from repro.csd.specs import P5510, POLARCSD2
@@ -122,11 +126,13 @@ def test_dual_layer_beats_hardware_only():
 
 def test_algorithm_selection_tracks_last_used(node):
     page = make_page(5)
-    node.write_page(0.0, 1, page, update_percent=1.0)
+    node.write_page(0.0, 1, page)
     first = node.index.get(1).algorithm
-    # Small update with low CPU: no re-evaluation, same algorithm.
-    node.write_page(1e3, 1, page, update_percent=0.05)
-    assert node.index.get(1).algorithm == first
+    # Small update with low CPU (a consolidation's share of redo): no
+    # re-evaluation, same algorithm.
+    prepared = node.prepare_page(1, page, update_percent=0.05)
+    assert not prepared.codec_evaluated
+    assert prepared.algorithm == first
 
 
 def test_redo_cache_and_consolidated_read(node):
@@ -279,7 +285,7 @@ def test_store_survives_one_follower_failure(store):
 def test_store_loses_quorum_with_two_failures(store):
     store.fail_node(1)
     store.fail_node(2)
-    with pytest.raises(RaftError):
+    with pytest.raises(ReplicationError):
         store.write_page(0.0, 1, make_page(1))
 
 
@@ -456,7 +462,7 @@ def test_fan_out_commits_at_quorum_and_tracks_missed_pages(store, op, failure):
     assert store.read_page(commit, 1).done_us > commit
     store.fail_node(1)
     before = _leader_state(store)
-    with pytest.raises(RaftError):
+    with pytest.raises(ReplicationError):
         WRITE_OPS[op](store, commit, 2)
     if failure is _fail_devices:
         # A failing device is only discovered by writing to it: this
@@ -488,11 +494,11 @@ def test_refused_writes_leave_no_span_behind(store):
     store.fail_node(1)
     store.fail_node(2)
     for _ in range(3):
-        with pytest.raises(RaftError):
+        with pytest.raises(ReplicationError):
             store.write_page(now, 2, make_page(2))
         assert len(tracer._stack) == 0
     for refused in ("write_partial", "write_redo"):
-        with pytest.raises(RaftError):
+        with pytest.raises(ReplicationError):
             WRITE_OPS[refused](store, now, 1)
         assert len(tracer._stack) == 0
     assert tracer.last is published  # a refused write publishes nothing

@@ -4,13 +4,13 @@ The legacy contract (``test_commit_pipeline``) pins the two ends:
 fail-fast once the deadline exhausts, and analytic equivalence on the
 untroubled path.  This file covers the middle — a commit submitted
 during a transient outage must *wait out* the outage and succeed, the
-``raft.retries`` counter must count the loop, and an epoch bump
+``storage.replication.retries`` counter must count the loop, and an epoch bump
 mid-flight must fence the attempt and re-replicate.
 """
 
 import pytest
 
-from repro.common.errors import RaftError
+from repro.common.errors import ReplicationError
 from repro.common.units import MiB
 from repro.engine import Engine
 from repro.storage.node import NodeConfig
@@ -43,23 +43,23 @@ def test_commit_survives_transient_quorum_loss():
     engine.run_until_complete([engine.spawn(healer()), client])
     assert client.error is None
     assert client.value >= 8_000.0  # waited through the outage
-    assert store.metrics.counter("raft.retries").value >= 1
+    assert store.metrics.counter("storage.replication.retries").value >= 1
 
 
 def test_exhausted_deadline_still_fails_fast():
     store, engine = make_store()
     store.fail_node(1)
     store.fail_node(2)
-    with pytest.raises(RaftError, match="gave up"):
+    with pytest.raises(ReplicationError, match="gave up"):
         engine.run(store.write_redo_proc(make_records(1)))
-    assert store.metrics.counter("raft.retries").value >= 1
+    assert store.metrics.counter("storage.replication.retries").value >= 1
 
 
 def test_success_path_draws_no_retries():
     store, engine = make_store()
     commit = engine.run(store.write_redo_proc(make_records(2)))
     assert commit > 0.0
-    assert store.metrics.counter("raft.retries").value == 0
+    assert store.metrics.counter("storage.replication.retries").value == 0
 
 
 def test_epoch_bump_mid_flight_fences_then_retries():
@@ -75,6 +75,6 @@ def test_epoch_bump_mid_flight_fences_then_retries():
     client = engine.spawn(store.write_redo_proc(make_records(2)))
     engine.run_until_complete([engine.spawn(usurper()), client])
     assert client.error is None
-    assert store.metrics.counter("raft.retries").value >= 1
+    assert store.metrics.counter("storage.replication.retries").value >= 1
     # The batch still landed durably on the followers.
     assert any(node.durable_redo_blobs for node in store.nodes[1:])

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.common.errors import RaftError, WALError
+from repro.common.errors import ReplicationError, WALError
 from repro.storage.index import CompressionInfo, IndexEntry, PageIndex
-from repro.storage.raft import NetworkModel, ReplicationGroup
+from repro.storage.replication import NetworkModel, ReplicationGroup
 from repro.storage.wal import (
     WALRecordType,
     WriteAheadLog,
@@ -181,17 +181,17 @@ def test_one_follower_down_still_commits():
 def test_no_quorum_raises():
     group = ReplicationGroup(3)
     group.alive[1] = group.alive[2] = False
-    with pytest.raises(RaftError):
+    with pytest.raises(ReplicationError):
         replicate(group, b"x")
     # Too few acknowledgements is refused by the commit rule itself too.
-    with pytest.raises(RaftError):
+    with pytest.raises(ReplicationError):
         ReplicationGroup(3).commit_time(10.0, [])
 
 
 def test_dead_leader_raises():
     group = ReplicationGroup(3)
     group.alive[group.leader] = False
-    with pytest.raises(RaftError):
+    with pytest.raises(ReplicationError):
         replicate(group, b"x")
 
 
@@ -205,7 +205,7 @@ def test_payload_size_slows_replication():
 def test_group_requires_followers():
     """A group needs at least one replica; a group of exactly one is
     its own majority and commits when the leader persists."""
-    with pytest.raises(RaftError):
+    with pytest.raises(ReplicationError):
         ReplicationGroup(0)
     solo = ReplicationGroup(1)
     assert solo.followers() == [] and solo.acks_needed == 0

@@ -16,7 +16,21 @@ module outside the symbol's own body, ``benchmarks/`` and ``examples/``
 (their ``tests`` directories excepted), or a member listed in
 ``src/repro/api/api_manifest.json``.  Imports, ``__all__``, docstrings
 and an ``__init__``'s re-export tables name a symbol without using it.
-Both guards are computed with ``ast`` alone — nothing is imported.
+
+The same holds parameter by parameter.  Every defaulted or keyword-only
+parameter of a function or method under ``src/repro`` (and every
+``**kwargs``) must be passed by some call in those same places.  Calls
+are matched by callee name, so methods of one name share their callers
+and a class name calls its ``__init__``; a call passes a parameter by
+keyword, or by position at its index (``self`` skipped for a method).
+A value forwarded from the enclosing function's own defaulted parameter
+(``p=p``, or ``p`` by position) passes only if that parameter is itself
+passed, and a forwarded ``**kwargs`` passes only the keywords the
+enclosing function's callers pass; both are resolved to a fixed point.
+A parameter no call passes is a constant, and a branch only its other
+values reached goes with it.
+
+All three guards are computed with ``ast`` alone — nothing is imported.
 """
 
 import ast
@@ -199,12 +213,14 @@ def unused(package_dir, root_files=(), manifest=None):
     return found
 
 
-def symbol_roots():
+def symbol_roots(repo=REPO):
+    """``benchmarks/`` and ``examples/`` of ``repo``, their ``tests``
+    directories excepted."""
     return [
         path
         for top in ("benchmarks", "examples")
-        for path in sorted((REPO / top).rglob("*.py"))
-        if "tests" not in path.relative_to(REPO).parts
+        for path in sorted((repo / top).rglob("*.py"))
+        if "tests" not in path.relative_to(repo).parts
     ]
 
 
@@ -331,3 +347,339 @@ def test_symbols_count_a_manifest_member(tmp_path):
     manifest = {"pkg": {"exports": ["Box"],
                         "symbols": {"Box": {"members": {"get": "()"}}}}}
     assert unused(package, roots, manifest) == {"pkg.used.Box.put"}
+
+
+#: Defaulted parameters kept although no call that runs passes them.
+PARAMETER_ALLOWLIST = {
+    "repro.__main__.main:argv": "tests/test_cli.py runs each subcommand "
+    "in-process with the argv a shell would give; the console entry "
+    "passes none and argparse reads sys.argv",
+    "repro.api.client.PolarStoreClient.select_proc:ro_index": "the "
+    "sysbench driver's _op reaches select_proc through getattr with "
+    "ro_index, which bench/figures.py's Fig 15 run sets to 0",
+    "repro.db.database.PolarDB.select_proc:ro_index": "the sysbench "
+    "driver's _op reaches select_proc through getattr with ro_index, "
+    "which bench/figures.py's Fig 15 run sets to 0",
+    "repro.baselines.lsm.LSMTree.__init__:memtable_bytes": "tests/"
+    "baselines/test_baselines.py flushes and compacts a few hundred "
+    "100-byte rows through a 4-32 KiB memtable (256 KiB by default)",
+    "repro.net.client.SocketPool.__init__:max_inflight": "tests/net/"
+    "test_server_client.py fills the client queue behind a one-slot "
+    "window and holds a 2*steps pipeline in flight at once",
+    "repro.net.client.SocketPool.__init__:queue_cap": "tests/net/"
+    "test_server_client.py fills the client queue with one queued "
+    "request (4096 by default)",
+}
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def call_name(call):
+    """The name a call is matched by: ``f(...)`` and ``x.f(...)`` -> ``f``;
+    ``None`` for any other callee."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(
+        func, "id", None
+    )
+
+
+class Signature:
+    """One function or method: the names its calls go by, its positional
+    parameters, and the parameters the guard checks."""
+
+    def __init__(self, key, fn, bound):
+        args = fn.args
+        self.key = key
+        # An __init__ is called by its class's name, set by ``unpassed``.
+        self.init = fn.name == "__init__"
+        self.names = set() if self.init else {fn.name}
+        self.positional = [a.arg for a in args.posonlyargs + args.args]
+        self.skip = 1 if bound else 0
+        self.keywords = set(self.positional[len(args.posonlyargs):])
+        self.keywords.update(a.arg for a in args.kwonlyargs)
+        self.var_kw = args.kwarg.arg if args.kwarg else None
+        first = len(self.positional) - len(args.defaults)
+        self.checked = self.positional[first:] + [a.arg for a in args.kwonlyargs]
+        if self.var_kw:
+            self.checked.append(f"**{self.var_kw}")
+        # A parameter the body rebinds no longer holds what was passed.
+        rebound = {
+            node.id for node in ast.walk(fn)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        }
+        self.forwarded = set(self.checked) - rebound
+
+
+def scan(tree, module=None):
+    """``(signatures, calls, inits, bases, values)`` of a module.
+
+    ``signatures`` has one ``Signature`` per function and method when
+    ``module`` is given (dunders other than ``__init__`` are called by
+    syntax, not by name); ``calls`` holds ``(call, name, enclosing
+    Signature or None)``, where a classmethod's ``cls(...)`` is named by
+    its class and ``super().__init__(...)`` by the first base; ``inits``
+    maps a class to its ``__init__`` and ``bases`` a class to its base
+    names; ``values`` holds every name read other than as a callee and
+    ``bound`` every name assigned or declared as a parameter.
+    """
+    sigs, calls, inits, bases, values, bound = [], [], {}, {}, set(), set()
+
+    def visit(node, prefix, cls, enclosing):
+        if isinstance(node, ast.ClassDef):
+            bases[node.name] = [getattr(b, "id", None) for b in node.bases]
+            for child in node.body:
+                visit(child, f"{prefix}{node.name}.", node, enclosing)
+            return
+        children = list(ast.iter_child_nodes(node))
+        if isinstance(node, FUNCTIONS):
+            enclosing = None
+            if module and (not node.name.startswith("__")
+                           or node.name == "__init__"):
+                method = cls is not None and node in cls.body
+                decorators = {getattr(d, "id", None) for d in node.decorator_list}
+                enclosing = Signature(
+                    f"{module}.{prefix}{node.name}", node,
+                    method and "staticmethod" not in decorators,
+                )
+                sigs.append(enclosing)
+                if method and node.name == "__init__":
+                    inits[cls.name] = enclosing
+            prefix = f"{prefix}{node.name}."
+        elif isinstance(node, ast.Lambda):
+            # Its parameters shadow the enclosing function's.
+            enclosing = None
+        elif isinstance(node, ast.Call):
+            name = call_name(node)
+            func = node.func
+            if name == "cls" and enclosing and enclosing.positional[:1] == ["cls"]:
+                name = cls.name
+            elif (cls is not None and name == "__init__"
+                  and isinstance(func.value, ast.Call)
+                  and call_name(func.value) == "super"):
+                name = (bases[cls.name] or [None])[0]
+            calls.append((node, name, enclosing))
+            children = [*node.args, *node.keywords]
+            if isinstance(func, ast.Attribute):
+                children.append(func.value)
+            elif not isinstance(func, ast.Name):
+                children.append(func)
+        elif isinstance(node, ast.Name):
+            (values if isinstance(node.ctx, ast.Load) else bound).add(node.id)
+        elif isinstance(node, ast.Attribute):
+            (values if isinstance(node.ctx, ast.Load) else bound).add(node.attr)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+        for child in children:
+            visit(child, prefix, cls, enclosing)
+
+    visit(tree, "", None, None)
+    return sigs, calls, inits, bases, values, bound
+
+
+def passes(sig, call, enclosing, passed, extra):
+    """The parameters of ``sig`` that ``call`` passes and the keywords it
+    passes into ``sig``'s ``**kwargs``, given what is passed so far."""
+    named, keywords = set(), set()
+
+    def given(value):
+        return not (
+            isinstance(value, ast.Name) and enclosing is not None
+            and value.id in enclosing.forwarded
+            and (enclosing.key, value.id) not in passed
+        )
+
+    def keyword(name):
+        if name == "*":
+            # A mapping built in place may hold any keyword.
+            named.update(sig.keywords)
+            keywords.add(name)
+        elif name in sig.keywords:
+            named.add(name)
+        else:
+            keywords.add(name)
+
+    for index, arg in enumerate(call.args, sig.skip):
+        if isinstance(arg, ast.Starred):
+            named.update(sig.positional[index:])
+            break
+        if index < len(sig.positional) and given(arg):
+            named.add(sig.positional[index])
+    for kw in call.keywords:
+        if kw.arg is not None:
+            if given(kw.value):
+                keyword(kw.arg)
+        elif (isinstance(kw.value, ast.Name) and enclosing is not None
+              and kw.value.id == enclosing.var_kw):
+            for name in extra.get(enclosing.key, ()):
+                keyword(name)
+        else:
+            keyword("*")
+    if keywords and sig.var_kw:
+        named.add(f"**{sig.var_kw}")
+    return named, keywords
+
+
+def unpassed(package_dir, root_files=()):
+    """``module.Qualname:parameter`` for every checked parameter of the
+    package that no call in the package or ``root_files`` passes."""
+    sigs, calls, inits, bases, values, bound = [], [], {}, {}, set(), set()
+    sources = [(path, name) for name, path in package_modules(package_dir).items()]
+    sources += [(path, None) for path in root_files]
+    for path, module in sorted(sources, key=str):
+        found = scan(ast.parse(path.read_text()), module)
+        sigs += found[0]
+        calls += found[1]
+        inits.update(found[2])
+        bases.update(found[3])
+        values |= found[4]
+        bound |= found[5]
+    for cls in bases:
+        owner = cls
+        for _ in bases:  # a base may share its subclass's name
+            if owner in inits or not bases.get(owner):
+                break
+            owner = bases[owner][0]
+        if owner in inits:
+            inits[owner].names.add(cls)
+    by_name = {}
+    for sig in sigs:
+        for name in sig.names:
+            by_name.setdefault(name, []).append(sig)
+    edges = [
+        (sig, call, enclosing)
+        for call, name, enclosing in calls
+        for sig in by_name.get(name, ())
+    ]
+    # A function read as a value (a table entry, a callback) may be
+    # called with anything; a name something assigns is a variable.
+    values -= bound
+    passed = {
+        (sig.key, name)
+        for sig in sigs if not sig.init and sig.names & values
+        for name in sig.checked
+    }
+    extra = {}
+    changed = True
+    while changed:
+        changed = False
+        for sig, call, enclosing in edges:
+            named, keywords = passes(sig, call, enclosing, passed, extra)
+            new = {(sig.key, name) for name in named} - passed
+            more = keywords - extra.get(sig.key, set())
+            if new or more:
+                passed |= new
+                extra.setdefault(sig.key, set()).update(more)
+                changed = True
+    return {
+        f"{sig.key}:{name}"
+        for sig in sigs
+        for name in sig.checked
+        if (sig.key, name) not in passed
+    }
+
+
+def test_every_defaulted_parameter_under_src_is_passed_by_something_that_runs():
+    found = unpassed(PACKAGE, symbol_roots())
+    stale = set(PARAMETER_ALLOWLIST) - found
+    assert not stale, "allowlisted but now passed — drop:\n" + "\n".join(sorted(stale))
+    dead = found - set(PARAMETER_ALLOWLIST)
+    assert not dead, (
+        "passed by no call that runs — make it a constant, delete the "
+        "branch only its other values reach, or wire in a caller:\n"
+        + "\n".join(sorted(dead))
+    )
+
+
+def test_parameters_pass_by_keyword_or_by_position(tmp_path):
+    package, roots = build_symbols(
+        tmp_path,
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    return a\n\n"
+        "class Box:\n"
+        "    def put(self, x=0, y=0):\n        return x\n",
+        root="from pkg.used import Box, f\nf(0, 1, d=2)\nBox().put(5)\n",
+    )
+    assert unpassed(package, roots) == {
+        "pkg.used.f:c", "pkg.used.f:e", "pkg.used.Box.put:y",
+    }
+
+
+def test_a_class_name_calls_its_init_and_super_its_base(tmp_path):
+    package, roots = build_symbols(
+        tmp_path,
+        "class Base:\n"
+        "    def __init__(self, size=1, name=''):\n        self.size = size\n"
+        "class Child(Base):\n"
+        "    def __init__(self, size=2):\n"
+        "        super().__init__(size)\n",
+        root="from pkg.used import Child\nChild(size=3)\n",
+    )
+    assert unpassed(package, roots) == {"pkg.used.Base.__init__:name"}
+
+
+def test_methods_of_one_name_share_their_callers(tmp_path):
+    package, roots = build_symbols(
+        tmp_path,
+        "class Disk:\n"
+        "    def write(self, data, sync=False):\n        return data\n"
+        "class Net:\n"
+        "    def write(self, data, sync=False, retries=0):\n"
+        "        return data\n",
+        root="def flush(sink):\n    sink.write(b'', sync=True)\n",
+    )
+    assert unpassed(package, roots) == {"pkg.used.Net.write:retries"}
+
+
+def test_a_forwarded_value_passes_only_if_it_was_passed(tmp_path):
+    used = (
+        "def outer(p=1):\n    return middle(p=p)\n\n"
+        "def middle(p=1):\n    return inner(p)\n\n"
+        "def inner(p=1):\n    return p\n"
+    )
+    package, roots = build_symbols(
+        tmp_path, used, root="from pkg.used import outer\nouter()\n"
+    )
+    assert unpassed(package, roots) == {
+        "pkg.used.outer:p", "pkg.used.middle:p", "pkg.used.inner:p",
+    }
+    (tmp_path / "run.py").write_text("from pkg.used import outer\nouter(p=2)\n")
+    assert unpassed(package, roots) == set()
+
+
+def test_forwarded_kwargs_pass_only_what_their_callers_pass(tmp_path):
+    used = (
+        "def wrap(x, **options):\n    return target(x, **options)\n\n"
+        "def target(x, y=1, z=2):\n    return x\n"
+    )
+    package, roots = build_symbols(
+        tmp_path, used, root="from pkg.used import wrap\nwrap(1)\n"
+    )
+    assert unpassed(package, roots) == {
+        "pkg.used.wrap:**options", "pkg.used.target:y", "pkg.used.target:z",
+    }
+    (tmp_path / "run.py").write_text("from pkg.used import wrap\nwrap(1, y=0)\n")
+    assert unpassed(package, roots) == {"pkg.used.target:z"}
+
+
+def test_a_function_read_as_a_value_counts_as_passed(tmp_path):
+    package, roots = build_symbols(
+        tmp_path,
+        "def handler(event, retries=0):\n    return event\n\n"
+        "def idle(event, retries=0):\n    return event\n",
+        root="from pkg.used import handler\nTABLE = {'go': handler}\n",
+    )
+    assert unpassed(package, roots) == {"pkg.used.idle:retries"}
+
+
+def test_calls_from_tests_do_not_count(tmp_path):
+    package, _ = build_symbols(tmp_path, "def f(quiet=False):\n    return 1\n")
+    for name, text in {
+        "benchmarks/tests/test_f.py": "from pkg.used import f\nf(quiet=True)\n",
+        "examples/tests/test_f.py": "from pkg.used import f\nf(quiet=True)\n",
+        "examples/demo.py": "from pkg.used import f\nf()\n",
+    }.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    roots = symbol_roots(tmp_path)
+    assert [path.name for path in roots] == ["demo.py"]
+    assert unpassed(package, roots) == {"pkg.used.f:quiet"}

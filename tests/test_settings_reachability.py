@@ -20,6 +20,7 @@ import ast
 import pathlib
 
 from repro.api.config import ReproConfig
+from tests.test_reachability import call_name
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -61,13 +62,6 @@ def config_leaves(doc, prefix=""):
     return leaves
 
 
-def _call_name(call):
-    func = call.func
-    return func.attr if isinstance(func, ast.Attribute) else getattr(
-        func, "id", None
-    )
-
-
 def assignments(tree):
     """Every ``(section, key, value node)`` a module sets.
 
@@ -91,7 +85,7 @@ def assignments(tree):
             for kw in node.keywords:
                 if kw.arg and isinstance(kw.value, ast.Dict):
                     sections.append((kw.arg, kw.value))
-            for section in FEEDS.get(_call_name(node), ()):
+            for section in FEEDS.get(call_name(node), ()):
                 for kw in node.keywords:
                     if kw.arg:
                         yield section, kw.arg, kw.value
@@ -104,7 +98,7 @@ def assignments(tree):
 def cli_options(tree):
     """The destinations of every ``add_argument("--name", ...)``."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and _call_name(node) == "add_argument":
+        if isinstance(node, ast.Call) and call_name(node) == "add_argument":
             dest = next(
                 (kw.value.value for kw in node.keywords if kw.arg == "dest"),
                 None,
