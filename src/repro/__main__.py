@@ -174,7 +174,6 @@ def cmd_cluster(args) -> int:
         out_dir=args.out,
         shards=args.shards,
         chunks=args.chunks,
-        seed=args.seed,
         workers=args.workers,
     )
     aware = dict(zip(result.columns, result.rows[-1]))
@@ -214,13 +213,7 @@ def cmd_events(args) -> int:
         if args.out is not None:
             recorder.dump_jsonl(args.out)
             print(f"# wrote {args.out}", file=sys.stderr)
-    selected = recorder.events(
-        channel=args.channel,
-        kind=args.kind,
-        since_us=args.since_us,
-        until_us=args.until_us,
-        limit=args.limit,
-    )
+    selected = recorder.events(channel=args.channel, limit=args.limit)
     for event in selected:
         print(event.render())
     summary = recorder.summary()
@@ -437,11 +430,7 @@ def main(argv=None) -> int:
     cluster_p = sub.add_parser(
         "cluster",
         help="run the sharded-runtime live-migration scenario (Fig 10/11)",
-        parents=[shared_options(
-            seed=0,
-            seed_help="seed for row data (default: 0)",
-            out=None,
-        )],
+        parents=[shared_options(out=None)],
     )
     cluster_p.add_argument(
         "--shards", type=int, default=4,
@@ -491,18 +480,6 @@ def main(argv=None) -> int:
         "--channel", default=None,
         help="only print events from this channel (io, gc, commit, "
              "migration, fault, codec, scrub, db, election, net)",
-    )
-    events_p.add_argument(
-        "--kind", default=None,
-        help="only print events of this kind",
-    )
-    events_p.add_argument(
-        "--since-us", type=float, default=None,
-        help="only print events at/after this simulated time",
-    )
-    events_p.add_argument(
-        "--until-us", type=float, default=None,
-        help="only print events before this simulated time",
     )
     events_p.add_argument(
         "--limit", type=positive(zero_ok=True), default=None,

@@ -27,9 +27,8 @@ LSM-memtable-style mixed-page batch per round) over two corpora:
 Write amplification is NAND bytes (FTL-counted, GC included) per user
 byte; space amplification is live NAND per live user byte; read
 amplification is device reads per page fetch.  All three come from an
-:class:`repro.obs.amp.AmplificationAccountant` whose ``storage.amp.*``
-gauges the artifact snapshots — the accountant is exercised end-to-end,
-not recomputed by hand.
+:class:`repro.obs.amp.AmplificationAccountant` — the accountant is
+exercised end-to-end, not recomputed by hand.
 """
 
 from __future__ import annotations
@@ -108,15 +107,12 @@ def _run_policy(
         )
 
     accountant = AmplificationAccountant(
-        metrics,
         user_write_bytes=lambda: policy.user_bytes_evicted,
         physical_write_bytes=lambda: stats.nand_written_bytes,
         live_bytes=live_user_bytes,
         stored_bytes=lambda: device.physical_used_bytes,
         user_reads=lambda: policy.fetches,
         device_reads=lambda: policy.fetch_reads,
-        policy=policy_name,
-        corpus=corpus,
     )
 
     templates: Dict[int, bytes] = {}

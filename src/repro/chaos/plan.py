@@ -297,18 +297,13 @@ class FaultPlan:
         self.seed = seed
         self.rules: List[FaultRule] = []
         self.ledger = FaultLedger()
-        self.metrics = None
-        #: kind value -> firings (kept even when no registry is bound).
+        #: kind value -> firings.
         self.injected: Dict[str, int] = {}
         self._announced: set = set()
 
     def add(self, rule: FaultRule) -> FaultRule:
         self.rules.append(rule)
         return rule
-
-    def bind_metrics(self, registry) -> None:
-        """Export injections as ``chaos.injected`` counters."""
-        self.metrics = registry
 
     def injector_for(self, label: str) -> DeviceInjector:
         """Build this device's injector with a label-derived RNG stream."""
@@ -320,7 +315,6 @@ class FaultPlan:
 
     def attach_to_store(self, store) -> None:
         """Arm every device of a :class:`~repro.storage.store.PolarStore`."""
-        self.bind_metrics(store.metrics)
         store.attach_chaos(self)
         for node in store.nodes:
             self.attach_to_node(node)
@@ -351,10 +345,6 @@ class FaultPlan:
                 return
             self._announced.add(key)
         self.injected[kind.value] = self.injected.get(kind.value, 0) + 1
-        if self.metrics is not None:
-            self.metrics.counter(
-                "chaos.injected", kind=kind.value, device=label
-            ).add(1)
         rec = recorder_active()
         if rec is not None:
             rec.emit(

@@ -58,10 +58,6 @@ class StorageServer:
         return self.logical_used / self.logical_capacity
 
     @property
-    def physical_utilization(self) -> float:
-        return self.physical_used / self.physical_capacity
-
-    @property
     def compression_ratio(self) -> float:
         physical = self.physical_used
         if physical == 0:

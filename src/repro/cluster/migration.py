@@ -18,7 +18,6 @@ from repro.common.units import GiB, MiB
 from repro.cluster.cluster import Cluster
 from repro.cluster.scheduler import MigrationTask
 from repro.engine import ResourcePool
-from repro.obs.metrics import MetricsRegistry
 
 
 #: A throttled background mover: ~80 MiB/s per stream (a fraction of a
@@ -43,12 +42,6 @@ class MigrationPlanReport:
 class MigrationExecutor:
     """Executes a migration plan under bandwidth and concurrency limits."""
 
-    def __init__(self) -> None:
-        self.metrics = MetricsRegistry()
-        self._tasks_ctr = self.metrics.counter("cluster.migration.tasks")
-        self._moved_ctr = self.metrics.counter("cluster.migration.moved_bytes")
-        self._makespan = self.metrics.gauge("cluster.migration.makespan_s")
-
     def estimate(
         self, cluster_chunks_bytes: Sequence[int]
     ) -> MigrationPlanReport:
@@ -65,9 +58,6 @@ class MigrationExecutor:
             done = pool.serve(0.0, duration_s * 1e6)
             makespan_us = max(makespan_us, done)
             moved += nbytes
-        self._tasks_ctr.add(len(cluster_chunks_bytes))
-        self._moved_ctr.add(moved)
-        self._makespan.set(makespan_us / 1e6)
         return MigrationPlanReport(
             len(cluster_chunks_bytes), moved, makespan_us / 1e6
         )

@@ -216,20 +216,9 @@ class ClusterRuntime:
         self._streams = Queue(self.engine, "migration-streams")
         for token in range(MIGRATION_STREAMS):
             self._streams.put(token)
-        m = self.metrics
-        self._mig_tasks = m.counter("cluster.migration.tasks")
-        self._mig_pages = m.counter("cluster.migration.pages")
-        self._mig_catchup = m.counter("cluster.migration.catchup_pages")
-        self._mig_logical = m.counter("cluster.migration.logical_bytes")
-        self._mig_physical = m.counter("cluster.migration.physical_bytes")
-        self._mig_wire = m.counter("cluster.migration.wire_bytes")
-        self._mig_chunk_us = m.histogram("cluster.migration.chunk_us")
-        self._cutover_stall = m.histogram("cluster.migration.cutover_stall_us")
-        self._blocked_writes = m.counter("cluster.migration.blocked_writes")
-        m.gauge_fn("cluster.runtime.shards", lambda: float(len(self.shards)))
-        m.gauge_fn(
-            "cluster.runtime.chunks", lambda: float(len(self.chunks))
-        )
+        #: Pages and bytes chunk moves copied since the last
+        #: :meth:`execute` began (the report it returns).
+        self.moved = MigrationReport()
 
     # ------------------------------------------------------------------ #
     # Shard hosting and storage calls                                     #
@@ -416,10 +405,7 @@ class ClusterRuntime:
                 break
             # The chunk is mid-cutover: wait for the flip, then re-route
             # (the chunk now lives on the target shard).
-            self._blocked_writes.inc()
-            stall_from = engine.now_us
             yield chunk.gate
-            self._cutover_stall.record(engine.now_us - stall_from)
         page_no = chunk.rows.get(key)
         if page_no is None:
             page_no = self._next_page_no
@@ -509,7 +495,6 @@ class ClusterRuntime:
             source = self.shards[chunk.shard_id]
             target = self.shards[target_id]
             source_id = chunk.shard_id
-            self._mig_tasks.inc()
             chunk.state = ChunkState.MIGRATING
             chunk.dirty = set()
             chunk.deleted = {}
@@ -566,7 +551,6 @@ class ClusterRuntime:
             gate, chunk.gate = chunk.gate, None
             gate.succeed(engine.now_us)
             ended = engine.now_us
-            self._mig_chunk_us.record(ended - started)
             if rec is not None:
                 rec.emit(
                     ended, "migration", "cutover_done",
@@ -634,12 +618,12 @@ class ClusterRuntime:
                 target, page_no, read.data
             )
             copied += 1
-            self._mig_pages.inc()
+            moved = self.moved
+            moved.moved_pages += 1
             if catchup:
-                self._mig_catchup.inc()
-            self._mig_logical.add(DB_PAGE_SIZE)
-            self._mig_wire.add(len(committed.prepared.payload))
-            self._mig_physical.add(committed.prepared.device_bytes)
+                moved.catchup_pages += 1
+            moved.moved_logical_bytes += DB_PAGE_SIZE
+            moved.moved_physical_bytes += committed.prepared.device_bytes
         return copied
 
     # ------------------------------------------------------------------ #
@@ -691,13 +675,9 @@ class ClusterRuntime:
         return self.execute(tasks)
 
     def execute(self, tasks: List[MigrationTask]) -> MigrationReport:
-        report = MigrationReport()
+        report = self.moved = MigrationReport()
         report.tasks = list(tasks)
         started = self.engine.now_us
-        pages0 = self._mig_pages.value
-        catchup0 = self._mig_catchup.value
-        logical0 = self._mig_logical.value
-        physical0 = self._mig_physical.value
         # A plan is a sequence of moves on the mirror and may relocate the
         # same chunk more than once (chained A->B->C moves); physically we
         # execute only the net move, straight to each chunk's final target.
@@ -713,12 +693,6 @@ class ClusterRuntime:
             if self.chunks[chunk_id].shard_id != target_id
         ]
         self.engine.run_until_complete(procs)
-        report.moved_pages = int(self._mig_pages.value - pages0)
-        report.catchup_pages = int(self._mig_catchup.value - catchup0)
-        report.moved_logical_bytes = int(self._mig_logical.value - logical0)
-        report.moved_physical_bytes = int(
-            self._mig_physical.value - physical0
-        )
         report.makespan_us = self.engine.now_us - started
         return report
 

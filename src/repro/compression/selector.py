@@ -66,15 +66,6 @@ class AlgorithmSelector:
         self._fallbacks_ctr = self.metrics.counter(
             "compression.selector.fallbacks"
         )
-        self._benefit_hist = self.metrics.histogram(
-            "compression.selector.benefit_bytes_per_us"
-        )
-
-    def _decided(self, decision: SelectionDecision) -> SelectionDecision:
-        self.metrics.counter(
-            "compression.selector.selected", codec=decision.codec
-        ).inc()
-        return decision
 
     def select(
         self,
@@ -91,11 +82,11 @@ class AlgorithmSelector:
         if cpu_utilization > CPU_UTILIZATION_GATE:
             self.fallbacks += 1
             self._fallbacks_ctr.inc()
-            return self._decided(self._single(page, "lz4"))
+            return self._single(page, "lz4")
         if update_percent <= self.update_gate and last_used is not None:
             self.fallbacks += 1
             self._fallbacks_ctr.inc()
-            return self._decided(self._single(page, last_used))
+            return self._single(page, last_used)
 
         self.evaluations += 1
         self._evaluations_ctr.inc()
@@ -110,15 +101,14 @@ class AlgorithmSelector:
         zstd_lat = codec_cost("zstd").decompress_us(zstd_aligned)
         overhead_us = max(zstd_lat - lz4_lat, 1e-9)
         benefit_bytes = float(lz4_aligned - zstd_aligned)
-        self._benefit_hist.record(max(benefit_bytes, 0.0) / overhead_us)
 
         if benefit_bytes / overhead_us > DEFAULT_THRESHOLD_BYTES_PER_US:
-            return self._decided(SelectionDecision(
+            return SelectionDecision(
                 "zstd", zstd_result, True, benefit_bytes, overhead_us,
-            ))
-        return self._decided(SelectionDecision(
+            )
+        return SelectionDecision(
             "lz4", lz4_result, True, benefit_bytes, overhead_us,
-        ))
+        )
 
     @staticmethod
     def _single(page: bytes, codec_name: str) -> SelectionDecision:

@@ -86,9 +86,6 @@ class BlockDevice:
         self._write_hist = self.metrics.histogram(
             "csd.device.write_us", **self.metric_labels
         )
-        self._read_bytes = self.metrics.counter(
-            "csd.device.read_bytes", **self.metric_labels
-        )
         self._write_bytes = self.metrics.counter(
             "csd.device.write_bytes", **self.metric_labels
         )
@@ -222,10 +219,9 @@ class BlockDevice:
             service += self._chaos.on_read(start_us, lba, nbytes)
         return data, service
 
-    def _finish_read(self, start_us: float, done_us: float, nbytes: int) -> None:
+    def _finish_read(self, start_us: float, done_us: float) -> None:
         self.read_stats.record(done_us - start_us)
         self._read_hist.record(done_us - start_us)
-        self._read_bytes.add(nbytes)
 
     def write(self, start_us: float, lba: int, data: bytes) -> IOCompletion:
         """Write ``data`` (4 KB-aligned length) at logical block ``lba``."""
@@ -238,7 +234,7 @@ class BlockDevice:
         """Read ``nbytes`` (4 KB-aligned) starting at logical block ``lba``."""
         data, service = self._submit_read(start_us, lba, nbytes)
         done = self.queue.serve(start_us, service)
-        self._finish_read(start_us, done, nbytes)
+        self._finish_read(start_us, done)
         return IOCompletion(start_us, done, data)
 
     # -- engine-native interface ----------------------------------------------
@@ -258,7 +254,7 @@ class BlockDevice:
         start_us = self._sim_engine.now_us
         data, service = self._submit_read(start_us, lba, nbytes)
         done = yield from self.queue.process(service)
-        self._finish_read(start_us, done, nbytes)
+        self._finish_read(start_us, done)
         return IOCompletion(start_us, done, data)
 
     def _bank_gc(self, gc_us: float) -> None:

@@ -117,20 +117,6 @@ class FTL:
         self.codec = codec if codec is not None else L2PEntryCodecV1()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.stats = FTLStats(self.metrics, metric_labels)
-        labels = metric_labels or {}
-        self.metrics.gauge_fn(
-            "csd.ftl.live_bytes", lambda: self.live_bytes, **labels
-        )
-        self.metrics.gauge_fn(
-            "csd.ftl.physical_utilization",
-            self.physical_utilization, **labels
-        )
-        # TRIM is always on, so no freed LBA stays mapped and this reads
-        # 0; it stays registered because every pinned metrics
-        # fingerprint includes it.
-        self.metrics.gauge_fn(
-            "csd.ftl.untrimmed_ghost_bytes", lambda: 0, **labels
-        )
         # lba -> (block_id, offset, stored_len)
         self._mapping: Dict[int, "tuple[int, int, int]"] = {}
         # block_id -> {lba: stored_len}: reverse index for GC relocation.
@@ -187,9 +173,6 @@ class FTL:
     @property
     def logical_used_bytes(self) -> int:
         return len(self._mapping) * MAPPING_LBA_SIZE
-
-    def physical_utilization(self) -> float:
-        return self.live_bytes / self.nand.physical_capacity
 
     # -- internals -----------------------------------------------------------
 

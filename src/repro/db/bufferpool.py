@@ -56,7 +56,6 @@ class BufferPool:
             metrics=self.metrics,
             metric_name="db.bufferpool",
         )
-        self._miss_hist = self.metrics.histogram("db.bufferpool.miss_us")
         self._store = store
         self._writeback = writeback
         # Pages handed out since the last drain; the RW node collects their
@@ -74,7 +73,6 @@ class BufferPool:
         result = self._store.read_page(ctx.now_us, page_no)
         if span is not None:
             self.metrics.tracer.end(span, result.done_us)
-        self._miss_hist.record(result.done_us - ctx.now_us)
         ctx.io_reads += 1
         ctx.now_us = result.done_us
         page = Page.parse(result.data)
@@ -114,7 +112,3 @@ class BufferPool:
 
     def lookup(self, page_no: int) -> Optional[Page]:
         return self._pages.peek(page_no)
-
-    @property
-    def hit_rate(self) -> float:
-        return self._pages.hit_rate

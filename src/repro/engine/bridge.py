@@ -70,17 +70,12 @@ class WallClockBridge:
     rather than the closed-loop one (queue forever).  A rejected op
     never touches the engine.
 
-    The bridge also keeps the serving layer's metric instruments and
-    emits ``net`` flight-recorder events, all stamped with simulated
-    time so dumps from a networked run replay deterministically.
+    The bridge also emits ``net`` flight-recorder events, stamped with
+    simulated time so dumps from a networked run replay
+    deterministically.
     """
 
-    def __init__(
-        self,
-        engine: Engine,
-        window: int = 64,
-        registry=None,
-    ) -> None:
+    def __init__(self, engine: Engine, window: int = 64) -> None:
         if window < 1:
             raise ValueError(f"bridge window must be positive: {window}")
         self.engine = engine
@@ -89,15 +84,6 @@ class WallClockBridge:
         self.admitted = 0
         self.rejected = 0
         self.completed = 0
-        self._instruments = None
-        if registry is not None:
-            self._instruments = {
-                "admitted": registry.counter("net.bridge.admitted"),
-                "rejected": registry.counter("net.bridge.rejected"),
-                "depth": registry.gauge("net.bridge.inflight"),
-                "depth_hist": registry.histogram("net.bridge.queue_depth"),
-                "latency": registry.histogram("net.bridge.request_us"),
-            }
 
     # -- introspection -----------------------------------------------------
 
@@ -133,16 +119,11 @@ class WallClockBridge:
             raise ValueError(f"duplicate bridge token {token}")
         completions = self.drain_to(arrival_us)
         depth = len(self._inflight)
-        inst = self._instruments
-        if inst is not None:
-            inst["depth_hist"].record(depth)
         from repro.obs.events import recorder_active
 
         rec = recorder_active()
         if depth >= self.window:
             self.rejected += 1
-            if inst is not None:
-                inst["rejected"].inc()
             if rec is not None:
                 rec.emit(arrival_us, "net", "reject", token=token,
                          depth=depth, window=self.window)
@@ -154,9 +135,6 @@ class WallClockBridge:
             at_us=arrival_us,
         )
         self._inflight[token] = (proc, float(arrival_us), depth)
-        if inst is not None:
-            inst["admitted"].inc()
-            inst["depth"].set(len(self._inflight))
         if rec is not None:
             rec.emit(arrival_us, "net", "admit", token=token, depth=depth)
         return BridgeDecision(True, depth, completions)
@@ -187,7 +165,6 @@ class WallClockBridge:
         from repro.obs.events import recorder_active
 
         rec = recorder_active()
-        inst = self._instruments
         for token in sorted(done_tokens):
             proc, arrival_us, depth = self._inflight.pop(token)
             ok, payload, done_us = proc.value
@@ -202,10 +179,6 @@ class WallClockBridge:
             )
             out.append(completion)
             self.completed += 1
-            if inst is not None:
-                if ok:
-                    inst["latency"].record(completion.latency_us)
-                inst["depth"].set(len(self._inflight))
             if rec is not None:
                 rec.emit(done_us, "net", "complete", token=token, ok=ok,
                          latency_us=round(completion.latency_us, 3))

@@ -20,10 +20,9 @@ process arriving at an idle resource starts at ``max(now, free_at)`` and
 finishes ``service_us`` later, exactly like ``serve``.
 
 Observability: :meth:`Resource.bind_metrics` publishes per-resource
-``engine.resource.queue_wait_us`` histograms plus utilization / queue
-depth / in-flight gauges through a :class:`repro.obs.metrics
-.MetricsRegistry`, which is how device saturation shows up in
-``python -m repro metrics``.
+``engine.resource.queue_wait_us`` histograms through a
+:class:`repro.obs.metrics.MetricsRegistry`, which is how device
+saturation shows up in ``python -m repro metrics``.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ class Resource:
         self.total_wait_us = 0.0
         self.completed = 0
         self.waited = 0
-        self._last_active_us = 0.0
         self._wait_hist = None
 
     # -- construction helpers ---------------------------------------------
@@ -74,24 +72,10 @@ class Resource:
         self.engine = engine
 
     def bind_metrics(self, registry, **labels) -> None:
-        """Publish queue-wait histograms and saturation gauges."""
+        """Publish the queue-wait histogram."""
         labels.setdefault("resource", self.name)
         self._wait_hist = registry.histogram(
             "engine.resource.queue_wait_us", **labels
-        )
-        registry.gauge_fn(
-            "engine.resource.utilization", self.utilization_observed, **labels
-        )
-        registry.gauge_fn(
-            "engine.resource.queue_depth", lambda: float(self.queue_depth),
-            **labels,
-        )
-        registry.gauge_fn(
-            "engine.resource.busy_us", lambda: self.total_busy_us, **labels
-        )
-        registry.gauge_fn(
-            "engine.resource.servers",
-            lambda: float(len(self._free_at)), **labels,
         )
 
     # -- introspection -----------------------------------------------------
@@ -121,13 +105,6 @@ class Resource:
             1.0, self.total_busy_us / (elapsed_us * len(self._free_at))
         )
 
-    def utilization_observed(self) -> float:
-        """Utilization over the resource's observed active span."""
-        span = self._last_active_us
-        if self.engine is not None:
-            span = max(span, self.engine.now_us)
-        return self.utilization(span)
-
     # -- analytic adapter --------------------------------------------------
 
     def serve(self, start_us: float, service_us: float) -> float:
@@ -146,13 +123,12 @@ class Resource:
         begin = max(start_us, free)
         end = begin + service_us
         self._free_at[idx] = end
-        self._account(begin - start_us, service_us, end)
+        self._account(begin - start_us, service_us)
         return end
 
-    def _account(self, wait_us: float, service_us: float, end_us: float) -> None:
+    def _account(self, wait_us: float, service_us: float) -> None:
         self.total_busy_us += service_us
         self.completed += 1
-        self._last_active_us = max(self._last_active_us, end_us)
         if wait_us > 0:
             self.total_wait_us += wait_us
             self.waited += 1
@@ -198,7 +174,7 @@ class Resource:
             grant, arrive, service_us = self._waiters.popleft()
             # The first earliest-free server takes it.
             self._free_at[self._free_at.index(free)] = now + service_us
-            self._account(now - arrive, service_us, now + service_us)
+            self._account(now - arrive, service_us)
             grant.succeed(now)
 
     def _redispatch(self) -> None:

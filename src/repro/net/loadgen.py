@@ -26,11 +26,11 @@ import json
 import random
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.api.transport import AdmissionError, Transport
 from repro.common.errors import ReproError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram
 
 #: A run's SLO: its p95 latency (simulated µs) and its share of
 #: rejected requests may not exceed these.
@@ -123,7 +123,6 @@ class LoadReport:
     slo_passed: bool = True
     slo_lines: List[str] = field(default_factory=list)
     wall_s: float = 0.0
-    registry: Optional[MetricsRegistry] = None
 
     @property
     def sim_duration_us(self) -> float:
@@ -210,15 +209,8 @@ def run_load(transport: Transport, spec: ArrivalSpec) -> LoadReport:
     no overlap, no rejections.
     """
     spec.validate()
-    registry = MetricsRegistry()
-    latency = registry.histogram("net.load.latency_us")
-    depth_hist = registry.histogram("net.load.queue_depth")
-    requests_total = registry.counter("net.load.requests")
-    rejected_counter = registry.counter("net.load.rejected")
-    errors_counter = registry.counter("net.load.errors")
-    report = LoadReport(
-        spec=spec, transport_kind=transport.kind, registry=registry
-    )
+    latency = Histogram("net.load.latency_us")
+    report = LoadReport(spec=spec, transport_kind=transport.kind)
     wall_start = time.monotonic()
 
     transport.call("create_table", spec.table)
@@ -233,7 +225,6 @@ def run_load(transport: Transport, spec: ArrivalSpec) -> LoadReport:
     futures = []
     for offset, (op, key) in zip(schedule, ops):
         arrival = t0 + offset
-        requests_total.inc()
         args: Tuple[Any, ...]
         if op == "select":
             args = (spec.table, key)
@@ -245,17 +236,14 @@ def run_load(transport: Transport, spec: ArrivalSpec) -> LoadReport:
                                                 arrival_us=arrival))
             except AdmissionError:
                 report.rejected_client += 1
-                rejected_counter.inc()
         else:
             transport.advance_to(arrival)
             try:
                 result = transport.call(op, *args)
             except AdmissionError:
                 report.rejected_server += 1
-                rejected_counter.inc()
             except ReproError:
                 report.errors += 1
-                errors_counter.inc()
             else:
                 report.completed += 1
                 latency.record(max(result.done_us - arrival, 0.0))
@@ -265,20 +253,17 @@ def run_load(transport: Transport, spec: ArrivalSpec) -> LoadReport:
         report.end_us = transport.flush()
         for future in futures:
             response = transport.pool.wait(future)
-            depth_hist.record(response.queue_depth)
             report.max_queue_depth = max(
                 report.max_queue_depth, response.queue_depth
             )
             if response.rejected:
                 report.rejected_server += 1
-                rejected_counter.inc()
             elif response.ok:
                 report.completed += 1
                 latency.record(max(response.latency_us, 0.0))
                 report.end_us = max(report.end_us, response.done_us)
             else:
                 report.errors += 1
-                errors_counter.inc()
 
     report.requests = spec.requests
     if latency.count:
@@ -289,15 +274,14 @@ def run_load(transport: Transport, spec: ArrivalSpec) -> LoadReport:
             "max": latency.max,
         }
 
-    total = requests_total.value
+    total = spec.requests
+    rejected = report.rejected_server + report.rejected_client
     checks = (
         ("net-load-p95",
          latency.percentile(95.0) if latency.count else 0.0, P95_TARGET_US),
         ("net-load-rejections",
-         rejected_counter.value / total if total > 0 else 0.0,
-         REJECTION_BUDGET),
-        ("net-load-errors",
-         errors_counter.value / total if total > 0 else 0.0, 0.0),
+         rejected / total if total > 0 else 0.0, REJECTION_BUDGET),
+        ("net-load-errors", report.errors / total if total > 0 else 0.0, 0.0),
     )
     report.slo_passed = all(value <= target for _, value, target in checks)
     report.slo_lines = [

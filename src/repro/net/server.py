@@ -77,9 +77,7 @@ class PolarStoreServer:
         self.transport = LocalTransport(self.config)
         self.registry = self.transport.metrics
         self.bridge = WallClockBridge(
-            self.transport.engine,
-            window=self.config.net.window,
-            registry=self.registry,
+            self.transport.engine, window=self.config.net.window
         )
         self._connections = 0
         self._next_token = 0
@@ -87,8 +85,6 @@ class PolarStoreServer:
         self._inflight: Dict[int, Tuple[asyncio.StreamWriter, Request]] = {}
         self._server: Optional[asyncio.AbstractServer] = None
         self.addr: Optional[Tuple[str, int]] = None
-        self._requests = self.registry.counter("net.server.requests")
-        self._replies = self.registry.counter("net.server.replies")
         self._frame_errors = self.registry.counter("net.server.frame_errors")
 
     # -- lifecycle ---------------------------------------------------------
@@ -138,7 +134,6 @@ class PolarStoreServer:
                         continue
                     if not isinstance(message, Request):
                         continue  # a response frame to a server is noise
-                    self._requests.inc()
                     if message.spec.control:
                         await self._serve_session(message, writer)
                     elif message.seq != next_seq:
@@ -314,7 +309,6 @@ class PolarStoreServer:
         try:
             writer.write(response.encode())
             await writer.drain()
-            self._replies.inc()
         except (ConnectionError, OSError):
             pass
 

@@ -5,28 +5,15 @@ the FTL counts physical NAND bytes per host byte
 (:class:`repro.csd.ftl.FTLStats`), the LSM baseline counts compaction
 rewrites (:class:`repro.baselines.lsm.LSMStats`), and the tracer counts
 read fan-out per consolidation.  :class:`AmplificationAccountant` gives
-them one home: the three ratios below are *the* definitions, every
-legacy ``write_amplification`` accessor delegates to them, and an
-accountant instance exports them as ``storage.amp.write|space|read``
-gauges in whatever :class:`~repro.obs.metrics.MetricsRegistry` owns the
-run.
-
-The accountant is deliberately lazy: nothing registers these gauges at
-store construction time (the fingerprints of the scenario table,
-:mod:`repro.obs.scenarios`, hash every instrument in a registry, and the
-default single-level path must stay byte-identical to the pre-policy
-code).  Benchmarks, the compaction CLI,
-and tests create accountants explicitly.
+them one home: the three ratios below are *the* definitions, and every
+legacy ``write_amplification`` accessor delegates to them.  The
+compaction benchmark (:mod:`repro.bench.write_amp`) creates one per
+policy run.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-#: Metric names the accountant owns.
-WRITE_AMP_GAUGE = "storage.amp.write"
-SPACE_AMP_GAUGE = "storage.amp.space"
-READ_AMP_GAUGE = "storage.amp.read"
+from typing import Callable
 
 
 def write_amp(user_bytes: float, physical_bytes: float) -> float:
@@ -51,40 +38,29 @@ def read_amp(user_reads: float, device_reads: float) -> float:
 
 
 class AmplificationAccountant:
-    """Export WA/SA/RA as registry gauges from caller-supplied sources.
+    """WA/SA/RA of one run, from caller-supplied sources.
 
     Every source is a zero-argument callable returning the current total,
-    so the gauges always reflect live state without the accountant having
-    to observe individual operations.  Sources left ``None`` skip their
-    gauge (an FTL knows nothing about read fan-out, a policy benchmark
-    may not track space).
+    so the ratios always reflect live state without the accountant having
+    to observe individual operations.
     """
 
     def __init__(
         self,
-        metrics,
         *,
-        user_write_bytes: Optional[Callable[[], float]] = None,
-        physical_write_bytes: Optional[Callable[[], float]] = None,
-        live_bytes: Optional[Callable[[], float]] = None,
-        stored_bytes: Optional[Callable[[], float]] = None,
-        user_reads: Optional[Callable[[], float]] = None,
-        device_reads: Optional[Callable[[], float]] = None,
-        **labels,
+        user_write_bytes: Callable[[], float],
+        physical_write_bytes: Callable[[], float],
+        live_bytes: Callable[[], float],
+        stored_bytes: Callable[[], float],
+        user_reads: Callable[[], float],
+        device_reads: Callable[[], float],
     ) -> None:
-        self.metrics = metrics
         self._user_write_bytes = user_write_bytes
         self._physical_write_bytes = physical_write_bytes
         self._live_bytes = live_bytes
         self._stored_bytes = stored_bytes
         self._user_reads = user_reads
         self._device_reads = device_reads
-        if user_write_bytes is not None and physical_write_bytes is not None:
-            metrics.gauge_fn(WRITE_AMP_GAUGE, self.write_amplification, **labels)
-        if live_bytes is not None and stored_bytes is not None:
-            metrics.gauge_fn(SPACE_AMP_GAUGE, self.space_amplification, **labels)
-        if user_reads is not None and device_reads is not None:
-            metrics.gauge_fn(READ_AMP_GAUGE, self.read_amplification, **labels)
 
     # -- the three ratios ---------------------------------------------------
 

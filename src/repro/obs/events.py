@@ -150,19 +150,11 @@ class FlightRecorder:
     def events(
         self,
         channel: Optional[str] = None,
-        kind: Optional[str] = None,
-        since_us: Optional[float] = None,
-        until_us: Optional[float] = None,
         limit: Optional[int] = None,
     ) -> List[RecordedEvent]:
         """Filtered view of the retained ring, oldest first."""
         out = [
-            ev
-            for ev in self._ring
-            if (channel is None or ev.channel == channel)
-            and (kind is None or ev.kind == kind)
-            and (since_us is None or ev.t_us >= since_us)
-            and (until_us is None or ev.t_us < until_us)
+            ev for ev in self._ring if channel is None or ev.channel == channel
         ]
         if limit is not None:
             out = out[max(0, len(out) - limit):]

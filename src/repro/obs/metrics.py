@@ -21,8 +21,7 @@ geometric midpoint of its bounds, so with the default growth factor of
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -96,37 +95,23 @@ class Counter(Instrument):
 
 
 class Gauge(Instrument):
-    """A point-in-time value, set directly or computed lazily.
-
-    ``fn`` gauges sample live state (cache hit rates, FTL utilization) at
-    snapshot time, so the hot path pays nothing for them.
-    """
+    """A point-in-time value, set directly."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, labels=None,
-                 fn: Optional[Callable[[], float]] = None):
-        super().__init__(name, labels)
-        self._value = 0.0
-        self._fn = fn
+    _value = 0.0
 
     def set(self, value: float) -> None:
-        if self._fn is not None:
-            raise ValueError(f"gauge {self.name} is callback-backed")
         self._value = value
 
     @property
     def value(self) -> float:
-        if self._fn is not None:
-            return float(self._fn())
         return self._value
 
     def reset(self) -> None:
-        if self._fn is None:
-            self._value = 0.0
+        self._value = 0.0
 
     def payload(self) -> Dict:
-        return {"value": self.value}
+        return {"value": self._value}
 
 
 class Histogram(Instrument):
@@ -329,43 +314,17 @@ class Histogram(Instrument):
 
 
 class BoundedSeries:
-    """A drop-in replacement for the seed's unbounded stat lists.
+    """A registry :class:`Histogram` behind the seed's stat-list name.
 
-    Records every sample into a registry :class:`Histogram` (fixed
-    memory, real percentiles) while keeping a bounded ring of the most
-    recent raw samples so existing ``list(stats)`` consumers still work.
-    ``len()`` reports the *total* recorded count since the last
-    ``clear()``, matching the old list semantics for the common
-    ``len(stats) == before + 1`` assertions; iteration yields only the
-    retained window.
+    ``append`` records a sample (fixed memory, real percentiles); the
+    ``LatencyStats``-style accessors read the histogram back.
     """
 
-    WINDOW = 4096
-
-    def __init__(self, histogram: Histogram, window: int = WINDOW):
+    def __init__(self, histogram: Histogram):
         self.histogram = histogram
-        self._recent: deque = deque(maxlen=window)
 
     def append(self, value: float) -> None:
         self.histogram.record(value)
-        self._recent.append(float(value))
-
-    def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.append(value)
-
-    def clear(self) -> None:
-        self.histogram.reset()
-        self._recent.clear()
-
-    def __len__(self) -> int:
-        return self.histogram.count
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self._recent)
-
-    def __bool__(self) -> bool:
-        return self.histogram.count > 0
 
     # LatencyStats-style accessors, so call sites migrate freely.
 
@@ -456,34 +415,15 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels) -> Gauge:
         return self._get_or_create(Gauge, name, labels)
 
-    def gauge_fn(self, name: str, fn: Callable[[], float], **labels) -> Gauge:
-        key = (name, _label_key(labels))
-        instrument = self._instruments.get(key)
-        if instrument is None:
-            labels, routed = self._admit(name, labels)
-            if routed:
-                key = (name, _label_key(labels))
-                instrument = self._instruments.get(key)
-        if instrument is None:
-            instrument = Gauge(name, labels, fn=fn)
-            self._instruments[key] = instrument
-        else:
-            # Re-registration rebinds the callback: a rebuilt component
-            # (e.g. a node recovered from WAL replay) must not leave the
-            # gauge reading its dead predecessor's state.
-            instrument._fn = fn
-        return instrument
-
     def histogram(self, name: str, growth: float = 1.04,
                   min_value: float = 1e-3, **labels) -> Histogram:
         return self._get_or_create(
             Histogram, name, labels, growth=growth, min_value=min_value
         )
 
-    def series(self, name: str, window: int = BoundedSeries.WINDOW,
-               **labels) -> BoundedSeries:
-        """A bounded, histogram-backed replacement for a raw stats list."""
-        return BoundedSeries(self.histogram(name, **labels), window=window)
+    def series(self, name: str, **labels) -> BoundedSeries:
+        """A histogram-backed replacement for a raw stats list."""
+        return BoundedSeries(self.histogram(name, **labels))
 
     # -- introspection -----------------------------------------------------
 
@@ -504,7 +444,7 @@ class MetricsRegistry:
         return len(self._instruments)
 
     def reset(self) -> None:
-        """Zero every instrument (callback gauges are unaffected)."""
+        """Zero every instrument."""
         for instrument in self._instruments.values():
             instrument.reset()
 
@@ -515,14 +455,12 @@ class MetricsRegistry:
     # -- cross-process merge -----------------------------------------------
 
     def state(self) -> List[Dict]:
-        """Every instrument as a picklable, callback-free record.
+        """Every instrument as a picklable record.
 
         This is what crosses a process boundary (the end-to-end
-        benchmark's serve child ships it to its parent): callback gauges
-        are sampled at capture time (deterministic given the simulated
-        state), histograms carry their sparse bucket counts, and records
-        are emitted in sorted instrument order so the stream itself is
-        deterministic.
+        benchmark's serve child ships it to its parent): histograms
+        carry their sparse bucket counts, and records are emitted in
+        sorted instrument order so the stream itself is deterministic.
         """
         out: List[Dict] = []
         for inst in self.instruments():
@@ -545,7 +483,7 @@ class MetricsRegistry:
                     max=inst._max,
                 )
             elif isinstance(inst, Gauge):
-                rec["value"] = inst.value  # samples fn-backed gauges
+                rec["value"] = inst.value
             else:  # pragma: no cover - no other kinds exist today
                 rec["payload"] = inst.payload()
             out.append(rec)
@@ -559,10 +497,9 @@ class MetricsRegistry:
         reduce with a single ``math.fsum`` (correctly rounded over the
         whole multiset, so any permutation of the captures produces
         bit-identical results), bucket counts add per sorted key,
-        and min/max fold.  Plain gauges take the group's last capture
+        and min/max fold.  Gauges take the group's last capture
         (same-name gauges from disjoint shards carry disjoint labels, so
-        overwrite order never matters in practice); fn-backed local
-        gauges are left alone so they keep sampling live state.
+        overwrite order never matters in practice).
         """
         grouped: Dict[tuple, List[Dict]] = {}
         for state in states:
@@ -595,8 +532,6 @@ class MetricsRegistry:
                 hist._min = min([hist._min] + [r["min"] for r in recs])
                 hist._max = max([hist._max] + [r["max"] for r in recs])
             elif kind == "gauge":
-                gauge = self.gauge(rec["name"], **labels)
-                if gauge._fn is None:
-                    gauge.set(recs[-1]["value"])
+                self.gauge(rec["name"], **labels).set(recs[-1]["value"])
             else:  # pragma: no cover - no other kinds exist today
                 raise ValueError(f"cannot merge instrument kind {kind!r}")

@@ -32,8 +32,7 @@ class LRUCache(Generic[K, V]):
         metric_name: Optional[str] = None,
     ) -> None:
         """``metrics``/``metric_name`` optionally publish hit/miss
-        counters and a hit-rate gauge to a
-        :class:`~repro.obs.metrics.MetricsRegistry` (e.g.
+        counters to a :class:`~repro.obs.metrics.MetricsRegistry` (e.g.
         ``db.bufferpool.hits``)."""
         if capacity_bytes < 0:
             raise ValueError(f"negative capacity {capacity_bytes}")
@@ -47,18 +46,6 @@ class LRUCache(Generic[K, V]):
         if metrics is not None and metric_name is not None:
             self._hit_ctr = metrics.counter(f"{metric_name}.hits")
             self._miss_ctr = metrics.counter(f"{metric_name}.misses")
-            # Caches that share a metric family (the RW and RO buffer
-            # pools of one deployment) share these counters, so the
-            # gauge reads them rather than whichever instance registered
-            # last.
-            hit_ctr, miss_ctr = self._hit_ctr, self._miss_ctr
-
-            def family_hit_rate() -> float:
-                total = hit_ctr.value + miss_ctr.value
-                return hit_ctr.value / total if total else 0.0
-
-            metrics.gauge_fn(f"{metric_name}.hit_rate", family_hit_rate)
-            metrics.gauge_fn(f"{metric_name}.used_bytes", lambda: self._used)
 
     # -- accessors -----------------------------------------------------------
 
@@ -89,11 +76,6 @@ class LRUCache(Generic[K, V]):
     @property
     def used_bytes(self) -> int:
         return self._used
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
     # -- mutation ---------------------------------------------------------------
 

@@ -79,8 +79,6 @@ class GroupCommitPipeline:
         m = store.metrics
         self._batches = m.counter("storage.group_commit.batches")
         self._batched = m.counter("storage.group_commit.commits")
-        self._batch_size = m.histogram("storage.group_commit.batch_size")
-        self._retries = m.counter("storage.replication.retries")
 
     def commit_proc(self, records: Sequence[RedoRecord]):
         """Engine process: enqueue this commit, wait for its batch to be
@@ -105,7 +103,6 @@ class GroupCommitPipeline:
             records = [r for recs, _, _ in batch for r in recs]
             self._batches.inc()
             self._batched.add(len(batch))
-            self._batch_size.record(len(batch))
             try:
                 commit = yield from self._replicate_with_retry(records)
             except ReproError as exc:
@@ -131,7 +128,6 @@ class GroupCommitPipeline:
                     "storage.redo_commit", arrive_us, layer="storage"
                 )
                 tracer.end(sp, commit)
-                store.redo_commit_stats.append(commit - arrive_us)
                 done.succeed(commit)
 
     def _replicate_with_retry(self, records: List[RedoRecord]):
@@ -155,7 +151,6 @@ class GroupCommitPipeline:
                     raise ReplicationError(
                         f"commit gave up after {attempt} attempts: {exc}"
                     )
-                self._retries.inc()
                 pause = RETRY_BACKOFF_US * (2 ** min(attempt, 6))
                 pause *= 0.5 + self._retry_rng.random()
                 pause = max(1.0, min(pause, deadline - engine.now_us))

@@ -195,12 +195,9 @@ class StorageNode:
         self._redo_log_window = bytearray()
         # Durably-persisted redo batches (what recovery replays).
         self.durable_redo_blobs: List[bytes] = []
-        # Stats: histogram-backed bounded series (the seed used unbounded
-        # raw lists here), plus event counters for the registry.
+        # Stats: histogram-backed series (the seed used unbounded raw
+        # lists here), plus event counters for the registry.
         labels = {"node": name}
-        self.redo_write_stats = self.metrics.series(
-            "storage.redo_write_us", **labels
-        )
         self.page_read_stats = self.metrics.series(
             "storage.page_read_us", **labels
         )
@@ -215,14 +212,6 @@ class StorageNode:
         )
         self._redo_spills = self.metrics.counter(
             "storage.redo_spills", **labels
-        )
-        self.metrics.gauge_fn(
-            "storage.redo_cache_bytes",
-            lambda: self._redo_cache_bytes, **labels
-        )
-        self.metrics.gauge_fn(
-            "storage.logical_used_bytes_node",
-            lambda: self.logical_used_bytes, **labels
         )
         #: Shared discrete-event kernel once bind_engine() is called.
         self._sim_engine = None
@@ -590,10 +579,6 @@ class StorageNode:
             default=0,
         )
 
-    def _finish_redo(self, start_us: float, done_us: float, blob: bytes) -> None:
-        self.durable_redo_blobs.append(blob)
-        self.redo_write_stats.append(done_us - start_us)
-
     def persist_redo(self, start_us: float, blob: bytes) -> float:
         """Durably store a redo batch; returns completion time."""
         tracer = self.metrics.tracer
@@ -603,7 +588,7 @@ class StorageNode:
         )
         completion = device.write(start_us + cpu, lba, padded)
         tracer.end(dev_sp, completion.done_us)
-        self._finish_redo(start_us, completion.done_us, blob)
+        self.durable_redo_blobs.append(blob)
         return completion.done_us
 
     def persist_redo_proc(self, blob: bytes, trace: bool = True):
@@ -632,7 +617,7 @@ class StorageNode:
                 "csd.redo_device_write", write_start, layer="csd"
             )
             tracer.end(dev_sp, completion.done_us)
-        self._finish_redo(start_us, completion.done_us, blob)
+        self.durable_redo_blobs.append(blob)
         return completion.done_us
 
     def _track_redo_block(self, lba: int, nbytes: int) -> None:

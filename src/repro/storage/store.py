@@ -167,25 +167,6 @@ class PolarStore:
         self._defer_gc = False
         #: Leader reads slower than this are hedged to a follower.
         self.hedge_after_us = 4000.0
-        # Commit-latency distributions, bounded (the seed kept raw
-        # unbounded lists here); list(...)/len()/clear() still work.
-        self.redo_commit_stats = self.metrics.series(
-            "storage.redo_commit_us"
-        )
-        self.page_write_commit_stats = self.metrics.series(
-            "storage.page_write_commit_us"
-        )
-        self.metrics.gauge_fn(
-            "storage.compression_ratio", self.compression_ratio
-        )
-        self.metrics.gauge_fn(
-            "storage.logical_used_bytes",
-            lambda: self.leader.logical_used_bytes,
-        )
-        self.metrics.gauge_fn(
-            "storage.physical_used_bytes",
-            lambda: self.leader.physical_used_bytes,
-        )
 
     def bind_engine(self, engine, defer_gc: bool = False) -> None:
         """Attach the volume to a shared discrete-event kernel.
@@ -227,8 +208,6 @@ class PolarStore:
         winner = group.successor([n.durable_lsn for n in self.nodes])
         if winner is None:
             return
-        if winner != group.leader:
-            self.metrics.counter("storage.leader_changes").add(1)
         group.elect(winner)
         rec = recorder_active()
         if rec is not None:
@@ -407,7 +386,6 @@ class PolarStore:
             ).done_us,
             full_copy=True,
         )
-        self.page_write_commit_stats.append(commit - start_us)
         if rec is not None:
             rec.emit(
                 commit, "io", "page_write",
@@ -499,7 +477,6 @@ class PolarStore:
             lambda node, at_us: node.persist_redo(at_us, blob),
         )
         self._after_redo_commit(commit, records)
-        self.redo_commit_stats.append(commit - start_us)
         rec = recorder_active()
         if rec is not None:
             rec.emit(
@@ -695,7 +672,6 @@ class PolarStore:
                 continue  # corrupt/missing there: the scrubber's problem
             self.metrics.counter("chaos.hedged_reads").add(1)
             if mirror.done_us < leader_result.done_us:
-                self.metrics.counter("chaos.hedge_wins").add(1)
                 return mirror
             return leader_result
         return leader_result
@@ -796,7 +772,6 @@ class PolarStore:
                 )
                 if not has_copy:
                     continue
-                self.metrics.counter("chaos.scrub_pages").add(1)
                 try:
                     with self.metrics.tracer.suppressed():
                         result = node.read_page(now, page_no)

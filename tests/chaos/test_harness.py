@@ -50,5 +50,4 @@ def test_chaos_i6_floor_breaches_with_exact_message():
 def test_report_carries_the_metrics_registry():
     report = run_chaos(seed=8, ops=120, scrub_every=40, min_data_faults=1)
     names = {inst.name for inst in report.metrics.instruments()}
-    assert "chaos.injected" in names
     assert "chaos.detected" in names

@@ -16,6 +16,7 @@ from repro.bench.cluster_fig import build_skewed_runtime
 from repro.cluster.runtime import ClusterRuntime
 from repro.cluster.scheduler import CompressionAwareScheduler
 from repro.common.units import MiB
+from repro.obs.events import recording
 
 PHASES = (
     "cluster.migrate.copy",
@@ -74,14 +75,22 @@ def test_trace_histograms_record_each_phase():
 def test_live_migration_spans_sum_to_end_to_end():
     """Integration: real rebalance migrations cross many engine yields,
     yet per-phase exclusive times still sum to the simulated end-to-end
-    latency recorded on ``cluster.migration.chunk_us``."""
+    latency between each move's ``started`` and ``cutover_done`` events."""
     runtime, expected = build_skewed_runtime(shards=2, chunks=4, seed=0)
-    report = runtime.rebalance(CompressionAwareScheduler())
+    with recording() as rec:
+        report = runtime.rebalance(CompressionAwareScheduler())
     assert report.tasks  # the skewed layout demands movement
+    events = rec.events(channel="migration")
+    started = {
+        ev.fields["chunk"]: ev.t_us for ev in events if ev.kind == "started"
+    }
+    moves_us = [
+        ev.t_us - started[ev.fields["chunk"]]
+        for ev in events if ev.kind == "cutover_done"
+    ]
     reg = runtime.metrics
-    chunk_us = reg.get("cluster.migration.chunk_us")
     total = reg.get("trace.cluster.migrate_chunk.total_us", layer="cluster")
-    assert total.count == chunk_us.count == len(report.tasks)
+    assert total.count == len(moves_us) == len(report.tasks)
     phase_sum = math.fsum(
         reg.get(f"trace.{name}.self_us", layer="cluster").total
         for name in PHASES
@@ -91,7 +100,7 @@ def test_live_migration_spans_sum_to_end_to_end():
     )
     assert root_self.total == 0.0
     assert phase_sum == pytest.approx(total.total)
-    assert total.total == pytest.approx(chunk_us.total)
+    assert total.total == pytest.approx(math.fsum(moves_us))
     # The last published trace is a migration tree with the three phases.
     trace = reg.tracer.last
     assert trace.root.name == "cluster.migrate_chunk"

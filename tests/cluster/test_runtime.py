@@ -136,11 +136,13 @@ def test_migration_moves_real_compressed_pages():
         assert source_leader.index.get(page_no) is None
     # The moved bytes are measured codec output: compressible rows land
     # physically smaller than their logical size.
-    logical = runtime.metrics.counter("cluster.migration.logical_bytes")
-    physical = runtime.metrics.counter("cluster.migration.physical_bytes")
-    assert logical.value == CHUNK_KEYS * DB_PAGE_SIZE
-    assert 0 < physical.value < logical.value
-    assert runtime.metrics.counter("cluster.migration.tasks").value == 1
+    moved = runtime.moved
+    assert moved.moved_logical_bytes == CHUNK_KEYS * DB_PAGE_SIZE
+    assert 0 < moved.moved_physical_bytes < moved.moved_logical_bytes
+    migrations = runtime.metrics.get(
+        "trace.cluster.migrate_chunk.total_us", layer="cluster"
+    )
+    assert migrations.count == 1
     # Rows stay readable from the new owner.
     for key in range(CHUNK_KEYS):
         result = runtime.select(runtime.engine.now_us, "t", key)
@@ -195,8 +197,7 @@ def test_migration_catches_up_with_concurrent_writers():
     assert chunk.state is ChunkState.SERVING
     # Every acknowledged write survived the cutover, byte-exact.
     assert runtime.verify_readable(expected) == len(expected)
-    catchup = runtime.metrics.counter("cluster.migration.catchup_pages")
-    assert catchup.value > 0  # the journal really replayed deltas
+    assert runtime.moved.catchup_pages > 0  # the journal replayed deltas
 
 
 def test_cutover_gate_blocks_writes_until_flip():
@@ -223,10 +224,6 @@ def test_cutover_gate_blocks_writes_until_flip():
     engine.spawn(release())
     engine.run_until_complete([writer])
     assert writer.value.done_us >= t0 + 500.0
-    blocked = runtime.metrics.counter("cluster.migration.blocked_writes")
-    assert blocked.value == 1
-    stalls = runtime.metrics.histogram("cluster.migration.cutover_stall_us")
-    assert stalls.count == 1
     result = runtime.select(engine.now_us, "t", 1)
     assert result.value == b"after"
 
@@ -259,8 +256,10 @@ def test_migration_streams_throttle_concurrency():
     # A move holds a stream token from before it leaves SERVING until it
     # is back: the streams bound the moves in flight, and they fill up.
     assert max(in_flight) == MIGRATION_STREAMS
-    chunk_us = runtime.metrics.histogram("cluster.migration.chunk_us")
-    assert chunk_us.count == moves
+    migrations = runtime.metrics.get(
+        "trace.cluster.migrate_chunk.total_us", layer="cluster"
+    )
+    assert migrations.count == moves
 
 
 def test_cutover_loses_nothing_under_fault_injection():

@@ -93,23 +93,3 @@ def test_device_parallelism_allows_concurrent_service():
         parallel.read(0.0, i * 4, 16 * KiB).done_us for i in range(4)
     )
     assert parallel_done < serial_done / 2.5
-
-
-def test_hit_rate_gauge_reads_the_shared_family_counters():
-    # A bound deployment has an RW pool and an idle RO pool in one
-    # registry; the unlabelled gauge used to read whichever registered
-    # last (the RO pool: 0.0 forever).
-    from repro.api import PolarStore
-
-    client = PolarStore.open(store={"volume_bytes": 32 * MiB})
-    client.create_table("t")
-    for key in range(8):
-        client.insert("t", key, b"v%d" % key)
-    for key in range(8):
-        assert client.select("t", key).value == b"v%d" % key
-    metrics = client.metrics
-    hits = metrics.get("db.bufferpool.hits").value
-    misses = metrics.get("db.bufferpool.misses").value
-    rate = metrics.get("db.bufferpool.hit_rate").value
-    assert hits > 0
-    assert rate == hits / (hits + misses) > 0

@@ -159,7 +159,7 @@ def test_mixed_sync_and_engine_share_state():
 
 # -- observability (S2) ----------------------------------------------------
 
-def test_queue_wait_histogram_and_gauges_exported():
+def test_queue_wait_histogram_exported():
     registry = MetricsRegistry()
     eng = Engine()
     res = bound(Resource("nand"), eng)
@@ -171,17 +171,11 @@ def test_queue_wait_histogram_and_gauges_exported():
     assert hist is not None
     assert hist.count == 2  # one zero-wait, one 10us wait
     assert hist.p50 >= 0.0
-
-    gauges = {
-        m.name: m.value
-        for m in registry.instruments()
-        if m.name.startswith("engine.resource.")
-        and m.name != "engine.resource.queue_wait_us"
-    }
-    assert gauges["engine.resource.busy_us"] == 20.0
-    assert gauges["engine.resource.servers"] == 1.0
-    assert gauges["engine.resource.queue_depth"] == 0.0
-    assert 0.0 < gauges["engine.resource.utilization"] <= 1.0
+    assert [m.name for m in registry.instruments()] == [
+        "engine.resource.queue_wait_us"
+    ]
+    assert res.total_busy_us == 20.0
+    assert res.queue_depth == 0
 
 
 def test_utilization_accounts_all_servers():

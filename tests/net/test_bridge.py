@@ -3,7 +3,6 @@
 import pytest
 
 from repro.engine import Engine, WallClockBridge
-from repro.obs.metrics import MetricsRegistry
 
 
 def _op(engine, work_us):
@@ -108,15 +107,11 @@ def test_window_must_be_positive():
         WallClockBridge(Engine(), window=0)
 
 
-def test_registry_instruments_track_admissions():
-    registry = MetricsRegistry()
+def test_bridge_counts_admissions():
     engine = Engine()
-    bridge = WallClockBridge(engine, window=1, registry=registry)
+    bridge = WallClockBridge(engine, window=1)
     bridge.submit(0, 0.0, lambda: _op(engine, 100.0))
     bridge.submit(1, 0.0, lambda: _op(engine, 100.0))  # window full
     bridge.flush()
-    assert registry.counter("net.bridge.admitted").value == 1
-    assert registry.counter("net.bridge.rejected").value == 1
-    assert registry.histogram("net.bridge.request_us").count == 1
     assert bridge.admitted == 1 and bridge.rejected == 1
     assert bridge.completed == 1 and bridge.queue_depth == 0

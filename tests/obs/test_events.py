@@ -66,10 +66,9 @@ def test_sampling_zero_mutes_a_channel():
 def test_event_filters_compose():
     rec = FlightRecorder()
     for i in range(10):
-        rec.emit(float(i * 10), "io", "read" if i % 2 else "write", seq=i)
-    assert len(rec.events(kind="read")) == 5
-    assert len(rec.events(since_us=30.0, until_us=70.0)) == 4
-    assert [e.fields["seq"] for e in rec.events(kind="write", limit=2)] == [
+        rec.emit(float(i * 10), "io" if i % 2 else "gc", "read", seq=i)
+    assert len(rec.events(channel="io")) == 5
+    assert [e.fields["seq"] for e in rec.events(channel="gc", limit=2)] == [
         6, 8,
     ]
 
@@ -129,9 +128,10 @@ def test_chaos_dump_replays_every_event_unchanged(tmp_path):
     assert [e.render() for e in replayed.events()] == [
         e.render() for e in live.events()
     ]
-    assert replayed.events(kind="injected")
-    assert len(replayed.events(kind="injected")) == len(
-        live.events(kind="injected")
+    injected = [e for e in replayed.events() if e.kind == "injected"]
+    assert injected
+    assert len(injected) == len(
+        [e for e in live.events() if e.kind == "injected"]
     )
 
 

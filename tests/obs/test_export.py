@@ -202,7 +202,7 @@ def test_live_chaos_run_exports_in_both_formats():
 
     doc = json.loads(to_json(store.metrics))
     names = {i["name"] for i in doc["instruments"]}
-    assert {"chaos.injected", "chaos.detected", "chaos.repaired"} <= names
+    assert {"chaos.detected", "chaos.repaired"} <= names
 
     text = to_prometheus(store.metrics)
     assert 'chaos_detected{kind="torn_write"} 1' in text

@@ -30,20 +30,13 @@ def test_counter_accumulates_and_rejects_negative():
     assert c.value == 0.0
 
 
-def test_gauge_set_and_callback():
+def test_gauge_set_and_reset():
     g = Gauge("depth")
+    assert g.value == 0.0
     g.set(7.0)
     assert g.value == 7.0
-
-    state = {"v": 3.0}
-    live = Gauge("live", fn=lambda: state["v"])
-    assert live.value == 3.0
-    state["v"] = 9.0
-    assert live.value == 9.0  # evaluated at read time
-    with pytest.raises(ValueError):
-        live.set(1.0)
-    live.reset()  # callback gauges ignore reset
-    assert live.value == 9.0
+    g.reset()
+    assert g.value == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -123,19 +116,14 @@ def test_histogram_matches_latencystats_convention_on_small_sets():
 # ---------------------------------------------------------------------------
 
 
-def test_bounded_series_len_counts_everything_window_is_bounded():
-    series = BoundedSeries(Histogram("lat"), window=16)
+def test_bounded_series_records_into_its_histogram():
+    series = BoundedSeries(Histogram("lat"))
     for i in range(100):
         series.append(float(i + 1))
-    assert len(series) == 100  # list-compatible total count
-    assert len(list(series)) == 16  # but memory is bounded
-    assert list(series)[-1] == 100.0
+    assert series.count == series.histogram.count == 100
     assert series.mean_us == pytest.approx(sum(range(1, 101)) / 100)
     assert series.histogram.max == 100.0
     assert series.p95_us > series.histogram.p50
-    series.clear()
-    assert len(series) == 0
-    assert not series
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +152,7 @@ def test_registry_snapshot_and_reset():
     reg = MetricsRegistry()
     reg.counter("ops").inc(5)
     reg.histogram("lat").record(12.0)
-    reg.gauge_fn("live", lambda: 3.0)
+    reg.gauge("live").set(3.0)
     snap = reg.snapshot()
     by_name = {i["name"]: i for i in snap["instruments"]}
     assert by_name["ops"]["value"] == 5.0
@@ -173,4 +161,4 @@ def test_registry_snapshot_and_reset():
     reg.reset()
     assert reg.counter("ops").value == 0.0
     assert reg.histogram("lat").count == 0
-    assert reg.gauge_fn("live", lambda: 3.0).value == 3.0  # unaffected
+    assert reg.gauge("live").value == 0.0

@@ -68,18 +68,6 @@ def test_overflow_counter_itself_cannot_recurse():
     assert all(isinstance(s, Counter) and s.value == 1.0 for s in spills)
 
 
-def test_gauge_fn_overflow_routes_and_rebinds():
-    reg = MetricsRegistry()
-    for q in range(MAX_LABEL_SETS):
-        reg.gauge_fn("depth", lambda: 1.0, q=q)
-    reg.gauge_fn("depth", lambda: 2.0, q="b")
-    overflow = reg.get("depth", overflow=OVERFLOW_BUCKET)
-    assert overflow.value == 2.0
-    # A later overflowed registration rebinds the shared bucket's fn.
-    reg.gauge_fn("depth", lambda: 3.0, q="c")
-    assert overflow.value == 3.0
-
-
 def test_histograms_share_the_overflow_bucket():
     reg = MetricsRegistry()
     for node in range(MAX_LABEL_SETS):

@@ -70,16 +70,3 @@ def test_registry_merge_states_is_permutation_independent():
         reg.merge_states(perm)
         snapshots.add(repr(reg.snapshot()))
     assert len(snapshots) == 1
-
-
-def test_state_samples_callback_gauges():
-    reg = MetricsRegistry()
-    reg.gauge_fn("live.depth", lambda: 17.0)
-    (rec,) = [r for r in reg.state() if r["name"] == "live.depth"]
-    assert rec["value"] == 17.0
-    # Merging into a registry whose gauge is callback-backed must not
-    # clobber the live callback.
-    target = MetricsRegistry()
-    target.gauge_fn("live.depth", lambda: 99.0)
-    target.merge_states([[rec]])
-    assert target.get("live.depth").value == 99.0

@@ -12,7 +12,6 @@ def test_put_get_and_hit_accounting():
     assert cache.get("b") is None
     assert cache.hits == 1
     assert cache.misses == 1
-    assert cache.hit_rate == 0.5
 
 
 def test_eviction_is_lru_order():

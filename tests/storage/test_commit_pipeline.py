@@ -89,8 +89,6 @@ def test_concurrent_commits_batch():
     # The first commit flushes alone; the other 11 pile up behind that
     # in-flight flush and share batches.
     assert batches < n
-    hist = store.metrics.get("storage.group_commit.batch_size")
-    assert hist.max >= 2
     # Every member of one batch shares its commit time; commits are
     # globally non-decreasing in flush order.
     assert sorted(commits) == commits or len(set(commits)) < n

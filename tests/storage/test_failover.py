@@ -84,7 +84,6 @@ def test_leader_failover_elects_live_successor():
         store.fail_node(0)
     # No redo yet: every live replica ties at LSN 0, the lowest wins.
     assert (store.group.leader, store.group.epoch) == (1, 1)
-    assert store.metrics.counter("storage.leader_changes").value == 1
     [event] = rec.events(channel="election")
     assert event.kind == "store_leader"
     assert dict(event.fields) == {"node": 1, "term": 1}
@@ -119,11 +118,11 @@ def test_follower_that_missed_the_last_acked_batch_is_not_elected():
 
 def test_leader_crash_elects_successor_and_commits_resume():
     store, engine = make_engine_stack()
-    client = crash_leader_mid_flight(store, engine, make_records(3))
+    with recording() as rec:
+        client = crash_leader_mid_flight(store, engine, make_records(3))
     assert client.error is None and client.value > 0.0
-    assert store.group.leader == 1
-    assert store.metrics.counter("storage.replication.retries").value >= 1
-    assert store.metrics.counter("storage.leader_changes").value == 1
+    assert (store.group.leader, store.group.epoch) == (1, 1)
+    assert any(ev.kind == "retry" for ev in rec.events(channel="commit"))
     # The fenced attempt was re-replicated under the new leader.
     assert store.leader.durable_lsn == 3
     assert acked_on(store, 3) >= store.group.quorum
@@ -193,7 +192,7 @@ def test_double_failover_keeps_acked_commits_durable():
         acked.append((client.value, records[-1].lsn))
         store.recover_node(lead, engine.now_us)
     assert [t for t, _ in acked] == sorted(t for t, _ in acked)
-    assert store.metrics.counter("storage.leader_changes").value == 2
+    assert store.group.epoch == 2
     # Quorum durability of every acked batch.
     for _, lsn in acked:
         assert acked_on(store, lsn) >= store.group.quorum

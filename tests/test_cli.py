@@ -16,10 +16,9 @@ def test_metrics_emits_json_snapshot(capsys):
     layers = {n.split(".", 1)[0] for n in names}
     assert len(names) >= 10
     assert {"storage", "csd", "compression", "db", "engine"} <= layers
-    # The engine's queue accounting is part of the snapshot: wait-time
-    # histograms and utilization gauges per resource.
+    # The engine's queue accounting is part of the snapshot: a wait-time
+    # histogram per resource.
     assert "engine.resource.queue_wait_us" in names
-    assert "engine.resource.utilization" in names
     # The traced write's breakdown lands on stderr with a sub-µs delta.
     assert "per-layer" in captured.err
     assert "delta 0.000us" in captured.err

@@ -28,12 +28,23 @@ A value forwarded from the enclosing function's own defaulted parameter
 passed, and a forwarded ``**kwargs`` passes only the keywords the
 enclosing function's callers pass; both are resolved to a fixed point.
 A parameter no call passes is a constant, and a branch only its other
-values reached goes with it.
+values reached goes with it.  A ``**mapping`` that is a local dict
+display with constant keys, assigned once and never changed in place,
+passes only those keys.
 
-All three guards are computed with ``ast`` alone — nothing is imported.
+The same holds instrument by instrument.  Every counter, gauge,
+histogram or series registered under ``src/repro`` must be read by
+something that runs: the object the registration returns used for
+anything but a write, or its name named outside a registration (a
+string token, the constant holding it, or a CI step).  Metric dumps
+(``snapshot``, ``state``, ``metrics_digest``) iterate without naming,
+so they read nothing, and tests never count.
+
+All four guards are computed with ``ast`` alone — nothing is imported.
 """
 
 import ast
+import functools
 import json
 import pathlib
 import re
@@ -51,6 +62,9 @@ ALLOWLIST = {
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+#: One parse per distinct source text: the guards share their trees.
+parse = functools.lru_cache(maxsize=None)(ast.parse)
 
 
 def package_modules(package_dir):
@@ -70,7 +84,7 @@ def imported_names(path, module=None):
     ``from a import b`` yields ``a`` and ``a.b`` (``b`` may be a module);
     relative imports resolve against ``module``, the file's own dotted name.
     """
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(parse(path.read_text())):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.name
@@ -126,7 +140,7 @@ def public_symbols(path):
     """``(key, name)`` for every public top-level function and class of
     ``path`` and every public method of a top-level class; ``key`` is
     ``name`` or ``Class.name``."""
-    for node in ast.parse(path.read_text()).body:
+    for node in parse(path.read_text()).body:
         if not isinstance(node, DEFS) or node.name.startswith("_"):
             continue
         yield node.name, node.name
@@ -175,7 +189,7 @@ def mentions(path):
             visit(child, inner)
 
     init = path.name == "__init__.py"
-    for node in ast.parse(path.read_text()).body:
+    for node in parse(path.read_text()).body:
         if not is_reexport(node, init):
             visit(node, (node.name,) if isinstance(node, DEFS) else ())
     return found
@@ -402,12 +416,30 @@ class Signature:
         self.checked = self.positional[first:] + [a.arg for a in args.kwonlyargs]
         if self.var_kw:
             self.checked.append(f"**{self.var_kw}")
+        stores, touched, displays = [], set(), {}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stores.append(node.id)
+            elif (isinstance(node, (ast.Subscript, ast.Attribute))
+                  and isinstance(node.value, ast.Name)
+                  and (isinstance(node, ast.Attribute)
+                       or not isinstance(node.ctx, ast.Load))):
+                touched.add(node.value.id)
+            elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+                  and isinstance(node.targets[0], ast.Name)
+                  and isinstance(node.value, ast.Dict)
+                  and all(isinstance(k, ast.Constant) for k in node.value.keys)):
+                displays[node.targets[0].id] = {k.value for k in node.value.keys}
         # A parameter the body rebinds no longer holds what was passed.
-        rebound = {
-            node.id for node in ast.walk(fn)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        self.forwarded = set(self.checked) - set(stores)
+        # A local dict display with constant keys, assigned once and never
+        # touched through a subscript or a method, passes only its keys
+        # as ``**name``.
+        self.mappings = {
+            name: keys for name, keys in displays.items()
+            if stores.count(name) == 1 and name not in touched
         }
-        self.forwarded = set(self.checked) - rebound
+        self.node = fn
 
 
 def scan(tree, module=None):
@@ -512,6 +544,10 @@ def passes(sig, call, enclosing, passed, extra):
               and kw.value.id == enclosing.var_kw):
             for name in extra.get(enclosing.key, ()):
                 keyword(name)
+        elif (isinstance(kw.value, ast.Name) and enclosing is not None
+              and kw.value.id in enclosing.mappings):
+            for name in enclosing.mappings[kw.value.id]:
+                keyword(name)
         else:
             keyword("*")
     if keywords and sig.var_kw:
@@ -519,16 +555,28 @@ def passes(sig, call, enclosing, passed, extra):
     return named, keywords
 
 
-def unpassed(package_dir, root_files=()):
-    """``module.Qualname:parameter`` for every checked parameter of the
-    package that no call in the package or ``root_files`` passes."""
-    sigs, calls, inits, bases, values, bound = [], [], {}, {}, set(), set()
+def parsed(package_dir, root_files=()):
+    """``(path, module, tree)`` for every module of the package (``module``
+    its dotted name) and every root file (``module`` None)."""
     sources = [(path, name) for name, path in package_modules(package_dir).items()]
     sources += [(path, None) for path in root_files]
-    for path, module in sorted(sources, key=str):
-        found = scan(ast.parse(path.read_text()), module)
+    return tuple(
+        (path, module, parse(path.read_text()))
+        for path, module in sorted(sources, key=lambda source: str(source[0]))
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def call_graph(sources):
+    """``(signatures, edges, values)`` of parsed ``sources``: every function
+    of the package, every ``(signature, call, enclosing, tree)`` whose
+    callee name matches, and the names read other than as a callee and
+    never assigned."""
+    sigs, calls, inits, bases, values, bound = [], [], {}, {}, set(), set()
+    for _, module, tree in sources:
+        found = scan(tree, module)
         sigs += found[0]
-        calls += found[1]
+        calls += [(*call, tree) for call in found[1]]
         inits.update(found[2])
         bases.update(found[3])
         values |= found[4]
@@ -546,13 +594,19 @@ def unpassed(package_dir, root_files=()):
         for name in sig.names:
             by_name.setdefault(name, []).append(sig)
     edges = [
-        (sig, call, enclosing)
-        for call, name, enclosing in calls
+        (sig, call, enclosing, tree)
+        for call, name, enclosing, tree in calls
         for sig in by_name.get(name, ())
     ]
+    return sigs, edges, values - bound
+
+
+def unpassed(package_dir, root_files=()):
+    """``module.Qualname:parameter`` for every checked parameter of the
+    package that no call in the package or ``root_files`` passes."""
+    sigs, edges, values = call_graph(parsed(package_dir, root_files))
     # A function read as a value (a table entry, a callback) may be
     # called with anything; a name something assigns is a variable.
-    values -= bound
     passed = {
         (sig.key, name)
         for sig in sigs if not sig.init and sig.names & values
@@ -562,7 +616,7 @@ def unpassed(package_dir, root_files=()):
     changed = True
     while changed:
         changed = False
-        for sig, call, enclosing in edges:
+        for sig, call, enclosing, _ in edges:
             named, keywords = passes(sig, call, enclosing, passed, extra)
             new = {(sig.key, name) for name in named} - passed
             more = keywords - extra.get(sig.key, set())
@@ -683,3 +737,352 @@ def test_calls_from_tests_do_not_count(tmp_path):
     roots = symbol_roots(tmp_path)
     assert [path.name for path in roots] == ["demo.py"]
     assert unpassed(package, roots) == {"pkg.used.f:quiet"}
+
+
+# ---------------------------------------------------------------------------
+# instruments
+# ---------------------------------------------------------------------------
+
+#: Registry calls that register an instrument under their first argument.
+REGISTERS = {"counter", "gauge", "histogram", "series"}
+#: Instrument calls that only write.
+WRITES = {"inc", "add", "record", "set", "append"}
+#: The registry's own module: its calls register a name their caller
+#: gave (``series``) or a ``state()`` capture holds (``merge_states``).
+REGISTRY_MODULE = "repro.obs.metrics"
+#: A dotted lowercase name, as instruments are named.
+INSTRUMENT = re.compile(r"[a-z_][a-z0-9_]*(?:\.[a-z0-9_]+)+")
+
+#: Registrations, by enclosing function, whose name no literal gives.
+COMPUTED_NAMES = {
+    "repro.obs.tracing.Tracer._finish": "the trace.<span>.total_us / "
+    "self_us families, one pair per span the tracer names; which of them "
+    "anything reads is ROADMAP's observability item (spans and flight-"
+    "recorder events converge there)",
+}
+
+#: Instruments kept although nothing that runs reads them.
+INSTRUMENT_ALLOWLIST = {
+    "net.server.frame_errors": "tests/net/test_protocol_fuzz.py feeds a "
+    "live server hostile bytes; a stream that loses framing is dropped "
+    "without a reply, so this count is the only sign the server saw each "
+    "probe",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def parents(tree):
+    """Child node -> parent node, for every node of ``tree``."""
+    return {
+        child: node
+        for node in ast.walk(tree)
+        for child in ast.iter_child_nodes(node)
+    }
+
+
+def module_strings(tree):
+    """Module-level ``NAME = "literal"`` constants of ``tree``."""
+    return {
+        node.targets[0].id: node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, str)
+    }
+
+
+def written(node, up):
+    """``node`` (an instrument) is only written, or only tested for None,
+    where it stands: ``node.inc(...)``, ``node is not None``."""
+    parent = up.get(node)
+    if isinstance(parent, ast.Attribute) and parent.attr in WRITES:
+        call = up.get(parent)
+        return isinstance(call, ast.Call) and call.func is parent
+    return (
+        isinstance(parent, ast.Compare)
+        and all(isinstance(op, (ast.Is, ast.IsNot)) for op in parent.ops)
+        and all(isinstance(side, ast.Constant) and side.value is None
+                for side in [parent.left, *parent.comparators] if side is not node)
+    )
+
+
+class Instruments:
+    """What a package registers, and which of it anything reads.
+
+    A registration is a ``counter``/``gauge``/``histogram``/
+    ``series`` call outside the registry's own module.  Its name argument
+    resolves through literals, f-strings, ``+``, module constants and, for
+    a parameter of the enclosing function, the values every call that
+    passes it gives.  The instrument is read if the object the call
+    returns is used for anything but a write, held in a local or an
+    attribute, or if its name appears outside a registration: as a token
+    of a string or through the constant that holds it.
+    """
+
+    def __init__(self, package_dir, root_files=(), texts=()):
+        self.sources = parsed(package_dir, root_files)
+        sigs, self.edges, _ = call_graph(self.sources)
+        self.sig_of = {sig.node: sig for sig in sigs}
+        self.names = {}        # instrument name -> registering modules
+        self.unresolved = {}   # enclosing function -> line
+        self.read = set()
+        self.handles = {}      # attribute or constant name -> instruments
+        excluded = set()
+        for path, module, tree in self.sources:
+            if module is None or module == REGISTRY_MODULE:
+                continue
+            up = parents(tree)
+            strings = module_strings(tree)
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.Call) and call_name(node) in REGISTERS
+                        and isinstance(node.func, ast.Attribute) and node.args):
+                    continue
+                scope = node
+                while scope in up and not isinstance(scope, FUNCTIONS):
+                    scope = up[scope]
+                sig = self.sig_of.get(scope)
+                arg = node.args[0]
+                names = self.resolve(arg, sig, strings)
+                excluded.update(id(n) for n in ast.walk(arg))
+                if isinstance(arg, ast.Name) and arg.id in strings:
+                    excluded.add(id(strings[arg.id]))
+                    self.handles.setdefault(arg.id, set()).update(names or ())
+                if names is None:
+                    where = sig.key if sig else module
+                    self.unresolved[where] = node.lineno
+                    continue
+                for name in names:
+                    self.names.setdefault(name, set()).add(module)
+                self.classify(node, names, scope, up)
+        self.excluded = excluded
+        self.read_by_name(texts)
+
+    def resolve(self, node, sig, strings, depth=0):
+        """The set of names ``node`` evaluates to, or None."""
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return {node.value}
+        if isinstance(node, ast.FormattedValue) and not node.format_spec:
+            return self.resolve(node.value, sig, strings, depth)
+        if isinstance(node, (ast.JoinedStr, ast.BinOp)):
+            parts = node.values if isinstance(node, ast.JoinedStr) else (
+                [node.left, node.right] if isinstance(node.op, ast.Add) else None
+            )
+            out = {""}
+            for part in parts or [None]:
+                values = part and self.resolve(part, sig, strings, depth)
+                if values is None:
+                    return None
+                out = {a + b for a in out for b in values}
+            return out
+        if isinstance(node, ast.Name):
+            if sig is not None and node.id in sig.positional + list(sig.keywords):
+                return self.passed_values(sig, node.id, depth)
+            if node.id in strings:
+                return {strings[node.id].value}
+        return None
+
+    def passed_values(self, sig, param, depth):
+        """Every value the calls that pass ``param`` of ``sig`` give."""
+        if depth > 4:
+            return None
+        out = set()
+        for callee, call, enclosing, tree in self.edges:
+            if callee is not sig:
+                continue
+            if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
+                kw.arg is None for kw in call.keywords
+            ):
+                return None
+            given = [kw.value for kw in call.keywords if kw.arg == param]
+            if not given and param in sig.positional:
+                index = sig.positional.index(param) - sig.skip
+                given = call.args[index:index + 1]
+            for arg in given:
+                values = self.resolve(arg, enclosing, module_strings(tree), depth + 1)
+                if values is None:
+                    return None
+                out |= values
+        return out or None
+
+    def classify(self, call, names, scope, up):
+        """Mark ``names`` read if ``call``'s result is; remember where it
+        is held."""
+        parent = up.get(call)
+        if isinstance(parent, ast.Expr) or written(call, up):
+            return
+        targets = parent.targets if isinstance(parent, ast.Assign) else []
+        if not targets or not all(
+            isinstance(t, (ast.Name, ast.Attribute)) for t in targets
+        ):
+            self.read |= names  # passed, returned or stored elsewhere
+            return
+        for target in targets:
+            if isinstance(target, ast.Attribute):
+                self.handles.setdefault(target.attr, set()).update(names)
+            elif any(
+                isinstance(node, ast.Name) and node.id == target.id
+                and isinstance(node.ctx, ast.Load) and not written(node, up)
+                for node in ast.walk(scope)
+            ):
+                self.read |= names
+
+    def read_by_name(self, texts):
+        """Mark every instrument read whose name a string, a CI step or a
+        handle's use names, outside the registrations."""
+        tokens = set()
+        for text in texts:
+            tokens.update(INSTRUMENT.findall(text))
+        for _, _, tree in self.sources:
+            up = parents(tree)
+            prose = {
+                id(node.value) for node in ast.walk(tree) if is_prose(node)
+            }
+            for node in ast.walk(tree):
+                if id(node) in self.excluded or id(node) in prose:
+                    continue
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    tokens.update(INSTRUMENT.findall(node.value))
+                name = node.attr if isinstance(node, ast.Attribute) else (
+                    node.id if isinstance(node, ast.Name) else None
+                )
+                if (name in self.handles and isinstance(node.ctx, ast.Load)
+                        and not written(node, up)):
+                    self.read |= self.handles[name]
+        self.read |= tokens & set(self.names)
+
+    def unread(self):
+        return set(self.names) - self.read
+
+
+@functools.lru_cache(maxsize=None)
+def repo_instruments():
+    """``src/repro``'s instruments, read from everything that runs."""
+    return Instruments(PACKAGE, symbol_roots(), ci_steps())
+
+
+def ci_steps(repo=REPO):
+    """The CI workflow's lines, its comments dropped."""
+    return [
+        line for path in sorted((repo / ".github").rglob("*.yml"))
+        for line in path.read_text().splitlines()
+        if not line.lstrip().startswith("#")
+    ]
+
+
+def test_every_instrument_under_src_is_read_by_something_that_runs():
+    found = repo_instruments()
+    stale = set(COMPUTED_NAMES) - set(found.unresolved)
+    assert not stale, "listed but now resolved — drop:\n" + "\n".join(sorted(stale))
+    unlisted = set(found.unresolved) - set(COMPUTED_NAMES)
+    assert not unlisted, (
+        "registers a name no literal gives — resolve it or list it in "
+        "COMPUTED_NAMES with its reason:\n" + "\n".join(sorted(unlisted))
+    )
+    unread = found.unread()
+    stale = set(INSTRUMENT_ALLOWLIST) - unread
+    assert not stale, "allowlisted but now read — drop:\n" + "\n".join(sorted(stale))
+    dead = unread - set(INSTRUMENT_ALLOWLIST)
+    assert not dead, (
+        "read by nothing that runs — delete the instrument (and whatever "
+        "bookkeeping exists only to feed it) or read it:\n"
+        + "\n".join(sorted(dead))
+    )
+
+
+def test_an_instrument_is_read_through_the_object_it_returns(tmp_path):
+    package, roots = build_symbols(
+        tmp_path,
+        "class Node:\n"
+        "    def __init__(self, m):\n"
+        "        self._writes = m.counter('node.writes')\n"
+        "        self._spare = m.counter('node.spare')\n"
+        "        self.latency = m.histogram('node.latency_us')\n"
+        "        local = m.histogram('node.local_us')\n"
+        "        local.record(1.0)\n"
+        "        self.p95 = local.p95\n"
+        "        m.counter('node.inline').add(1)\n"
+        "    def write(self):\n"
+        "        self._writes.inc()\n"
+        "        if self._spare is not None:\n"
+        "            self._spare.add(2)\n\n"
+        "def timer(m):\n"
+        "    return m.histogram('node.returned_us')\n",
+        root="from pkg.used import Node\n"
+        "def report(node):\n    return node.latency.mean\n",
+    )
+    found = Instruments(package, roots)
+    assert found.unread() == {"node.writes", "node.spare", "node.inline"}
+
+
+def test_an_instrument_is_read_through_its_name(tmp_path):
+    package, roots = build_symbols(
+        tmp_path,
+        "HITS = 'b.hits'\n\n"
+        "def setup(m):\n"
+        "    '''Registers a.hits, b.hits, c.hits and d.hits.'''\n"
+        "    m.counter('a.hits').inc()\n"
+        "    m.counter(HITS).inc()\n"
+        "    m.counter('c.hits').inc()\n"
+        "    m.counter('d.hits').inc()\n",
+        root="from pkg.used import HITS\n"
+        "def check(m):\n"
+        "    '''Reads c.hits.'''\n"
+        "    return m.find('a.hits'), m.get(HITS)\n",
+    )
+    found = Instruments(package, roots, ["run: grep -c d.hits out.json"])
+    assert found.unread() == {"c.hits"}
+    assert Instruments(package, roots).unread() == {"c.hits", "d.hits"}
+
+
+def test_a_computed_name_resolves_through_its_callers_or_is_listed(tmp_path):
+    package, roots = build_symbols(
+        tmp_path,
+        "class Cache:\n"
+        "    def __init__(self, size, m=None, prefix=None):\n"
+        "        if m is not None:\n"
+        "            m.counter(f'{prefix}.hits').inc()\n"
+        "            m.counter(prefix + '.misses').inc()\n\n"
+        "class Pool:\n"
+        "    def __init__(self, m):\n"
+        "        self.cache = Cache(8, m, prefix='pool')\n"
+        "        self.spare = Cache(8)\n\n"
+        "def span(m, name):\n"
+        "    m.histogram(f'trace.{name}.us').record(1.0)\n\n"
+        "def run(m, names):\n"
+        "    for name in names:\n"
+        "        span(m, name)\n",
+        root="def check(m):\n    return m.get('pool.misses')\n",
+    )
+    found = Instruments(package, roots)
+    assert set(found.names) == {"pool.hits", "pool.misses"}
+    assert found.unread() == {"pool.hits"}
+    assert set(found.unresolved) == {"pkg.used.span"}
+
+
+def test_reads_from_tests_do_not_count(tmp_path):
+    package, _ = build_symbols(
+        tmp_path, "def setup(m):\n    m.counter('a.hits').inc()\n"
+    )
+    path = tmp_path / "benchmarks" / "tests" / "test_a.py"
+    path.parent.mkdir(parents=True)
+    path.write_text("def test_a(m):\n    assert m.get('a.hits').value\n")
+    roots = symbol_roots(tmp_path)
+    assert roots == []
+    assert Instruments(package, roots).unread() == {"a.hits"}
+
+
+def test_a_local_dict_display_passes_only_its_keys(tmp_path):
+    used = (
+        "def register(name, window=1, **labels):\n    return name\n\n"
+        "def node(name):\n"
+        "    labels = {'node': name}\n"
+        "    return register('x', **labels)\n"
+    )
+    package, roots = build_symbols(tmp_path, used, root="import pkg.used\n")
+    assert unpassed(package, roots) == {"pkg.used.register:window"}
+    for change in ("labels.update(window=2)", "labels = dict(labels)"):
+        (package / "used.py").write_text(used.replace(
+            "    return register", f"    {change}\n    return register"
+        ))
+        assert unpassed(package, roots) == set(), change

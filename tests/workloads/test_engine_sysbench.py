@@ -27,7 +27,6 @@ def test_engine_mode_commits_batch_under_concurrency(loaded_db):
     commits = m.get("storage.group_commit.commits").value
     assert commits >= 120  # every txn commits through the pipeline
     assert batches < commits  # concurrent commits shared flushes
-    assert m.get("storage.group_commit.batch_size").max >= 2
 
 
 def test_engine_mode_is_deterministic():

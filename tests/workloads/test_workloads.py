@@ -201,7 +201,6 @@ def test_unknown_workload_rejected(loaded_db):
 
 def test_reads_route_to_ro_node(loaded_db):
     ro = loaded_db.ro[0]
-    before = ro.pool.hit_rate  # touch to ensure the node exists
     result = run_sysbench(
         loaded_db, "point_select", duration_s=0.02, threads=4,
         key_range=400, start_us=4e9, max_transactions=40, ro_index=0,
