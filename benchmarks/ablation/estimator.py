@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.compression.base import get_codec
+from repro.compression.memo import get_codec
 from repro.compression.cost import codec_cost
 from repro.compression.selector import AlgorithmSelector, SelectionDecision
 

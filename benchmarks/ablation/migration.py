@@ -17,7 +17,7 @@ from typing import List, Sequence
 from repro.common.units import GiB, MiB
 from repro.cluster.cluster import Cluster
 from repro.cluster.scheduler import MigrationTask
-from repro.engine import ResourcePool
+from repro.engine.resources import ResourcePool
 
 
 #: A throttled background mover: ~80 MiB/s per stream (a fraction of a

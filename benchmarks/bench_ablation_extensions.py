@@ -5,7 +5,7 @@ table-level shared dictionaries and estimation-based algorithm selection.
 import random
 
 from repro.bench.harness import ExperimentResult, print_table, save_result
-from repro.compression.base import get_codec
+from repro.compression.memo import get_codec
 from benchmarks.ablation.dictionary import DictionaryManager, build_dictionary
 from benchmarks.ablation.estimator import EstimatingSelector, estimate_ratio
 from repro.compression.selector import AlgorithmSelector

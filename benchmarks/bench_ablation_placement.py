@@ -12,7 +12,7 @@ from repro.bench.harness import ExperimentResult, print_table, save_result
 from repro.common.units import GiB
 from repro.cluster.chunk import Chunk, StorageServer
 from repro.cluster.cluster import Cluster
-from repro.cluster.migration import MigrationExecutor
+from benchmarks.ablation.migration import MigrationExecutor
 from repro.cluster.scheduler import CompressionAwareScheduler, band_coverage
 
 N_SERVERS = 30

@@ -28,7 +28,7 @@ import pytest
 
 from repro.compression import lz77
 from repro.compression import zstd as zstd_module
-from repro.compression.base import get_codec
+from repro.compression.memo import get_codec
 from repro.compression.cost import LZ4_COST, ZSTD_COST
 from repro.compression.huffman import TableDecoder, unpack_bits
 from repro.compression.zstd import encode_tokens

@@ -14,7 +14,7 @@ reproduced shape.
 
 from repro.bench.harness import ExperimentResult, print_table, save_result
 from repro.common.units import KiB, LBA_SIZE, MiB, align_up
-from repro.compression.base import get_codec
+from repro.compression.memo import get_codec
 from repro.workloads.datagen import corpus
 
 PAGES_PER_DATASET = 24  # keep pure-Python codec time reasonable

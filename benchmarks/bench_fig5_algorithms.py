@@ -11,7 +11,7 @@ import zlib
 
 from repro.bench.harness import ExperimentResult, print_table, save_result
 from repro.common.units import KiB, LBA_SIZE, align_up
-from repro.compression.base import get_codec
+from repro.compression.memo import get_codec
 from repro.compression.cost import LZ4_COST, ZSTD_COST
 from repro.workloads.datagen import DATASETS, dataset_pages
 

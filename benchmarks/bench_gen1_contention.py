@@ -18,7 +18,7 @@ from repro.common.units import GiB
 from repro.compression.cost import codec_cost
 from benchmarks.ablation.host_ftl import contention_risk, host_ftl_footprint
 from repro.csd.specs import POLARCSD1, POLARCSD2
-from repro.engine import ResourcePool
+from repro.engine.resources import ResourcePool
 
 HOST_CORES = 32
 HOST_DRAM = 256 * GiB

@@ -11,7 +11,7 @@ Run:  python examples/adaptive_compression.py
 """
 
 from repro.common.units import LBA_SIZE
-from repro.compression.base import get_codec
+from repro.compression.memo import get_codec
 from repro.compression.selector import AlgorithmSelector
 from repro.workloads.datagen import DATASETS, dataset_pages
 

@@ -17,7 +17,7 @@ from typing import Dict, List, Tuple
 from repro.common.errors import ReproError
 from repro.common.units import DB_PAGE_SIZE, MiB
 from repro.compression.cost import codec_cost
-from repro.engine import Resource
+from repro.engine.resources import Resource
 from repro.storage.heavy import HeavySegmentStore
 from repro.storage.node import ReadResult, StorageNode
 

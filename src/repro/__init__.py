@@ -26,40 +26,3 @@ Subpackages
 """
 
 __version__ = "1.0.0"
-
-# Convenience re-exports of the primary entry points.  Subpackages are
-# imported lazily via __getattr__ so that `import repro` stays light.
-_PUBLIC = {
-    # `repro.PolarStore` stays the storage-layer volume for backward
-    # compatibility; the unified client facade is
-    # `repro.api.PolarStore.open` (-> PolarStoreClient).
-    "PolarStore": ("repro.storage.store", "PolarStore"),
-    "PolarStoreClient": ("repro.api.client", "PolarStoreClient"),
-    "ReproConfig": ("repro.api.config", "ReproConfig"),
-    "ClusterRuntime": ("repro.cluster.runtime", "ClusterRuntime"),
-    "NodeConfig": ("repro.storage.node", "NodeConfig"),
-    "StorageNode": ("repro.storage.node", "StorageNode"),
-    "CompressionMode": ("repro.storage.store", "CompressionMode"),
-    "PolarDB": ("repro.db.database", "PolarDB"),
-    "PolarCSD": ("repro.csd.device", "PolarCSD"),
-    "PlainSSD": ("repro.csd.device", "PlainSSD"),
-    "AlgorithmSelector": ("repro.compression.selector", "AlgorithmSelector"),
-    "run_sysbench": ("repro.workloads.sysbench", "run_sysbench"),
-    "dataset_pages": ("repro.workloads.datagen", "dataset_pages"),
-    "MetricsRegistry": ("repro.obs.metrics", "MetricsRegistry"),
-    "Histogram": ("repro.obs.metrics", "Histogram"),
-    "Tracer": ("repro.obs.tracing", "Tracer"),
-}
-
-
-def __getattr__(name):
-    if name in _PUBLIC:
-        import importlib
-
-        module_name, attr = _PUBLIC[name]
-        return getattr(importlib.import_module(module_name), attr)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_PUBLIC))

@@ -21,7 +21,6 @@ from repro.api.config import (
 )
 from repro.api.factory import build_cluster, build_db, build_store
 from repro.api.transport import (
-    TRANSPORT_OPS,
     AdmissionError,
     LocalTransport,
     Transport,
@@ -29,6 +28,7 @@ from repro.api.transport import (
     TransportError,
     TransportTimeout,
 )
+from repro.common.ops import TRANSPORT_OPS
 
 __all__ = [
     "PolarStore",

@@ -135,7 +135,7 @@ class LocalTransport(Transport):
             self._db = build_db(config)
             self._engine = None
             if config.engine.enabled:
-                from repro.engine import Engine
+                from repro.engine.core import Engine
 
                 self._engine = Engine()
                 self._db.bind_engine(

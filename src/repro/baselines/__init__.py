@@ -10,14 +10,3 @@
 Fig 16 compares exactly these two engines with PolarStore; the
 log-structured approach §2.2.1 describes has no figure, so no model.
 """
-
-from repro.baselines.innodb import InnoDBEngine, InnoDBStore
-from repro.baselines.lsm import LSMTree
-from repro.baselines.myrocks import MyRocksEngine
-
-__all__ = [
-    "LSMTree",
-    "MyRocksEngine",
-    "InnoDBEngine",
-    "InnoDBStore",
-]

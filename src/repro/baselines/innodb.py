@@ -25,14 +25,14 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ReproError
 from repro.common.units import DB_PAGE_SIZE, LBA_SIZE, MiB, ceil_div
-from repro.compression.base import get_codec
+from repro.compression.memo import get_codec
 from repro.compression.cost import codec_cost
 from repro.csd.device import PlainSSD
 from repro.csd.specs import P5510
 from repro.db.btree import BPlusTree
 from repro.db.bufferpool import BufferPool, OpContext
 from repro.db.rw_node import COMMIT_CPU_US, EXECUTE_CPU_US, OpResult
-from repro.engine import ResourcePool
+from repro.engine.resources import ResourcePool
 
 #: The page codec.
 CODEC = "zstd"

@@ -19,7 +19,7 @@ from repro.csd.device import PlainSSD
 from repro.csd.specs import P5510
 from repro.db.rw_node import EXECUTE_CPU_US, OpResult
 from repro.baselines.lsm import LSMTree
-from repro.engine import ResourcePool
+from repro.engine.resources import ResourcePool
 
 
 class MyRocksEngine:

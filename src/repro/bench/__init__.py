@@ -1,5 +1,1 @@
 """Benchmark harness shared by the ``benchmarks/`` suite."""
-
-from repro.bench.harness import ExperimentResult, print_table, save_result
-
-__all__ = ["ExperimentResult", "print_table", "save_result"]

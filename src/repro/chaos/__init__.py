@@ -9,21 +9,3 @@ while asserting end-to-end invariants (every committed write stays
 readable byte-exact, corruption is detected and repaired, recovery
 converges).
 """
-
-from repro.chaos.plan import (
-    DATA_FAULT_KINDS,
-    DeviceInjector,
-    FaultKind,
-    FaultLedger,
-    FaultPlan,
-    FaultRule,
-)
-
-__all__ = [
-    "DATA_FAULT_KINDS",
-    "DeviceInjector",
-    "FaultKind",
-    "FaultLedger",
-    "FaultPlan",
-    "FaultRule",
-]

@@ -6,42 +6,3 @@ with, and the compression-aware zone scheduler (Figure 9b) that fixed the
 logical/physical imbalance of Figures 10–11.  Also carries the Table 2
 cost model.
 """
-
-from repro.cluster.chunk import Chunk, StorageServer
-from repro.cluster.cluster import Cluster, synthesize_cluster
-from repro.cluster.costs import CostModel, DEVICE_COSTS, cost_per_logical_gb
-from repro.cluster.migration import MigrationExecutor, MigrationPlanReport
-from repro.cluster.runtime import (
-    ClusterRuntime,
-    MigrationReport,
-    RuntimeChunk,
-    ShardServer,
-    decode_row_page,
-    encode_row_page,
-)
-from repro.cluster.scheduler import (
-    CompressionAwareScheduler,
-    LogicalOnlyScheduler,
-    MigrationTask,
-)
-
-__all__ = [
-    "Chunk",
-    "StorageServer",
-    "Cluster",
-    "synthesize_cluster",
-    "LogicalOnlyScheduler",
-    "CompressionAwareScheduler",
-    "MigrationTask",
-    "MigrationExecutor",
-    "MigrationPlanReport",
-    "ClusterRuntime",
-    "MigrationReport",
-    "RuntimeChunk",
-    "ShardServer",
-    "encode_row_page",
-    "decode_row_page",
-    "CostModel",
-    "DEVICE_COSTS",
-    "cost_per_logical_gb",
-]

@@ -4,7 +4,7 @@ This module closes the last gap between the paper's cluster story (§4.2,
 Figures 9b/10/11) and the rest of the reproduction.  The analytic
 :mod:`repro.cluster` machinery schedules ``(size, ratio)`` counters; here
 every shard is a real :class:`~repro.storage.store.PolarStore` replica
-group living on one shared :class:`~repro.engine.Engine`, tables are
+group living on one shared :class:`~repro.engine.core.Engine`, tables are
 range-sharded into chunks whose pages hold real row bytes, and migration
 runs as an engine daemon that
 
@@ -46,7 +46,8 @@ from repro.cluster.scheduler import (
     MigrationTask,
 )
 from repro.db.rw_node import OpResult
-from repro.engine import Engine, Queue
+from repro.engine.core import Engine
+from repro.engine.resources import Queue
 from repro.obs.events import recorder_active
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.store import PolarStore
@@ -354,7 +355,6 @@ class ClusterRuntime:
             chunk = self._chunk_for(table, key, create=False)
             if chunk.state is not ChunkState.CUTOVER:
                 break
-            self._blocked_writes.inc()
             yield chunk.gate
         if key not in chunk.rows:
             raise ReproError(f"delete of missing key {key}")

@@ -8,7 +8,7 @@ simulated operations/second.
 
 ``SimClock`` is the monotonically advancing microsecond counter one
 simulation shares; contention (device channels, CPU cores, NIC links) is
-modelled by :class:`repro.engine.Resource`.
+modelled by :class:`repro.engine.resources.Resource`.
 """
 
 from __future__ import annotations

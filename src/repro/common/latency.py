@@ -41,7 +41,12 @@ class LatencyStats:
     def mean_us(self) -> float:
         if not self.samples:
             return 0.0
-        return sum(self.samples) / len(self.samples)
+        # In order with ``+``, as ``Histogram`` adds: Python 3.12's
+        # ``sum`` compensates float rounding, which moves the last digit.
+        total = 0.0
+        for value in self.samples:
+            total += value
+        return total / len(self.samples)
 
     def pct(self, percentile_value: float) -> float:
         return percentile(self.samples, percentile_value)

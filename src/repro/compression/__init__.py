@@ -19,28 +19,6 @@ The write path does not call a codec's ``compress`` itself: it calls
 :mod:`repro.compression.memo`, a content-addressed cache of a fixed
 size in front of the codecs, because replicas, devices and migrations
 compress the same bytes again and again.  Reads call
-``get_codec(name).decompress`` directly.
+``memo.get_codec(name).decompress`` directly; ``memo.CODECS`` is the one
+table of the shared codec instances.
 """
-
-from repro.compression.base import (
-    CompressionResult,
-    Compressor,
-    get_codec,
-    register_codec,
-)
-from repro.compression.lz4 import LZ4Codec
-from repro.compression.zstd import ZstdCodec
-from repro.compression.gzipdev import HardwareGzip
-from repro.compression.selector import AlgorithmSelector, SelectionDecision
-
-__all__ = [
-    "Compressor",
-    "CompressionResult",
-    "register_codec",
-    "get_codec",
-    "LZ4Codec",
-    "ZstdCodec",
-    "HardwareGzip",
-    "AlgorithmSelector",
-    "SelectionDecision",
-]

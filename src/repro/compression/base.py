@@ -1,9 +1,8 @@
-"""Codec interface and registry."""
+"""Codec interface."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,7 @@ class Compressor:
     the simulation.
     """
 
-    #: Registry key; subclasses must override.
+    #: Key of ``memo.CODECS``; subclasses must override.
     name = "abstract"
 
     def compress(self, data: bytes) -> bytes:
@@ -48,24 +47,3 @@ class Compressor:
 
     def compress_result(self, data: bytes) -> CompressionResult:
         return CompressionResult(self.name, self.compress(data), len(data))
-
-
-_REGISTRY: Dict[str, Callable[[], Compressor]] = {}
-_INSTANCES: Dict[str, Compressor] = {}
-
-
-def register_codec(name: str, factory: Callable[[], Compressor]) -> None:
-    """Register a codec factory under ``name`` (overwrites silently)."""
-    _REGISTRY[name] = factory
-    _INSTANCES.pop(name, None)
-
-
-def get_codec(name: str) -> Compressor:
-    """Return the shared instance of the codec registered as ``name``."""
-    if name not in _INSTANCES:
-        if name not in _REGISTRY:
-            raise KeyError(
-                f"unknown codec {name!r}; known: {sorted(_REGISTRY)}"
-            )
-        _INSTANCES[name] = _REGISTRY[name]()
-    return _INSTANCES[name]

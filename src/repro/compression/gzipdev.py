@@ -13,7 +13,7 @@ from __future__ import annotations
 import zlib
 
 from repro.common.errors import CorruptionError
-from repro.compression.base import Compressor, register_codec
+from repro.compression.base import Compressor
 
 #: Compression level the PolarCSD ASIC implements (§3.2.2).
 HARDWARE_GZIP_LEVEL = 5
@@ -39,6 +39,3 @@ class HardwareGzip(Compressor):
     def compressed_size(self, data: bytes) -> int:
         """Physical bytes the CSD would store for this 4 KB-aligned input."""
         return len(self.compress(data))
-
-
-register_codec("hw-gzip", HardwareGzip)

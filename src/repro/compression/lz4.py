@@ -24,7 +24,7 @@ byte.
 from __future__ import annotations
 
 from repro.common.errors import CorruptionError
-from repro.compression.base import Compressor, register_codec
+from repro.compression.base import Compressor
 from repro.compression.lz77 import MIN_MATCH, MatchFinder, Token
 
 #: Format constants from the LZ4 block spec.
@@ -167,6 +167,3 @@ class LZ4Codec(Compressor):
             value += byte
             if byte != 255:
                 return value, pos
-
-
-register_codec("lz4", LZ4Codec)

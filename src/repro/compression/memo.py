@@ -33,7 +33,9 @@ runs outside it, so two threads may both compute the same miss.
 
 Reads are not memoized: no layer below the buffer pool caches
 decompressed pages, because a cache would hide the decompression cost
-that a read of a stored page is meant to pay.
+that a read of a stored page is meant to pay.  A read looks up the codec
+its index entry names with :func:`get_codec`, in :data:`CODECS`, the
+one table of the shared codec instances.
 """
 
 from __future__ import annotations
@@ -41,14 +43,31 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
+from typing import Dict
 
 from repro.common.units import MiB
-from repro.compression.base import get_codec
+from repro.compression.base import Compressor
+from repro.compression.gzipdev import HardwareGzip
+from repro.compression.lz4 import LZ4Codec
+from repro.compression.zstd import ZstdCodec
+
+#: The shared codec instances, by the name an index entry records.
+CODECS: Dict[str, Compressor] = {
+    codec.name: codec for codec in (LZ4Codec(), ZstdCodec(), HardwareGzip())
+}
 
 #: Size of the process-wide cache (charged bytes, see ``_charge``).
 MEMO_CAPACITY_BYTES = 2 * MiB
 
 _HW_LEN = "hw-gzip.len"
+
+
+def get_codec(name: str) -> Compressor:
+    """The shared instance of the codec called ``name``."""
+    try:
+        return CODECS[name]
+    except KeyError:
+        raise KeyError(f"unknown codec {name!r}; known: {sorted(CODECS)}") from None
 
 
 def content_key(kind: str, data) -> tuple:

@@ -46,7 +46,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.common.errors import CorruptionError
-from repro.compression.base import Compressor, register_codec
+from repro.compression.base import Compressor
 from repro.compression.huffman import (
     HuffmanEncoder,
     TableDecoder,
@@ -359,6 +359,3 @@ class ZstdCodec(Compressor):
         return _execute(
             _token_fields(syms, payload[pos:]), literals, prefix, original_size
         )
-
-
-register_codec("zstd", ZstdCodec)

@@ -12,33 +12,3 @@
   plain-SSD / Optane models behind one ``BlockDevice`` interface.
 * :mod:`repro.csd.faults` — slow-I/O fault injection for Figure 8.
 """
-
-from repro.csd.specs import (
-    DeviceSpec,
-    OPTANE_P4800X,
-    OPTANE_P5800X,
-    P4510,
-    P5510,
-    POLARCSD1,
-    POLARCSD2,
-)
-from repro.csd.device import BlockDevice, PlainSSD, PolarCSD
-from repro.csd.ftl import FTL
-from repro.csd.mapping import L2PEntryCodecV1, L2PEntryCodecV2, ftl_dram_bytes
-
-__all__ = [
-    "DeviceSpec",
-    "P4510",
-    "P5510",
-    "POLARCSD1",
-    "POLARCSD2",
-    "OPTANE_P4800X",
-    "OPTANE_P5800X",
-    "BlockDevice",
-    "PlainSSD",
-    "PolarCSD",
-    "FTL",
-    "L2PEntryCodecV1",
-    "L2PEntryCodecV2",
-    "ftl_dram_bytes",
-]

@@ -3,15 +3,15 @@
 All devices expose the same NVMe-shaped interface: 4 KB-aligned reads and
 writes addressed by LBA, plus TRIM.  Every operation takes the simulated
 start time and returns an :class:`IOCompletion` carrying the finish time;
-a per-device FIFO :class:`~repro.engine.Resource` provides queueing so
-queue-depth effects emerge naturally.  The same queue serves two call
+a per-device FIFO :class:`~repro.engine.resources.Resource` provides
+queueing so queue-depth effects emerge naturally.  The same queue serves two call
 styles: the synchronous :meth:`~BlockDevice.write`/:meth:`~BlockDevice.read`
 adapters (analytic ``serve`` arithmetic, used by legacy entry points and
 single-request tests) and the engine-native
 :meth:`~BlockDevice.write_proc`/:meth:`~BlockDevice.read_proc` generators
 used once :meth:`~BlockDevice.bind_engine` attaches the device to a shared
-:class:`repro.engine.Engine` — concurrent requests then really wait in the
-per-device FIFO and queue-wait histograms feed ``repro.obs``.
+:class:`repro.engine.core.Engine` — concurrent requests then really wait in
+the per-device FIFO and queue-wait histograms feed ``repro.obs``.
 
 ``PolarCSD`` runs every 4 KB logical block through the hardware gzip
 engine and places the compressed payload byte-granularly via the FTL.
@@ -27,13 +27,13 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.common.errors import DeviceError, OutOfSpaceError, ReproError
-from repro.common.latency import LatencyStats
 from repro.common.units import KiB, MiB, is_aligned
 from repro.compression.memo import hw_compressed_len
 from repro.csd.ftl import FTL
 from repro.csd.mapping import L2PEntryCodecV1, L2PEntryCodecV2
 from repro.csd.specs import DeviceSpec
-from repro.engine import Engine, Resource
+from repro.engine.core import Engine
+from repro.engine.resources import Resource
 from repro.obs.events import recorder_active
 from repro.obs.metrics import MetricsRegistry
 
@@ -75,8 +75,6 @@ class BlockDevice:
         #: Stored content, one entry per written 4 KB LBA.
         self._blocks: Dict[int, bytes] = {}
         self.queue = Resource(spec.name, servers=max(1, parallelism))
-        self.read_stats = LatencyStats()
-        self.write_stats = LatencyStats()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.metric_labels = dict(metric_labels or {})
         self.metric_labels.setdefault("device", spec.name)
@@ -107,7 +105,7 @@ class BlockDevice:
         self._last_relocated = 0
 
     def attach_chaos(self, injector) -> None:
-        """Arm a :class:`repro.chaos.DeviceInjector` on this device."""
+        """Arm a :class:`repro.chaos.plan.DeviceInjector` on this device."""
         self._chaos = injector
 
     def bind_engine(self, engine: Engine, defer_gc: bool = False) -> None:
@@ -203,7 +201,6 @@ class BlockDevice:
         return service
 
     def _finish_write(self, start_us: float, done_us: float, nbytes: int) -> None:
-        self.write_stats.record(done_us - start_us)
         self._write_hist.record(done_us - start_us)
         self._write_bytes.add(nbytes)
 
@@ -220,7 +217,6 @@ class BlockDevice:
         return data, service
 
     def _finish_read(self, start_us: float, done_us: float) -> None:
-        self.read_stats.record(done_us - start_us)
         self._read_hist.record(done_us - start_us)
 
     def write(self, start_us: float, lba: int, data: bytes) -> IOCompletion:

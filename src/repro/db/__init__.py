@@ -10,20 +10,3 @@ The engine's page mutations produce byte-exact redo records, so storage-
 side page consolidation (applying redo to page images) reconstructs pages
 the compute layer actually parses — data flow is real end to end.
 """
-
-from repro.db.page import Page, PageType
-from repro.db.btree import BPlusTree
-from repro.db.bufferpool import BufferPool
-from repro.db.rw_node import RWNode
-from repro.db.ro_node import RONode
-from repro.db.database import PolarDB
-
-__all__ = [
-    "Page",
-    "PageType",
-    "BPlusTree",
-    "BufferPool",
-    "RWNode",
-    "RONode",
-    "PolarDB",
-]

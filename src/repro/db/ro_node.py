@@ -11,7 +11,7 @@ from __future__ import annotations
 
 
 from repro.db.btree import descend
-from repro.engine import ResourcePool
+from repro.engine.resources import ResourcePool
 from repro.db.bufferpool import BufferPool, OpContext
 from repro.db.rw_node import EXECUTE_CPU_US, OpResult, RWNode
 

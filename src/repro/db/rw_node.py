@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ReproError
-from repro.engine import ResourcePool
+from repro.engine.resources import ResourcePool
 from repro.db.btree import BPlusTree
 from repro.db.bufferpool import BufferPool, OpContext
 from repro.storage.redo import RedoRecord

@@ -14,33 +14,3 @@ real queueing rather than analytic arithmetic.
 simulated time with a bounded, deterministically-evaluated admission
 window (the ``repro.net`` server runs on it).
 """
-
-from repro.engine.bridge import (
-    BridgeCompletion,
-    BridgeDecision,
-    WallClockBridge,
-)
-from repro.engine.core import (
-    Engine,
-    EngineError,
-    Event,
-    Process,
-    SleepUntil,
-    Timeout,
-)
-from repro.engine.resources import Queue, Resource, ResourcePool
-
-__all__ = [
-    "BridgeCompletion",
-    "BridgeDecision",
-    "Engine",
-    "EngineError",
-    "Event",
-    "Process",
-    "Queue",
-    "Resource",
-    "ResourcePool",
-    "SleepUntil",
-    "Timeout",
-    "WallClockBridge",
-]

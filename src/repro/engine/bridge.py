@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Generator, List, Optional
 
-from repro.engine.core import Engine, Process
+from repro.engine.core import Engine
 
 
 @dataclass(frozen=True)

@@ -37,37 +37,3 @@ network, and this package is the wire between them.
     percentiles, rejection counts, and queue depths export through
     ``repro.obs`` — the ``python -m repro load`` command.
 """
-
-from repro.net.client import SocketPool, SocketTransport
-from repro.net.loadgen import (
-    ArrivalSpec,
-    LoadReport,
-    build_schedule,
-    run_load,
-)
-from repro.net.protocol import (
-    FrameDecoder,
-    FrameError,
-    ProtocolError,
-    Request,
-    Response,
-    encode_frame,
-)
-from repro.net.server import PolarStoreServer, serve_in_thread
-
-__all__ = [
-    "ArrivalSpec",
-    "FrameDecoder",
-    "FrameError",
-    "LoadReport",
-    "PolarStoreServer",
-    "ProtocolError",
-    "Request",
-    "Response",
-    "SocketPool",
-    "SocketTransport",
-    "build_schedule",
-    "encode_frame",
-    "run_load",
-    "serve_in_thread",
-]

@@ -34,30 +34,3 @@ package gives every subsystem one way to record those facts:
     records a row; the pinned fingerprints and the replay test run
     the same rows.
 """
-
-from repro.obs.metrics import (
-    BoundedSeries,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.tracing import Span, Trace, Tracer
-from repro.obs.export import to_json, to_prometheus
-from repro.obs.events import FlightRecorder, RecordedEvent, recorder_active
-
-__all__ = [
-    "BoundedSeries",
-    "Counter",
-    "FlightRecorder",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "RecordedEvent",
-    "Span",
-    "Trace",
-    "Tracer",
-    "recorder_active",
-    "to_json",
-    "to_prometheus",
-]

@@ -16,28 +16,3 @@ models leveled and tiered alternatives to Opt#3 for the
 write-amplification benchmark (``python -m repro compaction``); no
 volume runs them.
 """
-
-from repro.storage.allocator import BitmapAllocator, GlobalAllocator, SpaceManager
-from repro.storage.cache import LRUCache
-from repro.storage.index import CompressionInfo, IndexEntry, PageIndex
-from repro.storage.node import NodeConfig, StorageNode
-from repro.storage.replication import NetworkModel, ReplicationGroup
-from repro.storage.store import CompressionMode, PolarStore
-from repro.storage.wal import WriteAheadLog
-
-__all__ = [
-    "GlobalAllocator",
-    "BitmapAllocator",
-    "SpaceManager",
-    "LRUCache",
-    "PageIndex",
-    "IndexEntry",
-    "CompressionInfo",
-    "WriteAheadLog",
-    "NetworkModel",
-    "ReplicationGroup",
-    "StorageNode",
-    "NodeConfig",
-    "PolarStore",
-    "CompressionMode",
-]

@@ -51,7 +51,7 @@ from repro.common.errors import (
     ReproError,
 )
 from repro.common.rng import make_rng
-from repro.engine import Engine, Event
+from repro.engine.core import Engine, Event
 from repro.obs.events import recorder_active
 from repro.storage.redo import RedoRecord, encode_records
 

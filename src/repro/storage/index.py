@@ -30,7 +30,7 @@ class IndexEntry:
     """Location and decoding metadata for one 16 KB page."""
 
     status: CompressionInfo
-    algorithm: Optional[str]  # codec registry name; None when uncompressed
+    algorithm: Optional[str]  # a key of memo.CODECS; None when uncompressed
     lba: int                  # first 4 KB logical block
     n_blocks: int             # contiguous 4 KB blocks to read
     payload_len: int          # exact compressed (or raw) byte length

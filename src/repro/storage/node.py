@@ -9,7 +9,7 @@ Timing model: every public operation takes the simulated start time and
 returns a result carrying ``done_us``.  CPU costs (codec work, record
 application) come from the calibrated cost models; device time comes from
 the device simulators' queues.  Once :meth:`StorageNode.bind_engine`
-attaches the node to a shared :class:`repro.engine.Engine`, the redo
+attaches the node to a shared :class:`repro.engine.core.Engine`, the redo
 persistence path is additionally available as an engine process
 (:meth:`StorageNode.persist_redo_proc`) that really queues on the device
 FIFO — the building block of the volume-level group-commit pipeline.
@@ -31,7 +31,6 @@ from repro.common.errors import (
 )
 from repro.common.units import DB_PAGE_SIZE, LBA_SIZE, MiB, align_up, ceil_div
 from repro.compression import memo
-from repro.compression.base import get_codec
 from repro.compression.cost import codec_cost
 from repro.compression.selector import AlgorithmSelector
 from repro.csd.device import BlockDevice
@@ -469,7 +468,7 @@ class StorageNode:
         cpu = 0.0
         if entry.status is CompressionInfo.NORMAL:
             try:
-                data = get_codec(entry.algorithm).decompress(payload)
+                data = memo.get_codec(entry.algorithm).decompress(payload)
             except CorruptionError as exc:
                 raise corrupt(
                     "decompress_error", f"payload does not decompress: {exc}"

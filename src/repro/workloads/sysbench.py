@@ -8,7 +8,7 @@ delete+insert, which touches tree structure); Update-Non-Index overwrites
 a payload column in place.
 
 ``threads`` client threads run as genuine concurrent processes on one
-shared :class:`repro.engine.Engine` (this module used to keep a private
+shared :class:`repro.engine.core.Engine` (this module used to keep a private
 event heap).  Against a :class:`~repro.db.database.PolarDB` the clients
 drive the engine-native proc API end to end — statement CPU queues on
 the compute core pools, redo commits coalesce in the storage layer's
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from repro.common.latency import LatencyStats
-from repro.engine import Engine
+from repro.engine.core import Engine
 from repro.workloads.zipf import ZipfSampler
 
 #: sysbench's c-column: digits + fixed padding, moderately compressible.

@@ -12,7 +12,7 @@ from repro.api import PolarStore, ReproConfig, build_db
 from repro.common.errors import ReproError
 from repro.common.units import MiB
 from repro.db.database import PolarDB
-from repro.engine import Engine
+from repro.engine.core import Engine
 from repro.storage.node import NodeConfig
 from repro.storage.store import PolarStore as StorageVolume
 

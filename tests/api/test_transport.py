@@ -80,7 +80,7 @@ def test_sharded_local_transport_routes_and_guards():
 
 
 def test_adopt_engine_binds_single_volume_deployment():
-    from repro.engine import Engine
+    from repro.engine.core import Engine
 
     transport = LocalTransport(ReproConfig.from_dict({}))
     assert transport.engine is None

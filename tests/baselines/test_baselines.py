@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.engine import Resource
+from repro.engine.resources import Resource
 from repro.common.errors import ReproError
 from repro.common.units import KiB, MiB
 from repro.csd.device import PlainSSD

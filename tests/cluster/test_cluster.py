@@ -199,7 +199,7 @@ def test_ratio_aware_placement_respects_limits():
 
 
 def test_migration_makespan_scales_with_bytes():
-    from repro.cluster.migration import MigrationExecutor
+    from benchmarks.ablation.migration import MigrationExecutor
 
     executor = MigrationExecutor()
     small = executor.estimate([GiB] * 8)
@@ -209,7 +209,7 @@ def test_migration_makespan_scales_with_bytes():
 
 
 def test_migration_concurrency_shortens_makespan():
-    from repro.cluster.migration import (
+    from benchmarks.ablation.migration import (
         CONCURRENT_STREAMS, PER_STREAM_MIB_S, PER_TASK_OVERHEAD_S,
         MigrationExecutor,
     )
@@ -225,7 +225,7 @@ def test_zone_plan_completes_within_a_day():
     """§4.2.3: band parameters are chosen offline so the resulting plan
     finishes within one day — verify our default band on a synthesized
     cluster does."""
-    from repro.cluster.migration import MigrationExecutor
+    from benchmarks.ablation.migration import MigrationExecutor
 
     cluster = synthesize_cluster(n_servers=40, seed=3)
     scheduler = CompressionAwareScheduler(band_width=0.10)
@@ -237,7 +237,7 @@ def test_zone_plan_completes_within_a_day():
 
 
 def test_wider_band_completes_faster():
-    from repro.cluster.migration import MigrationExecutor
+    from benchmarks.ablation.migration import MigrationExecutor
 
     executor = MigrationExecutor()
     narrow_cluster = synthesize_cluster(n_servers=30, seed=11)

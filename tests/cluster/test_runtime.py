@@ -228,6 +228,54 @@ def test_cutover_gate_blocks_writes_until_flip():
     assert result.value == b"after"
 
 
+def test_delete_during_cutover_waits_for_the_flip():
+    runtime = make_runtime(shards=2)
+    runtime.create_table("t")
+    for key in range(CHUNK_KEYS):
+        runtime.insert(runtime.engine.now_us, "t", key, bytes([key]) * 200)
+    chunk = next(iter(runtime.chunks.values()))
+    target_id = 1 - chunk.shard_id
+    page_no = chunk.rows[3]
+    engine = runtime.engine
+    seen = {}
+
+    def writer():
+        # Keeps a source write in flight, so the cutover has to wait.
+        for i in range(40):
+            key = 4 + i % (CHUNK_KEYS - 4)
+            yield from runtime.insert_proc("t", key, bytes([i]) * 150)
+            yield Timeout(3.0)
+
+    def deleter():
+        seen["state"] = chunk.state
+        yield from runtime.delete_proc("t", 3)
+        seen["after"] = (chunk.state, chunk.shard_id)
+
+    make_event = engine.event
+
+    def event(name=""):
+        # The daemon opens the cutover gate: delete a row right then.
+        if name.startswith("cutover-"):
+            seen["proc"] = engine.spawn(deleter())
+        return make_event(name)
+
+    engine.event = event
+    procs = [
+        engine.spawn(writer()),
+        engine.spawn(runtime.migrate_chunk_proc(chunk.chunk_id, target_id)),
+    ]
+    engine.run_until_complete(procs)
+    engine.run_until_complete([seen["proc"]])
+    # The delete arrived mid-cutover, parked on the gate and ran on the
+    # new owner once the chunk flipped.
+    assert seen["state"] is ChunkState.CUTOVER
+    assert seen["after"] == (ChunkState.SERVING, target_id)
+    assert 3 not in chunk.rows
+    assert runtime.select(engine.now_us, "t", 3).value is None
+    for shard in runtime.shards:
+        assert shard.store.leader.index.get(page_no) is None
+
+
 def test_migration_streams_throttle_concurrency():
     runtime = make_runtime(shards=4)
     runtime.create_table("t")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.clock import SimClock
-from repro.engine import Resource, ResourcePool
+from repro.engine.resources import Resource, ResourcePool
 
 
 def test_clock_starts_at_zero_and_advances():

@@ -1,18 +1,17 @@
-"""Codec registry, result metadata, cost models, hardware gzip."""
+"""Codec table, result metadata, cost models, hardware gzip."""
 
 import pytest
 
-from repro.compression.base import get_codec
+from repro.compression.memo import CODECS, get_codec
 from repro.compression.cost import LZ4_COST, ZSTD_COST, codec_cost
 from repro.compression.gzipdev import HARDWARE_GZIP_LEVEL, HardwareGzip
 from repro.common.errors import CorruptionError
 
 
 def test_registry_knows_builtin_codecs():
-    # Importing repro.compression registers everything.
-    import repro.compression  # noqa: F401
-
-    for name in ("lz4", "zstd", "hw-gzip"):
+    # One table holds every codec an index entry or a device can name.
+    assert sorted(CODECS) == ["hw-gzip", "lz4", "zstd"]
+    for name in CODECS:
         assert get_codec(name).name == name
 
 

@@ -166,7 +166,7 @@ def test_estimating_selector_saves_cpu():
 
 
 def test_estimating_selector_decisions_round_trip():
-    from repro.compression.base import get_codec
+    from repro.compression.memo import get_codec
 
     selector = EstimatingSelector()
     for page in (bytes(16384), random.Random(2).randbytes(16384),

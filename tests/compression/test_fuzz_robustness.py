@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import CorruptionError
-from repro.compression.base import get_codec
+from repro.compression.memo import get_codec
 from benchmarks.ablation.dictionary import build_dictionary
 from repro.workloads.datagen import DATASETS, dataset_pages
 

@@ -3,7 +3,7 @@
 import random
 
 from repro.common.units import LBA_SIZE, align_up
-from repro.compression.base import get_codec
+from repro.compression.memo import get_codec
 from repro.compression.cost import codec_cost
 from repro.compression.selector import (
     DEFAULT_THRESHOLD_BYTES_PER_US,

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.common.units import DB_PAGE_SIZE, MiB
-from repro.engine import Engine
+from repro.engine.core import Engine
 from repro.storage.node import NodeConfig
 from repro.storage.store import PolarStore
 

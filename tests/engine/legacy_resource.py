@@ -1,7 +1,7 @@
 """The pre-engine analytic queue, kept as a differential reference.
 
 ``repro.common.clock`` used to define these two classes; every caller
-now uses :class:`repro.engine.Resource`, whose ``serve`` must keep
+now uses :class:`repro.engine.resources.Resource`, whose ``serve`` must keep
 reproducing this arithmetic exactly (``test_resources.py`` compares the
 two call for call).
 """

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import Engine, EngineError
+from repro.engine.core import Engine, EngineError
 
 
 def test_timeout_advances_clock():

@@ -3,7 +3,8 @@ analytic equivalence (S3), and obs wiring (S2)."""
 
 import pytest
 
-from repro.engine import Engine, EngineError, Queue, Resource, ResourcePool
+from repro.engine.core import Engine, EngineError
+from repro.engine.resources import Queue, Resource, ResourcePool
 from tests.engine.legacy_resource import Resource as LegacyResource
 from tests.engine.legacy_resource import ResourcePool as LegacyPool
 from repro.obs.metrics import MetricsRegistry

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.engine import Engine, WallClockBridge
+from repro.engine.bridge import WallClockBridge
+from repro.engine.core import Engine
 
 
 def _op(engine, work_us):

@@ -5,11 +5,10 @@ import zlib
 
 import pytest
 
+from repro.common.ops import OPS, OPS_BY_NAME
 from repro.net.protocol import (
     MAGIC,
     MAX_FRAME_BYTES,
-    OPS,
-    OPS_BY_NAME,
     FrameDecoder,
     FrameError,
     ProtocolError,

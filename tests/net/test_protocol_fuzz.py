@@ -31,10 +31,10 @@ from hypothesis import strategies as st
 from repro.api import PolarStore, ReproConfig, TransportError
 from repro.net import protocol
 from repro.net.client import SocketTransport
+from repro.common.ops import OPS
 from repro.net.protocol import (
     MAGIC,
     MAX_DEPTH,
-    OPS,
     VERSION,
     FrameDecoder,
     FrameError,

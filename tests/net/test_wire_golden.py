@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.net.protocol import OPS, FrameDecoder, decode_message
+from repro.common.ops import OPS
+from repro.net.protocol import FrameDecoder, decode_message
 from tests.net.wire_frames import SHARDED, SINGLE, capture
 
 GOLDEN = Path(__file__).parent / "golden" / "frames.json"

@@ -11,12 +11,12 @@ import pytest
 from repro.api.config import ReproConfig
 from repro.common.units import DB_PAGE_SIZE
 from repro.compression import memo
-from repro.compression.base import get_codec
 from repro.compression.gzipdev import HARDWARE_GZIP_LEVEL, HardwareGzip
 from repro.compression.memo import (
     MEMO_CAPACITY_BYTES,
     CodecMemoCache,
     content_key,
+    get_codec,
 )
 from repro.compression.selector import AlgorithmSelector
 from tests.perf.memo_swap import memo_capacity

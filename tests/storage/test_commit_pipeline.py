@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import ReplicationError
 from repro.common.units import MiB
-from repro.engine import Engine
+from repro.engine.core import Engine
 from repro.storage.node import NodeConfig
 from repro.storage.redo import RedoRecord
 from repro.storage.store import PolarStore

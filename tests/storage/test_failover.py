@@ -10,7 +10,7 @@ import pytest
 from repro.chaos.plan import FaultKind, FaultPlan, FaultRule
 from repro.common.errors import ReplicationError, ReproError
 from repro.common.units import DB_PAGE_SIZE, MiB
-from repro.engine import Engine
+from repro.engine.core import Engine
 from repro.obs.events import recording
 from repro.storage.node import NodeConfig
 from repro.storage.redo import RedoRecord, decode_records

@@ -1,25 +1,13 @@
-"""Top-level package API and miscellaneous integration seams."""
+"""Miscellaneous integration seams across the storage stack."""
 
-import random
-
-import pytest
-
-import repro
+from repro.storage.node import NodeConfig
+from repro.storage.store import PolarStore
+from repro.workloads.datagen import dataset_pages
 
 
-def test_lazy_public_exports():
-    assert repro.PolarStore.__name__ == "PolarStore"
-    assert repro.NodeConfig.__name__ == "NodeConfig"
-    assert repro.PolarDB.__name__ == "PolarDB"
-    assert callable(repro.run_sysbench)
-    assert "PolarCSD" in dir(repro)
-    with pytest.raises(AttributeError):
-        repro.NotAThing
-
-
-def test_quick_end_to_end_via_exports():
-    store = repro.PolarStore(repro.NodeConfig(), volume_bytes=32 * 2**20)
-    pages = repro.dataset_pages("wiki", 2, seed=0)
+def test_quick_end_to_end():
+    store = PolarStore(NodeConfig(), volume_bytes=32 * 2**20)
+    pages = dataset_pages("wiki", 2, seed=0)
     now = store.write_page(0.0, 1, pages[0]).commit_us
     assert store.read_page(now, 1).data == pages[0]
 
@@ -29,9 +17,9 @@ def test_algorithm_distribution_matches_index():
     from repro.storage.index import CompressionInfo
     from repro.storage.store import build_node
 
-    node = build_node("dist", repro.NodeConfig(), volume_bytes=64 * MiB)
+    node = build_node("dist", NodeConfig(), volume_bytes=64 * MiB)
     now = 0.0
-    for page_no, page in enumerate(repro.dataset_pages("finance", 10, seed=1)):
+    for page_no, page in enumerate(dataset_pages("finance", 10, seed=1)):
         now = node.write_page(now, page_no, page).done_us
     distribution = {}
     for _, entry in node.index.items():
@@ -57,7 +45,7 @@ def test_fault_injected_device_still_round_trips():
     plan = FaultPlan(seed=3)
     plan.add(FaultRule(FaultKind.SLOW_IO, probability=0.2))
     device.attach_chaos(plan.injector_for("csd"))
-    data = repro.dataset_pages("fnb", 1, seed=2)[0]
+    data = dataset_pages("fnb", 1, seed=2)[0]
     now = 0.0
     for i in range(50):
         now = device.write(now, (i % 8) * 4, data).done_us

@@ -40,7 +40,20 @@ string token, the constant holding it, or a CI step).  Metric dumps
 (``snapshot``, ``state``, ``metrics_digest``) iterate without naming,
 so they read nothing, and tests never count.
 
-All four guards are computed with ``ast`` alone — nothing is imported.
+Every name has one import path.  A package ``__init__`` holds only its
+docstring (the top-level one may also set ``__version__``), and every
+absolute ``from repro.<m> import <n>`` in ``src/repro``, ``tests/``,
+``benchmarks/`` and ``examples/`` names a module that defines ``<n>`` at
+its top level, or a submodule ``<n>`` of ``<m>``: a name one module
+imported is not imported from it again.  ``repro.api``, the client
+facade, is the one exception.
+
+Every ``self.<name>`` read under ``src/repro`` has a definition of
+``<name>`` there, by name: an attribute store, a def or class, a
+class-level name or a slot.  A deletion that misses one of its readers
+fails here, not at run time.
+
+The guards are computed with ``ast`` alone — nothing is imported.
 """
 
 import ast
@@ -158,7 +171,7 @@ def is_prose(node):
 
 def is_reexport(node, init):
     """An import, an ``__all__``, or any module-level assignment of an
-    ``__init__`` (``repro/__init__.py``'s lazy-export table)."""
+    ``__init__``."""
     if isinstance(node, (ast.Import, ast.ImportFrom)):
         return True
     return isinstance(node, ast.Assign) and (init or any(
@@ -1086,3 +1099,229 @@ def test_a_local_dict_display_passes_only_its_keys(tmp_path):
             "    return register", f"    {change}\n    return register"
         ))
         assert unpassed(package, roots) == set(), change
+
+
+#: The one package whose ``__init__`` re-exports: the client facade.
+#: ``api_manifest.json`` tracks what it exports, and ``from repro.api
+#: import PolarStore`` is the front door the examples and the e2e
+#: benchmark use.
+FACADE = "repro.api"
+
+
+def is_version(node):
+    """``__version__ = ...``, which the top-level package may keep."""
+    return isinstance(node, ast.Assign) and [
+        getattr(target, "id", None) for target in node.targets
+    ] == ["__version__"]
+
+
+def busy_inits(package_dir, facade=FACADE):
+    """Packages other than ``facade`` whose ``__init__`` holds anything
+    but its docstring (and, at the top, ``__version__``)."""
+    found = set()
+    for name, path in package_modules(package_dir).items():
+        if path.name != "__init__.py" or name == facade:
+            continue
+        for node in parse(path.read_text()).body:
+            if is_prose(node) or (name == package_dir.name and is_version(node)):
+                continue
+            found.add(name)
+    return found
+
+
+def top_level_bindings(path):
+    """Names ``path`` defines at module level: defs, classes and
+    assignment targets, inside top-level ``if``/``try``/``with``/``for``
+    blocks too.  An import binds nothing here: a name is imported from
+    the module that defines it."""
+    names = set()
+
+    def visit(body):
+        for node in body:
+            if isinstance(node, DEFS):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                names.update(
+                    name.id for target in targets for name in ast.walk(target)
+                    if isinstance(name, ast.Name)
+                )
+            elif isinstance(node, (ast.If, ast.Try, ast.With, ast.For)):
+                for block in ("body", "orelse", "finalbody"):
+                    visit(getattr(node, block, ()))
+                for handler in getattr(node, "handlers", ()):
+                    visit(handler.body)
+
+    visit(parse(path.read_text()).body)
+    return names
+
+
+def misdirected_imports(package_dir, files, facade=FACADE):
+    """``(path, line, "module.name")`` for every absolute ``from <m>
+    import <n>`` in ``files`` that reaches into the package at
+    ``package_dir`` and names neither a submodule of ``<m>`` nor a name
+    ``<m>`` defines.  ``facade`` is exempt."""
+    modules = package_modules(package_dir)
+    top = package_dir.name
+    bindings = {}
+    found = set()
+    for path in files:
+        for node in ast.walk(parse(path.read_text())):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 0):
+                continue
+            module = node.module
+            if module == facade or module.split(".")[0] != top:
+                continue
+            for alias in node.names:
+                if f"{module}.{alias.name}" in modules:
+                    continue
+                if module in modules:
+                    if module not in bindings:
+                        bindings[module] = top_level_bindings(modules[module])
+                    if alias.name in bindings[module]:
+                        continue
+                found.add((path, node.lineno, f"{module}.{alias.name}"))
+    return found
+
+
+def import_roots(repo=REPO):
+    """Every Python file of ``src/repro``, ``tests/``, ``benchmarks/`` and
+    ``examples/``."""
+    return [
+        path for top in ("src", "tests", "benchmarks", "examples")
+        for path in sorted((repo / top).rglob("*.py"))
+    ]
+
+
+def test_no_package_init_under_src_reexports():
+    busy = busy_inits(PACKAGE)
+    assert not busy, (
+        "an __init__ holds more than its docstring — import each name from "
+        "the module that defines it:\n" + "\n".join(sorted(busy))
+    )
+
+
+def test_every_name_is_imported_from_the_module_that_defines_it():
+    found = misdirected_imports(PACKAGE, import_roots())
+    assert not found, (
+        "imported from a module that does not define it — import it from "
+        "the one that does:\n" + "\n".join(
+            f"{path.relative_to(REPO)}:{line}: {name}"
+            for path, line, name in sorted(found)
+        )
+    )
+
+
+def test_an_init_holds_only_its_docstring(tmp_path):
+    package = tmp_path / "pkg"
+    inits = {
+        "": '"""Top."""\n__version__ = "1"\n',
+        "api": '"""Facade."""\nfrom pkg.api.client import Client\n',
+        "quiet": '"""Nothing else."""\n',
+        "loud": '"""Re-exports."""\nfrom pkg.loud.leaf import f\n',
+        "listed": '"""Lists."""\n__all__ = ["leaf"]\n',
+        "versioned": '"""Not the top."""\n__version__ = "1"\n',
+    }
+    for sub, text in inits.items():
+        (package / sub).mkdir(parents=True, exist_ok=True)
+        (package / sub / "__init__.py").write_text(text)
+    assert busy_inits(package, facade="pkg.api") == {
+        "pkg.loud", "pkg.listed", "pkg.versioned",
+    }
+
+
+def test_an_import_names_the_defining_module_or_a_submodule(tmp_path):
+    package, roots = build_symbols(
+        tmp_path,
+        "from pkg.other import g\n"
+        "def f():\n    return g()\n"
+        "X = 1\n"
+        "if X:\n    Y: int = 2\n"
+        "try:\n    Z = 3\nexcept ImportError:\n    W = 4\n",
+        root="import os\n"
+        "from os import path\n"
+        "from pkg.used import f, X, Y, Z, W\n"
+        "from pkg.used import g\n"
+        "from pkg import used, sub\n"
+        "from pkg.sub import leaf, thing\n"
+        "from pkg.api import Client\n"
+        "def h():\n    from pkg.used import os\n",
+    )
+    (package / "other.py").write_text("def g():\n    return 1\n")
+    (package / "sub").mkdir()
+    (package / "sub" / "__init__.py").write_text('"""Sub."""\n')
+    (package / "sub" / "leaf.py").write_text("V = 1\n")
+    found = misdirected_imports(package, roots, facade="pkg.api")
+    assert {name for _, _, name in found} == {
+        "pkg.used.g", "pkg.sub.thing", "pkg.used.os",
+    }
+    assert {line for _, line, _ in found} == {4, 6, 9}
+
+
+def undefined_attributes(package_dir):
+    """``(path, line, name)`` for every ``self.<name>`` read under
+    ``package_dir`` that nothing there defines, by name: an attribute
+    store or delete on any object, a def or class, a class-level name
+    (a dataclass field) or a ``__slots__`` entry.  Dunders are the
+    object model's."""
+    defined, reads = set(), []
+    for path in sorted(package_dir.rglob("*.py")):
+        for node in ast.walk(parse(path.read_text())):
+            if isinstance(node, DEFS):
+                defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    for target in getattr(stmt, "targets", None) or [
+                        getattr(stmt, "target", None)
+                    ]:
+                        if not isinstance(target, ast.Name):
+                            continue
+                        defined.add(target.id)
+                        if target.id == "__slots__":
+                            defined.update(
+                                slot.value for slot in ast.walk(stmt.value)
+                                if isinstance(slot, ast.Constant)
+                            )
+            elif isinstance(node, ast.Attribute):
+                if not isinstance(node.ctx, ast.Load):
+                    defined.add(node.attr)
+                elif isinstance(node.value, ast.Name) and node.value.id == "self":
+                    reads.append((path, node.lineno, node.attr))
+    return {
+        (path, line, name) for path, line, name in reads
+        if name not in defined
+        and not (name.startswith("__") and name.endswith("__"))
+    }
+
+
+def test_every_self_attribute_read_under_src_has_a_definition():
+    found = undefined_attributes(PACKAGE)
+    assert not found, (
+        "read through self but defined nowhere — a deletion left it "
+        "dangling:\n" + "\n".join(
+            f"{path.relative_to(REPO)}:{line}: self.{name}"
+            for path, line, name in sorted(found)
+        )
+    )
+
+
+def test_a_self_read_needs_a_store_def_class_name_or_slot(tmp_path):
+    package, _ = build_symbols(
+        tmp_path,
+        "import dataclasses\n\n"
+        "@dataclasses.dataclass\n"
+        "class Row:\n"
+        "    key: int\n"
+        "    def k(self):\n        return self.key\n\n"
+        "class Box:\n"
+        "    __slots__ = ('slot',)\n"
+        "    LIMIT = 3\n"
+        "    def __init__(self):\n        self.items = []\n"
+        "    def size(self):\n"
+        "        return len(self.items) + self.LIMIT + self.slot\n"
+        "    def grow(self):\n"
+        "        self.items.append(self.__class__)\n"
+        "        return self.size() + self._count + self.gone\n\n"
+        "def reset(box):\n    box._count = 0\n",
+    )
+    assert {name for _, _, name in undefined_attributes(package)} == {"gone"}

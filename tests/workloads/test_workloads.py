@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.common.units import DB_PAGE_SIZE, MiB
-from repro.compression.base import get_codec
+from repro.compression.memo import get_codec
 from repro.storage.node import NodeConfig
 from repro.db.database import PolarDB
 from repro.workloads.datagen import DATASETS, corpus, dataset_pages
