@@ -78,8 +78,6 @@ class InnoDBStore:
         self._locations: Dict[int, _PageLocation] = {}
         self._lba_cursor = 0
         self._free: Dict[int, List[int]] = {}  # n_blocks -> [lba]
-        self.compress_cpu_us = 0.0
-        self.decompress_cpu_us = 0.0
 
     # -- helpers ------------------------------------------------------------
 
@@ -117,7 +115,6 @@ class InnoDBStore:
         cost = codec_cost(CODEC)
         payload = codec.compress(data)
         cpu = cost.compress_us(len(data))
-        self.compress_cpu_us += cpu
         # Compression on the compute node, in line with the query.
         if self.compute is not None:
             now = self.compute.serve(start_us, cpu)
@@ -156,7 +153,6 @@ class InnoDBStore:
             cpu = codec_cost(CODEC).decompress_us(
                 location.n_blocks * LBA_SIZE
             )
-            self.decompress_cpu_us += cpu
             # Decompression on the compute node, in line with the query.
             if self.compute is not None:
                 now = self.compute.serve(now, cpu)

@@ -214,15 +214,16 @@ def run_fig15(
         config = NodeConfig(
             opt_per_page_log=per_page_log,
             opt_algorithm_selection=False,  # isolate Opt#3
-            redo_cache_bytes=8 * KiB,       # lagging RO => log cache pressure
+            # A small redo cache stands in for a lagging RO node, whose
+            # unparsed redo storage could not recycle: log cache pressure.
+            redo_cache_bytes=8 * KiB,
         )
         store = PolarStore(config, volume_bytes=128 * MiB, seed=9)
         # The RW node's working set stays cached (it never reads storage,
         # it only ships redo); the lagging RO node drives all storage reads.
         db = PolarDB(store=store, buffer_pool_pages=512, ro_nodes=0)
         db.ro.append(
-            RONode(store, db.rw, buffer_pool_pages=4, lag_us=1e6,
-                   cpu_cores=2)
+            RONode(store, db.rw, buffer_pool_pages=4, cpu_cores=2)
         )
         now = prepare_table(db, rows=rows, seed=9)
         out = {}

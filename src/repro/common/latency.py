@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 
 def percentile(samples: Sequence[float], pct: float) -> float:
@@ -29,9 +29,6 @@ class LatencyStats:
 
     def record(self, value_us: float) -> None:
         self.samples.append(value_us)
-
-    def extend(self, values: Iterable[float]) -> None:
-        self.samples.extend(values)
 
     @property
     def count(self) -> int:
@@ -58,8 +55,3 @@ class LatencyStats:
     @property
     def p99_us(self) -> float:
         return self.pct(99.0)
-
-    def merged(self, other: "LatencyStats") -> "LatencyStats":
-        out = LatencyStats()
-        out.samples = self.samples + other.samples
-        return out

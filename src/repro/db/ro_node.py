@@ -1,10 +1,10 @@
 """Read-only compute nodes.
 
 An RO node serves queries from its own buffer pool and fetches missing
-pages from shared storage based on its local parsing progress LSN\\ :sub:`i`
-(§2.1).  Storage tracks the minimum LSN across RO nodes and may only
-recycle redo below it — so a lagging RO node keeps redo alive at the
-storage layer, building up log-cache pressure (the Figure 15 scenario).
+pages from shared storage (§2.1).  The model keeps no parsing-progress
+LSN per RO node: the log-cache pressure a lagging RO node causes in the
+paper's Figure 15 scenario is set on the storage side, as a small
+``NodeConfig.redo_cache_bytes`` that spills redo out of the cache.
 """
 
 from __future__ import annotations
@@ -24,15 +24,11 @@ class RONode:
         store,
         rw_node: RWNode,
         buffer_pool_pages: int = 256,
-        lag_us: float = 0.0,
         cpu_cores: int = 8,
     ) -> None:
         self.store = store
         self.rw = rw_node
         self.pool = BufferPool(buffer_pool_pages, store)
-        #: How far this node's redo parsing trails the RW node.  A large
-        #: lag prevents the storage layer from recycling redo (Fig 15).
-        self.lag_us = lag_us
         #: Query execution contends for the node's cores; at high thread
         #: counts this queue, not the storage I/O, bounds throughput (the
         #: Figure 15 crossover beyond 128 threads).

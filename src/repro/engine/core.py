@@ -13,10 +13,10 @@ once.
 * an event heap keyed on ``(time_us, seq)`` — the monotonically increasing
   ``seq`` makes simultaneous events fire in schedule order, so every run
   over the same inputs replays identically;
-* generator-based :class:`Process`\\ es that ``yield`` commands (timeouts,
-  events, other processes, resource requests) and are resumed by the
+* generator-based :class:`Process`\\ es that ``yield`` commands (timeouts
+  and events; a resource request is an event) and are resumed by the
   kernel when the thing they wait for happens;
-* :class:`Event` as the one synchronization primitive (processes join on
+* :class:`Event` as the one synchronization primitive (processes wait on
   it; resources and pipelines fire it).
 
 Time never moves backwards: scheduling into the past clamps to *now*.
@@ -113,12 +113,12 @@ class Event:
 class Process:
     """One concurrent activity, driven by a generator.
 
-    The generator yields :class:`Timeout`, :class:`SleepUntil`,
-    :class:`Event`, another :class:`Process` (join), or a resource request
-    (see :mod:`repro.engine.resources`); its ``return`` value becomes
-    :attr:`value` and is delivered to joiners.  An uncaught exception is
-    delivered to joiners, or surfaces from the engine's run loop if nobody
-    joined — a silent dead process would corrupt the simulation.
+    The generator yields :class:`Timeout`, :class:`SleepUntil` or
+    :class:`Event` (a resource request yields its grant event, see
+    :mod:`repro.engine.resources`); anything else fails the process with
+    :class:`EngineError`.  Its ``return`` value becomes :attr:`value`.  An
+    uncaught exception surfaces from the engine's run loop — a silent
+    dead process would corrupt the simulation.
     """
 
     def __init__(self, engine: "Engine", gen: Generator, name: str = "") -> None:
@@ -126,50 +126,18 @@ class Process:
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         self.done = False
-        self.cancelled = False
         self.value: Any = None
         self.error: Optional[BaseException] = None
-        self._joiners: List["Process"] = []
-        self._error_delivered = False
-
-    def cancel(self) -> None:
-        """Stop a (typically daemon) process; it never resumes."""
-        self.cancelled = True
-        self.done = True
-        self.gen.close()
 
     def _finish(self, value: Any = None, error: Optional[BaseException] = None) -> None:
         self.done = True
         self.value = value
         self.error = error
-        engine = self.engine
         if error is not None:
-            if self._joiners:
-                self._error_delivered = True
-                for proc in self._joiners:
-                    engine.schedule(engine.now_us, proc._step, None, error)
-            else:
-                engine._dead.append(self)
-        else:
-            for proc in self._joiners:
-                engine.schedule(engine.now_us, proc._step, value)
-        self._joiners.clear()
-
-    def _add_joiner(self, proc: "Process") -> None:
-        engine = self.engine
-        if self.done:
-            if self.error is not None:
-                self._error_delivered = True
-                if self in engine._dead:
-                    engine._dead.remove(self)
-                engine.schedule(engine.now_us, proc._step, None, self.error)
-            else:
-                engine.schedule(engine.now_us, proc._step, self.value)
-        else:
-            self._joiners.append(proc)
+            self.engine._dead.append(self)
 
     def _step(self, value: Any = None, error: Optional[BaseException] = None) -> None:
-        if self.done or self.cancelled:
+        if self.done:
             return
         try:
             if error is not None:
@@ -179,7 +147,7 @@ class Process:
         except StopIteration as stop:
             self._finish(getattr(stop, "value", None))
             return
-        except BaseException as exc:  # noqa: BLE001 - delivered to joiners
+        except BaseException as exc:  # noqa: BLE001 - surfaced by the run loop
             self._finish(error=exc)
             return
         engine = self.engine
@@ -189,8 +157,6 @@ class Process:
             engine.schedule(cmd.when_us, self._step)
         elif isinstance(cmd, Event):
             cmd._add_waiter(self)
-        elif isinstance(cmd, Process):
-            cmd._add_joiner(self)
         else:
             self._finish(error=EngineError(
                 f"process {self.name!r} yielded unsupported {cmd!r}"
@@ -208,8 +174,8 @@ class Engine:
         self._now_us = float(start_us)
         self._heap: List[Tuple[float, int, Callable, tuple]] = []
         self._seq = 0
-        #: Processes that died with an exception nobody joined; surfaced
-        #: by the run loops so failures cannot pass silently.
+        #: Processes that died with an exception; surfaced by the run
+        #: loops so failures cannot pass silently.
         self._dead: List[Process] = []
 
     # -- time ------------------------------------------------------------
@@ -263,13 +229,8 @@ class Engine:
         fn(*args)
 
     def _raise_dead(self) -> None:
-        for proc in self._dead:
-            if not proc._error_delivered:
-                proc._error_delivered = True
-                self._dead = [
-                    p for p in self._dead if p is not proc
-                ]
-                raise proc.error
+        if self._dead:
+            raise self._dead.pop(0).error
 
     def run_until_idle(self, limit_us: Optional[float] = None) -> float:
         """Drain the heap (optionally stopping once *now* passes
@@ -300,8 +261,8 @@ class Engine:
             self._dispatch_one()
             self._raise_dead()
         for proc in procs:
-            if proc.error is not None and not proc._error_delivered:
-                proc._error_delivered = True
+            if proc in self._dead:
+                self._dead.remove(proc)
                 raise proc.error
         return self._now_us
 

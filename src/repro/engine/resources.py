@@ -5,9 +5,9 @@ styles over one shared state**:
 
 * the **engine-native** style — a process yields through
   :meth:`Resource.process`; it really waits in the FIFO list, is granted a
-  server by an event, and occupies it for its service time.  Queue waits,
-  depths, and utilization are measured, and batching/saturation effects
-  emerge from genuine interleaving;
+  server by an event, and occupies it for its service time.  Queue waits
+  are measured, and batching/saturation effects emerge from genuine
+  interleaving;
 * the **analytic adapter** — :meth:`Resource.serve` is the pre-engine
   ``max(start, busy_until) + service`` arithmetic, pinned call for call
   against ``tests/engine/legacy_resource.py``.  It updates the *same*
@@ -28,26 +28,18 @@ saturation shows up in ``python -m repro metrics``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, List, Optional, Tuple
 
 from repro.engine.core import Engine, EngineError, Event
 
 
-@dataclass(frozen=True)
-class _ServerView:
-    """Read-only view of one server (legacy ``pool.servers`` shape)."""
-
-    name: str
-    busy_until_us: float
-
-
 class Resource:
     """``k`` identical servers fronted by one FIFO wait list.
 
-    ``servers`` models internal parallelism — NAND channels, CPU cores,
-    replica streams; it is the resource's *queue depth*: at most that many
-    requests are in service, the rest wait in arrival order.
+    The ``servers`` argument models internal parallelism — NAND channels,
+    CPU cores, replica streams: at most that many requests are in
+    service, the rest wait in arrival order.  ``_free_at`` holds when
+    each server next frees; a request takes the first earliest-free one.
     """
 
     def __init__(self, name: str = "resource", servers: int = 1) -> None:
@@ -59,10 +51,6 @@ class Resource:
         # FIFO wait list: (grant event, arrival time, service time).
         self._waiters: Deque[Tuple[Event, float, float]] = deque()
         self._redispatch_at: Optional[float] = None
-        self.total_busy_us = 0.0
-        self.total_wait_us = 0.0
-        self.completed = 0
-        self.waited = 0
         self._wait_hist = None
 
     # -- construction helpers ---------------------------------------------
@@ -76,33 +64,6 @@ class Resource:
         labels.setdefault("resource", self.name)
         self._wait_hist = registry.histogram(
             "engine.resource.queue_wait_us", **labels
-        )
-
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def servers(self) -> List[_ServerView]:
-        return [
-            _ServerView(f"{self.name}[{i}]", t)
-            for i, t in enumerate(self._free_at)
-        ]
-
-    @property
-    def queue_depth(self) -> int:
-        """Requests currently waiting (not yet in service)."""
-        return len(self._waiters)
-
-    @property
-    def busy_until_us(self) -> float:
-        """When the last queued work drains."""
-        return max(self._free_at)
-
-    def utilization(self, elapsed_us: float) -> float:
-        """Fraction of ``servers * elapsed_us`` spent busy."""
-        if elapsed_us <= 0:
-            return 0.0
-        return min(
-            1.0, self.total_busy_us / (elapsed_us * len(self._free_at))
         )
 
     # -- analytic adapter --------------------------------------------------
@@ -123,15 +84,10 @@ class Resource:
         begin = max(start_us, free)
         end = begin + service_us
         self._free_at[idx] = end
-        self._account(begin - start_us, service_us)
+        self._account(begin - start_us)
         return end
 
-    def _account(self, wait_us: float, service_us: float) -> None:
-        self.total_busy_us += service_us
-        self.completed += 1
-        if wait_us > 0:
-            self.total_wait_us += wait_us
-            self.waited += 1
+    def _account(self, wait_us: float) -> None:
         if self._wait_hist is not None:
             self._wait_hist.record(max(wait_us, 0.0))
 
@@ -174,7 +130,7 @@ class Resource:
             grant, arrive, service_us = self._waiters.popleft()
             # The first earliest-free server takes it.
             self._free_at[self._free_at.index(free)] = now + service_us
-            self._account(now - arrive, service_us)
+            self._account(now - arrive)
             grant.succeed(now)
 
     def _redispatch(self) -> None:
@@ -185,7 +141,7 @@ class Resource:
         return (
             f"Resource({self.name!r}, servers={len(self._free_at)}, "
             f"waiting={len(self._waiters)}, "
-            f"busy_until={self.busy_until_us:.1f})"
+            f"busy_until={max(self._free_at):.1f})"
         )
 
 
@@ -202,9 +158,9 @@ class Queue:
     """Unbounded FIFO item queue between processes.
 
     Producers :meth:`put` synchronously; consumers yield :meth:`get` and
-    wake in arrival order as items land.  This is the primitive behind
-    batching stages (group commit drains whatever arrived while the
-    previous flush was in flight).
+    wake in arrival order as items land.  A chunk migration takes one of
+    a fixed set of stream tokens from a queue and puts it back when done
+    (:mod:`repro.cluster.runtime`).
     """
 
     def __init__(self, engine: Engine, name: str = "queue") -> None:
@@ -212,19 +168,12 @@ class Queue:
         self.name = name
         self._items: Deque = deque()
         self._getters: Deque[Event] = deque()
-        self.total_put = 0
-        self.max_depth = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
 
     def put(self, item) -> None:
-        self.total_put += 1
         if self._getters:
             self._getters.popleft().succeed(item)
             return
         self._items.append(item)
-        self.max_depth = max(self.max_depth, len(self._items))
 
     def get(self) -> Event:
         """Yieldable: resolves with the next item (FIFO both ways)."""
@@ -234,9 +183,3 @@ class Queue:
         else:
             self._getters.append(ev)
         return ev
-
-    def drain(self) -> List:
-        """Synchronously take everything currently queued."""
-        items = list(self._items)
-        self._items.clear()
-        return items

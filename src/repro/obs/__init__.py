@@ -7,9 +7,11 @@ package gives every subsystem one way to record those facts:
 
 ``repro.obs.metrics``
     :class:`MetricsRegistry` with :class:`Counter`, :class:`Gauge`, and a
-    fixed-memory log-bucketed :class:`Histogram` (mergeable, p50/p95/p99),
-    all keyed by name + labels, plus the list-compatible
-    :class:`BoundedSeries` that bounds memory on long runs.
+    fixed-memory log-bucketed :class:`Histogram` (p50/p95/p99), all keyed
+    by name + labels, plus the list-compatible :class:`BoundedSeries`
+    that bounds memory on long runs.  ``state()`` captures the registry
+    as records and ``merge_states`` folds captures from several
+    processes.
 
 ``repro.obs.tracing``
     An I/O :class:`Tracer` that threads a span context through one

@@ -131,17 +131,7 @@ class FlightRecorder:
         self._ring.append(RecordedEvent(float(t_us), channel, kind, fields))
         self.emitted[channel] = self.emitted.get(channel, 0) + 1
 
-    def clear(self) -> None:
-        self._ring.clear()
-        self.emitted.clear()
-        self.sampled_out.clear()
-        self.dropped.clear()
-        self._seen.clear()
-
     # -- query -------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._ring)
 
     @property
     def total_emitted(self) -> int:
@@ -259,19 +249,11 @@ def parse_sample_spec(spec: str) -> Dict[str, int]:
     return out
 
 
-def emit(t_us: float, channel: str, kind: str, /, **fields) -> None:
-    """Convenience: emit into the active recorder (no-op when off)."""
-    rec = _active
-    if rec is not None:
-        rec.emit(t_us, channel, kind, **fields)
-
-
 __all__ = [
     "CHANNELS",
     "FlightRecorder",
     "RecordedEvent",
     "activate",
-    "emit",
     "parse_sample_spec",
     "recording",
     "recorder_active",

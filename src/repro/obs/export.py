@@ -4,9 +4,9 @@ The Prometheus exporter follows the text exposition format: metric names
 are sanitized (dots become underscores), label values are escaped
 (backslash, double-quote, newline — the three characters the format
 requires), every family gets ``# HELP`` and ``# TYPE`` exactly once,
-histograms emit cumulative ``_bucket{le=...}`` lines ending in ``+Inf``
-plus ``_sum``/``_count``, and callback gauges are evaluated at export
-time.
+and histograms emit cumulative ``_bucket{le=...}`` lines ending in
+``+Inf`` plus ``_sum``/``_count``.  Every value is the instrument's
+stored one: there are no callback gauges.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ Design constraints, in order:
   seed's unbounded ``List[float]`` stats (``StorageNode.page_write_stats``
   and friends) grew without limit.  :class:`Histogram` uses log-spaced
   buckets so percentile queries cost O(buckets), never O(samples).
-* **Mergeable.**  Replicas and shards each keep their own instruments;
-  cluster-level views merge histograms without touching raw samples.
+* **Mergeable.**  Replicas and processes each keep their own
+  instruments; :meth:`MetricsRegistry.merge_states` folds their
+  :meth:`MetricsRegistry.state` captures without touching raw samples.
 * **Label-keyed.**  One metric name covers many instances
   (``csd.device.write_us{node="node-0", device="PolarCSD2.0"}``), exactly
   like Prometheus, so exporters need no special cases.
@@ -25,14 +26,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
-#: Cap on distinct label-sets per metric family.  High enough that every
-#: in-repo scenario stays far below it; cluster-scale runs with runaway
-#: per-key labels overflow into ``__other__`` instead of growing the
-#: registry without bound.
-MAX_LABEL_SETS = 256
-
-#: Label value marking the shared overflow bucket of a capped family.
-OVERFLOW_BUCKET = "__other__"
+#: Upper end of every histogram's bucket range; larger values share the
+#: last bucket.
+MAX_VALUE = 1e12
 
 
 def _label_key(labels: Dict[str, object]) -> LabelKey:
@@ -129,16 +125,15 @@ class Histogram(Instrument):
     kind = "histogram"
 
     def __init__(self, name: str, labels=None, growth: float = 1.04,
-                 min_value: float = 1e-3, max_value: float = 1e12):
+                 min_value: float = 1e-3):
         super().__init__(name, labels)
         if growth <= 1.0:
             raise ValueError(f"growth factor must exceed 1, got {growth}")
         self.growth = growth
         self.min_value = min_value
-        self.max_value = max_value
         self._log_growth = math.log(growth)
         self._max_bucket = (
-            int(math.log(max_value / min_value) / self._log_growth) + 1
+            int(math.log(MAX_VALUE / min_value) / self._log_growth) + 1
         )
         self._counts: Dict[int, int] = {}
         self._count = 0
@@ -160,10 +155,6 @@ class Histogram(Instrument):
             self._min = value
         if value > self._max:
             self._max = value
-
-    def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.record(value)
 
     def _bucket(self, value: float) -> int:
         if value <= self.min_value:
@@ -232,55 +223,6 @@ class Histogram(Instrument):
     @property
     def p99(self) -> float:
         return self.percentile(99.0)
-
-    # -- merge -------------------------------------------------------------
-
-    def _compatible(self, other: "Histogram") -> bool:
-        return (
-            self.growth == other.growth
-            and self.min_value == other.min_value
-            and self.max_value == other.max_value
-        )
-
-    def merged(self, other: "Histogram") -> "Histogram":
-        """A new histogram holding both distributions (associative,
-        commutative): ``a.merged(b)`` and ``b.merged(a)`` export the same
-        bytes.  Bucket keys are folded in sorted order so the result's
-        count-dict iteration order never depends on which side recorded
-        first, and the sums are combined with :func:`math.fsum` (exactly
-        rounded) so float accumulation order cannot leak into exports.
-        """
-        return Histogram.merged_many([self, other])
-
-    @staticmethod
-    def merged_many(parts: Iterable["Histogram"]) -> "Histogram":
-        """Merge any number of compatible histograms, order-independently.
-
-        Parallel snapshot merges fold one histogram per worker; the fold
-        order (worker id, arrival order, ...) must never change the merged
-        bytes.  Counts are summed per sorted bucket key and the value sums
-        combined with ``math.fsum``, which returns the correctly rounded
-        float sum regardless of permutation.
-        """
-        parts = list(parts)
-        if not parts:
-            raise ValueError("merged_many needs at least one histogram")
-        first = parts[0]
-        for other in parts[1:]:
-            if not first._compatible(other):
-                raise ValueError(
-                    f"cannot merge {first.name}: bucket layouts differ"
-                )
-        out = Histogram(first.name, first.labels, first.growth,
-                        first.min_value, first.max_value)
-        keys = sorted({idx for part in parts for idx in part._counts})
-        for idx in keys:
-            out._counts[idx] = sum(p._counts.get(idx, 0) for p in parts)
-        out._count = sum(p._count for p in parts)
-        out._sum = math.fsum(p._sum for p in parts)
-        out._min = min(p._min for p in parts)
-        out._max = max(p._max for p in parts)
-        return out
 
     def reset(self) -> None:
         self._counts.clear()
@@ -357,8 +299,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: Dict[Tuple[str, LabelKey], Instrument] = {}
-        #: Cardinality guard: admitted label-sets per metric name.
-        self._label_sets: Dict[str, int] = {}
         # Imported lazily to avoid a module cycle (tracing records spans
         # back into this registry's histograms).
         from repro.obs.tracing import Tracer
@@ -367,59 +307,32 @@ class MetricsRegistry:
 
     # -- get-or-create -----------------------------------------------------
 
-    def _admit(self, name: str, labels: Dict) -> Tuple[Dict, bool]:
-        """Cardinality guard: decide where a *new* label-set lands.
-
-        Families below the cap admit the label-set as-is.  At the cap,
-        the lookup is routed to the family's shared ``__other__`` bucket
-        and ``obs.label_overflow{metric=...}`` counts the routed lookup,
-        so saturation is visible instead of silent.
-        """
-        if self._label_sets.get(name, 0) < MAX_LABEL_SETS:
-            self._label_sets[name] = self._label_sets.get(name, 0) + 1
-            return labels, False
-        self._bump_overflow(name)
-        return {"overflow": OVERFLOW_BUCKET}, True
-
-    def _bump_overflow(self, name: str) -> None:
-        # Created directly (not via counter()) so the overflow counter
-        # itself can never recurse through the admission check.
-        key = ("obs.label_overflow", (("metric", name),))
-        counter = self._instruments.get(key)
-        if counter is None:
-            counter = Counter("obs.label_overflow", {"metric": name})
-            self._instruments[key] = counter
-        counter.inc()
-
-    def _get_or_create(self, cls, name: str, labels: Dict, **kwargs):
-        key = (name, _label_key(labels))
-        instrument = self._instruments.get(key)
-        if instrument is None:
-            labels, routed = self._admit(name, labels)
-            if routed:
-                key = (name, _label_key(labels))
-                instrument = self._instruments.get(key)
-            if instrument is None:
-                instrument = cls(name, labels, **kwargs)
-                self._instruments[key] = instrument
-        if not isinstance(instrument, cls):
+    def _lookup(self, cls, name: str, labels: Dict) -> Optional[Instrument]:
+        instrument = self._instruments.get((name, _label_key(labels)))
+        if instrument is not None and not isinstance(instrument, cls):
             raise ValueError(
                 f"{name}{dict(labels)} already registered as "
                 f"{type(instrument).__name__}"
             )
         return instrument
 
+    def _add(self, instrument: Instrument) -> Instrument:
+        key = (instrument.name, _label_key(instrument.labels))
+        self._instruments[key] = instrument
+        return instrument
+
     def counter(self, name: str, **labels) -> Counter:
-        return self._get_or_create(Counter, name, labels)
+        return (self._lookup(Counter, name, labels)
+                or self._add(Counter(name, labels)))
 
     def gauge(self, name: str, **labels) -> Gauge:
-        return self._get_or_create(Gauge, name, labels)
+        return (self._lookup(Gauge, name, labels)
+                or self._add(Gauge(name, labels)))
 
     def histogram(self, name: str, growth: float = 1.04,
                   min_value: float = 1e-3, **labels) -> Histogram:
-        return self._get_or_create(
-            Histogram, name, labels, growth=growth, min_value=min_value
-        )
+        return (self._lookup(Histogram, name, labels)
+                or self._add(Histogram(name, labels, growth, min_value)))
 
     def series(self, name: str, **labels) -> BoundedSeries:
         """A histogram-backed replacement for a raw stats list."""
@@ -475,7 +388,6 @@ class MetricsRegistry:
                 rec.update(
                     growth=inst.growth,
                     min_value=inst.min_value,
-                    max_value=inst.max_value,
                     counts={int(k): int(v) for k, v in inst._counts.items()},
                     count=inst._count,
                     sum=inst._sum,

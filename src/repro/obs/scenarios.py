@@ -4,6 +4,9 @@
 on one replicated volume), ``chaos`` (the seeded fault-injection
 schedule) and ``cluster`` (skewed ingest plus live migration, the
 Fig 10/11 shape).  A row holds a default seed and one seeded program.
+A run's violations include a span its volume's tracer left open
+(``sysbench`` and ``chaos``; ``cluster``'s volumes live inside
+``run_fig10_11``).
 The program folds everything it produced (transaction counts, simulated
 latencies, page bytes read back, the chaos report, the experiment table,
 and the full metrics snapshot) into one SHA-256 and returns a
@@ -40,6 +43,16 @@ def metrics_digest(registry) -> str:
     instruments = [inst.describe() for inst in registry.instruments()]
     blob = json.dumps(instruments, sort_keys=True, default=repr)
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _open_span(registry) -> List[str]:
+    """A violation when ``registry``'s tracer still holds an open span at
+    the end of a run: a leaked span makes every later request a child of
+    it, so their time is attributed to the wrong trace."""
+    tracer = registry.tracer
+    if not tracer.active:
+        return []
+    return [f"span {tracer.current.name!r} still open at the end of the run"]
 
 
 def _sysbench(seed: int) -> ScenarioRun:
@@ -89,6 +102,7 @@ def _sysbench(seed: int) -> ScenarioRun:
     ratio = db.compression_ratio()
     if ratio < 1.0:
         violations.append(f"compression ratio {ratio} < 1")
+    violations += _open_span(store.metrics)
     # Pages moved through the store: committed writes + served reads.
     pages = sum(
         hist.count
@@ -110,8 +124,8 @@ def _chaos(seed: int) -> ScenarioRun:
     digest = hashlib.sha256(report.render().encode())
     digest.update(metrics_digest(report.metrics).encode())
     return ScenarioRun(
-        list(report.violations), digest.hexdigest(),
-        report.writes + report.reads, 0.0,
+        list(report.violations) + _open_span(report.metrics),
+        digest.hexdigest(), report.writes + report.reads, 0.0,
     )
 
 

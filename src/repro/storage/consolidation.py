@@ -181,7 +181,6 @@ class _RunBasedPolicy:
         self.fetches = 0
         self.fetch_reads = 0
         self.compactions = 0
-        self.compaction_read_bytes = 0
         self.compaction_write_bytes = 0
 
     # -- run I/O -------------------------------------------------------------
@@ -331,7 +330,6 @@ class _RunBasedPolicy:
             for lba, span in run.blocks:
                 completion = self._device.read(now, lba, span * LBA_SIZE)
                 now = completion.done_us
-                self.compaction_read_bytes += span * LBA_SIZE
             for records in run.records_by_page.values():
                 live.extend(records)
         for run in sources:

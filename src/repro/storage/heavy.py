@@ -58,7 +58,6 @@ class HeavySegmentStore:
         self._next_id = 1
         # Decompressed-segment buffer for sequential access (§3.2.3).
         self._buffer: LRUCache = LRUCache(4 * DB_PAGE_SIZE)
-        self.buffer_hits = 0
 
     # -- write ----------------------------------------------------------------
 
@@ -125,7 +124,6 @@ class HeavySegmentStore:
     ) -> Tuple[bytes, float, float]:
         cached = self._buffer.get(segment_id)
         if cached is not None:
-            self.buffer_hits += 1
             return cached, start_us, 0.0
         meta = self._segments.get(segment_id)
         if meta is None:

@@ -58,7 +58,6 @@ class WriteAheadLog:
     def __init__(self) -> None:
         self._records: List[bytes] = []
         self._next_lsn = 1
-        self.appended_bytes = 0
 
     # -- append ----------------------------------------------------------------
 
@@ -67,7 +66,6 @@ class WriteAheadLog:
         record = WALRecord(self._next_lsn, record_type, payload)
         encoded = record.encode()
         self._records.append(encoded)
-        self.appended_bytes += len(encoded)
         self._next_lsn += 1
         return record.lsn
 

@@ -83,12 +83,17 @@ def test_lsm_compaction_triggers_and_amplifies_writes():
 
 
 def test_lsm_compaction_charges_compute_resource():
+    """Flush and compaction codec work runs on the compute resource: with
+    its one core booked far ahead, the puts finish only after it frees."""
+    booked_us = 1e9
     compute = Resource("compute")
+    compute.serve(0.0, booked_us)
     lsm = LSMTree(make_device(), compute, memtable_bytes=4 * KiB)
     now = 0.0
     for key in range(400):
         now = lsm.put(now, key, value_for(key))
-    assert compute.total_busy_us > 0
+    assert lsm.stats.compactions > 0
+    assert now > booked_us
 
 
 def test_lsm_compresses_data():
@@ -163,11 +168,18 @@ def test_innodb_page_compression_allows_any_block_count():
 
 
 def test_innodb_compression_costs_compute_cpu():
-    store = InnoDBStore()
-    store.write_page(0.0, 1, _db_page(3))
-    store.read_page(1e3, 1)
-    assert store.compress_cpu_us > 0
-    assert store.decompress_cpu_us > 0
+    """Compression and decompression run on the compute node's cores:
+    with them booked ahead, a page write and its read-back each finish
+    after the booking ends, by their codec time."""
+    booked_us = 1e6
+    compute = Resource("compute")
+    store = InnoDBStore(compute=compute)
+    compute.serve(0.0, booked_us)
+    written_us = store.write_page(0.0, 1, _db_page(3)).done_us
+    assert written_us > booked_us
+    assert store._locations[1].compressed
+    compute.serve(written_us, booked_us)
+    assert store.read_page(written_us, 1).done_us > written_us + booked_us
 
 
 def test_innodb_block_granularity_wastes_space_vs_polarstore():

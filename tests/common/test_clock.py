@@ -36,11 +36,11 @@ def test_resource_queues_back_to_back_requests():
 
 
 def test_resource_idle_gap_not_counted_busy():
+    """A request arriving after an idle gap starts at its arrival: the
+    gap is not booked as service."""
     res = Resource("disk")
-    res.serve(0.0, 5.0)
-    res.serve(100.0, 5.0)
-    assert res.total_busy_us == 10.0
-    assert res.utilization(elapsed_us=105.0) == pytest.approx(10.0 / 105.0)
+    assert res.serve(0.0, 5.0) == 5.0
+    assert res.serve(100.0, 5.0) == 105.0
 
 
 def test_resource_rejects_negative_service():

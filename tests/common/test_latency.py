@@ -22,18 +22,11 @@ def test_percentile_rejects_empty_and_bad_pct():
 
 def test_stats_summaries():
     stats = LatencyStats()
-    stats.extend(float(i) for i in range(1, 101))
+    for i in range(1, 101):
+        stats.record(float(i))
     assert stats.count == 100
     assert stats.mean_us == pytest.approx(50.5)
     assert stats.pct(50.0) == 50.0
     assert stats.p95_us == 95.0
     assert stats.p99_us == 99.0
 
-
-def test_stats_merge_does_not_mutate():
-    a = LatencyStats([1.0])
-    b = LatencyStats([2.0])
-    merged = a.merged(b)
-    assert merged.samples == [1.0, 2.0]
-    assert a.samples == [1.0]
-    assert b.samples == [2.0]

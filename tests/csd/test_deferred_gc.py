@@ -6,6 +6,7 @@ import pytest
 
 from repro.common.units import DB_PAGE_SIZE, MiB
 from repro.engine.core import Engine
+from repro.obs.events import recording
 from repro.storage.node import NodeConfig
 from repro.storage.store import PolarStore
 
@@ -27,25 +28,32 @@ def test_deferred_gc_drain_starts_and_ends_itself():
     a test-started daemon ever charged.  Now the write that banks into
     an idle device starts the drain, the drain ends with the bank empty
     (so run-to-idle returns), and every banked microsecond is served by
-    the data device."""
+    the data device: the drain's ``gc`` events add up to the bank."""
     from repro.api import PolarStore as Facade
 
-    client = Facade.open(
-        engine={"enabled": True, "defer_gc": True},
-        store={"volume_bytes": 16 * MiB, "physical_bytes": 4 * MiB},
-    )
-    rng = random.Random(1)
-    for _ in range(260):  # overwrites at ~45% live data: GC must relocate
-        client.write_page(rng.randrange(120), rng.randbytes(DB_PAGE_SIZE))
-    devices = [node.data_device for node in client.store.nodes]
-    banked = [device._pending_gc_us for device in devices]
-    busy = [device.queue.total_busy_us for device in devices]
-    assert all(us > 0.0 for us in banked)
-    assert all(device._gc_draining for device in devices)
-    client.engine.run_until_idle()  # no limit: the drains must finish
-    for device, banked_us, busy_us in zip(devices, banked, busy):
+    with recording() as rec:
+        client = Facade.open(
+            engine={"enabled": True, "defer_gc": True},
+            store={"volume_bytes": 16 * MiB, "physical_bytes": 4 * MiB},
+        )
+        rng = random.Random(1)
+        for _ in range(260):  # overwrites at ~45% live data: GC must relocate
+            client.write_page(rng.randrange(120), rng.randbytes(DB_PAGE_SIZE))
+        devices = [node.data_device for node in client.store.nodes]
+        banked = [device._pending_gc_us for device in devices]
+        assert all(us > 0.0 for us in banked)
+        assert all(device._gc_draining for device in devices)
+        seen = len(rec.events(channel="gc"))
+        client.engine.run_until_idle()  # no limit: the drains must finish
+        drained = {}
+        for event in rec.events(channel="gc")[seen:]:
+            if event.kind == "deferred_drain":
+                key = (event.fields["node"], event.fields["device"])
+                drained[key] = drained.get(key, 0.0) + event.fields["burst_us"]
+    for device, banked_us in zip(devices, banked):
         assert device._pending_gc_us == 0.0 and not device._gc_draining
-        assert device.queue.total_busy_us == pytest.approx(busy_us + banked_us)
+        key = (device.metric_labels["node"], device.spec.name)
+        assert drained[key] == pytest.approx(banked_us, abs=1e-2)
     # A later deposit starts a fresh drain.
     while devices[0]._pending_gc_us == 0.0:
         client.write_page(rng.randrange(120), rng.randbytes(DB_PAGE_SIZE))

@@ -22,8 +22,6 @@ class Resource:
     def __init__(self, name: str = "resource") -> None:
         self.name = name
         self._busy_until_us = 0.0
-        self.total_busy_us = 0.0
-        self.completed = 0
 
     @property
     def busy_until_us(self) -> float:
@@ -36,15 +34,7 @@ class Resource:
         begin = max(start_us, self._busy_until_us)
         end = begin + service_us
         self._busy_until_us = end
-        self.total_busy_us += service_us
-        self.completed += 1
         return end
-
-    def utilization(self, elapsed_us: float) -> float:
-        """Fraction of ``elapsed_us`` this resource spent busy."""
-        if elapsed_us <= 0:
-            return 0.0
-        return min(1.0, self.total_busy_us / elapsed_us)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Resource({self.name!r}, busy_until={self._busy_until_us:.1f})"

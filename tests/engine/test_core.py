@@ -140,53 +140,6 @@ def test_waiting_on_already_fired_event_resumes_immediately():
     assert eng.run(waiter()) == 99
 
 
-def test_join_process_returns_its_value():
-    eng = Engine()
-
-    def child():
-        yield eng.timeout(25.0)
-        return "child-result"
-
-    def parent():
-        result = yield eng.spawn(child())
-        return result, eng.now_us
-
-    assert eng.run(parent()) == ("child-result", 25.0)
-
-
-def test_join_already_finished_process():
-    eng = Engine()
-
-    def child():
-        yield eng.timeout(1.0)
-        return 7
-
-    child_proc = eng.spawn(child())
-    eng.run_until_idle()
-    assert child_proc.done
-
-    def parent():
-        value = yield child_proc
-        return value
-
-    assert eng.run(parent()) == 7
-
-
-def test_child_error_propagates_to_joiner():
-    eng = Engine()
-
-    def child():
-        yield eng.timeout(1.0)
-        raise ValueError("inner")
-
-    def parent():
-        with pytest.raises(ValueError, match="inner"):
-            yield eng.spawn(child())
-        return "handled"
-
-    assert eng.run(parent()) == "handled"
-
-
 def test_unjoined_process_error_surfaces_from_run_loop():
     eng = Engine()
 
@@ -200,13 +153,22 @@ def test_unjoined_process_error_surfaces_from_run_loop():
 
 
 def test_unsupported_yield_is_engine_error():
+    """A process yields a timeout, a sleep or an event; anything else
+    fails it loudly, another process included (processes do not join)."""
     eng = Engine()
 
     def bad():
         yield 42
 
-    with pytest.raises(EngineError, match="unsupported"):
-        eng.run(bad())
+    def child():
+        yield eng.timeout(1.0)
+
+    def joins():
+        yield eng.spawn(child())
+
+    for program in (bad(), joins()):
+        with pytest.raises(EngineError, match="unsupported"):
+            eng.run(program)
 
 
 def test_deadlock_detected():
@@ -240,23 +202,3 @@ def test_run_until_idle_limit_stops_early():
     eng.run_until_idle(limit_us=35.0)
     assert hits == [10.0, 20.0, 30.0]
 
-
-def test_cancel_stops_daemon():
-    eng = Engine()
-    hits = []
-
-    def daemon():
-        while True:
-            yield eng.timeout(10.0)
-            hits.append(eng.now_us)
-
-    def main():
-        yield eng.timeout(25.0)
-        return "done"
-
-    d = eng.spawn(daemon())
-    eng.run(main())
-    d.cancel()
-    eng.run_until_idle()
-    assert hits == [10.0, 20.0]
-    assert d.cancelled

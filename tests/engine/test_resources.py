@@ -39,14 +39,17 @@ def _process_requests(resource, arrivals):
 def test_fifo_order_under_simultaneous_arrivals():
     """Four clients arrive at the same instant; they are served in
     spawn order and each waits exactly behind its predecessors."""
+    registry = MetricsRegistry()
     eng = Engine()
     res = bound(Resource("dev"), eng)
+    res.bind_metrics(registry)
     done = _process_requests(
         res, [(0.0, 10.0), (0.0, 10.0), (0.0, 10.0), (0.0, 10.0)]
     )
     assert done == [(0, 10.0), (1, 20.0), (2, 30.0), (3, 40.0)]
-    assert res.total_wait_us == 10.0 + 20.0 + 30.0
-    assert res.waited == 3
+    waits = registry.get("engine.resource.queue_wait_us", resource="dev")
+    assert waits.count == 4
+    assert waits.total == 10.0 + 20.0 + 30.0
 
 
 def test_fifo_not_shortest_job_first():
@@ -65,7 +68,6 @@ def test_zero_service_requests():
     res = bound(Resource("dev"), eng)
     done = _process_requests(res, [(0.0, 0.0), (0.0, 50.0), (0.0, 0.0)])
     assert done == [(0, 0.0), (1, 50.0), (2, 50.0)]
-    assert res.completed == 3
 
 
 def test_negative_service_rejected_in_both_styles():
@@ -125,8 +127,7 @@ def test_engine_single_client_matches_legacy_serve():
         return ends
 
     assert eng.run(one_client()) == legacy_done
-    assert res.total_busy_us == legacy.total_busy_us
-    assert res.completed == legacy.completed
+    assert res._free_at == [legacy.busy_until_us]
 
 
 def test_serve_adapter_matches_legacy_pool_exactly():
@@ -137,9 +138,7 @@ def test_serve_adapter_matches_legacy_pool_exactly():
     ours = ResourcePool("cpu", 2)
     for arrive, service in requests:
         assert ours.serve(arrive, service) == legacy.serve(arrive, service)
-    assert [s.busy_until_us for s in ours.servers] == [
-        s.busy_until_us for s in legacy.servers
-    ]
+    assert ours._free_at == [s.busy_until_us for s in legacy.servers]
 
 
 def test_mixed_sync_and_engine_share_state():
@@ -175,16 +174,7 @@ def test_queue_wait_histogram_exported():
     assert [m.name for m in registry.instruments()] == [
         "engine.resource.queue_wait_us"
     ]
-    assert res.total_busy_us == 20.0
-    assert res.queue_depth == 0
-
-
-def test_utilization_accounts_all_servers():
-    res = Resource("pool", servers=2)
-    res.serve(0.0, 10.0)
-    res.serve(0.0, 10.0)
-    assert res.utilization(10.0) == 1.0
-    assert res.utilization(20.0) == 0.5
+    assert res._free_at == [20.0]
 
 
 # -- Queue primitive -------------------------------------------------------
@@ -211,23 +201,20 @@ def test_queue_fifo_put_get():
     eng.spawn(producer())
     eng.run_until_complete([c])
     assert got == [(0, 5.0), (1, 10.0), (2, 15.0)]
-    assert q.total_put == 4
 
 
 def test_queue_buffers_while_consumer_busy():
-    """Items arriving while the consumer is away accumulate and drain
-    in order — the group-commit batching primitive."""
+    """Items put while no consumer waits are buffered, and later gets
+    resolve at once with them, oldest first."""
     eng = Engine()
-    q = Queue(eng, "commits")
-    batches = []
+    q = Queue(eng, "tokens")
+    got = []
 
     def consumer():
-        while len(batches) < 2:
-            first = yield q.get()
-            # Simulate a flush taking 30us; more items arrive meanwhile.
-            yield eng.timeout(30.0)
-            batch = [first] + q.drain()
-            batches.append((batch, eng.now_us))
+        got.append(((yield q.get()), eng.now_us))
+        yield eng.timeout(30.0)  # away while items 1 and 2 arrive
+        for _ in range(3):
+            got.append(((yield q.get()), eng.now_us))
 
     def producer():
         for i in range(4):
@@ -237,7 +224,4 @@ def test_queue_buffers_while_consumer_busy():
     c = eng.spawn(consumer())
     eng.spawn(producer())
     eng.run_until_complete([c])
-    # First batch: item 0 alone started the flush; 1,2 arrived during it.
-    assert batches[0] == ([0, 1, 2], 30.0)
-    assert batches[1][0] == [3]
-    assert q.max_depth == 2
+    assert got == [(0, 0.0), (1, 30.0), (2, 30.0), (3, 30.0)]

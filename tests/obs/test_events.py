@@ -7,7 +7,6 @@ import pytest
 from repro.obs.events import (
     CHANNELS,
     FlightRecorder,
-    emit,
     parse_sample_spec,
     recorder_active,
     recording,
@@ -23,7 +22,7 @@ def test_emit_and_query_roundtrip():
     rec = FlightRecorder()
     rec.emit(10.0, "io", "page_write", page=3, latency_us=42.5)
     rec.emit(20.0, "gc", "relocated", device="d0")
-    assert len(rec) == 2
+    assert len(rec.events()) == 2
     (ev,) = rec.events(channel="io")
     assert ev.kind == "page_write"
     assert ev.fields == {"page": 3, "latency_us": 42.5}
@@ -41,7 +40,7 @@ def test_kind_is_a_legal_field_name():
 def test_ring_eviction_is_counted_per_channel():
     rec = FlightRecorder(capacity=8)
     _fill(rec, 12)
-    assert len(rec) == 8
+    assert len(rec.events()) == 8
     assert rec.dropped == {"io": 4}
     # Oldest events fell off: the ring holds seqs 4..11.
     assert rec.events()[0].fields["seq"] == 4
@@ -59,7 +58,7 @@ def test_sampling_keeps_one_in_n_deterministically():
 def test_sampling_zero_mutes_a_channel():
     rec = FlightRecorder(sample={"io": 0})
     _fill(rec, 5)
-    assert len(rec) == 0
+    assert rec.events() == []
     assert rec.sampled_out == {"io": 5}
 
 
@@ -137,12 +136,11 @@ def test_chaos_dump_replays_every_event_unchanged(tmp_path):
 
 def test_activation_scoping():
     assert recorder_active() is None
-    emit(1.0, "io", "noop")  # no-op when inactive
     with recording(capacity=16) as outer:
         assert recorder_active() is outer
         with recording(capacity=8) as inner:
             assert recorder_active() is inner
-            emit(2.0, "io", "visible")
+            recorder_active().emit(2.0, "io", "visible")
         # The previous recorder is restored, not cleared.
         assert recorder_active() is outer
         assert inner.total_emitted == 1

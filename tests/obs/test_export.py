@@ -12,7 +12,8 @@ def _sample_registry() -> MetricsRegistry:
     reg.counter("storage.wal_flushes", node="node-0").inc(3)
     reg.gauge("csd.ftl.live_bytes").set(4096.0)
     hist = reg.histogram("storage.page_write_us")
-    hist.extend([10.0, 20.0, 500.0])
+    for value in (10.0, 20.0, 500.0):
+        hist.record(value)
     return reg
 
 

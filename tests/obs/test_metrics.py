@@ -48,7 +48,8 @@ def test_histogram_percentiles_close_to_exact():
     rng = random.Random(7)
     samples = [rng.lognormvariate(3.0, 1.2) for _ in range(20_000)]
     hist = Histogram("lat")
-    hist.extend(samples)
+    for value in samples:
+        hist.record(value)
     for pct in (50.0, 90.0, 95.0, 99.0):
         exact = percentile(samples, pct)
         approx = hist.percentile(pct)
@@ -59,7 +60,8 @@ def test_histogram_percentiles_close_to_exact():
 def test_histogram_exact_summary_fields():
     hist = Histogram("lat")
     values = [1.0, 2.0, 3.0, 100.0]
-    hist.extend(values)
+    for value in values:
+        hist.record(value)
     assert hist.count == 4
     assert hist.total == pytest.approx(sum(values))
     assert hist.mean == pytest.approx(sum(values) / 4)
@@ -77,36 +79,12 @@ def test_histogram_empty_and_negative():
     assert hist.min == 0.0
 
 
-def test_histogram_merge_is_associative_and_commutative():
-    rng = random.Random(11)
-    parts = []
-    for _ in range(3):
-        h = Histogram("lat")
-        h.extend(rng.uniform(0.5, 5000.0) for _ in range(1000))
-        parts.append(h)
-    a, b, c = parts
-    left = a.merged(b).merged(c)
-    right = a.merged(b.merged(c))
-    swapped = c.merged(a).merged(b)
-    for pct in (50.0, 95.0, 99.0):
-        assert left.percentile(pct) == right.percentile(pct)
-        assert left.percentile(pct) == swapped.percentile(pct)
-    assert left.count == right.count == swapped.count == 3000
-    assert left.total == pytest.approx(right.total)
-
-
-def test_histogram_merge_rejects_incompatible_layouts():
-    a = Histogram("lat", growth=1.04)
-    b = Histogram("lat", growth=1.5)
-    with pytest.raises(ValueError):
-        a.merged(b)
-
-
 def test_histogram_matches_latencystats_convention_on_small_sets():
     # Nearest-rank on tiny sample sets must agree within bucket error.
     samples = [10.0, 20.0, 30.0, 40.0, 50.0]
     hist = Histogram("lat")
-    hist.extend(samples)
+    for value in samples:
+        hist.record(value)
     exact = percentile(samples, 50.0)
     assert abs(hist.p50 - exact) / exact < 0.05
 

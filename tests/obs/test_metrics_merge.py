@@ -4,42 +4,7 @@ several processes must not depend on the order they arrive in."""
 import itertools
 import random
 
-from repro.obs.metrics import Histogram, MetricsRegistry
-
-
-def _filled(name, seed, n=40):
-    hist = Histogram(name)
-    rng = random.Random(seed)
-    for _ in range(n):
-        hist.record(rng.uniform(0.01, 5000.0))
-    return hist
-
-
-def test_merged_many_is_permutation_independent():
-    parts = [_filled("h", seed) for seed in range(5)]
-    baseline = None
-    for perm in itertools.permutations(parts):
-        desc = Histogram.merged_many(perm).describe()
-        if baseline is None:
-            baseline = desc
-        # Exact equality, including the float sum: bucket keys fold in
-        # sorted order and the sum reduces with one math.fsum over the
-        # whole multiset (correctly rounded), so no permutation can
-        # drift by even one ulp.
-        assert desc == baseline
-
-
-def test_pairwise_merged_equals_merged_many():
-    a, b = _filled("h", 1), _filled("h", 2)
-    assert a.merged(b).describe() == Histogram.merged_many([a, b]).describe()
-
-
-def test_merged_many_preserves_min_max_count():
-    parts = [_filled("h", seed) for seed in range(3)]
-    out = Histogram.merged_many(parts)
-    assert out.count == sum(p.count for p in parts)
-    assert out.min == min(p.min for p in parts)
-    assert out.max == max(p.max for p in parts)
+from repro.obs.metrics import MetricsRegistry
 
 
 def _worker_registry(seed):

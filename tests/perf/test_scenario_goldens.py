@@ -46,6 +46,13 @@ def test_scenario_matches_recorded_fingerprint(name):
     assert capture(name) == golden[name]
 
 
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_scenario_ends_with_no_violation(name):
+    """Every row's own checks pass, an open span included: a span leaked
+    by an error path once went unseen for many changes."""
+    assert run_scenario(name).violations == []
+
+
 def compensated_sum(iterable, /, start=0):
     """Python 3.12's ``sum``: exact ints first, then Neumaier-compensated
     floats (an int in range is added to the float total uncompensated),

@@ -69,9 +69,12 @@ def test_wal_crc_detects_corruption():
 
 
 def test_wal_tracks_bytes():
+    """An append stores the record's encoded bytes, which replay reads
+    back."""
     wal = WriteAheadLog()
-    wal.append_alloc(1, 1)
-    assert wal.appended_bytes > 0
+    lsn = wal.append_alloc(1, 1)
+    assert len(wal._records) == 1 and len(wal._records[0]) > 0
+    assert [record.lsn for record in wal.replay()] == [lsn]
 
 
 # --------------------------------------------------------------------- #

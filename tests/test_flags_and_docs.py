@@ -195,10 +195,8 @@ def known_names():
             if isinstance(target, ast.Name)
         )
         for node in ast.walk(tree):
-            # A span, or an instrument built outside the registry's
-            # get-or-create (the overflow counter).
-            if (isinstance(node, ast.Call)
-                    and call_name(node) in ("begin", "Counter")
+            # A span.
+            if (isinstance(node, ast.Call) and call_name(node) == "begin"
                     and node.args and isinstance(node.args[0], ast.Constant)):
                 names.add(node.args[0].value)
     return names

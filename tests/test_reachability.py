@@ -53,6 +53,13 @@ Every ``self.<name>`` read under ``src/repro`` has a definition of
 class-level name or a slot.  A deletion that misses one of its readers
 fails here, not at run time.
 
+Its mirror: every ``self.<name>`` store under ``src/repro`` (by ``=``,
+``+=`` or an annotated assignment) is read by something that runs, the
+symbol guard's places: an ``.<name>`` load outside the value stored to
+that same name (``self.m = max(self.m, x)`` only feeds itself), or a
+word of a string constant that is not a docstring.  A counter kept
+outside the registry that nothing reads fails here.
+
 The guards are computed with ``ast`` alone — nothing is imported.
 """
 
@@ -1325,3 +1332,150 @@ def test_a_self_read_needs_a_store_def_class_name_or_slot(tmp_path):
         "def reset(box):\n    box._count = 0\n",
     )
     assert {name for _, _, name in undefined_attributes(package)} == {"gone"}
+
+
+# ---------------------------------------------------------------------------
+# state that is only ever written
+# ---------------------------------------------------------------------------
+
+#: ``self.<name>`` stores kept although nothing that runs reads them.
+WRITTEN_ALLOWLIST = {
+    "repro.common.errors.PageCorruptionError.symptom": "a fault's "
+    "diagnostic field, carried on the raised error; "
+    "tests/storage/test_node_and_store.py reads it off the exception",
+}
+
+STORES = (ast.Assign, ast.AugAssign, ast.AnnAssign)
+
+
+def stored_attributes(node):
+    """The attribute targets an assignment stores to, on any object."""
+    targets = getattr(node, "targets", None) or [node.target]
+    return [
+        leaf for target in targets for leaf in ast.walk(target)
+        if isinstance(leaf, ast.Attribute) and isinstance(leaf.ctx, ast.Store)
+    ]
+
+
+def attribute_reads(path):
+    """Every name ``path`` reads: an ``.<name>`` load outside the value
+    being stored to that same name (``self.m = max(self.m, x)`` only
+    feeds itself), or a word of a string constant that is not a
+    docstring (a ``getattr`` name, a wrap-table row)."""
+    found = set()
+
+    def visit(node, skip):
+        if is_prose(node):
+            return
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if node.attr not in skip:
+                found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(WORD.findall(node.value))
+        for field, child in ast.iter_fields(node):
+            scope = skip
+            if field == "value" and isinstance(node, STORES):
+                scope = skip | {leaf.attr for leaf in stored_attributes(node)}
+            for each in child if isinstance(child, list) else [child]:
+                if isinstance(each, ast.AST):
+                    visit(each, scope)
+
+    visit(parse(path.read_text()), frozenset())
+    return found
+
+
+def self_stores(path, module):
+    """``(key, line, name)`` for every ``self.<name>`` store by ``=``,
+    ``+=`` or an annotated assignment in ``path``; ``key`` is
+    ``module.Class.name`` (the enclosing function's name stands in for a
+    class outside one)."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, ast.ClassDef) or (
+                isinstance(node, DEFS[:2]) and owner is None):
+            owner = node.name
+        if isinstance(node, STORES):
+            found.extend(
+                (f"{module}.{owner}.{leaf.attr}", leaf.lineno, leaf.attr)
+                for leaf in stored_attributes(node)
+                if isinstance(leaf.value, ast.Name) and leaf.value.id == "self"
+            )
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(parse(path.read_text()), None)
+    return found
+
+
+def written_only(package_dir, root_files=()):
+    """``(key, path, line)`` for every ``self.<name>`` store under
+    ``package_dir`` whose name nothing in the package or ``root_files``
+    reads."""
+    modules = {path: name for name, path in package_modules(package_dir).items()}
+    reads = set()
+    for path in [*modules, *root_files]:
+        reads |= attribute_reads(path)
+    return {
+        (key, path, line)
+        for path, module in modules.items()
+        for key, line, name in self_stores(path, module)
+        if name not in reads
+    }
+
+
+def test_every_self_attribute_stored_under_src_is_read_by_something_that_runs():
+    found = written_only(PACKAGE, symbol_roots())
+    keys = {key for key, _, _ in found}
+    stale = set(WRITTEN_ALLOWLIST) - keys
+    assert not stale, "allowlisted but now read — drop:\n" + "\n".join(sorted(stale))
+    dead = sorted(
+        (path.relative_to(REPO), line, key) for key, path, line in found
+        if key not in WRITTEN_ALLOWLIST
+    )
+    assert not dead, (
+        "stored on self but read by nothing that runs — delete it, or read "
+        "it where it matters:\n" + "\n".join(
+            f"{path}:{line}: {key}" for path, line, key in dead
+        )
+    )
+
+
+def test_written_only_state_is_reported_and_reads_are_found(tmp_path):
+    package, roots = build_symbols(
+        tmp_path,
+        '"""Mentions docs only in a docstring."""\n'
+        "class Box:\n"
+        "    peak: int\n"
+        "    def __init__(self):\n"
+        "        self.count = 0\n"
+        "        self.peak = 0\n"
+        "        self.docs = 0\n"
+        "        self.named = 0\n"
+        "        self.used = 0\n"
+        "        self.items = []\n"
+        "    def add(self, item):\n"
+        "        self.count += 1\n"
+        "        self.items.append(item)\n"
+        "        self.peak = max(self.peak, len(self.items))\n"
+        "        return self.used\n",
+        root="import pkg.used\n"
+        "FIELDS = ('named',)\n",
+    )
+    assert {key for key, _, _ in written_only(package, roots)} == {
+        "pkg.used.Box.count", "pkg.used.Box.peak", "pkg.used.Box.docs",
+    }
+
+
+def test_reads_of_stored_state_from_tests_do_not_count(tmp_path):
+    package, _ = build_symbols(
+        tmp_path, "class Box:\n    def __init__(self):\n        self.hits = 0\n"
+    )
+    path = tmp_path / "examples" / "tests" / "test_box.py"
+    path.parent.mkdir(parents=True)
+    path.write_text("def test_box(box):\n    assert box.hits == 0\n")
+    roots = symbol_roots(tmp_path)
+    assert roots == []
+    assert {key for key, _, _ in written_only(package, roots)} == {
+        "pkg.used.Box.hits",
+    }
