@@ -118,13 +118,11 @@ class EstimatingSelector:
         if estimate < self.thresholds.incompressible:
             # Don't burn CPU compressing what won't compress.
             self.raw_skips += 1
-            result = get_codec("lz4").compress_result(page)
-            return SelectionDecision("lz4", result, False)
+            return SelectionDecision("lz4", get_codec("lz4").plan(page), False)
         if estimate > self.thresholds.clearly_compressible:
             # Obvious zstd territory: single compression, no comparison.
             self.fast_picks += 1
-            result = get_codec("zstd").compress_result(page)
-            return SelectionDecision("zstd", result, False)
+            return SelectionDecision("zstd", get_codec("zstd").plan(page), False)
         self.full_evaluations += 1
         return self.inner.select(
             page, cpu_utilization, update_percent, last_used

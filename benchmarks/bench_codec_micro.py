@@ -11,10 +11,13 @@ The ``test_stage_*`` rows split a cold page compression (Algorithm 1
 runs both codecs on it) into the stages a codec change can move: the
 shared chain-index build, each parse alone, the two in Algorithm 1's
 order — lz4, then zstd resuming lz4's chain walks — and the zstd entropy
-stage, on a structured page, a text page and a random one.  Every
-single-codec row runs on its own copy of the page with the chain index
-already built for it: nothing an earlier row parsed is resumed, so the
-row is that codec's cold cost.
+stage, sized only and sized then packed, on a structured page, a text
+page and a random one.  Every single-codec row runs on its own copy of
+the page with the chain index already built for it: nothing an earlier
+row parsed is resumed, so the row is that codec's cold cost.
+``test_stage_select`` is the whole of it: Algorithm 1's evaluation with
+the codec memo bypassed, and the winner packed only where the page
+saves a block, as a page write does.
 The ``test_stage_decode_*`` rows do the same for a page read: Huffman
 table build and ``decode_all`` on the literal stream, ``unpack_bits`` on
 the extra bits, sequence execution, and the whole ``decompress`` of both
@@ -26,13 +29,16 @@ import random
 import numpy as np
 import pytest
 
+from repro.common.units import LBA_SIZE, align_up
 from repro.compression import lz77
 from repro.compression import zstd as zstd_module
 from repro.compression.memo import get_codec
 from repro.compression.cost import LZ4_COST, ZSTD_COST
 from repro.compression.huffman import TableDecoder, unpack_bits
-from repro.compression.zstd import encode_tokens
+from repro.compression.selector import AlgorithmSelector
+from repro.compression.zstd import entropy_stage
 from repro.workloads.datagen import dataset_pages
+from tests.perf.memo_swap import memo_capacity
 
 PAGE = dataset_pages("fnb", 1, seed=1)[0]
 STAGE_PAGES = {
@@ -86,10 +92,10 @@ def test_stage_chain_index_build(benchmark, page_name):
         # The index memo is keyed on object identity: a copy is a miss.
         return (bytes(bytearray(page)),), {}
 
-    prev = benchmark.pedantic(
+    prev, mask = benchmark.pedantic(
         lz77.chain_index, setup=fresh_copy, rounds=30, warmup_rounds=2
     )
-    assert len(prev) == len(page) - lz77.MIN_MATCH + 1
+    assert len(prev) == len(mask) == len(page) - lz77.MIN_MATCH + 1
 
 
 @pytest.mark.parametrize("parse", list(PARSES))
@@ -118,14 +124,47 @@ def test_stage_dual_parse(benchmark, page_name):
 
 
 @pytest.mark.parametrize("page_name", list(STAGE_PAGES))
+def test_stage_zstd_size(benchmark, page_name):
+    """The entropy stage up to the container's exact length: what the
+    dual evaluation pays for the codec it does not keep."""
+    page = STAGE_PAGES[page_name]
+    tokens = PARSES["zstd"].tokenize(_cold_copy(page))
+    container = benchmark(entropy_stage, page, tokens)
+    assert container.size == len(container.pack())
+
+
+@pytest.mark.parametrize("page_name", list(STAGE_PAGES))
 def test_stage_zstd_entropy(benchmark, page_name):
     page = STAGE_PAGES[page_name]
     tokens = PARSES["zstd"].tokenize(_cold_copy(page))
-    body = benchmark(encode_tokens, page, tokens)
-    # A random page's container is built, found larger than the page and
-    # dropped for the raw form; the stage costs the same either way.
+    body = benchmark(lambda: entropy_stage(page, tokens).pack())
+    # A random page's container is larger than the page, so ``compress``
+    # stores the raw form instead (and never packs this one).
     if page_name != "random":
-        assert bytes(body) == get_codec("zstd").compress(page)
+        assert body == get_codec("zstd").compress(page)
+
+
+@pytest.mark.parametrize("page_name", ["fnb", "random"])
+def test_stage_select(benchmark, page_name):
+    """Algorithm 1's dual evaluation of a first-written page, memo
+    bypassed: both codecs sized, the winner packed if it saves a block."""
+    page = STAGE_PAGES[page_name]
+    selector = AlgorithmSelector()
+
+    def evaluate(data):
+        decision = selector.select(data)
+        if align_up(decision.output.size, LBA_SIZE) < len(data):
+            decision.output.pack()
+        return decision
+
+    with memo_capacity(0):
+        decision = benchmark.pedantic(
+            evaluate,
+            setup=lambda: ((bytes(bytearray(page)),), {}),
+            rounds=20,
+            warmup_rounds=1,
+        )
+    assert decision.evaluated
 
 
 def _container_parts(page):
@@ -133,7 +172,7 @@ def _container_parts(page):
     (the container itself even where ``compress`` would fall back to the
     raw form, as for the random page: the stages cost the same)."""
     z = zstd_module
-    payload = bytes(encode_tokens(page, PARSES["zstd"].tokenize(page)))
+    payload = entropy_stage(page, PARSES["zstd"].tokenize(page)).pack()
     size, pos = z._read_varint(payload, 2)
     n_tokens, pos = z._read_varint(payload, pos)
     n_literals, pos = z._read_varint(payload, pos)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 
 @dataclass(frozen=True)
@@ -29,8 +30,19 @@ class CompressionResult:
         return self.original_size / self.compressed_size
 
 
+class Plan(NamedTuple):
+    """A codec's output for one input, sized before it is built:
+    ``size == len(pack())``.  Algorithm 1 decides on sizes alone, so
+    only the output that is stored is ever packed."""
+
+    size: int
+    pack: Callable[[], bytes]
+
+
 class Compressor:
     """Abstract codec: subclasses implement ``compress`` and ``decompress``.
+    The software codecs Algorithm 1 chooses between also implement
+    ``plan(data) -> Plan``, and ``compress`` is ``plan(data).pack()``.
 
     Codecs are stateless; the same instance may be shared across threads of
     the simulation.

@@ -24,7 +24,7 @@ byte.
 from __future__ import annotations
 
 from repro.common.errors import CorruptionError
-from repro.compression.base import Compressor
+from repro.compression.base import Compressor, Plan
 from repro.compression.lz77 import MIN_MATCH, MatchFinder, Token
 
 #: Format constants from the LZ4 block spec.
@@ -48,10 +48,27 @@ class LZ4Codec(Compressor):
     # -- compression -----------------------------------------------------
 
     def compress(self, data: bytes) -> bytes:
-        n = len(data)
-        if n == 0:
-            return b"\x00"  # single token: zero literals, end of block
-        tokens = self._legalize(self._finder.tokenize(data), n)
+        return self.plan(data).pack()
+
+    def plan(self, data: bytes) -> Plan:
+        """The block for ``data``, sized from its tokens before any byte
+        of it is laid out."""
+        tokens = self._legalize(self._finder.tokenize(data), len(data))
+        size = 0
+        for _, lit_len, match_len, _ in tokens:
+            # Token byte, literals, extended literal length; then offset
+            # and extended match length.
+            size += 1 + lit_len
+            if lit_len >= 15:
+                size += (lit_len - 15) // 255 + 1
+            if match_len:
+                size += 2
+                if match_len >= 15 + MIN_MATCH:
+                    size += (match_len - 15 - MIN_MATCH) // 255 + 1
+        return Plan(size, lambda: self._emit(data, tokens))
+
+    @staticmethod
+    def _emit(data: bytes, tokens: "list[Token]") -> bytes:
         out = bytearray()
         append = out.append
         for lit_start, lit_len, match_len, distance in tokens:

@@ -16,6 +16,20 @@ That makes the chains a function of the buffer alone, not of the parse:
 greedy depth-16 parse (lz4) and the lazy depth-64 parse (zstd) that
 Algorithm 1 runs on every first-written page walk the same array.
 
+**The probe mask.**  The same pass marks the positions where a probe
+can find a match at all: those whose first chain candidate agrees on
+all four bytes, or that have a second candidate.  Anywhere else the one
+candidate there is shares only a hash, so no walk finds four equal
+bytes, floor 0 or above.  The mask is therefore a superset of the
+positions where a probe succeeds, and both parses jump from one marked
+position to the next with ``bytes.find`` instead of stepping byte by
+byte — on an incompressible page, past most of the page.  The same
+invariant rules out lazy probes: one that must beat a match of ``L``
+bytes repeats ``L + 1`` bytes, so every four-byte window of them
+occurred before, and a 0 in the mask over those windows means no
+candidate at any depth can win (on dataset pages, 40–70 % of zstd's lazy
+probes end there without a walk).
+
 **Byte-identity contract.**  The token streams are bit for bit those of
 the straightforward matcher (index as you go, compare byte by byte);
 ``tests/compression/golden/codec_digests.json`` was frozen from that
@@ -77,25 +91,28 @@ Walk = int
 #: later can be strictly longer.  (-1 is before every window.)
 _END = -1
 
-#: The last buffer indexed, its chain array, and the floor-0 chain walks
-#: the last greedy parse of it recorded, with that parse's ``(window,
-#: cap)`` key and depth, until a deeper parse spends them: lz4 then zstd
-#: compress the same page object during Algorithm 1's evaluation.
-_last_index: Tuple[bytes, List[int], Tuple[int, int], int, Dict[int, Walk]] = (
-    b"", [], (0, 0), 0, {}
-)
+#: The last buffer indexed, its chain array and probe mask, and the
+#: floor-0 chain walks the last greedy parse of it recorded, with that
+#: parse's ``(window, cap)`` key and depth, until a deeper parse spends
+#: them: lz4 then zstd compress the same page object during Algorithm
+#: 1's evaluation.
+_last_index: Tuple[
+    bytes, List[int], bytes, Tuple[int, int], int, Dict[int, Walk]
+] = (b"", [], b"", (0, 0), 0, {})
 
 
-def chain_index(data: bytes) -> List[int]:
-    """``prev[p]``: the nearest position before ``p`` whose four bytes
-    hash like ``p``'s (-1 if none), for every ``p <= len(data) - 4``."""
+def chain_index(data: bytes) -> Tuple[List[int], bytes]:
+    """``(prev, mask)`` for every ``p <= len(data) - 4``: ``prev[p]`` is
+    the nearest position before ``p`` whose four bytes hash like
+    ``p``'s (-1 if none), and ``mask[p]`` is 1 where a probe can find a
+    match (see the module docstring), else 0."""
     global _last_index
     slot = _last_index
     if type(data) is bytes and data is slot[0]:
-        return slot[1]
+        return slot[1], slot[2]
     count = len(data) - MIN_MATCH + 1
     if count <= 0:
-        return []
+        return [], b""
     # Overlapping little-endian four-byte windows, one per position.
     keys = np.ndarray((count,), dtype="<u4", buffer=data, strides=(1,))
     # uint32 arithmetic wraps, which is the ``& 0xFFFFFFFF`` of the hash.
@@ -107,10 +124,15 @@ def chain_index(data: bytes) -> List[int]:
     linked = grouped[1:] == grouped[:-1]
     links = np.full(count, -1, dtype=np.int64)
     links[order[1:][linked]] = order[:-1][linked]
+    # Position 0 has no predecessor, so a missing link reads -1 there.
+    first = np.maximum(links, 0)
+    mask = (
+        (links >= 0) & ((keys[first] == keys) | (links[first] >= 0))
+    ).tobytes()
     prev = links.tolist()
     if type(data) is bytes:
-        _last_index = (data, prev, (0, 0), 0, {})
-    return prev
+        _last_index = (data, prev, mask, (0, 0), 0, {})
+    return prev, mask
 
 
 class MatchFinder:
@@ -164,7 +186,7 @@ class MatchFinder:
             return [(start, n - start, 0, 0)]
 
         global _last_index
-        prev = chain_index(data)
+        prev, mask = chain_index(data)
         window = self.window
         depth = range(self.max_chain)
         max_match = self.max_match
@@ -175,19 +197,19 @@ class MatchFinder:
         # A shallower walk of the same buffer, window and cap is the
         # start of this parse's walk at the same position: resume it.
         key = (window, max_match if max_match < n else n)
-        buffer, _, walked_key, walked_depth, walked = _last_index
+        buffer, _, _, walked_key, walked_depth, walked = _last_index
         record = None
         if buffer is data and walked_key == key and walked_depth < self.max_chain:
             rest = range(self.max_chain - walked_depth)
             # Spent: Algorithm 1 runs one deeper parse per page, and a
             # record kept until the next page holds memory (measurably,
             # in ``peak_rss_mb``).
-            _last_index = (data, prev, (0, 0), 0, {})
+            _last_index = (data, prev, mask, (0, 0), 0, {})
         else:
             walked = {}
             if not lazy and type(data) is bytes:
                 record = {}
-                _last_index = (data, prev, key, self.max_chain, record)
+                _last_index = (data, prev, mask, key, self.max_chain, record)
 
         def find(at: int, floor: int = 0) -> Tuple[int, int]:
             """Best ``(length, distance)`` at ``at`` among matches longer
@@ -261,15 +283,23 @@ class MatchFinder:
         lit_start = start
         pos = start
         while pos <= limit:
-            if prev[pos] < 0:  # nothing to find; skip the call
-                pos += 1
-                continue
+            if not mask[pos]:
+                pos = mask.find(1, pos)
+                if pos < 0:
+                    break
             length, dist = find(pos)
             if length == 0:
                 pos += 1
                 continue
-            if lazy and pos < limit:
-                # Only a strictly longer match one byte on is worth a literal.
+            # Only a strictly longer match one byte on is worth a literal.
+            # It repeats ``length + 1`` bytes, so each of their four-byte
+            # windows occurred before: a 0 in the mask over them rules it
+            # out (and so does a window past ``limit``).
+            if (
+                lazy
+                and pos + length - 2 <= limit
+                and mask.find(0, pos + 1, pos + length - 1) < 0
+            ):
                 next_len, next_dist = find(pos + 1, length)
                 if next_len:
                     # Emit this byte as a literal; take the later match.

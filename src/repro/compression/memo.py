@@ -11,16 +11,21 @@ system compresses the same bytes many times over by construction:
 * live migration re-writes page images the source volume compressed
   moments earlier (§4.2).
 
-So :func:`compress` and :func:`hw_compressed_len` — the only way the
-selector, the storage node and the device model reach a compressor —
-answer a call whose input content was seen before from the recorded
-result.  Keys are BLAKE2b-128 digests of the content (plus the codec
-name), never object identity, so a buffer with one flipped bit is a
-different key.  Nothing here can move a simulated timestamp or a stored
-byte: values are recorded outputs of pure functions, and simulated CPU
-cost is charged from :mod:`repro.compression.cost` whether or not the
-codec ran (``tests/perf/test_golden_equivalence.py`` holds the memo to
-that against a zero-capacity cache).
+So :func:`plan`, :func:`compress` and :func:`hw_compressed_len` — the
+only way the selector, the storage node and the device model reach a
+compressor — answer a call whose input content was seen before from the
+recorded result.  What is recorded per codec and content is the
+compressed size when the codec ran, replaced by the payload once that
+was packed: Algorithm 1 sizes both codecs and packs only what is stored,
+so its evaluation leaves both sizes and the winner's payload, and the
+replicas that consolidate the same image run no codec at all.  Keys are
+BLAKE2b-128 digests of the content (plus the codec name), never object
+identity, so a buffer with one flipped bit is a different key.  Nothing
+here can move a simulated timestamp or a stored byte: values are
+recorded outputs of pure functions, and simulated CPU cost is charged
+from :mod:`repro.compression.cost` whether or not the codec ran
+(``tests/perf/test_golden_equivalence.py`` holds the memo to that
+against a zero-capacity cache).
 
 One process-wide cache of one fixed size.  Process-wide because only a
 shared cache sees a migration target compressing what the source
@@ -46,7 +51,7 @@ from collections import OrderedDict
 from typing import Dict
 
 from repro.common.units import MiB
-from repro.compression.base import Compressor
+from repro.compression.base import Compressor, Plan
 from repro.compression.gzipdev import HardwareGzip
 from repro.compression.lz4 import LZ4Codec
 from repro.compression.zstd import ZstdCodec
@@ -78,8 +83,9 @@ def content_key(kind: str, data) -> tuple:
 
 
 class CodecMemoCache:
-    """Bounded LRU of codec results: compressed payloads (``bytes``) and
-    hardware-gzip lengths (``int``)."""
+    """Bounded LRU of codec results: compressed payloads (``bytes``),
+    compressed sizes of payloads never packed and hardware-gzip lengths
+    (``int``)."""
 
     #: Charged per entry on top of a payload's length: the key, the LRU
     #: node and the value object measure ~270 bytes, which is all an
@@ -142,10 +148,32 @@ def compress(codec_name: str, data) -> bytes:
     """``get_codec(codec_name).compress(data)``, by content."""
     key = content_key(codec_name, data)
     payload = _cache.get(key)
-    if payload is None:
+    if type(payload) is not bytes:  # unseen, or only its size recorded
         payload = get_codec(codec_name).compress(bytes(data))
         _cache.put(key, payload)
     return payload
+
+
+def plan(codec_name: str, data) -> Plan:
+    """``get_codec(codec_name).plan(data)``, by content.  The size is
+    recorded when the codec runs and the payload when it is packed, so a
+    later call for the same content runs no codec for the size, and none
+    for the payload once that was packed."""
+    key = content_key(codec_name, data)
+    known = _cache.get(key)
+    if type(known) is bytes:
+        return Plan(len(known), lambda: known)
+    if known is not None:
+        return Plan(known, lambda: compress(codec_name, data))
+    planned = get_codec(codec_name).plan(bytes(data))
+    _cache.put(key, planned.size)
+
+    def pack() -> bytes:
+        payload = planned.pack()
+        _cache.put(key, payload)
+        return payload
+
+    return Plan(planned.size, pack)
 
 
 def hw_compressed_len(block) -> int:

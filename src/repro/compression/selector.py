@@ -1,11 +1,15 @@
 """Adaptive lz4/zstd selection (the paper's Algorithm 1, Opt#2).
 
-For each page write, the selector compresses with both codecs, 4 KB
-ceiling-aligns both sizes (because compressed pages are stored in 4 KB
-LBAs), and switches to zstd only when its storage saving per extra
-microsecond of decompression latency clears a threshold derived from the
-device's I/O cost — the paper uses 300 B/µs because one 4 KB block of I/O
-costs 12–14 µs.
+For each page write, the selector sizes the page's output under both
+codecs, 4 KB ceiling-aligns both sizes (because compressed pages are
+stored in 4 KB LBAs), and switches to zstd only when its storage saving
+per extra microsecond of decompression latency clears a threshold
+derived from the device's I/O cost — the paper uses 300 B/µs because one
+4 KB block of I/O costs 12–14 µs.  Only the sizes decide, so nothing is
+packed here: the decision carries the winner's :class:`Plan`, and the
+caller packs it if it stores it (a page that saves no block is stored
+raw and packs nothing).  Simulated CPU is still charged for compressing
+with both codecs, which is what Algorithm 1 does.
 
 The evaluation is itself skipped when the node's CPU is busy (>20%
 utilization) or when the page has not changed enough (<30% updated) since
@@ -19,7 +23,7 @@ from typing import Optional
 
 from repro.common.units import align_up, LBA_SIZE
 from repro.compression import memo
-from repro.compression.base import CompressionResult
+from repro.compression.base import Plan
 from repro.compression.cost import codec_cost
 from repro.obs.metrics import MetricsRegistry
 
@@ -31,18 +35,13 @@ CPU_UTILIZATION_GATE = 0.20
 UPDATE_PERCENT_GATE = 0.30
 
 
-def _compressed(page: bytes, codec_name: str) -> CompressionResult:
-    return CompressionResult(
-        codec_name, memo.compress(codec_name, page), len(page)
-    )
-
-
 @dataclass(frozen=True)
 class SelectionDecision:
-    """Outcome of one selection: which codec won and why."""
+    """Outcome of one selection: which codec won and why, and its output
+    (packed only if the caller stores it)."""
 
     codec: str
-    result: CompressionResult
+    output: Plan
     evaluated: bool
     benefit_bytes: float = 0.0
     overhead_us: float = 0.0
@@ -90,10 +89,10 @@ class AlgorithmSelector:
 
         self.evaluations += 1
         self._evaluations_ctr.inc()
-        lz4_result = _compressed(page, "lz4")
-        zstd_result = _compressed(page, "zstd")
-        lz4_aligned = align_up(lz4_result.compressed_size, LBA_SIZE)
-        zstd_aligned = align_up(zstd_result.compressed_size, LBA_SIZE)
+        lz4 = memo.plan("lz4", page)
+        zstd = memo.plan("zstd", page)
+        lz4_aligned = align_up(lz4.size, LBA_SIZE)
+        zstd_aligned = align_up(zstd.size, LBA_SIZE)
 
         # Decompression latency charged by the cost model (the read path
         # decompresses the aligned payload it fetched).
@@ -104,14 +103,12 @@ class AlgorithmSelector:
 
         if benefit_bytes / overhead_us > DEFAULT_THRESHOLD_BYTES_PER_US:
             return SelectionDecision(
-                "zstd", zstd_result, True, benefit_bytes, overhead_us,
+                "zstd", zstd, True, benefit_bytes, overhead_us,
             )
         return SelectionDecision(
-            "lz4", lz4_result, True, benefit_bytes, overhead_us,
+            "lz4", lz4, True, benefit_bytes, overhead_us,
         )
 
     @staticmethod
     def _single(page: bytes, codec_name: str) -> SelectionDecision:
-        return SelectionDecision(
-            codec_name, _compressed(page, codec_name), False
-        )
+        return SelectionDecision(codec_name, memo.plan(codec_name, page), False)

@@ -46,7 +46,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.common.errors import CorruptionError
-from repro.compression.base import Compressor
+from repro.compression.base import Compressor, Plan
 from repro.compression.huffman import (
     HuffmanEncoder,
     TableDecoder,
@@ -143,15 +143,6 @@ def _read_table(data: bytes, pos: int, alphabet: int) -> Tuple[List[int], int]:
     return lengths, pos
 
 
-def _encode_symbols(body: bytearray, symbols: np.ndarray, alphabet: int) -> None:
-    """Huffman-code ``symbols``: table + length-prefixed bitstream."""
-    lengths = code_lengths(np.bincount(symbols, minlength=alphabet).tolist())
-    _write_table(body, lengths)
-    stream = HuffmanEncoder(lengths).encode(symbols)
-    _write_varint(body, len(stream))
-    body += stream
-
-
 def _split_long_literals(tokens: List[Token]) -> List[Token]:
     """Cut literal runs the bucket alphabet cannot express into
     ``_MAX_FIELD``-byte tokens with no match (the decoder skips those)."""
@@ -165,9 +156,19 @@ def _split_long_literals(tokens: List[Token]) -> List[Token]:
     return out
 
 
-def encode_tokens(buf: bytes, tokens: List[Token], start: int = 0) -> bytearray:
-    """The entropy stage: the container for ``tokens`` over ``buf[start:]``
-    (``start`` bytes of dictionary prefix select dictionary mode)."""
+def _varint_len(value: int) -> int:
+    return max(1, (value.bit_length() + 6) // 7)
+
+
+def entropy_stage(buf: bytes, tokens: List[Token], start: int = 0) -> Plan:
+    """The container for ``tokens`` over ``buf[start:]`` (``start`` bytes
+    of dictionary prefix select dictionary mode).
+
+    Everything but the bit packing happens here: the literal join, the
+    bucketing, one ``bincount`` and one code-length table per symbol
+    stream.  A stream of symbols with code lengths ``len`` packs into
+    ``ceil(sum(freq * len) / 8)`` bytes, so the container's length is
+    known exactly before :func:`pack_bits` runs."""
     original_size = len(buf) - start
     if original_size > _MAX_FIELD:
         tokens = _split_long_literals(tokens)
@@ -179,18 +180,40 @@ def encode_tokens(buf: bytes, tokens: List[Token], start: int = 0) -> bytearray:
     # without a match has distance 0, which takes no extra bits.
     fields = np.array(tokens, dtype=np.int64)[:, 1:]
     syms, nbits, extra = _bucket(fields)
-    of_syms = syms[:, 2][fields[:, 1] != 0]
+    streams = []
+    size = (
+        2 + _varint_len(original_size) + _varint_len(len(tokens))
+        + _varint_len(len(literals)) + ((int(nbits.sum()) + 7) >> 3)
+    )
+    for symbols, alphabet in (
+        (np.frombuffer(literals, dtype=np.uint8), 256),
+        (syms[:, 0], _BUCKET_ALPHABET),
+        (syms[:, 1], _BUCKET_ALPHABET),
+        (syms[:, 2][fields[:, 1] != 0], _BUCKET_ALPHABET),
+    ):
+        frequencies = np.bincount(symbols, minlength=alphabet)
+        lengths = code_lengths(frequencies.tolist())
+        used = int(np.count_nonzero(lengths))
+        stream_bytes = (int(np.dot(frequencies, lengths)) + 7) >> 3
+        size += (
+            _varint_len(used) + 2 * used + _varint_len(stream_bytes) + stream_bytes
+        )
+        streams.append((symbols, lengths))
 
-    body = bytearray([_MAGIC, _MODE_DICT if start else _MODE_COMPRESSED])
-    _write_varint(body, original_size)
-    _write_varint(body, len(tokens))
-    _write_varint(body, len(literals))
-    _encode_symbols(body, np.frombuffer(literals, dtype=np.uint8), 256)
-    _encode_symbols(body, syms[:, 0], _BUCKET_ALPHABET)
-    _encode_symbols(body, syms[:, 1], _BUCKET_ALPHABET)
-    _encode_symbols(body, of_syms, _BUCKET_ALPHABET)
-    body += pack_bits(extra.ravel(), nbits.ravel())
-    return body
+    def pack() -> bytes:
+        body = bytearray([_MAGIC, _MODE_DICT if start else _MODE_COMPRESSED])
+        _write_varint(body, original_size)
+        _write_varint(body, len(tokens))
+        _write_varint(body, len(literals))
+        for symbols, lengths in streams:
+            _write_table(body, lengths)
+            stream = HuffmanEncoder(lengths).encode(symbols)
+            _write_varint(body, len(stream))
+            body += stream
+        body += pack_bits(extra.ravel(), nbits.ravel())
+        return bytes(body)
+
+    return Plan(size, pack)
 
 
 def _decode_symbols(
@@ -299,6 +322,11 @@ class ZstdCodec(Compressor):
         """Compress ``data``; with ``dictionary`` (table-level shared
         dictionary, §6) matches may reference the dictionary bytes and the
         decoder must supply the identical dictionary."""
+        return self.plan(data, dictionary).pack()
+
+    def plan(self, data: bytes, dictionary: bytes = b"") -> Plan:
+        """:meth:`compress`'s output, sized before it is packed: the raw
+        form is chosen on the container's size alone."""
         if len(data) < 64:
             return self._raw(data)
         if len(dictionary) > 65535:
@@ -306,17 +334,16 @@ class ZstdCodec(Compressor):
 
         buf = dictionary + data if dictionary else data
         tokens = self._finder.tokenize(buf, start=len(dictionary))
-        body = encode_tokens(buf, tokens, len(dictionary))
-        if len(body) >= len(data) + 2:
+        container = entropy_stage(buf, tokens, len(dictionary))
+        if container.size >= len(data) + 2:
             return self._raw(data)
-        return bytes(body)
+        return container
 
     @staticmethod
-    def _raw(data: bytes) -> bytes:
-        out = bytearray([_MAGIC, _MODE_RAW])
-        _write_varint(out, len(data))
-        out += data
-        return bytes(out)
+    def _raw(data: bytes) -> Plan:
+        header = bytearray([_MAGIC, _MODE_RAW])
+        _write_varint(header, len(data))
+        return Plan(len(header) + len(data), lambda: bytes(header + data))
 
     # -- decompression ---------------------------------------------------
 

@@ -146,10 +146,10 @@ class BPlusTree:
     def _grow_root(self, split: Tuple[int, int], lsn: int) -> None:
         sep, new_page_no = split
         old_root_no = self.root_page_no
-        old_root = self._pool.lookup(old_root_no)
-        min_key = old_root.min_key() if old_root and old_root.n_slots else 0
         new_root = self._pool.new_page(self._alloc(), PageType.INTERNAL)
-        new_root.insert(min_key, _CHILD.pack(old_root_no), lsn)
+        # Slot 0 routes every key below ``sep``, keys below anything the
+        # old root holds included: its key is 0, -inf for unsigned keys.
+        new_root.insert(0, _CHILD.pack(old_root_no), lsn)
         new_root.insert(sep, _CHILD.pack(new_page_no), lsn)
         self.root_page_no = new_root.page_no
         self.height += 1

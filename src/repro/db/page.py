@@ -244,12 +244,6 @@ class Page:
             (keys[i], value_at(i)) for i in range(start, stop) if lengths[i]
         ]
 
-    def min_key(self) -> int:
-        live = self.keys()
-        if not live:
-            raise CorruptionError("empty page has no min key")
-        return live[0]
-
     def floor_index(self, key: int) -> int:
         """Index of the last slot whose key is <= ``key``, 0 when there is
         none: the slot a B+tree internal page routes ``key`` through."""

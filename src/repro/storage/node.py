@@ -246,11 +246,11 @@ class StorageNode:
                 last_used=self._last_algorithm.get(page_no),
             )
             codec_name = decision.codec
-            payload = decision.result.payload
+            output = decision.output
             evaluated = decision.evaluated
         else:
             codec_name = DEFAULT_CODEC
-            payload = memo.compress(codec_name, data)
+            output = memo.plan(codec_name, data)
             evaluated = False
         cpu = codec_cost(codec_name).compress_us(len(data))
         if evaluated:
@@ -258,13 +258,14 @@ class StorageNode:
             other = "zstd" if codec_name == "lz4" else "lz4"
             cpu += codec_cost(other).compress_us(len(data))
 
-        n_blocks = ceil_div(len(payload), LBA_SIZE)
+        n_blocks = ceil_div(output.size, LBA_SIZE)
         if n_blocks * LBA_SIZE >= DB_PAGE_SIZE:
-            # Compression did not save a single block: store raw.
+            # Compression did not save a single block: store raw, and
+            # pack nothing.
             return PreparedWrite.raw(data, cpu)
         self._last_algorithm[page_no] = codec_name
         return PreparedWrite(
-            CompressionInfo.NORMAL, codec_name, payload, n_blocks, cpu,
+            CompressionInfo.NORMAL, codec_name, output.pack(), n_blocks, cpu,
             evaluated,
         )
 

@@ -22,7 +22,7 @@ from repro.compression.zstd import (
     ZstdCodec,
     _read_varint,
     _write_varint,
-    encode_tokens,
+    entropy_stage,
 )
 from repro.workloads.datagen import dataset_pages
 from tests.compression.reference_decoders import lz4_decompress, zstd_decompress
@@ -95,7 +95,7 @@ def _lz4_block(buf, tokens):
 @settings(deadline=None)
 def test_zstd_decoder_matches_the_naive_one(case):
     buf, tokens, start = case
-    payload = bytes(encode_tokens(buf, tokens, start))
+    payload = entropy_stage(buf, tokens, start).pack()
     prefix = buf[:start]
     assert zstd.decompress(payload, dictionary=prefix) == buf[start:]
     assert zstd_decompress(payload, prefix) == buf[start:]
@@ -228,9 +228,9 @@ def test_matches_that_point_nowhere_are_refused(start):
     before_start = [(start, 10, 5, start + 11), (start + 15, 300 - start - 15, 0, 0)]
     for tokens in (zero, before_start):
         with pytest.raises(CorruptionError):
-            zstd.decompress(bytes(encode_tokens(buf, tokens, start)), dictionary=prefix)
+            zstd.decompress(entropy_stage(buf, tokens, start).pack(), dictionary=prefix)
     in_reach = [(start, 10, 5, start + 10), (start + 15, 300 - start - 15, 0, 0)]
-    payload = bytes(encode_tokens(buf, in_reach, start))
+    payload = entropy_stage(buf, in_reach, start).pack()
     expected = zstd_decompress(payload, prefix)
     assert zstd.decompress(payload, dictionary=prefix) == expected
 
@@ -238,7 +238,7 @@ def test_matches_that_point_nowhere_are_refused(start):
 def test_literal_runs_must_add_up_to_the_literal_stream():
     buf = bytes(range(256)) * 2
     tokens = [(0, 300, 12, 256), (312, 200, 0, 0)]
-    payload = bytes(encode_tokens(buf, tokens))
+    payload = entropy_stage(buf, tokens).pack()
     assert zstd.decompress(payload) == buf
     # One literal fewer in the stream than the runs consume (and the
     # other way round): same output size claimed, neither decodes.
@@ -271,7 +271,7 @@ def test_decoder_temporaries_do_not_grow_with_the_input():
     tokens.append((len(buf), 0, 0, 0))
     buf = bytes(buf)
     for codec, payload in (
-        (zstd, bytes(encode_tokens(buf, tokens))),
+        (zstd, entropy_stage(buf, tokens).pack()),
         (lz4, _lz4_block(buf, tokens)),
     ):
         tracemalloc.start()

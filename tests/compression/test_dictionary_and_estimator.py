@@ -173,5 +173,5 @@ def test_estimating_selector_decisions_round_trip():
                  dataset_pages("finance", 1, seed=7)[0]):
         decision = selector.select(page)
         assert get_codec(decision.codec).decompress(
-            decision.result.payload
+            decision.output.pack()
         ) == page

@@ -137,7 +137,7 @@ def _cold(finder, data, start=0):
 
 def _record_of(data):
     """The chain walks the memo holds for ``data`` (None if it holds none)."""
-    buffer, _, _, _, walks = lz77._last_index
+    buffer, _, _, _, _, walks = lz77._last_index
     return walks if buffer is data and walks else None
 
 
@@ -238,3 +238,68 @@ def test_no_resume_in_dictionary_mode():
     payload = zstd.compress(data, dictionary=dictionary)
     assert payload == zstd.compress(bytes(bytearray(data)), dictionary=dictionary)
     assert zstd.decompress(payload, dictionary=dictionary) == data
+
+
+# ---------------------------------------------------------------------------
+# the probe mask: no position where a probe can succeed is skipped
+# ---------------------------------------------------------------------------
+
+
+def _floor0_hits(data, start, window, depth):
+    """Positions from ``start`` on where a floor-0 probe of the reference
+    finder succeeds: one of the ``depth`` nearest earlier positions with
+    the same hash, within ``window``, agrees on ``MIN_MATCH`` bytes."""
+    hits, chains = set(), {}
+    for pos in range(len(data) - MIN_MATCH + 1):
+        key = int.from_bytes(data[pos : pos + MIN_MATCH], "little")
+        chain = chains.setdefault(((key * 2654435761) & 0xFFFFFFFF) >> 16, [])
+        if pos >= start:
+            for cand in reversed(chain[-depth:]):
+                if pos - cand > window:
+                    break
+                if data[cand : cand + MIN_MATCH] == data[pos : pos + MIN_MATCH]:
+                    hits.add(pos)
+                    break
+        chain.append(pos)
+    return hits
+
+
+def _check_mask_covers_hits(data, start=0):
+    _, mask = lz77.chain_index(bytes(bytearray(data)))
+    for window in (128, 65535):
+        for pos in _floor0_hits(data, start, window, 64):
+            assert mask[pos] == 1, (window, pos)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "ds/fnb/0", "ds/wiki/0", "ds/finance/3", "ds/air_transport/5",
+        "random16k", "zeros16k", "period1", "period3", "period7",
+        "size0", "size4", "size5", "size65", "distance65535",
+    ],
+)
+def test_probe_mask_covers_every_floor0_hit(case):
+    _check_mask_covers_hits(CORPUS[case])
+
+
+def test_probe_mask_covers_every_floor0_hit_in_dictionary_mode():
+    prefix = CORPUS["ds/wiki/1"]
+    for case in ("ds/wiki/0", "random16k"):
+        _check_mask_covers_hits(prefix + CORPUS[case], start=len(prefix))
+
+
+@given(
+    st.one_of(
+        st.binary(max_size=1500),
+        st.builds(
+            lambda alphabet, picks: b"".join(alphabet[i % len(alphabet)] for i in picks),
+            st.lists(st.binary(min_size=1, max_size=9), min_size=1, max_size=6),
+            st.lists(st.integers(0, 5), max_size=400),
+        ),
+    ),
+    st.integers(0, 64),
+)
+@settings(max_examples=150, deadline=None)
+def test_probe_mask_covers_every_floor0_hit_of_any_buffer(data, prefix):
+    _check_mask_covers_hits(data, min(prefix, len(data)))

@@ -86,4 +86,4 @@ def test_decision_payload_round_trips():
     page = _textlike(16384, seed=5)
     decision = AlgorithmSelector().select(page)
     codec = get_codec(decision.codec)
-    assert codec.decompress(decision.result.payload) == page
+    assert codec.decompress(decision.output.pack()) == page

@@ -186,22 +186,34 @@ def lost_rows(runs, size):
     ]
 
 
-@pytest.mark.xfail(
-    raises=AssertionError, strict=True,
-    reason="ROADMAP item 1: a split of the leaf left of the root's first "
-           "separator leaves keys 5000 and 10 unreachable",
-)
 def test_rows_below_the_first_separator_survive_page_sized_values():
     assert lost_rows([range(5000, 5004), range(10, 14)], 5000) == []
 
 
-@pytest.mark.xfail(
-    raises=AssertionError, strict=True,
-    reason="ROADMAP item 1: the same leftmost split loses keys 7-11 and "
-           "0-4 (the ascending-runs shrink)",
-)
 def test_rows_below_the_first_separator_survive_ascending_runs():
     assert lost_rows([range(7, 19), range(0, 7)], 1350) == []
+
+
+@st.composite
+def _ascending_runs(draw):
+    """Runs of consecutive keys, each from a drawn start: a later run
+    below an earlier one routes through the root's first slot."""
+    runs, seen = [], set()
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, 40))
+        run = [
+            key for key in range(start, start + draw(st.integers(1, 16)))
+            if key not in seen
+        ]
+        seen.update(run)
+        runs.append(run)
+    return runs
+
+
+@given(_ascending_runs(), st.sampled_from([40, 700, 1350]))
+@settings(max_examples=25, deadline=None)
+def test_rows_survive_ascending_runs(runs, size):
+    assert lost_rows(runs, size) == []
 
 
 # --------------------------------------------------------------------- #

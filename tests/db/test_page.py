@@ -42,7 +42,6 @@ def test_insert_get():
     assert page.get(20) == b"twenty"
     assert page.get(15) is None
     assert page.keys() == [5, 10, 20]  # kept sorted
-    assert page.min_key() == 5
 
 
 def test_insert_duplicate_key_rejected():
@@ -131,8 +130,6 @@ def assert_view_matches_bytes(page, probe_keys=()):
     assert page.free_offset == fresh.free_offset
     assert page.free_bytes() == fresh.free_bytes()
     assert page_lsn(page) == page_lsn(fresh)
-    if fresh.keys():
-        assert page.min_key() == fresh.min_key() == fresh.keys()[0]
     for key in probe_keys:
         assert page.get(key) == fresh.get(key)
     return fresh
@@ -349,7 +346,6 @@ def test_hostile_images_fail_as_corruption_error_only():
                     assert page.get(key) == value or not ordered
                 assert page.range_items(0, 1 << 64) == items or not ordered
                 assert page.page_type in (PageType.LEAF, PageType.INTERNAL)
-                page.min_key() if items else None
                 page.free_bytes(), page.n_slots, page.free_offset
             except CorruptionError:
                 rejected += 1

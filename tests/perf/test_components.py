@@ -4,12 +4,12 @@ import random
 import threading
 import time
 import zlib
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 import pytest
 
 from repro.api.config import ReproConfig
-from repro.common.units import DB_PAGE_SIZE
+from repro.common.units import DB_PAGE_SIZE, MiB
 from repro.compression import memo
 from repro.compression.gzipdev import HARDWARE_GZIP_LEVEL, HardwareGzip
 from repro.compression.memo import (
@@ -18,7 +18,11 @@ from repro.compression.memo import (
     content_key,
     get_codec,
 )
+from repro.compression.lz77 import MatchFinder
 from repro.compression.selector import AlgorithmSelector
+from repro.storage.node import NodeConfig
+from repro.storage.redo import RedoRecord
+from repro.storage.store import PolarStore
 from tests.perf.memo_swap import memo_capacity
 
 
@@ -162,17 +166,57 @@ def test_hw_length_is_keyed_on_the_block_alone():
 
 
 def test_distinct_pages_leave_the_memo_within_its_constant():
-    # The worst case for the footprint: no page repeats, so every call
-    # misses and inserts — 800 payloads of ~6 KiB, twice the constant.
+    # The worst case for the footprint: no page repeats, so every lookup
+    # misses and inserts, and every page is stored compressed — 400
+    # packed payloads of ~6 KiB beside 400 sizes, over the constant.
     rng = random.Random(5)
     selector = AlgorithmSelector()
     with memo_capacity(MEMO_CAPACITY_BYTES) as cache:
         for _ in range(400):
             page = rng.randbytes(6000).ljust(DB_PAGE_SIZE, b"\0")
-            selector.select(page)
+            selector.select(page).output.pack()  # as a page write does
             assert cache.used_bytes <= MEMO_CAPACITY_BYTES
     assert cache.hits == 0 and cache.misses == 800
     assert len(cache) < 800  # the bound was reached and held by eviction
+
+
+def test_a_three_replica_consolidation_parses_each_image_once(monkeypatch):
+    # Every replica consolidates the same image from the same redo: the
+    # first sizes both codecs and packs what it stores, the other two are
+    # answered by the sizes and the payload it recorded.  Pages cover both
+    # gates (a big redo re-evaluates, a small one reuses the last codec)
+    # and a page too random to store compressed.
+    parses = Counter()
+    tokenize = MatchFinder.tokenize
+
+    def counted(self, data, start=0):
+        parses[self.max_chain, bytes(data)] += 1
+        return tokenize(self, data, start)
+
+    monkeypatch.setattr(MatchFinder, "tokenize", counted)
+    rng = random.Random(8)
+    with memo_capacity(MEMO_CAPACITY_BYTES):
+        store = PolarStore(NodeConfig(), volume_bytes=64 * MiB, seed=5)
+        assert len(store.nodes) == 3
+        now = 0.0
+        pages = {
+            1: (bytes(rng.choice(b"abcd") for _ in range(DB_PAGE_SIZE)), 6000),
+            2: ((b"polar-%05d|" * 1500)[:DB_PAGE_SIZE], 6000),
+            3: ((b"store-%05d|" * 1500)[:DB_PAGE_SIZE], 40),
+            4: (rng.randbytes(DB_PAGE_SIZE), 6000),
+        }
+        for page_no, (image, _) in pages.items():
+            now = store.write_page(now, page_no, image).commit_us
+        records = [
+            RedoRecord(lsn, page_no, 100, rng.randbytes(size))
+            for lsn, (page_no, (_, size)) in enumerate(pages.items(), 1)
+        ]
+        now = store.write_redo(now, records)
+        parsed_before = sum(parses.values())
+        store.checkpoint(now)
+    consolidated = sum(parses.values()) - parsed_before
+    assert consolidated >= len(pages)  # every image was parsed ...
+    assert max(parses.values()) == 1  # ... once, by one replica
 
 
 # -- removed settings ----------------------------------------------------------
