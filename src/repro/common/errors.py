@@ -55,7 +55,11 @@ class PageCorruptionError(ChecksumError):
 
 
 class CorruptionError(ReproError):
-    """A codec or index detected malformed input."""
+    """A codec, index or page decoder detected malformed input."""
+
+
+class DuplicateKeyError(ReproError):
+    """An insert found its key already live in the page."""
 
 
 class WALError(ReproError):

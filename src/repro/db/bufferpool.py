@@ -12,7 +12,7 @@ charges the storage read (device queue + decompression CPU).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.common.units import DB_PAGE_SIZE
 from repro.db.page import Page, PageType
@@ -61,24 +61,42 @@ class BufferPool:
         # Pages handed out since the last drain; the RW node collects their
         # accumulated byte modifications into redo records after each op.
         self._touched: dict = {}
+        # page_no -> [page, statements holding it]: written pages whose
+        # redo is in flight, so storage's copy of them is stale.
+        self._held: Dict[int, list] = {}
 
     def get_page(self, ctx: OpContext, page_no: int) -> Page:
         page = self._pages.get(page_no)
-        if page is not None:
-            self._touched[page_no] = page
-            return page
-        span = self.metrics.tracer.begin(
-            "db.page_fetch", ctx.now_us, layer="db"
-        )
-        result = self._store.read_page(ctx.now_us, page_no)
-        if span is not None:
-            self.metrics.tracer.end(span, result.done_us)
-        ctx.io_reads += 1
-        ctx.now_us = result.done_us
-        page = Page.parse(result.data)
-        self._evict(ctx, self._pages.put(page_no, page))
+        if page is None:
+            held = self._held.get(page_no)
+            if held:
+                page = held[0]
+            else:
+                span = self.metrics.tracer.begin(
+                    "db.page_fetch", ctx.now_us, layer="db"
+                )
+                result = self._store.read_page(ctx.now_us, page_no)
+                if span is not None:
+                    self.metrics.tracer.end(span, result.done_us)
+                ctx.io_reads += 1
+                ctx.now_us = result.done_us
+                page = Page.parse(result.data)
+            self._evict(ctx, self._pages.put(page_no, page))
         self._touched[page_no] = page
         return page
+
+    def hold(self, pages: Dict[int, Page]) -> None:
+        """Serve ``pages`` from memory, evicted or not, until
+        :meth:`release`: a statement wrote them and its redo is in flight."""
+        for page_no, page in pages.items():
+            self._held.setdefault(page_no, [page, 0])[1] += 1
+
+    def release(self, pages: Dict[int, Page]) -> None:
+        for page_no in pages:
+            held = self._held[page_no]
+            held[1] -= 1
+            if not held[1]:
+                del self._held[page_no]
 
     def _evict(self, ctx: Optional[OpContext], evicted) -> None:
         if not self._writeback:

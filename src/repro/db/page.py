@@ -37,7 +37,7 @@ import struct
 from bisect import bisect_left, bisect_right
 from typing import List, Optional, Tuple
 
-from repro.common.errors import CorruptionError
+from repro.common.errors import CorruptionError, DuplicateKeyError
 from repro.common.units import DB_PAGE_SIZE
 
 _MAGIC = 0x50D8
@@ -99,16 +99,11 @@ class Page:
         """Decode header and slot directory from ``buf``; returns the
         (keys, offsets, lengths) of every slot.
 
-        Raises :class:`CorruptionError` for an image no reader can serve:
-        a directory or a record that leaves the page, a record whose two
-        lengths disagree.  An image that is readable but breaks a layout
-        invariant of this class's writers — a record past ``free_offset``,
-        two records overlapping — is what the eviction race of ROADMAP
-        item 1(c) leaves at storage, and multi-threaded runs on a tiny
-        pool (Fig 12, Fig 16) read such pages back.  They are served, but
-        never patched (``_patchable``): a heap write may land on another
-        slot's record, so only a fresh decode is known to match the bytes.
-        Key order is not checked for the same reason.
+        Raises :class:`CorruptionError` for any image this class's
+        writers cannot produce: a directory or a record that leaves the
+        page, a record whose two lengths disagree, two records that
+        overlap or one past ``free_offset``, slot keys out of order.
+        Every accepted image is one the DML methods can patch in step.
         """
         buf = self.buf
         magic, type_byte, page_no, _, n, free = _HEADER.unpack_from(buf)
@@ -141,13 +136,21 @@ class Page:
                     f"slot {index}: record_len {length} != "
                     f"{_RECORD_HEADER_SIZE} + value_len {value_len}"
                 )
+            if keys and key <= keys[-1]:
+                raise CorruptionError(f"slot {index}: key {key} out of order")
             keys.append(key)
-            spans.append((offset, end))
-        spans.sort()
-        self._patchable = all(
-            end <= next_start
-            for (_, end), (next_start, _) in zip(spans, spans[1:] + [(free, 0)])
-        )
+            spans.append((offset, end, index))
+        spans.sort()  # heap order: each record ends where the next may start
+        for (start, end, index), (nxt, _, other) in zip(spans, spans[1:]):
+            if end > nxt:
+                raise CorruptionError(
+                    f"slot {index}: record [{start}, {end}) overlaps "
+                    f"slot {other}"
+                )
+        if spans and spans[-1][1] > free:
+            raise CorruptionError(
+                f"slot {spans[-1][2]}: record ends past free_offset {free}"
+            )
         self.page_type = _PAGE_TYPES[type_byte]
         self.page_no = page_no
         self._free_offset = free
@@ -169,9 +172,8 @@ class Page:
             free_offset,
         )
         self._write(0, packed)
-        if self._patchable:
-            self._free_offset = free_offset
-            self._slot_keys = keys
+        self._free_offset = free_offset
+        self._slot_keys = keys
 
     # -- header accessors ---------------------------------------------------
 
@@ -266,7 +268,7 @@ class Page:
         index = bisect_left(keys, key)
         revive = index < len(keys) and keys[index] == key
         if revive and lengths[index]:
-            raise CorruptionError(f"duplicate key {key}")
+            raise DuplicateKeyError(f"duplicate key {key}")
         record = _RECORD_HEADER.pack(key, len(value)) + value
         record_offset = self._free_offset
         self._write(record_offset, record)
@@ -329,28 +331,19 @@ class Page:
     def rebuild(self, records: List[Tuple[int, bytes]], lsn: int) -> None:
         """Replace the page's contents with ``records`` (sorted by key)."""
         fresh = bytearray(DB_PAGE_SIZE)
-        keys, offsets, lengths = [], [], []
         offset = HEADER_SIZE
         for i, (key, value) in enumerate(records):
             record = _RECORD_HEADER.pack(key, len(value)) + value
             fresh[offset : offset + len(record)] = record
             _SLOT.pack_into(fresh, self._slot_pos(i), offset, len(record))
-            keys.append(key)
-            offsets.append(offset)
-            lengths.append(len(record))
             offset += len(record)
         _HEADER.pack_into(
             fresh, 0, _MAGIC, int(self.page_type), self.page_no, lsn,
             len(records), offset,
         )
         # One whole-page modification (full-page redo, as real engines do
-        # for reorganizations); the view is the layout just written.
+        # for reorganizations); the next reader decodes the new layout.
         self._write(0, bytes(fresh))
-        self._patchable = True
-        self._free_offset = offset
-        self._slot_keys, self._slot_offsets, self._slot_lengths = (
-            keys, offsets, lengths
-        )
 
     def to_bytes(self) -> bytes:
         return bytes(self.buf)

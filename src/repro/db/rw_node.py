@@ -88,9 +88,9 @@ class RWNode:
 
     # -- redo plumbing ---------------------------------------------------------
 
-    def _collect_redo(self) -> List[RedoRecord]:
+    def _collect_redo(self, touched: dict) -> List[RedoRecord]:
         records: List[RedoRecord] = []
-        for page_no, page in self.pool.drain_touched().items():
+        for page_no, page in touched.items():
             for offset, data in page.drain_mods():
                 records.append(RedoRecord(self._next_lsn, page_no, offset, data))
                 self._next_lsn += 1
@@ -98,7 +98,7 @@ class RWNode:
 
     def _commit(self, ctx: OpContext) -> Tuple[float, int]:
         """Persist this statement's redo; returns (commit time, bytes)."""
-        records = self._collect_redo()
+        records = self._collect_redo(self.pool.drain_touched())
         if not records:
             return ctx.now_us, 0
         ctx.now_us = self.cpu.serve(ctx.now_us, COMMIT_CPU_US)
@@ -187,22 +187,28 @@ class RWNode:
         another client's mutations between the two.  Buffer-pool misses
         inside the body charge storage reads analytically onto the
         context; the process sleeps that time off before committing.
+        A writing statement holds the pages it touched until its redo is
+        durable: storage's copy lacks that redo (§3.3.3), so no statement
+        may read it in the meantime.
         """
         engine = self._sim_engine
         yield from self.cpu.process(EXECUTE_CPU_US)
         ctx = OpContext(engine.now_us)
         value = body(ctx)
+        touched = self.pool.drain_touched()
         if read_only:
-            self.pool.drain_touched()  # reads generate no redo
-            records: List[RedoRecord] = []
-        else:
-            records = self._collect_redo()
-        if ctx.now_us > engine.now_us:
-            yield engine.sleep_until(ctx.now_us)
-        if not records:
-            return OpResult(engine.now_us, ctx.io_reads, 0, value)
-        yield from self.cpu.process(COMMIT_CPU_US)
-        commit = yield from self.store.write_redo_proc(records)
+            touched = {}  # reads generate no redo and hold nothing
+        records = self._collect_redo(touched)
+        self.pool.hold(touched)
+        try:
+            if ctx.now_us > engine.now_us:
+                yield engine.sleep_until(ctx.now_us)
+            if not records:
+                return OpResult(engine.now_us, ctx.io_reads, 0, value)
+            yield from self.cpu.process(COMMIT_CPU_US)
+            commit = yield from self.store.write_redo_proc(records)
+        finally:
+            self.pool.release(touched)
         return OpResult(
             commit, ctx.io_reads, sum(r.size_bytes for r in records), value
         )

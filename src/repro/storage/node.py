@@ -103,12 +103,15 @@ class PreparedWrite:
         object.__setattr__(self, "checksum", crc32(self.payload))
 
     @classmethod
-    def raw(cls, data: bytes, cpu_us: float = 0.0) -> "PreparedWrite":
+    def raw(
+        cls, data: bytes, cpu_us: float = 0.0, codec_evaluated: bool = False
+    ) -> "PreparedWrite":
         """``data`` stored uncompressed in whole blocks — at least one:
-        neither the index nor the device has a zero-block extent."""
+        neither the index nor the device has a zero-block extent.
+        ``codec_evaluated``: Algorithm 1 ran and chose to store it raw."""
         return cls(
             CompressionInfo.UNCOMPRESSED, None, data,
-            max(1, ceil_div(len(data), LBA_SIZE)), cpu_us,
+            max(1, ceil_div(len(data), LBA_SIZE)), cpu_us, codec_evaluated,
         )
 
     @property
@@ -177,7 +180,6 @@ class StorageNode:
         self.redo_cache: Dict[int, List[RedoRecord]] = {}
         self._redo_page_bytes: Dict[int, int] = {}
         self._redo_cache_bytes = 0
-        self._last_algorithm: Dict[int, str] = {}
         #: Where evicted redo spills: Opt#3's per-page log, or the
         #: scattered baseline Fig 15 measures it against.
         self.log_store = (
@@ -240,10 +242,13 @@ class StorageNode:
         if len(data) != DB_PAGE_SIZE or not self.config.software_compression:
             return PreparedWrite.raw(data)
         if self.config.opt_algorithm_selection:
+            # The last codec is the one the page's stored copy used (None
+            # for a raw or heavy one), on a follower too.
+            stored = self.index.get(page_no)
             decision = self.selector.select(
                 data,
                 update_percent=update_percent,
-                last_used=self._last_algorithm.get(page_no),
+                last_used=stored.algorithm if stored else None,
             )
             codec_name = decision.codec
             output = decision.output
@@ -262,8 +267,7 @@ class StorageNode:
         if n_blocks * LBA_SIZE >= DB_PAGE_SIZE:
             # Compression did not save a single block: store raw, and
             # pack nothing.
-            return PreparedWrite.raw(data, cpu)
-        self._last_algorithm[page_no] = codec_name
+            return PreparedWrite.raw(data, cpu, codec_evaluated=evaluated)
         return PreparedWrite(
             CompressionInfo.NORMAL, codec_name, output.pack(), n_blocks, cpu,
             evaluated,

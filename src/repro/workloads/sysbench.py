@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from repro.common.latency import LatencyStats
-from repro.engine.core import Engine
+from repro.engine.core import Engine, Event
 from repro.workloads.zipf import ZipfSampler
 
 #: sysbench's c-column: digits + fixed padding, moderately compressible.
@@ -64,16 +64,15 @@ class _TxnContext:
     engine: Engine
     ro_index: int = -1  # -1: reads go to the RW node
     use_procs: bool = False
+    _row_locks: Dict[int, Event] = field(default_factory=dict, init=False)
 
     def pick_key(self) -> int:
         return int(self.sampler.one())
 
     def _op(self, name: str, *args, **kwargs):
         if self.use_procs:
-            result = yield from getattr(self.db, name + "_proc")(
-                *args, **kwargs
-            )
-            return result
+            proc = getattr(self.db, name + "_proc")(*args, **kwargs)
+            return (yield from proc)
         result = getattr(self.db, name)(self.engine.now_us, *args, **kwargs)
         done = getattr(result, "done_us", result)
         if done > self.engine.now_us:
@@ -86,34 +85,34 @@ class _TxnContext:
     def range_scan(self, key: int, span: int = 20):
         yield from self._op("range_select", self.table, key, key + span)
 
+    def _lock(self, key: int):
+        """Take ``key``'s row lock across a row rewrite (as InnoDB does).
+        A client holds one at a time, so waiting cannot deadlock; a failed
+        statement ends the run, so only success releases the lock."""
+        while key in self._row_locks:
+            yield self._row_locks[key]
+        self._row_locks[key] = Event(self.engine, f"row {key}")
+
     def update_non_index(self, key: int):
+        yield from self._lock(key)
         value = default_value(self.rng, key)
-        try:
-            yield from self._op("update", self.table, key, value)
-        except Exception:
-            yield from self._op("insert", self.table, key, value)
+        yield from self._op("update", self.table, key, value)
+        self._row_locks.pop(key).succeed()
 
     def update_index(self, key: int):
         """Index-column update: reposition the row (delete + insert)."""
-        try:
-            yield from self._op("delete", self.table, key)
-        except Exception:
-            pass
-        try:
-            yield from self._op(
-                "insert", self.table, key, default_value(self.rng, key)
-            )
-        except Exception:
-            yield from self.update_non_index(key)
+        yield from self._lock(key)
+        yield from self._op("delete", self.table, key)
+        yield from self._op(
+            "insert", self.table, key, default_value(self.rng, key)
+        )
+        self._row_locks.pop(key).succeed()
 
     def insert_fresh(self):
         key = self.fresh_key()
         yield from self._op(
             "insert", self.table, key, default_value(self.rng, key)
         )
-
-    def delete_insert(self, key: int):
-        yield from self.update_index(key)
 
 
 def _txn_insert(ctx: _TxnContext):
@@ -134,7 +133,7 @@ def _txn_read_only(ctx: _TxnContext):
 def _txn_write_mix(ctx: _TxnContext):
     yield from ctx.update_index(ctx.pick_key())
     yield from ctx.update_non_index(ctx.pick_key())
-    yield from ctx.delete_insert(ctx.pick_key())
+    yield from ctx.update_index(ctx.pick_key())
 
 
 def _txn_read_write(ctx: _TxnContext):

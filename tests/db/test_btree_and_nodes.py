@@ -75,9 +75,7 @@ def scan_tree(value_len, seed, first_key, inserts, deletes):
     ctx = OpContext(0.0)
     rows = {}
     # The first key becomes the leftmost separator: with 5000, later
-    # smaller keys land below it.  (Not on the three-level tree: a leaf
-    # that holds such a key and splits at its own separator trips
-    # "duplicate key" in the parent — ROADMAP item 1(c).)
+    # smaller keys land below it.
     for key in [first_key] + rng.sample(range(101, 10_000), inserts):
         rows[key] = b"%06d" % key + rng.randbytes(value_len)
         tree.insert(ctx, key, rows[key], 1)

@@ -13,6 +13,7 @@ from repro.common.errors import (
 from repro.common.units import DB_PAGE_SIZE, LBA_SIZE, KiB, MiB
 from repro.compression.zstd import _read_varint
 from repro.csd.specs import P5510, POLARCSD2
+from repro.obs.events import recording
 from repro.storage.index import CompressionInfo
 from repro.storage.node import NodeConfig, PreparedWrite
 from repro.storage.redo import RedoRecord
@@ -133,6 +134,36 @@ def test_algorithm_selection_tracks_last_used(node):
     prepared = node.prepare_page(1, page, update_percent=0.05)
     assert not prepared.codec_evaluated
     assert prepared.algorithm == first
+
+
+def test_followers_reuse_the_codec_the_leader_stored(store, monkeypatch):
+    """The last codec is read from each node's own index entry, so a
+    consolidation below the 30 % gate re-evaluates on no replica (the
+    leader alone prepared the page)."""
+    store.write_page(0.0, 3, make_page(5))
+    evaluated = {}
+    for node in store.nodes:
+        def spy(page_no, data, update_percent, node=node,
+                real=node.prepare_page):
+            prepared = real(page_no, data, update_percent=update_percent)
+            evaluated[node.name] = prepared.codec_evaluated
+            return prepared
+
+        monkeypatch.setattr(node, "prepare_page", spy)
+    store.write_redo(1e3, [RedoRecord(1, 3, 100, b"REDO" * 10)])
+    store.checkpoint(1e4)
+    assert evaluated == {node.name: False for node in store.nodes}
+
+
+def test_an_evaluated_raw_write_reports_its_codec_decision(store):
+    """Algorithm 1 ran on a random page and kept it raw: the decision
+    is still a codec event, with ``codec=none``."""
+    with recording() as rec:
+        committed = store.write_page(0.0, 4, make_page(4, compressible=False))
+    assert committed.prepared.status is CompressionInfo.UNCOMPRESSED
+    assert committed.prepared.codec_evaluated
+    selected = [e for e in rec.events("codec") if e.kind == "selected"]
+    assert [e.fields["codec"] for e in selected] == ["none"]
 
 
 def test_redo_cache_and_consolidated_read(node):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.__main__ import main
-from repro.common.errors import CorruptionError
 
 
 def test_metrics_emits_json_snapshot(capsys):
@@ -24,11 +23,6 @@ def test_metrics_emits_json_snapshot(capsys):
     assert "delta 0.000us" in captured.err
 
 
-@pytest.mark.xfail(
-    raises=CorruptionError, strict=True,
-    reason="ROADMAP item 1: at its documented defaults the run dies in a "
-           "B+tree leaf insert with 'duplicate key 174'",
-)
 def test_metrics_runs_at_its_documented_defaults(capsys):
     assert main(["metrics"]) == 0
 

@@ -1,11 +1,20 @@
 """Sysbench on the shared event kernel: concurrency is real processes."""
 
+import random
 from dataclasses import dataclass
 
 import pytest
 
+from repro.common.errors import ReproError
 from repro.db.database import PolarDB
-from repro.workloads.sysbench import prepare_table, run_sysbench
+from repro.db.page import Page
+from repro.engine.core import Engine
+from repro.workloads.sysbench import (
+    TABLE,
+    _TxnContext,
+    prepare_table,
+    run_sysbench,
+)
 
 
 @pytest.fixture(scope="module")
@@ -102,3 +111,94 @@ def test_sync_fallback_for_engines_without_bind_engine():
     # 4 clients × 5 sequential 100 µs selects each.
     assert run.elapsed_s == pytest.approx(500.0 / 1e6)
     assert run.latency.mean_us == pytest.approx(100.0)
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_concurrent_writers_on_a_tiny_pool_leave_sound_pages(seed):
+    """Race regression: eight clients on a 4-page pool evict each other's
+    pages while their redo is in flight and rewrite the same rows.  No
+    statement fails (nothing in the workload catches one), and every
+    page storage holds parses under the strict decoder."""
+    db = PolarDB(buffer_pool_pages=4, ro_nodes=0, seed=seed)
+    now = prepare_table(db, rows=300, seed=seed)
+    run = run_sysbench(
+        db, "read_write", threads=8, start_us=now, seed=seed,
+        key_range=300, max_transactions=60,
+    )
+    assert run.transactions == 60
+    end = now + run.elapsed_s * 1e6
+    pages = range(1, db.rw._next_page_no)
+    assert len(pages) > 4  # the table does not fit the pool
+    for page_no in pages:
+        Page.parse(db.store.read_page(end, page_no).data)
+
+
+def _one_key_context(db, engine, use_procs):
+    return _TxnContext(
+        db=db, table=TABLE, rng=random.Random(1), sampler=None,
+        fresh_key=None, engine=engine, use_procs=use_procs,
+    )
+
+
+def test_row_lock_spans_the_delete_and_insert_of_an_index_update():
+    """Two clients on one key, engine path: an update that started while
+    the other client's delete + insert was in flight waits for the pair
+    instead of finding the row missing."""
+    db = PolarDB(buffer_pool_pages=64, ro_nodes=0, seed=4)
+    now = prepare_table(db, rows=50, seed=4)
+    engine = Engine(start_us=now)
+    db.bind_engine(engine)
+    ctx = _one_key_context(db, engine, use_procs=True)
+    procs = [
+        engine.spawn(ctx.update_index(7), name="a"),
+        engine.spawn(ctx.update_non_index(7), name="b"),
+        engine.spawn(ctx.update_index(7), name="c"),
+        engine.spawn(ctx.update_non_index(7), name="d"),
+    ]
+    engine.run_until_complete(procs)
+    assert db.select(engine.now_us, TABLE, 7).value is not None
+    assert ctx._row_locks == {}
+
+
+class RowDB:
+    """A synchronous engine that keeps rows and fails a statement on a
+    missing or duplicate key; every statement takes 100 µs."""
+
+    def __init__(self):
+        self.rows = {7}
+        self.log = []
+
+    def _run(self, now_us, name, key, present):
+        if (key in self.rows) != present:
+            raise ReproError(f"{name} of key {key}")
+        self.log.append((now_us, name))
+        return now_us + 100.0
+
+    def delete(self, now_us, table, key):
+        done = self._run(now_us, "delete", key, True)
+        self.rows.discard(key)
+        return done
+
+    def insert(self, now_us, table, key, value):
+        done = self._run(now_us, "insert", key, False)
+        self.rows.add(key)
+        return done
+
+    def update(self, now_us, table, key, value):
+        return self._run(now_us, "update", key, True)
+
+
+def test_row_lock_orders_one_key_on_the_synchronous_adapter():
+    db = RowDB()
+    engine = Engine()
+    ctx = _one_key_context(db, engine, use_procs=False)
+    procs = [
+        engine.spawn(ctx.update_index(7), name="a"),
+        engine.spawn(ctx.update_non_index(7), name="b"),
+        engine.spawn(ctx.update_index(7), name="c"),
+    ]
+    engine.run_until_complete(procs)
+    assert db.log == [
+        (0.0, "delete"), (100.0, "insert"), (200.0, "update"),
+        (300.0, "delete"), (400.0, "insert"),
+    ]
