@@ -241,8 +241,6 @@ def cmd_compaction(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    import asyncio
-
     from repro.api.config import ReproConfig
     from repro.net.server import PolarStoreServer
 
@@ -254,21 +252,17 @@ def cmd_serve(args) -> int:
     if args.shards:
         doc["cluster"] = {"shards": args.shards}
     server = PolarStoreServer(ReproConfig.from_dict(doc))
-
-    async def run() -> None:
-        host, port = await server.start()
-        print(
-            f"serving PolarStore on {host}:{port} "
-            f"(window {args.window}, "
-            f"shards {args.shards or 'single volume'}) — ctrl-c to stop",
-            flush=True,
-        )
-        await server._server.serve_forever()
-
+    host, port = server.start()
+    print(
+        f"serving PolarStore on {host}:{port} "
+        f"(window {args.window}, "
+        f"shards {args.shards or 'single volume'}) — ctrl-c to stop",
+        flush=True,
+    )
     try:
-        asyncio.run(run())
+        server.serve_forever()
     except KeyboardInterrupt:
-        pass
+        pass  # serve_forever has closed the listener and connections
     return 0
 
 

@@ -12,10 +12,11 @@ network, and this package is the wire between them.
     arity drift).
 
 ``repro.net.server``
-    The asyncio TCP front-end hosting one engine-bound store or
-    cluster.  Each connection executes its data ops in ``seq`` order
-    and refuses any other.  Wall-clock request arrival is bridged onto
-    the deterministic engine through
+    The TCP front-end hosting one engine-bound store or cluster: one
+    ``selectors`` loop that reads, decodes, runs the op and writes its
+    reply inline, on one thread.  Each connection executes its data ops
+    in ``seq`` order and refuses any other.  Wall-clock request arrival
+    is bridged onto the deterministic engine through
     :class:`repro.engine.bridge.WallClockBridge`: requests enqueue as
     the engine processes, replies carry simulated latency plus real
     payload bytes, and the simulated outcome of a seeded request

@@ -3,7 +3,7 @@
 :class:`SocketPool` owns one non-blocking ``TCP_NODELAY`` connection
 and no thread or event loop: ``request`` writes the frame at once, and
 ``wait`` runs the ``selectors`` pump (pending writes, reads, decoding,
-resolving) on the caller's thread until its future resolves, so a
+resolving) on the caller's thread until its reply settles, so a
 closed-loop call is one send and one receive.  The pool promises:
 
 * **sequencing** — every data op gets its ``seq`` and its simulated
@@ -40,8 +40,6 @@ import socket
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future
-from concurrent.futures import wait as wait_futures
 from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
@@ -70,11 +68,11 @@ SESSION = 0
 #: Bytes one ``recv`` may return.
 _RECV_BYTES = 256 * 1024
 
-#: How long a waiter sleeps on its future while another thread pumps.
+#: How long a waiter sleeps on its reply while another thread pumps.
 _HANDOFF_S = 0.001
 
 #: Longest single ``select``: bounds how late the pump notices that
-#: another thread settled its future (a failed send, ``close``).
+#: another thread settled its reply (a failed send, ``close``).
 _SLICE_S = 0.05
 
 
@@ -101,10 +99,71 @@ def parse_addr(addr: Union[str, Tuple[str, int]]) -> Tuple[str, int]:
     return (str(host), number)
 
 
-def _fail(future: Future, exc: BaseException) -> None:
-    """Fail ``future`` unless its waiter already gave up on it."""
-    if future.set_running_or_notify_cancel():
-        future.set_exception(exc)
+_PENDING, _DONE, _CANCELLED = range(3)
+
+
+class Reply:
+    """One request's reply, owned by its pool.
+
+    The pool settles it under its lock; ``done`` and ``result`` read it
+    without one, so a closed-loop call whose own thread pumps takes no
+    lock and builds no condition for it.  A waiter makes a wake-up
+    ``threading.Event`` only when another thread is pumping.
+    """
+
+    __slots__ = ("_lock", "_state", "_response", "_error", "_event")
+
+    def __init__(self, lock: threading.Lock) -> None:
+        self._lock = lock  # the pool's
+        self._state = _PENDING
+        self._response: Optional[Response] = None
+        self._error: Optional[BaseException] = None
+        self._event: Optional[threading.Event] = None
+
+    def done(self) -> bool:
+        return self._state != _PENDING
+
+    def cancelled(self) -> bool:
+        return self._state == _CANCELLED
+
+    def cancel(self) -> bool:
+        """Give up on the reply; False if it has already settled."""
+        with self._lock:
+            return self._settle(_CANCELLED, None, None)
+
+    def result(self, timeout: float) -> Response:
+        """The response, waiting up to ``timeout`` seconds for another
+        thread's pump; raises what failed the request, or
+        :class:`TransportTimeout` if it is pending or cancelled."""
+        self._sleep(timeout)
+        if self._state != _DONE:
+            raise TransportTimeout("no reply: " + (
+                "cancelled" if self.cancelled() else "still pending"
+            ))
+        if self._error is not None:
+            raise self._error
+        return self._response
+
+    def _settle(self, state: int, response, error) -> bool:
+        """Settle a pending reply (the caller holds the pool's lock)."""
+        if self._state != _PENDING:
+            return False
+        self._response, self._error = response, error
+        self._state = state  # last: ``done`` and ``result`` take no lock
+        if self._event is not None:
+            self._event.set()
+        return True
+
+    def _sleep(self, timeout: float) -> None:
+        """Block up to ``timeout`` until the reply settles."""
+        if self._state != _PENDING or timeout <= 0.0:
+            return
+        with self._lock:  # settling also holds it: no wake-up is lost
+            if self._state != _PENDING:
+                return
+            if self._event is None:
+                self._event = threading.Event()
+        self._event.wait(timeout)
 
 
 class SocketPool:
@@ -131,15 +190,16 @@ class SocketPool:
         self._next_id = itertools.count(1)
         self._next_seq = 0
         self._last_arrival = 0.0
-        #: request id -> Future[Response]
-        self._pending: Dict[int, Future] = {}
-        #: ((op, args, sync, arrival_us, control), future) awaiting a slot.
-        self._queue: Deque[Tuple[tuple, Future]] = deque()
+        #: request id -> its reply
+        self._pending: Dict[int, Reply] = {}
+        #: ((op, args, sync, arrival_us, control), reply) awaiting a slot.
+        self._queue: Deque[Tuple[tuple, Reply]] = deque()
         self._lock = threading.Lock()  # pool state and socket I/O
         self._pumping = threading.Lock()  # held by the one thread in select
         self._selector = DefaultSelector()
         #: None once the connection is down.
         self._sock: Optional[socket.socket] = None
+        self._events = EVENT_READ  # the mask ``_sock`` is registered with
         self._out = bytearray()  # frame bytes the socket has not taken yet
         self._decoder = FrameDecoder(MAX_FRAME_BYTES)
         try:
@@ -175,16 +235,16 @@ class SocketPool:
         *,
         sync: bool = False,
         arrival_us: float = 0.0,
-    ) -> Future:
+    ) -> Reply:
         """Thread-safe: dispatch one op (or queue it behind a full
-        window); returns a Future[Response].  Raises
+        window); returns its :class:`Reply`.  Raises
         :class:`AdmissionError` when the window and the queue are both
         full, and :class:`TransportError` when the pool is closed.
         """
         row = OPS_BY_NAME.get(op)
         if row is None:
             raise ProtocolError(f"unknown op {op!r}")
-        future: Future = Future()
+        reply = Reply(self._lock)
         spec = (op, args, sync, arrival_us, row.control)
         with self._lock:
             if self._closed:
@@ -196,7 +256,7 @@ class SocketPool:
             # The queue is empty whenever the window has room, so this
             # keeps dispatch order equal to call order.
             if row.control or len(self._pending) < self.max_inflight:
-                self._dispatch(spec, future)
+                self._dispatch(spec, reply)
             elif len(self._queue) >= self.queue_cap:
                 raise AdmissionError(
                     f"client dispatch queue full "
@@ -204,13 +264,15 @@ class SocketPool:
                     f"{self.max_inflight}-request window)"
                 )
             else:
-                self._queue.append((spec, future))
-        return future
+                self._queue.append((spec, reply))
+        return reply
 
-    def _dispatch(self, spec: tuple, future: Future) -> None:
+    def _dispatch(self, spec: tuple, reply: Reply) -> None:
         """Stamp id/seq/arrival in dispatch order and write the frame."""
         if self._sock is None:
-            _fail(future, TransportError("the connection is down"))
+            reply._settle(
+                _DONE, None, TransportError("the connection is down")
+            )
             return
         op, args, sync, arrival_us, control = spec
         request_id = next(self._next_id)
@@ -226,30 +288,30 @@ class SocketPool:
             frame = request.encode()
         except ProtocolError as exc:
             # Nothing was stamped: the sequence has no gap.
-            _fail(future, exc)
+            reply._settle(_DONE, None, exc)
             return
         if not control:
             self._last_arrival = request.arrival_us
             self._next_seq += 1
-        self._pending[request_id] = future
+        self._pending[request_id] = reply
         self._out += frame
         self._flush()
 
     def _admit_queued(self) -> None:
         """Window slots freed (reply or failure): dispatch queued work."""
         while self._queue and len(self._pending) < self.max_inflight:
-            spec, future = self._queue.popleft()
-            if not future.cancelled():
-                self._dispatch(spec, future)
+            spec, reply = self._queue.popleft()
+            if not reply.cancelled():
+                self._dispatch(spec, reply)
 
     # -- the pump ----------------------------------------------------------
 
-    def _pump(self, future: Future, deadline: float) -> None:
-        """Do I/O until ``future`` resolves or ``deadline`` (monotonic)
+    def _pump(self, reply: Reply, deadline: float) -> None:
+        """Do I/O until ``reply`` resolves or ``deadline`` (monotonic)
         passes.  Only the holder of ``_pumping`` runs this; it blocks in
         ``select`` without the state lock, so other threads' requests go
         out meanwhile, and does the I/O under it."""
-        while not future.done():
+        while not reply.done():
             timeout = deadline - time.monotonic()
             if timeout <= 0.0:
                 return
@@ -276,8 +338,9 @@ class SocketPool:
             return
         del self._out[:sent]
         events = EVENT_READ | (EVENT_WRITE if self._out else 0)
-        if self._selector.get_key(self._sock).events != events:
+        if events != self._events:
             self._selector.modify(self._sock, events)
+            self._events = events
 
     def _receive(self) -> None:
         reason = "connection lost mid-stream"
@@ -300,10 +363,10 @@ class SocketPool:
         self._fail_connection(reason)
 
     def _resolve(self, response: Response) -> None:
-        future = self._pending.pop(response.id, None)
-        # A caller that timed out has cancelled its future and left.
-        if future is not None and future.set_running_or_notify_cancel():
-            future.set_result(response)
+        reply = self._pending.pop(response.id, None)
+        # A caller that timed out has cancelled its reply and left.
+        if reply is not None:
+            reply._settle(_DONE, response, None)
         self._admit_queued()
 
     def _fail_connection(self, reason: str) -> None:
@@ -316,8 +379,8 @@ class SocketPool:
         self._sock = None
         self._out.clear()
         pending, self._pending = self._pending, {}
-        for rid, future in pending.items():
-            _fail(future, TransportError(
+        for rid, reply in pending.items():
+            reply._settle(_DONE, None, TransportError(
                 f"{reason} (request id {rid}, "
                 f"to {self.addr[0]}:{self.addr[1]})"
             ))
@@ -334,30 +397,30 @@ class SocketPool:
         arrival_us: float = 0.0,
     ) -> Response:
         """Send one request and block for its reply."""
-        future = self.request(op, args, sync=sync, arrival_us=arrival_us)
-        return self.wait(future)
+        reply = self.request(op, args, sync=sync, arrival_us=arrival_us)
+        return self.wait(reply)
 
-    def wait(self, future: Future) -> Response:
-        """Block up to ``timeout_s`` for ``future``'s reply, pumping the
+    def wait(self, reply: Reply) -> Response:
+        """Block up to ``timeout_s`` for ``reply`` to settle, pumping the
         pool's I/O on this thread; a thread that finds another pumping
-        sleeps on its own future instead, since that pump resolves it
+        sleeps on its own reply instead, since that pump resolves it
         too."""
         deadline = time.monotonic() + self.timeout_s
-        while not future.done():
+        while not reply.done():
             remaining = deadline - time.monotonic()
-            if remaining <= 0.0 and future.cancel():
+            if remaining <= 0.0 and reply.cancel():
                 raise TransportTimeout(
                     f"no reply from {self.addr[0]}:{self.addr[1]} "
                     f"within {self.timeout_s:g}s"
                 )
             if self._pumping.acquire(blocking=False):
                 try:
-                    self._pump(future, deadline)
+                    self._pump(reply, deadline)
                 finally:
                     self._pumping.release()
             else:
-                wait_futures([future], max(min(remaining, _HANDOFF_S), 0.0))
-        return future.result()
+                reply._sleep(min(remaining, _HANDOFF_S))
+        return reply.result(0.0)
 
     def flush(self) -> Response:
         """Sequenced run-to-idle: every pipelined op submitted before
@@ -373,9 +436,11 @@ class SocketPool:
                 return
             self._closed = True
             while self._queue:
-                _fail(self._queue.popleft()[1], TransportError("pool closed"))
+                self._queue.popleft()[1]._settle(
+                    _DONE, None, TransportError("pool closed")
+                )
             self._fail_connection("pool closed")
-        with self._pumping:  # a pump notices its failed future first
+        with self._pumping:  # a pump notices its failed reply first
             self._selector.close()
 
 
@@ -431,7 +496,7 @@ class SocketTransport(Transport):
         return self._decode(spec, response)
 
     def submit(self, op: str, /, *args, arrival_us: float = 0.0):
-        """Open-loop pipelined submit; returns a Future[Response].
+        """Open-loop pipelined submit; returns its :class:`Reply`.
 
         The reply materializes when a later arrival (or :meth:`flush`)
         drains the engine past the op's completion, or immediately with
@@ -478,6 +543,7 @@ class SocketTransport(Transport):
 
 
 __all__ = [
+    "Reply",
     "SocketPool",
     "SocketTransport",
     "parse_addr",

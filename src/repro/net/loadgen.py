@@ -222,7 +222,7 @@ def run_load(transport: Transport, spec: ArrivalSpec) -> LoadReport:
     schedule = build_schedule(spec)
     ops = build_ops(spec)
     pipelined = hasattr(transport, "submit")
-    futures = []
+    replies = []
     for offset, (op, key) in zip(schedule, ops):
         arrival = t0 + offset
         args: Tuple[Any, ...]
@@ -232,7 +232,7 @@ def run_load(transport: Transport, spec: ArrivalSpec) -> LoadReport:
             args = (spec.table, key, _payload(spec, key))
         if pipelined:
             try:
-                futures.append(transport.submit(op, *args,
+                replies.append(transport.submit(op, *args,
                                                 arrival_us=arrival))
             except AdmissionError:
                 report.rejected_client += 1
@@ -251,8 +251,8 @@ def run_load(transport: Transport, spec: ArrivalSpec) -> LoadReport:
 
     if pipelined:
         report.end_us = transport.flush()
-        for future in futures:
-            response = transport.pool.wait(future)
+        for reply in replies:
+            response = transport.pool.wait(reply)
             report.max_queue_depth = max(
                 report.max_queue_depth, response.queue_depth
             )

@@ -2,11 +2,11 @@
 
 :class:`PolarStoreServer` hosts an engine-bound
 :class:`~repro.api.transport.LocalTransport` (a real store or sharded
-cluster) behind the :mod:`repro.net.protocol` wire format on an asyncio
-TCP front-end.  The design problem is determinism: sockets deliver
-requests in wall-clock order, but the reproduction's value is that
-simulated outcomes are a pure function of the seeded workload.  Three
-mechanisms restore that property:
+cluster) behind the :mod:`repro.net.protocol` wire format on a TCP
+front-end that does its own I/O.  The design problem is determinism:
+sockets deliver requests in wall-clock order, but the reproduction's
+value is that simulated outcomes are a pure function of the seeded
+workload.  Three mechanisms restore that property:
 
 * **per-connection sequencing** — TCP delivers one connection's frames
   in order, and a client owns one connection, so each connection
@@ -26,15 +26,20 @@ mechanisms restore that property:
 Wall-clock jitter therefore changes only *when* reply frames leave,
 never their simulated timings or payload bytes.
 
-Everything runs on one asyncio loop, so request processing is
-serialized without locks.  :func:`serve_in_thread` wraps the server in
-a background thread for tests and in-process tooling.
+Everything runs on one ``selectors`` loop on one thread: it accepts,
+reads, decodes, runs the bridge and writes replies inline, so request
+processing is serialized without locks.  ``python -m repro serve``
+runs :meth:`PolarStoreServer.serve_forever`; :func:`serve_in_thread`
+runs it on a background thread for tests and in-process tooling.
 """
 
 from __future__ import annotations
 
-import asyncio
+import contextlib
+import logging
+import socket
 import threading
+from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.config import ReproConfig
@@ -53,6 +58,25 @@ from repro.net.protocol import (
     Response,
     decode_message,
 )
+
+#: Unsent reply bytes past which a connection is not read until they drain.
+HIGH_WATER = 64 * 1024
+
+#: Bytes one ``recv`` may return: a connection's share of one turn.
+_RECV_BYTES = 64 * 1024
+
+
+class _Connection:
+    """One accepted socket and what the loop keeps for it."""
+
+    __slots__ = ("sock", "decoder", "next_seq", "out", "events")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock: Optional[socket.socket] = sock  # None once closed
+        self.decoder = FrameDecoder(MAX_FRAME_BYTES)
+        self.next_seq = 0  # the data op this connection may send next
+        self.out = bytearray()  # reply bytes the socket has not taken
+        self.events = EVENT_READ  # the mask ``sock`` is registered with
 
 
 class PolarStoreServer:
@@ -79,101 +103,138 @@ class PolarStoreServer:
         self.bridge = WallClockBridge(
             self.transport.engine, window=self.config.net.window
         )
-        self._connections = 0
         self._next_token = 0
-        #: bridge token -> (writer, request) awaiting completion reply.
-        self._inflight: Dict[int, Tuple[asyncio.StreamWriter, Request]] = {}
-        self._server: Optional[asyncio.AbstractServer] = None
+        #: bridge token -> (connection, request) awaiting completion reply.
+        self._inflight: Dict[int, Tuple[_Connection, Request]] = {}
+        self._selector = DefaultSelector()
+        #: The write end of the socket pair that wakes ``select`` for stop.
+        self._wake: Optional[socket.socket] = None
         self.addr: Optional[Tuple[str, int]] = None
         self._frame_errors = self.registry.counter("net.server.frame_errors")
 
     # -- lifecycle ---------------------------------------------------------
 
-    async def start(self, port: Optional[int] = None) -> Tuple[str, int]:
-        """Bind ``config.net.host`` and listen; returns the actual
-        (host, port) — pass ``port=0`` for an ephemeral port."""
-        port = port if port is not None else self.config.net.port
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.net.host, port
+    def start(self, port: Optional[int] = None) -> Tuple[str, int]:
+        """Bind and listen; returns (host, port): ``port=0`` is ephemeral."""
+        host = self.config.net.host
+        port = self.config.net.port if port is None else port
+        listener = socket.create_server(
+            (host, port), backlog=100,
+            family=socket.AF_INET6 if ":" in host else socket.AF_INET,
         )
-        sock = self._server.sockets[0]
-        self.addr = sock.getsockname()[:2]
+        listener.setblocking(False)
+        self._selector.register(listener, EVENT_READ)
+        woken, self._wake = socket.socketpair()
+        self._selector.register(woken, EVENT_READ, self._wake)
+        self.addr = listener.getsockname()[:2]
         return self.addr
 
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+    def serve_forever(self) -> None:
+        """Serve on this thread until :meth:`stop` or an exception (a
+        ``KeyboardInterrupt``); then close the listener and connections."""
+        try:
+            while True:
+                for key, events in self._selector.select():
+                    conn = key.data
+                    if conn is None:
+                        self._accept(key.fileobj)
+                    elif conn is self._wake:
+                        return
+                    else:
+                        self._serve_ready(conn, events)
+        finally:
+            for key in list(self._selector.get_map().values()):
+                key.fileobj.close()
+            self._selector.close()
+            self._wake.close()
+
+    def stop(self) -> None:
+        """End :meth:`serve_forever`; safe to call from any thread."""
+        with contextlib.suppress(OSError):  # closed: the loop is over
+            self._wake.send(b"\0")
 
     # -- connection handling -----------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        decoder = FrameDecoder(MAX_FRAME_BYTES)
-        next_seq = 0  # the data op this connection may send next
-        self._connections += 1
+    def _accept(self, listener: socket.socket) -> None:
         try:
-            while True:
-                data = await reader.read(64 * 1024)
-                if not data:
-                    break
-                try:
-                    payloads = decoder.feed(data)
-                except FrameError:
-                    # A stream that lost framing cannot resync; drop it.
-                    self._frame_errors.inc()
-                    break
-                for payload in payloads:
-                    try:
-                        message = decode_message(payload)
-                    except ProtocolError as exc:
-                        self._frame_errors.inc()
-                        await self._reply_malformed(writer, payload, exc)
-                        continue
-                    if not isinstance(message, Request):
-                        continue  # a response frame to a server is noise
-                    if message.spec.control:
-                        await self._serve_session(message, writer)
-                    elif message.seq != next_seq:
-                        await self._write(writer, Response(
-                            id=message.id, status=STATUS_ERROR,
-                            error=(
-                                f"sequence violation: seq {message.seq} "
-                                f"vs expected {next_seq}"
-                            ),
-                        ))
-                    else:
-                        next_seq += 1
-                        await self._process(message, writer)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            self._connections -= 1
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            sock, _ = listener.accept()
+        except OSError:
+            return  # the peer gave up before we got to it
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.setblocking(False)
+        self._selector.register(sock, EVENT_READ, _Connection(sock))
 
-    async def _reply_malformed(
-        self, writer: asyncio.StreamWriter, payload: Any, exc: Exception
+    def _serve_ready(self, conn: _Connection, events: int) -> None:
+        """An unexpected error closes this connection only."""
+        try:
+            if events & EVENT_WRITE:
+                self._flush(conn)
+            if events & EVENT_READ and conn.sock is not None:
+                self._receive(conn)
+        except Exception:  # noqa: BLE001 - one connection's failure
+            logging.getLogger(__name__).exception(
+                "closing a connection after an unexpected error"
+            )
+            self._close(conn)
+
+    def _receive(self, conn: _Connection) -> None:
+        try:
+            data = conn.sock.recv(_RECV_BYTES)
+            payloads = conn.decoder.feed(data) if data else None
+        except BlockingIOError:
+            return
+        except FrameError:
+            # A stream that lost framing cannot resync; drop it.
+            self._frame_errors.inc()
+            payloads = None
+        except OSError:
+            payloads = None  # reset by the peer
+        if payloads is None:
+            self._close(conn)
+            return
+        for payload in payloads:
+            try:
+                message = decode_message(payload)
+            except ProtocolError as exc:
+                self._frame_errors.inc()
+                self._reply_malformed(conn, payload, exc)
+                continue
+            if not isinstance(message, Request):
+                continue  # a response frame to a server is noise
+            if message.spec.control:
+                self._serve_session(message, conn)
+            elif message.seq != conn.next_seq:
+                self._write(conn, Response(
+                    id=message.id, status=STATUS_ERROR,
+                    error=f"sequence violation: seq {message.seq} "
+                          f"vs expected {conn.next_seq}",
+                ))
+            else:
+                conn.next_seq += 1
+                self._process(message, conn)
+
+    def _close(self, conn: _Connection) -> None:
+        if conn.sock is None:
+            return
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
+        conn.sock = None
+
+    def _reply_malformed(
+        self, conn: _Connection, payload: Any, exc: Exception
     ) -> None:
         """Structurally valid frame, semantically broken request: reply
         per-request if an id is recoverable, else ignore."""
         req_id = payload.get("id") if isinstance(payload, dict) else None
         if isinstance(req_id, int):
-            await self._write(writer, _error_reply(req_id, exc))
+            self._write(conn, _error_reply(req_id, exc))
 
     # -- session ops -------------------------------------------------------
 
-    async def _serve_session(
-        self, req: Request, writer: asyncio.StreamWriter
-    ) -> None:
+    def _serve_session(self, req: Request, conn: _Connection) -> None:
         """Ops the server answers itself (the rows whose target is
         ``"session"``); each handler is named after its row."""
-        await self._write(writer, getattr(self, "_session_" + req.op)(req))
+        self._write(conn, getattr(self, "_session_" + req.op)(req))
 
     def _session_hello(self, req: Request) -> Response:
         session_id, client_version = req.args
@@ -211,7 +272,8 @@ class PolarStoreServer:
 
     def _session_stats(self, req: Request) -> Response:
         now = self.transport.now_us
-        value = {"now_us": now, "sessions": self._connections}
+        sessions = len(self._selector.get_map()) - 2  # less listener, waker
+        value = {"now_us": now, "sessions": sessions}
         for name in (
             "admitted", "rejected", "completed", "queue_depth", "window"
         ):
@@ -222,21 +284,19 @@ class PolarStoreServer:
 
     # -- data ops ----------------------------------------------------------
 
-    async def _process(
-        self, req: Request, writer: asyncio.StreamWriter
-    ) -> None:
+    def _process(self, req: Request, conn: _Connection) -> None:
         if req.spec.target == "session":
             # A session op in the sequenced stream is a barrier: every
             # pipelined op before it completes and replies first.
-            await self._send_completions(self.bridge.flush())
-            await self._serve_session(req, writer)
+            self._send_completions(self.bridge.flush())
+            self._serve_session(req, conn)
             return
         # Time never flows backward: a connection whose stamps lag another
         # connection's progress is clamped to engine-now (one client at a
         # time, the deterministic case, is never clamped).
         arrival = max(req.arrival_us, self.transport.now_us)
         if req.sync or not req.spec.proc:
-            await self._process_sync(req, writer, arrival)
+            self._process_sync(req, conn, arrival)
             return
         token = self._next_token
         self._next_token += 1
@@ -244,9 +304,9 @@ class PolarStoreServer:
         decision = self.bridge.submit(
             token, arrival, lambda: transport.proc(req.op, *req.args)
         )
-        await self._send_completions(decision.completions)
+        self._send_completions(decision.completions)
         if not decision.admitted:
-            await self._write(writer, Response(
+            self._write(conn, Response(
                 id=req.id,
                 status=STATUS_REJECTED,
                 queue_depth=decision.queue_depth,
@@ -254,25 +314,25 @@ class PolarStoreServer:
                 done_us=arrival,
             ))
         else:
-            self._inflight[token] = (writer, req)
+            self._inflight[token] = (conn, req)
 
-    async def _process_sync(
-        self, req: Request, writer: asyncio.StreamWriter, arrival: float
+    def _process_sync(
+        self, req: Request, conn: _Connection, arrival: float
     ) -> None:
         """Closed-loop path: run the op to completion at its arrival and
         reply immediately — exactly what a LocalTransport call does."""
-        await self._send_completions(self.bridge.drain_to(arrival))
+        self._send_completions(self.bridge.drain_to(arrival))
         self.transport.advance_to(arrival)
         try:
             result = self.transport.call(req.op, *req.args)
         except Exception as exc:  # noqa: BLE001 - delivered per-request
-            await self._write(writer, _error_reply(
+            self._write(conn, _error_reply(
                 req.id, exc,
                 done_us=self.transport.now_us, arrival_us=arrival,
             ))
             return
         done_us = RESULT_KINDS[req.spec.kind].done_us
-        await self._write(writer, _result_reply(
+        self._write(conn, _result_reply(
             req, result,
             done_us=(
                 self.transport.now_us if done_us is None else done_us(result)
@@ -280,14 +340,12 @@ class PolarStoreServer:
             arrival_us=arrival,
         ))
 
-    async def _send_completions(
-        self, completions: List[BridgeCompletion]
-    ) -> None:
+    def _send_completions(self, completions: List[BridgeCompletion]) -> None:
         for completion in completions:
             entry = self._inflight.pop(completion.token, None)
             if entry is None:
                 continue
-            writer, req = entry
+            conn, req = entry
             stamps = dict(
                 done_us=completion.done_us,
                 arrival_us=completion.arrival_us,
@@ -297,20 +355,29 @@ class PolarStoreServer:
                 reply = _result_reply(req, completion.result, **stamps)
             else:
                 reply = _error_reply(req.id, completion.error, **stamps)
-            await self._write(writer, reply)
+            self._write(conn, reply)
 
-    async def _write(
-        self, writer: asyncio.StreamWriter, response: Response
-    ) -> None:
-        """Frame and send one reply; a dead peer just drops it (its
-        client-side futures fail on disconnect)."""
-        if writer.is_closing():
-            return
+    def _write(self, conn: _Connection, response: Response) -> None:
+        """Frame one reply and send it; a closed connection drops it."""
+        if conn.sock is not None:
+            conn.out += response.encode()
+            self._flush(conn)
+
+    def _flush(self, conn: _Connection) -> None:
+        """Send what the socket takes now and the rest when ``select``
+        says; past ``HIGH_WATER`` unsent bytes stop reading the peer."""
         try:
-            writer.write(response.encode())
-            await writer.drain()
-        except (ConnectionError, OSError):
+            del conn.out[:conn.sock.send(conn.out)]
+        except BlockingIOError:
             pass
+        except OSError:
+            self._close(conn)
+            return
+        events = ((EVENT_READ if len(conn.out) <= HIGH_WATER else 0)
+                  | (EVENT_WRITE if conn.out else 0))
+        if events != conn.events:
+            self._selector.modify(conn.sock, events, conn)
+            conn.events = events
 
 
 def _result_reply(req: Request, result: Any, **stamps) -> Response:
@@ -333,31 +400,24 @@ def _error_reply(req_id: int, exc: BaseException, **stamps) -> Response:
 
 
 class ServerThread:
-    """A server running on its own asyncio loop in a daemon thread."""
+    """A server's loop running in a daemon thread."""
 
     def __init__(self, server: PolarStoreServer) -> None:
         self.server = server
         self.addr: Optional[Tuple[str, int]] = None
-        self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
-            target=self._loop.run_forever, name="repro-net-serve", daemon=True
+            target=server.serve_forever, name="repro-net-serve", daemon=True
         )
 
     def start(self, port: Optional[int] = None) -> Tuple[str, int]:
+        self.addr = self.server.start(port)
         self._thread.start()
-        future = asyncio.run_coroutine_threadsafe(
-            self.server.start(port), self._loop
-        )
-        self.addr = future.result(timeout=10.0)
         return self.addr
 
     def stop(self) -> None:
-        asyncio.run_coroutine_threadsafe(
-            self.server.stop(), self._loop
-        ).result(timeout=10.0)
-        self._loop.call_soon_threadsafe(self._loop.stop)
+        """End the loop (it closes every socket) and wait for it."""
+        self.server.stop()
         self._thread.join(timeout=10.0)
-        self._loop.close()
 
 
 def serve_in_thread(

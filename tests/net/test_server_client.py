@@ -1,6 +1,7 @@
 """The serving layer end to end: loopback server, one-connection
 client, golden equivalence against in-process access."""
 
+import logging
 import select
 import socket
 import sys
@@ -19,6 +20,7 @@ from repro.api import (
 )
 from repro.net.client import SocketTransport, parse_addr
 from repro.net.protocol import (
+    FLAG_SYNC,
     STATUS_ERROR,
     VERSION,
     FrameDecoder,
@@ -361,6 +363,87 @@ def test_pipelining_past_the_socket_buffers_does_not_deadlock():
     finally:
         transport.close()
         handle.stop()
+
+
+def _send_until_closed(sock: socket.socket, data: bytes) -> None:
+    try:
+        sock.sendall(data)
+    except OSError:
+        pass  # the test closed the socket first
+
+
+def test_a_connection_that_never_reads_does_not_starve_another(server):
+    """Connection A pipelines closed-loop inserts (about 10 s of server
+    work) and never reads a reply; connection B's select is still served
+    within seconds."""
+    client = PolarStore.connect(server.addr, timeout_s=10.0)
+    client.create_table("t")
+    client.insert("t", 10**6, b"row")
+    frames = b"".join(
+        Request(
+            id=key + 2, op="insert", args=["t", key, b"f" * 64],
+            seq=key, session=1, flags=FLAG_SYNC,
+        ).encode()
+        for key in range(20_000)
+    )
+    flood = socket.create_connection(server.addr, timeout=30.0)
+    flood.sendall(Request(id=1, op="hello", args=[1, VERSION]).encode())
+    sender = threading.Thread(target=_send_until_closed,
+                              args=(flood, frames), daemon=True)
+    sender.start()
+    try:
+        # A's first replies are on the wire: the server is working on it.
+        assert select.select([flood], [], [], 5.0)[0]
+        started = time.monotonic()
+        assert client.select("t", 10**6).value == b"row"
+        assert time.monotonic() - started < 5.0
+    finally:
+        client.close()
+        flood.close()
+        sender.join(timeout=10.0)
+    assert not sender.is_alive()
+
+
+def test_an_unexpected_error_closes_only_its_connection(
+    server, monkeypatch, caplog
+):
+    def broken(self, req):
+        raise RuntimeError("stats broke")
+
+    monkeypatch.setattr(PolarStoreServer, "_session_stats", broken)
+    caplog.set_level(logging.ERROR, logger="repro.net.server")
+    victim = SocketTransport(server.addr, timeout_s=10.0)
+    try:
+        started = time.monotonic()
+        with pytest.raises(TransportError) as failed:
+            victim.stats()
+        assert not isinstance(failed.value, TransportTimeout)
+        assert time.monotonic() - started < 5.0
+    finally:
+        victim.close()
+    assert any(isinstance(r.exc_info[1], RuntimeError)
+               for r in caplog.records if r.exc_info)
+    client = PolarStore.connect(server.addr, timeout_s=10.0)
+    try:
+        assert client.transport.ping() >= 0.0
+    finally:
+        client.close()
+
+
+def test_stop_is_prompt_and_fails_a_connected_client():
+    handle = serve_in_thread(_config(), port=0)
+    transport = SocketTransport(handle.addr, timeout_s=10.0)
+    try:
+        transport.call("create_table", "t")
+        started = time.monotonic()
+        handle.stop()
+        assert time.monotonic() - started < 1.0
+        with pytest.raises(TransportError) as failed:
+            transport.ping()
+        assert not isinstance(failed.value, TransportTimeout)
+        assert time.monotonic() - started < 5.0
+    finally:
+        transport.close()
 
 
 def test_frame_ahead_of_the_connections_next_seq_is_refused_at_once(server):

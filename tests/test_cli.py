@@ -116,7 +116,7 @@ def test_zero_port_seed_and_shards_still_parse(monkeypatch):
         def __init__(self, config):
             self.config = config
 
-        async def start(self):
+        def start(self):
             raise Started(self.config)
 
     monkeypatch.setattr(server, "PolarStoreServer", StubServer)
