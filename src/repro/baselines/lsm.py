@@ -1,11 +1,17 @@
 """LSM-tree substrate with compression at compaction (§2.2.1, Figure 3 a).
 
 A real (if compact) LSM implementation: a sorted in-memory memtable, L0
-flushes, and leveled compaction that merges runs into the next level.
+flushes, and leveled compaction that merges a level into the next one.
 Compression happens exactly where LSM engines do it — when blocks are
 written during flush/compaction — and that is also where the approach's
 costs live: compaction re-reads, decompresses, re-compresses, and rewrites
 data (write/CPU amplification), competing with foreground operations.
+
+Which level compacts next is the WA benchmark's leveled rule,
+:meth:`repro.storage.consolidation.ConsolidationConfig.level_to_compact`:
+L0 by table count, L1 and deeper by the SSTables' stored bytes.  The tree
+has RocksDB's proportions (:data:`LEVELS`) at a memtable scaled down to
+Fig 16's table (:data:`MEMTABLE_BYTES`).
 
 All payloads are real bytes through the real codecs; block reads go
 through the shared device model, and codec CPU is charged to a compute
@@ -23,6 +29,7 @@ from repro.common.units import KiB, LBA_SIZE, align_up
 from repro.compression.memo import get_codec
 from repro.compression.cost import codec_cost
 from repro.engine.resources import Resource
+from repro.storage.consolidation import ConsolidationConfig
 
 _ENTRY = struct.Struct("<QIB")  # key, value_len, tombstone
 _TOMBSTONE = 1
@@ -30,11 +37,19 @@ _TOMBSTONE = 1
 #: Uncompressed SSTable block size (RocksDB default is 4 KB before
 #: compression; 16 KB keeps block counts manageable in simulation).
 BLOCK_BYTES = 16 * KiB
-#: Block codec, and the shape of the level tree: L0 compacts past
-#: ``L0_LIMIT`` tables, each deeper level holds ``LEVEL_RATIO`` times more.
+#: Block codec.
 CODEC = "zstd"
-L0_LIMIT = 4
-LEVEL_RATIO = 4
+#: Default memtable.  RocksDB's 64 MiB write buffer is a sliver of the
+#: data sets it serves; Fig 16's table is 2 000 rows (~228 KB), so the
+#: memtable shrinks with it: a load flushes ~110 times, and the figure's
+#: 30 measured transactions (~11 KB of writes) flush ~5 times, so L0
+#: overflows during the measured run and MyRocks pays for compaction there.
+MEMTABLE_BYTES = 2 * KiB
+#: RocksDB's level shape: L0 compacts past 4 tables, L1 holds about four
+#: memtables' worth (``max_bytes_for_level_base``), each deeper level 10x.
+LEVELS = ConsolidationConfig(
+    l0_limit=4, level_ratio=10, base_level_bytes=4 * MEMTABLE_BYTES
+)
 
 
 def _encode_entries(entries: List[Tuple[int, Optional[bytes]]]) -> bytes:
@@ -110,7 +125,7 @@ class LSMTree:
         self,
         device,
         compute=None,
-        memtable_bytes: int = 256 * KiB,
+        memtable_bytes: int = MEMTABLE_BYTES,
     ) -> None:
         self.device = device
         self.compute = compute if compute is not None else Resource("lsm-compute")
@@ -118,7 +133,9 @@ class LSMTree:
         self.stats = LSMStats()
         self._memtable: Dict[int, Optional[bytes]] = {}
         self._memtable_size = 0
-        self._levels: List[List[SSTable]] = [[] for _ in range(8)]
+        self._levels: List[List[SSTable]] = [
+            [] for _ in range(LEVELS.max_levels)
+        ]
         self._next_table_id = 1
         self._lba_cursor = 0
 
@@ -138,15 +155,22 @@ class LSMTree:
         now = start_us
         if self._memtable_size >= self.memtable_bytes:
             now = self._flush(now)
-            now = self._maybe_compact(now)
         return now
 
     def _flush(self, start_us: float) -> float:
+        """Write the memtable as an L0 table, then compact the shallowest
+        level over its :data:`LEVELS` budget until none is."""
         entries = sorted(self._memtable.items())
         self._memtable = {}
         self._memtable_size = 0
         table, now = self._write_table(start_us, entries, level=0)
         self._levels[0].append(table)
+        while (
+            level := LEVELS.level_to_compact(
+                self._levels, lambda t: t.stored_bytes
+            )
+        ) is not None:
+            now = self._compact_level(now, level)
         return now
 
     def _write_table(
@@ -206,19 +230,8 @@ class LSMTree:
 
     # -- compaction ------------------------------------------------------------
 
-    def _maybe_compact(self, start_us: float) -> float:
-        now = start_us
-        if len(self._levels[0]) > L0_LIMIT:
-            now = self._compact_level(now, 0)
-        limit = L0_LIMIT * LEVEL_RATIO
-        for level in range(1, len(self._levels) - 1):
-            if len(self._levels[level]) > limit:
-                now = self._compact_level(now, level)
-            limit *= LEVEL_RATIO
-        return now
-
     def _compact_level(self, start_us: float, level: int) -> float:
-        """Merge every run of ``level`` plus overlapping next-level runs."""
+        """Merge every table of ``level`` with the next level's table."""
         sources = self._levels[level] + self._levels[level + 1]
         self._levels[level] = []
         self._levels[level + 1] = []
@@ -326,8 +339,4 @@ class LSMTree:
 
     def flush_now(self, start_us: float) -> float:
         """Force a memtable flush (used by space benchmarks)."""
-        now = start_us
-        if self._memtable:
-            now = self._flush(now)
-            now = self._maybe_compact(now)
-        return now
+        return self._flush(start_us) if self._memtable else start_us

@@ -22,11 +22,10 @@ the alternatives so ``python -m repro compaction``
 
 :class:`LeveledPolicy`
     LSM-style: each eviction appends a sorted *run* (page-clustered
-    sealed 4 KB blocks) to L0; when L0 exceeds ``l0_limit`` runs they
-    merge with L1, and levels cascade downward when their live bytes
-    exceed a geometric budget (``base_level_bytes * level_ratio**n``).
-    Writes are append-only (low WA); reads pay one block read per run
-    containing the page (higher RA, bounded by compaction).
+    sealed 4 KB blocks) to L0 and compacts by
+    :meth:`ConsolidationConfig.level_to_compact`, the one leveled rule in
+    the package.  Writes are append-only (low WA); reads pay one block
+    read per run containing the page (higher RA, bounded by compaction).
 
 :class:`TieredPolicy`
     Size-tiered: runs stack up within a tier and only merge — into a
@@ -36,14 +35,20 @@ the alternatives so ``python -m repro compaction``
 Every policy speaks the log-store protocol the storage node uses
 (``evict``/``fetch``/``discard``/``blocks_for``/``pages_with_logs``/
 ``stored_bytes_for``/``allocated_blocks``) plus :meth:`drain`, which
-runs planned compactions synchronously until none is left.
+compacts the shallowest level or tier that is due, synchronously, until
+none is.
+
+The leveled rule serves Fig 16 as well as ``python -m repro compaction``:
+:class:`repro.baselines.lsm.LSMTree` (MyRocks) drains its SSTable levels
+through the same :meth:`ConsolidationConfig.level_to_compact`, with
+RocksDB's proportions for its shape.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.units import KiB, LBA_SIZE, align_up
 from repro.storage.perpage_log import (
@@ -94,17 +99,23 @@ class ConsolidationConfig:
             raise ValueError("tier_fanout must be at least 2")
         return self
 
+    def level_to_compact(
+        self, levels: Sequence[Sequence], nbytes: Callable[[object], int]
+    ) -> Optional[int]:
+        """The shallowest level due for a leveled compaction, or ``None``.
 
-@dataclass(frozen=True)
-class CompactionTask:
-    """One unit of maintenance a run-based policy plans."""
-
-    #: Source level (leveled) or tier (tiered).
-    level: int
-    #: Trigger: ``l0-runs``, ``level-bytes``, or ``tier-fanout``.
-    reason: str
-    #: Lower runs first; L0/T0 absorb foreground flushes, so they win.
-    priority: int = 1
+        L0 is due when it holds more than ``l0_limit`` runs; level ``n``
+        >= 1 when its items' ``nbytes`` sum past ``base_level_bytes *
+        level_ratio**(n-1)``.  The bottom level is never due: a leveled
+        merge leaves one run per level >= 1, with nowhere deeper to go.
+        """
+        if len(levels[0]) > self.l0_limit:
+            return 0
+        for level in range(1, self.max_levels - 1):
+            budget = self.base_level_bytes * self.level_ratio ** (level - 1)
+            if sum(nbytes(item) for item in levels[level]) > budget:
+                return level
+        return None
 
 
 class SingleLevelLog(PerPageLogStore):
@@ -308,14 +319,12 @@ class _RunBasedPolicy:
     # -- compaction ----------------------------------------------------------
 
     def drain(self, now_us: float) -> float:
-        """Run the most urgent planned task — lowest ``(priority, level)``
-        — until nothing is planned; returns the finish time."""
-        while True:
-            tasks = self.plan_compactions()
-            if not tasks:
-                return now_us
-            task = min(tasks, key=lambda t: (t.priority, t.level))
-            now_us = self.compact(now_us, task)
+        """Compact the shallowest due level (L0/T0 absorb foreground
+        flushes, so they go first) until none is; returns the finish
+        time."""
+        while (level := self.plan_compaction()) is not None:
+            now_us = self.compact(now_us, level)
+        return now_us
 
     def _merge_runs(
         self,
@@ -349,41 +358,16 @@ class LeveledPolicy(_RunBasedPolicy):
 
     name = "leveled"
 
-    def _level_budget(self, level: int) -> int:
-        return self.config.base_level_bytes * (
-            self.config.level_ratio ** (level - 1)
+    def plan_compaction(self) -> Optional[int]:
+        return self.config.level_to_compact(
+            self._groups, lambda run: run.live_bytes
         )
 
-    def plan_compactions(self) -> List[CompactionTask]:
-        tasks: List[CompactionTask] = []
-        l0 = self._groups[0]
-        if len(l0) > self.config.l0_limit:
-            tasks.append(CompactionTask(0, "l0-runs", priority=0))
-        last = self.config.max_levels - 1
-        for level in range(1, self.config.max_levels):
-            group = self._groups[level]
-            if not group:
-                continue
-            over = sum(run.live_bytes for run in group) > self._level_budget(level)
-            if level == last:
-                # The bottom level can only fold its own runs together;
-                # a single over-budget run has nowhere to cascade.
-                if len(group) > 1 and over:
-                    tasks.append(CompactionTask(level, "level-bytes"))
-            elif over:
-                tasks.append(CompactionTask(level, "level-bytes"))
-        return tasks
-
-    def compact(self, start_us: float, task: CompactionTask) -> float:
-        level = task.level
-        last = self.config.max_levels - 1
-        target = min(level + 1, last)
-        sources = list(self._groups[level])
+    def compact(self, start_us: float, level: int) -> float:
+        sources = self._groups[level] + self._groups[level + 1]
         self._groups[level] = []
-        if target != level:
-            sources += self._groups[target]
-            self._groups[target] = []
-        return self._merge_runs(start_us, sources, target)
+        self._groups[level + 1] = []
+        return self._merge_runs(start_us, sources, level + 1)
 
 
 class TieredPolicy(_RunBasedPolicy):
@@ -391,19 +375,14 @@ class TieredPolicy(_RunBasedPolicy):
 
     name = "tiered"
 
-    def plan_compactions(self) -> List[CompactionTask]:
-        tasks: List[CompactionTask] = []
-        for tier, group in enumerate(self._groups):
-            if len(group) >= self.config.tier_fanout:
-                tasks.append(
-                    CompactionTask(
-                        tier, "tier-fanout", priority=0 if tier == 0 else 1
-                    )
-                )
-        return tasks
+    def plan_compaction(self) -> Optional[int]:
+        return next(
+            (tier for tier, group in enumerate(self._groups)
+             if len(group) >= self.config.tier_fanout),
+            None,
+        )
 
-    def compact(self, start_us: float, task: CompactionTask) -> float:
-        tier = task.level
+    def compact(self, start_us: float, tier: int) -> float:
         target = min(tier + 1, self.config.max_levels - 1)
         sources = list(self._groups[tier])
         self._groups[tier] = []

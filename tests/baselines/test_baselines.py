@@ -14,6 +14,7 @@ from repro.baselines.innodb import InnoDBEngine, InnoDBStore
 from repro.baselines.lsm import LSMTree
 from repro.baselines.myrocks import MyRocksEngine
 from repro.workloads.datagen import dataset_pages
+from benchmarks.bench_fig16_comparison import TXNS, myrocks, run_leg
 
 
 def make_device(volume=256 * MiB, seed=0):
@@ -73,8 +74,8 @@ def test_lsm_compaction_triggers_and_amplifies_writes():
     lsm = LSMTree(make_device(), memtable_bytes=4 * KiB)
     now = 0.0
     rng = random.Random(0)
-    # 200 keys: each L0_LIMIT-table compaction rewrites more than the
-    # last flush brought in.
+    # 200 keys: each L0 compaction (past LEVELS.l0_limit tables) rewrites
+    # more than the last flush brought in.
     for _ in range(600):
         now = lsm.put(now, rng.randrange(200), value_for(rng.randrange(10**6)))
     assert lsm.stats.compactions > 0
@@ -125,6 +126,14 @@ def test_myrocks_statement_api():
         db.insert(0.0, "missing", 1, b"x")
     with pytest.raises(ReproError):
         db.create_table("t")
+
+
+def test_fig16_myrocks_compacts_during_the_measured_run():
+    """Fig 16's MyRocks leg, at the figure's own parameters, reaches
+    ``LSMTree._compact_level`` during its measured transactions."""
+    run, compactions = run_leg(myrocks())
+    assert run.transactions == TXNS
+    assert compactions >= 1
 
 
 def test_myrocks_compression_ratio():

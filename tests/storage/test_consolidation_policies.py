@@ -5,6 +5,8 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.units import LBA_SIZE, MiB
 from repro.csd.device import PolarCSD
@@ -159,8 +161,7 @@ def test_leveled_l0_merge_reduces_read_fanout():
         )
     assert len(policy._groups[0]) > policy.config.l0_limit
     before = policy.fetch(now, 0)
-    tasks = policy.plan_compactions()
-    assert tasks and tasks[0].reason == "l0-runs"
+    assert policy.plan_compaction() == 0
     now = policy.drain(before.done_us)
     assert len(policy._groups[0]) == 0
     after = policy.fetch(now, 0)
@@ -192,8 +193,7 @@ def test_tiered_fanout_merges_into_next_tier():
     now = 0.0
     for rnd in range(3):
         now = policy.evict(now, records_for(5, 2, lsn0=1 + rnd * 10))
-    tasks = policy.plan_compactions()
-    assert tasks and tasks[0].reason == "tier-fanout"
+    assert policy.plan_compaction() == 0
     now = policy.drain(now)
     assert len(policy._groups[0]) == 0
     assert len(policy._groups[1]) == 1
@@ -263,3 +263,72 @@ def test_evict_is_append_only_for_run_policies():
     now = single.evict(now, records_for(1, 1, lsn0=10, size=600, seed=11))
     second = sdevice.ftl.stats.nand_written_bytes - first
     assert second > first  # the merged rewrite grows with history
+
+
+# --------------------------------------------------------------------- #
+# Property: the leveled policy against a dict model                     #
+# --------------------------------------------------------------------- #
+
+#: Small budgets and four levels, so generated runs reach the bottom.
+SMALL_LEVELS = dict(
+    l0_limit=2, level_ratio=2, base_level_bytes=LBA_SIZE, max_levels=4
+)
+
+POLICY_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("evict"),
+            st.lists(st.integers(0, 11), min_size=1, max_size=8),
+            st.integers(200, 2400),
+        ),
+        st.tuples(st.just("discard"), st.integers(0, 11)),
+        st.tuples(st.just("drain")),
+    ),
+    min_size=15,
+    max_size=60,
+)
+
+
+def check_levels(policy, drained):
+    config = policy.config
+    groups = policy._groups
+    for n in range(1, config.max_levels):
+        assert len(groups[n]) <= 1
+        records = [r for run in groups[n] for rs in run.records_by_page.values()
+                   for r in rs]
+        assert len(records) == len({(r.page_no, r.lsn) for r in records})
+    if drained:
+        assert len(groups[0]) <= config.l0_limit
+        for n in range(1, config.max_levels - 1):
+            budget = config.base_level_bytes * config.level_ratio ** (n - 1)
+            assert sum(run.live_bytes for run in groups[n]) <= budget
+
+
+@given(ops=POLICY_OPS)
+@settings(deadline=None)
+def test_leveled_policy_matches_a_dict_and_keeps_its_budgets(ops):
+    policy, _, _ = build("leveled", **SMALL_LEVELS)
+    model = {}
+    lsn = 1
+    now = 0.0
+    for op in ops:
+        if op[0] == "evict":
+            _, pages, size = op
+            batch = []
+            for page in pages:
+                record = RedoRecord(lsn, page, 0, bytes([lsn & 0xFF]) * size)
+                lsn += 1
+                model.setdefault(page, []).append(record)
+                batch.append(record)
+            now = policy.evict(now, batch)
+        elif op[0] == "discard":
+            model.pop(op[1], None)
+            policy.discard(op[1])
+        else:
+            now = policy.drain(now)
+        check_levels(policy, drained=op[0] == "drain")
+    for page in range(12):
+        got = policy.fetch(now, page)
+        assert got.records == sorted(model.get(page, []))
+        now = got.done_us
+    assert sorted(policy.pages_with_logs()) == sorted(model)

@@ -396,7 +396,9 @@ PARAMETER_ALLOWLIST = {
     "which bench/figures.py's Fig 15 run sets to 0",
     "repro.baselines.lsm.LSMTree.__init__:memtable_bytes": "tests/"
     "baselines/test_baselines.py flushes and compacts a few hundred "
-    "100-byte rows through a 4-32 KiB memtable (256 KiB by default)",
+    "100-byte rows through a 4-32 KiB memtable, and tests/baselines/"
+    "test_lsm_properties.py through a 64-byte one (2 KiB, "
+    "lsm.MEMTABLE_BYTES, by default)",
     "repro.net.client.SocketPool.__init__:max_inflight": "tests/net/"
     "test_server_client.py fills the client queue behind a one-slot "
     "window and holds a 2*steps pipeline in flight at once",
