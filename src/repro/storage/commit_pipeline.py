@@ -182,6 +182,7 @@ class GroupCommitPipeline:
         epoch = group.epoch
         leader = store.leader
         blob = encode_records(records)
+        lsn = max((r.lsn for r in records), default=0)
         pages = [r.page_no for r in records]
         send = store.network.rpc_us(len(blob))
         ack = store.network.rpc_us(64)
@@ -205,7 +206,7 @@ class GroupCommitPipeline:
                 )
 
         def leader_proc():
-            yield from leader.persist_redo_proc(blob)
+            yield from leader.persist_redo_proc(blob, lsn)
             state["leader_done"] = True
             check()
 
@@ -215,7 +216,7 @@ class GroupCommitPipeline:
                 # Replica persists are untraced, mirroring the
                 # synchronous path's span suppression: only the
                 # leader's work is attributed on the commit path.
-                yield from node.persist_redo_proc(blob, trace=False)
+                yield from node.persist_redo_proc(blob, lsn, trace=False)
             except DeviceUnavailableError:
                 group.missed[i].update(pages)
                 state["lost"] += 1

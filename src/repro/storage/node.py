@@ -17,8 +17,9 @@ FIFO — the building block of the volume-level group-commit pipeline.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.checksum import crc32
 from repro.common.errors import (
@@ -39,7 +40,7 @@ from repro.storage.allocator import SpaceManager
 from repro.storage.heavy import HeavySegmentStore
 from repro.storage.index import CompressionInfo, IndexEntry, PageIndex
 from repro.storage.perpage_log import PerPageLogStore, ScatteredLogStore
-from repro.storage.redo import RedoRecord, apply_records, decode_records
+from repro.storage.redo import RedoRecord, apply_records
 from repro.storage.wal import WriteAheadLog
 
 #: Codec for writes that skip Algorithm 1 (Opt#2 off).
@@ -148,9 +149,10 @@ class ReadResult:
 class StorageNode:
     """One storage server of the shared-storage layer."""
 
-    #: Redo batches kept live on the data device before recycling
-    #: (non-bypass mode); redo is reclaimable once pages are flushed.
-    REDO_DATA_BLOCK_WINDOW = 256
+    #: Redo batches kept live on their device (the performance device
+    #: with Opt#1, else the data device) before the oldest is trimmed.
+    #: Recovery replays ``durable_redo_blobs``, never these blocks.
+    REDO_BLOCK_WINDOW = 256
 
     def __init__(
         self,
@@ -190,12 +192,15 @@ class StorageNode:
         self.heavy = HeavySegmentStore(data_device, self.space)
         # Performance-device LBA cursors (WAL area, redo area).
         self._perf_cursor = 0
-        # Redo batches stored on the data device (non-bypass mode only).
-        self._redo_data_blocks: List[Tuple[int, int]] = []
+        # Live redo blocks, oldest first: (device, lba, nbytes).
+        self._redo_blocks: Deque[Tuple[BlockDevice, int, int]] = deque()
         # Current 16 KB redo log-buffer window (non-bypass compression).
         self._redo_log_window = bytearray()
         # Durably-persisted redo batches (what recovery replays).
         self.durable_redo_blobs: List[bytes] = []
+        #: Highest LSN among ``durable_redo_blobs`` (0: none); failover
+        #: elects on it.
+        self.durable_lsn = 0
         # Stats: histogram-backed series (the seed used unbounded raw
         # lists here), plus event counters for the registry.
         labels = {"node": name}
@@ -571,20 +576,17 @@ class StorageNode:
         else:
             lba = self.space.allocate_blocks(nbytes)
             self.wal.append_alloc(lba, nbytes // LBA_SIZE)
-            self._track_redo_block(lba, nbytes)
+        self._track_redo_block(device, lba, nbytes)
         return device, lba, padded, cpu
 
-    @property
-    def durable_lsn(self) -> int:
-        """Highest LSN among the durably persisted redo batches (0: none)."""
-        return max(
-            (r.lsn for blob in self.durable_redo_blobs
-             for r in decode_records(blob)),
-            default=0,
-        )
+    def _make_durable(self, blob: bytes, lsn: int) -> None:
+        self.durable_redo_blobs.append(blob)
+        self.durable_lsn = max(self.durable_lsn, lsn)
 
-    def persist_redo(self, start_us: float, blob: bytes) -> float:
-        """Durably store a redo batch; returns completion time."""
+    def persist_redo(self, start_us: float, blob: bytes, lsn: int) -> float:
+        """Durably store a redo batch whose highest LSN is ``lsn`` (the
+        caller has the records; every replica takes the same value);
+        returns completion time."""
         tracer = self.metrics.tracer
         device, lba, padded, cpu = self._prepare_redo(start_us, blob)
         dev_sp = tracer.begin(
@@ -592,13 +594,14 @@ class StorageNode:
         )
         completion = device.write(start_us + cpu, lba, padded)
         tracer.end(dev_sp, completion.done_us)
-        self.durable_redo_blobs.append(blob)
+        self._make_durable(blob, lsn)
         return completion.done_us
 
-    def persist_redo_proc(self, blob: bytes, trace: bool = True):
-        """Engine process: persist a redo batch, really queueing FIFO on
-        the target device behind concurrent requests.  Requires
-        :meth:`bind_engine`.  Returns the completion time.
+    def persist_redo_proc(self, blob: bytes, lsn: int, trace: bool = True):
+        """Engine process: persist a redo batch (highest LSN ``lsn``),
+        really queueing FIFO on the target device behind concurrent
+        requests.  Requires :meth:`bind_engine`.  Returns the completion
+        time.
 
         ``trace=False`` mirrors the synchronous path's span suppression
         for replica persists.  Spans are emitted retrospectively (after
@@ -621,18 +624,23 @@ class StorageNode:
                 "csd.redo_device_write", write_start, layer="csd"
             )
             tracer.end(dev_sp, completion.done_us)
-        self.durable_redo_blobs.append(blob)
+        self._make_durable(blob, lsn)
         return completion.done_us
 
-    def _track_redo_block(self, lba: int, nbytes: int) -> None:
-        """Redo on the data device is recycled once pages flush; keep a
-        bounded window of live redo blocks."""
-        self._redo_data_blocks.append((lba, nbytes))
-        while len(self._redo_data_blocks) > self.REDO_DATA_BLOCK_WINDOW:
-            old_lba, old_bytes = self._redo_data_blocks.pop(0)
-            self.wal.append_free(old_lba, old_bytes // LBA_SIZE)
-            self.space.free_blocks(old_lba, old_bytes)
-            self.data_device.trim(old_lba, old_bytes)
+    def _track_redo_block(
+        self, device: BlockDevice, lba: int, nbytes: int
+    ) -> None:
+        """Keep the last :attr:`REDO_BLOCK_WINDOW` redo blocks live and
+        trim the oldest from whichever device holds it.  A data-device
+        block is also logged ``FREE`` and released to the allocator; the
+        performance device's ring has no allocator."""
+        self._redo_blocks.append((device, lba, nbytes))
+        if len(self._redo_blocks) > self.REDO_BLOCK_WINDOW:
+            old_device, old_lba, old_bytes = self._redo_blocks.popleft()
+            if old_device is self.data_device:
+                self.wal.append_free(old_lba, old_bytes // LBA_SIZE)
+                self.space.free_blocks(old_lba, old_bytes)
+            old_device.trim(old_lba, old_bytes)
 
     def _next_perf_lba(self, nbytes: int) -> int:
         lba = self._perf_cursor

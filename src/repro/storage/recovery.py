@@ -45,6 +45,7 @@ def recover_node(crashed: StorageNode, metrics=None) -> StorageNode:
     )
     node.wal = crashed.wal
     node.durable_redo_blobs = list(crashed.durable_redo_blobs)
+    node.durable_lsn = crashed.durable_lsn
 
     allocations: Dict[int, int] = {}  # start_lba -> n_blocks
     index = PageIndex()

@@ -7,11 +7,12 @@ import pytest
 
 from repro.engine.resources import Resource
 from repro.common.errors import ReproError
-from repro.common.units import KiB, MiB
+from repro.common.units import KiB, LBA_SIZE, MiB
+from repro.compression.memo import get_codec
 from repro.csd.device import PlainSSD
 from repro.csd.specs import P5510
 from repro.baselines.innodb import InnoDBEngine, InnoDBStore
-from repro.baselines.lsm import LSMTree
+from repro.baselines.lsm import CODEC, LSMTree, _decode_entries
 from repro.baselines.myrocks import MyRocksEngine
 from repro.workloads.datagen import dataset_pages
 from benchmarks.bench_fig16_comparison import TXNS, myrocks, run_leg
@@ -95,6 +96,67 @@ def test_lsm_compaction_charges_compute_resource():
         now = lsm.put(now, key, value_for(key))
     assert lsm.stats.compactions > 0
     assert now > booked_us
+
+
+def table_entries(lsm):
+    """Every ``(key, value)`` the tree's SSTables hold, level by level."""
+    levels = []
+    for tables in lsm._levels:
+        entries = []
+        for table in tables:
+            for block in table.blocks:
+                data = lsm.device.read(
+                    0.0, block.lba, block.n_blocks * LBA_SIZE
+                ).data
+                blob = get_codec(CODEC).decompress(data[: block.payload_len])
+                entries.extend(_decode_entries(blob))
+        levels.append(entries)
+    return levels
+
+
+def test_lsm_drops_tombstones_at_the_deepest_level():
+    """A compaction into the deepest non-empty level drops tombstones and
+    the rows they shadow, so the SSTables hold live rows only."""
+    lsm = LSMTree(make_device())
+    now = 0.0
+    for key in range(400):
+        now = lsm.put(now, key, value_for(key, 400))
+    for key in range(400):
+        now = lsm.delete(now, key)
+    live = range(1000, 1120)
+    for key in live:
+        now = lsm.put(now, key, value_for(key, 400))
+    levels = [entries for entries in table_entries(lsm) if entries]
+    assert len(levels) >= 2
+    assert all(value is not None for _, value in levels[-1])
+    stored = [key for entries in levels for key, _ in entries]
+    assert sorted(stored + list(lsm._memtable)) == list(live)
+    for key in (0, 399):
+        assert lsm.get(now, key)[0] is None
+    for key in (live[0], live[-1]):
+        assert lsm.get(now, key)[0] == value_for(key, 400)
+
+
+def test_lsm_reuses_trimmed_extents():
+    """Churn whose live data fits a 256 KiB device: compaction trims the
+    tables it merges, and their extents take later tables."""
+    lsm = LSMTree(make_device(volume=256 * KiB))
+    now = 0.0
+    for round_no in range(60):
+        for key in range(50):
+            now = lsm.put(now, key, value_for(key + 1000 * round_no))
+    assert lsm.stats.compactions > 0
+    for key in range(0, 50, 7):
+        value, now = lsm.get(now, key)
+        assert value == value_for(key + 59000)
+
+
+def test_lsm_device_full_still_raises():
+    lsm = LSMTree(make_device(volume=256 * KiB))
+    rng = random.Random(0)
+    with pytest.raises(ReproError, match="LSM device full"):
+        for key in range(10_000):
+            lsm.put(0.0, key, rng.randbytes(400))
 
 
 def test_lsm_compresses_data():

@@ -3,7 +3,9 @@
 Reads match a dict model, and after every flush (each one drains the
 shared leveled rule) L0 holds at most ``l0_limit`` tables, every level
 above the bottom fits its byte budget, and a level >= 1 holds one table
-with no key twice.
+with no key twice (and, at the deepest non-empty level, no tombstone:
+nothing older lies below for it to shadow).  The live tables' extents
+and the free extents never overlap and lie below the allocation cursor.
 """
 
 import dataclasses
@@ -42,19 +44,22 @@ def make_device():
     return PlainSSD(spec, seed=0)
 
 
-def table_keys(lsm, table):
-    keys = []
+def table_entries(lsm, table):
+    entries = []
     for block in table.blocks:
         data = lsm.device.read(0.0, block.lba, block.n_blocks * LBA_SIZE).data
         blob = get_codec(CODEC).decompress(data[: block.payload_len])
-        keys.extend(key for key, _ in _decode_entries(blob))
-    return keys
+        entries.extend(_decode_entries(blob))
+    return entries
 
 
 def check_shape(lsm, checked):
-    """``checked``: ids of the (immutable) tables already found sorted."""
+    """``checked``: ids of the (immutable) tables already checked."""
     levels = lsm._levels
     assert len(levels[0]) <= LEVELS.l0_limit
+    deepest = max(
+        (n for n, tables in enumerate(levels) if tables), default=0
+    )
     for n in range(1, len(levels)):
         assert len(levels[n]) <= 1
         if n < len(levels) - 1:
@@ -62,9 +67,21 @@ def check_shape(lsm, checked):
             assert sum(t.stored_bytes for t in levels[n]) <= budget
         for table in levels[n]:
             if table.table_id not in checked:
-                keys = table_keys(lsm, table)
+                entries = table_entries(lsm, table)
+                keys = [key for key, _ in entries]
                 assert keys == sorted(set(keys))
+                if n == deepest:
+                    assert all(value is not None for _, value in entries)
                 checked.add(table.table_id)
+    extents = sorted(
+        [(b.lba, b.n_blocks) for level in levels for t in level
+         for b in t.blocks] + lsm._free_extents
+    )
+    end = 0
+    for lba, span in extents:
+        assert lba >= end
+        end = lba + span
+    assert end <= lsm._lba_cursor
 
 
 @given(ops=OPS)
