@@ -20,16 +20,16 @@ through the shared device model, and codec CPU is charged to a compute
 
 from __future__ import annotations
 
-import bisect
 import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.common.errors import ReproError
+from repro.common.errors import OutOfSpaceError, ReproError
 from repro.common.units import KiB, LBA_SIZE, align_up
 from repro.compression.memo import get_codec
 from repro.compression.cost import codec_cost
 from repro.engine.resources import Resource
+from repro.storage.allocator import SpaceManager
 from repro.storage.consolidation import ConsolidationConfig
 
 _ENTRY = struct.Struct("<QIB")  # key, value_len, tombstone
@@ -138,10 +138,8 @@ class LSMTree:
             [] for _ in range(LEVELS.max_levels)
         ]
         self._next_table_id = 1
-        #: Blocks past the cursor have never been written; trimmed
-        #: tables' extents below it are free, as sorted ``(lba, span)``.
-        self._lba_cursor = 0
-        self._free_extents: List[Tuple[int, int]] = []
+        #: Trimmed tables' blocks return here for later tables.
+        self.space = SpaceManager(device.spec.logical_capacity)
 
     # -- write path --------------------------------------------------------
 
@@ -224,39 +222,10 @@ class LSMTree:
         return table, now
 
     def _allocate(self, nbytes: int) -> int:
-        """First fit among the free extents, else the unwritten tail."""
-        span = nbytes // LBA_SIZE
-        extents = self._free_extents
-        for i, (lba, free_span) in enumerate(extents):
-            if free_span >= span:
-                if free_span == span:
-                    del extents[i]
-                else:
-                    extents[i] = (lba + span, free_span - span)
-                return lba
-        lba = self._lba_cursor
-        capacity_blocks = self.device.spec.logical_capacity // LBA_SIZE
-        if lba + span > capacity_blocks:
-            raise ReproError("LSM device full")
-        self._lba_cursor += span
-        return lba
-
-    def _release(self, lba: int, span: int) -> None:
-        """Free an extent, merged with its free neighbours; one that
-        reaches the cursor moves the cursor back instead."""
-        extents = self._free_extents
-        i = bisect.bisect(extents, (lba, span))
-        if i > 0 and sum(extents[i - 1]) == lba:
-            i -= 1
-            lba, span = extents[i][0], extents[i][1] + span
-            del extents[i]
-        if i < len(extents) and lba + span == extents[i][0]:
-            span += extents[i][1]
-            del extents[i]
-        if lba + span == self._lba_cursor:
-            self._lba_cursor = lba
-        else:
-            extents.insert(i, (lba, span))
+        try:
+            return self.space.allocate_blocks(nbytes)
+        except OutOfSpaceError:
+            raise ReproError("LSM device full") from None
 
     # -- compaction ------------------------------------------------------------
 
@@ -295,7 +264,7 @@ class LSMTree:
     def _trim_table(self, table: SSTable) -> None:
         for block in table.blocks:
             self.device.trim(block.lba, block.n_blocks * LBA_SIZE)
-            self._release(block.lba, block.n_blocks)
+            self.space.free_blocks(block.lba, block.n_blocks * LBA_SIZE)
 
     # -- read path ----------------------------------------------------------------
 

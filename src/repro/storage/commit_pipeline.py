@@ -182,7 +182,6 @@ class GroupCommitPipeline:
         epoch = group.epoch
         leader = store.leader
         blob = encode_records(records)
-        lsn = max((r.lsn for r in records), default=0)
         pages = [r.page_no for r in records]
         send = store.network.rpc_us(len(blob))
         ack = store.network.rpc_us(64)
@@ -206,7 +205,7 @@ class GroupCommitPipeline:
                 )
 
         def leader_proc():
-            yield from leader.persist_redo_proc(blob, lsn)
+            yield from leader.persist_redo_proc(blob)
             state["leader_done"] = True
             check()
 
@@ -216,7 +215,7 @@ class GroupCommitPipeline:
                 # Replica persists are untraced, mirroring the
                 # synchronous path's span suppression: only the
                 # leader's work is attributed on the commit path.
-                yield from node.persist_redo_proc(blob, lsn, trace=False)
+                yield from node.persist_redo_proc(blob, trace=False)
             except DeviceUnavailableError:
                 group.missed[i].update(pages)
                 state["lost"] += 1

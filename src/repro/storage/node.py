@@ -40,7 +40,7 @@ from repro.storage.allocator import SpaceManager
 from repro.storage.heavy import HeavySegmentStore
 from repro.storage.index import CompressionInfo, IndexEntry, PageIndex
 from repro.storage.perpage_log import PerPageLogStore, ScatteredLogStore
-from repro.storage.redo import RedoRecord, apply_records
+from repro.storage.redo import RedoRecord, apply_records, decode_records
 from repro.storage.wal import WriteAheadLog
 
 #: Codec for writes that skip Algorithm 1 (Opt#2 off).
@@ -198,9 +198,6 @@ class StorageNode:
         self._redo_log_window = bytearray()
         # Durably-persisted redo batches (what recovery replays).
         self.durable_redo_blobs: List[bytes] = []
-        #: Highest LSN among ``durable_redo_blobs`` (0: none); failover
-        #: elects on it.
-        self.durable_lsn = 0
         # Stats: histogram-backed series (the seed used unbounded raw
         # lists here), plus event counters for the registry.
         labels = {"node": name}
@@ -579,14 +576,17 @@ class StorageNode:
         self._track_redo_block(device, lba, nbytes)
         return device, lba, padded, cpu
 
-    def _make_durable(self, blob: bytes, lsn: int) -> None:
-        self.durable_redo_blobs.append(blob)
-        self.durable_lsn = max(self.durable_lsn, lsn)
+    @property
+    def durable_lsn(self) -> int:
+        """Highest LSN among the durably persisted redo batches (0: none)."""
+        return max(
+            (r.lsn for blob in self.durable_redo_blobs
+             for r in decode_records(blob)),
+            default=0,
+        )
 
-    def persist_redo(self, start_us: float, blob: bytes, lsn: int) -> float:
-        """Durably store a redo batch whose highest LSN is ``lsn`` (the
-        caller has the records; every replica takes the same value);
-        returns completion time."""
+    def persist_redo(self, start_us: float, blob: bytes) -> float:
+        """Durably store a redo batch; returns completion time."""
         tracer = self.metrics.tracer
         device, lba, padded, cpu = self._prepare_redo(start_us, blob)
         dev_sp = tracer.begin(
@@ -594,14 +594,13 @@ class StorageNode:
         )
         completion = device.write(start_us + cpu, lba, padded)
         tracer.end(dev_sp, completion.done_us)
-        self._make_durable(blob, lsn)
+        self.durable_redo_blobs.append(blob)
         return completion.done_us
 
-    def persist_redo_proc(self, blob: bytes, lsn: int, trace: bool = True):
-        """Engine process: persist a redo batch (highest LSN ``lsn``),
-        really queueing FIFO on the target device behind concurrent
-        requests.  Requires :meth:`bind_engine`.  Returns the completion
-        time.
+    def persist_redo_proc(self, blob: bytes, trace: bool = True):
+        """Engine process: persist a redo batch, really queueing FIFO on
+        the target device behind concurrent requests.  Requires
+        :meth:`bind_engine`.  Returns the completion time.
 
         ``trace=False`` mirrors the synchronous path's span suppression
         for replica persists.  Spans are emitted retrospectively (after
@@ -624,7 +623,7 @@ class StorageNode:
                 "csd.redo_device_write", write_start, layer="csd"
             )
             tracer.end(dev_sp, completion.done_us)
-        self._make_durable(blob, lsn)
+        self.durable_redo_blobs.append(blob)
         return completion.done_us
 
     def _track_redo_block(

@@ -13,6 +13,7 @@ contents are the durable state the rebuilt metadata points back into.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Dict, List
 
 from repro.common.errors import WALError
@@ -45,7 +46,11 @@ def recover_node(crashed: StorageNode, metrics=None) -> StorageNode:
     )
     node.wal = crashed.wal
     node.durable_redo_blobs = list(crashed.durable_redo_blobs)
-    node.durable_lsn = crashed.durable_lsn
+    # The redo window's blocks and the performance ring they sit on
+    # survive on the devices (a data-device block's ALLOC stays in the
+    # WAL), so the rebuilt node goes on recycling them.
+    node._redo_blocks = deque(crashed._redo_blocks)
+    node._perf_cursor = crashed._perf_cursor
 
     allocations: Dict[int, int] = {}  # start_lba -> n_blocks
     index = PageIndex()

@@ -469,13 +469,12 @@ class PolarStore:
     ) -> float:
         """Replicated redo persistence (the transaction-commit path)."""
         blob = encode_records(records)
-        lsn = max((r.lsn for r in records), default=0)
         root = self.metrics.tracer.begin(
             "storage.redo_commit", start_us, layer="storage"
         )
         commit = self._replicate(
             root, start_us, [r.page_no for r in records], len(blob),
-            lambda node, at_us: node.persist_redo(at_us, blob, lsn),
+            lambda node, at_us: node.persist_redo(at_us, blob),
         )
         self._after_redo_commit(commit, records)
         rec = recorder_active()

@@ -5,7 +5,7 @@ shared leveled rule) L0 holds at most ``l0_limit`` tables, every level
 above the bottom fits its byte budget, and a level >= 1 holds one table
 with no key twice (and, at the deepest non-empty level, no tombstone:
 nothing older lies below for it to shadow).  The live tables' extents
-and the free extents never overlap and lie below the allocation cursor.
+never overlap, and the allocator holds exactly those blocks.
 """
 
 import dataclasses
@@ -74,14 +74,14 @@ def check_shape(lsm, checked):
                     assert all(value is not None for _, value in entries)
                 checked.add(table.table_id)
     extents = sorted(
-        [(b.lba, b.n_blocks) for level in levels for t in level
-         for b in t.blocks] + lsm._free_extents
+        (b.lba, b.n_blocks) for level in levels for t in level
+        for b in t.blocks
     )
     end = 0
     for lba, span in extents:
         assert lba >= end
         end = lba + span
-    assert end <= lsm._lba_cursor
+    assert lsm.space.used_bytes == sum(s for _, s in extents) * LBA_SIZE
 
 
 @given(ops=OPS)

@@ -116,33 +116,6 @@ def test_follower_that_missed_the_last_acked_batch_is_not_elected():
     assert store.leader.durable_lsn == 5
 
 
-def decoded_lsn(node):
-    """The max LSN over every durable batch, decoded the long way."""
-    return max(
-        (r.lsn for blob in node.durable_redo_blobs
-         for r in decode_records(blob)),
-        default=0,
-    )
-
-
-def test_durable_lsn_is_the_max_of_every_durable_batch():
-    """``durable_lsn`` is kept as batches land, through the synchronous
-    and the pipelined commit, and survives a crash and recovery."""
-    store, engine = make_engine_stack()
-    now = store.write_redo(engine.now_us, make_records(4, lsn0=1))
-    # A batch whose records arrive out of LSN order, then an older one.
-    now = store.write_redo(now, make_records(3, lsn0=7)[::-1])
-    now = store.write_redo(now, make_records(1, lsn0=5))
-    assert [n.durable_lsn for n in store.nodes] == [9, 9, 9]
-    client = engine.spawn(store.write_redo_proc(make_records(2, lsn0=10)))
-    engine.run_until_complete([client])
-    assert [n.durable_lsn for n in store.nodes] == [11, 11, 11]
-    assert [decoded_lsn(n) for n in store.nodes] == [11, 11, 11]
-    store.fail_node(1)
-    store.recover_node(1, client.value)
-    assert store.nodes[1].durable_lsn == decoded_lsn(store.nodes[1]) == 11
-
-
 def test_leader_crash_elects_successor_and_commits_resume():
     store, engine = make_engine_stack()
     with recording() as rec:

@@ -592,7 +592,7 @@ def test_redo_cache_byte_counts_survive_every_mutation():
                     lsn, rng.randrange(10), rng.randrange(0, 4096, 64),
                     bytes([lsn % 251]) * rng.randint(8, 400),
                 ))
-            now = node.persist_redo(now, encode_records(batch), lsn)
+            now = node.persist_redo(now, encode_records(batch))
             now = node.add_redo(now, batch)  # spills once past 2 KiB
         elif roll < 0.80:
             now = node.read_page(now, page).done_us  # consolidates

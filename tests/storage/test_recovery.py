@@ -91,7 +91,7 @@ def test_recovery_replays_unconsolidated_redo():
     records = [RedoRecord(100 + i, 1, i * 50, b"CRASHSAFE") for i in range(4)]
     from repro.storage.redo import encode_records
 
-    now = node.persist_redo(now, encode_records(records), records[-1].lsn)
+    now = node.persist_redo(now, encode_records(records))
     node.add_redo(now, records)
 
     recovered = crash_and_recover(node)
@@ -113,7 +113,7 @@ def test_recovery_does_not_reapply_consolidated_redo():
     from repro.storage.redo import encode_records
 
     old = [RedoRecord(10, 1, 0, b"OLDOLD")]
-    now = node.persist_redo(now, encode_records(old), 10)
+    now = node.persist_redo(now, encode_records(old))
     node.add_redo(now, old)
     now = node.read_page(now, 1).done_us  # consolidates, applied_lsn=10
     # The page is then legitimately overwritten with fresh content.

@@ -50,7 +50,7 @@ def run(bypass, window=WINDOW):
             device.write = spy
         records = [RedoRecord(i + 1, i % PAGES, (i * 37) % 4000,
                               b"batch-%06d" % i)]
-        now = node.persist_redo(now, encode_records(records), i + 1)
+        now = node.persist_redo(now, encode_records(records))
         now = node.add_redo(now, records)
     del device.write
     return node, now, placed
@@ -97,3 +97,22 @@ def test_recovery_does_not_need_trimmed_redo_blocks(bypass):
     assert sum(map(len, a.redo_cache.values())) == BATCHES - WINDOW
     for page_no in range(PAGES):
         assert a.read_page(now, page_no).data == b.read_page(now, page_no).data
+
+
+@pytest.mark.parametrize("bypass", [True, False], ids=["perf", "data"])
+def test_recovered_node_goes_on_recycling_the_window(bypass):
+    """The rebuilt node takes over the crashed node's window: its blocks
+    are trimmed (and, on the data device, freed) as new batches land, so
+    neither the device nor the allocator keeps them across a crash."""
+    node, now, placed = run(bypass)
+    device = node.perf_device if bypass else node.data_device
+    used = node.space.used_bytes
+    held = len(device._blocks)
+    recovered = recover_node(node)
+    assert recovered.space.used_bytes == used
+    for i in range(WINDOW):
+        records = [RedoRecord(BATCHES + i + 1, i % PAGES, 0, b"after")]
+        now = recovered.persist_redo(now, encode_records(records))
+    assert resident(device, placed) == 0
+    assert recovered.space.used_bytes == used
+    assert len(device._blocks) == held
