@@ -17,7 +17,7 @@ from typing import List, Sequence
 from repro.common.units import GiB, MiB
 from repro.cluster.cluster import Cluster
 from repro.cluster.scheduler import MigrationTask
-from repro.engine.resources import ResourcePool
+from repro.engine.resources import Resource
 
 
 #: A throttled background mover: ~80 MiB/s per stream (a fraction of a
@@ -46,7 +46,7 @@ class MigrationExecutor:
         self, cluster_chunks_bytes: Sequence[int]
     ) -> MigrationPlanReport:
         """Makespan for moving chunks of the given physical sizes."""
-        pool = ResourcePool("migration", CONCURRENT_STREAMS)
+        pool = Resource("migration", servers=CONCURRENT_STREAMS)
         makespan_us = 0.0
         moved = 0
         # Longest-processing-time-first assignment approximates the

@@ -18,7 +18,7 @@ from repro.common.units import GiB
 from repro.compression.cost import codec_cost
 from benchmarks.ablation.host_ftl import contention_risk, host_ftl_footprint
 from repro.csd.specs import POLARCSD1, POLARCSD2
-from repro.engine.resources import ResourcePool
+from repro.engine.resources import Resource
 
 HOST_CORES = 32
 HOST_DRAM = 256 * GiB
@@ -39,7 +39,7 @@ SCENARIOS = [
 def _simulate(spec, devices, software_compression, seed=1):
     footprint = host_ftl_footprint(spec, devices)
     free_cores = max(1, HOST_CORES - footprint.cpu_cores)
-    cpu = ResourcePool("host-cpu", free_cores)
+    cpu = Resource("host-cpu", servers=free_cores)
     rng = random.Random(seed)
     stats = LatencyStats()
     now = 0.0

@@ -32,7 +32,7 @@ from repro.csd.specs import P5510
 from repro.db.btree import BPlusTree
 from repro.db.bufferpool import BufferPool, OpContext
 from repro.db.rw_node import COMMIT_CPU_US, EXECUTE_CPU_US, OpResult
-from repro.engine.resources import ResourcePool
+from repro.engine.resources import Resource
 
 #: The page codec.
 CODEC = "zstd"
@@ -197,7 +197,7 @@ class InnoDBEngine:
         buffer_pool_pages: int = 256,
         seed: int = 0,
     ) -> None:
-        self.cpu = ResourcePool("innodb-cpu", 8)
+        self.cpu = Resource("innodb-cpu", servers=8)
         self.store = InnoDBStore(volume_bytes, seed=seed, compute=self.cpu)
         self.pool = BufferPool(buffer_pool_pages, self.store, writeback=True)
         self.trees: Dict[str, BPlusTree] = {}

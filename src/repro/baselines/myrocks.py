@@ -23,7 +23,7 @@ from repro.csd.device import PlainSSD
 from repro.csd.specs import P5510
 from repro.db.rw_node import EXECUTE_CPU_US, OpResult
 from repro.baselines.lsm import LSMTree
-from repro.engine.resources import ResourcePool
+from repro.engine.resources import Resource
 
 
 class MyRocksEngine:
@@ -38,7 +38,7 @@ class MyRocksEngine:
             P5510, logical_capacity=volume_bytes, physical_capacity=volume_bytes
         )
         self.device = PlainSSD(spec, seed=seed)
-        self.compute = ResourcePool("myrocks-compute", 8)
+        self.compute = Resource("myrocks-compute", servers=8)
         self.lsm = LSMTree(self.device, self.compute)
         self._tables: set = set()
 

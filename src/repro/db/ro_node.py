@@ -11,7 +11,7 @@ from __future__ import annotations
 
 
 from repro.db.btree import descend
-from repro.engine.resources import ResourcePool
+from repro.engine.resources import Resource
 from repro.db.bufferpool import BufferPool, OpContext
 from repro.db.rw_node import EXECUTE_CPU_US, OpResult, RWNode
 
@@ -32,7 +32,7 @@ class RONode:
         #: Query execution contends for the node's cores; at high thread
         #: counts this queue, not the storage I/O, bounds throughput (the
         #: Figure 15 crossover beyond 128 threads).
-        self.cpu = ResourcePool("ro-cpu", cpu_cores)
+        self.cpu = Resource("ro-cpu", servers=cpu_cores)
         self._sim_engine = None
 
     def bind_engine(self, engine, label: str = "0") -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ReproError
-from repro.engine.resources import ResourcePool
+from repro.engine.resources import Resource
 from repro.db.btree import BPlusTree
 from repro.db.bufferpool import BufferPool, OpContext
 from repro.storage.redo import RedoRecord
@@ -50,7 +50,7 @@ class RWNode:
         self._next_lsn = 1
         #: The compute instance's cores (the paper evaluates an 8-core
         #: instance); statement CPU queues here under high concurrency.
-        self.cpu = ResourcePool("rw-cpu", 8)
+        self.cpu = Resource("rw-cpu", servers=8)
         self._sim_engine = None
 
     def bind_engine(self, engine) -> None:
@@ -146,7 +146,7 @@ class RWNode:
 
     def _statement(self, start_us: float, body, read_only: bool = False) -> OpResult:
         """One statement on the analytic path (same body closures as
-        :meth:`_statement_proc`, CPU charged via ``ResourcePool.serve``)."""
+        :meth:`_statement_proc`, CPU charged via ``Resource.serve``)."""
         ctx = self._start_statement(start_us)
         value = body(ctx)
         if read_only:

@@ -145,15 +145,6 @@ class Resource:
         )
 
 
-class ResourcePool(Resource):
-    """``k`` identical servers, earliest-free dispatch, with a real
-    shared FIFO wait list in engine-native mode (a :class:`Resource`
-    whose ``servers`` is required)."""
-
-    def __init__(self, name: str, servers: int) -> None:
-        super().__init__(name, servers=servers)
-
-
 class Queue:
     """Unbounded FIFO item queue between processes.
 

@@ -9,13 +9,14 @@ closed-loop call is one send and one receive.  The pool promises:
 * **sequencing** — every data op gets its ``seq`` and its simulated
   ``arrival_us`` stamped *at dispatch*, under the lock, in dispatch
   order, and TCP keeps that order on the one connection.  A request
-  that times out while queued therefore never occupies a sequence slot,
-  so the server never sees a gap;
-* **admission control** — a bounded in-flight window
-  (``max_inflight``) plus a bounded dispatch queue (``queue_cap``);
-  a full queue rejects immediately with
-  :class:`~repro.api.transport.AdmissionError` (backpressure the
-  caller can see) instead of buffering without bound;
+  that fails to encode is never stamped, so the server never sees a
+  gap;
+* **no client-side window** — every request is written at once, in
+  call order, so ``flush`` is a barrier behind every op submitted
+  before it.  The server's ``net.window`` is the only admission
+  control: a full window replies ``STATUS_REJECTED``, which
+  :class:`SocketTransport` raises as
+  :class:`~repro.api.transport.AdmissionError`;
 * **timeouts** — each blocking wait carries a wall-clock deadline
   (:class:`~repro.api.transport.TransportTimeout`); a late reply is
   discarded;
@@ -39,9 +40,8 @@ import itertools
 import socket
 import threading
 import time
-from collections import deque
 from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
-from typing import Any, Deque, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.api.transport import (
     AdmissionError,
@@ -167,23 +167,16 @@ class Reply:
 
 
 class SocketPool:
-    """One connection to one server, its sequencer, and a bounded
-    dispatch pipeline (window + queue) — the client-side half of the
-    serving layer's admission control."""
+    """One connection to one server and its sequencer; every request
+    goes on the wire as it is made."""
 
     def __init__(
         self,
         addr: Union[str, Tuple[str, int]],
         *,
-        max_inflight: int = 256,
-        queue_cap: int = 4096,
         timeout_s: float = 30.0,
     ) -> None:
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be positive")
         self.addr = parse_addr(addr)
-        self.max_inflight = max_inflight
-        self.queue_cap = queue_cap
         self.timeout_s = timeout_s
         self.hello: Dict[str, Any] = {}
         self._closed = False
@@ -192,8 +185,6 @@ class SocketPool:
         self._last_arrival = 0.0
         #: request id -> its reply
         self._pending: Dict[int, Reply] = {}
-        #: ((op, args, sync, arrival_us, control), reply) awaiting a slot.
-        self._queue: Deque[Tuple[tuple, Reply]] = deque()
         self._lock = threading.Lock()  # pool state and socket I/O
         self._pumping = threading.Lock()  # held by the one thread in select
         self._selector = DefaultSelector()
@@ -236,73 +227,45 @@ class SocketPool:
         sync: bool = False,
         arrival_us: float = 0.0,
     ) -> Reply:
-        """Thread-safe: dispatch one op (or queue it behind a full
-        window); returns its :class:`Reply`.  Raises
-        :class:`AdmissionError` when the window and the queue are both
-        full, and :class:`TransportError` when the pool is closed.
+        """Thread-safe: stamp id/seq/arrival in call order and write the
+        frame at once; returns its :class:`Reply`.  Raises
+        :class:`TransportError` when the pool is closed; a down
+        connection or an unencodable request fails the reply instead.
         """
         row = OPS_BY_NAME.get(op)
         if row is None:
             raise ProtocolError(f"unknown op {op!r}")
         reply = Reply(self._lock)
-        spec = (op, args, sync, arrival_us, row.control)
         with self._lock:
             if self._closed:
                 raise TransportError("socket pool is closed")
-            if (not row.control and len(self._pending) >= self.max_inflight
-                    and len(self._queue) >= self.queue_cap):
-                # Replies that already arrived may free window slots.
-                self._serve(self._selector.select(0))
-            # The queue is empty whenever the window has room, so this
-            # keeps dispatch order equal to call order.
-            if row.control or len(self._pending) < self.max_inflight:
-                self._dispatch(spec, reply)
-            elif len(self._queue) >= self.queue_cap:
-                raise AdmissionError(
-                    f"client dispatch queue full "
-                    f"({self.queue_cap} waiting behind a "
-                    f"{self.max_inflight}-request window)"
+            if self._sock is None:
+                reply._settle(
+                    _DONE, None, TransportError("the connection is down")
                 )
+                return reply
+            request_id = next(self._next_id)
+            if row.control:
+                request = Request(id=request_id, op=op, args=args)
             else:
-                self._queue.append((spec, reply))
+                request = Request(
+                    id=request_id, op=op, args=args, seq=self._next_seq,
+                    session=SESSION, flags=FLAG_SYNC if sync else 0,
+                    arrival_us=max(self._last_arrival, float(arrival_us)),
+                )
+            try:
+                frame = request.encode()
+            except ProtocolError as exc:
+                # Nothing was stamped: the sequence has no gap.
+                reply._settle(_DONE, None, exc)
+                return reply
+            if not row.control:
+                self._last_arrival = request.arrival_us
+                self._next_seq += 1
+            self._pending[request_id] = reply
+            self._out += frame
+            self._flush()
         return reply
-
-    def _dispatch(self, spec: tuple, reply: Reply) -> None:
-        """Stamp id/seq/arrival in dispatch order and write the frame."""
-        if self._sock is None:
-            reply._settle(
-                _DONE, None, TransportError("the connection is down")
-            )
-            return
-        op, args, sync, arrival_us, control = spec
-        request_id = next(self._next_id)
-        if control:
-            request = Request(id=request_id, op=op, args=args)
-        else:
-            request = Request(
-                id=request_id, op=op, args=args, seq=self._next_seq,
-                session=SESSION, flags=FLAG_SYNC if sync else 0,
-                arrival_us=max(self._last_arrival, float(arrival_us)),
-            )
-        try:
-            frame = request.encode()
-        except ProtocolError as exc:
-            # Nothing was stamped: the sequence has no gap.
-            reply._settle(_DONE, None, exc)
-            return
-        if not control:
-            self._last_arrival = request.arrival_us
-            self._next_seq += 1
-        self._pending[request_id] = reply
-        self._out += frame
-        self._flush()
-
-    def _admit_queued(self) -> None:
-        """Window slots freed (reply or failure): dispatch queued work."""
-        while self._queue and len(self._pending) < self.max_inflight:
-            spec, reply = self._queue.popleft()
-            if not reply.cancelled():
-                self._dispatch(spec, reply)
 
     # -- the pump ----------------------------------------------------------
 
@@ -317,15 +280,11 @@ class SocketPool:
                 return
             ready = self._selector.select(min(timeout, _SLICE_S))
             with self._lock:
-                self._serve(ready)
-
-    def _serve(self, ready) -> None:
-        """Act on ``select``'s events (the caller holds the lock)."""
-        for _, events in ready:
-            if events & EVENT_WRITE and self._sock is not None:
-                self._flush()
-            if events & EVENT_READ and self._sock is not None:
-                self._receive()
+                for _, events in ready:
+                    if events & EVENT_WRITE and self._sock is not None:
+                        self._flush()
+                    if events & EVENT_READ and self._sock is not None:
+                        self._receive()
 
     def _flush(self) -> None:
         """Write what the socket takes now; the pump writes the rest."""
@@ -367,11 +326,9 @@ class SocketPool:
         # A caller that timed out has cancelled its reply and left.
         if reply is not None:
             reply._settle(_DONE, response, None)
-        self._admit_queued()
 
     def _fail_connection(self, reason: str) -> None:
-        """Close the connection and fail everything in flight on it;
-        queued work then fails as it is dispatched."""
+        """Close the connection and fail everything in flight on it."""
         if self._sock is None:
             return
         self._selector.unregister(self._sock)
@@ -384,7 +341,6 @@ class SocketPool:
                 f"{reason} (request id {rid}, "
                 f"to {self.addr[0]}:{self.addr[1]})"
             ))
-        self._admit_queued()
 
     # -- blocking conveniences ---------------------------------------------
 
@@ -430,15 +386,11 @@ class SocketPool:
         )
 
     def close(self) -> None:
-        """Close the connection and fail what is in flight or queued."""
+        """Close the connection and fail what is in flight."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            while self._queue:
-                self._queue.popleft()[1]._settle(
-                    _DONE, None, TransportError("pool closed")
-                )
             self._fail_connection("pool closed")
         with self._pumping:  # a pump notices its failed reply first
             self._selector.close()
@@ -457,10 +409,9 @@ class SocketTransport(Transport):
     kind = "socket"
 
     def __init__(
-        self, addr: Union[str, Tuple[str, int]], **pool_options
+        self, addr: Union[str, Tuple[str, int]], *, timeout_s: float = 30.0
     ) -> None:
-        """``pool_options`` are :class:`SocketPool`'s keywords."""
-        self.pool = SocketPool(addr, **pool_options)
+        self.pool = SocketPool(addr, timeout_s=timeout_s)
         self._now_us = 0.0
 
     # -- simulated time ----------------------------------------------------

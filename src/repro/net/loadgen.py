@@ -28,7 +28,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Tuple
 
-from repro.api.transport import AdmissionError, Transport
+from repro.api.transport import Transport
 from repro.common.errors import ReproError
 from repro.obs.metrics import Histogram
 
@@ -114,7 +114,6 @@ class LoadReport:
     requests: int = 0
     completed: int = 0
     rejected_server: int = 0
-    rejected_client: int = 0
     errors: int = 0
     start_us: float = 0.0
     end_us: float = 0.0
@@ -156,10 +155,7 @@ class LoadReport:
                 "slo_passed": self.slo_passed,
                 "slo": list(self.slo_lines),
             },
-            "wall": {
-                "wall_s": round(self.wall_s, 6),
-                "rejected_client": self.rejected_client,
-            },
+            "wall": {"wall_s": round(self.wall_s, 6)},
         }
 
     def to_json(self) -> str:
@@ -178,7 +174,6 @@ class LoadReport:
             f"over {self.transport_kind}",
             f"  completed {self.completed}  "
             f"rejected(server) {self.rejected_server}  "
-            f"rejected(client) {self.rejected_client}  "
             f"errors {self.errors}",
             f"  sim duration {self.sim_duration_us / 1e3:.1f} ms  "
             f"throughput {self.throughput_per_s:.0f}/s (sim)  "
@@ -231,17 +226,11 @@ def run_load(transport: Transport, spec: ArrivalSpec) -> LoadReport:
         else:
             args = (spec.table, key, _payload(spec, key))
         if pipelined:
-            try:
-                replies.append(transport.submit(op, *args,
-                                                arrival_us=arrival))
-            except AdmissionError:
-                report.rejected_client += 1
+            replies.append(transport.submit(op, *args, arrival_us=arrival))
         else:
             transport.advance_to(arrival)
             try:
                 result = transport.call(op, *args)
-            except AdmissionError:
-                report.rejected_server += 1
             except ReproError:
                 report.errors += 1
             else:
@@ -275,12 +264,12 @@ def run_load(transport: Transport, spec: ArrivalSpec) -> LoadReport:
         }
 
     total = spec.requests
-    rejected = report.rejected_server + report.rejected_client
     checks = (
         ("net-load-p95",
          latency.percentile(95.0) if latency.count else 0.0, P95_TARGET_US),
         ("net-load-rejections",
-         rejected / total if total > 0 else 0.0, REJECTION_BUDGET),
+         report.rejected_server / total if total > 0 else 0.0,
+         REJECTION_BUDGET),
         ("net-load-errors", report.errors / total if total > 0 else 0.0, 0.0),
     )
     report.slo_passed = all(value <= target for _, value, target in checks)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.clock import SimClock
-from repro.engine.resources import Resource, ResourcePool
+from repro.engine.resources import Resource
 
 
 def test_clock_starts_at_zero_and_advances():
@@ -49,7 +49,7 @@ def test_resource_rejects_negative_service():
 
 
 def test_pool_spreads_load_across_servers():
-    pool = ResourcePool("nand", servers=2)
+    pool = Resource("nand", servers=2)
     first = pool.serve(0.0, 10.0)
     second = pool.serve(0.0, 10.0)  # goes to the second, idle server
     third = pool.serve(0.0, 10.0)  # must queue
@@ -60,4 +60,4 @@ def test_pool_spreads_load_across_servers():
 
 def test_pool_requires_positive_servers():
     with pytest.raises(ValueError):
-        ResourcePool("x", 0)
+        Resource("x", servers=0)

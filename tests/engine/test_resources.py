@@ -4,7 +4,7 @@ analytic equivalence (S3), and obs wiring (S2)."""
 import pytest
 
 from repro.engine.core import Engine, EngineError
-from repro.engine.resources import Queue, Resource, ResourcePool
+from repro.engine.resources import Queue, Resource
 from tests.engine.legacy_resource import Resource as LegacyResource
 from tests.engine.legacy_resource import ResourcePool as LegacyPool
 from repro.obs.metrics import MetricsRegistry
@@ -132,10 +132,10 @@ def test_engine_single_client_matches_legacy_serve():
 
 def test_serve_adapter_matches_legacy_pool_exactly():
     """The sync serve() adapter on a multi-server Resource is
-    drop-in equivalent to the legacy ResourcePool."""
+    drop-in equivalent to the legacy k-server pool."""
     requests = [(0.0, 9.0), (1.0, 9.0), (2.0, 9.0), (3.0, 1.0), (20.0, 5.0)]
     legacy = LegacyPool("cpu", 2)
-    ours = ResourcePool("cpu", 2)
+    ours = Resource("cpu", servers=2)
     for arrive, service in requests:
         assert ours.serve(arrive, service) == legacy.serve(arrive, service)
     assert ours._free_at == [s.busy_until_us for s in legacy.servers]

@@ -93,7 +93,6 @@ def test_light_load_completes_everything_without_rejections():
     report = _run_over_socket(_spec(rate_per_s=500.0))
     assert report.completed == report.requests
     assert report.rejected_server == 0
-    assert report.rejected_client == 0
     assert report.errors == 0
     assert set(report.percentiles) == {"p50", "p95", "p99", "max"}
     assert report.percentiles["p50"] <= report.percentiles["p99"]
@@ -159,8 +158,7 @@ def test_artifact_shape_splits_sim_from_wall():
     sim = artifact["sim"]
     assert sim["spec"]["seed"] == 3
     assert sim["requests"] == 40
-    assert "wall_s" in artifact["wall"]
-    assert "rejected_client" in artifact["wall"]
+    assert set(artifact["wall"]) == {"wall_s"}
     assert "wall_s" not in sim
 
 

@@ -11,7 +11,6 @@ import time
 import pytest
 
 from repro.api import (
-    AdmissionError,
     PolarStore,
     ReproConfig,
     TransportCapabilityError,
@@ -204,41 +203,39 @@ def test_stats_reflect_admission_accounting():
         handle.stop()
 
 
-def test_full_client_queue_raises_and_close_fails_what_is_queued(server):
-    transport = SocketTransport(
-        server.addr, max_inflight=1, queue_cap=1, timeout_s=10.0
-    )
+def test_a_pipelined_burst_then_flush_gets_every_reply():
+    """300 pipelined inserts at one arrival, then a flush: every op
+    goes on the wire as it is submitted, so the flush is a barrier
+    behind all of them and answers each one."""
+    handle = serve_in_thread(_config(net={"window": 1000}), port=0)
+    transport = SocketTransport(handle.addr, timeout_s=5.0)
+    try:
+        transport.call("create_table", "t")
+        futures = [
+            transport.submit("insert", "t", i, b"b" * 8, arrival_us=0.0)
+            for i in range(300)
+        ]
+        transport.flush()
+        assert all(transport.pool.wait(f).ok for f in futures)
+    finally:
+        transport.close()
+        handle.stop()
+
+
+def test_close_fails_pipelined_replies_in_flight(server):
+    transport = SocketTransport(server.addr, timeout_s=10.0)
     try:
         transport.call("create_table", "t")
         # Pipelined ops at one arrival: the engine holds their replies.
-        inflight = transport.submit("insert", "t", 1, b"a", arrival_us=0.0)
-        queued = transport.submit("insert", "t", 2, b"b", arrival_us=0.0)
-        with pytest.raises(AdmissionError, match="queue full"):
-            transport.submit("insert", "t", 3, b"c", arrival_us=0.0)
+        futures = [
+            transport.submit("insert", "t", i, b"a", arrival_us=0.0)
+            for i in range(2)
+        ]
     finally:
         transport.close()
-    for future in (inflight, queued):
+    for future in futures:
         with pytest.raises(TransportError, match="pool closed"):
             future.result(timeout=5.0)
-
-
-def test_full_client_queue_first_collects_replies_already_arrived(server):
-    transport = SocketTransport(
-        server.addr, max_inflight=1, queue_cap=1, timeout_s=10.0
-    )
-    pool = transport.pool
-    try:
-        transport.call("create_table", "t")
-        # A closed-loop op replies at once; let the reply reach the
-        # socket without reading it.
-        futures = [pool.request("insert", ["t", 1, b"a"], sync=True)]
-        assert select.select([pool._sock], [], [], 5.0)[0]
-        futures.append(pool.request("insert", ["t", 2, b"b"], sync=True))
-        futures.append(pool.request("insert", ["t", 3, b"c"], sync=True))
-        assert futures[0].done()
-        assert all(pool.wait(f).ok for f in futures)
-    finally:
-        transport.close()
 
 
 def test_mid_stream_disconnect_fails_inflight_without_hanging(server):
@@ -336,9 +333,7 @@ def test_pipelining_past_the_socket_buffers_does_not_deadlock():
     cannot write."""
     handle = serve_in_thread(_config(net={"window": 1}), port=0)
     steps = 3000
-    transport = SocketTransport(
-        handle.addr, max_inflight=2 * steps, timeout_s=60.0
-    )
+    transport = SocketTransport(handle.addr, timeout_s=60.0)
     try:
         transport.call("create_table", "t")
         transport.call("insert", "t", 0, b"")

@@ -399,12 +399,6 @@ PARAMETER_ALLOWLIST = {
     "100-byte rows through a 4-32 KiB memtable, and tests/baselines/"
     "test_lsm_properties.py through a 64-byte one (2 KiB, "
     "lsm.MEMTABLE_BYTES, by default)",
-    "repro.net.client.SocketPool.__init__:max_inflight": "tests/net/"
-    "test_server_client.py fills the client queue behind a one-slot "
-    "window and holds a 2*steps pipeline in flight at once",
-    "repro.net.client.SocketPool.__init__:queue_cap": "tests/net/"
-    "test_server_client.py fills the client queue with one queued "
-    "request (4096 by default)",
 }
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
