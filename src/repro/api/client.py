@@ -290,9 +290,10 @@ class PolarStore:
         ``addr`` is ``"host:port"`` or a ``(host, port)`` tuple.  The
         returned client presents the identical surface as ``open`` —
         same ops, same result shapes, same simulated timings — over one
-        socket connection with a bounded in-flight window, a
-        backpressure queue (a full queue rejects), and per-request
-        wall-clock ``timeout_s``.
+        socket connection, driven by the calling thread, with a
+        per-request wall-clock ``timeout_s``.  The server's window is
+        the only admission control: a full one raises
+        :class:`~repro.api.transport.AdmissionError`.
         ``connections`` must be 1: a client is one connection.
         """
         from repro.net.client import SocketTransport

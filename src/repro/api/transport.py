@@ -39,7 +39,7 @@ class TransportCapabilityError(TransportError):
 
 
 class AdmissionError(TransportError):
-    """Rejected by admission control (server window or client queue)."""
+    """Rejected by admission control (the server's window is full)."""
 
 
 class TransportTimeout(TransportError):

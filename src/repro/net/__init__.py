@@ -23,11 +23,11 @@ network, and this package is the wire between them.
     stream is byte-identical no matter how the wall clock jitters.
 
 ``repro.net.client``
-    The socket client: one connection, a bounded in-flight window with
-    queue-full rejection (admission control), per-request timeouts,
-    and backpressure — driven by the calling thread, with no event loop
-    or thread of its own, so a closed-loop call is one send and one
-    receive.  :class:`SocketTransport` presents the same transport
+    The socket client: one connection, every request written at once
+    (the server's window is the only admission control), per-request
+    timeouts, and backpressure — driven by the one thread that owns
+    it, with no event loop or thread of its own, so a closed-loop call
+    is one send and one receive.  :class:`SocketTransport` presents the same transport
     surface as in-process access, so ``PolarStore.connect(addr)``
     returns the exact same
     :class:`~repro.api.client.PolarStoreClient` as

@@ -4,13 +4,14 @@
 and no thread or event loop: ``request`` writes the frame at once, and
 ``wait`` runs the ``selectors`` pump (pending writes, reads, decoding,
 resolving) on the caller's thread until its reply settles, so a
-closed-loop call is one send and one receive.  The pool promises:
+closed-loop call is one send and one receive.  One thread drives a
+pool, as it would a ``socket.socket``; a second thread opens its own
+client.  The pool promises:
 
 * **sequencing** — every data op gets its ``seq`` and its simulated
-  ``arrival_us`` stamped *at dispatch*, under the lock, in dispatch
-  order, and TCP keeps that order on the one connection.  A request
-  that fails to encode is never stamped, so the server never sees a
-  gap;
+  ``arrival_us`` stamped *at dispatch*, in dispatch order, and TCP
+  keeps that order on the one connection.  A request that fails to
+  encode is never stamped, so the server never sees a gap;
 * **no client-side window** — every request is written at once, in
   call order, so ``flush`` is a barrier behind every op submitted
   before it.  The server's ``net.window`` is the only admission
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import socket
-import threading
 import time
 from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -68,13 +68,6 @@ SESSION = 0
 #: Bytes one ``recv`` may return.
 _RECV_BYTES = 256 * 1024
 
-#: How long a waiter sleeps on its reply while another thread pumps.
-_HANDOFF_S = 0.001
-
-#: Longest single ``select``: bounds how late the pump notices that
-#: another thread settled its reply (a failed send, ``close``).
-_SLICE_S = 0.05
-
 
 def parse_addr(addr: Union[str, Tuple[str, int]]) -> Tuple[str, int]:
     """``"host:port"`` or ``(host, port)`` -> ``(host, port)``; anything
@@ -99,76 +92,28 @@ def parse_addr(addr: Union[str, Tuple[str, int]]) -> Tuple[str, int]:
     return (str(host), number)
 
 
-_PENDING, _DONE, _CANCELLED = range(3)
-
-
 class Reply:
-    """One request's reply, owned by its pool.
+    """One request's reply: pending until the pool's pump settles it
+    with a ``response`` or an ``error``."""
 
-    The pool settles it under its lock; ``done`` and ``result`` read it
-    without one, so a closed-loop call whose own thread pumps takes no
-    lock and builds no condition for it.  A waiter makes a wake-up
-    ``threading.Event`` only when another thread is pumping.
-    """
+    __slots__ = ("done", "response", "error")
 
-    __slots__ = ("_lock", "_state", "_response", "_error", "_event")
+    def __init__(self) -> None:
+        self.done = False
+        self.response: Optional[Response] = None
+        self.error: Optional[BaseException] = None
 
-    def __init__(self, lock: threading.Lock) -> None:
-        self._lock = lock  # the pool's
-        self._state = _PENDING
-        self._response: Optional[Response] = None
-        self._error: Optional[BaseException] = None
-        self._event: Optional[threading.Event] = None
-
-    def done(self) -> bool:
-        return self._state != _PENDING
-
-    def cancelled(self) -> bool:
-        return self._state == _CANCELLED
-
-    def cancel(self) -> bool:
-        """Give up on the reply; False if it has already settled."""
-        with self._lock:
-            return self._settle(_CANCELLED, None, None)
-
-    def result(self, timeout: float) -> Response:
-        """The response, waiting up to ``timeout`` seconds for another
-        thread's pump; raises what failed the request, or
-        :class:`TransportTimeout` if it is pending or cancelled."""
-        self._sleep(timeout)
-        if self._state != _DONE:
-            raise TransportTimeout("no reply: " + (
-                "cancelled" if self.cancelled() else "still pending"
-            ))
-        if self._error is not None:
-            raise self._error
-        return self._response
-
-    def _settle(self, state: int, response, error) -> bool:
-        """Settle a pending reply (the caller holds the pool's lock)."""
-        if self._state != _PENDING:
-            return False
-        self._response, self._error = response, error
-        self._state = state  # last: ``done`` and ``result`` take no lock
-        if self._event is not None:
-            self._event.set()
-        return True
-
-    def _sleep(self, timeout: float) -> None:
-        """Block up to ``timeout`` until the reply settles."""
-        if self._state != _PENDING or timeout <= 0.0:
-            return
-        with self._lock:  # settling also holds it: no wake-up is lost
-            if self._state != _PENDING:
-                return
-            if self._event is None:
-                self._event = threading.Event()
-        self._event.wait(timeout)
+    def _settle(
+        self, response: Optional[Response], error: Optional[BaseException]
+    ) -> "Reply":
+        self.response, self.error, self.done = response, error, True
+        return self
 
 
 class SocketPool:
     """One connection to one server and its sequencer; every request
-    goes on the wire as it is made."""
+    goes on the wire as it is made.  Like a ``socket.socket``, a pool
+    is driven by one thread: another thread opens its own."""
 
     def __init__(
         self,
@@ -185,8 +130,6 @@ class SocketPool:
         self._last_arrival = 0.0
         #: request id -> its reply
         self._pending: Dict[int, Reply] = {}
-        self._lock = threading.Lock()  # pool state and socket I/O
-        self._pumping = threading.Lock()  # held by the one thread in select
         self._selector = DefaultSelector()
         #: None once the connection is down.
         self._sock: Optional[socket.socket] = None
@@ -227,64 +170,44 @@ class SocketPool:
         sync: bool = False,
         arrival_us: float = 0.0,
     ) -> Reply:
-        """Thread-safe: stamp id/seq/arrival in call order and write the
-        frame at once; returns its :class:`Reply`.  Raises
+        """Stamp id/seq/arrival in call order and write the frame at
+        once; returns its :class:`Reply`.  Raises
         :class:`TransportError` when the pool is closed; a down
         connection or an unencodable request fails the reply instead.
         """
         row = OPS_BY_NAME.get(op)
         if row is None:
             raise ProtocolError(f"unknown op {op!r}")
-        reply = Reply(self._lock)
-        with self._lock:
-            if self._closed:
-                raise TransportError("socket pool is closed")
-            if self._sock is None:
-                reply._settle(
-                    _DONE, None, TransportError("the connection is down")
-                )
-                return reply
-            request_id = next(self._next_id)
-            if row.control:
-                request = Request(id=request_id, op=op, args=args)
-            else:
-                request = Request(
-                    id=request_id, op=op, args=args, seq=self._next_seq,
-                    session=SESSION, flags=FLAG_SYNC if sync else 0,
-                    arrival_us=max(self._last_arrival, float(arrival_us)),
-                )
-            try:
-                frame = request.encode()
-            except ProtocolError as exc:
-                # Nothing was stamped: the sequence has no gap.
-                reply._settle(_DONE, None, exc)
-                return reply
-            if not row.control:
-                self._last_arrival = request.arrival_us
-                self._next_seq += 1
-            self._pending[request_id] = reply
-            self._out += frame
-            self._flush()
+        if self._closed:
+            raise TransportError("socket pool is closed")
+        reply = Reply()
+        if self._sock is None:
+            return reply._settle(
+                None, TransportError("the connection is down")
+            )
+        request_id = next(self._next_id)
+        if row.control:
+            request = Request(id=request_id, op=op, args=args)
+        else:
+            request = Request(
+                id=request_id, op=op, args=args, seq=self._next_seq,
+                session=SESSION, flags=FLAG_SYNC if sync else 0,
+                arrival_us=max(self._last_arrival, float(arrival_us)),
+            )
+        try:
+            frame = request.encode()
+        except ProtocolError as exc:
+            # Nothing was stamped: the sequence has no gap.
+            return reply._settle(None, exc)
+        if not row.control:
+            self._last_arrival = request.arrival_us
+            self._next_seq += 1
+        self._pending[request_id] = reply
+        self._out += frame
+        self._flush()
         return reply
 
     # -- the pump ----------------------------------------------------------
-
-    def _pump(self, reply: Reply, deadline: float) -> None:
-        """Do I/O until ``reply`` resolves or ``deadline`` (monotonic)
-        passes.  Only the holder of ``_pumping`` runs this; it blocks in
-        ``select`` without the state lock, so other threads' requests go
-        out meanwhile, and does the I/O under it."""
-        while not reply.done():
-            timeout = deadline - time.monotonic()
-            if timeout <= 0.0:
-                return
-            ready = self._selector.select(min(timeout, _SLICE_S))
-            with self._lock:
-                for _, events in ready:
-                    if events & EVENT_WRITE and self._sock is not None:
-                        self._flush()
-                    if events & EVENT_READ and self._sock is not None:
-                        self._receive()
 
     def _flush(self) -> None:
         """Write what the socket takes now; the pump writes the rest."""
@@ -323,9 +246,9 @@ class SocketPool:
 
     def _resolve(self, response: Response) -> None:
         reply = self._pending.pop(response.id, None)
-        # A caller that timed out has cancelled its reply and left.
+        # A caller that timed out has dropped its reply and left.
         if reply is not None:
-            reply._settle(_DONE, response, None)
+            reply._settle(response, None)
 
     def _fail_connection(self, reason: str) -> None:
         """Close the connection and fail everything in flight on it."""
@@ -337,7 +260,7 @@ class SocketPool:
         self._out.clear()
         pending, self._pending = self._pending, {}
         for rid, reply in pending.items():
-            reply._settle(_DONE, None, TransportError(
+            reply._settle(None, TransportError(
                 f"{reason} (request id {rid}, "
                 f"to {self.addr[0]}:{self.addr[1]})"
             ))
@@ -357,26 +280,30 @@ class SocketPool:
         return self.wait(reply)
 
     def wait(self, reply: Reply) -> Response:
-        """Block up to ``timeout_s`` for ``reply`` to settle, pumping the
-        pool's I/O on this thread; a thread that finds another pumping
-        sleeps on its own reply instead, since that pump resolves it
-        too."""
+        """Pump the pool's I/O until ``reply`` settles, then return its
+        response or raise what failed it.  After ``timeout_s`` the reply
+        is dropped, so a late response is discarded, and
+        :class:`TransportTimeout` is raised."""
         deadline = time.monotonic() + self.timeout_s
-        while not reply.done():
+        while not reply.done:
             remaining = deadline - time.monotonic()
-            if remaining <= 0.0 and reply.cancel():
+            if remaining <= 0.0:
+                self._pending = {
+                    rid: pending for rid, pending in self._pending.items()
+                    if pending is not reply
+                }
                 raise TransportTimeout(
                     f"no reply from {self.addr[0]}:{self.addr[1]} "
                     f"within {self.timeout_s:g}s"
                 )
-            if self._pumping.acquire(blocking=False):
-                try:
-                    self._pump(reply, deadline)
-                finally:
-                    self._pumping.release()
-            else:
-                reply._sleep(min(remaining, _HANDOFF_S))
-        return reply.result(0.0)
+            for _, events in self._selector.select(remaining):
+                if events & EVENT_WRITE and self._sock is not None:
+                    self._flush()
+                if events & EVENT_READ and self._sock is not None:
+                    self._receive()
+        if reply.error is not None:
+            raise reply.error
+        return reply.response
 
     def flush(self) -> Response:
         """Sequenced run-to-idle: every pipelined op submitted before
@@ -387,13 +314,11 @@ class SocketPool:
 
     def close(self) -> None:
         """Close the connection and fail what is in flight."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._fail_connection("pool closed")
-        with self._pumping:  # a pump notices its failed reply first
-            self._selector.close()
+        if self._closed:
+            return
+        self._closed = True
+        self._fail_connection("pool closed")
+        self._selector.close()
 
 
 class SocketTransport(Transport):

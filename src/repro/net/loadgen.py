@@ -28,8 +28,8 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Tuple
 
-from repro.api.transport import Transport
 from repro.common.errors import ReproError
+from repro.net.client import SocketTransport
 from repro.obs.metrics import Histogram
 
 #: A run's SLO: its p95 latency (simulated µs) and its share of
@@ -194,14 +194,12 @@ class LoadReport:
         return "\n".join(lines)
 
 
-def run_load(transport: Transport, spec: ArrivalSpec) -> LoadReport:
-    """Drive one open-loop scenario through ``transport``.
+def run_load(transport: SocketTransport, spec: ArrivalSpec) -> LoadReport:
+    """Drive one open-loop scenario through a socket ``transport``.
 
     Preloads the keyspace (closed-loop ``bulk_load``), then submits
-    every scheduled op pipelined at its simulated arrival.  Transports
-    without a pipelined path (``LocalTransport``) fall back to
-    closed-loop sync calls at the same arrival stamps — same workload,
-    no overlap, no rejections.
+    every scheduled op pipelined at its simulated arrival, flushes, and
+    reads each reply.
     """
     spec.validate()
     latency = Histogram("net.load.latency_us")
@@ -214,45 +212,29 @@ def run_load(transport: Transport, spec: ArrivalSpec) -> LoadReport:
     t0 = transport.now_us
     report.start_us = t0
 
-    schedule = build_schedule(spec)
-    ops = build_ops(spec)
-    pipelined = hasattr(transport, "submit")
     replies = []
-    for offset, (op, key) in zip(schedule, ops):
-        arrival = t0 + offset
+    for offset, (op, key) in zip(build_schedule(spec), build_ops(spec)):
         args: Tuple[Any, ...]
         if op == "select":
             args = (spec.table, key)
         else:
             args = (spec.table, key, _payload(spec, key))
-        if pipelined:
-            replies.append(transport.submit(op, *args, arrival_us=arrival))
-        else:
-            transport.advance_to(arrival)
-            try:
-                result = transport.call(op, *args)
-            except ReproError:
-                report.errors += 1
-            else:
-                report.completed += 1
-                latency.record(max(result.done_us - arrival, 0.0))
-                report.end_us = max(report.end_us, result.done_us)
+        replies.append(transport.submit(op, *args, arrival_us=t0 + offset))
 
-    if pipelined:
-        report.end_us = transport.flush()
-        for reply in replies:
-            response = transport.pool.wait(reply)
-            report.max_queue_depth = max(
-                report.max_queue_depth, response.queue_depth
-            )
-            if response.rejected:
-                report.rejected_server += 1
-            elif response.ok:
-                report.completed += 1
-                latency.record(max(response.latency_us, 0.0))
-                report.end_us = max(report.end_us, response.done_us)
-            else:
-                report.errors += 1
+    report.end_us = transport.flush()
+    for reply in replies:
+        response = transport.pool.wait(reply)
+        report.max_queue_depth = max(
+            report.max_queue_depth, response.queue_depth
+        )
+        if response.rejected:
+            report.rejected_server += 1
+        elif response.ok:
+            report.completed += 1
+            latency.record(max(response.latency_us, 0.0))
+            report.end_us = max(report.end_us, response.done_us)
+        else:
+            report.errors += 1
 
     report.requests = spec.requests
     if latency.count:

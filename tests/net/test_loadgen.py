@@ -127,20 +127,9 @@ def test_sim_artifact_is_byte_identical_across_runs():
     assert sim_a == sim_b
 
 
-def test_local_transport_falls_back_to_closed_loop():
-    client = PolarStore.open({"engine": {"enabled": True}})
-    report = run_load(client.transport, _spec(rate_per_s=500.0))
-    assert report.transport_kind == "local"
-    assert report.completed == report.requests
-    assert report.rejected_server == 0  # closed loop cannot overload
-    assert report.percentiles["max"] > 0.0
-
-
 def test_slo_lines_are_pinned_for_a_fixed_spec():
     spec = _spec(requests=40, rate_per_s=500.0)
-    report = run_load(
-        PolarStore.open({"engine": {"enabled": True}}).transport, spec
-    )
+    report = _run_over_socket(spec)
     assert report.slo_passed
     assert report.slo_lines == [
         f"net-load-p95: ok (value 64.851, target {P95_TARGET_US:.3f})",
@@ -150,9 +139,8 @@ def test_slo_lines_are_pinned_for_a_fixed_spec():
 
 
 def test_artifact_shape_splits_sim_from_wall():
-    client = PolarStore.open({"engine": {"enabled": True}})
-    artifact = run_load(
-        client.transport, _spec(requests=40, rate_per_s=500.0)
+    artifact = _run_over_socket(
+        _spec(requests=40, rate_per_s=500.0)
     ).to_artifact()
     assert set(artifact) == {"sim", "wall"}
     sim = artifact["sim"]
@@ -163,7 +151,6 @@ def test_artifact_shape_splits_sim_from_wall():
 
 
 def test_report_counts_every_request():
-    client = PolarStore.open({"engine": {"enabled": True}})
-    report = run_load(client.transport, _spec(requests=30, rate_per_s=500.0))
+    report = _run_over_socket(_spec(requests=30, rate_per_s=500.0))
     assert report.requests == report.completed == 30
     assert set(report.percentiles) == {"p50", "p95", "p99", "max"}
