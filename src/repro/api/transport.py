@@ -125,6 +125,7 @@ class LocalTransport(Transport):
     def __init__(self, config: ReproConfig) -> None:
         self._config = config.validate()
         self._now_us = 0.0
+        self._closed = False
         self._sharded = config.cluster.shards >= 2
         if self._sharded:
             self._runtime = build_cluster(config)
@@ -141,6 +142,9 @@ class LocalTransport(Transport):
                 self._db.bind_engine(
                     self._engine, defer_gc=config.engine.defer_gc
                 )
+        #: The engine built here (closed with the transport); an adopted
+        #: engine belongs to whoever built it.
+        self._own_engine = self._engine
 
     # -- locals the client (and the net server) may reach ------------------
 
@@ -227,6 +231,7 @@ class LocalTransport(Transport):
         row's target — through the engine-native generator when an
         engine is bound and the row has one — and advance the cursor to
         the completion time its result kind reads off the result."""
+        self._check_open()
         spec = data_op(op)
         args = spec.bind(args, kwargs, self._sharded)
         target = self._target(spec)
@@ -248,6 +253,7 @@ class LocalTransport(Transport):
 
     def proc(self, op: str, *args):
         """The engine-native generator for one op (workload drivers)."""
+        self._check_open()
         args = data_op(op).bind(args, {}, self._sharded)
         return getattr(self.backend(), op + "_proc")(*args)
 
@@ -262,8 +268,18 @@ class LocalTransport(Transport):
 
     # -- lifecycle ---------------------------------------------------------
 
+    def _check_open(self) -> None:
+        if self._closed:
+            raise TransportError("local transport is closed")
+
     def close(self) -> None:
-        """Release backend references (idempotent)."""
+        """Release backend references (idempotent).  Work still pending
+        on the engine this transport built is abandoned, so nothing it
+        references outlives the transport."""
+        if self._own_engine is not None:
+            self._own_engine.close()
+        self._closed = True
+        self._own_engine = None
         self._db = None
         self._runtime = None
         self._engine = None

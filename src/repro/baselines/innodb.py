@@ -29,7 +29,7 @@ from repro.compression.memo import get_codec
 from repro.compression.cost import codec_cost
 from repro.csd.device import PlainSSD
 from repro.csd.specs import P5510
-from repro.db.btree import BPlusTree
+from repro.db.btree import BPlusTree, PageNumbers
 from repro.db.bufferpool import BufferPool, OpContext
 from repro.db.rw_node import COMMIT_CPU_US, EXECUTE_CPU_US, OpResult
 from repro.engine.resources import Resource
@@ -201,20 +201,15 @@ class InnoDBEngine:
         self.store = InnoDBStore(volume_bytes, seed=seed, compute=self.cpu)
         self.pool = BufferPool(buffer_pool_pages, self.store, writeback=True)
         self.trees: Dict[str, BPlusTree] = {}
-        self._next_page_no = 1
+        self._page_nos = PageNumbers()
         self._next_lsn = 1
         # Redo on the same device (no separate performance layer).
         self._redo_cursor = self.store.device.spec.logical_capacity // LBA_SIZE - 1
 
-    def _allocate_page_no(self) -> int:
-        page_no = self._next_page_no
-        self._next_page_no += 1
-        return page_no
-
     def create_table(self, name: str) -> None:
         if name in self.trees:
             raise ReproError(f"table {name!r} already exists")
-        self.trees[name] = BPlusTree(self.pool, self._allocate_page_no)
+        self.trees[name] = BPlusTree(self.pool, self._page_nos)
 
     def _tree(self, name: str) -> BPlusTree:
         if name not in self.trees:

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ReproError
 from repro.engine.resources import Resource
-from repro.db.btree import BPlusTree
+from repro.db.btree import BPlusTree, PageNumbers
 from repro.db.bufferpool import BufferPool, OpContext
 from repro.storage.redo import RedoRecord
 
@@ -46,7 +46,7 @@ class RWNode:
         self.store = store
         self.pool = BufferPool(buffer_pool_pages, store)
         self.trees: Dict[str, BPlusTree] = {}
-        self._next_page_no = 1
+        self._page_nos = PageNumbers()
         self._next_lsn = 1
         #: The compute instance's cores (the paper evaluates an 8-core
         #: instance); statement CPU queues here under high concurrency.
@@ -71,15 +71,10 @@ class RWNode:
     def create_table(self, name: str) -> BPlusTree:
         if name in self.trees:
             raise ReproError(f"table {name!r} already exists")
-        tree = BPlusTree(self.pool, self._allocate_page_no)
+        tree = BPlusTree(self.pool, self._page_nos)
         self.trees[name] = tree
         # The catalog change itself generates redo.
         return tree
-
-    def _allocate_page_no(self) -> int:
-        page_no = self._next_page_no
-        self._next_page_no += 1
-        return page_no
 
     def tree(self, name: str) -> BPlusTree:
         if name not in self.trees:

@@ -28,7 +28,9 @@ job), not an accident.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple,
+)
 
 from repro.common.errors import ReproError
 
@@ -131,6 +133,7 @@ class Process:
 
     def _finish(self, value: Any = None, error: Optional[BaseException] = None) -> None:
         self.done = True
+        del self.engine._live[self]
         self.value = value
         self.error = error
         if error is not None:
@@ -177,6 +180,8 @@ class Engine:
         #: Processes that died with an exception; surfaced by the run
         #: loops so failures cannot pass silently.
         self._dead: List[Process] = []
+        #: Processes spawned and not yet finished, in spawn order.
+        self._live: Dict[Process, None] = {}
 
     # -- time ------------------------------------------------------------
 
@@ -217,8 +222,26 @@ class Engine:
         """Register a generator as a concurrent process; it takes its
         first step at ``at_us`` (default: immediately)."""
         proc = Process(self, gen, name)
+        self._live[proc] = None
         self.schedule(self._now_us if at_us is None else at_us, proc._step)
         return proc
+
+    def close(self) -> None:
+        """Abandon every pending process and event.
+
+        A process waiting on an event and the event's waiter list refer
+        to each other, and a scheduled step refers to its process, which
+        refers to this engine: left alone, pending work keeps everything
+        its generators reference alive until a full garbage collection.
+        Closing each unfinished generator (which runs its ``finally``
+        blocks) and dropping the heap frees them by reference counting.
+        """
+        while self._live:
+            proc, _ = self._live.popitem()
+            proc.done = True
+            proc.gen.close()
+        self._heap.clear()
+        self._dead.clear()
 
     # -- run loops ---------------------------------------------------------
 

@@ -131,7 +131,8 @@ class PolarStoreServer:
 
     def serve_forever(self) -> None:
         """Serve on this thread until :meth:`stop` or an exception (a
-        ``KeyboardInterrupt``); then close the listener and connections."""
+        ``KeyboardInterrupt``); then close the listener, the connections
+        and the deployment (its registry stays readable)."""
         try:
             while True:
                 for key, events in self._selector.select():
@@ -147,6 +148,7 @@ class PolarStoreServer:
                 key.fileobj.close()
             self._selector.close()
             self._wake.close()
+            self.transport.close()
 
     def stop(self) -> None:
         """End :meth:`serve_forever`; safe to call from any thread."""

@@ -287,6 +287,31 @@ class BoundedSeries:
         return self.histogram.p99
 
 
+class _Instruments(Dict[Tuple[str, LabelKey], Instrument]):
+    """Every instrument of one registry, keyed by (name, labels), with
+    get-or-create.  The registry and its tracer share this store: the
+    tracer holds the store rather than the registry that holds the
+    tracer, so the two form no reference cycle."""
+
+    def lookup(self, cls, name: str, labels: Dict) -> Optional[Instrument]:
+        instrument = self.get((name, _label_key(labels)))
+        if instrument is not None and not isinstance(instrument, cls):
+            raise ValueError(
+                f"{name}{dict(labels)} already registered as "
+                f"{type(instrument).__name__}"
+            )
+        return instrument
+
+    def add(self, instrument: Instrument) -> Instrument:
+        self[(instrument.name, _label_key(instrument.labels))] = instrument
+        return instrument
+
+    def histogram(self, name: str, growth: float = 1.04,
+                  min_value: float = 1e-3, **labels) -> Histogram:
+        return (self.lookup(Histogram, name, labels)
+                or self.add(Histogram(name, labels, growth, min_value)))
+
+
 class MetricsRegistry:
     """Owns every instrument of one simulation universe.
 
@@ -298,41 +323,30 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._instruments: Dict[Tuple[str, LabelKey], Instrument] = {}
+        self._instruments = _Instruments()
         # Imported lazily to avoid a module cycle (tracing records spans
         # back into this registry's histograms).
         from repro.obs.tracing import Tracer
 
-        self.tracer = Tracer(self)
+        self.tracer = Tracer(self._instruments)
 
     # -- get-or-create -----------------------------------------------------
 
-    def _lookup(self, cls, name: str, labels: Dict) -> Optional[Instrument]:
-        instrument = self._instruments.get((name, _label_key(labels)))
-        if instrument is not None and not isinstance(instrument, cls):
-            raise ValueError(
-                f"{name}{dict(labels)} already registered as "
-                f"{type(instrument).__name__}"
-            )
-        return instrument
-
-    def _add(self, instrument: Instrument) -> Instrument:
-        key = (instrument.name, _label_key(instrument.labels))
-        self._instruments[key] = instrument
-        return instrument
-
     def counter(self, name: str, **labels) -> Counter:
-        return (self._lookup(Counter, name, labels)
-                or self._add(Counter(name, labels)))
+        store = self._instruments
+        return (store.lookup(Counter, name, labels)
+                or store.add(Counter(name, labels)))
 
     def gauge(self, name: str, **labels) -> Gauge:
-        return (self._lookup(Gauge, name, labels)
-                or self._add(Gauge(name, labels)))
+        store = self._instruments
+        return (store.lookup(Gauge, name, labels)
+                or store.add(Gauge(name, labels)))
 
     def histogram(self, name: str, growth: float = 1.04,
                   min_value: float = 1e-3, **labels) -> Histogram:
-        return (self._lookup(Histogram, name, labels)
-                or self._add(Histogram(name, labels, growth, min_value)))
+        return self._instruments.histogram(
+            name, growth, min_value, **labels
+        )
 
     def series(self, name: str, **labels) -> BoundedSeries:
         """A histogram-backed replacement for a raw stats list."""

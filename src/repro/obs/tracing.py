@@ -31,9 +31,13 @@ from typing import Dict, List, Optional
 
 
 class Span:
-    """One layer's contribution to one request."""
+    """One layer's contribution to one request.
 
-    __slots__ = ("name", "layer", "start_us", "end_us", "children", "parent")
+    A span holds its children and not its parent: a finished trace is a
+    tree that reference counting frees.  The tracer's stack knows the
+    parent of an open span."""
+
+    __slots__ = ("name", "layer", "start_us", "end_us", "children")
 
     def __init__(self, name: str, layer: str, start_us: float,
                  parent: Optional["Span"] = None):
@@ -42,7 +46,6 @@ class Span:
         self.start_us = float(start_us)
         self.end_us: Optional[float] = None
         self.children: List["Span"] = []
-        self.parent = parent
         if parent is not None:
             parent.children.append(self)
 
@@ -123,10 +126,13 @@ class Trace:
 
 
 class Tracer:
-    """Ambient span stack bound to one :class:`MetricsRegistry`."""
+    """Ambient span stack bound to one :class:`MetricsRegistry`.
 
-    def __init__(self, registry=None) -> None:
-        self._registry = registry
+    It records into the registry's instrument store, not into the
+    registry itself, which holds the tracer."""
+
+    def __init__(self, instruments=None) -> None:
+        self._instruments = instruments
         self._stack: List[Span] = []
         self._suppress = 0
         #: Most recently finished trace (for callers that fired a request
@@ -158,12 +164,13 @@ class Tracer:
         span.end(end_us)
         # Spans close LIFO in practice; tolerate out-of-order closes by
         # dropping everything above the closed span.
-        while self._stack and self._stack[-1] is not span:
-            self._stack.pop()
-        if self._stack:
-            self._stack.pop()
-        if span.parent is None:
-            self._finish(Trace(span))
+        stack = self._stack
+        while stack and stack[-1] is not span:
+            stack.pop()
+        if stack:
+            stack.pop()
+            if not stack:
+                self._finish(Trace(span))
 
     def abandon(self, span: Optional[Span]) -> None:
         """Discard ``span`` (and anything opened under it) unfinished:
@@ -171,9 +178,10 @@ class Tracer:
         stack is left as it was before ``span`` began."""
         if span is None or span not in self._stack:
             return
-        del self._stack[self._stack.index(span):]
-        if span.parent is not None:
-            span.parent.children.remove(span)
+        depth = self._stack.index(span)
+        del self._stack[depth:]
+        if depth:
+            self._stack[-1].children.remove(span)
 
     @contextmanager
     def suppressed(self):
@@ -187,13 +195,13 @@ class Tracer:
 
     def _finish(self, trace: Trace) -> None:
         self.last = trace
-        if self._registry is None:
+        if self._instruments is None:
             return
         root = trace.root
-        self._registry.histogram(
+        self._instruments.histogram(
             f"trace.{root.name}.total_us", layer=root.layer
         ).record(root.duration_us)
         for span in root.walk():
-            self._registry.histogram(
+            self._instruments.histogram(
                 f"trace.{span.name}.self_us", layer=span.layer
             ).record(span.exclusive_us)

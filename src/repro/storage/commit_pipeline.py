@@ -65,10 +65,12 @@ RETRY_DEADLINE_US = 60_000.0
 
 
 class GroupCommitPipeline:
-    """One flusher per volume batching concurrent redo commits."""
+    """One flusher per volume batching concurrent redo commits.
+
+    The volume owns its pipeline and passes itself to each commit; the
+    pipeline keeps no reference back to it."""
 
     def __init__(self, store, engine: Engine) -> None:
-        self.store = store
         self.engine = engine
         self._retry_rng = make_rng(
             getattr(store, "seed", 0), "commit-retry"
@@ -80,23 +82,23 @@ class GroupCommitPipeline:
         self._batches = m.counter("storage.group_commit.batches")
         self._batched = m.counter("storage.group_commit.commits")
 
-    def commit_proc(self, records: Sequence[RedoRecord]):
-        """Engine process: enqueue this commit, wait for its batch to be
-        durable at quorum; returns the commit time."""
+    def commit_proc(self, store, records: Sequence[RedoRecord]):
+        """Engine process: enqueue this commit to ``store``'s pipeline,
+        wait for its batch to be durable at quorum; returns the commit
+        time."""
         engine = self.engine
         done = engine.event("group-commit")
         self._pending.append((list(records), engine.now_us, done))
         if self._flusher is None or self._flusher.done:
             self._flusher = engine.spawn(
-                self._flush_loop(), name="redo-flusher"
+                self._flush_loop(store), name="redo-flusher"
             )
         commit = yield done
         return commit
 
-    def _flush_loop(self):
+    def _flush_loop(self, store):
         """Drain pending commits batch by batch until none remain, then
         exit (the next commit spawns a fresh flusher)."""
-        store = self.store
         while self._pending:
             batch = self._pending[:MAX_BATCH]
             del self._pending[: len(batch)]
@@ -104,7 +106,9 @@ class GroupCommitPipeline:
             self._batches.inc()
             self._batched.add(len(batch))
             try:
-                commit = yield from self._replicate_with_retry(records)
+                commit = yield from self._replicate_with_retry(
+                    store, records
+                )
             except ReproError as exc:
                 for _, _, done in batch:
                     done.fail(exc)
@@ -130,7 +134,7 @@ class GroupCommitPipeline:
                 tracer.end(sp, commit)
                 done.succeed(commit)
 
-    def _replicate_with_retry(self, records: List[RedoRecord]):
+    def _replicate_with_retry(self, store, records: List[RedoRecord]):
         """Replicate one batch, retrying transient :class:`ReplicationError`
         with bounded seeded-jitter backoff (see module docstring).
 
@@ -144,7 +148,7 @@ class GroupCommitPipeline:
         attempt = 0
         while True:
             try:
-                commit = yield from self._replicate_proc(records)
+                commit = yield from self._replicate_proc(store, records)
             except ReplicationError as exc:
                 attempt += 1
                 if engine.now_us >= deadline:
@@ -166,7 +170,7 @@ class GroupCommitPipeline:
             else:
                 return commit
 
-    def _replicate_proc(self, records: List[RedoRecord]):
+    def _replicate_proc(self, store, records: List[RedoRecord]):
         """Pipelined quorum replication of one encoded redo batch.
 
         Leader persist and every follower pipeline run as concurrent
@@ -175,7 +179,6 @@ class GroupCommitPipeline:
         epoch observed at entry: an election mid-flight fails it with
         :class:`ReplicationError` instead of letting the deposed leader ack.
         """
-        store = self.store
         group = store.group
         engine = self.engine
         group.require_quorum()

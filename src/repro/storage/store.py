@@ -551,7 +551,7 @@ class PolarStore:
             raise ReproError(
                 "write_redo_proc requires bind_engine() on this volume"
             )
-        commit = yield from self._pipeline.commit_proc(records)
+        commit = yield from self._pipeline.commit_proc(self, records)
         return commit
 
     def archive_range(self, start_us: float, page_nos: List[int]) -> float:

@@ -241,6 +241,25 @@ def test_close_fails_pipelined_replies_in_flight(server):
             transport.pool.wait(future)
 
 
+@pytest.mark.parametrize("kind", ["local", "socket"])
+def test_a_closed_client_raises_transport_error(server, kind):
+    """Both transports refuse an op after ``close()`` with a
+    TransportError (not an AttributeError off a dropped backend), and
+    closing twice is harmless."""
+    if kind == "local":
+        client = PolarStore.open(engine={"enabled": True})
+    else:
+        client = PolarStore.connect(server.addr, timeout_s=10.0)
+    client.create_table("t")
+    client.insert("t", 1, b"v")
+    client.close()
+    client.close()
+    with pytest.raises(TransportError, match="closed"):
+        client.write_page(0, b"p" * 16384)
+    with pytest.raises(TransportError, match="closed"):
+        client.select("t", 1)
+
+
 def test_mid_stream_disconnect_fails_inflight_without_hanging(server):
     transport = SocketTransport(server.addr, timeout_s=10.0)
     try:

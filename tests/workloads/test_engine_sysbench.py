@@ -127,7 +127,7 @@ def test_concurrent_writers_on_a_tiny_pool_leave_sound_pages(seed):
     )
     assert run.transactions == 60
     end = now + run.elapsed_s * 1e6
-    pages = range(1, db.rw._next_page_no)
+    pages = range(1, db.rw._page_nos.next_page_no)
     assert len(pages) > 4  # the table does not fit the pool
     for page_no in pages:
         Page.parse(db.store.read_page(end, page_no).data)
