@@ -8,7 +8,7 @@ the side that runs first alternates from pair to pair, so a host that
 speeds up or slows down over the session charges both sides alike::
 
     python3 benchmarks/pairs.py --parent HEAD~1 --workload oltp_rw \\
-        --pairs 10 --seconds 10 [--record]
+        --pairs 10 --seconds 10 [--seed N] [--record]
 
 The exact metrics (simulated numbers and stored-byte ratios) must be
 bit-identical across every run, on both sides, unless ``--moves`` names
@@ -111,12 +111,13 @@ def export(rev: str, into: Path) -> None:
         tar.extractall(into, filter="data")
 
 
-def run_once(tree: Path, workload: str, seconds: float) -> Dict[str, float]:
+def run_once(tree: Path, workload: str, seconds: float,
+             seed: int) -> Dict[str, float]:
     """One benchmark run in ``tree``; returns metric name -> value."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, str(tree / RUNNER), "--workload", workload,
-         "--seconds", repr(seconds), "--trace", "0"],
+         "--seconds", repr(seconds), "--seed", str(seed), "--trace", "0"],
         cwd=tree, env=env, stdout=subprocess.PIPE, text=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -130,13 +131,15 @@ def run_once(tree: Path, workload: str, seconds: float) -> Dict[str, float]:
 
 
 def run_pairs(parent_tree: Path, workload: str, pairs: int,
-              seconds: float) -> Dict[str, List[Dict[str, float]]]:
+              seconds: float, seed: int) -> Dict[str, List[Dict[str, float]]]:
     runs: Dict[str, List[Dict[str, float]]] = {"parent": [], "change": []}
     trees = {"parent": parent_tree, "change": ROOT}
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_once(trees[side], workload, seconds))
+            runs[side].append(
+                run_once(trees[side], workload, seconds, seed)
+            )
             print(f"# {workload} pair {i + 1}/{pairs} {side}: "
                   + " ".join(f"{k}={v:.6g}"
                              for k, v in sorted(runs[side][-1].items())),
@@ -216,13 +219,16 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     parser.add_argument("--seconds", type=float, default=10.0,
                         help="timed seconds per run")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="the workloads' seed (run.py's --seed)")
     parser.add_argument("--moves", action="append", default=[],
                         help="an exact metric this change moves on purpose")
     parser.add_argument("--record", action="store_true",
                         help=f"append the records to {RECORDS.name}")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seconds <= 0:
-        parser.error("--pairs and --seconds must be positive")
+    if args.pairs < 1 or args.seconds <= 0 or args.seed < 0:
+        parser.error("--pairs and --seconds must be positive, --seed "
+                     "not negative")
 
     sys.path.insert(0, str(ROOT / RUNNER.parent))
     from run import EXACT_METRICS
@@ -236,12 +242,14 @@ def main(argv=None) -> int:
         "host": {"nproc": os.cpu_count(),
                  "python": platform.python_version()},
         "seconds": args.seconds,
+        "seed": args.seed,
     }
     records, problems = [], []
     with tempfile.TemporaryDirectory(prefix="pairs-parent-") as tmp:
         export(args.parent, Path(tmp))
         for workload in args.workload:
-            runs = run_pairs(Path(tmp), workload, args.pairs, args.seconds)
+            runs = run_pairs(Path(tmp), workload, args.pairs, args.seconds,
+                             args.seed)
             problems += [f"{workload}: {p}" for p in
                          exact_mismatches(runs, EXACT_METRICS, args.moves)]
             records += summarize(workload, runs, spec, EXACT_METRICS, meta)

@@ -202,3 +202,30 @@ def test_run_until_idle_limit_stops_early():
     eng.run_until_idle(limit_us=35.0)
     assert hits == [10.0, 20.0, 30.0]
 
+
+
+def test_close_abandons_pending_processes_and_events():
+    """A process parked on an event and one waiting on a timeout are
+    both closed (their ``finally`` blocks run), nothing stays scheduled,
+    and the engine still runs what is spawned afterwards."""
+    eng = Engine()
+    closed = []
+
+    def pending(name, waits_on):
+        try:
+            yield waits_on
+        finally:
+            closed.append(name)
+
+    def answer():
+        yield eng.timeout(1.0)
+        return 42
+
+    parked = eng.spawn(pending("parked", eng.event("never-fires")))
+    sleeping = eng.spawn(pending("sleeping", eng.timeout(5.0)))
+    eng.run_until_idle(limit_us=1.0)
+    eng.close()
+    assert sorted(closed) == ["parked", "sleeping"]
+    assert parked.done and sleeping.done
+    assert eng.run_until_idle() == 0.0
+    assert eng.run(answer()) == 42
