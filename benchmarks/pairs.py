@@ -237,7 +237,11 @@ def main(argv=None) -> int:
     meta = {
         "source": "pairs.py",
         "parent_rev": git("rev-parse", "--short=12", args.parent),
-        "change_rev": git("describe", "--always", "--dirty", "--abbrev=12"),
+        "change_rev": git("rev-parse", "--short=12", "HEAD") + (
+            # Records appended by an earlier run do not make a tree dirty.
+            "-dirty" if git("status", "--porcelain", "--", ".",
+                            f":(exclude){RECORDS.name}") else ""
+        ),
         "date": datetime.date.today().isoformat(),
         "host": {"nproc": os.cpu_count(),
                  "python": platform.python_version()},

@@ -83,9 +83,9 @@ class GroupCommitPipeline:
         self._batched = m.counter("storage.group_commit.commits")
 
     def commit_proc(self, store, records: Sequence[RedoRecord]):
-        """Engine process: enqueue this commit to ``store``'s pipeline,
-        wait for its batch to be durable at quorum; returns the commit
-        time."""
+        """Engine process: enqueue a commit of ``store`` (the volume
+        that owns this pipeline), wait for its batch to be durable at
+        quorum; returns the commit time."""
         engine = self.engine
         done = engine.event("group-commit")
         self._pending.append((list(records), engine.now_us, done))
