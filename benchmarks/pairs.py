@@ -11,8 +11,7 @@ speeds up or slows down over the session charges both sides alike::
         --pairs 10 --seconds 10 [--seed N] [--record]
 
 The exact metrics (simulated numbers and stored-byte ratios) must be
-bit-identical across every run, on both sides, unless ``--moves`` names
-one.  For each host metric the report gives both sides' median and
+bit-identical across every run, on both sides.  For each host metric the report gives both sides' median and
 interquartile range, how many pairs the change won, and the verdict of
 the pair rule (:func:`verdict`).  ``--record`` appends one record per
 (workload, host metric) to ``BENCH_e2e.json`` at the repository root.
@@ -147,10 +146,8 @@ def run_pairs(parent_tree: Path, workload: str, pairs: int,
     return runs
 
 
-def exact_mismatches(runs, exact: Sequence[str],
-                     moves: Sequence[str]) -> List[str]:
-    """Exact metrics that differ within a side, or across sides without
-    ``--moves``."""
+def exact_mismatches(runs, exact: Sequence[str]) -> List[str]:
+    """Exact metrics that differ within a side or across sides."""
     problems = []
     for name in exact:
         per_side = {side: {r[name] for r in rs} for side, rs in runs.items()}
@@ -158,7 +155,7 @@ def exact_mismatches(runs, exact: Sequence[str],
             if len(values) > 1:
                 problems.append(f"{name} varies across {side} runs: "
                                 f"{sorted(values)}")
-        if name not in moves and per_side["parent"] != per_side["change"]:
+        if per_side["parent"] != per_side["change"]:
             problems.append(f"{name} moved: parent {sorted(per_side['parent'])}"
                             f" change {sorted(per_side['change'])}")
     return problems
@@ -221,8 +218,6 @@ def main(argv=None) -> int:
                         help="timed seconds per run")
     parser.add_argument("--seed", type=int, default=0,
                         help="the workloads' seed (run.py's --seed)")
-    parser.add_argument("--moves", action="append", default=[],
-                        help="an exact metric this change moves on purpose")
     parser.add_argument("--record", action="store_true",
                         help=f"append the records to {RECORDS.name}")
     args = parser.parse_args(argv)
@@ -255,7 +250,7 @@ def main(argv=None) -> int:
             runs = run_pairs(Path(tmp), workload, args.pairs, args.seconds,
                              args.seed)
             problems += [f"{workload}: {p}" for p in
-                         exact_mismatches(runs, EXACT_METRICS, args.moves)]
+                         exact_mismatches(runs, EXACT_METRICS)]
             records += summarize(workload, runs, spec, EXACT_METRICS, meta)
     print(table(records))
     for problem in problems:

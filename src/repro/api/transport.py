@@ -125,7 +125,6 @@ class LocalTransport(Transport):
     def __init__(self, config: ReproConfig) -> None:
         self._config = config.validate()
         self._now_us = 0.0
-        self._closed = False
         self._sharded = config.cluster.shards >= 2
         if self._sharded:
             self._runtime = build_cluster(config)
@@ -269,7 +268,7 @@ class LocalTransport(Transport):
     # -- lifecycle ---------------------------------------------------------
 
     def _check_open(self) -> None:
-        if self._closed:
+        if self.backend() is None:
             raise TransportError("local transport is closed")
 
     def close(self) -> None:
@@ -278,7 +277,6 @@ class LocalTransport(Transport):
         references outlives the transport."""
         if self._own_engine is not None:
             self._own_engine.close()
-        self._closed = True
         self._own_engine = None
         self._db = None
         self._runtime = None

@@ -20,6 +20,7 @@ Two pieces:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -29,7 +30,7 @@ from repro.compression.memo import get_codec
 from repro.compression.cost import codec_cost
 from repro.csd.device import PlainSSD
 from repro.csd.specs import P5510
-from repro.db.btree import BPlusTree, PageNumbers
+from repro.db.btree import BPlusTree
 from repro.db.bufferpool import BufferPool, OpContext
 from repro.db.rw_node import COMMIT_CPU_US, EXECUTE_CPU_US, OpResult
 from repro.engine.resources import Resource
@@ -201,7 +202,7 @@ class InnoDBEngine:
         self.store = InnoDBStore(volume_bytes, seed=seed, compute=self.cpu)
         self.pool = BufferPool(buffer_pool_pages, self.store, writeback=True)
         self.trees: Dict[str, BPlusTree] = {}
-        self._page_nos = PageNumbers()
+        self._page_nos = itertools.count(1).__next__
         self._next_lsn = 1
         # Redo on the same device (no separate performance layer).
         self._redo_cursor = self.store.device.spec.logical_capacity // LBA_SIZE - 1

@@ -34,30 +34,14 @@ def descend(pool: BufferPool, ctx: OpContext, root_page_no: int, key: int) -> Pa
     return page
 
 
-class PageNumbers:
-    """Fresh page numbers from 1 for the trees of one database instance.
-
-    The instance owns one and hands it to each tree it creates; a tree
-    holding a method of the instance instead would hold the instance,
-    which holds its trees."""
-
-    __slots__ = ("next_page_no",)
-
-    def __init__(self) -> None:
-        self.next_page_no = 1
-
-    def __call__(self) -> int:
-        page_no = self.next_page_no
-        self.next_page_no += 1
-        return page_no
-
-
 class BPlusTree:
     """A B+tree addressed by integer keys."""
 
     def __init__(self, pool: BufferPool, allocate_page_no) -> None:
         """``allocate_page_no`` is a zero-argument callable handing out
-        fresh page numbers (the instance's :class:`PageNumbers`)."""
+        fresh page numbers, shared by the trees of one database instance
+        (a counter, not a method of the instance: the tree would then
+        hold the instance, which holds its trees)."""
         self._pool = pool
         self._alloc = allocate_page_no
         root = self._pool.new_page(self._alloc(), PageType.LEAF)

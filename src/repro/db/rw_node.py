@@ -9,12 +9,13 @@ regenerates them from redo.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ReproError
 from repro.engine.resources import Resource
-from repro.db.btree import BPlusTree, PageNumbers
+from repro.db.btree import BPlusTree
 from repro.db.bufferpool import BufferPool, OpContext
 from repro.storage.redo import RedoRecord
 
@@ -46,7 +47,7 @@ class RWNode:
         self.store = store
         self.pool = BufferPool(buffer_pool_pages, store)
         self.trees: Dict[str, BPlusTree] = {}
-        self._page_nos = PageNumbers()
+        self._page_nos = itertools.count(1).__next__
         self._next_lsn = 1
         #: The compute instance's cores (the paper evaluates an 8-core
         #: instance); statement CPU queues here under high concurrency.

@@ -7,7 +7,8 @@ import pytest
 
 from repro.common.errors import ReproError
 from repro.db.database import PolarDB
-from repro.db.page import Page
+from repro.db.btree import BPlusTree
+from repro.db.page import Page, PageType
 from repro.engine.core import Engine
 from repro.workloads.sysbench import (
     TABLE,
@@ -127,10 +128,18 @@ def test_concurrent_writers_on_a_tiny_pool_leave_sound_pages(seed):
     )
     assert run.transactions == 60
     end = now + run.elapsed_s * 1e6
-    pages = range(1, db.rw._page_nos.next_page_no)
-    assert len(pages) > 4  # the table does not fit the pool
-    for page_no in pages:
-        Page.parse(db.store.read_page(end, page_no).data)
+    # Walk the tree as storage holds it; its pages are numbered from 1
+    # with no gap, so the walk reaches every page the table allocated.
+    page_nos, todo = [], [db.rw.tree(TABLE).root_page_no]
+    while todo:
+        page_no = todo.pop()
+        page_nos.append(page_no)
+        page = Page.parse(db.store.read_page(end, page_no).data)
+        if page.page_type is not PageType.LEAF:
+            todo += [BPlusTree._child_at(page, index)
+                     for index in range(len(page.keys()))]
+    assert sorted(page_nos) == list(range(1, len(page_nos) + 1))
+    assert len(page_nos) > 4  # the table does not fit the pool
 
 
 def _one_key_context(db, engine, use_procs):
