@@ -14,13 +14,13 @@ Not paper figures — these quantify the claims the paper makes in passing:
 import dataclasses
 import random
 
+from repro.api.config import NodeConfig
 from repro.bench.harness import ExperimentResult, print_table, save_result
 from repro.common.units import DB_PAGE_SIZE, GiB, KiB, LBA_SIZE, MiB, TiB
 from repro.csd.device import PlainSSD, PolarCSD
 from repro.csd.mapping import L2PEntryCodecV1, L2PEntryCodecV2, ftl_dram_bytes
 from repro.csd.specs import P5510, POLARCSD2
 from repro.storage.allocator import SpaceManager
-from repro.storage.node import NodeConfig
 from repro.storage.perpage_log import PerPageLogStore
 from repro.storage.redo import RedoRecord
 from repro.storage.store import build_node

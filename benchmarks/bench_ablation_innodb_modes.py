@@ -8,10 +8,10 @@ and *page compression* (compress before write, hole-punch the tail — any
 against the dual-layer store on the same data.
 """
 
+from repro.api.config import NodeConfig
 from repro.bench.harness import ExperimentResult, print_table, save_result
 from repro.common.units import MiB
 from repro.baselines.innodb import InnoDBStore
-from repro.storage.node import NodeConfig
 from repro.storage.store import build_node
 from repro.workloads.datagen import DATASETS, dataset_pages
 

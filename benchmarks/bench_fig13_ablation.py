@@ -12,11 +12,11 @@ Paper result, adding techniques one at a time on C2 hardware:
   selection runs both codecs, but in the background).
 """
 
+from repro.api.config import NodeConfig
 from repro.bench.harness import ExperimentResult, print_table, save_result
 from repro.common.units import MiB
 from repro.csd.specs import OPTANE_P5800X, P5510, POLARCSD2
 from repro.db.database import PolarDB
-from repro.storage.node import NodeConfig
 from repro.storage.store import PolarStore
 from repro.workloads.sysbench import prepare_table, run_sysbench
 

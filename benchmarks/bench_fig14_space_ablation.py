@@ -9,9 +9,9 @@ We run each dataset through three storage configurations: hardware-only
 (C1-style), dual-layer with zstd, and dual-layer with Algorithm 1.
 """
 
+from repro.api.config import NodeConfig
 from repro.bench.harness import ExperimentResult, print_table, save_result
 from repro.common.units import MiB
-from repro.storage.node import NodeConfig
 from repro.storage.store import build_node
 from repro.workloads.datagen import DATASETS, dataset_pages
 

@@ -10,13 +10,13 @@ shared storage layer.  MyRocks's memtable is scaled to this table
 during the measured transactions, and the figure checks that it does.
 """
 
+from repro.api.config import NodeConfig
 from repro.bench.harness import ExperimentResult, print_table, save_result
 from repro.common.units import MiB
 from repro.baselines.innodb import InnoDBEngine
 from repro.baselines.lsm import LSMStats
 from repro.baselines.myrocks import MyRocksEngine
 from repro.db.database import PolarDB
-from repro.storage.node import NodeConfig
 from repro.workloads.sysbench import prepare_table, run_sysbench
 
 ROWS = 2000

@@ -9,11 +9,11 @@ datasets through the full write path of each cluster configuration; the
 hardware cost constants come from the paper.
 """
 
+from repro.api.config import NodeConfig
 from repro.bench.harness import ExperimentResult, print_table, save_result
 from repro.cluster.costs import DEVICE_COSTS, storage_cost_reduction
 from repro.common.units import MiB
 from repro.csd.specs import P4510, P5510, POLARCSD1, POLARCSD2
-from repro.storage.node import NodeConfig
 from repro.storage.store import build_node
 from repro.workloads.datagen import DATASETS, dataset_pages
 

@@ -12,8 +12,8 @@ finishes with a crash recovery, printing space and latency at each step:
 Run:  python examples/cold_data_lifecycle.py
 """
 
+from repro.api.config import NodeConfig
 from repro.common.units import DB_PAGE_SIZE, MiB
-from repro.storage.node import NodeConfig
 from repro.storage.recovery import recover_node
 from repro.storage.store import build_node
 from tiering import ObjectStore, TieringManager

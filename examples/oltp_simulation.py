@@ -9,9 +9,9 @@ miniature version of the paper's §5.1 evaluation.
 Run:  python examples/oltp_simulation.py
 """
 
+from repro.api.config import NodeConfig
 from repro.common.units import MiB
 from repro.db.database import PolarDB
-from repro.storage.node import NodeConfig
 from repro.workloads.sysbench import (
     WORKLOAD_LABELS,
     prepare_table,

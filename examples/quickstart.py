@@ -9,8 +9,8 @@ layers.
 Run:  python examples/quickstart.py
 """
 
+from repro.api.config import NodeConfig
 from repro.common.units import DB_PAGE_SIZE, MiB
-from repro.storage.node import NodeConfig
 from repro.storage.store import CompressionMode, PolarStore
 from repro.workloads.datagen import dataset_pages
 

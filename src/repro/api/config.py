@@ -12,16 +12,20 @@ dataclass tree — ``store``, ``device``, ``engine``, ``db``, ``cluster``,
 ``from_dict``/``to_dict`` round-trip the tree through plain JSON-able
 dicts (unknown keys are rejected, so a typo'd override fails loudly
 instead of silently running defaults).
+
+This module imports nothing of ``repro`` but ``repro.common``: a client
+of a ``repro serve`` deployment reads the tree without loading the
+storage stack, and the stack reads its ``store.node`` section from here.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.common.units import MiB
-from repro.storage.node import NodeConfig
 
 #: Named device specs selectable from configuration (resolved lazily so
 #: the config module stays import-light).
@@ -54,6 +58,26 @@ class DeviceSection:
     data_spec: str = "POLARCSD2"
     #: Performance device (WAL + Opt#1 redo).
     perf_spec: str = "OPTANE_P5800X"
+
+
+@dataclass
+class NodeConfig:
+    """Feature switches matching the paper's cluster configurations
+    (the ``store.node`` section).
+
+    ``software_compression=False`` with a PolarCSD data device reproduces
+    cluster C1 (hardware-only compression); all-enabled reproduces C2.
+    """
+
+    software_compression: bool = True
+    opt_bypass_redo: bool = True          # Opt#1 (§3.3.1)
+    opt_algorithm_selection: bool = True  # Opt#2 (§3.3.2)
+    opt_per_page_log: bool = True         # Opt#3 (§3.3.3)
+    #: Force Algorithm 1 to re-evaluate on every write (the paper's §5.2
+    #: evaluation mode: "the update always issues the algorithm
+    #: re-selection, representing the worst page write latency").
+    selection_always_evaluate: bool = False
+    redo_cache_bytes: int = 2 * MiB
 
 
 @dataclass
@@ -133,6 +157,8 @@ class ReproConfig:
     def validate(self) -> "ReproConfig":
         if self.store.volume_bytes <= 0:
             raise ValueError("store.volume_bytes must be positive")
+        if self.store.node.redo_cache_bytes <= 0:
+            raise ValueError("store.node.redo_cache_bytes must be positive")
         if self.cluster.shards < 0:
             raise ValueError("cluster.shards cannot be negative")
         if self.cluster.shards == 1:
@@ -160,50 +186,50 @@ class ReproConfig:
 
         Unknown section or field names raise ``ValueError`` — silent
         acceptance of a typo'd key is how experiments run with the wrong
-        parameters without anyone noticing.
+        parameters without anyone noticing — and so does a leaf whose
+        value is not of its field's annotated type; the message names
+        the leaf's path.
         """
-        doc = dict(doc or {})
-        sections = {f.name: f for f in fields(cls)}
-        unknown = set(doc) - set(sections)
-        if unknown:
-            raise ValueError(
-                f"unknown config sections: {sorted(unknown)}; "
-                f"expected {sorted(sections)}"
-            )
-        kwargs = {}
-        for name, section_field in sections.items():
-            section_cls = section_field.default_factory  # type: ignore[misc]
-            sub = doc.get(name, {})
-            if dataclasses.is_dataclass(sub):
-                kwargs[name] = sub
-                continue
-            kwargs[name] = _section_from_dict(section_cls, name, sub)
-        return cls(**kwargs).validate()
+        return _section_from_dict(cls, "", doc or {}).validate()
 
 
-def _section_from_dict(section_cls, section_name: str, doc: Dict[str, Any]):
+def _section_from_dict(section_cls, path: str, doc):
+    """``doc`` (a dict, or a ``section_cls`` taken as it is) -> a
+    ``section_cls`` whose every leaf has its annotated type."""
+    if isinstance(doc, section_cls):
+        return doc
     if not isinstance(doc, dict):
         raise ValueError(
-            f"config section {section_name!r} must be a dict, "
+            f"config section {path!r} must be a dict, "
             f"got {type(doc).__name__}"
         )
-    allowed = {f.name for f in fields(section_cls)}
-    unknown = set(doc) - allowed
+    hints = typing.get_type_hints(section_cls)
+    unknown = set(doc) - set(hints)
     if unknown:
+        what = f"keys in config section {path!r}" if path else "config sections"
         raise ValueError(
-            f"unknown keys in config section {section_name!r}: "
-            f"{sorted(unknown)}; expected {sorted(allowed)}"
+            f"unknown {what}: {sorted(unknown)}; expected {sorted(hints)}"
         )
-    kwargs = dict(doc)
-    # The one nested dataclass below section level: store.node.
-    if section_cls is StoreSection and isinstance(kwargs.get("node"), dict):
-        node_doc = kwargs["node"]
-        node_allowed = {f.name for f in fields(NodeConfig)}
-        node_unknown = set(node_doc) - node_allowed
-        if node_unknown:
+    kwargs = {}
+    for name, value in doc.items():
+        leaf, hint = f"{path}.{name}".lstrip("."), hints[name]
+        if dataclasses.is_dataclass(hint):
+            value = _section_from_dict(hint, leaf, value)
+        elif not _has_type(value, hint):
             raise ValueError(
-                f"unknown keys in config section 'store.node': "
-                f"{sorted(node_unknown)}; expected {sorted(node_allowed)}"
+                f"config leaf {leaf!r} must be "
+                f"{getattr(hint, '__name__', hint)}, got {value!r}"
             )
-        kwargs["node"] = NodeConfig(**node_doc)
+        kwargs[name] = value
     return section_cls(**kwargs)
+
+
+def _has_type(value, hint) -> bool:
+    """``Optional[T]`` takes ``None``; an ``int`` is never a ``bool``."""
+    if typing.get_origin(hint) is typing.Union:
+        if value is None:
+            return True
+        (hint,) = set(typing.get_args(hint)) - {type(None)}
+    return isinstance(value, hint) and not (
+        hint is int and isinstance(value, bool)
+    )

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ReproError
+from repro.common.ops import OpResult
 from repro.common.units import DB_PAGE_SIZE, LBA_SIZE, MiB, ceil_div
 from repro.compression.memo import get_codec
 from repro.compression.cost import codec_cost
@@ -32,7 +33,7 @@ from repro.csd.device import PlainSSD
 from repro.csd.specs import P5510
 from repro.db.btree import BPlusTree
 from repro.db.bufferpool import BufferPool, OpContext
-from repro.db.rw_node import COMMIT_CPU_US, EXECUTE_CPU_US, OpResult
+from repro.db.rw_node import COMMIT_CPU_US, EXECUTE_CPU_US
 from repro.engine.resources import Resource
 
 #: The page codec.

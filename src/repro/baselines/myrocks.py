@@ -18,10 +18,11 @@ from __future__ import annotations
 import dataclasses
 
 from repro.common.errors import ReproError
+from repro.common.ops import OpResult
 from repro.common.units import MiB
 from repro.csd.device import PlainSSD
 from repro.csd.specs import P5510
-from repro.db.rw_node import EXECUTE_CPU_US, OpResult
+from repro.db.rw_node import EXECUTE_CPU_US
 from repro.baselines.lsm import LSMTree
 from repro.engine.resources import Resource
 

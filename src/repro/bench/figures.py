@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.api.config import NodeConfig
 from repro.bench.harness import ExperimentResult, print_table, save_result
 from repro.common.units import KiB, MiB
 from repro.csd.specs import (
@@ -31,7 +32,6 @@ from repro.csd.specs import (
 from repro.db.database import PolarDB
 from repro.db.ro_node import RONode
 from repro.engine.parallel import run_programs
-from repro.storage.node import NodeConfig
 from repro.storage.store import PolarStore
 from repro.workloads.sysbench import (
     WORKLOAD_LABELS,

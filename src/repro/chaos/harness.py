@@ -36,11 +36,11 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.api.config import NodeConfig
 from repro.chaos.plan import DATA_FAULT_KINDS, FaultKind, FaultPlan, FaultRule
 from repro.common.errors import ReplicationError
 from repro.common.units import DB_PAGE_SIZE, MiB
 from repro.obs.events import recorder_active
-from repro.storage.node import NodeConfig
 from repro.storage.redo import RedoRecord
 from repro.storage.store import PolarStore
 

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import ReproError, SchedulingError
+from repro.common.ops import OpResult
 from repro.common.units import DB_PAGE_SIZE
 from repro.cluster.chunk import Chunk, StorageServer
 from repro.cluster.cluster import Cluster
@@ -45,7 +46,6 @@ from repro.cluster.scheduler import (
     LogicalOnlyScheduler,
     MigrationTask,
 )
-from repro.db.rw_node import OpResult
 from repro.engine.core import Engine
 from repro.engine.resources import Queue
 from repro.obs.events import recorder_active

@@ -10,10 +10,10 @@ off again.  ``LocalTransport``, ``SocketTransport``, the server and the
 wire protocol are lookups into these two tables; to add an op, add one
 row here and one typed method on ``PolarStoreClient``.
 
-This module imports nothing from ``repro`` at module level but
-``repro.common``, so both ``repro.api`` and ``repro.net`` can import it;
-the result classes live with their layers and are imported where a
-reply is rebuilt.
+This module imports nothing from ``repro`` but ``repro.common``, so
+both ``repro.api`` and ``repro.net`` can import it, and a client of a
+``repro serve`` deployment decodes every reply without loading the
+storage stack: the result classes live here, next to their codecs.
 """
 
 from __future__ import annotations
@@ -105,13 +105,45 @@ class ResultKind:
     from_wire: Callable[[Any], Any]
 
 
+@dataclass(frozen=True)
+class OpResult:
+    """Latency breakdown of one statement."""
+
+    done_us: float
+    io_reads: int
+    redo_bytes: int
+    value: Optional[bytes] = None
+
+    def latency_us(self, start_us: float) -> float:
+        return self.done_us - start_us
+
+
+@dataclass(frozen=True)
+class ReadResult:
+    """A page read from a storage node."""
+
+    data: bytes
+    done_us: float
+    io_reads: int
+    cpu_us: float
+    consolidated: bool = False
+
+
+@dataclass(frozen=True)
+class CommittedWrite:
+    """A replicated page write."""
+
+    commit_us: float
+    #: The leader's ``repro.storage.node.PreparedWrite``; ``None`` over
+    #: the wire, where the commit timestamp is the contract.
+    prepared: Optional[PreparedWrite]
+
+
 def _done_us(result) -> float:
     return result.done_us
 
 
 def _op_from_wire(reply):
-    from repro.db.rw_node import OpResult
-
     value = reply.value
     return OpResult(
         done_us=reply.done_us,
@@ -127,8 +159,6 @@ def _read_to_wire(result) -> dict:
 
 
 def _read_from_wire(reply):
-    from repro.storage.node import ReadResult
-
     doc = reply.value
     return ReadResult(
         data=bytes(doc["data"]),
@@ -140,10 +170,6 @@ def _read_from_wire(reply):
 
 
 def _commit_from_wire(reply):
-    from repro.storage.store import CommittedWrite
-
-    # ``prepared`` carries in-process page buffers; over the wire the
-    # commit timestamp is the contract.
     return CommittedWrite(commit_us=reply.done_us, prepared=None)
 
 

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from repro.api.config import NodeConfig
 from repro.db.ro_node import RONode
 from repro.db.rw_node import RWNode
-from repro.storage.node import NodeConfig
 from repro.storage.store import PolarStore
 
 

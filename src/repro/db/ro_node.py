@@ -10,10 +10,11 @@ paper's Figure 15 scenario is set on the storage side, as a small
 from __future__ import annotations
 
 
+from repro.common.ops import OpResult
 from repro.db.btree import descend
 from repro.engine.resources import Resource
 from repro.db.bufferpool import BufferPool, OpContext
-from repro.db.rw_node import EXECUTE_CPU_US, OpResult, RWNode
+from repro.db.rw_node import EXECUTE_CPU_US, RWNode
 
 
 class RONode:

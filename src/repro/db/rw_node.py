@@ -10,10 +10,10 @@ regenerates them from redo.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ReproError
+from repro.common.ops import OpResult
 from repro.engine.resources import Resource
 from repro.db.btree import BPlusTree
 from repro.db.bufferpool import BufferPool, OpContext
@@ -25,19 +25,6 @@ EXECUTE_CPU_US = 18.0
 COMMIT_CPU_US = 4.0
 #: Rows per redo commit during a bulk load.
 BULK_REDO_BATCH = 64
-
-
-@dataclass(frozen=True)
-class OpResult:
-    """Latency breakdown of one statement."""
-
-    done_us: float
-    io_reads: int
-    redo_bytes: int
-    value: Optional[bytes] = None
-
-    def latency_us(self, start_us: float) -> float:
-        return self.done_us - start_us
 
 
 class RWNode:

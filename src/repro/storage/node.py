@@ -21,6 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
+from repro.api.config import NodeConfig
 from repro.common.checksum import crc32
 from repro.common.errors import (
     ChecksumError,
@@ -30,7 +31,8 @@ from repro.common.errors import (
     PageCorruptionError,
     ReproError,
 )
-from repro.common.units import DB_PAGE_SIZE, LBA_SIZE, MiB, align_up, ceil_div
+from repro.common.ops import ReadResult
+from repro.common.units import DB_PAGE_SIZE, LBA_SIZE, align_up, ceil_div
 from repro.compression import memo
 from repro.compression.cost import codec_cost
 from repro.compression.selector import AlgorithmSelector
@@ -59,25 +61,6 @@ _STATUS_IDS = {
     CompressionInfo.HEAVY: 2,
 }
 STATUS_FROM_ID = {v: k for k, v in _STATUS_IDS.items()}
-
-
-@dataclass
-class NodeConfig:
-    """Feature switches matching the paper's cluster configurations.
-
-    ``software_compression=False`` with a PolarCSD data device reproduces
-    cluster C1 (hardware-only compression); all-enabled reproduces C2.
-    """
-
-    software_compression: bool = True
-    opt_bypass_redo: bool = True          # Opt#1 (§3.3.1)
-    opt_algorithm_selection: bool = True  # Opt#2 (§3.3.2)
-    opt_per_page_log: bool = True         # Opt#3 (§3.3.3)
-    #: Force Algorithm 1 to re-evaluate on every write (the paper's §5.2
-    #: evaluation mode: "the update always issues the algorithm
-    #: re-selection, representing the worst page write latency").
-    selection_always_evaluate: bool = False
-    redo_cache_bytes: int = 2 * MiB
 
 
 @dataclass(frozen=True)
@@ -135,15 +118,6 @@ class PreparedWrite:
 class WriteResult:
     done_us: float
     prepared: PreparedWrite
-
-
-@dataclass(frozen=True)
-class ReadResult:
-    data: bytes
-    done_us: float
-    io_reads: int
-    cpu_us: float
-    consolidated: bool = False
 
 
 class StorageNode:

@@ -19,15 +19,16 @@ from __future__ import annotations
 import dataclasses
 import enum
 import itertools
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
+from repro.api.config import NodeConfig
 from repro.common.clock import SimClock
 from repro.common.errors import (
     DeviceUnavailableError,
     PageCorruptionError,
     ReproError,
 )
+from repro.common.ops import CommittedWrite, ReadResult
 from repro.common.units import DB_PAGE_SIZE, MiB
 from repro.csd.device import BlockDevice, PlainSSD, PolarCSD
 from repro.csd.specs import (
@@ -37,7 +38,7 @@ from repro.csd.specs import (
 )
 from repro.obs.events import recorder_active
 from repro.obs.metrics import MetricsRegistry
-from repro.storage.node import NodeConfig, PreparedWrite, ReadResult, StorageNode
+from repro.storage.node import PreparedWrite, StorageNode
 from repro.storage.replication import NetworkModel, ReplicationGroup
 from repro.storage.redo import RedoRecord, encode_records
 
@@ -53,14 +54,6 @@ class CompressionMode(enum.Enum):
     NORMAL = "normal"
     NONE = "none"
     HEAVY = "heavy"
-
-
-@dataclass(frozen=True)
-class CommittedWrite:
-    """A replicated page write."""
-
-    commit_us: float
-    prepared: PreparedWrite
 
 
 def build_node(

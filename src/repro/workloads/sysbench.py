@@ -27,7 +27,6 @@ from typing import Callable, Dict, Optional
 
 from repro.common.latency import LatencyStats
 from repro.engine.core import Engine, Event
-from repro.workloads.zipf import ZipfSampler
 
 #: sysbench's c-column: digits + fixed padding, moderately compressible.
 _PAD = b"-" * 40
@@ -238,6 +237,10 @@ def run_sysbench(
         raise KeyError(
             f"unknown workload {workload!r}; options: {sorted(SYSBENCH_WORKLOADS)}"
         )
+    # Here, not at module level: the sampler needs numpy, and a socket
+    # client (``default_value``) imports this module without it.
+    from repro.workloads.zipf import ZipfSampler
+
     txn = SYSBENCH_WORKLOADS[workload]
     rng = random.Random(seed)
     fresh = iter(range(key_range + 1_000_000, 10**9))

@@ -9,11 +9,11 @@ I/O counts, and byte accounting *exactly*.
 import pytest
 
 from repro.api import PolarStore, ReproConfig, build_db
+from repro.api.config import NodeConfig
 from repro.common.errors import ReproError
 from repro.common.units import MiB
 from repro.db.database import PolarDB
 from repro.engine.core import Engine
-from repro.storage.node import NodeConfig
 from repro.storage.store import PolarStore as StorageVolume
 
 CONFIG_DOC = {"store": {"volume_bytes": 32 * MiB, "seed": 3}}

@@ -6,13 +6,13 @@ import pytest
 
 from repro.api.config import (
     NetSection,
+    NodeConfig,
     ReproConfig,
     StoreSection,
     resolve_spec,
 )
 from repro.common.units import MiB
 from repro.csd.specs import OPTANE_P5800X, POLARCSD2
-from repro.storage.node import NodeConfig
 
 
 def test_defaults_validate():
@@ -137,17 +137,59 @@ REMOVED_LEAVES = [
 ]
 
 
-@pytest.mark.parametrize("path, value", REMOVED_LEAVES)
-def test_removed_leaves_rejected(path, value):
+def _tree(path, value):
+    """``"a.b.c", v`` -> ``{"a": {"b": {"c": v}}}``."""
     *sections, key = path.split(".")
     doc = {key: value}
     for name in reversed(sections):
         doc = {name: doc}
-    section = ".".join(sections)
+    return doc
+
+
+@pytest.mark.parametrize("path, value", REMOVED_LEAVES)
+def test_removed_leaves_rejected(path, value):
+    section, key = path.rsplit(".", 1)
     with pytest.raises(
         ValueError, match=f"unknown keys in config section '{section}'.*{key}"
     ):
-        ReproConfig.from_dict(doc)
+        ReproConfig.from_dict(_tree(path, value))
+
+
+#: A leaf of the wrong type or range, each failing inside ``open`` (or,
+#: for a non-empty string as a bool, silently turning the switch on)
+#: before ``from_dict`` checked leaves against their annotations.
+BAD_LEAVES = [
+    ("engine.enabled", "no"),
+    ("engine.defer_gc", 1),
+    ("store.node.redo_cache_bytes", -1),
+    ("store.node.redo_cache_bytes", "x"),
+    ("store.node.opt_per_page_log", None),
+    ("store.volume_bytes", float("nan")),
+    ("store.volume_bytes", "big"),
+    ("store.physical_bytes", 2.0**30),
+    ("cluster.shards", 2.5),
+    ("db.ro_nodes", True),
+    ("device.data_spec", 5),
+    ("store.node", []),
+    ("store", None),
+]
+
+
+@pytest.mark.parametrize("path, value", BAD_LEAVES)
+def test_a_bad_leaf_is_one_value_error_naming_its_path(path, value):
+    with pytest.raises(ValueError, match=f"'?{path}'? must be"):
+        ReproConfig.from_dict(_tree(path, value))
+
+
+def test_optional_leaves_take_none_and_sections_their_dataclass():
+    node = NodeConfig(opt_per_page_log=False)
+    config = ReproConfig.from_dict({
+        "store": {"physical_bytes": None, "node": node},
+        "net": NetSection(window=8),
+    })
+    assert config.store.physical_bytes is None
+    assert config.store.node is node
+    assert config.net.window == 8
 
 
 def test_per_instance_sections_do_not_alias():

@@ -256,7 +256,7 @@ def test_innodb_compression_costs_compute_cpu():
 def test_innodb_block_granularity_wastes_space_vs_polarstore():
     """Figure 2a / Table 1: 4 KB file-block indexing stores more bytes than
     byte-granular indexing for the same data."""
-    from repro.storage.node import NodeConfig
+    from repro.api.config import NodeConfig
     from repro.storage.store import build_node
 
     pages = dataset_pages("finance", 16, seed=0)

@@ -7,6 +7,7 @@ its own per-pair values), and a ``gain`` must satisfy the pair rule.
 """
 
 import json
+import re
 import statistics
 from pathlib import Path
 
@@ -69,11 +70,28 @@ def test_every_gain_has_enough_pairs_and_a_median_outside_the_parent_iqr():
             assert r["change_median"] < q1
 
 
-def test_the_closed_volume_claim_is_recorded():
-    claim = [r for r in records()
-             if (r["workload"], r["metric"]) == ("oltp_rw", "peak_rss_mb")]
-    assert claim and claim[0]["verdict"] == "gain"
-    assert claim[0]["change_median"] <= 60.0
+#: How CHANGES.md states a speed claim: ``CLAIM: `workload` `metric` ...``.
+CLAIM = re.compile(r"CLAIM: `(\w+)` `(\w+)`")
+
+
+def claims():
+    """(workload, metric) of every claim in CHANGES.md from the first
+    line that names ``BENCH_e2e.json`` on; older claims predate it."""
+    lines = (REPO / "CHANGES.md").read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if "BENCH_e2e.json" in line)
+    text = "\n".join(lines[first:])
+    found = CLAIM.findall(text)
+    stated = re.findall(r"(?<!`)CLAIM:", text)  # `CLAIM:` is a mention
+    assert len(found) == len(stated), "a CLAIM: not in that form"
+    return found
+
+
+def test_every_claim_in_changes_is_a_recorded_gain():
+    gains = {(r["workload"], r["metric"])
+             for r in records() if r["verdict"] == "gain"}
+    assert claims()
+    for claim in claims():
+        assert claim in gains, claim
 
 
 def _pairs(parent, gaps):

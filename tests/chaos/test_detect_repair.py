@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.api.config import NodeConfig
 from repro.chaos.plan import FaultKind, FaultPlan, FaultRule
 from repro.common.errors import ReplicationError
 from repro.common.units import DB_PAGE_SIZE, MiB
 from repro.obs.events import recording
-from repro.storage.node import NodeConfig
 from repro.storage.store import PolarStore
 
 

@@ -10,10 +10,10 @@ it does against a zero-capacity cache, where every codec call computes.
 import numpy as np
 import pytest
 
+from repro.api.config import NodeConfig
 from repro.chaos.plan import FaultKind, FaultPlan, FaultRule
 from repro.common.units import DB_PAGE_SIZE, MiB
 from repro.compression.memo import MEMO_CAPACITY_BYTES
-from repro.storage.node import NodeConfig
 from repro.storage.store import PolarStore
 from tests.perf.memo_swap import memo_capacity
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.config import NodeConfig
 from repro.common.units import DB_PAGE_SIZE, LBA_SIZE, MiB, align_up
 from repro.compression import memo
 from repro.compression.cost import codec_cost
@@ -24,7 +25,6 @@ from repro.compression.selector import (
 )
 from repro.compression.zstd import ZstdCodec
 from repro.storage.index import CompressionInfo
-from repro.storage.node import NodeConfig
 from repro.storage.store import build_node
 from repro.workloads.datagen import DATASETS, dataset_pages
 from tests.compression.test_golden_bytes import _dictionaries, _inputs

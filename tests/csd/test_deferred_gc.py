@@ -4,10 +4,10 @@ import random
 
 import pytest
 
+from repro.api.config import NodeConfig
 from repro.common.units import DB_PAGE_SIZE, MiB
 from repro.engine.core import Engine
 from repro.obs.events import recording
-from repro.storage.node import NodeConfig
 from repro.storage.store import PolarStore
 
 

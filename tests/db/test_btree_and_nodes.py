@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.config import NodeConfig
 from repro.common.errors import ReproError
 from repro.common.units import MiB
 from repro.db.btree import BPlusTree
 from repro.db.bufferpool import BufferPool, OpContext
 from repro.db.database import PolarDB
 from repro.db.page import PageType
-from repro.storage.node import NodeConfig
 from repro.storage.store import PolarStore
 
 

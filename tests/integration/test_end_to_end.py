@@ -4,10 +4,10 @@ import random
 
 import pytest
 
+from repro.api.config import NodeConfig
 from repro.common.errors import OutOfSpaceError, ReplicationError
 from repro.common.units import DB_PAGE_SIZE, KiB, MiB
 from repro.db.database import PolarDB
-from repro.storage.node import NodeConfig
 from repro.storage.recovery import recover_node
 from repro.storage.store import PolarStore
 from repro.workloads.sysbench import prepare_table, run_sysbench

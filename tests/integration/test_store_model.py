@@ -10,8 +10,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.config import NodeConfig
 from repro.common.units import DB_PAGE_SIZE, MiB
-from repro.storage.node import NodeConfig
 from repro.storage.recovery import recover_node
 from repro.storage.store import build_node
 

@@ -1,6 +1,7 @@
 """The serving layer end to end: loopback server, one-connection
 client, golden equivalence against in-process access."""
 
+import contextlib
 import logging
 import os
 import select
@@ -31,6 +32,9 @@ from repro.net.protocol import (
     decode_message,
 )
 from repro.net.server import PolarStoreServer, serve_in_thread
+
+
+_SRC = os.path.dirname(os.path.dirname(repro.__file__))
 
 
 def _config(**doc):
@@ -300,44 +304,102 @@ def test_a_timed_out_reply_is_dropped_and_its_late_response_discarded(
         transport.close()
 
 
-def test_a_server_process_killed_mid_stream_fails_inflight_at_once():
-    """``SIGKILL`` a real ``repro serve`` under three pipelined inserts:
-    each fails as a lost connection, not a timeout, and the next call
-    is refused."""
-    src = os.path.dirname(os.path.dirname(repro.__file__))
+@contextlib.contextmanager
+def _serve_process():
+    """A real ``python -m repro serve --port 0`` child: yields the
+    process and the ``host:port`` its banner names, and reaps it."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0"],
         stdout=subprocess.PIPE, text=True,
-        env=dict(os.environ, PYTHONPATH=src),
+        env=dict(os.environ, PYTHONPATH=_SRC),
     )
-    transport = None
     try:
         ready, _, _ = select.select([proc.stdout], [], [], 60.0)
         banner = proc.stdout.readline() if ready else ""
         # "serving PolarStore on 127.0.0.1:43713 (window 64, ..."
         assert banner.startswith("serving PolarStore on "), banner
-        addr = banner.split(" on ", 1)[1].split(" ", 1)[0]
-        transport = SocketTransport(addr, timeout_s=10.0)
-        transport.call("create_table", "t")
-        replies = [
-            transport.submit("insert", "t", i, b"k" * 16, arrival_us=0.0)
-            for i in range(3)
-        ]
-        proc.kill()
-        started = time.monotonic()
-        for reply in replies:
-            with pytest.raises(TransportError, match="connection lost") as info:
-                transport.pool.wait(reply)
-            assert not isinstance(info.value, TransportTimeout)
-        assert time.monotonic() - started < 5.0
-        with pytest.raises(TransportError, match="the connection is down"):
-            transport.call("select", "t", 0)
+        yield proc, banner.split(" on ", 1)[1].split(" ", 1)[0]
     finally:
-        if transport is not None:
-            transport.close()
         proc.kill()
         proc.wait(timeout=10.0)
         proc.stdout.close()
+
+
+def test_a_server_process_killed_mid_stream_fails_inflight_at_once():
+    """``SIGKILL`` a real ``repro serve`` under three pipelined inserts:
+    each fails as a lost connection, not a timeout, and the next call
+    is refused."""
+    with _serve_process() as (proc, addr):
+        transport = SocketTransport(addr, timeout_s=10.0)
+        try:
+            transport.call("create_table", "t")
+            replies = [
+                transport.submit("insert", "t", i, b"k" * 16, arrival_us=0.0)
+                for i in range(3)
+            ]
+            proc.kill()
+            started = time.monotonic()
+            for reply in replies:
+                with pytest.raises(
+                    TransportError, match="connection lost"
+                ) as info:
+                    transport.pool.wait(reply)
+                assert not isinstance(info.value, TransportTimeout)
+            assert time.monotonic() - started < 5.0
+            with pytest.raises(TransportError, match="the connection is down"):
+                transport.call("select", "t", 0)
+        finally:
+            transport.close()
+
+
+#: A client process in which ``import numpy`` fails: one op of each
+#: result kind against the served deployment, then no module of the
+#: in-process stack may be loaded.
+_THIN_CLIENT = """
+import sys
+sys.modules["numpy"] = None
+from repro.api import PolarStore
+from repro.common.ops import CommittedWrite, OpResult, ReadResult
+
+client = PolarStore.connect(sys.argv[1], timeout_s=10.0)
+assert client.create_table("t") is None
+loaded = client.bulk_load("t", [(k, b"row %d" % k) for k in range(20)])
+assert isinstance(loaded, float) and loaded > 0.0
+assert isinstance(client.insert("t", 50, b"fifty"), OpResult)
+assert client.select("t", 50).value == b"fifty"
+assert isinstance(client.range_select("t", 0, 9), OpResult)
+assert isinstance(client.update("t", 3, b"three"), OpResult)
+assert client.select("t", 3).value == b"three"
+page = bytes(range(256)) * 64
+commit = client.write_page(900, page)
+assert type(commit) is CommittedWrite and commit.prepared is None
+read = client.read_page(900)
+assert type(read) is ReadResult and read.data == page
+assert client.checkpoint() >= commit.commit_us
+assert client.compression_ratio() > 0.0
+assert client.logical_bytes > 0 and client.physical_bytes > 0
+client.close()
+stack = [["repro", name] for name in ("storage", "compression", "csd", "db", "cluster")]
+loaded = sorted(
+    name for name, module in sys.modules.items()
+    if module is not None
+    and (name == "numpy" or name.split(".")[:2] in stack)
+)
+assert not loaded, loaded
+print("ok")
+"""
+
+
+def test_a_client_without_numpy_runs_every_result_kind_remotely():
+    """A socket client loads only the client: the config tree, the op
+    table and the result types import nothing of the storage stack."""
+    with _serve_process() as (_, addr):
+        done = subprocess.run(
+            [sys.executable, "-c", _THIN_CLIENT, addr],
+            capture_output=True, text=True, timeout=60.0,
+            env=dict(os.environ, PYTHONPATH=_SRC),
+        )
+    assert (done.returncode, done.stdout) == (0, "ok\n"), done.stderr
 
 
 def test_pool_does_its_io_on_the_callers_thread(server):

@@ -178,9 +178,9 @@ def test_prometheus_exports_chaos_counters_with_labels():
 def test_live_chaos_run_exports_in_both_formats():
     """End to end: damage a real replicated write, let the read path
     repair it, and check the counters surface in both exports."""
+    from repro.api.config import NodeConfig
     from repro.chaos.plan import FaultKind, FaultPlan, FaultRule
     from repro.common.units import DB_PAGE_SIZE, MiB
-    from repro.storage.node import NodeConfig
     from repro.storage.store import PolarStore
 
     import numpy as np

@@ -4,10 +4,10 @@ import json
 
 import pytest
 
+from repro.api.config import NodeConfig
 from repro.common.units import MiB
 from repro.db.database import PolarDB
 from repro.obs.export import to_json
-from repro.storage.node import NodeConfig
 from repro.storage.store import PolarStore
 from repro.workloads.sysbench import prepare_table, run_sysbench
 

@@ -4,10 +4,10 @@ simulated commit latency."""
 
 import pytest
 
+from repro.api.config import NodeConfig
 from repro.common.units import MiB
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Span, Trace, Tracer
-from repro.storage.node import NodeConfig
 from repro.storage.store import PolarStore
 
 

@@ -8,7 +8,7 @@ from collections import Counter, OrderedDict
 
 import pytest
 
-from repro.api.config import ReproConfig
+from repro.api.config import NodeConfig, ReproConfig
 from repro.common.units import DB_PAGE_SIZE, MiB
 from repro.compression import memo
 from repro.compression.gzipdev import HARDWARE_GZIP_LEVEL, HardwareGzip
@@ -20,7 +20,6 @@ from repro.compression.memo import (
 )
 from repro.compression.lz77 import MatchFinder
 from repro.compression.selector import AlgorithmSelector
-from repro.storage.node import NodeConfig
 from repro.storage.redo import RedoRecord
 from repro.storage.store import PolarStore
 from tests.perf.memo_swap import memo_capacity

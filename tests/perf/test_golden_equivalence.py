@@ -18,12 +18,12 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.api.config import NodeConfig
 from repro.common.units import DB_PAGE_SIZE, MiB
 from repro.compression.memo import MEMO_CAPACITY_BYTES
 from repro.obs import events as obs_events
 from repro.obs.scenarios import SCENARIOS, metrics_digest, run_scenario
 from repro.storage import store as store_mod
-from repro.storage.node import NodeConfig
 from repro.storage.redo import RedoRecord
 from repro.storage.store import PolarStore
 from tests.perf.memo_swap import memo_capacity

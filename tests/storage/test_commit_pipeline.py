@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.api.config import NodeConfig
 from repro.common.errors import ReplicationError
 from repro.common.units import MiB
 from repro.engine.core import Engine
-from repro.storage.node import NodeConfig
 from repro.storage.redo import RedoRecord
 from repro.storage.store import PolarStore
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.config import NodeConfig
 from repro.common.units import LBA_SIZE, MiB
 from repro.csd.device import PolarCSD
 from repro.csd.specs import POLARCSD2
@@ -20,7 +21,6 @@ from repro.storage.consolidation import (
     TieredPolicy,
     make_policy,
 )
-from repro.storage.node import NodeConfig
 from repro.storage.perpage_log import (
     LOG_BLOCK_CAPACITY,
     PerPageLogStore,

@@ -7,12 +7,12 @@ durable redo LSN (ties to the lowest index) and opens a new epoch.
 
 import pytest
 
+from repro.api.config import NodeConfig
 from repro.chaos.plan import FaultKind, FaultPlan, FaultRule
 from repro.common.errors import ReplicationError, ReproError
 from repro.common.units import DB_PAGE_SIZE, MiB
 from repro.engine.core import Engine
 from repro.obs.events import recording
-from repro.storage.node import NodeConfig
 from repro.storage.redo import RedoRecord, decode_records
 from repro.storage.store import PolarStore
 

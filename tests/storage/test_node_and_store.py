@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.api.config import NodeConfig
 from repro.common.errors import (
     PageCorruptionError,
     ReplicationError,
@@ -15,7 +16,7 @@ from repro.compression.zstd import _read_varint
 from repro.csd.specs import P5510, POLARCSD2
 from repro.obs.events import recording
 from repro.storage.index import CompressionInfo
-from repro.storage.node import NodeConfig, PreparedWrite
+from repro.storage.node import PreparedWrite
 from repro.storage.redo import RedoRecord
 from repro.storage.store import CompressionMode, PolarStore, build_node
 

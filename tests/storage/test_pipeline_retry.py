@@ -10,11 +10,11 @@ and an epoch bump mid-flight must fence the attempt and re-replicate.
 
 import pytest
 
+from repro.api.config import NodeConfig
 from repro.common.errors import ReplicationError
 from repro.common.units import MiB
 from repro.engine.core import Engine
 from repro.obs.events import recording
-from repro.storage.node import NodeConfig
 from repro.storage.redo import RedoRecord
 from repro.storage.store import PolarStore
 

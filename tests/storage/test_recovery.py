@@ -4,10 +4,10 @@ import random
 
 import pytest
 
+from repro.api.config import NodeConfig
 from repro.common.errors import WALError
 from repro.common.units import DB_PAGE_SIZE, KiB, MiB
 from repro.storage.index import CompressionInfo
-from repro.storage.node import NodeConfig
 from repro.storage.perpage_log import PerPageLogStore, ScatteredLogStore
 from repro.storage.recovery import recover_node
 from repro.storage.redo import RedoRecord

@@ -8,9 +8,10 @@ import dataclasses
 
 import pytest
 
+from repro.api.config import NodeConfig
 from repro.common.errors import DeviceError
 from repro.common.units import DB_PAGE_SIZE, MiB
-from repro.storage.node import NodeConfig, StorageNode
+from repro.storage.node import StorageNode
 from repro.storage.recovery import recover_node
 from repro.storage.redo import RedoRecord, encode_records
 from repro.storage.store import build_node

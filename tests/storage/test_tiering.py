@@ -4,9 +4,9 @@ import random
 
 import pytest
 
+from repro.api.config import NodeConfig
 from repro.common.errors import ReproError
 from repro.common.units import DB_PAGE_SIZE, MiB
-from repro.storage.node import NodeConfig
 from repro.storage.store import build_node
 from examples.tiering import ObjectStore, TieringManager
 

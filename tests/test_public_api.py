@@ -1,6 +1,6 @@
 """Miscellaneous integration seams across the storage stack."""
 
-from repro.storage.node import NodeConfig
+from repro.api.config import NodeConfig
 from repro.storage.store import PolarStore
 from repro.workloads.datagen import dataset_pages
 

@@ -5,9 +5,9 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.api.config import NodeConfig
 from repro.common.units import DB_PAGE_SIZE, MiB
 from repro.compression.memo import get_codec
-from repro.storage.node import NodeConfig
 from repro.db.database import PolarDB
 from repro.workloads.datagen import DATASETS, corpus, dataset_pages
 from repro.workloads.fio import buffer_with_ratio, fill_fraction_for_ratio
