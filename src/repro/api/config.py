@@ -206,13 +206,15 @@ def _section_from_dict(section_cls, path: str, doc):
     hints = typing.get_type_hints(section_cls)
     unknown = set(doc) - set(hints)
     if unknown:
-        what = f"keys in config section {path!r}" if path else "config sections"
+        what = (f"keys in config section {path!r}" if path
+                else "config sections")
         raise ValueError(
             f"unknown {what}: {sorted(unknown)}; expected {sorted(hints)}"
         )
     kwargs = {}
     for name, value in doc.items():
-        leaf, hint = f"{path}.{name}".lstrip("."), hints[name]
+        leaf = f"{path}.{name}" if path else name
+        hint = hints[name]
         if dataclasses.is_dataclass(hint):
             value = _section_from_dict(hint, leaf, value)
         elif not _has_type(value, hint):

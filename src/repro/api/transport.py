@@ -17,7 +17,7 @@ client rides on either side of a socket:
 Everything a transport cannot offer (direct backend handles, engine
 binding, ``*_proc`` generators) raises
 :class:`TransportCapabilityError` instead of pretending — remote
-callers get a actionable message, not an ``AttributeError``.
+callers get an actionable message, not an ``AttributeError``.
 """
 
 from __future__ import annotations

@@ -363,8 +363,8 @@ from repro.common.ops import CommittedWrite, OpResult, ReadResult
 
 client = PolarStore.connect(sys.argv[1], timeout_s=10.0)
 assert client.create_table("t") is None
-loaded = client.bulk_load("t", [(k, b"row %d" % k) for k in range(20)])
-assert isinstance(loaded, float) and loaded > 0.0
+bulk_done = client.bulk_load("t", [(k, b"row %d" % k) for k in range(20)])
+assert isinstance(bulk_done, float) and bulk_done > 0.0
 assert isinstance(client.insert("t", 50, b"fifty"), OpResult)
 assert client.select("t", 50).value == b"fifty"
 assert isinstance(client.range_select("t", 0, 9), OpResult)
@@ -379,11 +379,13 @@ assert client.checkpoint() >= commit.commit_us
 assert client.compression_ratio() > 0.0
 assert client.logical_bytes > 0 and client.physical_bytes > 0
 client.close()
-stack = [["repro", name] for name in ("storage", "compression", "csd", "db", "cluster")]
+stack = {"storage", "compression", "csd", "db", "cluster"}
 loaded = sorted(
     name for name, module in sys.modules.items()
-    if module is not None
-    and (name == "numpy" or name.split(".")[:2] in stack)
+    if module is not None and (
+        name == "numpy"
+        or name.startswith("repro.") and name.split(".")[1] in stack
+    )
 )
 assert not loaded, loaded
 print("ok")
