@@ -194,9 +194,14 @@ class ReproConfig:
 
 
 def _section_from_dict(section_cls, path: str, doc):
-    """``doc`` (a dict, or a ``section_cls`` taken as it is) -> a
-    ``section_cls`` whose every leaf has its annotated type."""
+    """``doc`` (a dict, or a ``section_cls`` taken as it is once its
+    leaves pass the same checks) -> a ``section_cls`` whose every leaf
+    has its annotated type."""
     if isinstance(doc, section_cls):
+        _section_from_dict(section_cls, path, {
+            field.name: getattr(doc, field.name)
+            for field in dataclasses.fields(doc)
+        })
         return doc
     if not isinstance(doc, dict):
         raise ValueError(

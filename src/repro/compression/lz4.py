@@ -50,10 +50,13 @@ class LZ4Codec(Compressor):
     def compress(self, data: bytes) -> bytes:
         return self.plan(data).pack()
 
-    def plan(self, data: bytes) -> Plan:
+    def plan(self, data: bytes, record_walks: bool = False) -> Plan:
         """The block for ``data``, sized from its tokens before any byte
-        of it is laid out."""
-        tokens = self._legalize(self._finder.tokenize(data), len(data))
+        of it is laid out.  ``record_walks`` keeps the parse's chain walks
+        for zstd's parse of the same object to resume (Algorithm 1)."""
+        tokens = self._legalize(
+            self._finder.tokenize(data, record=record_walks), len(data)
+        )
         size = 0
         for _, lit_len, match_len, _ in tokens:
             # Token byte, literals, extended literal length; then offset

@@ -42,16 +42,21 @@ A walk at ``at`` depends only on the buffer, ``prev``, the window and
 the length cap ``min(max_match, n - at)``; with one window and
 ``len(data) <= 65535`` the two caps agree (65 536 vs 65 535 differ only
 past that), so lz4's walk *is* the first 16 steps of zstd's.  A greedy
-parse therefore records, for each position it probes, where its walk
-stopped — ``(best_len, best_dist, next candidate)``, the candidate
-:data:`_END` when the walk hit the cap — in the memo slot, keyed by
-buffer, ``(window, effective cap)`` and depth.  A deeper parse of the
+parse asked to (``record=True``, which only Algorithm 1's evaluation
+passes, and only when zstd's parse follows in this process) therefore
+records, for each position it probes, where its walk stopped —
+``(best_len, best_dist, next candidate)``, the candidate :data:`_END`
+when the walk hit the cap — in the memo slot, keyed by buffer,
+``(window, effective cap)`` and depth.  A deeper parse of the
 same key resumes a recorded floor-0 probe from that state, walks only
 the remaining ``depth - 16`` candidates, and drops the spent record
 from the slot.  Its lazy ``floor > 0`` probes and any position lz4 never
 probed walk from the start.  Another window or cap (zstd on a buffer
 over 65 535 bytes), a parse no deeper than the record, and a dictionary
-parse (``dictionary + page`` is a new object) walk cold.
+parse (``dictionary + page`` is a new object) walk cold.  Once the
+evaluation is done, :func:`forget` empties the slot, so the page, its
+chain list (~600 KiB of ints for 16 KiB) and any walks left in it do not
+live on until the next page.
 
 **Threads.**  Codec instances, and with them the one-slot memo, are
 shared by every thread that compresses — the ``serve_in_thread``
@@ -96,9 +101,18 @@ _END = -1
 #: parse's ``(window, cap)`` key and depth, until a deeper parse spends
 #: them: lz4 then zstd compress the same page object during Algorithm
 #: 1's evaluation.
-_last_index: Tuple[
+_EMPTY: Tuple[
     bytes, List[int], bytes, Tuple[int, int], int, Dict[int, Walk]
 ] = (b"", [], b"", (0, 0), 0, {})
+_last_index = _EMPTY
+
+
+def forget(data: bytes) -> None:
+    """Empty the slot if it holds ``data`` (a slot another thread has
+    filled meanwhile is left alone, or costs that thread a rebuild)."""
+    global _last_index
+    if _last_index[0] is data:
+        _last_index = _EMPTY
 
 
 def chain_index(data: bytes) -> Tuple[List[int], bytes]:
@@ -174,12 +188,17 @@ class MatchFinder:
         self.lazy = lazy
         self.max_match = max_match
 
-    def tokenize(self, data: bytes, start: int = 0) -> List[Token]:
+    def tokenize(
+        self, data: bytes, start: int = 0, record: bool = False
+    ) -> List[Token]:
         """Produce the token stream covering ``data[start:]``.
 
         ``start > 0`` enables dictionary compression: matches may
         reference the prefix ``data[:start]`` but no tokens are emitted
         for it — the decoder primes its output with the same prefix.
+        ``record`` keeps a greedy parse's chain walks in the memo slot
+        for a deeper parse of the same buffer to resume (see the module
+        docstring); nothing else reads them.
         """
         n = len(data)
         if n - start < MIN_MATCH + 1:
@@ -198,7 +217,7 @@ class MatchFinder:
         # start of this parse's walk at the same position: resume it.
         key = (window, max_match if max_match < n else n)
         buffer, _, _, walked_key, walked_depth, walked = _last_index
-        record = None
+        recorded = None
         if buffer is data and walked_key == key and walked_depth < self.max_chain:
             rest = range(self.max_chain - walked_depth)
             # Spent: Algorithm 1 runs one deeper parse per page, and a
@@ -207,9 +226,9 @@ class MatchFinder:
             _last_index = (data, prev, mask, (0, 0), 0, {})
         else:
             walked = {}
-            if not lazy and type(data) is bytes:
-                record = {}
-                _last_index = (data, prev, mask, key, self.max_chain, record)
+            if record and not lazy and type(data) is bytes:
+                recorded = {}
+                _last_index = (data, prev, mask, key, self.max_chain, recorded)
 
         def find(at: int, floor: int = 0) -> Tuple[int, int]:
             """Best ``(length, distance)`` at ``at`` among matches longer
@@ -273,8 +292,8 @@ class MatchFinder:
                 candidate = prev[candidate]
                 if candidate < oldest:
                     break
-            if record is not None:
-                record[at] = best_len | best_dist << 17 | (candidate + 1) << 34
+            if recorded is not None:
+                recorded[at] = best_len | best_dist << 17 | (candidate + 1) << 34
             if best_len < MIN_MATCH or best_dist == 0:
                 return 0, 0
             return best_len, best_dist

@@ -36,6 +36,12 @@ below it, while the resident-set cost on a workload of distinct pages
 :meth:`put` safe to share between server threads; the codec call itself
 runs outside it, so two threads may both compute the same miss.
 
+Algorithm 1's evaluation is :func:`plan_both`, the one call that may
+hand zstd's parse to the helper process (:mod:`repro.compression.helper`)
+and otherwise lets zstd's parse resume lz4's chain walks.  Every call
+here that runs a codec then empties :mod:`repro.compression.lz77`'s
+one-slot memo of its buffer, so no page's chain list outlives the call.
+
 Reads are not memoized: no layer below the buffer pool caches
 decompressed pages, because a cache would hide the decompression cost
 that a read of a stored page is meant to pay.  A read looks up the codec
@@ -48,11 +54,13 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Dict
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.common.units import MiB
+from repro.compression import lz77
 from repro.compression.base import Compressor, Plan
 from repro.compression.gzipdev import HardwareGzip
+from repro.compression.helper import ZstdHelper
 from repro.compression.lz4 import LZ4Codec
 from repro.compression.zstd import ZstdCodec
 
@@ -142,6 +150,9 @@ class CodecMemoCache:
 
 
 _cache = CodecMemoCache(MEMO_CAPACITY_BYTES)
+#: This process's end of the zstd helper (started at the first
+#: :func:`plan_both` that may use it).
+_HELPER = ZstdHelper()
 
 
 def compress(codec_name: str, data) -> bytes:
@@ -149,7 +160,9 @@ def compress(codec_name: str, data) -> bytes:
     key = content_key(codec_name, data)
     payload = _cache.get(key)
     if type(payload) is not bytes:  # unseen, or only its size recorded
-        payload = get_codec(codec_name).compress(bytes(data))
+        buf = bytes(data)
+        payload = get_codec(codec_name).compress(buf)
+        lz77.forget(buf)
         _cache.put(key, payload)
     return payload
 
@@ -160,20 +173,89 @@ def plan(codec_name: str, data) -> Plan:
     later call for the same content runs no codec for the size, and none
     for the payload once that was packed."""
     key = content_key(codec_name, data)
-    known = _cache.get(key)
+    recalled = _recalled(codec_name, data, _cache.get(key))
+    if recalled is not None:
+        return recalled
+    buf = bytes(data)
+    planned = get_codec(codec_name).plan(buf)
+    lz77.forget(buf)
+    return _recording(key, planned.size, planned.pack)
+
+
+def plan_both(data) -> Tuple[Plan, Plan]:
+    """``(plan("lz4", data), plan("zstd", data))``: Algorithm 1's
+    evaluation, recorded as :func:`plan` records it.
+
+    Where the zstd helper process serves this process
+    (:mod:`repro.compression.helper`), zstd's parse runs there while
+    lz4's runs here, and zstd's payload is packed there if it is stored.
+    Otherwise both run here: lz4's parse first, recording its chain
+    walks, then zstd's, resuming them (:mod:`repro.compression.lz77`).
+    Either way nothing of the page is left in lz77's slot afterwards."""
+    lz4_key = content_key("lz4", data)
+    zstd_key = content_key("zstd", data)
+    lz4 = _recalled("lz4", data, _cache.get(lz4_key))
+    zstd = _recalled("zstd", data, _cache.get(zstd_key))
+    buf = bytes(data)
+    digest = zstd_key[1]
+    try:
+        if zstd is None and _HELPER.begin(digest, buf):
+            try:
+                if lz4 is None:
+                    planned = get_codec("lz4").plan(buf)
+                    if not _HELPER.replied():
+                        # This process would only wait: lay lz4's block
+                        # out now (recorded only if it is stored).
+                        payload = planned.pack()
+                        planned = Plan(planned.size, lambda: payload)
+                    lz4 = _recording(lz4_key, planned.size, planned.pack)
+            finally:
+                size = _HELPER.finish(digest)
+            if size is not None:
+                zstd = _recording(
+                    zstd_key, size, lambda: _packed_zstd(digest, size, buf)
+                )
+        if lz4 is None:
+            planned = get_codec("lz4").plan(buf, record_walks=zstd is None)
+            lz4 = _recording(lz4_key, planned.size, planned.pack)
+        if zstd is None:
+            planned = get_codec("zstd").plan(buf)
+            zstd = _recording(zstd_key, planned.size, planned.pack)
+    finally:
+        lz77.forget(buf)
+    return lz4, zstd
+
+
+def _recalled(codec_name: str, data, known) -> Optional[Plan]:
+    """The plan a recorded payload or size gives (None if neither)."""
     if type(known) is bytes:
         return Plan(len(known), lambda: known)
     if known is not None:
         return Plan(known, lambda: compress(codec_name, data))
-    planned = get_codec(codec_name).plan(bytes(data))
-    _cache.put(key, planned.size)
+    return None
 
-    def pack() -> bytes:
-        payload = planned.pack()
+
+def _recording(key: tuple, size: int, pack: Callable[[], bytes]) -> Plan:
+    """A plan just computed: its size recorded now, its payload once
+    ``pack`` built it."""
+    _cache.put(key, size)
+
+    def recorded_pack() -> bytes:
+        payload = pack()
         _cache.put(key, payload)
         return payload
 
-    return Plan(planned.size, pack)
+    return Plan(size, recorded_pack)
+
+
+def _packed_zstd(digest: bytes, size: int, buf: bytes) -> bytes:
+    """zstd's payload of ``buf``: packed by the helper, which holds the
+    plan, unless another page replaced it there (then here, cold)."""
+    payload = _HELPER.pack(digest, size)
+    if payload is None:
+        payload = get_codec("zstd").compress(buf)
+        lz77.forget(buf)
+    return payload
 
 
 def hw_compressed_len(block) -> int:

@@ -9,7 +9,10 @@ derived from the device's I/O cost — the paper uses 300 B/µs because one
 packed here: the decision carries the winner's :class:`Plan`, and the
 caller packs it if it stores it (a page that saves no block is stored
 raw and packs nothing).  Simulated CPU is still charged for compressing
-with both codecs, which is what Algorithm 1 does.
+with both codecs, which is what Algorithm 1 does.  On a host with a
+spare core, zstd's sizing runs in a helper process while lz4's runs
+here (:func:`memo.plan_both`, :mod:`repro.compression.helper`); the
+decision is the same either way.
 
 The evaluation is itself skipped when the node's CPU is busy (>20%
 utilization) or when the page has not changed enough (<30% updated) since
@@ -89,8 +92,7 @@ class AlgorithmSelector:
 
         self.evaluations += 1
         self._evaluations_ctr.inc()
-        lz4 = memo.plan("lz4", page)
-        zstd = memo.plan("zstd", page)
+        lz4, zstd = memo.plan_both(page)
         lz4_aligned = align_up(lz4.size, LBA_SIZE)
         zstd_aligned = align_up(zstd.size, LBA_SIZE)
 

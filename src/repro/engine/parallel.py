@@ -22,7 +22,10 @@ import pickle
 import traceback
 from typing import Any, Callable, List, Sequence
 
-__all__ = ["ParallelError", "run_programs"]
+__all__ = ["ParallelError", "in_worker", "run_programs"]
+
+#: Set in a forked worker of :func:`run_programs`.
+_in_worker = False
 
 
 class ParallelError(RuntimeError):
@@ -30,8 +33,16 @@ class ParallelError(RuntimeError):
     without reporting."""
 
 
+def in_worker() -> bool:
+    """True in a worker of :func:`run_programs`: its siblings hold the
+    host's other cores, so it starts no helper process of its own."""
+    return _in_worker
+
+
 def _report(programs: Sequence[Callable[[], Any]], fd: int) -> None:
     """Child body: run ``programs``, write one frame to ``fd``, exit."""
+    global _in_worker
+    _in_worker = True
     status = 0
     try:
         try:

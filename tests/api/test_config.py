@@ -181,6 +181,19 @@ def test_a_bad_leaf_is_one_value_error_naming_its_path(path, value):
         ReproConfig.from_dict(_tree(path, value))
 
 
+@pytest.mark.parametrize("doc, path", [
+    ({"store": StoreSection(volume_bytes="big")}, "store.volume_bytes"),
+    ({"store": StoreSection(node=NodeConfig(opt_per_page_log=None))},
+     "store.node.opt_per_page_log"),
+    ({"store": {"node": NodeConfig(redo_cache_bytes="x")}},
+     "store.node.redo_cache_bytes"),
+    ({"net": NetSection(window=2.5)}, "net.window"),
+])
+def test_a_section_given_as_its_dataclass_has_its_leaves_checked(doc, path):
+    with pytest.raises(ValueError, match=f"'{path}' must be"):
+        ReproConfig.from_dict(doc)
+
+
 def test_optional_leaves_take_none_and_sections_their_dataclass():
     node = NodeConfig(opt_per_page_log=False)
     config = ReproConfig.from_dict({

@@ -94,7 +94,8 @@ def test_shared_chain_index_survives_racing_threads():
     def worker(offset):
         for step in range(5):
             which = (offset + step) % len(pages)
-            got = lz4.compress(pages[which]), zstd.compress(pages[which])
+            got = (lz4.plan(pages[which], record_walks=True).pack(),
+                   zstd.compress(pages[which]))
             if got != expected[which]:
                 wrong.append((offset, step))
 
@@ -144,13 +145,25 @@ def _record_of(data):
 def test_zstd_parse_resumed_from_lz4_matches_a_cold_one_on_the_golden_corpus():
     lz4, zstd = LZ4Codec(), ZstdCodec()
     for case, data in CORPUS.items():
-        LZ4_PARSE.tokenize(data)
+        LZ4_PARSE.tokenize(data, record=True)
         if len(data) >= 16 * 1024:  # a page or more: there is a record
             assert _record_of(data) is not None, case
         assert ZSTD_PARSE.tokenize(data) == _cold(ZSTD_PARSE, data), case
         # Algorithm 1 itself: the codecs in its order on one object.
-        lz4.compress(data)
+        lz4.plan(data, record_walks=True)
         assert zstd.compress(data) == zstd.compress(bytes(bytearray(data))), case
+
+
+def test_a_greedy_parse_records_its_walks_only_when_asked():
+    """Only Algorithm 1's inline evaluation reads lz4's walks, and it
+    asks for them; any other parse leaves none in the slot."""
+    data = CORPUS["ds/wiki/0"]
+    LZ4_PARSE.tokenize(data)
+    assert _record_of(data) is None
+    LZ4_PARSE.tokenize(data, record=True)
+    assert _record_of(data) is not None
+    lz77.forget(data)
+    assert lz77._last_index is lz77._EMPTY
 
 
 @st.composite
@@ -173,7 +186,7 @@ def _planted_repeats(draw):
 @settings(max_examples=150, deadline=None)
 def test_zstd_parse_resumed_from_lz4_matches_a_cold_one(data):
     cold = _cold(ZSTD_PARSE, data)
-    LZ4_PARSE.tokenize(data)
+    LZ4_PARSE.tokenize(data, record=True)
     assert ZSTD_PARSE.tokenize(data) == cold
     assert _record_of(data) is None  # spent by the parse that resumed it
     assert ZSTD_PARSE.tokenize(data) == cold
@@ -193,11 +206,11 @@ def test_no_resume_across_windows(data):
     with a 128-byte one, deeper or not, nor the other way round."""
     narrow = MatchFinder(window=128)
     narrow_deep = MatchFinder(window=128, max_chain=64, lazy=True)
-    LZ4_PARSE.tokenize(data)
+    LZ4_PARSE.tokenize(data, record=True)
     assert narrow.tokenize(data) == _cold(narrow, data)
-    LZ4_PARSE.tokenize(data)
+    LZ4_PARSE.tokenize(data, record=True)
     assert narrow_deep.tokenize(data) == _cold(narrow_deep, data)
-    narrow.tokenize(data)
+    narrow.tokenize(data, record=True)
     assert ZSTD_PARSE.tokenize(data) == _cold(ZSTD_PARSE, data)
 
 
@@ -205,7 +218,7 @@ def test_no_resume_across_caps():
     """Past 65 535 bytes lz4's 65 536-byte cap and zstd's 65 535-byte one
     differ, and so do their walks: lz4 matched 65 536 zeros at 1."""
     data = bytes(70 * 1024)
-    LZ4_PARSE.tokenize(data)
+    LZ4_PARSE.tokenize(data, record=True)
     # At 1: 65 536 bytes at distance 1, and the walk over (lz77.Walk).
     assert _record_of(data)[1] == 1 << 16 | 1 << 17 | (lz77._END + 1) << 34
     tokens = ZSTD_PARSE.tokenize(data)
@@ -216,14 +229,14 @@ def test_no_resume_across_caps():
 def test_no_resume_from_a_deeper_walk():
     data = CORPUS["ds/wiki/0"]
     shallow = MatchFinder(max_chain=8, lazy=True)
-    LZ4_PARSE.tokenize(data)
+    LZ4_PARSE.tokenize(data, record=True)
     assert shallow.tokenize(data) == _cold(shallow, data)
 
 
 def test_no_resume_for_another_buffer():
     """Walks belong to the object lz4 parsed: a bytearray of the same
     length, which the memo never holds, walks cold."""
-    LZ4_PARSE.tokenize(CORPUS["ds/wiki/0"])
+    LZ4_PARSE.tokenize(CORPUS["ds/wiki/0"], record=True)
     other = CORPUS["ds/wiki/1"]
     assert ZSTD_PARSE.tokenize(bytearray(other)) == _cold(ZSTD_PARSE, other)
 
@@ -233,7 +246,7 @@ def test_no_resume_in_dictionary_mode():
     so lz4's walks of the page are never resumed by it."""
     data, dictionary = CORPUS["ds/fnb/1"], CORPUS["ds/fnb/2"]
     zstd = ZstdCodec()
-    LZ4Codec().compress(data)
+    LZ4Codec().plan(data, record_walks=True)
     assert _record_of(data) is not None
     payload = zstd.compress(data, dictionary=dictionary)
     assert payload == zstd.compress(bytes(bytearray(data)), dictionary=dictionary)

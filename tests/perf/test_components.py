@@ -188,9 +188,9 @@ def test_a_three_replica_consolidation_parses_each_image_once(monkeypatch):
     parses = Counter()
     tokenize = MatchFinder.tokenize
 
-    def counted(self, data, start=0):
+    def counted(self, data, start=0, record=False):
         parses[self.max_chain, bytes(data)] += 1
-        return tokenize(self, data, start)
+        return tokenize(self, data, start, record)
 
     monkeypatch.setattr(MatchFinder, "tokenize", counted)
     rng = random.Random(8)
