@@ -40,16 +40,17 @@ from __future__ import annotations
 import atexit
 import os
 import select
-import signal
 import struct
-import subprocess
 import sys
 import threading
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.compression import lz77
 from repro.compression.zstd import ZstdCodec
+
+if TYPE_CHECKING:
+    import subprocess
 
 #: In the helper's command line: how to find it among processes.
 MARKER = "repro-zstd-helper"
@@ -205,6 +206,10 @@ class ZstdHelper:
         return True
 
     def _start(self) -> None:
+        # Imported here: a process that never starts a helper (a server
+        # pinned to one CPU) does not carry the module (~0.3 MB RSS).
+        import subprocess
+
         try:
             self._proc = subprocess.Popen(
                 [sys.executable, "-c", _LAUNCH, MARKER, _SOURCE_ROOT],
@@ -222,6 +227,8 @@ class ZstdHelper:
 
 def main() -> None:
     """The helper process: size pages under zstd until stdin closes."""
+    import signal
+
     # Ctrl-C is for the owner; the helper ends when its stdin does.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     codec = ZstdCodec()

@@ -12,6 +12,7 @@ from repro.api.config import NodeConfig, ReproConfig
 from repro.common.units import DB_PAGE_SIZE, MiB
 from repro.compression import memo
 from repro.compression.gzipdev import HARDWARE_GZIP_LEVEL, HardwareGzip
+from repro.compression.helper import ZstdHelper
 from repro.compression.memo import (
     MEMO_CAPACITY_BYTES,
     CodecMemoCache,
@@ -184,9 +185,13 @@ def test_a_three_replica_consolidation_parses_each_image_once(monkeypatch):
     # first sizes both codecs and packs what it stores, the other two are
     # answered by the sizes and the payload it recorded.  Pages cover both
     # gates (a big redo re-evaluates, a small one reuses the last codec)
-    # and a page too random to store compressed.
+    # and a page too random to store compressed.  Inline, so that every
+    # parse runs in this process, where it is counted.
     parses = Counter()
     tokenize = MatchFinder.tokenize
+    inline = ZstdHelper()
+    inline.close()
+    monkeypatch.setattr(memo, "_HELPER", inline)
 
     def counted(self, data, start=0, record=False):
         parses[self.max_chain, bytes(data)] += 1
