@@ -89,13 +89,13 @@ def _write_all(fd: int, data: bytes) -> None:
 
 def _may_use() -> bool:
     """At least two CPUs to run on, and not a ``run_programs`` worker."""
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return False
+    # Imported only here: a process pinned to one CPU (a server) never
+    # loads the fan-out module and its pickle (~0.1 MB RSS).
     from repro.engine.parallel import in_worker
 
-    return (
-        hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-        and not in_worker()
-    )
+    return not in_worker()
 
 
 class ZstdHelper:
