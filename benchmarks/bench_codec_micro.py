@@ -10,11 +10,14 @@ measured ordering.
 The ``test_stage_*`` rows split a cold page compression (Algorithm 1
 runs both codecs on it) into the stages a codec change can move: the
 shared chain-index build, each parse alone, the two in Algorithm 1's
-order — lz4, then zstd resuming lz4's chain walks — and the zstd entropy
-stage, sized only and sized then packed, on a structured page, a text
-page and a random one.  Every single-codec row runs on its own copy of
-the page with the chain index already built for it: nothing an earlier
-row parsed is resumed, so the row is that codec's cold cost.
+order — lz4, then zstd resuming lz4's chain walks — over the whole
+page, then over each half of the split evaluation (the helper's head,
+the caller's speculative tail) and the rejoin that continues each head
+to its tail, and the zstd entropy stage, sized only and sized then
+packed, on a structured page, a text page and a random one.  Every
+single-codec row runs on its own copy of the page with the chain index
+already built for it: nothing an earlier row parsed is resumed, so the
+row is that codec's cold cost.
 ``test_stage_select`` is the whole of it: Algorithm 1's evaluation with
 the codec memo bypassed, and the winner packed only where the page
 saves a block, as a page write does.
@@ -110,18 +113,69 @@ def test_stage_parse(benchmark, page_name, parse):
 
 @pytest.mark.parametrize("page_name", list(STAGE_PAGES))
 def test_stage_dual_parse(benchmark, page_name):
-    """Algorithm 1's order on a fresh object: lz4, then zstd resuming
-    the walks lz4 recorded."""
+    """Algorithm 1's order on a fresh object, over the whole page: lz4,
+    then zstd resuming the walks lz4 recorded."""
     page = STAGE_PAGES[page_name]
+    n = len(page)
 
     def both(data):
-        return (PARSES["lz4"].tokenize(data, record=True),
-                PARSES["zstd"].tokenize(data))
+        return lz77.parse_both(PARSES["lz4"], PARSES["zstd"], data, 0, n)
 
-    _, tokens = benchmark.pedantic(
+    _, zstd = benchmark.pedantic(
         both, setup=lambda: ((_cold_copy(page),), {}), rounds=20, warmup_rounds=1
     )
+    tokens = zstd.tokens + [(zstd.lit_start, n - zstd.lit_start, 0, 0)]
     assert tokens == PARSES["zstd"].tokenize(_cold_copy(page))
+
+
+def _split_parts(page):
+    """A fresh copy of ``page`` with its chain index built, and the two
+    parses of each half of it: what the rejoin row starts from."""
+    copy = _cold_copy(page)
+    n, split = len(copy), len(copy) // 2
+    tails = lz77.parse_both(PARSES["lz4"], PARSES["zstd"], copy, split, n)
+    heads = lz77.parse_both(PARSES["lz4"], PARSES["zstd"], copy, 0, split)
+    return copy, heads, tails
+
+
+@pytest.mark.parametrize("half", ["head", "tail"])
+@pytest.mark.parametrize("page_name", list(STAGE_PAGES))
+def test_stage_split_half(benchmark, page_name, half):
+    """One half of the split evaluation: both parses over ``[0, n/2)``
+    (the helper's share) or over ``[n/2, n)`` from a speculative start
+    (the caller's), lz4 recording its walks and zstd resuming them."""
+    page = STAGE_PAGES[page_name]
+    n = len(page)
+    start, stop = (0, n // 2) if half == "head" else (n // 2, n)
+    parsed = benchmark.pedantic(
+        lz77.parse_both,
+        setup=lambda: ((PARSES["lz4"], PARSES["zstd"], _cold_copy(page),
+                        start, stop), {}),
+        rounds=20,
+        warmup_rounds=1,
+    )
+    assert all(parse.pos >= stop or parse.pos > n - lz77.MIN_MATCH
+               for parse in parsed)
+
+
+@pytest.mark.parametrize("page_name", list(STAGE_PAGES))
+def test_stage_split_rejoin(benchmark, page_name):
+    """The caller's work once the helper's heads arrive: each true parse
+    continued from its head's stop state to its tail, the tail spliced
+    in."""
+    page = STAGE_PAGES[page_name]
+
+    def rejoin(copy, heads, tails):
+        return tuple(
+            PARSES[name].rejoin(copy, head, tail)
+            for name, head, tail in zip(PARSES, heads, tails)
+        )
+
+    tokens = benchmark.pedantic(
+        rejoin, setup=lambda: (_split_parts(page), {}), rounds=20, warmup_rounds=1
+    )
+    copy = bytes(bytearray(page))
+    assert tokens == tuple(PARSES[name].tokenize(copy) for name in PARSES)
 
 
 @pytest.mark.parametrize("page_name", list(STAGE_PAGES))
@@ -149,8 +203,8 @@ def test_stage_zstd_entropy(benchmark, page_name):
 def test_stage_select(benchmark, page_name):
     """Algorithm 1's dual evaluation of a first-written page, memo
     bypassed: both codecs sized, the winner packed if it saves a block.
-    On a host with two CPUs zstd is sized by the helper process (the
-    first rounds run inline while it starts)."""
+    On a host with two CPUs the helper process parses the first half of
+    each page (the first rounds run inline while it starts)."""
     page = STAGE_PAGES[page_name]
     selector = AlgorithmSelector()
 

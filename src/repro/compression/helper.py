@@ -1,38 +1,47 @@
-"""Algorithm 1 on two cores: a helper process sizes each evaluated page
-under zstd while the calling process sizes it under lz4.
+"""Algorithm 1 on two cores: a helper process runs both parses over the
+first half of each evaluated page while the calling process runs them
+over the second half.
 
 Algorithm 1 (§3.3.2) evaluates a page only while the node's CPU is less
 than 20 % busy, so the paper pays for the second codec with idle cores.
 :func:`repro.compression.memo.plan_both` does the same where a
-:class:`ZstdHelper` serves the process: it hands the page to one
-long-lived child process, runs lz4's plan itself meanwhile, then reads
-zstd's planned size back.  The child keeps its plan and packs the
-payload only if the caller stores zstd's output (``Plan``'s size-now,
-pack-later contract, across the pipe).  Both codecs are pure functions
-of the page, so no decision, size or stored byte depends on which
-process ran which codec.
+:class:`ZstdHelper` serves the process: it hands the page and a split
+point ``s`` to one long-lived child process, which runs lz4's greedy
+parse over ``[0, s)`` recording its chain walks and zstd's lazy parse
+over ``[0, s)`` resuming them (:func:`repro.compression.lz77.parse_both`),
+and sends back both token lists and the state each parse stopped in.
+Meanwhile the caller runs the same two parses over ``[s, n)`` from a
+speculative start, then continues each true parse from the helper's
+stop state until it rejoins its speculative one
+(:meth:`repro.compression.lz77.MatchFinder.rejoin`), and sizes and packs
+both codecs itself.  The parse decides at each position from the
+position alone, so the token streams, and with them every decision,
+size and stored byte, are those of the parse in one process.  The
+helper holds nothing between requests.
 
 * **Used only where it can pay**: the process may run on at least two
   CPUs (``os.sched_getaffinity``) and is not a worker of
   :func:`repro.engine.parallel.run_programs`, whose siblings hold the
-  cores.  Elsewhere the evaluation runs inline, as it always did.
+  cores.  Elsewhere the same evaluation runs inline over ``[0, n)``.
 * **Started lazily**, at the first evaluated page, with ``python -c``
   so that it imports this package and never the parent's ``__main__``.
-  Pages are sized inline until it reports ready.
+  Pages are evaluated inline until it reports ready.
 * **One request in flight**: a lock serialises the pipe, and a thread
   that finds it held computes inline rather than wait.  The helper
   belongs to the pid that started it; a forked child never touches it.
-* **Failure stays local**: a dead helper, EOF, a short reply or a reply
-  that names another page costs that page an inline computation, and
-  the process stops using the helper.
+* **Failure stays local**: a dead helper, EOF, a short reply, a reply
+  that names another page, or a stop state past the page's end or a
+  token list that does not end where it says costs that page an inline
+  evaluation of its first half, and the process stops using the helper.
 * **Lifetime**: the owner kills and reaps it at interpreter exit; if
   the owner is killed, the helper reads EOF on its stdin and exits.
 
-Wire format: a request is :data:`REQUEST` (op, the page's content
-digest, the page's length) followed by the page; a reply is
-:data:`REPLY` (the request's digest, then a size or a payload length)
-followed, for a pack, by the payload.  A payload length of 0 means the
-helper no longer holds that page's plan.
+Wire format: a request is :data:`REQUEST` (the page's content digest,
+its length and the split point) followed by the page.  A reply is
+:data:`REPLY`: the request's digest, then for lz4 and for zstd a token
+count, the position the parse stopped at and where its open literal run
+starts; then the lz4 tokens and the zstd tokens, each token
+:data:`_TOKEN` (``lit_start, lit_len, match_len, distance``).
 """
 
 from __future__ import annotations
@@ -43,10 +52,13 @@ import select
 import struct
 import sys
 import threading
+from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.compression import lz77
+from repro.compression.lz4 import LZ4Codec
+from repro.compression.lz77 import Parse
 from repro.compression.zstd import ZstdCodec
 
 if TYPE_CHECKING:
@@ -61,11 +73,10 @@ _LAUNCH = (
 )
 _SOURCE_ROOT = str(Path(__file__).resolve().parents[2])
 
-REQUEST = struct.Struct("<c16sI")
-REPLY = struct.Struct("<16sI")
-#: Request ops: size a page (the page follows), pack the held plan.
-_SIZE = b"S"
-_PACK = b"P"
+REQUEST = struct.Struct("<16sII")
+REPLY = struct.Struct("<16s6I")
+#: One token on the wire.
+_TOKEN = struct.Struct("<4I")
 #: Written once the helper has imported its codec.
 _READY = b"R"
 
@@ -102,10 +113,10 @@ class ZstdHelper:
     """The owning process's end of the helper.
 
     :meth:`begin` hands a page over and, if the helper took it, leaves
-    the lock held until :meth:`finish` reads the size back; the caller
-    runs lz4's plan in between.  :meth:`pack` fetches the payload of the
-    plan the helper holds.  Each returns what makes the caller compute
-    inline (False or None) whenever the helper cannot serve.
+    the lock held until :meth:`finish` reads the two head parses back;
+    the caller parses the tail in between.  Each returns what makes the
+    caller compute inline (False or None) whenever the helper cannot
+    serve.
     """
 
     def __init__(self) -> None:
@@ -115,16 +126,17 @@ class ZstdHelper:
         self._ready = False
         self._retired = False
 
-    def begin(self, digest: bytes, page: bytes) -> bool:
-        """Send ``page`` (content digest ``digest``) to be sized; True if
-        the helper took it, and then :meth:`finish` must follow."""
+    def begin(self, digest: bytes, page: bytes, split: int) -> bool:
+        """Send ``page`` (content digest ``digest``) to be parsed over
+        ``[0, split)``; True if the helper took it, and then
+        :meth:`finish` must follow."""
         if self._retired or not self._lock.acquire(blocking=False):
             return False
         try:
             if self._serves():
                 _write_all(
                     self._proc.stdin.fileno(),
-                    REQUEST.pack(_SIZE, digest, len(page)) + page,
+                    REQUEST.pack(digest, len(page), split) + page,
                 )
                 return True
         except OSError:
@@ -132,40 +144,28 @@ class ZstdHelper:
         self._lock.release()
         return False
 
-    def replied(self) -> bool:
-        """Whether the reply to the page :meth:`begin` sent is there to
-        read without waiting."""
-        return bool(select.select([self._proc.stdout.fileno()], [], [], 0)[0])
-
-    def finish(self, digest: bytes) -> Optional[int]:
-        """zstd's planned size of the page :meth:`begin` sent, or None."""
+    def finish(self, digest: bytes, n: int) -> Optional[Tuple[Parse, Parse]]:
+        """The lz4 and zstd parses of the first part of the ``n``-byte
+        page :meth:`begin` sent, or None."""
         try:
-            got, size = REPLY.unpack(self._receive(REPLY.size))
-            if got == digest:
-                return size
+            got, *states = REPLY.unpack(self._receive(REPLY.size))
+            lz4, zstd = states[:3], states[3:]
+            # Each token covers a byte at least, and no parse stops past
+            # the page's end or before its open literal run.
+            if got == digest and all(
+                count <= n and lit_start <= pos <= n
+                for count, pos, lit_start in (lz4, zstd)
+            ):
+                tokens = list(_TOKEN.iter_unpack(
+                    self._receive(_TOKEN.size * (lz4[0] + zstd[0]))
+                ))
+                heads = (
+                    Parse(tokens[: lz4[0]], lz4[1], lz4[2], set()),
+                    Parse(tokens[lz4[0] :], zstd[1], zstd[2], set()),
+                )
+                if all(_tiles(head) for head in heads):
+                    return heads
             self.close()
-        except (OSError, EOFError):
-            self.close()
-        finally:
-            self._lock.release()
-        return None
-
-    def pack(self, digest: bytes, size: int) -> Optional[bytes]:
-        """The ``size``-byte payload of the plan the helper holds for
-        ``digest``, or None (busy, gone, or a later page replaced it)."""
-        if (
-            self._retired
-            or self._owner != os.getpid()
-            or not self._lock.acquire(blocking=False)
-        ):
-            return None
-        try:
-            _write_all(self._proc.stdin.fileno(), REQUEST.pack(_PACK, digest, 0))
-            got, length = REPLY.unpack(self._receive(REPLY.size))
-            if got == digest and length == size:
-                return self._receive(length)
-            if got != digest or length:
-                self.close()
         except (OSError, EOFError):
             self.close()
         finally:
@@ -225,28 +225,40 @@ class ZstdHelper:
         return _read_exact(self._proc.stdout.fileno(), n)
 
 
+def _tiles(head: Parse) -> bool:
+    """Whether ``head``'s tokens end where its open literal run starts."""
+    if not head.tokens:
+        return head.lit_start == 0
+    lit_start, lit_len, match_len, _ = head.tokens[-1]
+    return lit_start + lit_len + match_len == head.lit_start
+
+
+def _encode(digest: bytes, heads: Tuple[Parse, Parse]) -> bytes:
+    """The reply carrying ``heads``."""
+    states = []
+    for head in heads:
+        states += (len(head.tokens), head.pos, head.lit_start)
+    tokens = heads[0].tokens + heads[1].tokens
+    return REPLY.pack(digest, *states) + struct.pack(
+        f"<{4 * len(tokens)}I", *chain.from_iterable(tokens)
+    )
+
+
 def main() -> None:
-    """The helper process: size pages under zstd until stdin closes."""
+    """The helper process: parse the first part of each page under both
+    codecs until stdin closes."""
     import signal
 
     # Ctrl-C is for the owner; the helper ends when its stdin does.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    codec = ZstdCodec()
-    held_digest, held = b"", None
+    lz4, zstd = LZ4Codec().finder, ZstdCodec().finder
     try:
         _write_all(1, _READY)
         while True:
-            op, digest, length = REQUEST.unpack(_read_exact(0, REQUEST.size))
-            if op == _SIZE:
-                page = _read_exact(0, length)
-                held_digest, held = digest, codec.plan(page)
-                lz77.forget(page)
-                _write_all(1, REPLY.pack(digest, held.size))
-            else:
-                payload = b""
-                if held is not None and digest == held_digest:
-                    payload = held.pack()
-                held = None
-                _write_all(1, REPLY.pack(digest, len(payload)) + payload)
+            digest, length, split = REQUEST.unpack(_read_exact(0, REQUEST.size))
+            page = _read_exact(0, length)
+            heads = lz77.parse_both(lz4, zstd, page, 0, split)
+            lz77.forget(page)
+            _write_all(1, _encode(digest, heads))
     except (EOFError, OSError):
         pass  # the owner closed the pipe, or is gone

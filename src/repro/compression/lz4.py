@@ -43,20 +43,20 @@ class LZ4Codec(Compressor):
     name = "lz4"
 
     def __init__(self) -> None:
-        self._finder = MatchFinder(window=65535, max_chain=16, lazy=False)
+        self.finder = MatchFinder(window=65535, max_chain=16, lazy=False)
 
     # -- compression -----------------------------------------------------
 
     def compress(self, data: bytes) -> bytes:
         return self.plan(data).pack()
 
-    def plan(self, data: bytes, record_walks: bool = False) -> Plan:
+    def plan(self, data: bytes, tokens: "list[Token] | None" = None) -> Plan:
         """The block for ``data``, sized from its tokens before any byte
-        of it is laid out.  ``record_walks`` keeps the parse's chain walks
-        for zstd's parse of the same object to resume (Algorithm 1)."""
-        tokens = self._legalize(
-            self._finder.tokenize(data, record=record_walks), len(data)
-        )
+        of it is laid out.  ``tokens`` are :attr:`finder`'s tokens of
+        ``data`` where Algorithm 1's evaluation parsed it already."""
+        if tokens is None:
+            tokens = self.finder.tokenize(data)
+        tokens = self._legalize(tokens, len(data))
         size = 0
         for _, lit_len, match_len, _ in tokens:
             # Token byte, literals, extended literal length; then offset

@@ -36,18 +36,18 @@ the straightforward matcher (index as you go, compare byte by byte);
 code, and ``test_golden_bytes.py`` also carries a naive tokenizer for a
 differential test.  A faster kernel must keep both green.
 
-**One walk for two parses.**  Algorithm 1 parses every first-written
-page twice, lz4 (greedy, depth 16) first, then zstd (lazy, depth 64).
-A walk at ``at`` depends only on the buffer, ``prev``, the window and
-the length cap ``min(max_match, n - at)``; with one window and
-``len(data) <= 65535`` the two caps agree (65 536 vs 65 535 differ only
-past that), so lz4's walk *is* the first 16 steps of zstd's.  A greedy
-parse asked to (``record=True``, which only Algorithm 1's evaluation
-passes, and only when zstd's parse follows in this process) therefore
-records, for each position it probes, where its walk stopped —
-``(best_len, best_dist, next candidate)``, the candidate :data:`_END`
-when the walk hit the cap — in the memo slot, keyed by buffer,
-``(window, effective cap)`` and depth.  A deeper parse of the
+**One walk for two parses, over one range.**  Algorithm 1 parses every
+first-written page twice, lz4 (greedy, depth 16) and zstd (lazy, depth
+64), and :func:`parse_both` runs them over one range of it in that
+order.  A walk at ``at`` depends only on the buffer, ``prev``, the
+window and the length cap ``min(max_match, n - at)``; with one window
+and ``len(data) <= 65535`` the two caps agree (65 536 vs 65 535 differ
+only past that), so lz4's walk *is* the first 16 steps of zstd's.  A
+greedy parse asked to (``record=True``, which only :func:`parse_both`
+passes) therefore records, for each position it probes, where its walk
+stopped — ``(best_len, best_dist, next candidate)``, the candidate
+:data:`_END` when the walk hit the cap — in the memo slot, keyed by
+buffer, ``(window, effective cap)`` and depth.  A deeper parse of the
 same key resumes a recorded floor-0 probe from that state, walks only
 the remaining ``depth - 16`` candidates, and drops the spent record
 from the slot.  Its lazy ``floor > 0`` probes and any position lz4 never
@@ -57,6 +57,28 @@ parse (``dictionary + page`` is a new object) walk cold.  Once the
 evaluation is done, :func:`forget` empties the slot, so the page, its
 chain list (~600 KiB of ints for 16 KiB) and any walks left in it do not
 live on until the next page.
+
+**One parse, split by range.**  The loop decides at each position from
+the position alone: the floor-0 probe there, and the lazy probe one
+byte on, read only the buffer and its index.  So a parse started at a
+later position ``s`` with a fresh literal run and the parse from the
+start go on alike from the first position where both probe at floor 0;
+only the literal run open there may start earlier in the whole parse.
+:meth:`MatchFinder.parse` runs the loop over a range and returns the
+:class:`Parse` it stopped in, and :meth:`MatchFinder.rejoin` continues
+the whole parse from a head's stop state until it reaches such a
+position of a tail's parse, then splices in the rest of the tail, its
+first literal run re-based.  Those positions are read from the tail's
+tokens — every marked position inside a literal run, and every match
+start that a lazy step did not defer — so neither loop checks anything
+per position; the deferral branch, which is rare, is the one place
+that records something (:attr:`Parse.deferred`).  Algorithm 1's
+evaluation gives the head ``[0, n // 2)`` to the helper process and
+parses the tail itself (:mod:`repro.compression.memo`,
+:mod:`repro.compression.helper`); inline the head is the whole page and
+the tail is empty.  Split at the middle of a dataset page, the
+continuation rejoins within a few bytes, or after one ``bytes.find``
+over positions no probe can match (DESIGN.md, "The zstd helper").
 
 **Threads.**  Codec instances, and with them the one-slot memo, are
 shared by every thread that compresses — the ``serve_in_thread``
@@ -71,7 +93,7 @@ finds none it walks from the start.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Set, Tuple
 
 import numpy as np
 
@@ -86,6 +108,18 @@ _FIRST_CHUNK = 16
 #: by a back-reference of ``match_len`` bytes at ``distance``
 #: (``match_len == 0`` marks the trailing literal-only token).
 Token = Tuple[int, int, int, int]
+
+
+class Parse(NamedTuple):
+    """A parse stopped at a loop top: the tokens it emitted, the
+    position it stopped at, where the literal run still open there
+    starts, and the match starts a lazy step moved one byte on."""
+
+    tokens: List[Token]
+    pos: int
+    lit_start: int
+    deferred: Set[int]
+
 
 #: Where one chain walk stopped, ``(best_len, best_dist, next candidate)``,
 #: packed as ``best_len | best_dist << 17 | (candidate + 1) << 34`` (a
@@ -188,30 +222,42 @@ class MatchFinder:
         self.lazy = lazy
         self.max_match = max_match
 
-    def tokenize(
-        self, data: bytes, start: int = 0, record: bool = False
-    ) -> List[Token]:
+    def tokenize(self, data: bytes, start: int = 0) -> List[Token]:
         """Produce the token stream covering ``data[start:]``.
 
         ``start > 0`` enables dictionary compression: matches may
         reference the prefix ``data[:start]`` but no tokens are emitted
         for it — the decoder primes its output with the same prefix.
-        ``record`` keeps a greedy parse's chain walks in the memo slot
-        for a deeper parse of the same buffer to resume (see the module
-        docstring); nothing else reads them.
         """
         n = len(data)
         if n - start < MIN_MATCH + 1:
             return [(start, n - start, 0, 0)]
+        tokens, _, lit_start, _ = self.parse(data, start, start, n)
+        tokens.append((lit_start, n - lit_start, 0, 0))
+        return tokens
 
+    def parse(
+        self, data: bytes, pos: int, lit_start: int, stop: int,
+        record: bool = False,
+    ) -> Parse:
+        """Run the parse loop from ``pos``, with the open literal run
+        starting at ``lit_start``, to its first loop top at or past
+        ``stop`` (or the end): the complete tokens it emitted and the
+        state it stopped in.  A match may run past ``stop``; the last
+        literal run is left open.  ``record`` keeps a greedy parse's
+        chain walks in the memo slot for a deeper parse of the same
+        buffer to resume (see the module docstring)."""
+        n = len(data)
         global _last_index
         prev, mask = chain_index(data)
         window = self.window
         depth = range(self.max_chain)
         max_match = self.max_match
         lazy = self.lazy
-        # The last MIN_MATCH bytes can never start a match.
-        limit = n - MIN_MATCH
+        # The last MIN_MATCH bytes can never start a match; the loop
+        # also ends before ``stop``.
+        last = n - MIN_MATCH
+        limit = last if stop > last else stop - 1
 
         # A shallower walk of the same buffer, window and cap is the
         # start of this parse's walk at the same position: resume it.
@@ -299,12 +345,12 @@ class MatchFinder:
             return best_len, best_dist
 
         tokens: List[Token] = []
-        lit_start = start
-        pos = start
+        deferred: Set[int] = set()
         while pos <= limit:
             if not mask[pos]:
-                pos = mask.find(1, pos)
+                pos = mask.find(1, pos, limit + 1)
                 if pos < 0:
+                    pos = limit + 1
                     break
             length, dist = find(pos)
             if length == 0:
@@ -313,23 +359,92 @@ class MatchFinder:
             # Only a strictly longer match one byte on is worth a literal.
             # It repeats ``length + 1`` bytes, so each of their four-byte
             # windows occurred before: a 0 in the mask over them rules it
-            # out (and so does a window past ``limit``).
+            # out (and so does a window past ``last``).
             if (
                 lazy
-                and pos + length - 2 <= limit
+                and pos + length - 2 <= last
                 and mask.find(0, pos + 1, pos + length - 1) < 0
             ):
                 next_len, next_dist = find(pos + 1, length)
                 if next_len:
                     # Emit this byte as a literal; take the later match.
                     pos += 1
+                    deferred.add(pos)
                     length, dist = next_len, next_dist
             tokens.append((lit_start, pos - lit_start, length, dist))
             pos += length
             lit_start = pos
+        return Parse(tokens, pos, lit_start, deferred)
 
-        tokens.append((lit_start, n - lit_start, 0, 0))
-        return tokens
+    def rejoin(self, data: bytes, head: Parse, tail: Parse) -> List[Token]:
+        """The whole token stream of ``data``, from ``head`` (this
+        finder's parse from the start, stopped anywhere) and ``tail``
+        (its parse from a later position ``s`` with ``lit_start == s``,
+        run to the end).
+
+        The parse decides at each position from the position alone, so
+        once the true parse, continued from where ``head`` stopped,
+        reaches a position where ``tail``'s parse also called ``find``
+        at floor 0, the two go on alike, and the rest of ``tail`` is
+        spliced in with the literal run of its first token re-based.
+        Those positions are read from ``tail``'s tokens: every marked
+        position in a literal run, and every match start a lazy step did
+        not defer."""
+        n = len(data)
+        _, mask = chain_index(data)
+        spec = tail.tokens + [(tail.lit_start, n - tail.lit_start, 0, 0)]
+        deferred = tail.deferred
+        tokens = list(head.tokens)
+        pos, lit_start = head.pos, head.lit_start
+        j = 0
+        while True:
+            # The first position at or past ``pos`` where the tail's
+            # parse probed at floor 0, in the tail's token ``j``.
+            at = -1
+            for j in range(j, len(spec)):
+                run_start, run_len, match_len, _ = spec[j]
+                match_start = run_start + run_len
+                if match_start > pos:
+                    at = mask.find(
+                        1, run_start if run_start > pos else pos, match_start
+                    )
+                    if at >= 0:
+                        break
+                if (
+                    match_len
+                    and match_start >= pos
+                    and match_start not in deferred
+                ):
+                    at = match_start
+                    break
+            if at < 0:
+                rest = self.parse(data, pos, lit_start, n)
+                tokens += rest.tokens
+                tokens.append((rest.lit_start, n - rest.lit_start, 0, 0))
+                return tokens
+            if pos < at:
+                part = self.parse(data, pos, lit_start, at)
+                tokens += part.tokens
+                pos, lit_start = part.pos, part.lit_start
+            if pos == at:  # else a match ran past ``at``: look again
+                run_start, run_len, match_len, distance = spec[j]
+                tokens.append(
+                    (lit_start, run_start + run_len - lit_start, match_len, distance)
+                )
+                tokens += spec[j + 1 :]
+                return tokens
+
+
+def parse_both(
+    greedy: MatchFinder, lazy: MatchFinder, data: bytes, start: int, stop: int
+) -> Tuple[Parse, Parse]:
+    """Algorithm 1's two parses of ``data`` from ``start`` (a fresh
+    literal run) to ``stop``: the greedy one recording its chain walks,
+    then the lazy one resuming them."""
+    return (
+        greedy.parse(data, start, start, stop, record=True),
+        lazy.parse(data, start, start, stop),
+    )
 
 
 def reconstruct(tokens: List[Token], data: bytes) -> bytes:

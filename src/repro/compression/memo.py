@@ -37,8 +37,9 @@ below it, while the resident-set cost on a workload of distinct pages
 runs outside it, so two threads may both compute the same miss.
 
 Algorithm 1's evaluation is :func:`plan_both`, the one call that may
-hand zstd's parse to the helper process (:mod:`repro.compression.helper`)
-and otherwise lets zstd's parse resume lz4's chain walks.  Every call
+hand the first half of both parses to the helper process
+(:mod:`repro.compression.helper`); either way zstd's parse resumes the
+chain walks lz4's parse of the same range recorded.  Every call
 here that runs a codec then empties :mod:`repro.compression.lz77`'s
 one-slot memo of its buffer, so no page's chain list outlives the call.
 
@@ -54,7 +55,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.units import MiB
 from repro.compression import lz77
@@ -62,6 +63,7 @@ from repro.compression.base import Compressor, Plan
 from repro.compression.gzipdev import HardwareGzip
 from repro.compression.helper import ZstdHelper
 from repro.compression.lz4 import LZ4Codec
+from repro.compression.lz77 import Token
 from repro.compression.zstd import ZstdCodec
 
 #: The shared codec instances, by the name an index entry records.
@@ -179,51 +181,67 @@ def plan(codec_name: str, data) -> Plan:
     buf = bytes(data)
     planned = get_codec(codec_name).plan(buf)
     lz77.forget(buf)
-    return _recording(key, planned.size, planned.pack)
+    return _recording(key, planned)
 
 
 def plan_both(data) -> Tuple[Plan, Plan]:
     """``(plan("lz4", data), plan("zstd", data))``: Algorithm 1's
     evaluation, recorded as :func:`plan` records it.
 
-    Where the zstd helper process serves this process
-    (:mod:`repro.compression.helper`), zstd's parse runs there while
-    lz4's runs here, and zstd's payload is packed there if it is stored.
-    Otherwise both run here: lz4's parse first, recording its chain
-    walks, then zstd's, resuming them (:mod:`repro.compression.lz77`).
-    Either way nothing of the page is left in lz77's slot afterwards."""
+    Where neither is recorded, both parses run over the whole page, and
+    where the zstd helper process serves this process
+    (:mod:`repro.compression.helper`), it parses the first half while
+    this process parses the second (:func:`_token_streams`).  Nothing of
+    the page is left in lz77's slot afterwards."""
     lz4_key = content_key("lz4", data)
     zstd_key = content_key("zstd", data)
     lz4 = _recalled("lz4", data, _cache.get(lz4_key))
     zstd = _recalled("zstd", data, _cache.get(zstd_key))
     buf = bytes(data)
-    digest = zstd_key[1]
     try:
-        if zstd is None and _HELPER.begin(digest, buf):
-            try:
-                if lz4 is None:
-                    planned = get_codec("lz4").plan(buf)
-                    if not _HELPER.replied():
-                        # This process would only wait: lay lz4's block
-                        # out now (recorded only if it is stored).
-                        payload = planned.pack()
-                        planned = Plan(planned.size, lambda: payload)
-                    lz4 = _recording(lz4_key, planned.size, planned.pack)
-            finally:
-                size = _HELPER.finish(digest)
-            if size is not None:
-                zstd = _recording(
-                    zstd_key, size, lambda: _packed_zstd(digest, size, buf)
-                )
+        if lz4 is None and zstd is None:
+            lz4_tokens, zstd_tokens = _token_streams(buf, zstd_key[1])
+            lz4 = _recording(
+                lz4_key, get_codec("lz4").plan(buf, tokens=lz4_tokens)
+            )
+            zstd = _recording(
+                zstd_key, get_codec("zstd").plan(buf, tokens=zstd_tokens)
+            )
         if lz4 is None:
-            planned = get_codec("lz4").plan(buf, record_walks=zstd is None)
-            lz4 = _recording(lz4_key, planned.size, planned.pack)
+            lz4 = _recording(lz4_key, get_codec("lz4").plan(buf))
         if zstd is None:
-            planned = get_codec("zstd").plan(buf)
-            zstd = _recording(zstd_key, planned.size, planned.pack)
+            zstd = _recording(zstd_key, get_codec("zstd").plan(buf))
     finally:
         lz77.forget(buf)
     return lz4, zstd
+
+
+def _token_streams(buf: bytes, digest: bytes) -> Tuple[List[Token], List[Token]]:
+    """lz4's and zstd's token streams of ``buf``.
+
+    Both parses run over ``[0, split)`` (each greedy walk recorded for
+    the lazy parse to resume, :func:`lz77.parse_both`) and over
+    ``[split, n)`` from a speculative start; each true parse then goes
+    on from where its head stopped until it rejoins its tail.  The
+    helper runs the head over the first half where it serves; otherwise
+    ``split`` is ``n``, and this process runs the whole of it."""
+    lz4 = get_codec("lz4").finder
+    zstd = get_codec("zstd").finder
+    n = len(buf)
+    split = n // 2
+    served = _HELPER.begin(digest, buf, split)
+    if not served:
+        split = n
+    try:
+        tails = lz77.parse_both(lz4, zstd, buf, split, n)
+    finally:
+        heads = _HELPER.finish(digest, n) if served else None
+    if heads is None:
+        heads = lz77.parse_both(lz4, zstd, buf, 0, split)
+    return (
+        lz4.rejoin(buf, heads[0], tails[0]),
+        zstd.rejoin(buf, heads[1], tails[1]),
+    )
 
 
 def _recalled(codec_name: str, data, known) -> Optional[Plan]:
@@ -235,27 +253,17 @@ def _recalled(codec_name: str, data, known) -> Optional[Plan]:
     return None
 
 
-def _recording(key: tuple, size: int, pack: Callable[[], bytes]) -> Plan:
+def _recording(key: tuple, planned: Plan) -> Plan:
     """A plan just computed: its size recorded now, its payload once
-    ``pack`` built it."""
-    _cache.put(key, size)
+    packed."""
+    _cache.put(key, planned.size)
 
     def recorded_pack() -> bytes:
-        payload = pack()
+        payload = planned.pack()
         _cache.put(key, payload)
         return payload
 
-    return Plan(size, recorded_pack)
-
-
-def _packed_zstd(digest: bytes, size: int, buf: bytes) -> bytes:
-    """zstd's payload of ``buf``: packed by the helper, which holds the
-    plan, unless another page replaced it there (then here, cold)."""
-    payload = _HELPER.pack(digest, size)
-    if payload is None:
-        payload = get_codec("zstd").compress(buf)
-        lz77.forget(buf)
-    return payload
+    return Plan(planned.size, recorded_pack)
 
 
 def hw_compressed_len(block) -> int:

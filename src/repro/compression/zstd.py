@@ -41,7 +41,8 @@ or before the start.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from itertools import chain
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -178,7 +179,9 @@ def entropy_stage(buf: bytes, tokens: List[Token], start: int = 0) -> Plan:
     # One row per token: literal length, match length, distance.  Row
     # order is also the order of the extra-bits stream, and a token
     # without a match has distance 0, which takes no extra bits.
-    fields = np.array(tokens, dtype=np.int64)[:, 1:]
+    fields = np.fromiter(
+        chain.from_iterable(tokens), np.int64, count=4 * len(tokens)
+    ).reshape(-1, 4)[:, 1:]
     syms, nbits, extra = _bucket(fields)
     streams = []
     size = (
@@ -312,7 +315,7 @@ class ZstdCodec(Compressor):
     name = "zstd"
 
     def __init__(self, max_chain: int = 64, lazy: bool = True) -> None:
-        self._finder = MatchFinder(
+        self.finder = MatchFinder(
             window=_MAX_FIELD, max_chain=max_chain, lazy=lazy, max_match=_MAX_FIELD
         )
 
@@ -324,16 +327,24 @@ class ZstdCodec(Compressor):
         decoder must supply the identical dictionary."""
         return self.plan(data, dictionary).pack()
 
-    def plan(self, data: bytes, dictionary: bytes = b"") -> Plan:
+    def plan(
+        self,
+        data: bytes,
+        dictionary: bytes = b"",
+        tokens: Optional[List[Token]] = None,
+    ) -> Plan:
         """:meth:`compress`'s output, sized before it is packed: the raw
-        form is chosen on the container's size alone."""
+        form is chosen on the container's size alone.  ``tokens`` are
+        :attr:`finder`'s tokens of ``data`` (no dictionary) where
+        Algorithm 1's evaluation parsed it already."""
         if len(data) < 64:
             return self._raw(data)
         if len(dictionary) > 65535:
             raise ValueError("dictionary exceeds the 64 KB match window")
 
         buf = dictionary + data if dictionary else data
-        tokens = self._finder.tokenize(buf, start=len(dictionary))
+        if tokens is None:
+            tokens = self.finder.tokenize(buf, start=len(dictionary))
         container = entropy_stage(buf, tokens, len(dictionary))
         if container.size >= len(data) + 2:
             return self._raw(data)

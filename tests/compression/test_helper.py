@@ -20,6 +20,7 @@ import pytest
 from repro.api.config import NodeConfig
 from repro.bench.figures import run_fig12
 from repro.common.units import MiB
+from repro.compression import helper as helper_module
 from repro.compression import lz77, memo
 from repro.compression.helper import MARKER, ZstdHelper
 from repro.compression.lz4 import LZ4Codec
@@ -48,13 +49,13 @@ def _started(timeout_s=20.0):
     """A helper of its own, serving: it starts at the first page offered
     and takes pages once it reports ready."""
     own = ZstdHelper()
-    digest = bytes(16)
+    digest, page = bytes(16), PAGES[0]
     deadline = time.monotonic() + timeout_s
-    while not own.begin(digest, PAGES[0]):
+    while not own.begin(digest, page, len(page) // 2):
         assert time.monotonic() < deadline, "helper never became ready"
         assert not own._retired
         time.sleep(0.01)
-    assert own.finish(digest) is not None
+    assert own.finish(digest, len(page)) is not None
     return own
 
 
@@ -81,8 +82,8 @@ def inline(monkeypatch):
 
 
 def _evaluate_corpus():
-    """Per corpus case: both sizes, both payloads and the decision (made
-    from the sizes the evaluation recorded)."""
+    """Per corpus case: both sizes, both payloads, the decision (made
+    from the sizes the evaluation recorded) and the stored payload."""
     out = {}
     for case, data in _inputs().items():
         with memo_capacity(64 * MiB):
@@ -91,6 +92,7 @@ def _evaluate_corpus():
             decision = AlgorithmSelector().select(data)
         out[case] = sized + (
             decision.codec, decision.benefit_bytes, decision.overhead_us,
+            decision.output.pack(),
         )
     return out
 
@@ -102,17 +104,22 @@ def test_the_helper_and_the_inline_path_agree_on_the_golden_corpus(
     served = []
     finish = helper.finish
 
-    def counted(digest):
-        size = finish(digest)
-        served.append(size is not None)
-        return size
+    def counted(digest, n):
+        heads = finish(digest, n)
+        served.append(heads is not None)
+        return heads
 
     monkeypatch.setattr(helper, "finish", counted)
     by_helper = _evaluate_corpus()
-    assert served and all(served)  # every zstd sizing ran in the helper
+    assert served and all(served)  # every head was parsed by the helper
     monkeypatch.setattr(memo, "_HELPER", ZstdHelper())
     memo._HELPER.close()
-    assert _evaluate_corpus() == by_helper
+    inline = _evaluate_corpus()
+    assert inline == by_helper
+    # Every stored payload decodes to its page.
+    for case, data in _inputs().items():
+        codec, stored = inline[case][4], inline[case][-1]
+        assert memo.get_codec(codec).decompress(stored) == data, case
 
 
 @two_cpus
@@ -181,6 +188,58 @@ def test_a_helper_killed_between_pages_leaves_the_next_write_inline(
         now = store.write_page(0.0, 7, PAGES[1]).commit_us
         assert store.read_page(now, 7).data == PAGES[1]
     assert helper._retired and helper._proc is None
+
+
+#: The helper's body with its reply spoiled one way (``%r``); the first
+#: request it serves gets the spoiled reply.
+_SPOILED = """
+import os, sys
+sys.path.insert(0, sys.argv[2])
+from repro.compression import helper
+encode, fault = helper._encode, %r
+
+def spoiled(digest, heads):
+    lz4, zstd = heads
+    if fault == "short":  # a token fewer than the parse emitted
+        lz4 = lz4._replace(tokens=lz4.tokens[:-1])
+    elif fault == "digest":  # another page's reply
+        digest = bytes(16)
+    elif fault == "past_end":  # a stop state past the page's end
+        zstd = zstd._replace(pos=1 << 20, lit_start=1 << 20)
+    reply = encode(digest, (lz4, zstd))
+    if fault == "eof":  # half a reply, then gone
+        helper._write_all(1, reply[: len(reply) // 2])
+        os._exit(0)
+    return reply
+
+helper._encode = spoiled
+helper.main()
+"""
+
+
+@two_cpus
+@pytest.mark.parametrize("fault", ["short", "digest", "past_end", "eof"])
+def test_a_spoiled_reply_costs_the_page_an_inline_evaluation(fault, monkeypatch):
+    """A reply that cannot be the head of this page is never spliced in:
+    the page's head is parsed inline, its payloads are the inline ones,
+    and the helper is retired and reaped."""
+    monkeypatch.setattr(helper_module, "_LAUNCH", _SPOILED % fault)
+    own = ZstdHelper()
+    monkeypatch.setattr(memo, "_HELPER", own)
+    page = PAGES[1]
+    expected = (LZ4Codec().compress(page), ZstdCodec().compress(page))
+    deadline = time.monotonic() + 20.0
+    with memo_capacity(0):
+        # Pages run inline until the helper is ready; the call that finds
+        # it ready hands it its page and gets the spoiled reply.
+        while not own._ready and not own._retired:
+            assert time.monotonic() < deadline, "helper never became ready"
+            plans = memo.plan_both(bytes(bytearray(page)))
+            assert tuple(plan.pack() for plan in plans) == expected
+            assert [plan.size for plan in plans] == [len(x) for x in expected]
+            time.sleep(0.01)
+    assert own._ready and own._retired and own._proc is None
+    assert lz77._last_index is lz77._EMPTY
 
 
 def _run(script, *args):

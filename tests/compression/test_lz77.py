@@ -22,6 +22,27 @@ ZSTD_PARSE = MatchFinder(max_chain=64, lazy=True, max_match=65535)
 CORPUS = _inputs()
 
 
+def _evaluated(data, split, start=0):
+    """Algorithm 1's two token streams of ``data[start:]`` from the range
+    split at ``split``: both parses of ``[split, n)`` from a speculative
+    start, then of ``[start, split)``, as the evaluation runs them with
+    the helper, each head then rejoined with its tail."""
+    n = len(data)
+    tails = lz77.parse_both(LZ4_PARSE, ZSTD_PARSE, data, split, n)
+    heads = lz77.parse_both(LZ4_PARSE, ZSTD_PARSE, data, start, split)
+    return (
+        LZ4_PARSE.rejoin(data, heads[0], tails[0]),
+        ZSTD_PARSE.rejoin(data, heads[1], tails[1]),
+    )
+
+
+def _whole(data, start=0):
+    """Both finders' tokens of a fresh copy of ``data``: a parse in one
+    piece, resuming nothing."""
+    copy = bytes(bytearray(data))
+    return LZ4_PARSE.tokenize(copy, start), ZSTD_PARSE.tokenize(copy, start)
+
+
 def _finders():
     return [
         MatchFinder(),  # lz4-style greedy
@@ -94,8 +115,10 @@ def test_shared_chain_index_survives_racing_threads():
     def worker(offset):
         for step in range(5):
             which = (offset + step) % len(pages)
-            got = (lz4.plan(pages[which], record_walks=True).pack(),
-                   zstd.compress(pages[which]))
+            page = pages[which]
+            lz4_tokens, zstd_tokens = _evaluated(page, len(page) // 2)
+            got = (lz4.plan(page, tokens=lz4_tokens).pack(),
+                   zstd.plan(page, tokens=zstd_tokens).pack())
             if got != expected[which]:
                 wrong.append((offset, step))
 
@@ -136,6 +159,11 @@ def _cold(finder, data, start=0):
     return finder.tokenize(bytes(bytearray(data)), start)
 
 
+def _record(finder, data):
+    """``finder``'s parse of all of ``data``, its chain walks recorded."""
+    return finder.parse(data, 0, 0, len(data), record=True)
+
+
 def _record_of(data):
     """The chain walks the memo holds for ``data`` (None if it holds none)."""
     buffer, _, _, _, _, walks = lz77._last_index
@@ -145,22 +173,24 @@ def _record_of(data):
 def test_zstd_parse_resumed_from_lz4_matches_a_cold_one_on_the_golden_corpus():
     lz4, zstd = LZ4Codec(), ZstdCodec()
     for case, data in CORPUS.items():
-        LZ4_PARSE.tokenize(data, record=True)
+        _record(LZ4_PARSE, data)
         if len(data) >= 16 * 1024:  # a page or more: there is a record
             assert _record_of(data) is not None, case
         assert ZSTD_PARSE.tokenize(data) == _cold(ZSTD_PARSE, data), case
-        # Algorithm 1 itself: the codecs in its order on one object.
-        lz4.plan(data, record_walks=True)
-        assert zstd.compress(data) == zstd.compress(bytes(bytearray(data))), case
+        # Algorithm 1 itself: both parses in its order on one object.
+        _, zstd_tokens = _evaluated(data, len(data))
+        assert zstd.plan(data, tokens=zstd_tokens).pack() == zstd.compress(
+            bytes(bytearray(data))
+        ), case
 
 
 def test_a_greedy_parse_records_its_walks_only_when_asked():
-    """Only Algorithm 1's inline evaluation reads lz4's walks, and it
-    asks for them; any other parse leaves none in the slot."""
+    """Only Algorithm 1's evaluation reads lz4's walks, and it asks for
+    them; any other parse leaves none in the slot."""
     data = CORPUS["ds/wiki/0"]
     LZ4_PARSE.tokenize(data)
     assert _record_of(data) is None
-    LZ4_PARSE.tokenize(data, record=True)
+    _record(LZ4_PARSE, data)
     assert _record_of(data) is not None
     lz77.forget(data)
     assert lz77._last_index is lz77._EMPTY
@@ -186,7 +216,7 @@ def _planted_repeats(draw):
 @settings(max_examples=150, deadline=None)
 def test_zstd_parse_resumed_from_lz4_matches_a_cold_one(data):
     cold = _cold(ZSTD_PARSE, data)
-    LZ4_PARSE.tokenize(data, record=True)
+    _record(LZ4_PARSE, data)
     assert ZSTD_PARSE.tokenize(data) == cold
     assert _record_of(data) is None  # spent by the parse that resumed it
     assert ZSTD_PARSE.tokenize(data) == cold
@@ -206,11 +236,11 @@ def test_no_resume_across_windows(data):
     with a 128-byte one, deeper or not, nor the other way round."""
     narrow = MatchFinder(window=128)
     narrow_deep = MatchFinder(window=128, max_chain=64, lazy=True)
-    LZ4_PARSE.tokenize(data, record=True)
+    _record(LZ4_PARSE, data)
     assert narrow.tokenize(data) == _cold(narrow, data)
-    LZ4_PARSE.tokenize(data, record=True)
+    _record(LZ4_PARSE, data)
     assert narrow_deep.tokenize(data) == _cold(narrow_deep, data)
-    narrow.tokenize(data, record=True)
+    _record(narrow, data)
     assert ZSTD_PARSE.tokenize(data) == _cold(ZSTD_PARSE, data)
 
 
@@ -218,7 +248,7 @@ def test_no_resume_across_caps():
     """Past 65 535 bytes lz4's 65 536-byte cap and zstd's 65 535-byte one
     differ, and so do their walks: lz4 matched 65 536 zeros at 1."""
     data = bytes(70 * 1024)
-    LZ4_PARSE.tokenize(data, record=True)
+    _record(LZ4_PARSE, data)
     # At 1: 65 536 bytes at distance 1, and the walk over (lz77.Walk).
     assert _record_of(data)[1] == 1 << 16 | 1 << 17 | (lz77._END + 1) << 34
     tokens = ZSTD_PARSE.tokenize(data)
@@ -229,14 +259,14 @@ def test_no_resume_across_caps():
 def test_no_resume_from_a_deeper_walk():
     data = CORPUS["ds/wiki/0"]
     shallow = MatchFinder(max_chain=8, lazy=True)
-    LZ4_PARSE.tokenize(data, record=True)
+    _record(LZ4_PARSE, data)
     assert shallow.tokenize(data) == _cold(shallow, data)
 
 
 def test_no_resume_for_another_buffer():
     """Walks belong to the object lz4 parsed: a bytearray of the same
     length, which the memo never holds, walks cold."""
-    LZ4_PARSE.tokenize(CORPUS["ds/wiki/0"], record=True)
+    _record(LZ4_PARSE, CORPUS["ds/wiki/0"])
     other = CORPUS["ds/wiki/1"]
     assert ZSTD_PARSE.tokenize(bytearray(other)) == _cold(ZSTD_PARSE, other)
 
@@ -246,7 +276,7 @@ def test_no_resume_in_dictionary_mode():
     so lz4's walks of the page are never resumed by it."""
     data, dictionary = CORPUS["ds/fnb/1"], CORPUS["ds/fnb/2"]
     zstd = ZstdCodec()
-    LZ4Codec().plan(data, record_walks=True)
+    _record(LZ4_PARSE, data)
     assert _record_of(data) is not None
     payload = zstd.compress(data, dictionary=dictionary)
     assert payload == zstd.compress(bytes(bytearray(data)), dictionary=dictionary)
@@ -316,3 +346,78 @@ def test_probe_mask_covers_every_floor0_hit_in_dictionary_mode():
 @settings(max_examples=150, deadline=None)
 def test_probe_mask_covers_every_floor0_hit_of_any_buffer(data, prefix):
     _check_mask_covers_hits(data, min(prefix, len(data)))
+
+
+# ---------------------------------------------------------------------------
+# a parse split by range: head, continuation and spliced tail are the whole
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _buffer_and_split(draw):
+    data = draw(
+        st.one_of(
+            st.binary(max_size=2048),
+            _planted_repeats(),
+            st.builds(
+                lambda unit, count: (unit * count)[: count * 3],
+                st.binary(min_size=1, max_size=7),
+                st.integers(0, 1500),
+            ),
+        )
+    )
+    return data, draw(st.integers(0, len(data)))
+
+
+@given(_buffer_and_split())
+@settings(deadline=None)
+def test_a_parse_split_anywhere_rejoins_the_whole_one(case):
+    data, split = case
+    assert _evaluated(bytes(bytearray(data)), split) == _whole(data)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["ds/fnb/0", "ds/wiki/0", "ds/finance/3", "ds/air_transport/5",
+     "random16k", "period3", "distance65535"],
+)
+def test_corpus_pages_split_at_several_points_rejoin_exactly(case):
+    data = CORPUS[case]
+    whole = _whole(data)
+    n = len(data)
+    for split in (0, n // 4, n // 2, 3 * n // 4, n - MIN_MATCH, n):
+        assert _evaluated(bytes(bytearray(data)), split) == whole, split
+
+
+def test_a_split_inside_a_long_match_rejoins_past_it():
+    data = CORPUS["zeros16k"]
+    split = len(data) // 2
+    head = LZ4_PARSE.parse(data, 0, 0, split)
+    assert head.pos > split  # the split fell inside the head's last match
+    assert _evaluated(bytes(bytearray(data)), split) == _whole(data)
+
+
+def test_a_split_with_no_marked_position_after_it_runs_the_head_to_the_end():
+    data = b"polarstore-" * 60 + random.Random(4).randbytes(700)
+    split = 660
+    _, mask = lz77.chain_index(bytes(bytearray(data)))
+    assert mask.find(1, split) < 0  # the tail's parse never calls find
+    assert _evaluated(bytes(bytearray(data)), split) == _whole(data)
+
+
+def test_buffers_too_short_for_a_match_split_anywhere():
+    for n in range(MIN_MATCH + 2):
+        for data in (bytes(n), b"ab" * n, random.Random(n).randbytes(n)):
+            data = data[:n]
+            for split in range(n + 1):
+                assert _evaluated(data, split) == _whole(data), (data, split)
+
+
+def test_a_dictionary_parse_split_after_its_prefix_rejoins_the_whole_one():
+    """Dictionary mode stays a parse in one piece (``tokenize`` with
+    ``start``); a split anywhere after the prefix gives the same tokens."""
+    prefix, page = CORPUS["ds/wiki/1"], CORPUS["ds/wiki/0"][:4096]
+    buf = prefix + page
+    whole = _whole(buf, len(prefix))
+    for split in (len(prefix), len(prefix) + 1, len(prefix) + 2048, len(buf)):
+        assert _evaluated(bytes(bytearray(buf)), split, len(prefix)) == whole

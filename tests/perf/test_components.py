@@ -188,16 +188,17 @@ def test_a_three_replica_consolidation_parses_each_image_once(monkeypatch):
     # and a page too random to store compressed.  Inline, so that every
     # parse runs in this process, where it is counted.
     parses = Counter()
-    tokenize = MatchFinder.tokenize
+    parse = MatchFinder.parse
     inline = ZstdHelper()
     inline.close()
     monkeypatch.setattr(memo, "_HELPER", inline)
 
-    def counted(self, data, start=0, record=False):
-        parses[self.max_chain, bytes(data)] += 1
-        return tokenize(self, data, start, record)
+    def counted(self, data, pos, lit_start, stop, record=False):
+        if pos == 0:  # a parse of the image from its start
+            parses[self.max_chain, bytes(data)] += 1
+        return parse(self, data, pos, lit_start, stop, record)
 
-    monkeypatch.setattr(MatchFinder, "tokenize", counted)
+    monkeypatch.setattr(MatchFinder, "parse", counted)
     rng = random.Random(8)
     with memo_capacity(MEMO_CAPACITY_BYTES):
         store = PolarStore(NodeConfig(), volume_bytes=64 * MiB, seed=5)
