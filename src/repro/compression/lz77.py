@@ -76,7 +76,11 @@ that records something (:attr:`Parse.deferred`).  Algorithm 1's
 evaluation gives the head ``[0, n // 2)`` to the helper process and
 parses the tail itself (:mod:`repro.compression.memo`,
 :mod:`repro.compression.helper`); inline the head is the whole page and
-the tail is empty.  Split at the middle of a dataset page, the
+the tail is empty.  A parse that stops at ``s`` probes no position past
+``s``, and a position's chain link and mask bit depend only on the
+bytes up to its own four, so the helper indexes the positions up to
+``s`` alone (:func:`chain_index`'s ``stop``); a lazy step's mask scan
+that runs past them only lets through probes that ``find`` refuses.  Split at the middle of a dataset page, the
 continuation rejoins within a few bytes, or after one ``bytes.find``
 over positions no probe can match (DESIGN.md, "The zstd helper").
 
@@ -93,7 +97,7 @@ finds none it walks from the start.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -149,16 +153,22 @@ def forget(data: bytes) -> None:
         _last_index = _EMPTY
 
 
-def chain_index(data: bytes) -> Tuple[List[int], bytes]:
-    """``(prev, mask)`` for every ``p <= len(data) - 4``: ``prev[p]`` is
-    the nearest position before ``p`` whose four bytes hash like
-    ``p``'s (-1 if none), and ``mask[p]`` is 1 where a probe can find a
-    match (see the module docstring), else 0."""
+def chain_index(
+    data: bytes, stop: Optional[int] = None
+) -> Tuple[List[int], bytes]:
+    """``(prev, mask)`` for every ``p <= len(data) - 4``, or only for
+    ``p <= stop``: ``prev[p]`` is the nearest position before ``p``
+    whose four bytes hash like ``p``'s (-1 if none), and ``mask[p]`` is
+    1 where a probe can find a match (see the module docstring), else 0.
+    Both depend on ``data[:p + 4]`` alone, so a shorter index is the
+    start of the longer one."""
     global _last_index
-    slot = _last_index
-    if type(data) is bytes and data is slot[0]:
-        return slot[1], slot[2]
     count = len(data) - MIN_MATCH + 1
+    if stop is not None and stop < count:
+        count = stop + 1
+    slot = _last_index
+    if type(data) is bytes and data is slot[0] and len(slot[1]) >= count:
+        return slot[1], slot[2]
     if count <= 0:
         return [], b""
     # Overlapping little-endian four-byte windows, one per position.
@@ -249,7 +259,10 @@ class MatchFinder:
         buffer to resume (see the module docstring)."""
         n = len(data)
         global _last_index
-        prev, mask = chain_index(data)
+        # The loop probes no position past ``stop``: the lazy probe one
+        # byte on is the furthest, and a mask scan past the index only
+        # lets through probes that ``find`` then refuses.
+        prev, mask = chain_index(data, stop)
         window = self.window
         depth = range(self.max_chain)
         max_match = self.max_match

@@ -24,12 +24,16 @@ CORPUS = _inputs()
 
 def _evaluated(data, split, start=0):
     """Algorithm 1's two token streams of ``data[start:]`` from the range
-    split at ``split``: both parses of ``[split, n)`` from a speculative
-    start, then of ``[start, split)``, as the evaluation runs them with
-    the helper, each head then rejoined with its tail."""
+    split at ``split``, as the evaluation runs them with the helper:
+    both parses of ``[split, n)`` from a speculative start, and of
+    ``[start, split)`` on a copy of their own (the helper's, indexed
+    only as far as that range probes), each head then rejoined with its
+    tail."""
     n = len(data)
     tails = lz77.parse_both(LZ4_PARSE, ZSTD_PARSE, data, split, n)
-    heads = lz77.parse_both(LZ4_PARSE, ZSTD_PARSE, data, start, split)
+    heads = lz77.parse_both(
+        LZ4_PARSE, ZSTD_PARSE, bytes(bytearray(data)), start, split
+    )
     return (
         LZ4_PARSE.rejoin(data, heads[0], tails[0]),
         ZSTD_PARSE.rejoin(data, heads[1], tails[1]),
@@ -367,6 +371,18 @@ def _buffer_and_split(draw):
         )
     )
     return data, draw(st.integers(0, len(data)))
+
+
+@given(_buffer_and_split())
+@settings(deadline=None)
+def test_the_index_up_to_a_split_is_the_start_of_the_whole_one(case):
+    """What a head parse builds: the chain links and mask bits of the
+    positions up to ``stop``, each as the whole buffer's index has it."""
+    data, stop = case
+    prev, mask = lz77.chain_index(bytes(bytearray(data)))
+    head_prev, head_mask = lz77.chain_index(bytes(bytearray(data)), stop)
+    count = min(stop + 1, len(prev))
+    assert (head_prev, head_mask) == (prev[:count], mask[:count])
 
 
 @given(_buffer_and_split())
